@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-fast lint-deep check bench bench-pipeline bench-host bench-diff fuzz
+.PHONY: all build test race vet lint lint-fast lint-deep check bench bench-pipeline bench-host bench-diff bench-check fuzz
 
 all: build
 
@@ -21,8 +21,12 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
+# vet also fails on files gofmt would rewrite (analyzer fixtures under
+# testdata/ are exempt: some are deliberately malformed).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v /testdata/ || true); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # Domain-specific static analysis (see DESIGN.md "Static analysis &
 # determinism conventions" and `go run ./cmd/annlint -list`). `lint` runs the
@@ -52,17 +56,23 @@ bench-pipeline:
 # Host-speed microbenchmarks of the distance kernels and the zero-alloc
 # search layer: regenerates the committed BENCH_host.json trajectory
 # artefact (ROADMAP item 4). HOSTBENCH_FLAGS=-quick runs the kernel section
-# only (the CI smoke mode).
+# only; CI must not run this target (it overwrites the committed baseline
+# bench-diff compares against) — bench-diff is the CI smoke.
 bench-host:
 	$(GO) run ./cmd/hostbench -out BENCH_host.json $(HOSTBENCH_FLAGS)
 
 # Regression gate over the committed benchmark baselines: reruns the quick
 # kernel suite into a scratch file and fails on >20% ns/op growth or any
-# allocs/op growth on gated (non-replay) entries. CI runs this after its
-# bench-host smoke.
+# allocs/op growth on gated (non-replay) entries.
 bench-diff:
 	$(GO) run ./cmd/hostbench -quick -out /tmp/bench_host_fresh.json
 	$(GO) run ./cmd/benchdiff -base BENCH_host.json -new /tmp/bench_host_fresh.json
+
+# The layered benchmark (bench/, BENCHMARK.json) is its own module, outside
+# `./...`: vet and test it against this tree so an API change cannot break it
+# unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short coverage-guided fuzzing of the node-cache invariants (the seeded
 # corpora already run as part of every plain `go test`); each target gets a

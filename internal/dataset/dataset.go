@@ -21,6 +21,7 @@ import (
 	"sort"
 	"sync"
 
+	"svdbench/internal/index"
 	"svdbench/internal/vec"
 )
 
@@ -186,7 +187,9 @@ func Generate(spec Spec) *Dataset {
 
 // BruteForce computes the exact top-k neighbours of every query over the
 // base vectors, parallelised across queries with real goroutines (this is
-// preprocessing, not simulated work).
+// preprocessing, not simulated work). Base rows are scored through one
+// shared index.Scorer — cached row norms and the packed-rows batch kernel,
+// bit-identical to per-pair vec.Distance — and ranked by (distance, id).
 func BruteForce(base, queries *vec.Matrix, metric vec.Metric, k int) [][]int32 {
 	nq := queries.Len()
 	out := make([][]int32, nq)
@@ -197,6 +200,7 @@ func BruteForce(base, queries *vec.Matrix, metric vec.Metric, k int) [][]int32 {
 	if workers < 1 {
 		workers = 1
 	}
+	scorer := index.NewScorer(base, metric)
 	var wg sync.WaitGroup
 	next := make(chan int, nq)
 	for q := 0; q < nq; q++ {
@@ -207,82 +211,32 @@ func BruteForce(base, queries *vec.Matrix, metric vec.Metric, k int) [][]int32 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var (
+				heap  index.MaxHeap
+				dists [256]float32
+				ns    []index.Neighbor
+			)
+			n := base.Len()
 			for q := range next {
-				out[q] = topK(base, queries.Row(q), metric, k)
+				qs := scorer.Query(queries.Row(q))
+				for lo := 0; lo < n; lo += len(dists) {
+					chunk := dists[:min(len(dists), n-lo)]
+					qs.DistRange(lo, chunk)
+					for i, d := range chunk {
+						heap.PushBounded(index.Neighbor{ID: int32(lo + i), Dist: d}, k)
+					}
+				}
+				ns = heap.DrainAscending(ns[:0])
+				ids := make([]int32, len(ns))
+				for i, nb := range ns {
+					ids[i] = nb.ID
+				}
+				out[q] = ids
 			}
 		}()
 	}
 	wg.Wait()
 	return out
-}
-
-// topK returns the ids of the k closest base vectors to query, ordered from
-// closest to farthest.
-func topK(base *vec.Matrix, query []float32, metric vec.Metric, k int) []int32 {
-	n := base.Len()
-	if k > n {
-		k = n
-	}
-	type cand struct {
-		id   int32
-		dist float32
-	}
-	// Bounded max-heap over the k best.
-	heapArr := make([]cand, 0, k)
-	less := func(i, j int) bool { // max-heap by distance
-		if heapArr[i].dist != heapArr[j].dist {
-			return heapArr[i].dist > heapArr[j].dist
-		}
-		return heapArr[i].id > heapArr[j].id
-	}
-	down := func(i int) {
-		for {
-			l, rr := 2*i+1, 2*i+2
-			big := i
-			if l < len(heapArr) && less(l, big) {
-				big = l
-			}
-			if rr < len(heapArr) && less(rr, big) {
-				big = rr
-			}
-			if big == i {
-				return
-			}
-			heapArr[i], heapArr[big] = heapArr[big], heapArr[i]
-			i = big
-		}
-	}
-	up := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(i, p) {
-				return
-			}
-			heapArr[i], heapArr[p] = heapArr[p], heapArr[i]
-			i = p
-		}
-	}
-	for id := 0; id < n; id++ {
-		d := vec.Distance(metric, query, base.Row(id))
-		if len(heapArr) < k {
-			heapArr = append(heapArr, cand{int32(id), d})
-			up(len(heapArr) - 1)
-		} else if d < heapArr[0].dist || (d == heapArr[0].dist && int32(id) < heapArr[0].id) {
-			heapArr[0] = cand{int32(id), d}
-			down(0)
-		}
-	}
-	sort.Slice(heapArr, func(i, j int) bool {
-		if heapArr[i].dist != heapArr[j].dist {
-			return heapArr[i].dist < heapArr[j].dist
-		}
-		return heapArr[i].id < heapArr[j].id
-	})
-	ids := make([]int32, len(heapArr))
-	for i, c := range heapArr {
-		ids[i] = c.id
-	}
-	return ids
 }
 
 // RecallAtK returns |result ∩ truth[:k]| / k for one query.

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -90,11 +92,56 @@ func TestGroundTruthSortedByDistance(t *testing.T) {
 	}
 }
 
-func TestTopKSmallerThanK(t *testing.T) {
+func TestBruteForceFewerRowsThanK(t *testing.T) {
 	base := vec.MatrixFromRows([][]float32{{1, 0}, {0, 1}})
-	got := topK(base, []float32{1, 0}, vec.L2, 10)
+	got := BruteForce(base, vec.MatrixFromRows([][]float32{{1, 0}}), vec.L2, 10)[0]
 	if len(got) != 2 || got[0] != 0 {
-		t.Errorf("topK = %v", got)
+		t.Errorf("top-k = %v", got)
+	}
+}
+
+// scalarTopK is the reference BruteForce is pinned to: every pair scored with
+// scalar vec.Distance, ranked by (distance, id).
+func scalarTopK(base *vec.Matrix, query []float32, metric vec.Metric, k int) []int32 {
+	type cand struct {
+		id   int32
+		dist float32
+	}
+	cands := make([]cand, base.Len())
+	for i := range cands {
+		cands[i] = cand{int32(i), vec.Distance(metric, query, base.Row(i))}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].dist != cands[j].dist {
+			return cands[i].dist < cands[j].dist
+		}
+		return cands[i].id < cands[j].id
+	})
+	ids := make([]int32, min(k, len(cands)))
+	for i := range ids {
+		ids[i] = cands[i].id
+	}
+	return ids
+}
+
+// TestBruteForceMatchesScalarReference: the cached-norm batch scoring must
+// pick exactly the ids the scalar per-pair scan picks, in the same order, for
+// every metric — including duplicate rows (distance ties broken by id) and a
+// zero row (cosine distance 1 by definition).
+func TestBruteForceMatchesScalarReference(t *testing.T) {
+	spec := tinySpec()
+	spec.N, spec.Dim, spec.NumQueries = 300, 24, 12
+	ds := Generate(spec)
+	copy(ds.Vectors.Row(7), ds.Vectors.Row(3))
+	copy(ds.Vectors.Row(299), ds.Vectors.Row(3))
+	clear(ds.Vectors.Row(11))
+	for _, metric := range []vec.Metric{vec.Cosine, vec.L2, vec.IP} {
+		got := BruteForce(ds.Vectors, ds.Queries, metric, 40)
+		for qi := range got {
+			if want := scalarTopK(ds.Vectors, ds.Queries.Row(qi), metric, 40); !slices.Equal(got[qi], want) {
+				t.Fatalf("%v query %d: ids %v, scalar reference %v", metric, qi, got[qi], want)
+			}
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Index is a brute-force scan over a vector matrix.
 type Index struct {
 	data   *vec.Matrix
-	metric vec.Metric
+	scorer *index.Scorer
 	cost   index.CostModel
 	// ids maps matrix rows to external ids (nil means identity).
 	ids []int32
@@ -20,14 +20,26 @@ type Index struct {
 // New creates a flat index over data. ids, when non-nil, maps rows to
 // external ids.
 func New(data *vec.Matrix, metric vec.Metric, ids []int32) *Index {
-	return &Index{data: data, metric: metric, cost: index.DefaultCostModel(), ids: ids}
+	return &Index{data: data, scorer: index.NewScorer(data, metric), cost: index.DefaultCostModel(), ids: ids}
+}
+
+// Append adds one vector with its external id as the new last row: how a
+// long-lived flat index serves as a collection's growing tail. The index
+// must have been created with a non-nil (possibly empty) ids slice, and
+// Append must not run concurrently with searches.
+func (ix *Index) Append(v []float32, id int32) {
+	if ix.ids == nil {
+		panic("flat: Append to an index with identity ids")
+	}
+	ix.scorer.Append(v)
+	ix.ids = append(ix.ids, id)
 }
 
 // Name implements index.Index.
 func (ix *Index) Name() string { return "FLAT" }
 
 // Metric implements index.Index.
-func (ix *Index) Metric() vec.Metric { return ix.metric }
+func (ix *Index) Metric() vec.Metric { return ix.scorer.Metric() }
 
 // Len implements index.Index.
 func (ix *Index) Len() int { return ix.data.Len() }
@@ -40,8 +52,8 @@ func (ix *Index) MemoryBytes() int64 {
 // StorageBytes implements index.SizeReporter.
 func (ix *Index) StorageBytes() int64 { return 0 }
 
-// scanChunk is the row batch of the unfiltered scan: the distance buffer
-// lives in the scratch and each chunk is one batch-kernel call.
+// scanChunk is the row batch of the scan: the distance and gather buffers
+// live in the scratch and each chunk is one batch-kernel call.
 const scanChunk = 256
 
 // Search implements index.Index with an exact scan.
@@ -52,10 +64,11 @@ func (ix *Index) Search(q []float32, k int, opts index.SearchOptions) index.Resu
 }
 
 // SearchInto implements index.SearcherInto: the exact scan writing into a
-// caller-owned Result. Unfiltered scans run through the batch distance
-// kernel over the contiguous matrix (bit-identical to per-row vec.Distance);
-// with a reused scratch and dst the steady-state path performs no
-// allocations per query.
+// caller-owned Result. Rows are scored a chunk at a time through the
+// scorer's batch kernels (bit-identical to per-row vec.Distance): an
+// unfiltered chunk as one contiguous range, a filtered chunk by gathering the
+// rows that pass. With a reused scratch and dst the steady-state path
+// performs no allocations per query.
 //
 //annlint:hotpath
 func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *index.Result) {
@@ -64,47 +77,46 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	heap.Reset()
 	n := ix.data.Len()
 	comps := 0
-	if opts.Filter == nil && n > 0 {
-		raw := ix.data.Raw()
-		dim := ix.data.Dim
-		if cap(scr.Dists) < scanChunk {
-			scr.Dists = make([]float32, scanChunk) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
+	qs := ix.scorer.Query(q)
+	if cap(scr.Dists) < scanChunk {
+		scr.Dists = make([]float32, scanChunk) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
+	}
+	for lo := 0; lo < n; lo += scanChunk {
+		hi := min(lo+scanChunk, n)
+		if opts.Filter == nil {
+			dists := scr.Dists[:hi-lo]
+			qs.DistRange(lo, dists)
+			for i, d := range dists {
+				heap.PushBounded(index.Neighbor{ID: ix.extID(lo + i), Dist: d}, k)
+			}
+			comps += hi - lo
+			continue
 		}
-		for lo := 0; lo < n; lo += scanChunk {
-			cn := n - lo
-			if cn > scanChunk {
-				cn = scanChunk
-			}
-			buf := scr.Dists[:cn]
-			vec.DistanceBatch(ix.metric, q, raw[lo*dim:(lo+cn)*dim], buf)
-			for i := 0; i < cn; i++ {
-				id := int32(lo + i)
-				if ix.ids != nil {
-					id = ix.ids[lo+i]
-				}
-				heap.PushBounded(index.Neighbor{ID: id, Dist: buf[i]}, k)
+		scr.IDs = scr.IDs[:0]
+		for row := lo; row < hi; row++ {
+			if opts.Filter(ix.extID(row)) {
+				scr.IDs = append(scr.IDs, int32(row))
 			}
 		}
-		comps = n
-	} else {
-		for i := 0; i < n; i++ {
-			id := int32(i)
-			if ix.ids != nil {
-				id = ix.ids[i]
-			}
-			if opts.Filter != nil && !opts.Filter(id) {
-				continue
-			}
-			d := vec.Distance(ix.metric, q, ix.data.Row(i))
-			comps++
-			heap.PushBounded(index.Neighbor{ID: id, Dist: d}, k)
+		dists := scr.Dists[:len(scr.IDs)]
+		qs.DistBatch(scr.IDs, dists)
+		for i, row := range scr.IDs {
+			heap.PushBounded(index.Neighbor{ID: ix.extID(int(row)), Dist: dists[i]}, k)
 		}
+		comps += len(scr.IDs)
 	}
 	stats := index.Stats{DistComps: comps}
 	opts.Recorder.AddCPU(ix.cost.Dist(ix.data.Dim, comps) + ix.cost.Heap(comps))
 	opts.Recorder.Flush()
 	scr.Neighbors = heap.DrainAscending(scr.Neighbors[:0])
 	index.ResultInto(scr.Neighbors, k, stats, dst)
+}
+
+func (ix *Index) extID(row int) int32 {
+	if ix.ids != nil {
+		return ix.ids[row]
+	}
+	return int32(row)
 }
 
 var _ index.Index = (*Index)(nil)

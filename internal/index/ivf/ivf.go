@@ -57,6 +57,7 @@ type Index struct {
 	centroids *vec.Matrix
 	lists     [][]int32 // row indexes per cell
 	cost      index.CostModel
+	scorer    *index.Scorer // full-precision scoring (IVF_FLAT cell scans)
 
 	// PQ variant state.
 	quantizer *pq.Quantizer
@@ -89,6 +90,7 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		centroids: res.Centroids,
 		lists:     make([][]int32, res.Centroids.Len()),
 		cost:      index.DefaultCostModel(),
+		scorer:    index.NewScorer(data, cfg.Metric),
 	}
 	for row, c := range res.Assign {
 		ix.lists[c] = append(ix.lists[c], int32(row))
@@ -171,44 +173,82 @@ func (ix *Index) StorageBytes() int64 { return ix.codeBytes }
 
 // Search implements index.Index.
 func (ix *Index) Search(q []float32, k int, opts index.SearchOptions) index.Result {
+	var r index.Result
+	ix.SearchInto(q, k, opts, &r)
+	return r
+}
+
+// SearchInto implements index.SearcherInto: coarse quantisation against
+// every centroid, then an exhaustive scan of the nprobe closest cells,
+// writing into a caller-owned Result. Probe order, distance buffers, the ADC
+// table and the result heap all live in the scratch, so with a reused
+// scratch and dst the steady-state path performs no allocations per query.
+//
+//annlint:hotpath
+func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *index.Result) {
+	scr := index.ScratchFor(opts)
 	nprobe := opts.NProbe
 	if nprobe <= 0 {
 		nprobe = 1
 	}
 	rec := opts.Recorder
 	// Coarse quantisation: compare against every centroid.
-	cells := kmeans.NearestN(ix.centroids, q, nprobe)
-	stats := index.Stats{DistComps: ix.centroids.Len()}
-	rec.AddCPU(ix.cost.Dist(ix.data.Dim, ix.centroids.Len()))
+	nc := ix.centroids.Len()
+	if cap(scr.Dists) < nc {
+		scr.Dists = make([]float32, nc) //annlint:allow hotalloc -- cap-guarded growth of the scratch distance buffer; steady state reuses its capacity
+	}
+	if cap(scr.Cells) < nc {
+		scr.Cells = make([]int, nc) //annlint:allow hotalloc -- cap-guarded growth of the scratch probe-order buffer; steady state reuses its capacity
+	}
+	cells := kmeans.NearestN(ix.centroids, q, nprobe, scr.Dists, scr.Cells)
+	stats := index.Stats{DistComps: nc}
+	rec.AddCPU(ix.cost.Dist(ix.data.Dim, nc))
 
-	var heap index.MaxHeap
+	heap := &scr.Bounded
+	heap.Reset()
 	if ix.cfg.PQ {
-		ix.scanPQ(q, k, cells, opts, &heap, &stats, rec)
+		ix.scanPQ(q, k, cells, opts, scr, &stats)
 	} else {
-		ix.scanFlat(q, k, cells, opts, &heap, &stats, rec)
+		ix.scanFlat(q, k, cells, opts, scr, &stats)
 	}
 	rec.Flush()
-	return index.ResultFromNeighbors(heap.SortedAscending(), k, stats)
+	scr.Neighbors = heap.DrainAscending(scr.Neighbors[:0])
+	index.ResultInto(scr.Neighbors, k, stats, dst)
 }
 
-func (ix *Index) scanFlat(q []float32, k int, cells []int, opts index.SearchOptions, heap *index.MaxHeap, stats *index.Stats, rec *index.Profile) {
+// scanFlat scores the probed cells at full precision. The rows that pass the
+// filter are gathered across all probed cells (cell order, then list order)
+// and scored in one DistBatch — cells average a handful of rows, so per-cell
+// batches would be mostly remainder — then pushed in gathered order: the
+// same distances and heap-operation sequence as scoring row by row.
+func (ix *Index) scanFlat(q []float32, k int, cells []int, opts index.SearchOptions, scr *index.SearchScratch, stats *index.Stats) {
+	scr.IDs = scr.IDs[:0]
 	for _, c := range cells {
 		list := ix.lists[c]
 		for _, row := range list {
-			id := ix.extID(row)
-			if opts.Filter != nil && !opts.Filter(id) {
-				continue
+			if opts.Filter == nil || opts.Filter(ix.extID(row)) {
+				scr.IDs = append(scr.IDs, row)
 			}
-			d := vec.Distance(ix.cfg.Metric, q, ix.data.Row(int(row)))
-			stats.DistComps++
-			heap.PushBounded(index.Neighbor{ID: id, Dist: d}, k)
 		}
-		rec.AddCPU(ix.cost.Dist(ix.data.Dim, len(list)) + ix.cost.Heap(len(list)))
+		opts.Recorder.AddCPU(ix.cost.Dist(ix.data.Dim, len(list)) + ix.cost.Heap(len(list)))
 	}
+	// cells aliases scr.Cells, not scr.Dists: the centroid distances are
+	// spent, so the buffer is free for the row distances.
+	if cap(scr.Dists) < len(scr.IDs) {
+		scr.Dists = make([]float32, len(scr.IDs)) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
+	}
+	dists := scr.Dists[:len(scr.IDs)]
+	ix.scorer.Query(q).DistBatch(scr.IDs, dists)
+	for i, row := range scr.IDs {
+		scr.Bounded.PushBounded(index.Neighbor{ID: ix.extID(row), Dist: dists[i]}, k)
+	}
+	stats.DistComps += len(scr.IDs)
 }
 
-func (ix *Index) scanPQ(q []float32, k int, cells []int, opts index.SearchOptions, heap *index.MaxHeap, stats *index.Stats, rec *index.Profile) {
-	table := ix.quantizer.BuildTable(q)
+func (ix *Index) scanPQ(q []float32, k int, cells []int, opts index.SearchOptions, scr *index.SearchScratch, stats *index.Stats) {
+	rec := opts.Recorder
+	scr.Table = ix.quantizer.BuildTableInto(q, scr.Table)
+	table := pq.Table(scr.Table)
 	// Table construction scans all sub-space centroids once.
 	rec.AddCPU(ix.cost.Dist(ix.data.Dim, 256/4+1))
 	m := ix.quantizer.M()
@@ -227,7 +267,7 @@ func (ix *Index) scanPQ(q []float32, k int, cells []int, opts index.SearchOption
 			}
 			d := table.DistanceAt(ix.codes, m, int(row))
 			stats.PQComps++
-			heap.PushBounded(index.Neighbor{ID: id, Dist: d}, k)
+			scr.Bounded.PushBounded(index.Neighbor{ID: id, Dist: d}, k)
 		}
 		rec.AddCPU(ix.cost.PQ(m, len(list)) + ix.cost.Heap(len(list)))
 	}
@@ -241,4 +281,5 @@ func (ix *Index) extID(row int32) int32 {
 }
 
 var _ index.Index = (*Index)(nil)
+var _ index.SearcherInto = (*Index)(nil)
 var _ index.SizeReporter = (*Index)(nil)

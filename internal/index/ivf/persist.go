@@ -73,6 +73,7 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		ids:       ids,
 		centroids: centroids,
 		cost:      index.DefaultCostModel(),
+		scorer:    index.NewScorer(data, cfg.Metric),
 	}
 	nlists := r.Int()
 	if r.Err() != nil {

@@ -219,43 +219,32 @@ func Nearest(centroids *vec.Matrix, v []float32) int {
 }
 
 // NearestN returns the indexes of the n closest centroids to v, closest
-// first.
-func NearestN(centroids *vec.Matrix, v []float32, n int) []int {
+// first (ties by lower index). dists and cells are caller-owned scratch with
+// capacity for one entry per centroid, so a search that keeps them performs
+// no allocation here; the result aliases cells and is valid until cells is
+// reused.
+//
+//annlint:hotpath
+func NearestN(centroids *vec.Matrix, v []float32, n int, dists []float32, cells []int) []int {
 	k := centroids.Len()
 	if n > k {
 		n = k
 	}
-	type cd struct {
-		c int
-		d float32
-	}
-	var buf [scoreChunk]float32
-	raw := centroids.Raw()
-	dim := centroids.Dim
-	all := make([]cd, k)
-	for lo := 0; lo < k; lo += scoreChunk {
-		cn := k - lo
-		if cn > scoreChunk {
-			cn = scoreChunk
-		}
-		vec.L2SqBatch(v, raw[lo*dim:(lo+cn)*dim], buf[:cn])
-		for i := 0; i < cn; i++ {
-			all[lo+i] = cd{lo + i, buf[i]}
-		}
+	dists, cells = dists[:k], cells[:k]
+	vec.L2SqBatch(v, centroids.Raw(), dists)
+	for i := range cells {
+		cells[i] = i
 	}
 	// Partial selection sort: n is small (nprobe).
 	for i := 0; i < n; i++ {
 		min := i
 		for j := i + 1; j < k; j++ {
-			if all[j].d < all[min].d || (all[j].d == all[min].d && all[j].c < all[min].c) {
+			if dists[j] < dists[min] || (dists[j] == dists[min] && cells[j] < cells[min]) {
 				min = j
 			}
 		}
-		all[i], all[min] = all[min], all[i]
+		dists[i], dists[min] = dists[min], dists[i]
+		cells[i], cells[min] = cells[min], cells[i]
 	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].c
-	}
-	return out
+	return cells[:n]
 }

@@ -97,12 +97,13 @@ func TestAssignMatchesNearest(t *testing.T) {
 
 func TestNearestN(t *testing.T) {
 	cents := vec.MatrixFromRows([][]float32{{0, 0}, {1, 0}, {5, 0}, {10, 0}})
-	got := NearestN(cents, []float32{0.9, 0}, 2)
+	dists, cells := make([]float32, 4), make([]int, 4)
+	got := NearestN(cents, []float32{0.9, 0}, 2, dists, cells)
 	if len(got) != 2 || got[0] != 1 || got[1] != 0 {
 		t.Errorf("NearestN = %v, want [1 0]", got)
 	}
 	// n larger than k clamps.
-	got = NearestN(cents, []float32{0, 0}, 10)
+	got = NearestN(cents, []float32{0, 0}, 10, dists, cells)
 	if len(got) != 4 || got[0] != 0 {
 		t.Errorf("clamped NearestN = %v", got)
 	}

@@ -4,28 +4,36 @@ import (
 	"svdbench/internal/vec"
 )
 
-// Scorer evaluates metric distances between queries and the rows of a fixed
-// matrix. For cosine it caches every row's norm at construction and the
-// query's norm per query, reducing each distance to a single dot product —
-// the optimisation real index implementations apply, and a ~3× saving on
-// construction and search.
+// Scorer evaluates metric distances between queries and the rows of a
+// matrix, and is the one way stored rows are scored under cosine: it caches
+// vec.Norm(row) for every row (at construction and on Append) and the
+// query's norm per query, so a distance costs one dot product through the
+// 4-row batch kernels instead of three scalar ones. Cached norms are exactly
+// the norms the scalar path would recompute, so every distance stays
+// bit-identical to vec.Distance (see DESIGN.md "Kernels & scratch buffers").
+// The scorer owns its norms; the matrix may only grow through Append.
 type Scorer struct {
 	data   *vec.Matrix
 	metric vec.Metric
-	norms  []float32 // row norms; only for Cosine
+	norms  []float32 // vec.Norm of each row; only for Cosine
 }
 
 // NewScorer builds a scorer over data.
 func NewScorer(data *vec.Matrix, metric vec.Metric) *Scorer {
 	s := &Scorer{data: data, metric: metric}
 	if metric == vec.Cosine {
-		n := data.Len()
-		s.norms = make([]float32, n)
-		for i := 0; i < n; i++ {
-			s.norms[i] = vec.Norm(data.Row(i))
-		}
+		s.norms = vec.Norms(data)
 	}
 	return s
+}
+
+// Append adds v as a new last row of the scorer's matrix, caching its norm.
+// It must not run concurrently with scoring.
+func (s *Scorer) Append(v []float32) {
+	s.data.AppendRow(v)
+	if s.metric == vec.Cosine {
+		s.norms = append(s.norms, vec.Norm(v))
+	}
 }
 
 // QueryScorer scores one query against the scorer's rows.
@@ -67,11 +75,7 @@ func (qs QueryScorer) Dist(i int) float32 {
 	case vec.IP:
 		return -vec.Dot(qs.q, qs.s.data.Row(i))
 	case vec.Cosine:
-		rn := qs.s.norms[i]
-		if qs.qnorm == 0 || rn == 0 {
-			return 1
-		}
-		return 1 - vec.Dot(qs.q, qs.s.data.Row(i))/(qs.qnorm*rn)
+		return vec.CosineFromDot(vec.Dot(qs.q, qs.s.data.Row(i)), qs.qnorm, qs.s.norms[i])
 	default:
 		panic("index: unknown metric")
 	}
@@ -80,7 +84,9 @@ func (qs QueryScorer) Dist(i int) float32 {
 // DistBatch writes the metric distance from the query to each listed row
 // into out (len(out) must equal len(ids)). Every out[i] is bit-identical to
 // Dist(ids[i]); rows are gathered four at a time through the vec batch
-// kernels, which amortise the query loads and (on amd64) run in SSE.
+// kernels, which amortise the query loads and (on amd64) run in SSE. A
+// remainder of one to three ids is padded with its last id, so it takes the
+// 4-row kernel too.
 //
 //annlint:hotpath
 func (qs QueryScorer) DistBatch(ids []int32, out []float32) {
@@ -89,46 +95,49 @@ func (qs QueryScorer) DistBatch(ids []int32, out []float32) {
 	}
 	d := qs.s.data
 	n := len(ids)
-	i := 0
-	switch qs.s.metric {
+	metric, last := qs.s.metric, n-1
+	for i := 0; i < n; i += 4 {
+		r0 := d.Row(int(ids[i]))
+		r1 := d.Row(int(ids[min(i+1, last)]))
+		r2 := d.Row(int(ids[min(i+2, last)]))
+		r3 := d.Row(int(ids[min(i+3, last)]))
+		var t [4]float32
+		if metric == vec.L2 {
+			t[0], t[1], t[2], t[3] = vec.L2Sq4(qs.q, r0, r1, r2, r3)
+		} else {
+			t[0], t[1], t[2], t[3] = vec.Dot4(qs.q, r0, r1, r2, r3)
+		}
+		copy(out[i:], t[:])
+	}
+	switch metric {
 	case vec.L2:
-		for ; i+4 <= n; i += 4 {
-			out[i], out[i+1], out[i+2], out[i+3] = vec.L2Sq4(qs.q,
-				d.Row(int(ids[i])), d.Row(int(ids[i+1])), d.Row(int(ids[i+2])), d.Row(int(ids[i+3])))
-		}
-		for ; i < n; i++ {
-			out[i] = vec.L2Sq(qs.q, d.Row(int(ids[i])))
-		}
 	case vec.IP:
-		for ; i+4 <= n; i += 4 {
-			out[i], out[i+1], out[i+2], out[i+3] = vec.Dot4(qs.q,
-				d.Row(int(ids[i])), d.Row(int(ids[i+1])), d.Row(int(ids[i+2])), d.Row(int(ids[i+3])))
-		}
-		for ; i < n; i++ {
-			out[i] = vec.Dot(qs.q, d.Row(int(ids[i])))
-		}
-		for j := 0; j < n; j++ {
+		for j := range out {
 			out[j] = -out[j]
 		}
 	case vec.Cosine:
-		for ; i+4 <= n; i += 4 {
-			out[i], out[i+1], out[i+2], out[i+3] = vec.Dot4(qs.q,
-				d.Row(int(ids[i])), d.Row(int(ids[i+1])), d.Row(int(ids[i+2])), d.Row(int(ids[i+3])))
-		}
-		for ; i < n; i++ {
-			out[i] = vec.Dot(qs.q, d.Row(int(ids[i])))
-		}
-		for j := 0; j < n; j++ {
-			rn := qs.s.norms[ids[j]]
-			if qs.qnorm == 0 || rn == 0 {
-				out[j] = 1
-				continue
-			}
-			out[j] = 1 - out[j]/(qs.qnorm*rn)
+		for j, id := range ids {
+			out[j] = vec.CosineFromDot(out[j], qs.qnorm, qs.s.norms[id])
 		}
 	default:
 		panic("index: unknown metric")
 	}
+}
+
+// DistRange writes the metric distance from the query to the len(out)
+// consecutive rows starting at row lo into out: the contiguous form of
+// DistBatch, one packed-rows kernel call with no gather. Every out[i] is
+// bit-identical to Dist(lo+i).
+//
+//annlint:hotpath
+func (qs QueryScorer) DistRange(lo int, out []float32) {
+	dim := qs.s.data.Dim
+	rows := qs.s.data.Raw()[lo*dim : (lo+len(out))*dim]
+	if qs.s.metric == vec.Cosine {
+		vec.CosineDistanceBatch(qs.q, qs.qnorm, rows, qs.s.norms[lo:lo+len(out)], out)
+		return
+	}
+	vec.DistanceBatch(qs.s.metric, qs.q, rows, out)
 }
 
 // RowDist returns the metric distance between two stored rows, using cached

@@ -103,3 +103,63 @@ func TestScorerUnknownMetricPanics(t *testing.T) {
 	}()
 	s.Query(make([]float32, 4)).Dist(0)
 }
+
+// TestScorerBatchBitIdentity is the differential test of the cached-norm
+// scoring paths: DistRange (contiguous) and DistBatch (gathered, with its
+// remainder padded into the 4-row kernel) must equal scalar vec.Distance bit
+// for bit — every metric, dimensions on both sides of the 4- and 8-element
+// unroll boundaries up to 1536, every row-count remainder, a zero query, a
+// zero row, and rows added through Append.
+func TestScorerBatchBitIdentity(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 33, 96, 127, 768, 769, 1536} {
+		m := randMatrix(9, dim, int64(dim))
+		clear(m.Row(4))
+		extra := randMatrix(4, dim, int64(dim)+1)
+		for _, metric := range []vec.Metric{vec.L2, vec.IP, vec.Cosine} {
+			data := vec.NewMatrix(0, dim)
+			for i := 0; i < m.Len(); i++ {
+				data.AppendRow(m.Row(i))
+			}
+			s := NewScorer(data, metric)
+			for i := 0; i < extra.Len(); i++ {
+				s.Append(extra.Row(i))
+			}
+			n := data.Len()
+			q := make([]float32, dim)
+			for j := range q {
+				q[j] = float32(r.NormFloat64())
+			}
+			for _, query := range [][]float32{q, make([]float32, dim)} {
+				qs := s.Query(query)
+				want := make([]float32, n)
+				for i := range want {
+					want[i] = vec.Distance(metric, query, data.Row(i))
+				}
+				for lo := 0; lo <= 4; lo++ {
+					for cnt := 0; lo+cnt <= n; cnt++ {
+						out := make([]float32, cnt)
+						qs.DistRange(lo, out)
+						ids := make([]int32, cnt)
+						for i := range ids {
+							ids[i] = int32(n - 1 - lo - i) // descending: a genuine gather
+						}
+						gathered := make([]float32, cnt)
+						qs.DistBatch(ids, gathered)
+						for i := 0; i < cnt; i++ {
+							if out[i] != want[lo+i] {
+								t.Fatalf("%v dim %d: DistRange(%d,%d)[%d] = %x, scalar %x", metric, dim, lo, cnt, i, out[i], want[lo+i])
+							}
+							if gathered[i] != want[ids[i]] {
+								t.Fatalf("%v dim %d: DistBatch(%d ids)[%d] = %x, scalar %x", metric, dim, cnt, i, gathered[i], want[ids[i]])
+							}
+							if d := qs.Dist(int(ids[i])); d != want[ids[i]] {
+								t.Fatalf("%v dim %d: Dist(%d) = %x, scalar %x", metric, dim, ids[i], d, want[ids[i]])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -48,6 +48,14 @@ type SearchScratch struct {
 	Neighbors []Neighbor
 	// Nav holds SPANN's centroid-navigation result between queries.
 	Nav Result
+	// Cells receives IVF's probe order (closest cell first).
+	Cells []int
+	// Merged and Unit belong to the layer above the indexes: a collection's
+	// single-query search merges each unit's result (Unit, rewritten per
+	// unit) into its cross-unit top-k (Merged). Index searches never touch
+	// them, so they survive the per-unit SearchInto calls sharing the scratch.
+	Merged MaxHeap
+	Unit   Result
 }
 
 // NewSearchScratch returns an empty scratch; buffers grow on first use and

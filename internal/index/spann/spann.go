@@ -109,9 +109,10 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	if maxProbe > nc {
 		maxProbe = nc
 	}
+	cdists, cells := make([]float32, nc), make([]int, nc)
 	for row := 0; row < n; row++ {
 		v := data.Row(row)
-		near := kmeans.NearestN(ix.centroids, v, maxProbe) // ascending by distance
+		near := kmeans.NearestN(ix.centroids, v, maxProbe, cdists, cells) // ascending by distance
 		d0 := vec.L2Sq(v, ix.centroids.Row(near[0]))
 		limit := float32((1 + cfg.ReplicaEps) * (1 + cfg.ReplicaEps) * float64(d0))
 		for i, c := range near {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"svdbench/internal/index"
 	"svdbench/internal/index/diskann"
@@ -37,12 +38,17 @@ type Collection struct {
 	params BuildParams
 
 	segments []*Segment
-	growData *vec.Matrix
-	growIDs  []int32
+	// grow is the growing tail: one long-lived brute-force index that
+	// Insert appends to and every search scans as the last unit.
+	grow *flat.Index
 
 	tombstones map[int32]bool
 	payloads   map[int32]Payload
 	nextID     int32
+
+	// scratch is the one search workspace the collection retains for
+	// single-query searches that bring none (see runOne).
+	scratch atomic.Pointer[index.SearchScratch]
 }
 
 // NewCollection creates an empty collection for the engine's traits.
@@ -61,7 +67,7 @@ func NewCollection(name string, dim int, metric vec.Metric, traits Traits, kind 
 		traits:     traits,
 		kind:       kind,
 		params:     params,
-		growData:   vec.NewMatrix(0, dim),
+		grow:       flat.New(vec.NewMatrix(0, dim), metric, []int32{}),
 		tombstones: map[int32]bool{},
 		payloads:   map[int32]Payload{},
 	}, nil
@@ -81,7 +87,7 @@ func (c *Collection) Traits() Traits { return c.traits }
 
 // Len returns the number of live vectors.
 func (c *Collection) Len() int {
-	n := len(c.growIDs)
+	n := c.grow.Len()
 	for _, s := range c.segments {
 		n += len(s.IDs)
 	}
@@ -196,16 +202,20 @@ func (c *Collection) Insert(v []float32, payload Payload) (int32, error) {
 	}
 	id := c.nextID
 	c.nextID++
-	c.growData.AppendRow(v)
-	c.growIDs = append(c.growIDs, id)
+	c.grow.Append(v, id)
 	if payload != nil {
 		c.payloads[id] = payload
 	}
 	return id, nil
 }
 
-// Delete tombstones an id; searches stop returning it immediately.
+// Delete tombstones an id; searches stop returning it immediately. Ids the
+// collection never assigned are ignored: a tombstone for one would make Len
+// under-count and the liveness map grow without bound.
 func (c *Collection) Delete(id int32) {
+	if id < 0 || id >= c.nextID {
+		return
+	}
 	c.tombstones[id] = true
 	delete(c.payloads, id)
 }
@@ -214,7 +224,7 @@ func (c *Collection) Delete(id int32) {
 func (c *Collection) Deleted(id int32) bool { return c.tombstones[id] }
 
 // GrowingLen returns the number of rows in the growing tail.
-func (c *Collection) GrowingLen() int { return len(c.growIDs) }
+func (c *Collection) GrowingLen() int { return c.grow.Len() }
 
 // Payload returns the payload of an id (nil when absent).
 func (c *Collection) Payload(id int32) Payload { return c.payloads[id] }
@@ -259,22 +269,23 @@ type QueryExec struct {
 // brute-forced growing tail) once, running all queries against that unit via
 // index.SearchBatchOf, and merges per query in unit order, so each query's
 // result is byte-identical to searching the units sequentially for that
-// query alone. When record is true, per-(query, unit) profiles are captured
-// through SearchOptions.RecorderFor into the returned QueryExecs.
+// query alone — which is literally what a one-row batch does (runOne). When
+// record is true, per-(query, unit) profiles are captured through
+// SearchOptions.RecorderFor into the returned QueryExecs.
 func (c *Collection) runBatch(ctx context.Context, rows [][]float32, k int, opts index.SearchOptions, record bool) []QueryExec {
 	out := make([]QueryExec, len(rows))
-	if len(rows) == 0 || (len(c.segments) == 0 && len(c.growIDs) == 0) {
+	switch len(rows) {
+	case 0:
+		return out
+	case 1:
+		out[0] = c.runOne(ctx, rows[0], k, opts, record)
+		return out
+	}
+	units := c.units()
+	if len(units) == 0 {
 		return out
 	}
 	opts.Filter = c.liveFilter(opts.Filter)
-
-	units := make([]index.Index, 0, len(c.segments)+1)
-	for _, s := range c.segments {
-		units = append(units, s.Index)
-	}
-	if len(c.growIDs) > 0 {
-		units = append(units, flat.New(c.growData, c.metric, c.growIDs))
-	}
 
 	heaps := make([]index.MaxHeap, len(rows))
 	if record {
@@ -301,12 +312,88 @@ func (c *Collection) runBatch(ctx context.Context, rows [][]float32, k int, opts
 		}
 	}
 	for qi := range out {
-		ns := heaps[qi].SortedAscending()
-		out[qi].IDs = make([]int32, len(ns))
-		for i, n := range ns {
-			out[qi].IDs[i] = n.ID
+		out[qi].IDs = neighborIDs(heaps[qi].SortedAscending())
+	}
+	return out
+}
+
+// units lists what a search visits, in merge order: the sealed segments'
+// indexes, then the growing tail when it holds rows.
+func (c *Collection) units() []index.Index {
+	units := make([]index.Index, 0, len(c.segments)+1)
+	for _, s := range c.segments {
+		units = append(units, s.Index)
+	}
+	if c.grow.Len() > 0 {
+		units = append(units, c.grow)
+	}
+	return units
+}
+
+func neighborIDs(ns []index.Neighbor) []int32 {
+	ids := make([]int32, len(ns))
+	for i, n := range ns {
+		ids[i] = n.ID
+	}
+	return ids
+}
+
+// runOne is runBatch for a single query: the units are searched one after
+// another on the calling goroutine with one scratch, so a query costs its
+// index searches plus a merge — no goroutine, channel or per-unit scratch.
+// The scratch is opts.Scratch when the caller brings one; otherwise the
+// collection lends the one it retains. That is an atomic swap of a single
+// pointer: a second concurrent caller finds it taken and works on a fresh
+// scratch, and whichever finishes last leaves its scratch behind. One is
+// all a closed-loop client needs, and a scratch is not small (a DiskANN
+// one carries a PQ table of about 0.1 MiB), so there is no pool.
+func (c *Collection) runOne(ctx context.Context, q []float32, k int, opts index.SearchOptions, record bool) QueryExec {
+	var out QueryExec
+	tail := c.grow.Len() > 0
+	if len(c.segments) == 0 && !tail {
+		return out
+	}
+	opts.Filter = c.liveFilter(opts.Filter)
+	if opts.RecorderFor != nil {
+		opts.Recorder, opts.RecorderFor = opts.RecorderFor(0), nil
+	}
+	scr := opts.Scratch
+	if scr == nil {
+		if scr = c.scratch.Swap(nil); scr == nil {
+			scr = index.NewSearchScratch()
+		}
+		defer c.scratch.Store(scr)
+		opts.Scratch = scr
+	}
+	if record {
+		out.Segments = make([][]index.Step, 0, len(c.segments)+1)
+	}
+	scr.Merged.Reset()
+	search := func(unit index.SearcherInto) {
+		var prof *index.Profile
+		if record {
+			prof = new(index.Profile)
+			opts.Recorder = prof
+		}
+		if ctx.Err() == nil {
+			unit.SearchInto(q, k, opts, &scr.Unit)
+			for i, id := range scr.Unit.IDs {
+				scr.Merged.PushBounded(index.Neighbor{ID: id, Dist: scr.Unit.Dists[i]}, k)
+			}
+			out.Stats.Add(scr.Unit.Stats)
+		}
+		if record {
+			out.Segments = append(out.Segments, prof.Steps)
 		}
 	}
+	for _, s := range c.segments {
+		search(s.Index.(index.SearcherInto))
+	}
+	if tail {
+		search(c.grow)
+	}
+	scr.Neighbors = scr.Merged.DrainAscending(scr.Neighbors[:0])
+	out.IDs = neighborIDs(scr.Neighbors)
 	return out
 }
 
@@ -314,13 +401,13 @@ func (c *Collection) runBatch(ctx context.Context, rows [][]float32, k int, opts
 // top-k result without capturing execution profiles. It replaces the old
 // SearchDirect(q, k, opts, false).
 func (c *Collection) Search(q []float32, k int, opts index.SearchOptions) QueryExec {
-	return c.runBatch(context.Background(), [][]float32{q}, k, opts, false)[0]
+	return c.runOne(context.Background(), q, k, opts, false)
 }
 
 // Record runs one real query and captures its per-segment execution profiles
 // for replay. It replaces the old SearchDirect(q, k, opts, true).
 func (c *Collection) Record(q []float32, k int, opts index.SearchOptions) QueryExec {
-	return c.runBatch(context.Background(), [][]float32{q}, k, opts, true)[0]
+	return c.runOne(context.Background(), q, k, opts, true)
 }
 
 // SearchBatch runs every query row through the batch-first core without

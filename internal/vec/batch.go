@@ -47,8 +47,11 @@ func DotBatch(q, rows []float32, out []float32) {
 			rows[b:b+d:b+d], rows[b+d:b+2*d:b+2*d],
 			rows[b+2*d:b+3*d:b+3*d], rows[b+3*d:b+4*d:b+4*d])
 	}
-	for ; i < n; i++ {
-		out[i] = dotGo(q, rows[i*d:(i+1)*d:(i+1)*d])
+	if i < n {
+		r0, r1, r2, r3 := tail4(rows, d, i, n)
+		t := [4]float32{}
+		t[0], t[1], t[2], t[3] = dot4(q, r0, r1, r2, r3)
+		copy(out[i:], t[:n-i])
 	}
 }
 
@@ -69,9 +72,28 @@ func L2SqBatch(q, rows []float32, out []float32) {
 			rows[b:b+d:b+d], rows[b+d:b+2*d:b+2*d],
 			rows[b+2*d:b+3*d:b+3*d], rows[b+3*d:b+4*d:b+4*d])
 	}
-	for ; i < n; i++ {
-		out[i] = l2sqGo(q, rows[i*d:(i+1)*d:(i+1)*d])
+	if i < n {
+		r0, r1, r2, r3 := tail4(rows, d, i, n)
+		t := [4]float32{}
+		t[0], t[1], t[2], t[3] = l2sq4(q, r0, r1, r2, r3)
+		copy(out[i:], t[:n-i])
 	}
+}
+
+// tail4 returns packed rows i..n-1 (one to three of them) padded to four by
+// repeating row n-1, so the n%4 remainder of a batch rides the 4-row kernel
+// like every other row instead of falling back to the ~5x slower scalar
+// loop. Rows are scored independently, so the padding changes no result.
+func tail4(rows []float32, d, i, n int) (r0, r1, r2, r3 []float32) {
+	r3 = rows[(n-1)*d : n*d : n*d]
+	r0, r1, r2 = rows[i*d:(i+1)*d:(i+1)*d], r3, r3
+	if i+1 < n {
+		r1 = rows[(i+1)*d : (i+2)*d : (i+2)*d]
+	}
+	if i+2 < n {
+		r2 = rows[(i+2)*d : (i+3)*d : (i+3)*d]
+	}
+	return r0, r1, r2, r3
 }
 
 // DistanceBatch writes Distance(m, q, row_i) into out[i] for the len(out)
@@ -97,25 +119,38 @@ func DistanceBatch(m Metric, q, rows []float32, out []float32) {
 }
 
 func cosineDistanceBatch(q, rows []float32, out []float32) {
-	d, n := len(q), len(out)
-	if len(rows) != n*d {
-		panic(fmt.Sprintf("vec: rows length %d, want %d rows x dim %d", len(rows), n, d))
-	}
+	d := len(q)
 	qn := Norm(q)
-	if qn == 0 {
-		for i := range out {
-			out[i] = 1
-		}
-		return
+	DotBatch(q, rows, out)
+	for i := range out {
+		out[i] = CosineFromDot(out[i], qn, Norm(rows[i*d:(i+1)*d:(i+1)*d]))
+	}
+}
+
+// CosineDistanceBatch is the cached-norm form of DistanceBatch(Cosine, ...):
+// given qn = Norm(q) and norms[i] = Norm(row_i) it costs one DotBatch plus a
+// division per row, where the norm-less form pays two more dot products per
+// pair. Because Norm follows the standard reduction order, each out[i] is
+// still bit-identical to CosineDistance(q, row_i) — caching a norm changes
+// when it is computed, never its bits.
+//
+//annlint:hotpath
+func CosineDistanceBatch(q []float32, qn float32, rows, norms, out []float32) {
+	if len(norms) != len(out) {
+		panic(fmt.Sprintf("vec: %d norms for %d rows", len(norms), len(out)))
 	}
 	DotBatch(q, rows, out)
-	for i := 0; i < n; i++ {
-		row := rows[i*d : (i+1)*d : (i+1)*d]
-		rn := Norm(row)
-		if rn == 0 {
-			out[i] = 1
-			continue
-		}
-		out[i] = 1 - out[i]/(qn*rn)
+	for i, rn := range norms {
+		out[i] = CosineFromDot(out[i], qn, rn)
 	}
+}
+
+// Norms returns Norm(row) for every row of m: the per-row cache
+// CosineDistanceBatch consumes.
+func Norms(m *Matrix) []float32 {
+	norms := make([]float32, m.Len())
+	for i := range norms {
+		norms[i] = Norm(m.Row(i))
+	}
+	return norms
 }

@@ -119,8 +119,8 @@ func TestBatch4BitIdentity(t *testing.T) {
 }
 
 // TestBatchBitIdentityPackedRows pins DotBatch/L2SqBatch/DistanceBatch over
-// packed rows (every row count 0..9, so the 4-row main loop and the scalar
-// tail both run) to the per-pair scalar calls, bit for bit.
+// packed rows (every row count 0..9, so the 4-row main loop and the padded
+// remainder of 1-3 rows both run) to the per-pair scalar calls, bit for bit.
 func TestBatchBitIdentityPackedRows(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, d := range commonDims {
@@ -204,13 +204,49 @@ func TestCosineBatchZeroVectors(t *testing.T) {
 	}
 }
 
+// TestCosineCachedNormsBitIdentity is the norm contract: scoring packed rows
+// with precomputed norms (Norms + CosineDistanceBatch) is bit-identical to
+// scalar Distance(Cosine, q, row) for every dimension and every row-count
+// remainder, including a zero query and zero rows (distance exactly 1).
+func TestCosineCachedNormsBitIdentity(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for _, d := range commonDims {
+		for n := 0; n <= 9; n++ {
+			m := NewMatrix(n, d)
+			for i := range m.Raw() {
+				m.Raw()[i] = float32(r.NormFloat64())
+			}
+			if n > 2 {
+				clear(m.Row(n - 2)) // a zero row inside the batch
+			}
+			norms := Norms(m)
+			out := make([]float32, n)
+			for _, q := range [][]float32{randVec(r, d), make([]float32, d)} {
+				CosineDistanceBatch(q, Norm(q), m.Raw(), norms, out)
+				for i := 0; i < n; i++ {
+					if want := Distance(Cosine, q, m.Row(i)); out[i] != want {
+						t.Fatalf("dim %d n %d row %d: cached-norm cosine = %x, scalar %x", d, n, i, out[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBatchLengthMismatchPanics(t *testing.T) {
 	cases := []func(){
 		func() { DotBatch(make([]float32, 4), make([]float32, 9), make([]float32, 2)) },
 		func() { L2SqBatch(make([]float32, 4), make([]float32, 9), make([]float32, 2)) },
 		func() { DistanceBatch(Cosine, make([]float32, 4), make([]float32, 9), make([]float32, 2)) },
-		func() { Dot4(make([]float32, 4), make([]float32, 4), make([]float32, 3), make([]float32, 4), make([]float32, 4)) },
-		func() { L2Sq4(make([]float32, 4), make([]float32, 5), make([]float32, 4), make([]float32, 4), make([]float32, 4)) },
+		func() {
+			CosineDistanceBatch(make([]float32, 4), 1, make([]float32, 8), make([]float32, 3), make([]float32, 2))
+		},
+		func() {
+			Dot4(make([]float32, 4), make([]float32, 4), make([]float32, 3), make([]float32, 4), make([]float32, 4))
+		},
+		func() {
+			L2Sq4(make([]float32, 4), make([]float32, 5), make([]float32, 4), make([]float32, 4), make([]float32, 4))
+		},
 	}
 	for i, f := range cases {
 		func() {
@@ -239,6 +275,10 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { DistanceBatch(m, q, rows, out) }); n != 0 {
 			t.Errorf("DistanceBatch(%v) allocates %v/op", m, n)
 		}
+	}
+	norms := make([]float32, 16)
+	if n := testing.AllocsPerRun(20, func() { CosineDistanceBatch(q, 1, rows, norms, out) }); n != 0 {
+		t.Errorf("CosineDistanceBatch allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { CosineDistance(q, rows[:768]) }); n != 0 {
 		t.Errorf("CosineDistance allocates %v/op", n)

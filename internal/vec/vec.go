@@ -83,8 +83,14 @@ func CosineDistance(a, b []float32) float32 {
 		panic(fmt.Sprintf("vec: length mismatch %d vs %d", len(a), len(b)))
 	}
 	ab, aa, bb := dotFused3Go(a, b)
-	na := float32(math.Sqrt(float64(aa)))
-	nb := float32(math.Sqrt(float64(bb)))
+	return CosineFromDot(ab, float32(math.Sqrt(float64(aa))), float32(math.Sqrt(float64(bb))))
+}
+
+// CosineFromDot finishes a cosine distance from the pair's dot product and
+// the two norms: 1 - ab/(na*nb), or 1 when either vector is zero. It is the
+// one place the formula and the zero-vector rule live, shared by the fused
+// scalar path and every cached-norm path (CosineDistanceBatch, index.Scorer).
+func CosineFromDot(ab, na, nb float32) float32 {
 	if na == 0 || nb == 0 {
 		return 1
 	}
