@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -88,14 +90,20 @@ type RunOutput struct {
 // The recorded executions in execs are replayed round-robin across threads,
 // restarting from the first query when exhausted, exactly like the paper's
 // 1,000-query loop. Run is the context-free wrapper over RunContext; it can
-// never be cancelled and therefore never fails.
+// never be cancelled, so the only failure left is a wedged simulation — a bug
+// in the simulated program — and Run panics with that report.
 func Run(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig) RunOutput {
-	out, _ := RunContext(context.Background(), execs, traits, cfg)
+	out, err := RunContext(context.Background(), execs, traits, cfg)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
 // RunContext is Run with cancellation: a cancelled ctx stops the measurement
-// between repetitions and returns ctx's error with a zero RunOutput.
+// between repetitions and returns ctx's error with a zero RunOutput. A
+// repetition whose simulation deadlocks fails the run with the kernel's
+// process dump.
 //
 // Repetitions fan out across host goroutines (bounded by the repetition
 // count and runtime.GOMAXPROCS): every repetition owns a fresh simulated
@@ -117,6 +125,7 @@ func RunContext(ctx context.Context, execs []vdb.QueryExec, traits vdb.Traits, c
 	nrep := cfg.Repetitions
 	reps := make([]Metrics, nrep)
 	timelines := make([][]trace.BucketPoint, nrep)
+	errs := make([]error, nrep)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > nrep {
 		workers = nrep
@@ -134,7 +143,7 @@ func RunContext(ctx context.Context, execs []vdb.QueryExec, traits vdb.Traits, c
 				if rep >= nrep || ctx.Err() != nil {
 					return
 				}
-				reps[rep], timelines[rep] = runOnce(execs, traits, cfg, int64(rep)+cfg.Seed, bucket)
+				reps[rep], timelines[rep], errs[rep] = runOnce(execs, traits, cfg, int64(rep)+cfg.Seed, bucket)
 			}
 		}()
 	}
@@ -142,12 +151,15 @@ func RunContext(ctx context.Context, execs []vdb.QueryExec, traits vdb.Traits, c
 	if err := ctx.Err(); err != nil {
 		return RunOutput{}, err
 	}
+	if err := errors.Join(errs...); err != nil {
+		return RunOutput{}, err
+	}
 	return RunOutput{Metrics: AggregateRuns(reps), Timeline: timelines[nrep-1], TimelineBucket: bucket}, nil
 }
 
 // runOnce is a single repetition: fresh virtual hardware, drop-caches
 // equivalent (everything starts cold), closed loop until the horizon.
-func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64, bucket sim.Duration) (Metrics, []trace.BucketPoint) {
+func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64, bucket sim.Duration) (Metrics, []trace.BucketPoint, error) {
 	// A positive MaxReadConcurrent raises (or lowers) the engine's
 	// segment-task pool for this run — the paper adjusts Milvus's
 	// maxReadConcurrentRatio this way for the beam-width experiments.
@@ -201,8 +213,11 @@ func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64
 		})
 	}
 	busyStart := cpu.BusyTime()
-	endTime := k.RunAll() // lets in-flight queries drain past the horizon
-	tr.FinishAt(endTime)  // close the queue-depth/overlap integration
+	endTime, err := runToEnd(k) // lets in-flight queries drain past the horizon
+	if err != nil {
+		return Metrics{}, nil, err
+	}
+	tr.FinishAt(endTime) // close the queue-depth/overlap integration
 	busyEnd := cpu.BusyTime()
 	window := cfg.Duration
 	if d := endTime.Sub(0); d > window {
@@ -245,5 +260,17 @@ func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64
 	if cfg.Timeline {
 		tl = tr.Timeline()
 	}
-	return m, tl
+	return m, tl, nil
+}
+
+// runToEnd runs the simulation until every process has finished. If the
+// event queue drains with processes still blocked — a deadlock in the
+// simulated program — it returns an error naming them, where the kernel's
+// default is to panic on whichever host goroutine runs the repetition.
+func runToEnd(k *sim.Kernel) (end sim.Time, err error) {
+	k.OnDeadlock(func(k *sim.Kernel) {
+		err = fmt.Errorf("core: replay wedged: %s", k.DeadlockReport())
+	})
+	end = k.RunAll()
+	return end, err
 }

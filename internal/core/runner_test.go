@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"svdbench/internal/index"
+	"svdbench/internal/sim"
 	"svdbench/internal/vdb"
 )
 
@@ -194,5 +196,22 @@ func TestRunSegmentPoolPlateau(t *testing.T) {
 	raised := Run(mk(), vdb.Milvus(), cfg).Metrics.QPS
 	if raised <= big*1.5 {
 		t.Errorf("raised pool did not lift throughput: %.0f vs %.0f", raised, big)
+	}
+}
+
+// TestRunToEndReportsWedgedSimulation: a simulation that deadlocks fails the
+// repetition with an error naming the blocked process, instead of panicking
+// on a worker goroutine.
+func TestRunToEndReportsWedgedSimulation(t *testing.T) {
+	k := sim.NewKernel()
+	sem := sim.NewSemaphore(k, "lock", 1)
+	k.Spawn("query-thread", func(e *sim.Env) {
+		e.Sleep(time.Millisecond)
+		sem.Acquire(e, 1)
+		sem.Acquire(e, 1)
+	})
+	_, err := runToEnd(k)
+	if err == nil || !strings.Contains(err.Error(), `"query-thread" blocked since t=1ms`) {
+		t.Errorf("wedged simulation returned %v, want an error naming the blocked process", err)
 	}
 }

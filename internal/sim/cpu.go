@@ -63,23 +63,6 @@ func (c *CPU) Use(e *Env, d Duration) {
 	c.busy += d
 }
 
-// UseN occupies n cores for d of virtual time each (as a single gang
-// acquisition). It models a burst that is perfectly parallel across n cores.
-func (c *CPU) UseN(e *Env, n int, d Duration) {
-	if d <= 0 || n <= 0 {
-		return
-	}
-	if n > c.cores {
-		n = c.cores
-	}
-	c.sem.Acquire(e, int64(n))
-	c.burstStart(e.Now())
-	e.Sleep(d)
-	c.burstEnd(e.Now())
-	c.sem.Release(int64(n))
-	c.busy += Duration(n) * d
-}
-
 // BusyTime returns cumulative core-busy virtual time since creation.
 func (c *CPU) BusyTime() Duration { return c.busy }
 

@@ -44,7 +44,7 @@ func (ev *Event) Wait(e *Env) {
 		return
 	}
 	ev.waiters = append(ev.waiters, e.p)
-	e.parkNoEvent()
+	e.block()
 }
 
 // AllocEvent returns an unfired event from the kernel's free list (or a

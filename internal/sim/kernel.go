@@ -1,22 +1,28 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel drives a set of processes, each running in its own goroutine,
-// through a virtual clock. Exactly one process executes at a time; a process
-// yields back to the kernel whenever it waits for virtual time to pass or for
-// a resource to become available. Events scheduled for the same instant are
-// ordered by a monotonically increasing sequence number, which makes runs
-// fully deterministic: the same program produces the same event order and the
-// same virtual timestamps on every run.
+// The kernel drives a set of processes, each a coroutine (iter.Pull), through
+// a virtual clock. Exactly one process executes at a time, on the goroutine
+// that called Run: the kernel resumes a process directly and the process
+// yields back whenever it waits for virtual time to pass or for a resource to
+// become available, so a process switch never goes through the Go scheduler
+// and a panic in a process body surfaces in Run's caller. Events scheduled
+// for the same instant are ordered by a monotonically increasing sequence
+// number, which makes runs fully deterministic: the same program produces the
+// same event order and the same virtual timestamps on every run.
 //
 // The package also provides the resource primitives the benchmark needs on
 // top of the raw kernel: counting semaphores with FIFO wait queues
-// (Semaphore), fork/join process groups (Group), bounded FIFO queues (Queue),
-// and a multi-core CPU resource with utilisation accounting (CPU).
+// (Semaphore), fork/join process groups (Group), one-shot completion signals
+// (Event), and a multi-core CPU resource with utilisation accounting (CPU).
+//
+// Coroutines need a Go 1.23 or newer toolchain (see coro.go); the module's
+// language version stays at 1.22.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -114,22 +120,30 @@ const (
 	procDone
 )
 
+func (s procState) String() string { return [...]string{"runnable", "blocked", "done"}[s] }
+
 // proc is the kernel-side handle for one simulated process. Finished procs
-// return to the kernel's free list with their goroutines parked, so spawning
-// a process on a warmed-up kernel allocates nothing and creates no
-// goroutine: the recycled proc's loop just runs the next body.
+// return to the kernel's free list with their coroutines suspended between
+// bodies, so spawning a process on a warmed-up kernel allocates nothing and
+// creates no coroutine: the recycled proc's loop just runs the next body.
 type proc struct {
 	id    int
 	name  string
-	wake  chan struct{}
 	state procState
+	since Time   // virtual time of the last block (deadlock report)
 	gen   uint64 // bumped on recycle; stale heap events are skipped
 	env   *Env   // allocated once, reused across bodies
+
+	// The coroutine (see coro.go): the kernel resumes the process with next,
+	// the process gives control back with yield, stop ends a proc suspended
+	// between bodies.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	body   func(*Env)
 	runner Runner
 	group  *Group // fork/join group counting this process, if any
-	exit   bool   // drain signal: the proc's goroutine terminates
 }
 
 // Runner is a reusable process body: SpawnRunner runs it like Spawn runs a
@@ -143,24 +157,19 @@ type Kernel struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	yield  chan *proc // processes signal the kernel here when they block or exit
 	nextID int
 	live   int // processes spawned and not yet done
 
-	free      []*proc  // recycled procs with parked goroutines
+	procs     []*proc  // every proc with a coroutine, pooled or live
+	free      []*proc  // recycled procs suspended between bodies
 	eventPool []*Event // fired events returned via ReleaseEvent
 	groupPool []*Group // idle groups returned via ReleaseGroup
 
-	started  bool
 	deadlock func(k *Kernel) // called when no events remain but processes are blocked
 }
 
 // NewKernel returns an empty simulation at virtual time zero.
-func NewKernel() *Kernel {
-	return &Kernel{
-		yield: make(chan *proc),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -176,7 +185,7 @@ func (k *Kernel) schedule(p *proc, at Time) {
 
 // Env is a process's handle to the simulation. Every simulated process
 // receives one; all interaction with virtual time flows through it. An Env
-// must only be used from the goroutine of the process that owns it.
+// must only be used from inside the process that owns it.
 type Env struct {
 	k *Kernel
 	p *proc
@@ -208,56 +217,23 @@ func (e *Env) SleepUntil(t Time) {
 	e.block()
 }
 
-// block hands control back to the kernel and waits to be woken.
+// block hands control back to the kernel until a wake-up event for this
+// process is dispatched: one the caller scheduled (Sleep), or one another
+// process schedules via unpark (resource wait queues).
 func (e *Env) block() {
-	e.p.state = procBlocked
-	e.k.yield <- e.p
-	<-e.p.wake
-	e.p.state = procRunnable
-}
-
-// parkNoEvent blocks the process without scheduling any wake-up event; some
-// other process must wake it via unpark. Used by resource wait queues.
-func (e *Env) parkNoEvent() {
-	e.p.state = procBlocked
-	e.k.yield <- e.p
-	<-e.p.wake
-	e.p.state = procRunnable
+	p := e.p
+	p.state, p.since = procBlocked, e.k.now
+	p.yield(struct{}{})
+	p.state = procRunnable
 }
 
 // unpark schedules p to resume at the current virtual time.
 func (k *Kernel) unpark(p *proc) { k.schedule(p, k.now) }
 
-// procLoop is the goroutine body of every proc: run dispatched bodies until
-// drained. A live proc alternates between parked (waiting on wake) and
-// executing one body; between bodies it sits on the kernel's free list.
-func (k *Kernel) procLoop(p *proc) {
-	for {
-		<-p.wake // wait for dispatch
-		if p.exit {
-			return
-		}
-		p.state = procRunnable
-		if r := p.runner; r != nil {
-			p.runner = nil
-			r.Run(p.env)
-		} else {
-			fn := p.body
-			p.body = nil
-			fn(p.env)
-		}
-		if g := p.group; g != nil {
-			p.group = nil
-			g.done()
-		}
-		p.state = procDone
-		k.yield <- p
-	}
-}
-
 // spawn is the shared process-creation path: reuse a pooled proc (and its
-// parked goroutine) when one is free, otherwise start a fresh one.
-func (k *Kernel) spawn(name string, at Time, fn func(*Env), r Runner, g *Group) {
+// suspended coroutine) when one is free, otherwise create a fresh one. The
+// process becomes runnable at the current virtual time.
+func (k *Kernel) spawn(name string, fn func(*Env), r Runner, g *Group) {
 	var p *proc
 	if n := len(k.free); n > 0 {
 		p = k.free[n-1]
@@ -265,26 +241,24 @@ func (k *Kernel) spawn(name string, at Time, fn func(*Env), r Runner, g *Group) 
 		p.name = name
 	} else {
 		k.nextID++
-		p = &proc{id: k.nextID, name: name, wake: make(chan struct{})}
+		p = &proc{id: k.nextID, name: name}
 		p.env = &Env{k: k, p: p}
-		go k.procLoop(p)
+		p.start()
+		k.procs = append(k.procs, p)
 	}
-	p.state = procBlocked
+	p.state, p.since = procBlocked, k.now
 	p.body, p.runner, p.group = fn, r, g
 	k.live++
-	k.schedule(p, at)
+	k.schedule(p, k.now)
 }
 
 // Spawn creates a new simulated process executing fn, runnable at the current
-// virtual time. fn runs in its own goroutine under kernel control. Spawn may
-// be called before Run or from inside a running process.
-func (k *Kernel) Spawn(name string, fn func(*Env)) { k.spawn(name, k.now, fn, nil, nil) }
-
-// SpawnAt is like Spawn but the process first becomes runnable at time at.
-func (k *Kernel) SpawnAt(name string, at Time, fn func(*Env)) { k.spawn(name, at, fn, nil, nil) }
+// virtual time. fn runs as a coroutine under kernel control. Spawn may be
+// called before Run or from inside a running process.
+func (k *Kernel) Spawn(name string, fn func(*Env)) { k.spawn(name, fn, nil, nil) }
 
 // SpawnRunner is Spawn for a reusable Runner body (no closure allocation).
-func (k *Kernel) SpawnRunner(name string, r Runner) { k.spawn(name, k.now, nil, r, nil) }
+func (k *Kernel) SpawnRunner(name string, r Runner) { k.spawn(name, nil, r, nil) }
 
 // recycle returns a finished proc to the free list for the next spawn.
 func (k *Kernel) recycle(p *proc) {
@@ -292,30 +266,41 @@ func (k *Kernel) recycle(p *proc) {
 	k.free = append(k.free, p)
 }
 
-// drainPool terminates the goroutines of every pooled proc. Called when a
-// run reaches full quiescence so finished simulations leave no parked
-// goroutines behind (the race detector bounds simultaneously live
-// goroutines, and the core suite runs thousands of simulations per test
-// binary).
+// drainPool ends the coroutine of every pooled proc. Called when a run
+// reaches full quiescence — every proc is then back in the pool — so finished
+// simulations leave no suspended coroutines behind (each holds a goroutine
+// stack, and the core suite runs thousands of simulations per test binary).
 func (k *Kernel) drainPool() {
 	for _, p := range k.free {
-		p.exit = true
-		p.wake <- struct{}{}
+		p.stop()
 	}
 	k.free = k.free[:0]
+	k.procs = k.procs[:0]
 }
 
 // OnDeadlock installs a handler invoked if the event queue drains while
 // processes are still alive but blocked (a genuine deadlock in the simulated
-// program). The default panics.
+// program). The default panics with DeadlockReport.
 func (k *Kernel) OnDeadlock(fn func(k *Kernel)) { k.deadlock = fn }
+
+// DeadlockReport names every live process with its state and the virtual
+// time it last blocked at — what a deadlock handler wants to print.
+func (k *Kernel) DeadlockReport() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "sim: deadlock at t=%v with %d live processes", k.now, k.live)
+	for _, p := range k.procs {
+		if p.state != procDone {
+			fmt.Fprintf(&b, "\n  #%d %q %v since t=%v", p.id, p.name, p.state, p.since)
+		}
+	}
+	return b.String()
+}
 
 // Run executes the simulation until no events remain or the virtual clock
 // would pass until. It returns the virtual time at which the run stopped.
 // Processes still blocked at the horizon remain blocked; Run may be called
 // again with a later horizon to continue.
 func (k *Kernel) Run(until Time) Time {
-	k.started = true
 	for len(k.events) > 0 {
 		ev := k.events[0]
 		if ev.at > until {
@@ -323,14 +308,14 @@ func (k *Kernel) Run(until Time) Time {
 			return k.now
 		}
 		k.events.pop()
-		if ev.gen != ev.proc.gen || ev.proc.state == procDone {
+		p := ev.proc
+		if ev.gen != p.gen || p.state == procDone {
 			continue
 		}
 		k.now = ev.at
-		// Dispatch the process and wait for it to yield (block, spawn
-		// more work, or terminate).
-		ev.proc.wake <- struct{}{}
-		p := <-k.yield
+		// Resume the process; next returns when it blocks or terminates. A
+		// panic in the body propagates from here.
+		p.next()
 		if p.state == procDone {
 			k.live--
 			k.recycle(p)
@@ -341,7 +326,7 @@ func (k *Kernel) Run(until Time) Time {
 			k.deadlock(k)
 			return k.now
 		}
-		panic(fmt.Sprintf("sim: deadlock at t=%v with %d live processes", k.now, k.live))
+		panic(k.DeadlockReport())
 	}
 	k.drainPool()
 	return k.now

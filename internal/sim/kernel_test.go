@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -130,16 +131,6 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
-func TestSpawnAt(t *testing.T) {
-	k := NewKernel()
-	var started Time
-	k.SpawnAt("late", Time(3*time.Second), func(e *Env) { started = e.Now() })
-	k.RunAll()
-	if started != Time(3*time.Second) {
-		t.Errorf("started at %v, want 3s", started)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel()
 	sem := NewSemaphore(k, "s", 1)
@@ -190,12 +181,14 @@ func TestSemaphoreFIFONoBarging(t *testing.T) {
 		e.Sleep(time.Millisecond)
 		sem.Release(2)
 	})
-	k.SpawnAt("big", 1, func(e *Env) {
+	k.Spawn("big", func(e *Env) {
+		e.Sleep(1)
 		sem.Acquire(e, 2)
 		order = append(order, "big")
 		sem.Release(2)
 	})
-	k.SpawnAt("small", 2, func(e *Env) {
+	k.Spawn("small", func(e *Env) {
+		e.Sleep(2)
 		sem.Acquire(e, 1)
 		order = append(order, "small")
 		sem.Release(1)
@@ -203,21 +196,6 @@ func TestSemaphoreFIFONoBarging(t *testing.T) {
 	k.RunAll()
 	if len(order) != 2 || order[0] != "big" {
 		t.Errorf("barging occurred, order %v", order)
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(k, "s", 1)
-	if !sem.TryAcquire(1) {
-		t.Fatal("first TryAcquire failed")
-	}
-	if sem.TryAcquire(1) {
-		t.Fatal("second TryAcquire succeeded at capacity")
-	}
-	sem.Release(1)
-	if !sem.TryAcquire(1) {
-		t.Fatal("TryAcquire failed after release")
 	}
 }
 
@@ -272,61 +250,6 @@ func TestGroupWaitAfterChildrenDone(t *testing.T) {
 	k.RunAll()
 }
 
-func TestQueueFIFOAndBlocking(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue(k)
-	var got []int
-	k.Spawn("consumer", func(e *Env) {
-		for {
-			v, ok := q.Get(e)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	k.Spawn("producer", func(e *Env) {
-		for i := 0; i < 5; i++ {
-			e.Sleep(time.Millisecond)
-			q.Put(i)
-		}
-		e.Sleep(time.Millisecond)
-		q.Close()
-	})
-	k.RunAll()
-	if len(got) != 5 {
-		t.Fatalf("consumed %d items, want 5", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("not FIFO: %v", got)
-		}
-	}
-}
-
-func TestQueueCloseWakesAllGetters(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue(k)
-	finished := 0
-	for i := 0; i < 3; i++ {
-		k.Spawn("getter", func(e *Env) {
-			_, ok := q.Get(e)
-			if ok {
-				t.Error("got item from empty closed queue")
-			}
-			finished++
-		})
-	}
-	k.Spawn("closer", func(e *Env) {
-		e.Sleep(time.Millisecond)
-		q.Close()
-	})
-	k.RunAll()
-	if finished != 3 {
-		t.Errorf("%d getters finished, want 3", finished)
-	}
-}
-
 func TestCPUSerializesBeyondCores(t *testing.T) {
 	k := NewKernel()
 	cpu := NewCPU(k, 2)
@@ -339,19 +262,6 @@ func TestCPUSerializesBeyondCores(t *testing.T) {
 	}
 	if cpu.BusyTime() != 40*time.Millisecond {
 		t.Errorf("busy time %v, want 40ms", cpu.BusyTime())
-	}
-}
-
-func TestCPUUseNGang(t *testing.T) {
-	k := NewKernel()
-	cpu := NewCPU(k, 4)
-	k.Spawn("gang", func(e *Env) { cpu.UseN(e, 8, 10*time.Millisecond) }) // clamped to 4
-	end := k.RunAll()
-	if end != Time(10*time.Millisecond) {
-		t.Errorf("gang finished at %v, want 10ms", end)
-	}
-	if cpu.BusyTime() != 40*time.Millisecond {
-		t.Errorf("busy %v, want 40ms", cpu.BusyTime())
 	}
 }
 
@@ -381,4 +291,137 @@ func TestManyProcessesStress(t *testing.T) {
 	if done != 500 {
 		t.Fatalf("completed %d, want 500", done)
 	}
+}
+
+// TestBodyPanicPropagatesFromRun: processes are coroutines resumed on the
+// goroutine that called Run, so a panic in a body unwinds through Run into
+// the caller, which can recover it and fail one simulation loudly instead of
+// losing the whole program to an unrecoverable goroutine.
+func TestBodyPanicPropagatesFromRun(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("bystander", func(e *Env) { e.Sleep(time.Second) })
+	k.Spawn("faulty", func(e *Env) {
+		e.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v, want the body's panic value", r)
+		}
+	}()
+	k.RunAll()
+	t.Error("RunAll returned past a panicking body")
+}
+
+// TestDeadlockReportNamesProcesses: the report lists each blocked process by
+// name with the virtual time it blocked at, and leaves finished ones out.
+func TestDeadlockReportNamesProcesses(t *testing.T) {
+	k := NewKernel()
+	sem := NewSemaphore(k, "s", 1)
+	var report string
+	k.OnDeadlock(func(k *Kernel) { report = k.DeadlockReport() })
+	k.Spawn("finisher", func(e *Env) { e.Sleep(time.Millisecond) })
+	k.Spawn("holder", func(e *Env) {
+		sem.Acquire(e, 1)
+		e.Sleep(2 * time.Millisecond)
+		sem.Acquire(e, 1) // self-deadlock at 2ms
+	})
+	k.Spawn("victim", func(e *Env) {
+		e.Sleep(time.Millisecond)
+		sem.Acquire(e, 1) // queues behind holder at 1ms, forever
+	})
+	k.RunAll()
+	for _, want := range []string{
+		"deadlock at t=2ms with 2 live processes",
+		`"holder" blocked since t=2ms`,
+		`"victim" blocked since t=1ms`,
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(report, "finisher") {
+		t.Errorf("report lists a finished process:\n%s", report)
+	}
+}
+
+// TestDeadlockDefaultPanicsWithReport: with no handler installed the kernel
+// panics, and the message is the same process dump.
+func TestDeadlockDefaultPanicsWithReport(t *testing.T) {
+	k := NewKernel()
+	sem := NewSemaphore(k, "s", 1)
+	k.Spawn("stuck", func(e *Env) {
+		sem.Acquire(e, 1)
+		sem.Acquire(e, 1)
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"stuck" blocked since t=0s`) {
+			t.Errorf("panic message %q does not name the blocked process", msg)
+		}
+	}()
+	k.RunAll()
+}
+
+// sleepOnce is a pooled Runner body for the allocation test.
+type sleepOnce struct{}
+
+func (sleepOnce) Run(e *Env) { e.Sleep(time.Microsecond) }
+
+// TestSteadyStateHandOffAllocatesNothing: on a warmed kernel, blocking and
+// resuming processes, and forking and joining pooled runners onto recycled
+// procs, allocate nothing.
+func TestSteadyStateHandOffAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	stop := false
+	for i := 0; i < 8; i++ {
+		k.Spawn("sleeper", func(e *Env) {
+			for !stop {
+				e.Sleep(time.Microsecond)
+			}
+		})
+	}
+	k.Spawn("forker", func(e *Env) {
+		for !stop {
+			g := k.AllocGroup()
+			for i := 0; i < 4; i++ {
+				g.GoRunner("child", sleepOnce{})
+			}
+			g.Wait(e)
+			k.ReleaseGroup(g)
+		}
+	})
+	horizon := Time(100 * time.Microsecond)
+	k.Run(horizon) // warm: coroutines created, heap and pools grown
+	allocs := testing.AllocsPerRun(50, func() {
+		horizon = horizon.Add(100 * time.Microsecond)
+		k.Run(horizon)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state hand-off allocates %.1f per 100µs window, want 0", allocs)
+	}
+	stop = true
+	k.RunAll()
+	if k.Live() != 0 {
+		t.Errorf("%d processes left alive", k.Live())
+	}
+}
+
+// BenchmarkHandOff measures one process switch: 64 processes sleeping in
+// lock-step, so every event is a block in one process and a resume of the
+// next (the shape of the layered benchmark's sim.ns_per_event probe).
+func BenchmarkHandOff(b *testing.B) {
+	const procs = 64
+	k := NewKernel()
+	per := b.N/procs + 1
+	for p := 0; p < procs; p++ {
+		k.Spawn("sleeper", func(e *Env) {
+			for i := 0; i < per; i++ {
+				e.Sleep(time.Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunAll()
 }

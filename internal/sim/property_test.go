@@ -89,58 +89,3 @@ func TestPropertyCPUBusyConserved(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: a FIFO queue delivers every item exactly once in order, for any
-// interleaving of producers and a consumer.
-func TestPropertyQueueExactlyOnce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := NewKernel()
-		q := NewQueue(k)
-		producers := 1 + r.Intn(4)
-		perProducer := 1 + r.Intn(10)
-		var got []int
-		k.Spawn("consumer", func(e *Env) {
-			for {
-				v, ok := q.Get(e)
-				if !ok {
-					return
-				}
-				got = append(got, v.(int))
-			}
-		})
-		g := make(chan struct{}) // not used; keep spawn order deterministic
-		_ = g
-		remaining := producers
-		for p := 0; p < producers; p++ {
-			p := p
-			k.Spawn("producer", func(e *Env) {
-				for j := 0; j < perProducer; j++ {
-					e.Sleep(time.Duration(r.Intn(100)) * time.Microsecond)
-					q.Put(p*1000 + j)
-				}
-				remaining--
-				if remaining == 0 {
-					q.Close()
-				}
-			})
-		}
-		k.RunAll()
-		if len(got) != producers*perProducer {
-			return false
-		}
-		// Per-producer order must be preserved.
-		lastSeen := map[int]int{}
-		for _, v := range got {
-			p, j := v/1000, v%1000
-			if prev, ok := lastSeen[p]; ok && j <= prev {
-				return false
-			}
-			lastSeen[p] = j
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

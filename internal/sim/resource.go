@@ -22,7 +22,6 @@ type semWaiter struct {
 	p     *proc
 	n     int64
 	since Time
-	env   *Env
 }
 
 // NewSemaphore creates a semaphore with the given capacity.
@@ -52,23 +51,11 @@ func (s *Semaphore) Acquire(e *Env, n int64) {
 		return
 	}
 	s.totalWaits++
-	s.waiters = append(s.waiters, semWaiter{p: e.p, n: n, since: e.k.now, env: e})
+	s.waiters = append(s.waiters, semWaiter{p: e.p, n: n, since: e.k.now})
 	if len(s.waiters) > s.maxQueue {
 		s.maxQueue = len(s.waiters)
 	}
-	e.parkNoEvent()
-}
-
-// TryAcquire obtains n units if immediately available, reporting success.
-func (s *Semaphore) TryAcquire(n int64) bool {
-	if n <= 0 || n > s.capacity {
-		return false
-	}
-	if len(s.waiters) == 0 && s.held+n <= s.capacity {
-		s.held += n
-		return true
-	}
-	return false
+	e.block()
 }
 
 // Release returns n units and wakes as many FIFO waiters as now fit.
@@ -119,13 +106,13 @@ func (e *Env) NewGroup() *Group { return &Group{k: e.k} }
 // fn.
 func (g *Group) Go(name string, fn func(*Env)) {
 	g.pending++
-	g.k.spawn(name, g.k.now, fn, nil, g)
+	g.k.spawn(name, fn, nil, g)
 }
 
 // GoRunner is Go for a reusable Runner body (no closure allocation).
 func (g *Group) GoRunner(name string, r Runner) {
 	g.pending++
-	g.k.spawn(name, g.k.now, nil, r, g)
+	g.k.spawn(name, nil, r, g)
 }
 
 // done is the kernel's completion callback for a grouped process.
@@ -148,7 +135,7 @@ func (g *Group) Wait(e *Env) {
 		panic("sim: concurrent Wait on Group")
 	}
 	g.waiter = e.p
-	e.parkNoEvent()
+	e.block()
 }
 
 // AllocGroup returns an idle group from the kernel's free list (or a fresh
@@ -170,62 +157,4 @@ func (k *Kernel) ReleaseGroup(g *Group) {
 		panic("sim: ReleaseGroup of an active group")
 	}
 	k.groupPool = append(k.groupPool, g)
-}
-
-// Queue is an unbounded FIFO of interface values with blocking Get,
-// supporting close semantics like a Go channel. It models work queues inside
-// the simulated database engines.
-type Queue struct {
-	k      *Kernel
-	items  []interface{}
-	getter []*proc
-	closed bool
-}
-
-// NewQueue creates an empty open queue.
-func NewQueue(k *Kernel) *Queue { return &Queue{k: k} }
-
-// Put appends v and wakes one blocked getter, if any. Put on a closed queue
-// panics.
-func (q *Queue) Put(v interface{}) {
-	if q.closed {
-		panic("sim: Put on closed Queue")
-	}
-	q.items = append(q.items, v)
-	if len(q.getter) > 0 {
-		p := q.getter[0]
-		q.getter = q.getter[1:]
-		q.k.unpark(p)
-	}
-}
-
-// Get removes and returns the oldest item, blocking while the queue is empty
-// and open. It returns ok=false once the queue is closed and drained.
-func (q *Queue) Get(e *Env) (v interface{}, ok bool) {
-	for len(q.items) == 0 {
-		if q.closed {
-			return nil, false
-		}
-		q.getter = append(q.getter, e.p)
-		e.parkNoEvent()
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
-
-// Close marks the queue closed and wakes all blocked getters, which then
-// observe ok=false.
-func (q *Queue) Close() {
-	if q.closed {
-		return
-	}
-	q.closed = true
-	for _, p := range q.getter {
-		q.k.unpark(p)
-	}
-	q.getter = nil
 }

@@ -227,8 +227,5 @@ func (d *Device) service(e *sim.Env, op trace.Op, bytes int) {
 	d.tracer.NoteDepth(e.Now(), d.outstanding)
 }
 
-// QueueDepth returns the number of requests submitted and not yet completed.
-func (d *Device) QueueDepth() int { return d.outstanding }
-
 // Stats reports the number of read and write requests serviced.
 func (d *Device) Stats() (reads, writes int64) { return d.reads, d.writes }
