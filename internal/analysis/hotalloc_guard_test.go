@@ -71,11 +71,13 @@ func TestHotallocGuardsScratchContract(t *testing.T) {
 }
 
 // TestHotallocGuardsPageSearchContract extends the real-tree guard to the
-// page-node layout: a verbatim copy of internal/index/diskann lints clean,
-// and stripping only page.go's allow annotations (the lazy layout
-// materialisation and the cap-guarded scratch growth on the page search
-// path) fires hot-path diagnostics — so the page search's zero-alloc
-// contract cannot be silently weakened.
+// DiskANN beam kernel: a verbatim copy of internal/index/diskann lints
+// clean, and stripping only page.go's allow annotations (the lazy layout
+// materialisation and the cap-guarded scratch growth) fires hot-path
+// diagnostics — so the search's zero-alloc contract cannot be silently
+// weakened. page.go holds the package's one beam search, reached from
+// SearchInto, now the package's only //annlint:hotpath root, so the same
+// guard covers the id layout and the page layout.
 func TestHotallocGuardsPageSearchContract(t *testing.T) {
 	asPath := modulePath + "/internal/index/diskann"
 
@@ -122,7 +124,7 @@ func TestHotallocGuardsPageSearchContract(t *testing.T) {
 
 	diags := RunForTest(load(t, true), Hotalloc, asPath)
 	if len(diags) == 0 {
-		t.Fatal("stripping page.go's hotalloc annotations produced no diagnostics; the analyzer does not guard the page search contract")
+		t.Fatal("stripping page.go's hotalloc annotations produced no diagnostics; the analyzer does not guard the beam kernel's contract")
 	}
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "on the hot path") {

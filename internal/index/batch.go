@@ -1,5 +1,5 @@
-// Batch-first search execution core. SearchBatch is the primary entry point
-// of the redesigned search API: the collection layer, RecordQueries and the
+// Batch-first search execution core. SearchBatchOf is the primary entry
+// point of the search API: the collection layer, RecordQueries and the
 // experiment scheduler all route through it, and the single-query Search
 // remains as the one-element special case. Results are byte-identical to
 // calling Search per query in order — batching changes scheduling, never
@@ -15,41 +15,26 @@ import (
 // SearchOptions.QueryConcurrency is zero.
 const DefaultQueryConcurrency = 8
 
-// Searcher is a batch-capable index: the pipelined execution core behind the
-// storage-based engines. SearchBatch answers every query of the batch,
-// running up to SearchOptions.QueryConcurrency queries concurrently (host
-// goroutines; recording against a mutable node cache forces sequential
-// order). Per-query execution profiles are captured through
-// SearchOptions.RecorderFor.
-type Searcher interface {
-	Index
-	// SearchBatch returns one Result per query, in query order, each
-	// byte-identical to Search(queries[i], k, opts) issued sequentially.
-	// A cancelled ctx stops scheduling new queries; unstarted queries
-	// return zero Results.
-	SearchBatch(ctx context.Context, queries [][]float32, k int, opts SearchOptions) []Result
-}
-
-// SearchBatchOf runs a batch against any index: a Searcher's own SearchBatch
-// when implemented, otherwise the generic BatchRun driver over Search. This
-// is the routing point for layers (collection, recorder, scheduler) that
-// hold a plain Index.
+// SearchBatchOf runs a batch against any index: BatchRun over its Search. It
+// returns one Result per query, in query order, each byte-identical to
+// Search(queries[i], k, opts) issued sequentially, running up to
+// SearchOptions.QueryConcurrency queries concurrently (host goroutines;
+// recording against a mutable node cache forces sequential order). Per-query
+// execution profiles are captured through SearchOptions.RecorderFor. A
+// cancelled ctx stops scheduling new queries; unstarted queries return zero
+// Results.
 func SearchBatchOf(ctx context.Context, ix Index, queries [][]float32, k int, opts SearchOptions) []Result {
-	if s, ok := ix.(Searcher); ok {
-		return s.SearchBatch(ctx, queries, k, opts)
-	}
 	return BatchRun(ctx, len(queries), opts, func(qi int, o SearchOptions) Result {
 		return ix.Search(queries[qi], k, o)
 	})
 }
 
-// BatchRun is the shared batch driver Searcher implementations build on: it
-// invokes search(qi, opts) once per query with the per-query recorder
-// resolved, bounded by the options' query concurrency. When the options
-// select a mutable node cache (LRU), queries run strictly sequentially in
-// query order so the recorded executions do not depend on host goroutine
-// interleaving — the same discipline vdb.Collection.RecordQueries always
-// applied.
+// BatchRun is the shared batch driver: it invokes search(qi, opts) once per
+// query with the per-query recorder resolved, bounded by the options' query
+// concurrency. When the options select a mutable node cache (LRU), queries
+// run strictly sequentially in query order so the recorded executions do not
+// depend on host goroutine interleaving — the same discipline
+// vdb.Collection.RecordQueries always applied.
 //
 // Each concurrent worker slot owns one SearchScratch, handed to queries
 // through a free-list channel, so the heaps and visited sets of the search

@@ -15,12 +15,10 @@
 package diskann
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -67,25 +65,26 @@ type Index struct {
 	quantizer *pq.Quantizer
 	codes     []byte
 
-	basePage     int64
-	pagesPerNode int
-
-	// Page-node layout state: the page region is reserved by AssignPages
-	// unconditionally (so a layout materialised lazily on a loaded index
-	// has addresses), while the layout itself is packed eagerly when built
-	// with Config.Layout == index.LayoutPage and lazily on the first
-	// page-layout search otherwise.
+	// The two storage regions AssignPages reserves and the two layouts that
+	// address them. nodeLay is the id layout, held as the capacity-1 page
+	// layout (row i alone in unit i, adjacency = the Vamana graph, entry =
+	// the medoid) so one beam kernel walks both. The page region is reserved
+	// unconditionally (so a layout materialised lazily on a loaded index has
+	// addresses), while pageLay itself is packed eagerly when built with
+	// Config.Layout == index.LayoutPage and lazily on the first page-layout
+	// search otherwise.
+	basePage      int64
+	pagesPerNode  int
+	nodeLay       *pageLayout
 	pageBase      int64
 	pagesPerGroup int
 	pageMu        sync.Mutex
 	pageLay       *pageLayout
 
-	// nodeCaches holds one node cache per (policy, capacity) requested
-	// through search options, created lazily on first use. Static caches
-	// are BFS-warmed at creation; LRU caches start cold and evolve across
-	// the queries recorded against them.
-	cacheMu    sync.Mutex
-	nodeCaches map[cacheID]*nodecache.Cache
+	// caches holds one node cache per (policy, capacity, layout) requested
+	// through search options; the layout is the key space, since node rows
+	// and page groups must never share a cache.
+	caches *nodecache.Set
 }
 
 // Build constructs the Vamana graph with the standard two passes and trains
@@ -124,8 +123,6 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		cost:   index.DefaultCostModel(),
 		scorer: index.NewScorer(data, cfg.Metric),
 	}
-	ix.pagesPerNode = (data.Dim*4 + 4 + cfg.R*4 + cfg.PageSize - 1) / cfg.PageSize
-	ix.pagesPerGroup = pagesPerGroupFor(data.Dim, cfg.PageSize)
 
 	q, err := pq.Train(data, cfg.PQM, cfg.Seed+7)
 	if err != nil {
@@ -154,6 +151,7 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 			ix.pruneNode(int32(node), cfg.Alpha)
 		}
 	}
+	ix.bind()
 	switch cfg.Layout {
 	case "", index.LayoutID:
 	case index.LayoutPage:
@@ -162,6 +160,24 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("diskann: unknown layout %q", cfg.Layout)
 	}
 	return ix, nil
+}
+
+// bind derives, once the graph is final (built or loaded), what every search
+// reads: the unit footprints, the id layout and the node-cache registry. The
+// id layout's member table is the identity — 28 B per node — and its
+// adjacency aliases the graph rather than copying it.
+func (ix *Index) bind() {
+	n, dim := ix.data.Len(), ix.data.Dim
+	ix.pagesPerNode = (dim*4 + 4 + ix.cfg.R*4 + ix.cfg.PageSize - 1) / ix.cfg.PageSize
+	ix.pagesPerGroup = pagesPerGroupFor(dim, ix.cfg.PageSize)
+	rows := make([]int32, n)
+	members := make([][]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+		members[i] = rows[i : i+1 : i+1]
+	}
+	ix.nodeLay = &pageLayout{members: members, adj: ix.graph, entry: ix.medoid}
+	ix.caches = nodecache.NewSet(ix.cfg.PageSize, ix.cfg.Seed, ix.warmCache)
 }
 
 // buildPass runs one Vamana pass over the given node order. During the
@@ -374,21 +390,6 @@ func (ix *Index) AssignPages(alloc func(npages int64) int64) {
 	ix.pageBase = alloc(int64(ix.data.Len()) * int64(ix.pagesPerGroup))
 }
 
-// nodePages returns the storage pages of one node.
-func (ix *Index) nodePages(row int32) []int64 {
-	return ix.appendNodePages(nil, row)
-}
-
-// appendNodePages appends the storage pages of one node to dst, the
-// allocation-free form of nodePages for the search hot path.
-func (ix *Index) appendNodePages(dst []int64, row int32) []int64 {
-	first := ix.basePage + int64(row)*int64(ix.pagesPerNode)
-	for i := 0; i < ix.pagesPerNode; i++ {
-		dst = append(dst, first+int64(i))
-	}
-	return dst
-}
-
 // PagesPerNode reports the node footprint in pages (1 for 768-d, 2 for
 // 1536-d at R=48).
 func (ix *Index) PagesPerNode() int { return ix.pagesPerNode }
@@ -464,104 +465,20 @@ func (ix *Index) Degree(row int32) int { return len(ix.graph[row]) }
 // num_nodes_to_cache: the nodes every beam search crosses first are the
 // nodes worth pinning. The order is deterministic (adjacency lists are
 // deterministic given the build seed).
-func (ix *Index) CacheWarmNodes(n int) []int32 {
-	if n > ix.data.Len() {
-		n = ix.data.Len()
-	}
-	if n <= 0 {
-		return nil
-	}
-	visited := make([]bool, ix.data.Len())
-	queue := make([]int32, 0, n)
-	queue = append(queue, ix.medoid)
-	visited[ix.medoid] = true
-	out := make([]int32, 0, n)
-	for len(queue) > 0 && len(out) < n {
-		cur := queue[0]
-		queue = queue[1:]
-		out = append(out, cur)
-		for _, nb := range ix.graph[cur] {
-			if !visited[nb] {
-				visited[nb] = true
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return out
-}
+func (ix *Index) CacheWarmNodes(n int) []int32 { return ix.nodeLay.warmSet(n) }
 
-// cacheID is the comparable cache identity of one option set. A struct key
-// keeps the per-query cache lookup allocation-free (a formatted string key
-// would allocate on every search, including cache hits).
-type cacheID struct {
-	policy nodecache.Policy
-	nodes  int
-	// layout separates the node-keyed caches of the ID layout from the
-	// page-group-keyed caches of the page layout; ids from the two key
-	// spaces must never share a cache.
-	layout string
-}
-
-// nodeCacheFor returns (creating and, for the static policy, BFS-warming on
-// first use) the node cache selected by the options, or nil when caching is
-// disabled. An unknown policy name panics: the harness layers validate user
-// input before it reaches a Search call.
-func (ix *Index) nodeCacheFor(opts index.SearchOptions) *nodecache.Cache {
-	if opts.NodeCacheNodes <= 0 {
-		return nil
-	}
-	policy, err := nodecache.ParsePolicy(opts.NodeCachePolicy)
-	if err != nil {
-		panic(err.Error())
-	}
-	layout := ix.layoutFor(opts)
-	key := cacheID{policy: policy, nodes: opts.NodeCacheNodes, layout: layout}
-	ix.cacheMu.Lock()
-	defer ix.cacheMu.Unlock()
-	if c, ok := ix.nodeCaches[key]; ok {
-		return c
-	}
-	c := nodecache.New(nodecache.Config{
-		Capacity: opts.NodeCacheNodes,
-		Policy:   policy,
-		PageSize: ix.cfg.PageSize,
-		Seed:     ix.cfg.Seed,
-	})
-	if policy == nodecache.PolicyStatic {
-		// The warm set mirrors the traversal's unit: node rows BFS-walked
-		// from the medoid for the ID layout, page groups BFS-walked over
-		// the inter-page adjacency for the page layout.
-		if layout == index.LayoutPage {
-			pl := ix.pageLayoutFor()                                                                        //annlint:allow hotalloc -- one-time deterministic page packing, shared with the search path and amortised across every query
-			c.Warm(ix.cacheWarmPages(pl, opts.NodeCacheNodes), func(int32) int { return ix.pagesPerGroup }) //annlint:allow hotalloc -- BFS warm set is computed once when the cache is first built
-		} else {
-			c.Warm(ix.CacheWarmNodes(opts.NodeCacheNodes), func(int32) int { return ix.pagesPerNode }) //annlint:allow hotalloc -- BFS warm set is computed once when the cache is first built
-		}
-	}
-	if ix.nodeCaches == nil {
-		ix.nodeCaches = map[cacheID]*nodecache.Cache{} //annlint:allow hotalloc -- lazy one-time init of the per-index cache table
-	}
-	ix.nodeCaches[key] = c
-	return c
+// warmCache installs the warm set of a new static cache over one layout's
+// units (the nodecache.Set warm hook): the traversal's own units, BFS-walked
+// from its entry.
+func (ix *Index) warmCache(layout string, c *nodecache.Cache) {
+	u := ix.unitsOf(layout)
+	c.Warm(u.warmSet(c.Capacity()), func(int32) int { return u.ppu })
 }
 
 // CacheSnapshot reports the counters of the node cache the options select,
 // or ok=false when no search has instantiated it yet.
 func (ix *Index) CacheSnapshot(opts index.SearchOptions) (nodecache.Snapshot, bool) {
-	if opts.NodeCacheNodes <= 0 {
-		return nodecache.Snapshot{}, false
-	}
-	policy, err := nodecache.ParsePolicy(opts.NodeCachePolicy)
-	if err != nil {
-		return nodecache.Snapshot{}, false
-	}
-	ix.cacheMu.Lock()
-	defer ix.cacheMu.Unlock()
-	c, ok := ix.nodeCaches[cacheID{policy: policy, nodes: opts.NodeCacheNodes, layout: ix.layoutFor(opts)}]
-	if !ok {
-		return nodecache.Snapshot{}, false
-	}
-	return c.Snapshot(), true
+	return ix.caches.Snapshot(opts.NodeCachePolicy, opts.NodeCacheNodes, ix.layoutFor(opts))
 }
 
 // Search implements index.Index with DiskANN beam search.
@@ -571,196 +488,16 @@ func (ix *Index) Search(q []float32, k int, opts index.SearchOptions) index.Resu
 	return r
 }
 
-// SearchInto implements index.SearcherInto: the beam search writing into a
-// caller-owned Result. All per-query state — candidate list, PQ lookup
-// table, heaps, membership/in-flight sets, beam and page buffers — lives in
-// the options' scratch, so with a reused scratch and dst the steady-state
-// path (no recorder, no node cache) performs no allocations per query.
-// Results, Stats and the recorded execution are byte-identical to the
-// pre-scratch allocating implementation.
+// SearchInto implements index.SearcherInto: the beam search over the units
+// of the layout the options select, writing into a caller-owned Result. All
+// per-query state — candidate list, PQ lookup table, heaps, membership and
+// in-flight sets, beam and page buffers — lives in the options' scratch, so
+// with a reused scratch and dst the steady-state path (no recorder; a static
+// node cache included) performs no allocations per query in either layout.
 //
 //annlint:hotpath
 func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *index.Result) {
-	switch ix.layoutFor(opts) {
-	case index.LayoutID:
-	case index.LayoutPage:
-		ix.searchPageInto(q, k, opts, dst)
-		return
-	default:
-		panic(fmt.Sprintf("diskann: unknown layout %q", ix.layoutFor(opts)))
-	}
-	L := opts.SearchList
-	if L < k {
-		L = k
-	}
-	if L < 1 {
-		L = 1
-	}
-	W := opts.BeamWidth
-	if W <= 0 {
-		W = 4
-	}
-	rec := opts.Recorder
-	stats := index.Stats{}
-	cache := ix.nodeCacheFor(opts)
-	la := opts.LookAhead
-	scr := index.ScratchFor(opts)
-	// inList tracks candidate-list membership; inFlight tracks nodes whose
-	// pages a prior hop speculatively issued and no hop has demanded yet (a
-	// later demand joins the in-flight read at replay instead of issuing a
-	// duplicate).
-	inList := &scr.Visited
-	inList.Begin(ix.data.Len())
-	var inFlight *index.EpochSet
-	if la > 0 {
-		inFlight = &scr.InFlight
-		inFlight.Begin(ix.data.Len())
-	}
-
-	qs := ix.scorer.Query(q)
-	scr.Table = ix.quantizer.BuildTableInto(q, scr.Table)
-	table := pq.Table(scr.Table)
-	// Table construction cost: 256 sub-distance rows over the full dim.
-	rec.AddCPU(ix.cost.Dist(ix.data.Dim, 256))
-	m := ix.quantizer.M()
-
-	cands := scr.Cands[:0]
-	pqThisIter := 0
-	push := func(id int32) {
-		if inList.Contains(id) {
-			return
-		}
-		inList.Add(id)
-		d := table.DistanceAt(ix.codes, m, int(id))
-		stats.PQComps++
-		pqThisIter++
-		cands = append(cands, index.BeamEntry{ID: id, Dist: d})
-	}
-	push(ix.medoid)
-
-	exact := &scr.Bounded // re-ranked results by full-precision distance
-	exact.Reset()
-	beam := scr.Beam[:0]
-	pages := scr.Pages[:0]
-	for {
-		// Pick the W closest unvisited candidates. The comparator is a
-		// strict total order (ids are unique in the list), so the sorted
-		// permutation is algorithm-independent — switching from sort.Slice
-		// changed no recorded execution.
-		slices.SortFunc(cands, func(a, b index.BeamEntry) int {
-			if a.Dist != b.Dist {
-				if a.Dist < b.Dist {
-					return -1
-				}
-				return 1
-			}
-			if a.ID != b.ID {
-				if a.ID < b.ID {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-		if len(cands) > L {
-			for _, c := range cands[L:] {
-				inList.Remove(c.ID)
-			}
-			cands = cands[:L]
-		}
-		beam = beam[:0]
-		for i := range cands {
-			if !cands[i].Visited {
-				beam = append(beam, i)
-				if len(beam) == W {
-					break
-				}
-			}
-		}
-		if len(beam) == 0 {
-			break
-		}
-		stats.Hops++
-		// Fetch the beam from storage (one parallel batch), routing each
-		// node through the node cache first: a hit serves the node's pages
-		// at in-memory cost instead of issuing device reads.
-		pages = pages[:0]
-		cachedPages := 0
-		for _, bi := range beam {
-			id := cands[bi].ID
-			if cache != nil && cache.Touch(id, ix.pagesPerNode) {
-				cachedPages += ix.pagesPerNode
-				continue
-			}
-			if la > 0 && inFlight.Contains(id) {
-				// Pages still count in PagesRead — demand accounting is
-				// invariant under look-ahead.
-				stats.PrefetchUsed += ix.pagesPerNode
-				inFlight.Remove(id)
-			}
-			pages = ix.appendNodePages(pages, id)
-		}
-		stats.PagesRead += len(pages)
-		stats.CachePages += cachedPages
-		rec.AddCPU(ix.cost.Heap(len(cands)))
-		if cachedPages > 0 {
-			rec.AddCPU(cache.HitCost(cachedPages))
-			rec.AddCacheHit(cachedPages)
-		}
-		// Look-ahead: speculatively issue the pages of the next la unvisited
-		// candidates beyond the beam alongside this hop's demand I/O. The
-		// scan only peeks (Contains, not Touch) and charges no CPU, so the
-		// recorded demand execution stays byte-identical to LookAhead==0.
-		if la > 0 {
-			picked := 0
-			for i := beam[len(beam)-1] + 1; i < len(cands) && picked < la; i++ {
-				id := cands[i].ID
-				if cands[i].Visited || inFlight.Contains(id) {
-					continue
-				}
-				if cache != nil && cache.Contains(id) {
-					continue
-				}
-				inFlight.Add(id)
-				scr.PF = ix.appendNodePages(scr.PF[:0], id)
-				stats.PrefetchPages += len(scr.PF)
-				rec.AddPrefetch(index.PrefetchRun{Pages: scr.PF})
-				picked++
-			}
-		}
-		rec.AddIO(pages)
-		// Expand each fetched node: exact re-rank plus PQ-scored neighbour
-		// insertion. The beam's exact distances are batch-scored up front
-		// (bit-identical to per-node calls); push order is unchanged.
-		scr.IDs = scr.IDs[:0]
-		for _, bi := range beam {
-			scr.IDs = append(scr.IDs, cands[bi].ID)
-		}
-		if cap(scr.Dists) < len(scr.IDs) {
-			scr.Dists = make([]float32, len(scr.IDs)) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
-		}
-		beamDists := scr.Dists[:len(scr.IDs)]
-		qs.DistBatch(scr.IDs, beamDists)
-		pqThisIter = 0
-		for j, bi := range beam {
-			cands[bi].Visited = true
-			id := cands[bi].ID
-			ed := beamDists[j]
-			stats.DistComps++
-			extID := ix.extID(id)
-			if opts.Filter == nil || opts.Filter(extID) {
-				exact.PushBounded(index.Neighbor{ID: extID, Dist: ed}, k)
-			}
-			for _, nb := range ix.graph[id] {
-				push(nb)
-			}
-		}
-		rec.AddCPU(ix.cost.Dist(ix.data.Dim, len(beam)) + ix.cost.PQ(m, pqThisIter))
-	}
-	rec.Flush()
-	scr.Cands, scr.Beam, scr.Pages = cands, beam, pages
-	scr.Neighbors = exact.DrainAscending(scr.Neighbors[:0])
-	index.ResultInto(scr.Neighbors, k, stats, dst)
+	ix.beamSearch(ix.unitsOf(ix.layoutFor(opts)), q, k, opts, dst)
 }
 
 func (ix *Index) extID(row int32) int32 {
@@ -770,16 +507,6 @@ func (ix *Index) extID(row int32) int32 {
 	return row
 }
 
-// SearchBatch implements index.Searcher over the shared batch driver: every
-// query runs the same beam search as Search, with per-query recorders
-// resolved through opts.RecorderFor.
-func (ix *Index) SearchBatch(ctx context.Context, queries [][]float32, k int, opts index.SearchOptions) []index.Result {
-	return index.BatchRun(ctx, len(queries), opts, func(qi int, o index.SearchOptions) index.Result {
-		return ix.Search(queries[qi], k, o)
-	})
-}
-
 var _ index.Index = (*Index)(nil)
-var _ index.Searcher = (*Index)(nil)
 var _ index.SearcherInto = (*Index)(nil)
 var _ index.SizeReporter = (*Index)(nil)

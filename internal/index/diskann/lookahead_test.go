@@ -78,20 +78,19 @@ func TestLookAheadSkipsCachedNodes(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSearch: the Searcher implementation must agree with
-// a sequential Search loop at every concurrency.
+// TestSearchBatchMatchesSearch: the shared batch driver must agree with a
+// sequential Search loop at every concurrency.
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	ds, ix := shared(t)
 	var next int64
 	ix.AssignPages(func(n int64) int64 { p := next; next += n; return p })
-	var _ index.Searcher = ix
 	queries := make([][]float32, ds.Queries.Len())
 	for qi := range queries {
 		queries[qi] = ds.Queries.Row(qi)
 	}
 	for _, qc := range []int{1, 4} {
 		opts := uncachedOpts().With(index.WithQueryConcurrency(qc), index.WithLookAhead(2))
-		batch := ix.SearchBatch(context.Background(), queries, 10, opts)
+		batch := index.SearchBatchOf(context.Background(), ix, queries, 10, opts)
 		for qi, q := range queries {
 			if !reflect.DeepEqual(batch[qi], ix.Search(q, 10, opts)) {
 				t.Fatalf("qc=%d query=%d: batch result differs from Search", qc, qi)

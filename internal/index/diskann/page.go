@@ -1,6 +1,7 @@
 package diskann
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 
@@ -58,13 +59,19 @@ func pagesPerGroupFor(dim, pageSize int) int {
 // the node rows into page groups plus the inter-page topology embedded in the
 // page headers. It is deterministic given the build config (seeded packing,
 // strict tie-breaking) and is persisted verbatim by the VAMA0002 framing.
+//
+// The id layout is the same structure at capacity 1 (Index.bind): unit i
+// holds row i alone, adj is the Vamana graph and entry the medoid, so the
+// beam kernel below serves both. Only members, adj and entry are read at
+// search time; pageOf and anchors exist for packing and validation and are
+// nil in the id layout.
 type pageLayout struct {
 	// pageOf maps a node row to the page group holding it.
 	pageOf []int32
 	// members lists each group's resident node rows, anchor first, then in
 	// the order the greedy packer admitted them.
 	members [][]int32
-	// anchors is members[p][0], kept flat for the search hot path.
+	// anchors is members[p][0], kept flat for adjacency construction.
 	anchors []int32
 	// adj is the inter-page adjacency (≤ pageDegree entries per group).
 	adj [][]int32
@@ -216,20 +223,53 @@ func (pl *pageLayout) buildAdjacency(ix *Index) {
 	}
 }
 
-// appendGroupPages appends the storage pages of one page group to dst, the
-// allocation-free page-layout analogue of appendNodePages.
-func (ix *Index) appendGroupPages(dst []int64, pid int32) []int64 {
-	first := ix.pageBase + int64(pid)*int64(ix.pagesPerGroup)
-	for i := 0; i < ix.pagesPerGroup; i++ {
+// units is the view one beam search walks: a layout plus how its unit ids
+// map to storage. The id layout is the capacity-1 instance (a unit is a node
+// row, ppu = pagesPerNode); the page layout's units are page groups. It is a
+// concrete struct of slices — no interface, no type parameter — so the
+// kernel's inner loop inlines and stays allocation-free.
+type units struct {
+	*pageLayout
+	// layout names the unit id space; it keys the node caches.
+	layout string
+	// base is the first storage page of unit 0; unit u occupies the ppu
+	// consecutive pages from base + u·ppu.
+	base int64
+	ppu  int
+	// capacity is the most members one unit holds.
+	capacity int
+}
+
+// unitsOf returns the view of one resolved layout, packing the page layout
+// on first use. An unknown layout name panics: the harness layers validate
+// user input before it reaches a Search call.
+func (ix *Index) unitsOf(layout string) units {
+	switch layout {
+	case index.LayoutID:
+		return units{ix.nodeLay, layout, ix.basePage, ix.pagesPerNode, 1}
+	case index.LayoutPage:
+		pl := ix.pageLayoutFor() //annlint:allow hotalloc -- one-time deterministic page packing on first page-layout search; every later query reuses the materialised layout
+		return units{pl, layout, ix.pageBase, ix.pagesPerGroup, ix.PageCapacity()}
+	default:
+		panic(fmt.Sprintf("diskann: unknown layout %q", layout))
+	}
+}
+
+// appendPages appends the storage pages of one unit to dst.
+func (u units) appendPages(dst []int64, id int32) []int64 {
+	first := u.base + int64(id)*int64(u.ppu)
+	for i := 0; i < u.ppu; i++ {
 		dst = append(dst, first+int64(i))
 	}
 	return dst
 }
 
-// cacheWarmPages returns up to n page groups in breadth-first order over the
-// inter-page adjacency from the entry group — the page-layout warm set of a
-// static node cache, mirroring CacheWarmNodes.
-func (ix *Index) cacheWarmPages(pl *pageLayout, n int) []int32 {
+// warmSet returns up to n units in breadth-first order over the adjacency
+// from the entry unit — the warm set of a static node cache, mirroring real
+// DiskANN's num_nodes_to_cache: the units every beam search crosses first
+// are the ones worth pinning. The order is deterministic (adjacency lists
+// are deterministic given the build seed).
+func (pl *pageLayout) warmSet(n int) []int32 {
 	if n > pl.pages() {
 		n = pl.pages()
 	}
@@ -255,20 +295,21 @@ func (ix *Index) cacheWarmPages(pl *pageLayout, n int) []int32 {
 	return out
 }
 
-// searchPageInto is the page-layout beam search: identical in structure to
-// the node-layout SearchInto, but the candidate list, beam, cache and
-// look-ahead all operate on page groups, and every member a fetched page
-// contains is batch-scored exactly (full-precision re-rank semantics). The
-// candidate list bound L counts pages, floored at ceil(k/capacity) so the
-// result set can always fill — a page list of 3 covers ~15 nodes at 768-d,
-// which is where the device-read savings at equal recall come from.
-//
-//annlint:hotpath
-func (ix *Index) searchPageInto(q []float32, k int, opts index.SearchOptions, dst *index.Result) {
-	pl := ix.pageLayoutFor() //annlint:allow hotalloc -- one-time deterministic page packing on first page-layout search; every later query reuses the materialised layout
-	capacity := pageCapacity(ix.data.Dim, ix.cfg.PageSize)
+// beamSearch is the package's one beam search (Sec. II-B of the paper): each
+// hop takes the W closest unvisited units from the L-bounded candidate list,
+// routes them through the node cache, fetches the rest from the device in
+// one parallel batch, batch-scores every member a fetched unit contains with
+// exact distances (full-precision re-rank), and feeds the units' adjacency
+// back into the list, pricing a unit at the best in-memory PQ distance among
+// its members. Candidate list, beam, cache and look-ahead all operate on
+// units. L counts units, floored at ceil(k/capacity) so the result set can
+// always fill: that is k for the id layout, and for the page layout a list
+// of 3 pages covers ~15 nodes at 768-d, which is where its device-read
+// savings at equal recall come from. Results, Stats and the recorded
+// execution of both layouts are pinned by testdata/profiles.golden.
+func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOptions, dst *index.Result) {
 	L := opts.SearchList
-	if minL := (k + capacity - 1) / capacity; L < minL {
+	if minL := (k + u.capacity - 1) / u.capacity; L < minL {
 		L = minL
 	}
 	if L < 1 {
@@ -280,36 +321,40 @@ func (ix *Index) searchPageInto(q []float32, k int, opts index.SearchOptions, ds
 	}
 	rec := opts.Recorder
 	stats := index.Stats{}
-	cache := ix.nodeCacheFor(opts)
+	cache := ix.caches.For(opts.NodeCachePolicy, opts.NodeCacheNodes, u.layout)
 	la := opts.LookAhead
 	scr := index.ScratchFor(opts)
+	// inList tracks candidate-list membership; inFlight tracks units whose
+	// pages a prior hop speculatively issued and no hop has demanded yet (a
+	// later demand joins the in-flight read at replay instead of issuing a
+	// duplicate).
 	inList := &scr.Visited
-	inList.Begin(pl.pages())
+	inList.Begin(u.pages())
 	var inFlight *index.EpochSet
 	if la > 0 {
 		inFlight = &scr.InFlight
-		inFlight.Begin(pl.pages())
+		inFlight.Begin(u.pages())
 	}
 
 	qs := ix.scorer.Query(q)
 	scr.Table = ix.quantizer.BuildTableInto(q, scr.Table)
 	table := pq.Table(scr.Table)
+	// Table construction cost: 256 sub-distance rows over the full dim.
 	rec.AddCPU(ix.cost.Dist(ix.data.Dim, 256))
 	m := ix.quantizer.M()
 
 	cands := scr.Cands[:0]
 	pqThisIter := 0
-	// Steering: a page is priced at the best in-memory PQ distance among its
-	// residents. The per-node compressed vectors are the same RAM-resident PQ
-	// state the node layout navigates with, so page routing costs zero extra
-	// page bytes — just capacity× the PQ lookups, which the cost model
-	// charges below.
-	push := func(pid int32) {
-		if inList.Contains(pid) {
+	// Steering: a unit is priced at the best in-memory PQ distance among its
+	// members. The per-node compressed vectors are RAM-resident in either
+	// layout, so page routing costs zero extra page bytes — just capacity×
+	// the PQ lookups, which the cost model charges below.
+	push := func(id int32) {
+		if inList.Contains(id) {
 			return
 		}
-		inList.Add(pid)
-		members := pl.members[pid]
+		inList.Add(id)
+		members := u.members[id]
 		d := table.DistanceAt(ix.codes, m, int(members[0]))
 		for _, row := range members[1:] {
 			if md := table.DistanceAt(ix.codes, m, int(row)); md < d {
@@ -318,16 +363,18 @@ func (ix *Index) searchPageInto(q []float32, k int, opts index.SearchOptions, ds
 		}
 		stats.PQComps += len(members)
 		pqThisIter += len(members)
-		cands = append(cands, index.BeamEntry{ID: pid, Dist: d})
+		cands = append(cands, index.BeamEntry{ID: id, Dist: d})
 	}
-	push(pl.entry)
+	push(u.entry)
 
-	exact := &scr.Bounded
+	exact := &scr.Bounded // re-ranked results by full-precision distance
 	exact.Reset()
 	beam := scr.Beam[:0]
 	pages := scr.Pages[:0]
-	ppg := ix.pagesPerGroup
 	for {
+		// Pick the W closest unvisited candidates. The comparator is a
+		// strict total order (ids are unique in the list), so the sorted
+		// permutation is algorithm-independent.
 		slices.SortFunc(cands, func(a, b index.BeamEntry) int {
 			if a.Dist != b.Dist {
 				if a.Dist < b.Dist {
@@ -362,19 +409,24 @@ func (ix *Index) searchPageInto(q []float32, k int, opts index.SearchOptions, ds
 			break
 		}
 		stats.Hops++
+		// Fetch the beam from storage (one parallel batch), routing each
+		// unit through the node cache first: a hit serves the unit's pages
+		// at in-memory cost instead of issuing device reads.
 		pages = pages[:0]
 		cachedPages := 0
 		for _, bi := range beam {
-			pid := cands[bi].ID
-			if cache != nil && cache.Touch(pid, ppg) {
-				cachedPages += ppg
+			id := cands[bi].ID
+			if cache != nil && cache.Touch(id, u.ppu) {
+				cachedPages += u.ppu
 				continue
 			}
-			if la > 0 && inFlight.Contains(pid) {
-				stats.PrefetchUsed += ppg
-				inFlight.Remove(pid)
+			if la > 0 && inFlight.Contains(id) {
+				// Pages still count in PagesRead — demand accounting is
+				// invariant under look-ahead.
+				stats.PrefetchUsed += u.ppu
+				inFlight.Remove(id)
 			}
-			pages = ix.appendGroupPages(pages, pid)
+			pages = u.appendPages(pages, id)
 		}
 		stats.PagesRead += len(pages)
 		stats.CachePages += cachedPages
@@ -383,31 +435,35 @@ func (ix *Index) searchPageInto(q []float32, k int, opts index.SearchOptions, ds
 			rec.AddCPU(cache.HitCost(cachedPages))
 			rec.AddCacheHit(cachedPages)
 		}
+		// Look-ahead: speculatively issue the pages of the next la unvisited
+		// candidates beyond the beam alongside this hop's demand I/O. The
+		// scan only peeks (Contains, not Touch) and charges no CPU, so the
+		// recorded demand execution stays byte-identical to LookAhead==0.
 		if la > 0 {
 			picked := 0
 			for i := beam[len(beam)-1] + 1; i < len(cands) && picked < la; i++ {
-				pid := cands[i].ID
-				if cands[i].Visited || inFlight.Contains(pid) {
+				id := cands[i].ID
+				if cands[i].Visited || inFlight.Contains(id) {
 					continue
 				}
-				if cache != nil && cache.Contains(pid) {
+				if cache != nil && cache.Contains(id) {
 					continue
 				}
-				inFlight.Add(pid)
-				scr.PF = ix.appendGroupPages(scr.PF[:0], pid)
+				inFlight.Add(id)
+				scr.PF = u.appendPages(scr.PF[:0], id)
 				stats.PrefetchPages += len(scr.PF)
 				rec.AddPrefetch(index.PrefetchRun{Pages: scr.PF})
 				picked++
 			}
 		}
 		rec.AddIO(pages)
-		// Expand each fetched page: every resident member is batch-scored
-		// exactly (this is the co-design's payoff — one read, capacity
-		// re-ranked nodes), then the page's embedded adjacency feeds the
-		// candidate list.
+		// Expand each fetched unit: every member is batch-scored exactly up
+		// front, bit-identical to per-node calls (this is the page layout's
+		// payoff — one read, capacity re-ranked nodes), then the unit's
+		// adjacency feeds the candidate list.
 		scr.IDs = scr.IDs[:0]
 		for _, bi := range beam {
-			for _, row := range pl.members[cands[bi].ID] {
+			for _, row := range u.members[cands[bi].ID] {
 				scr.IDs = append(scr.IDs, row)
 			}
 		}
@@ -420,8 +476,8 @@ func (ix *Index) searchPageInto(q []float32, k int, opts index.SearchOptions, ds
 		j := 0
 		for _, bi := range beam {
 			cands[bi].Visited = true
-			pid := cands[bi].ID
-			for _, row := range pl.members[pid] {
+			id := cands[bi].ID
+			for _, row := range u.members[id] {
 				ed := memberDists[j]
 				j++
 				stats.DistComps++
@@ -430,7 +486,7 @@ func (ix *Index) searchPageInto(q []float32, k int, opts index.SearchOptions, ds
 					exact.PushBounded(index.Neighbor{ID: extID, Dist: ed}, k)
 				}
 			}
-			for _, nb := range pl.adj[pid] {
+			for _, nb := range u.adj[id] {
 				push(nb)
 			}
 		}

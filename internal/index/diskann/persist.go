@@ -96,8 +96,6 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		cost:   index.DefaultCostModel(),
 		scorer: index.NewScorer(data, cfg.Metric),
 	}
-	ix.pagesPerNode = (data.Dim*4 + 4 + cfg.R*4 + cfg.PageSize - 1) / cfg.PageSize
-	ix.pagesPerGroup = pagesPerGroupFor(data.Dim, cfg.PageSize)
 	ix.graph = make([][]int32, n)
 	for i := 0; i < n; i++ {
 		ix.graph[i] = r.I32s()
@@ -111,9 +109,19 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if int(ix.medoid) >= n || len(ix.codes) != n*q.M() {
+	if ix.medoid < 0 || int(ix.medoid) >= n || len(ix.codes) != n*q.M() {
 		return nil, fmt.Errorf("diskann: corrupt persisted index")
 	}
+	// Both layouts' searches index by these neighbour ids unchecked, so a
+	// damaged list must fail here rather than panic inside the beam kernel.
+	for i, nbrs := range ix.graph {
+		for _, nb := range nbrs {
+			if nb < 0 || int(nb) >= n {
+				return nil, fmt.Errorf("diskann: corrupt persisted index: node %d has neighbour %d outside [0, %d)", i, nb, n)
+			}
+		}
+	}
+	ix.bind()
 	if magic == persistMagicV2 {
 		pl, err := readPageLayout(r, ix, n)
 		if err != nil {

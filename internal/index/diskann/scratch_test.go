@@ -49,7 +49,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		want[qi] = ix.Search(queries[qi], 10, opts)
 	}
 	for _, workers := range []int{1, 4} {
-		got := ix.SearchBatch(context.Background(), queries, 10,
+		got := index.SearchBatchOf(context.Background(), ix, queries, 10,
 			opts.With(index.WithQueryConcurrency(workers)))
 		for qi := range queries {
 			if !reflect.DeepEqual(want[qi].IDs, got[qi].IDs) ||

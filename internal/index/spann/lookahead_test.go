@@ -102,12 +102,11 @@ func TestLookAheadPrefetchRunsContiguous(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSearch: the Searcher implementation must agree with
-// a sequential Search loop at every concurrency.
+// TestSearchBatchMatchesSearch: the shared batch driver must agree with a
+// sequential Search loop at every concurrency.
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	ds := testData(t)
 	ix := build(t, ds, Config{PostingSize: 64})
-	var _ index.Searcher = ix
 	queries := make([][]float32, ds.Queries.Len())
 	for qi := range queries {
 		queries[qi] = ds.Queries.Row(qi)
@@ -115,7 +114,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	for _, qc := range []int{1, 4} {
 		opts := index.SearchOptions{NProbe: 8}.With(
 			index.WithQueryConcurrency(qc), index.WithLookAhead(2))
-		batch := ix.SearchBatch(context.Background(), queries, 10, opts)
+		batch := index.SearchBatchOf(context.Background(), ix, queries, 10, opts)
 		for qi, q := range queries {
 			if !reflect.DeepEqual(batch[qi], ix.Search(q, 10, opts)) {
 				t.Fatalf("qc=%d query=%d: batch result differs from Search", qc, qi)

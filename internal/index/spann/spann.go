@@ -19,10 +19,8 @@
 package spann
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"svdbench/internal/index"
 	"svdbench/internal/index/hnsw"
@@ -62,11 +60,10 @@ type Index struct {
 	cost      index.CostModel
 	scorer    *index.Scorer
 
-	// nodeCaches holds one posting cache per (policy, capacity) requested
+	// caches holds one posting cache per (policy, capacity) requested
 	// through search options; a "node" here is one posting list, SPANN's
 	// unit of storage access.
-	cacheMu    sync.Mutex
-	nodeCaches map[cacheID]*nodecache.Cache
+	caches *nodecache.Set
 }
 
 // Build clusters the data into page-friendly postings with boundary
@@ -132,6 +129,7 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("spann: centroid navigator: %w", err)
 	}
 	ix.navigator = nav
+	ix.caches = nodecache.NewSet(cfg.PageSize, cfg.Seed, ix.warmCache)
 	return ix, nil
 }
 
@@ -233,63 +231,16 @@ func (ix *Index) CacheWarmPostings(n int) []int32 {
 	return out
 }
 
-// cacheID is the comparable cache identity of one option set. A struct key
-// keeps the per-query cache lookup allocation-free (a formatted string key
-// would allocate on every search, including cache hits).
-type cacheID struct {
-	policy nodecache.Policy
-	nodes  int
-}
-
-// nodeCacheFor returns (creating on first use) the posting cache the
-// options select, or nil when caching is disabled.
-func (ix *Index) nodeCacheFor(opts index.SearchOptions) *nodecache.Cache {
-	if opts.NodeCacheNodes <= 0 {
-		return nil
-	}
-	policy, err := nodecache.ParsePolicy(opts.NodeCachePolicy)
-	if err != nil {
-		panic(err.Error())
-	}
-	key := cacheID{policy: policy, nodes: opts.NodeCacheNodes}
-	ix.cacheMu.Lock()
-	defer ix.cacheMu.Unlock()
-	if c, ok := ix.nodeCaches[key]; ok {
-		return c
-	}
-	c := nodecache.New(nodecache.Config{
-		Capacity: opts.NodeCacheNodes,
-		Policy:   policy,
-		PageSize: ix.cfg.PageSize,
-		Seed:     ix.cfg.Seed,
-	})
-	if policy == nodecache.PolicyStatic {
-		c.Warm(ix.CacheWarmPostings(opts.NodeCacheNodes), func(p int32) int { return len(ix.pages[p]) }) //annlint:allow hotalloc -- warm posting set is computed once when the cache is first built
-	}
-	if ix.nodeCaches == nil {
-		ix.nodeCaches = map[cacheID]*nodecache.Cache{} //annlint:allow hotalloc -- lazy one-time init of the per-index cache table
-	}
-	ix.nodeCaches[key] = c
-	return c
+// warmCache installs the warm posting set of a new static cache (the
+// nodecache.Set warm hook; SPANN has one id space, so the space is unused).
+func (ix *Index) warmCache(_ string, c *nodecache.Cache) {
+	c.Warm(ix.CacheWarmPostings(c.Capacity()), func(p int32) int { return len(ix.pages[p]) })
 }
 
 // CacheSnapshot reports the counters of the posting cache the options
 // select, or ok=false when no search has instantiated it yet.
 func (ix *Index) CacheSnapshot(opts index.SearchOptions) (nodecache.Snapshot, bool) {
-	if opts.NodeCacheNodes <= 0 {
-		return nodecache.Snapshot{}, false
-	}
-	policy, err := nodecache.ParsePolicy(opts.NodeCachePolicy)
-	if err != nil {
-		return nodecache.Snapshot{}, false
-	}
-	ix.cacheMu.Lock()
-	defer ix.cacheMu.Unlock()
-	c, ok := ix.nodeCaches[cacheID{policy: policy, nodes: opts.NodeCacheNodes}]
-	if !ok {
-		return nodecache.Snapshot{}, false
-	}
-	return c.Snapshot(), true
+	return ix.caches.Snapshot(opts.NodeCachePolicy, opts.NodeCacheNodes, "")
 }
 
 // Search implements index.Index: navigate centroids in memory, read the
@@ -320,7 +271,7 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	}
 	rec := opts.Recorder
 	stats := index.Stats{}
-	cache := ix.nodeCacheFor(opts)
+	cache := ix.caches.For(opts.NodeCachePolicy, opts.NodeCacheNodes, "")
 	scr := index.ScratchFor(opts)
 
 	// In-memory centroid navigation (its compute is charged through the
@@ -426,16 +377,6 @@ func (ix *Index) extID(row int32) int32 {
 	return row
 }
 
-// SearchBatch implements index.Searcher over the shared batch driver: every
-// query runs the same probe sequence as Search, with per-query recorders
-// resolved through opts.RecorderFor.
-func (ix *Index) SearchBatch(ctx context.Context, queries [][]float32, k int, opts index.SearchOptions) []index.Result {
-	return index.BatchRun(ctx, len(queries), opts, func(qi int, o index.SearchOptions) index.Result {
-		return ix.Search(queries[qi], k, o)
-	})
-}
-
 var _ index.Index = (*Index)(nil)
-var _ index.Searcher = (*Index)(nil)
 var _ index.SearcherInto = (*Index)(nil)
 var _ index.SizeReporter = (*Index)(nil)

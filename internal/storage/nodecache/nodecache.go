@@ -3,10 +3,10 @@
 // simulated device that absorbs the small random reads the paper identifies
 // as the latency driver of storage-based search (Key Finding 2).
 //
-// Unlike the OS page cache (internal/storage/pagecache), which sees opaque
-// page numbers at replay time, the node cache works in *index units* — a
-// DiskANN graph node or a SPANN posting list — and is consulted by the index
-// itself during search, before any page request is recorded. A hit removes
+// Unlike an OS page cache, which would see opaque page numbers at replay
+// time, the node cache works in *index units* — a DiskANN graph node or page
+// group, or a SPANN posting list — and is consulted by the index itself
+// during search, before any page request is recorded. A hit removes
 // the node's pages from the recorded I/O and charges a small in-memory hit
 // cost instead; a miss records the device pages as before.
 //
@@ -63,8 +63,8 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// DefaultHitCost is the in-memory cost of serving one cached page,
-// matching the page-cache hit calibration.
+// DefaultHitCost is the in-memory cost of serving one cached page (a
+// DRAM-resident 4 KiB copy).
 const DefaultHitCost = 120 * time.Nanosecond
 
 // Config parameterises a cache.
@@ -212,7 +212,7 @@ func (c *Cache) Warm(nodes []int32, pages func(node int32) int) {
 }
 
 // Drop empties the resident set (the drop_caches equivalent). Counters are
-// kept, as with the page cache: Drop models losing state, not history.
+// kept: Drop models losing state, not history.
 func (c *Cache) Drop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

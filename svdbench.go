@@ -68,9 +68,6 @@ type (
 	// SearchStats counts the work one search performed, including the
 	// speculative-read accounting of look-ahead pipelining.
 	SearchStats = index.Stats
-	// Searcher is a batch-capable index: SearchBatch answers a whole query
-	// batch with results byte-identical to sequential Search calls.
-	Searcher = index.Searcher
 
 	// Bench orchestrates datasets, stacks and experiment cells.
 	Bench = core.Bench
