@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-fast lint-deep check bench bench-pipeline bench-host bench-diff bench-check fuzz
+.PHONY: all build test test-purego cross race vet lint lint-fast lint-deep check bench bench-pipeline bench-host bench-diff bench-check fuzz
 
 all: build
 
@@ -15,6 +15,18 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The pure-Go kernel fallback (internal/vec/kernels_noasm.go) is what every
+# non-amd64 build runs and no amd64 test run compiles. `test-purego` selects
+# it with the purego build tag and runs the kernel property tests and the PQ
+# table equivalence test against it; `cross` compiles the whole tree for
+# arm64 and vets the kernel package there (both work offline).
+test-purego:
+	$(GO) test -tags purego ./internal/vec ./internal/index/pq
+
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/vec
 
 # The race detector slows the simulation-heavy core suite by an order of
 # magnitude; give it headroom beyond go test's 10m default.

@@ -94,6 +94,11 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("diskann: empty data")
 	}
+	switch cfg.Layout {
+	case "", index.LayoutID, index.LayoutPage:
+	default:
+		return nil, fmt.Errorf("diskann: unknown layout %q", cfg.Layout)
+	}
 	if cfg.R <= 0 {
 		cfg.R = 48
 	}
@@ -152,12 +157,8 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		}
 	}
 	ix.bind()
-	switch cfg.Layout {
-	case "", index.LayoutID:
-	case index.LayoutPage:
+	if cfg.Layout == index.LayoutPage {
 		ix.pageLay = ix.buildPageLayout()
-	default:
-		return nil, fmt.Errorf("diskann: unknown layout %q", cfg.Layout)
 	}
 	return ix, nil
 }
@@ -216,11 +217,12 @@ func (ix *Index) buildPass(order []int, alpha float64, growing bool) {
 			wg.Add(1)
 			go func(s, e int) {
 				defer wg.Done()
+				var ps pruneScratch
 				for i := s; i < e; i++ {
 					p := int32(order[lo+i])
 					q := ix.scorer.QueryRow(int(p))
 					visited := ix.greedySearchBuild(q, ix.cfg.LBuild, p)
-					results[i] = result{node: p, pruned: ix.robustPruneCands(p, visited, alpha)}
+					results[i] = result{node: p, pruned: ix.robustPruneCands(p, visited, alpha, &ps)}
 				}
 			}(s, e)
 		}
@@ -280,11 +282,24 @@ func (ix *Index) pruneNode(node int32, alpha float64) {
 	for _, e := range ix.graph[node] {
 		cands = append(cands, index.Neighbor{ID: e, Dist: v.Dist(int(e))})
 	}
-	ix.graph[node] = ix.robustPruneCands(node, cands, alpha)
+	sortNeighbors(cands)
+	ix.graph[node] = ix.robustPruneCands(node, cands, alpha, &pruneScratch{})
+}
+
+// sortNeighbors orders cands ascending by (Dist, ID), the order
+// robustPruneCands consumes.
+func sortNeighbors(cands []index.Neighbor) {
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].Dist != cands[j].Dist {
+			return cands[i].Dist < cands[j].Dist
+		}
+		return cands[i].ID < cands[j].ID
+	})
 }
 
 // greedySearchBuild is the construction-time full-precision greedy search;
-// it returns the visited set as neighbours of q (excluding skip).
+// it returns the visited set as neighbours of q (excluding skip), ascending
+// by (Dist, ID).
 func (ix *Index) greedySearchBuild(q index.QueryScorer, L int, skip int32) []index.Neighbor {
 	visited := map[int32]float32{}
 	var frontier index.MinHeap
@@ -318,12 +333,7 @@ func (ix *Index) greedySearchBuild(q index.QueryScorer, L int, skip int32) []ind
 		}
 		out = append(out, index.Neighbor{ID: id, Dist: dist})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortNeighbors(out)
 	return out
 }
 
@@ -343,39 +353,52 @@ func (ix *Index) occlusionAlpha(alpha float64) float64 {
 	return alpha * alpha
 }
 
-// robustPruneCands implements Vamana's RobustPrune over a candidate set.
-func (ix *Index) robustPruneCands(p int32, cands []index.Neighbor, alpha float64) []int32 {
+// pruneScratch holds the gather buffers of robustPruneCands, reused across
+// stars and across the nodes one build worker handles.
+type pruneScratch struct {
+	ids   []int32
+	dists []float32
+}
+
+// robustPruneCands implements Vamana's RobustPrune over a candidate set
+// sorted ascending by (Dist, ID); it compacts cands in place. Each star
+// scores all candidates still alive behind it with one DistBatch (bit-
+// identical to per-pair Dist by Scorer's contract), so the occlusion loop —
+// most of a build — runs on the 4-row kernels.
+func (ix *Index) robustPruneCands(p int32, cands []index.Neighbor, alpha float64, ps *pruneScratch) []int32 {
 	alpha = ix.occlusionAlpha(alpha)
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Dist != cands[j].Dist {
-			return cands[i].Dist < cands[j].Dist
-		}
-		return cands[i].ID < cands[j].ID
-	})
 	if len(cands) > maxOcclusion {
 		cands = cands[:maxOcclusion]
 	}
+	if cap(ps.dists) < len(cands) {
+		ps.ids = make([]int32, len(cands))
+		ps.dists = make([]float32, len(cands))
+	}
 	out := make([]int32, 0, ix.cfg.R)
-	removed := make([]bool, len(cands))
-	for i := 0; i < len(cands) && len(out) < ix.cfg.R; i++ {
-		if removed[i] {
-			continue
-		}
-		star := cands[i]
+	for len(cands) > 0 {
+		star := cands[0]
+		cands = cands[1:]
 		if star.ID == p {
 			continue
 		}
 		out = append(out, star.ID)
-		sv := ix.scorer.QueryRow(int(star.ID))
-		for j := i + 1; j < len(cands); j++ {
-			if removed[j] {
-				continue
-			}
-			dStarC := sv.Dist(int(cands[j].ID))
-			if alpha*float64(dStarC) <= float64(cands[j].Dist) {
-				removed[j] = true
+		if len(out) == ix.cfg.R {
+			break
+		}
+		ids, dists := ps.ids[:len(cands)], ps.dists[:len(cands)]
+		for j, c := range cands {
+			ids[j] = c.ID
+		}
+		ix.scorer.QueryRow(int(star.ID)).DistBatch(ids, dists)
+		alive := cands[:0]
+		for j, c := range cands {
+			// Occluded when alpha·d(star, c) <= d(p, c); the negated form
+			// keeps a NaN distance alive, where > would drop it.
+			if !(alpha*float64(dists[j]) <= float64(c.Dist)) {
+				alive = append(alive, c)
 			}
 		}
+		cands = alive
 	}
 	return out
 }

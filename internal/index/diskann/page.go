@@ -295,6 +295,53 @@ func (pl *pageLayout) warmSet(n int) []int32 {
 	return out
 }
 
+// beamLess is the candidate list's order: ascending (Dist, ID). Ids are
+// unique in the list, so it is a strict total order and the sorted
+// permutation of any set of entries is unique.
+func beamLess(a, b index.BeamEntry) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	return a.ID < b.ID
+}
+
+// mergeBeamTail restores the candidate-list invariant at a hop boundary.
+// cands[:sorted] is ascending and at most L long — marking an entry Visited
+// does not reorder it — and cands[sorted:] is what the last hop pushed, in
+// push order. Each tail entry is dropped when the prefix is full and the
+// entry is not less than its last, and otherwise shifted into its
+// binary-searched slot, evicting the displaced last entry of a full prefix;
+// dropped and evicted ids leave inList. Because the order is strict and
+// total, the surviving entries, their order and the set of ids removed are
+// exactly those of sorting the whole list and truncating it to L, at O(log L)
+// comparisons per pushed entry instead of a sort of all of them every hop.
+func mergeBeamTail(cands []index.BeamEntry, sorted, L int, inList *index.EpochSet) []index.BeamEntry {
+	// The prefix grows by at most one per tail entry consumed, so the shift
+	// below never reaches a tail entry that has not been read yet.
+	for _, e := range cands[sorted:] {
+		if sorted == L {
+			if !beamLess(e, cands[L-1]) {
+				inList.Remove(e.ID)
+				continue
+			}
+			inList.Remove(cands[L-1].ID)
+			sorted--
+		}
+		lo, hi := 0, sorted
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); beamLess(cands[mid], e) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		copy(cands[lo+1:sorted+1], cands[lo:sorted])
+		cands[lo] = e
+		sorted++
+	}
+	return cands[:sorted]
+}
+
 // beamSearch is the package's one beam search (Sec. II-B of the paper): each
 // hop takes the W closest unvisited units from the L-bounded candidate list,
 // routes them through the node cache, fetches the rest from the device in
@@ -305,8 +352,16 @@ func (pl *pageLayout) warmSet(n int) []int32 {
 // units. L counts units, floored at ceil(k/capacity) so the result set can
 // always fill: that is k for the id layout, and for the page layout a list
 // of 3 pages covers ~15 nodes at 768-d, which is where its device-read
-// savings at equal recall come from. Results, Stats and the recorded
-// execution of both layouts are pinned by testdata/profiles.golden.
+// savings at equal recall come from.
+//
+// The candidate list is a sorted prefix plus an unsorted tail: a hop's pushes
+// append to the tail, and the top of the next hop merges the tail into the
+// prefix (mergeBeamTail) instead of re-sorting the list. Eviction happens
+// only there, at the hop boundary: a unit evicted mid-hop would leave inList,
+// so a later member of the same beam could push it again and price it a
+// second time, which changes PQComps and with it the recorded CPU. Results,
+// Stats and the recorded execution of both layouts are pinned by
+// testdata/profiles.golden.
 func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOptions, dst *index.Result) {
 	L := opts.SearchList
 	if minL := (k + u.capacity - 1) / u.capacity; L < minL {
@@ -371,31 +426,11 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 	exact.Reset()
 	beam := scr.Beam[:0]
 	pages := scr.Pages[:0]
+	sorted := 0 // cands[:sorted] is ascending; the rest is this hop's pushes
 	for {
-		// Pick the W closest unvisited candidates. The comparator is a
-		// strict total order (ids are unique in the list), so the sorted
-		// permutation is algorithm-independent.
-		slices.SortFunc(cands, func(a, b index.BeamEntry) int {
-			if a.Dist != b.Dist {
-				if a.Dist < b.Dist {
-					return -1
-				}
-				return 1
-			}
-			if a.ID != b.ID {
-				if a.ID < b.ID {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-		if len(cands) > L {
-			for _, c := range cands[L:] {
-				inList.Remove(c.ID)
-			}
-			cands = cands[:L]
-		}
+		// Pick the W closest unvisited candidates of the merged list.
+		cands = mergeBeamTail(cands, sorted, L, inList)
+		sorted = len(cands)
 		beam = beam[:0]
 		for i := range cands {
 			if !cands[i].Visited {

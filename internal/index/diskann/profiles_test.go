@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"svdbench/internal/binenc"
 	"svdbench/internal/dataset"
 	"svdbench/internal/index"
 	"svdbench/internal/vec"
@@ -92,10 +93,25 @@ func profileDigest(ds *dataset.Dataset, ix *Index, opts index.SearchOptions) str
 		total.DistComps, total.PQComps, total.PrefetchUsed, total.PrefetchPages)
 }
 
+// snapshotSum is the SHA-256 of the index's VAMA0001 snapshot: the graph,
+// the medoid, the PQ codebooks and the codes, i.e. everything Build decides.
+func snapshotSum(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	h := sha256.New()
+	w := binenc.NewWriter(h)
+	ix.WriteTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum(nil)
+}
+
 // TestProfilesGolden pins recorded executions of both layouts against a
 // reference frozen while the id layout and the page layout still had a beam
 // loop each. The single kernel must reproduce it byte for byte; it is the
-// test that fails if the loops are ever forked again with a drift. Three
+// test that fails if the loops are ever forked again with a drift. One
+// "snapshot" line per fixture pins the builder the same way: it was generated
+// on the commit before robust-prune scoring moved to the batch kernel. Three
 // shapes: dim 32 (one page per node, 108 members per page group), dim 1536
 // (two pages per node, two members per group), and dim 32 on 128-byte pages
 // (two pages per node, one member per two-page group).
@@ -128,6 +144,7 @@ func TestProfilesGolden(t *testing.T) {
 		fmt.Fprintf(&got, "%s shape pages/node=%d capacity=%d pages/group=%d\n",
 			f.name, ix.PagesPerNode(), ix.PageCapacity(), ix.PagesPerGroup())
 		fmt.Fprintf(&got, "%s warm %v\n", f.name, ix.CacheWarmNodes(20))
+		fmt.Fprintf(&got, "%s snapshot sha256=%x\n", f.name, snapshotSum(t, ix))
 		for _, layout := range []string{index.LayoutID, index.LayoutPage} {
 			for _, v := range variants {
 				fmt.Fprintf(&got, "%s %s %s %s\n", f.name, layout, v.name,

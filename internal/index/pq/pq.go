@@ -70,23 +70,29 @@ func (q *Quantizer) Dim() int { return q.dim }
 
 // Encode quantises v into an m-byte code.
 func (q *Quantizer) Encode(v []float32) []byte {
-	if len(v) != q.dim {
-		panic(fmt.Sprintf("pq: encode dim %d, want %d", len(v), q.dim))
-	}
 	code := make([]byte, q.m)
-	for s := 0; s < q.m; s++ {
-		sub := v[s*q.subDim : (s+1)*q.subDim]
-		code[s] = byte(kmeans.Nearest(q.codebooks[s], sub))
-	}
+	q.encodeInto(v, code)
 	return code
 }
 
-// EncodeAll quantises every row of data into a packed n×m code array.
+// encodeInto writes the m-byte code of v into code.
+func (q *Quantizer) encodeInto(v []float32, code []byte) {
+	if len(v) != q.dim {
+		panic(fmt.Sprintf("pq: encode dim %d, want %d", len(v), q.dim))
+	}
+	for s := range code {
+		sub := v[s*q.subDim : (s+1)*q.subDim]
+		code[s] = byte(kmeans.Nearest(q.codebooks[s], sub))
+	}
+}
+
+// EncodeAll quantises every row of data into a packed n×m code array, each
+// code written in place.
 func (q *Quantizer) EncodeAll(data *vec.Matrix) []byte {
 	n := data.Len()
 	codes := make([]byte, n*q.m)
 	for i := 0; i < n; i++ {
-		copy(codes[i*q.m:], q.Encode(data.Row(i)))
+		q.encodeInto(data.Row(i), codes[i*q.m:(i+1)*q.m])
 	}
 	return codes
 }
@@ -114,10 +120,14 @@ func (q *Quantizer) BuildTable(query []float32) Table {
 // BuildTableInto computes the ADC table for query into t, reusing t's
 // storage when its capacity suffices (the zero-allocation form of
 // BuildTable). Each codebook is one contiguous centroid matrix, so the
-// 256 sub-distances per sub-space are scored with one batch-kernel call;
-// every entry is bit-identical to the per-centroid scalar loop. Entries past
-// ksub (under-trained codebooks) are never read — code bytes always index a
-// trained centroid — so stale values there are harmless.
+// 256 sub-distances per sub-space are scored with one batch call, and on
+// amd64 that call walks all 64 four-centroid groups inside the SSE rows
+// kernel: m kernel entries per query, not m·64. The codebooks keep their one
+// row-major layout (a transposed copy would add a sixth to a small
+// collection's heap; see DESIGN.md "Kernels & scratch buffers"), and every
+// entry is bit-identical to the per-centroid scalar vec.L2Sq loop. Entries
+// past ksub (under-trained codebooks) are never read — code bytes always
+// index a trained centroid — so stale values there are harmless.
 //
 //annlint:hotpath
 func (q *Quantizer) BuildTableInto(query []float32, t Table) Table {

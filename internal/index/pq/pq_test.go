@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,7 +61,12 @@ func TestCodeShape(t *testing.T) {
 	}
 	all := q.EncodeAll(m)
 	if len(all) != 300*4 {
-		t.Errorf("EncodeAll length = %d", len(all))
+		t.Fatalf("EncodeAll length = %d", len(all))
+	}
+	for i := 0; i < m.Len(); i++ {
+		if want := q.Encode(m.Row(i)); !bytes.Equal(all[i*4:(i+1)*4], want) {
+			t.Fatalf("row %d: packed code %v, Encode %v", i, all[i*4:(i+1)*4], want)
+		}
 	}
 	if q.M() != 4 || q.Dim() != 16 {
 		t.Errorf("M=%d Dim=%d", q.M(), q.Dim())
@@ -151,5 +157,58 @@ func TestMemoryBytes(t *testing.T) {
 	want := int64(4) * 256 * 4 * 4 // m × 256 × subDim × sizeof(float32)
 	if q.MemoryBytes() != want {
 		t.Errorf("memory = %d, want %d", q.MemoryBytes(), want)
+	}
+}
+
+// TestBuildTableMatchesScalarLoop: BuildTableInto is the per-centroid scalar
+// vec.L2Sq loop, bit for bit, at every shape the batch kernel branches on —
+// under-trained codebooks (ksub 1, 3, 5, 255 ride the n%4 row tail) and
+// sub-vector widths below, at and between the kernel's 4-float steps.
+func TestBuildTableMatchesScalarLoop(t *testing.T) {
+	for _, ksub := range []int{1, 3, 5, 255, 256} {
+		for _, subDim := range []int{1, 2, 4, 6, 8, 12} {
+			const m = 3
+			// ksub distinct training rows train exactly ksub centroids.
+			quant, err := Train(randMatrix(ksub, m*subDim, int64(ksub*100+subDim)), m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if quant.ksub != ksub {
+				t.Fatalf("ksub %d subDim %d: trained %d centroids", ksub, subDim, quant.ksub)
+			}
+			queries := randMatrix(4, m*subDim, 99)
+			var table Table
+			for qi := 0; qi < queries.Len(); qi++ {
+				query := queries.Row(qi)
+				table = quant.BuildTableInto(query, table)
+				for s := 0; s < m; s++ {
+					sub := query[s*subDim : (s+1)*subDim]
+					for c := 0; c < ksub; c++ {
+						got := table[s*centroidsPerSub+c]
+						want := vec.L2Sq(sub, quant.codebooks[s].Row(c))
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("ksub %d subDim %d sub-space %d centroid %d: table %x, scalar %x", ksub, subDim, s, c, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBuildTableInto768 is the per-query ADC table build at the 768-d
+// shape DiskANN uses (96 sub-spaces x 256 centroids x 8-d).
+func BenchmarkBuildTableInto768(b *testing.B) {
+	data := randMatrix(500, 768, 1)
+	quant, err := Train(data, 96, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := randMatrix(64, 768, 2)
+	table := quant.BuildTable(queries.Row(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		table = quant.BuildTableInto(queries.Row(i%queries.Len()), table)
 	}
 }

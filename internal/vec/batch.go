@@ -3,8 +3,10 @@ package vec
 import "fmt"
 
 // Batch scoring API: score one query against many rows per call. On amd64
-// the 4-row kernels are SSE assembly (see kernels_amd64.s); elsewhere they
-// are the interleaved pure-Go kernels in kernels.go. Either way every
+// the 4-row kernels are SSE assembly (see kernels_amd64.s) and packed rows
+// are walked inside the kernel, one call per batch; elsewhere (and under the
+// purego build tag, which exists to test the fallback) they are the
+// interleaved pure-Go kernels in kernels.go. Either way every
 // per-row result is bit-identical to the corresponding scalar call
 // (Dot/L2Sq/Distance) — batch scoring may change speed, never floats — so
 // callers are free to batch anywhere, including build paths and recorded
@@ -40,13 +42,8 @@ func DotBatch(q, rows []float32, out []float32) {
 	if len(rows) != n*d {
 		panic(fmt.Sprintf("vec: rows length %d, want %d rows x dim %d", len(rows), n, d))
 	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b := i * d
-		out[i], out[i+1], out[i+2], out[i+3] = dot4(q,
-			rows[b:b+d:b+d], rows[b+d:b+2*d:b+2*d],
-			rows[b+2*d:b+3*d:b+3*d], rows[b+3*d:b+4*d:b+4*d])
-	}
+	i := n &^ 3
+	dotRows(q, rows[:i*d], out[:i])
 	if i < n {
 		r0, r1, r2, r3 := tail4(rows, d, i, n)
 		t := [4]float32{}
@@ -65,13 +62,8 @@ func L2SqBatch(q, rows []float32, out []float32) {
 	if len(rows) != n*d {
 		panic(fmt.Sprintf("vec: rows length %d, want %d rows x dim %d", len(rows), n, d))
 	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b := i * d
-		out[i], out[i+1], out[i+2], out[i+3] = l2sq4(q,
-			rows[b:b+d:b+d], rows[b+d:b+2*d:b+2*d],
-			rows[b+2*d:b+3*d:b+3*d], rows[b+3*d:b+4*d:b+4*d])
-	}
+	i := n &^ 3
+	l2sqRows(q, rows[:i*d], out[:i])
 	if i < n {
 		r0, r1, r2, r3 := tail4(rows, d, i, n)
 		t := [4]float32{}

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,41 +119,94 @@ func TestBatch4BitIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchBitIdentityPackedRows pins DotBatch/L2SqBatch/DistanceBatch over
-// packed rows (every row count 0..9, so the 4-row main loop and the padded
-// remainder of 1-3 rows both run) to the per-pair scalar calls, bit for bit.
+// sameBits is the exact comparison of the kernel property tests: equal bit
+// patterns, which is != on every ordinary value and also holds the kernels to
+// the same NaN and signed zero when a MaxFloat32/4 row overflows.
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+
+// TestBatchBitIdentityPackedRows is the packed-rows contract over every shape
+// the rows kernels branch on: each d in 1..40 (d < 4 takes the Go loop, d%4
+// the scalar element tail) plus commonDims, each n in 0..19 (n%4 rides tail4,
+// n < 4 never enters the rows kernel) plus 256. L2SqBatch, DotBatch,
+// DistanceBatch under all three metrics and CosineDistanceBatch must equal
+// the scalar L2Sq/Dot/Distance per row, bit for bit, on inputs with negative
+// values, zeros and one row of MaxFloat32/4.
 func TestBatchBitIdentityPackedRows(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
+	var dims []int
+	for d := 1; d <= 40; d++ {
+		dims = append(dims, d)
+	}
 	for _, d := range commonDims {
-		for n := 0; n <= 9; n++ {
+		if d > 40 {
+			dims = append(dims, d)
+		}
+	}
+	var counts []int
+	for n := 0; n <= 19; n++ {
+		counts = append(counts, n)
+	}
+	counts = append(counts, 256)
+	for _, d := range dims {
+		for _, n := range counts {
 			q := randVec(r, d)
-			rows := make([]float32, n*d)
+			q[r.Intn(d)] = 0
+			m := NewMatrix(n, d)
+			rows := m.Raw()
 			for i := range rows {
 				rows[i] = float32(r.NormFloat64())
 			}
-			out := make([]float32, n)
-
-			DotBatch(q, rows, out)
-			for i := 0; i < n; i++ {
-				if want := Dot(q, rows[i*d:(i+1)*d]); out[i] != want {
-					t.Fatalf("dim %d n %d row %d: DotBatch = %x, want %x", d, n, i, out[i], want)
+			if n > 0 {
+				big := m.Row(r.Intn(n))
+				for j := range big {
+					big[j] = math.MaxFloat32 / 4
 				}
 			}
+			if n > 1 {
+				clear(m.Row(r.Intn(n))[:1+r.Intn(d)]) // zeros inside a row
+			}
+			out := make([]float32, n)
+
 			L2SqBatch(q, rows, out)
 			for i := 0; i < n; i++ {
-				if want := L2Sq(q, rows[i*d:(i+1)*d]); out[i] != want {
+				if want := L2Sq(q, m.Row(i)); !sameBits(out[i], want) {
 					t.Fatalf("dim %d n %d row %d: L2SqBatch = %x, want %x", d, n, i, out[i], want)
 				}
 			}
-			for _, m := range []Metric{L2, IP, Cosine} {
-				DistanceBatch(m, q, rows, out)
+			DotBatch(q, rows, out)
+			for i := 0; i < n; i++ {
+				if want := Dot(q, m.Row(i)); !sameBits(out[i], want) {
+					t.Fatalf("dim %d n %d row %d: DotBatch = %x, want %x", d, n, i, out[i], want)
+				}
+			}
+			for _, metric := range []Metric{L2, IP, Cosine} {
+				DistanceBatch(metric, q, rows, out)
 				for i := 0; i < n; i++ {
-					if want := Distance(m, q, rows[i*d:(i+1)*d]); out[i] != want {
-						t.Fatalf("dim %d n %d row %d metric %v: DistanceBatch = %x, want %x", d, n, i, m, out[i], want)
+					if want := Distance(metric, q, m.Row(i)); !sameBits(out[i], want) {
+						t.Fatalf("dim %d n %d row %d metric %v: DistanceBatch = %x, want %x", d, n, i, metric, out[i], want)
 					}
 				}
 			}
+			CosineDistanceBatch(q, Norm(q), rows, Norms(m), out)
+			for i := 0; i < n; i++ {
+				if want := Distance(Cosine, q, m.Row(i)); !sameBits(out[i], want) {
+					t.Fatalf("dim %d n %d row %d: CosineDistanceBatch = %x, want %x", d, n, i, out[i], want)
+				}
+			}
 		}
+	}
+}
+
+// TestBatchEmpty: zero rows is a no-op for every batch entry point (the rows
+// kernels must not take &rows[0] of an empty slice), with or without a query.
+func TestBatchEmpty(t *testing.T) {
+	for _, q := range [][]float32{nil, make([]float32, 8)} {
+		L2SqBatch(q, nil, nil)
+		DotBatch(q, nil, nil)
+		for _, metric := range []Metric{L2, IP, Cosine} {
+			DistanceBatch(metric, q, nil, nil)
+		}
+		CosineDistanceBatch(q, 0, nil, nil, nil)
 	}
 }
 
@@ -330,38 +384,30 @@ func BenchmarkCosineDims(b *testing.B) {
 	})
 }
 
-const benchBatchRows = 256
-
-func BenchmarkDotBatchDims(b *testing.B) {
-	benchDims(b, func(b *testing.B, d int) {
-		r := rand.New(rand.NewSource(1))
-		q := randVec(r, d)
-		rows := make([]float32, benchBatchRows*d)
-		for i := range rows {
-			rows[i] = float32(r.NormFloat64())
-		}
-		out := make([]float32, benchBatchRows)
-		b.SetBytes(int64(4 * d * benchBatchRows))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			DotBatch(q, rows, out)
-		}
-	})
+// benchBatch times one batch call over 256 packed rows at the PQ sub-vector
+// shape (d8: 8-d rows, where per-group overhead dominates) and at the
+// embedding dims (long rows, where the inner loop does).
+func benchBatch(b *testing.B, batch func(q, rows, out []float32)) {
+	const n = 256
+	for _, d := range []int{8, 96, 128, 768, 1536} {
+		b.Run(fmt.Sprintf("d%dn%d", d, n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			q := randVec(r, d)
+			rows := make([]float32, n*d)
+			for i := range rows {
+				rows[i] = float32(r.NormFloat64())
+			}
+			out := make([]float32, n)
+			b.SetBytes(int64(4 * d * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch(q, rows, out)
+			}
+		})
+	}
 }
 
-func BenchmarkL2SqBatchDims(b *testing.B) {
-	benchDims(b, func(b *testing.B, d int) {
-		r := rand.New(rand.NewSource(1))
-		q := randVec(r, d)
-		rows := make([]float32, benchBatchRows*d)
-		for i := range rows {
-			rows[i] = float32(r.NormFloat64())
-		}
-		out := make([]float32, benchBatchRows)
-		b.SetBytes(int64(4 * d * benchBatchRows))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			L2SqBatch(q, rows, out)
-		}
-	})
-}
+func BenchmarkDotBatch(b *testing.B) { benchBatch(b, DotBatch) }
+
+func BenchmarkL2SqBatch(b *testing.B) { benchBatch(b, L2SqBatch) }

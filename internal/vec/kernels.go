@@ -253,3 +253,27 @@ func l2sq4Go(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
 	}
 	return d0, d1, d2, d3
 }
+
+// dotRowsGo writes Dot(q, row_i) into out[i] for the len(out) rows packed
+// row-major in rows, four rows per dot4Go pass; len(out) is a multiple of
+// four. It is the portable form of the packed-rows assembly kernel.
+func dotRowsGo(q, rows, out []float32) {
+	d := len(q)
+	for i := 0; i < len(out); i += 4 {
+		b := i * d
+		out[i], out[i+1], out[i+2], out[i+3] = dot4Go(q,
+			rows[b:b+d:b+d], rows[b+d:b+2*d:b+2*d],
+			rows[b+2*d:b+3*d:b+3*d], rows[b+3*d:b+4*d:b+4*d])
+	}
+}
+
+// l2sqRowsGo is dotRowsGo for L2Sq.
+func l2sqRowsGo(q, rows, out []float32) {
+	d := len(q)
+	for i := 0; i < len(out); i += 4 {
+		b := i * d
+		out[i], out[i+1], out[i+2], out[i+3] = l2sq4Go(q,
+			rows[b:b+d:b+d], rows[b+d:b+2*d:b+2*d],
+			rows[b+2*d:b+3*d:b+3*d], rows[b+3*d:b+4*d:b+4*d])
+	}
+}

@@ -1,185 +1,142 @@
+//go:build !purego
+
 #include "textflag.h"
 
-// SSE batch kernels: score one query against four rows in a single pass.
+// SSE batch kernels: score one query against four rows in a single pass,
+// either four gathered rows (dot4SSE/l2sq4SSE) or consecutive groups of four
+// packed rows without returning to Go in between (dotRowsSSE/l2sqRowsSSE).
 //
 // Bit-identity with the scalar kernels is by construction, not by luck. The
 // scalar path keeps four partial accumulators s0..s3 (s_j sums elements
 // j, j+4, j+8, ...) and reduces them as ((s0+s1)+s2)+s3. Here each row gets
-// one XMM accumulator whose lane j plays the role of s_j: MULPS/ADDPS are
-// IEEE-exact per lane, so after the loop lane j holds exactly the scalar
-// s_j, and the SHUFPS/ADDSS ladder below reduces the lanes in exactly the
-// scalar order. Remainder elements (n%4) are added by the Go wrapper after
-// the reduction, again matching the scalar order. Any change here must keep
-// that order — the property tests in batch_test.go compare with exact !=.
+// one XMM accumulator (X0..X3) whose lane j plays the role of s_j:
+// MULPS/ADDPS are IEEE-exact per lane, so after the loop lane j holds exactly
+// the scalar s_j. REDUCE4 then transposes the 4x4 block of lanes, so that
+// register j holds s_j of all four rows, and adds the registers in the scalar
+// order: lane i of the result is ((s0+s1)+s2)+s3 of row i, the same three
+// additions on the same operands as a per-row shuffle ladder, four rows at a
+// time. Remainder elements (d%4) are added by the Go wrapper after the
+// reduction, again matching the scalar order. Any change here must keep that
+// order — the property tests in batch_test.go compare bit patterns.
+//
+// Register use, all four kernels: AX = q, BX/CX/DX/SI = the four rows,
+// R10 = byte offset into q and the rows, R11 = byte length of the d&^3
+// prefix (callers guarantee d >= 4, so the do-while loop runs at least once).
+
+// One 4-float step of one row: acc += q[j..j+3] * row[j..j+3], lane-wise.
+#define DOT_ROW(row, acc) \
+	MOVUPS (row)(R10*1), X5; \
+	MULPS  X4, X5;           \
+	ADDPS  X5, acc
+
+// As DOT_ROW for squared differences. It computes (row-q) rather than
+// (q-row): negation is exact and the difference is immediately squared, so
+// the result is bit-identical to the scalar (q-row)^2 accumulation.
+#define L2SQ_ROW(row, acc) \
+	MOVUPS (row)(R10*1), X5; \
+	SUBPS  X4, X5;           \
+	MULPS  X5, X5;           \
+	ADDPS  X5, acc
+
+// ACCUMULATE4 runs ROW over the d&^3 prefix of the four rows, leaving row i's
+// partial sums in the lanes of Xi.
+#define ACCUMULATE4(ROW, loop) \
+	XORPS  X0, X0;         \
+	XORPS  X1, X1;         \
+	XORPS  X2, X2;         \
+	XORPS  X3, X3;         \
+	XORQ   R10, R10;       \
+loop:                      \
+	MOVUPS (AX)(R10*1), X4; \
+	ROW(BX, X0);           \
+	ROW(CX, X1);           \
+	ROW(DX, X2);           \
+	ROW(SI, X3);           \
+	ADDQ   $16, R10;       \
+	CMPQ   R10, R11;       \
+	JLT    loop
+
+// REDUCE4 leaves ((s0+s1)+s2)+s3 of row i in lane i of X0, where s_j is lane
+// j of Xi on entry: a 4x4 transpose, then three lane-wise adds.
+#define REDUCE4 \
+	MOVAPS   X0, X5; \
+	UNPCKLPS X1, X0; /* X0 = a0 b0 a1 b1 */ \
+	UNPCKHPS X1, X5; /* X5 = a2 b2 a3 b3 */ \
+	MOVAPS   X2, X6; \
+	UNPCKLPS X3, X2; /* X2 = c0 e0 c1 e1 */ \
+	UNPCKHPS X3, X6; /* X6 = c2 e2 c3 e3 */ \
+	MOVAPS   X0, X7; \
+	MOVLHPS  X2, X0; /* X0 = a0 b0 c0 e0 = s0 of rows 0..3 */ \
+	MOVHLPS  X7, X2; /* X2 = a1 b1 c1 e1 = s1 */ \
+	MOVAPS   X5, X7; \
+	MOVLHPS  X6, X5; /* X5 = a2 b2 c2 e2 = s2 */ \
+	MOVHLPS  X7, X6; /* X6 = a3 b3 c3 e3 = s3 */ \
+	ADDPS    X2, X0; \
+	ADDPS    X5, X0; \
+	ADDPS    X6, X0
+
+// GATHER4 is the body of a four-gathered-rows kernel.
+#define GATHER4(ROW) \
+	MOVQ q+0(FP), AX;   \
+	MOVQ r0+8(FP), BX;  \
+	MOVQ r1+16(FP), CX; \
+	MOVQ r2+24(FP), DX; \
+	MOVQ r3+32(FP), SI; \
+	MOVQ n+40(FP), R11; \
+	ANDQ $~3, R11;      \
+	SHLQ $2, R11;       \
+	ACCUMULATE4(ROW, loop); \
+	REDUCE4;            \
+	MOVSS  X0, d0+48(FP); \
+	SHUFPS $0x39, X0, X0; \
+	MOVSS  X0, d1+52(FP); \
+	SHUFPS $0x39, X0, X0; \
+	MOVSS  X0, d2+56(FP); \
+	SHUFPS $0x39, X0, X0; \
+	MOVSS  X0, d3+60(FP); \
+	RET
+
+// ROWS4 is the body of a packed-rows kernel: groups consecutive groups of
+// four rows of d floats each, one 16-byte store of four results per group.
+// R8 = row stride in bytes, R9 = groups left, DI = out.
+#define ROWS4(ROW) \
+	MOVQ  q+0(FP), AX;       \
+	MOVQ  rows+8(FP), BX;    \
+	MOVQ  out+16(FP), DI;    \
+	MOVQ  d+24(FP), R8;      \
+	MOVQ  groups+32(FP), R9; \
+	MOVQ  R8, R11;           \
+	ANDQ  $~3, R11;          \
+	SHLQ  $2, R11;           \
+	SHLQ  $2, R8;            \
+	TESTQ R9, R9;            \
+	JZ    done;              \
+group:                       \
+	LEAQ  (BX)(R8*1), CX;    \
+	LEAQ  (CX)(R8*1), DX;    \
+	LEAQ  (DX)(R8*1), SI;    \
+	ACCUMULATE4(ROW, loop);  \
+	REDUCE4;                 \
+	MOVUPS X0, (DI);         \
+	ADDQ  $16, DI;           \
+	LEAQ  (SI)(R8*1), BX;    \
+	DECQ  R9;                \
+	JNZ   group;             \
+done:                        \
+	RET
 
 // func dot4SSE(q, r0, r1, r2, r3 *float32, n int) (d0, d1, d2, d3 float32)
 TEXT ·dot4SSE(SB), NOSPLIT, $0-64
-	MOVQ q+0(FP), AX
-	MOVQ r0+8(FP), BX
-	MOVQ r1+16(FP), CX
-	MOVQ r2+24(FP), DX
-	MOVQ r3+32(FP), SI
-	MOVQ n+40(FP), DI
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	SHRQ  $2, DI
-	JZ    reduce
-loop:
-	MOVUPS (AX), X4
-	MOVUPS (BX), X5
-	MULPS  X4, X5
-	ADDPS  X5, X0
-	MOVUPS (CX), X6
-	MULPS  X4, X6
-	ADDPS  X6, X1
-	MOVUPS (DX), X7
-	MULPS  X4, X7
-	ADDPS  X7, X2
-	MOVUPS (SI), X8
-	MULPS  X4, X8
-	ADDPS  X8, X3
-	ADDQ   $16, AX
-	ADDQ   $16, BX
-	ADDQ   $16, CX
-	ADDQ   $16, DX
-	ADDQ   $16, SI
-	DECQ   DI
-	JNZ    loop
-reduce:
-	// lane-ordered reduction ((s0+s1)+s2)+s3 for each accumulator
-	MOVAPS X0, X9
-	SHUFPS $0x01, X9, X9
-	ADDSS  X9, X0
-	MOVAPS X0, X9
-	SHUFPS $0x02, X9, X9
-	ADDSS  X9, X0
-	MOVAPS X0, X9
-	SHUFPS $0x03, X9, X9
-	ADDSS  X9, X0
-	MOVSS  X0, d0+48(FP)
-
-	MOVAPS X1, X9
-	SHUFPS $0x01, X9, X9
-	ADDSS  X9, X1
-	MOVAPS X1, X9
-	SHUFPS $0x02, X9, X9
-	ADDSS  X9, X1
-	MOVAPS X1, X9
-	SHUFPS $0x03, X9, X9
-	ADDSS  X9, X1
-	MOVSS  X1, d1+52(FP)
-
-	MOVAPS X2, X9
-	SHUFPS $0x01, X9, X9
-	ADDSS  X9, X2
-	MOVAPS X2, X9
-	SHUFPS $0x02, X9, X9
-	ADDSS  X9, X2
-	MOVAPS X2, X9
-	SHUFPS $0x03, X9, X9
-	ADDSS  X9, X2
-	MOVSS  X2, d2+56(FP)
-
-	MOVAPS X3, X9
-	SHUFPS $0x01, X9, X9
-	ADDSS  X9, X3
-	MOVAPS X3, X9
-	SHUFPS $0x02, X9, X9
-	ADDSS  X9, X3
-	MOVAPS X3, X9
-	SHUFPS $0x03, X9, X9
-	ADDSS  X9, X3
-	MOVSS  X3, d3+60(FP)
-	RET
+	GATHER4(DOT_ROW)
 
 // func l2sq4SSE(q, r0, r1, r2, r3 *float32, n int) (d0, d1, d2, d3 float32)
-//
-// Computes (row-q) rather than (q-row) per element: negation is exact and
-// the difference is immediately squared, so the result is bit-identical to
-// the scalar (q-row)^2 accumulation.
 TEXT ·l2sq4SSE(SB), NOSPLIT, $0-64
-	MOVQ q+0(FP), AX
-	MOVQ r0+8(FP), BX
-	MOVQ r1+16(FP), CX
-	MOVQ r2+24(FP), DX
-	MOVQ r3+32(FP), SI
-	MOVQ n+40(FP), DI
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	SHRQ  $2, DI
-	JZ    reduce
-loop:
-	MOVUPS (AX), X4
-	MOVUPS (BX), X5
-	SUBPS  X4, X5
-	MULPS  X5, X5
-	ADDPS  X5, X0
-	MOVUPS (CX), X6
-	SUBPS  X4, X6
-	MULPS  X6, X6
-	ADDPS  X6, X1
-	MOVUPS (DX), X7
-	SUBPS  X4, X7
-	MULPS  X7, X7
-	ADDPS  X7, X2
-	MOVUPS (SI), X8
-	SUBPS  X4, X8
-	MULPS  X8, X8
-	ADDPS  X8, X3
-	ADDQ   $16, AX
-	ADDQ   $16, BX
-	ADDQ   $16, CX
-	ADDQ   $16, DX
-	ADDQ   $16, SI
-	DECQ   DI
-	JNZ    loop
-reduce:
-	// lane-ordered reduction ((s0+s1)+s2)+s3 for each accumulator
-	MOVAPS X0, X9
-	SHUFPS $0x01, X9, X9
-	ADDSS  X9, X0
-	MOVAPS X0, X9
-	SHUFPS $0x02, X9, X9
-	ADDSS  X9, X0
-	MOVAPS X0, X9
-	SHUFPS $0x03, X9, X9
-	ADDSS  X9, X0
-	MOVSS  X0, d0+48(FP)
+	GATHER4(L2SQ_ROW)
 
-	MOVAPS X1, X9
-	SHUFPS $0x01, X9, X9
-	ADDSS  X9, X1
-	MOVAPS X1, X9
-	SHUFPS $0x02, X9, X9
-	ADDSS  X9, X1
-	MOVAPS X1, X9
-	SHUFPS $0x03, X9, X9
-	ADDSS  X9, X1
-	MOVSS  X1, d1+52(FP)
+// func dotRowsSSE(q, rows, out *float32, d, groups int)
+TEXT ·dotRowsSSE(SB), NOSPLIT, $0-40
+	ROWS4(DOT_ROW)
 
-	MOVAPS X2, X9
-	SHUFPS $0x01, X9, X9
-	ADDSS  X9, X2
-	MOVAPS X2, X9
-	SHUFPS $0x02, X9, X9
-	ADDSS  X9, X2
-	MOVAPS X2, X9
-	SHUFPS $0x03, X9, X9
-	ADDSS  X9, X2
-	MOVSS  X2, d2+56(FP)
-
-	MOVAPS X3, X9
-	SHUFPS $0x01, X9, X9
-	ADDSS  X9, X3
-	MOVAPS X3, X9
-	SHUFPS $0x02, X9, X9
-	ADDSS  X9, X3
-	MOVAPS X3, X9
-	SHUFPS $0x03, X9, X9
-	ADDSS  X9, X3
-	MOVSS  X3, d3+60(FP)
-	RET
+// func l2sqRowsSSE(q, rows, out *float32, d, groups int)
+TEXT ·l2sqRowsSSE(SB), NOSPLIT, $0-40
+	ROWS4(L2SQ_ROW)

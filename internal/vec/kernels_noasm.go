@@ -1,4 +1,4 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package vec
 
@@ -9,3 +9,7 @@ func dot4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
 func l2sq4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
 	return l2sq4Go(q, r0, r1, r2, r3)
 }
+
+func dotRows(q, rows, out []float32) { dotRowsGo(q, rows, out) }
+
+func l2sqRows(q, rows, out []float32) { l2sqRowsGo(q, rows, out) }
