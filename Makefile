@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego cross race vet lint lint-fast lint-deep check bench bench-pipeline bench-host bench-diff bench-check fuzz
+.PHONY: all build test test-purego cross race vet lint lint-fast lint-deep check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
 
 all: build
 
@@ -85,6 +85,28 @@ bench-diff:
 # unnoticed.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Byte-identity of the experiment tables against another commit — the
+# contract of every refactor under internal/sim, ssd and vdb: checks BASE out
+# under a temp dir (git archive: nothing is left behind in .git), builds
+# annbench on both sides, runs the quick suite on each, drops the host
+# wall-clock footers and diffs. Fails on any difference; offline; not a CI
+# step (a PR that moves tables on purpose must still pass CI).
+# EXPERIMENTS=table2,cache,pipeline,layout is the two-minute short form.
+BASE ?= HEAD
+EXPERIMENTS ?= all
+
+quick-diff:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/base" && \
+	git archive $(BASE) | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/annbench.base" ./cmd/annbench) && \
+	$(GO) build -o "$$tmp/annbench.new" ./cmd/annbench && \
+	for side in base new; do \
+		"$$tmp/annbench.$$side" -experiment $(EXPERIMENTS) -quick -quiet -data "" > "$$tmp/$$side.raw" || exit 1; \
+		sed '/^== .* done in /d' "$$tmp/$$side.raw" > "$$tmp/$$side.txt"; \
+	done && \
+	diff "$$tmp/base.txt" "$$tmp/new.txt" && \
+	echo "quick-diff: $(EXPERIMENTS) identical to $(BASE) on $$(wc -l < "$$tmp/new.txt") lines"
 
 # Short coverage-guided fuzzing of the node-cache invariants (the seeded
 # corpora already run as part of every plain `go test`); each target gets a

@@ -1,22 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"context"
-	"flag"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
-	"svdbench/internal/dataset"
 	"svdbench/internal/index"
 	"svdbench/internal/vdb"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // monoDiskANN is the monolithic Milvus-DiskANN setup the cache experiment
 // measures.
@@ -65,58 +55,5 @@ func TestCacheReducesReadOpsAtIdenticalRecall(t *testing.T) {
 	}
 	if hit.Metrics.ReadOps >= base.Metrics.ReadOps {
 		t.Errorf("cached read ops %d not strictly below uncached %d", hit.Metrics.ReadOps, base.Metrics.ReadOps)
-	}
-}
-
-// renderCache runs the cache experiment on a fresh bench at the given worker
-// count with fixed tiny-scale settings (the golden file's contract).
-func renderCache(t *testing.T, workers int) string {
-	t.Helper()
-	b := NewBench(dataset.ScaleTiny, "")
-	b.RunDefaults = RunConfig{Duration: 100 * time.Millisecond, Repetitions: 2, Cores: 8}
-	b.Workers = workers
-	exp, err := ExperimentByID("cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := exp.RunContext(context.Background(), b, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-// TestCacheExperimentGolden pins the experiment's table byte-for-byte: the
-// grid order and every formatted figure must be identical at any -parallel
-// worker count and across runs (run with -update to regenerate testdata).
-func TestCacheExperimentGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds index stacks")
-	}
-	seq := renderCache(t, 1)
-	par := renderCache(t, 8)
-	if seq != par {
-		t.Fatalf("8-worker output differs from sequential:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
-	}
-	for _, want := range []string{"hit rate", "reads/query", "static", "lru", "off"} {
-		if !strings.Contains(seq, want) {
-			t.Errorf("cache output missing %q:\n%s", want, seq)
-		}
-	}
-	golden := filepath.Join("testdata", "cache_tiny.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(seq), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden file missing (regenerate with go test -run TestCacheExperimentGolden -update): %v", err)
-	}
-	if seq != string(want) {
-		t.Errorf("cache experiment output drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", seq, want)
 	}
 }

@@ -1,15 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"context"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
-	"svdbench/internal/dataset"
 	"svdbench/internal/index"
 )
 
@@ -59,58 +52,5 @@ func TestLayoutCutsDeviceReadsAtEqualRecall(t *testing.T) {
 	pgReads := float64(pgOut.Metrics.ReadOps) / float64(pgOut.Metrics.Served)
 	if pgReads > 0.7*idReads {
 		t.Errorf("page layout reads/query = %.2f, want ≤ 70%% of id's %.2f", pgReads, idReads)
-	}
-}
-
-// renderLayout runs the layout experiment on a fresh bench at the given
-// worker count with fixed tiny-scale settings (the golden file's contract).
-func renderLayout(t *testing.T, workers int) string {
-	t.Helper()
-	b := NewBench(dataset.ScaleTiny, "")
-	b.RunDefaults = RunConfig{Duration: 100 * time.Millisecond, Repetitions: 2, Cores: 8}
-	b.Workers = workers
-	exp, err := ExperimentByID("layout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := exp.RunContext(context.Background(), b, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-// TestLayoutExperimentGolden pins the experiment's table byte-for-byte: the
-// cell order and every formatted figure must be identical at any -parallel
-// worker count and across runs (run with -update to regenerate testdata).
-func TestLayoutExperimentGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds index stacks")
-	}
-	seq := renderLayout(t, 1)
-	par := renderLayout(t, 8)
-	if seq != par {
-		t.Fatalf("8-worker output differs from sequential:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
-	}
-	for _, want := range []string{"dev reads/query", "page (equal L)", "page (tuned L)", "recall@10"} {
-		if !strings.Contains(seq, want) {
-			t.Errorf("layout output missing %q:\n%s", want, seq)
-		}
-	}
-	golden := filepath.Join("testdata", "layout_tiny.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(seq), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden file missing (regenerate with go test -run TestLayoutExperimentGolden -update): %v", err)
-	}
-	if seq != string(want) {
-		t.Errorf("layout experiment output drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", seq, want)
 	}
 }

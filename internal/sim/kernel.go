@@ -163,7 +163,6 @@ type Kernel struct {
 	procs     []*proc  // every proc with a coroutine, pooled or live
 	free      []*proc  // recycled procs suspended between bodies
 	eventPool []*Event // fired events returned via ReleaseEvent
-	groupPool []*Group // idle groups returned via ReleaseGroup
 
 	deadlock func(k *Kernel) // called when no events remain but processes are blocked
 }

@@ -363,14 +363,23 @@ func TestDeadlockDefaultPanicsWithReport(t *testing.T) {
 	k.RunAll()
 }
 
-// sleepOnce is a pooled Runner body for the allocation test.
-type sleepOnce struct{}
+// joinChild is a reusable Runner body for the allocation test: it sleeps, then
+// counts its fork down and fires the parent's event on the last arrival.
+type joinChild struct {
+	left int
+	ev   *Event
+}
 
-func (sleepOnce) Run(e *Env) { e.Sleep(time.Microsecond) }
+func (c *joinChild) Run(e *Env) {
+	e.Sleep(time.Microsecond)
+	if c.left--; c.left == 0 {
+		c.ev.Fire()
+	}
+}
 
 // TestSteadyStateHandOffAllocatesNothing: on a warmed kernel, blocking and
-// resuming processes, and forking and joining pooled runners onto recycled
-// procs, allocate nothing.
+// resuming processes, and forking runners onto recycled procs and joining
+// them on a pooled event, allocate nothing.
 func TestSteadyStateHandOffAllocatesNothing(t *testing.T) {
 	k := NewKernel()
 	stop := false
@@ -382,13 +391,14 @@ func TestSteadyStateHandOffAllocatesNothing(t *testing.T) {
 		})
 	}
 	k.Spawn("forker", func(e *Env) {
+		c := &joinChild{}
 		for !stop {
-			g := k.AllocGroup()
+			c.left, c.ev = 4, k.AllocEvent()
 			for i := 0; i < 4; i++ {
-				g.GoRunner("child", sleepOnce{})
+				k.SpawnRunner("child", c)
 			}
-			g.Wait(e)
-			k.ReleaseGroup(g)
+			c.ev.Wait(e)
+			k.ReleaseEvent(c.ev)
 		}
 	})
 	horizon := Time(100 * time.Microsecond)
@@ -405,6 +415,39 @@ func TestSteadyStateHandOffAllocatesNothing(t *testing.T) {
 	if k.Live() != 0 {
 		t.Errorf("%d processes left alive", k.Live())
 	}
+}
+
+// TestSemaphoreContendedSteadyStateZeroAlloc: a semaphore with more waiters
+// than capacity keeps its wait queue's storage — granting a waiter must not
+// slice the front of the queue away, or every contended acquire eventually
+// re-allocates it.
+func TestSemaphoreContendedSteadyStateZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	sem := NewSemaphore(k, "s", 2)
+	stop := false
+	for i := 0; i < 16; i++ {
+		k.Spawn("holder", func(e *Env) {
+			for !stop {
+				sem.Acquire(e, 1)
+				e.Sleep(time.Microsecond)
+				sem.Release(1)
+			}
+		})
+	}
+	horizon := Time(100 * time.Microsecond)
+	k.Run(horizon) // warm: coroutines created, heap and queue grown
+	allocs := testing.AllocsPerRun(50, func() {
+		horizon = horizon.Add(100 * time.Microsecond)
+		k.Run(horizon)
+	})
+	if allocs != 0 {
+		t.Errorf("contended semaphore allocates %.1f per 100µs window, want 0", allocs)
+	}
+	if _, _, maxQueue := sem.WaitStats(); maxQueue < 8 {
+		t.Errorf("max queue %d: the semaphore was not contended", maxQueue)
+	}
+	stop = true
+	k.RunAll()
 }
 
 // BenchmarkHandOff measures one process switch: 64 processes sleeping in

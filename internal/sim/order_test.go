@@ -109,7 +109,7 @@ func orderScenario() string {
 	k.Spawn("parent", func(e *Env) {
 		l.at(e)
 		for wave := 0; wave < 3; wave++ {
-			g := k.AllocGroup()
+			g := e.NewGroup()
 			for i := 0; i < 3; i++ {
 				d := time.Duration(100*(3-i)) * time.Microsecond
 				g.Go(fmt.Sprintf("child%d.%d", wave, i), func(ce *Env) {
@@ -119,11 +119,10 @@ func orderScenario() string {
 				})
 			}
 			for i, r := range runners {
-				g.GoRunner(fmt.Sprintf("runner%d.%d", wave, i), r)
+				g.Go(fmt.Sprintf("runner%d.%d", wave, i), r.Run)
 			}
 			g.Wait(e)
 			l.at(e)
-			k.ReleaseGroup(g)
 			e.Sleep(150 * time.Microsecond)
 			l.at(e)
 		}

@@ -11,6 +11,7 @@ type Semaphore struct {
 	capacity int64
 	held     int64
 	waiters  []semWaiter
+	head     int // waiters[:head] have been granted
 
 	// accounting
 	totalWaits   int64
@@ -39,21 +40,27 @@ func (s *Semaphore) Capacity() int64 { return s.capacity }
 func (s *Semaphore) Held() int64 { return s.held }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (s *Semaphore) QueueLen() int { return len(s.waiters) }
+func (s *Semaphore) QueueLen() int { return len(s.waiters) - s.head }
 
 // Acquire obtains n units, blocking in FIFO order until they are available.
 func (s *Semaphore) Acquire(e *Env, n int64) {
 	if n <= 0 || n > s.capacity {
 		panic(fmt.Sprintf("sim: semaphore %q: acquire %d with capacity %d", s.name, n, s.capacity))
 	}
-	if len(s.waiters) == 0 && s.held+n <= s.capacity {
+	if s.QueueLen() == 0 && s.held+n <= s.capacity {
 		s.held += n
 		return
 	}
 	s.totalWaits++
+	if s.head >= 4096 {
+		// Under continuous contention the queue never empties; slide the
+		// waiting tail down so the backing array stays bounded.
+		s.waiters = s.waiters[:copy(s.waiters, s.waiters[s.head:])]
+		s.head = 0
+	}
 	s.waiters = append(s.waiters, semWaiter{p: e.p, n: n, since: e.k.now})
-	if len(s.waiters) > s.maxQueue {
-		s.maxQueue = len(s.waiters)
+	if s.QueueLen() > s.maxQueue {
+		s.maxQueue = s.QueueLen()
 	}
 	e.block()
 }
@@ -69,18 +76,21 @@ func (s *Semaphore) Release(n int64) {
 
 // dispatch grants the semaphore to queued waiters in FIFO order while
 // capacity remains. A large waiter at the head blocks smaller ones behind it
-// (no barging), preserving fairness.
+// (no barging), preserving fairness. Granted waiters are skipped by a head
+// index, and the storage is reset — not re-sliced away — once the queue
+// empties, so a contended semaphore stops allocating.
 func (s *Semaphore) dispatch() {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
+	for s.head < len(s.waiters) {
+		w := s.waiters[s.head]
 		if s.held+w.n > s.capacity {
 			return
 		}
 		s.held += w.n
 		s.totalWaitDur += s.k.now.Sub(w.since)
-		s.waiters = s.waiters[1:]
+		s.head++
 		s.k.unpark(w.p)
 	}
+	s.waiters, s.head = s.waiters[:0], 0
 }
 
 // WaitStats reports the number of acquisitions that had to wait, the total
@@ -109,12 +119,6 @@ func (g *Group) Go(name string, fn func(*Env)) {
 	g.k.spawn(name, fn, nil, g)
 }
 
-// GoRunner is Go for a reusable Runner body (no closure allocation).
-func (g *Group) GoRunner(name string, r Runner) {
-	g.pending++
-	g.k.spawn(name, nil, r, g)
-}
-
 // done is the kernel's completion callback for a grouped process.
 func (g *Group) done() {
 	g.pending--
@@ -136,25 +140,4 @@ func (g *Group) Wait(e *Env) {
 	}
 	g.waiter = e.p
 	e.block()
-}
-
-// AllocGroup returns an idle group from the kernel's free list (or a fresh
-// one). Fork/join-per-step hot paths pair it with ReleaseGroup; NewGroup
-// remains the unpooled constructor.
-func (k *Kernel) AllocGroup() *Group {
-	if n := len(k.groupPool); n > 0 {
-		g := k.groupPool[n-1]
-		k.groupPool = k.groupPool[:n-1]
-		return g
-	}
-	return &Group{k: k}
-}
-
-// ReleaseGroup returns a quiescent group (no pending children, no waiter) to
-// the free list.
-func (k *Kernel) ReleaseGroup(g *Group) {
-	if g.pending != 0 || g.waiter != nil {
-		panic("sim: ReleaseGroup of an active group")
-	}
-	k.groupPool = append(k.groupPool, g)
 }

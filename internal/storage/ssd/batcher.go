@@ -5,37 +5,30 @@ import (
 	"svdbench/internal/trace"
 )
 
-// Batcher coalesces read requests from concurrent simulated searches into
-// shared device submissions, the cross-query half of the async pipeline:
-// instead of every query paying the full SubmitCPU per 4 KiB read, requests
-// outstanding at the same instant are drained by one dispatcher process in
-// batches of up to the device queue depth (Config.Slots), paying SubmitCPU
-// once per batch plus BatchSubmitCPU per additional request — io_uring-style
-// doorbell batching. Service order is unchanged (grants are FIFO), so
-// coalescing alters CPU cost and submission timing, never which bytes are
-// read.
+// Batcher is the coalesced submission policy: it gathers read requests from
+// concurrent simulated searches into shared device submissions, the
+// cross-query half of the async pipeline. Instead of every query paying the
+// full SubmitCPU per 4 KiB read, requests outstanding at the same instant
+// are drained by one dispatcher process in batches of up to the device queue
+// depth (Config.Slots), paying SubmitCPU once per batch plus BatchSubmitCPU
+// per additional request — io_uring-style doorbell batching. The device
+// underneath is the same one the per-request policy drives (Device.submit),
+// so coalescing alters CPU cost and submission timing, never which bytes are
+// read, and coalesced reads contend with per-request reads and writes for
+// the same units and bus.
 //
-// The batcher services requests analytically instead of parking one process
-// per outstanding request. Because grants are FIFO and the transfer bus is
-// serial, completion times are monotone in submission order, so the
-// dispatcher can compute each request's completion with the same recursion
-// Device.service performs — slot grant = the completion of the request
-// Slots submissions earlier, bus reservation off the device's busFree clock,
-// plus the base latency — and a single completer process walks the resulting
-// FIFO, firing each request's join event at its computed instant. Modelled
-// hardware behaviour is identical to the direct path; host-side, a
+// No request has a process of its own: the dispatcher is the only one paying
+// CPU, so each completion time is known the moment its batch is submitted,
+// and because read completions are monotone a single completer process walks
+// them in order, firing each request's event at its instant. Host-side, a
 // 64-deep device queue costs two processes instead of 64.
 //
-// The steady state allocates nothing per request: pending requests live in a
-// reusable head-compacted slice, multi-page submissions join on one pooled
-// event shared by the whole beam (see ReadPages), and joints and events
-// recycle through free lists.
+// The steady state allocates nothing per request: pending requests and
+// computed completions live in reusable head-compacted slices, and joints
+// recycle through the device's free list.
 //
 // A Batcher is bound to one device and must only be used from simulation
-// processes of that device's kernel. While it is in use, all reads of the
-// device must flow through it (the engine routes every read through the
-// batcher in coalesced mode): the analytic slot model and the semaphore the
-// direct path uses do not see each other's occupancy.
+// processes of that device's kernel.
 type Batcher struct {
 	d       *Device
 	name    string // precomposed dispatcher proc name (concat allocates)
@@ -45,47 +38,25 @@ type Batcher struct {
 	head    int // pending[:head] has been dispatched
 	running bool
 
-	// Analytic service state: computed completions awaiting the completer,
-	// and a ring of the last Slots completion times for the grant recursion.
 	completions []completion
-	chead       int
+	chead       int // completions[:chead] have been waited for
 	completing  bool
 	cpl         completerRunner
-	recent      []sim.Time
-	ri          int
-
-	joints []*joint
 
 	batches  int64
 	requests int64
 }
 
-// joint is the shared completion join of one multi-request submission: the
-// event fires when its last request finishes servicing. Blocking
-// submissions (Read, ReadPages) own a pooled event recycled by finish;
-// ReadPagesAsync joins on a caller-owned event and recycles the joint at
-// fire time. Single async requests (ReadAsync) carry their event directly
-// and need no joint.
-type joint struct {
-	left  int
-	ev    *sim.Event
-	owned bool
-}
-
-// batchReq is one queued read waiting for dispatch: either a share of a
-// joint (blocking submission) or a bare caller-owned event (async).
+// batchReq is one queued read waiting for dispatch.
 type batchReq struct {
-	page  int64
 	bytes int
 	j     *joint
-	ev    *sim.Event
 }
 
-// completion is one serviced request's computed finish time.
+// completion is one submitted request's finish time.
 type completion struct {
 	at sim.Time
 	j  *joint
-	ev *sim.Event
 }
 
 // completerRunner is the process body walking the completion FIFO (a
@@ -100,81 +71,48 @@ func NewBatcher(d *Device) *Batcher {
 		d:       d,
 		name:    d.cfg.Name + "/batcher",
 		cplName: d.cfg.Name + "/completer",
-		recent:  make([]sim.Time, d.cfg.Slots),
 	}
 	b.cpl.b = b
 	return b
 }
 
-func (b *Batcher) allocJoint(n int, ev *sim.Event, owned bool) *joint {
-	var j *joint
-	if l := len(b.joints); l > 0 {
-		j = b.joints[l-1]
-		b.joints = b.joints[:l-1]
-	} else {
-		j = &joint{}
-	}
-	j.left, j.ev, j.owned = n, ev, owned
-	return j
-}
-
 // enqueue appends one request and ensures the dispatcher is running.
-func (b *Batcher) enqueue(req batchReq) {
-	b.pending = append(b.pending, req)
+func (b *Batcher) enqueue(bytes int, j *joint) {
+	if bytes <= 0 {
+		panic("ssd: batched read of non-positive size")
+	}
+	b.pending = append(b.pending, batchReq{bytes: bytes, j: j})
 	if !b.running {
 		b.running = true
 		b.d.k.SpawnRunner(b.name, b)
 	}
 }
 
-// finish blocks until the joint's last request completes, then returns the
-// joint and its event to their pools.
-func (b *Batcher) finish(e *sim.Env, j *joint) {
-	j.ev.Wait(e)
-	b.d.k.ReleaseEvent(j.ev)
-	j.ev = nil
-	b.joints = append(b.joints, j)
-}
-
 // Read submits one read request through the coalescer and blocks the calling
 // process until the device completes it.
 func (b *Batcher) Read(e *sim.Env, page int64, bytes int) {
-	if bytes <= 0 {
-		panic("ssd: batched read of non-positive size")
-	}
-	j := b.allocJoint(1, b.d.k.AllocEvent(), true)
-	b.enqueue(batchReq{page: page, bytes: bytes, j: j})
-	b.finish(e, j)
+	ev := b.d.k.AllocEvent()
+	b.ReadAsync(page, bytes, ev)
+	b.d.await(e, ev)
 }
 
 // ReadPages submits one page-sized request per page (a beam) through the
-// coalescer and blocks until all of them complete. The whole beam joins on
-// one shared event instead of one per page — the beam-read analogue of
-// Device.ReadPages.
+// coalescer and blocks until all of them complete.
 func (b *Batcher) ReadPages(e *sim.Env, pages []int64) {
-	switch len(pages) {
-	case 0:
-		return
-	case 1:
-		b.Read(e, pages[0], b.d.cfg.PageSize)
+	if len(pages) == 0 {
 		return
 	}
-	j := b.allocJoint(len(pages), b.d.k.AllocEvent(), true)
-	for _, p := range pages {
-		b.enqueue(batchReq{page: p, bytes: b.d.cfg.PageSize, j: j})
-	}
-	b.finish(e, j)
+	ev := b.d.k.AllocEvent()
+	b.ReadPagesAsync(pages, ev)
+	b.d.await(e, ev)
 }
 
 // ReadAsync submits one read without blocking: ev fires when the device
 // completes it. The caller owns ev's lifecycle and must not release it
 // before it fires — this is how the replay engine issues look-ahead
-// prefetches in coalesced mode without a process per speculative read.
+// prefetches without a process per speculative read.
 func (b *Batcher) ReadAsync(page int64, bytes int, ev *sim.Event) {
-	if bytes <= 0 {
-		panic("ssd: batched read of non-positive size")
-	}
-	b.enqueue(batchReq{page: page, bytes: bytes, ev: ev})
+	b.enqueue(bytes, b.d.allocJoint(1, ev))
 }
 
 // ReadPagesAsync is ReadPages without the blocking wait: ev fires when the
@@ -186,52 +124,17 @@ func (b *Batcher) ReadPagesAsync(pages []int64, ev *sim.Event) {
 	if len(pages) == 0 {
 		panic("ssd: async beam of zero pages")
 	}
-	j := b.allocJoint(len(pages), ev, false)
-	for _, p := range pages {
-		b.enqueue(batchReq{page: p, bytes: b.d.cfg.PageSize, j: j})
+	j := b.d.allocJoint(len(pages), ev)
+	for range pages {
+		b.enqueue(b.d.cfg.PageSize, j)
 	}
 }
 
-// submit computes one request's completion time — the analytic equivalent
-// of Device.service: issue-time trace emission and queue-depth accounting,
-// FIFO slot grant, serial bus reservation, base read latency.
-func (b *Batcher) submit(e *sim.Env, req batchReq) {
-	d := b.d
-	if d.tracer != nil {
-		d.tracer.Emit(e.Now(), trace.Read, req.bytes)
-	}
-	d.outstanding++
-	d.tracer.NoteDepth(e.Now(), d.outstanding)
-	grant := e.Now()
-	if g := b.recent[b.ri]; g > grant {
-		grant = g
-	}
-	start := grant
-	if d.busFree > start {
-		start = d.busFree
-	}
-	busTime := sim.Duration(float64(req.bytes) / d.cfg.BandwidthBps * 1e9)
-	done := start.Add(busTime)
-	d.busFree = done
-	at := done.Add(d.cfg.ReadLatency)
-	b.recent[b.ri] = at
-	b.ri++
-	if b.ri == len(b.recent) {
-		b.ri = 0
-	}
-	b.completions = append(b.completions, completion{at: at, j: req.j, ev: req.ev})
-	if !b.completing {
-		b.completing = true
-		d.k.SpawnRunner(b.cplName, &b.cpl)
-	}
-}
-
-// complete walks the completion FIFO, sleeping to each request's computed
-// finish time (monotone by construction) and firing its joint. Completions
+// complete walks the completion FIFO, sleeping to each request's finish time
+// (monotone: they are all reads) and reporting it to its joint. Completions
 // appended while it sleeps are picked up in order; the queue storage is
 // reset — not reallocated — once drained.
 func (b *Batcher) complete(e *sim.Env) {
-	d := b.d
 	for b.chead < len(b.completions) {
 		if b.chead >= 4096 {
 			// Under continuous load the FIFO never fully drains; slide the
@@ -243,21 +146,8 @@ func (b *Batcher) complete(e *sim.Env) {
 		c := b.completions[b.chead]
 		b.chead++
 		e.SleepUntil(c.at)
-		d.reads++
-		d.outstanding--
-		d.tracer.NoteDepth(e.Now(), d.outstanding)
-		if j := c.j; j != nil {
-			j.left--
-			if j.left == 0 {
-				j.ev.Fire()
-				if !j.owned {
-					j.ev = nil
-					b.joints = append(b.joints, j)
-				}
-			}
-		} else {
-			c.ev.Fire()
-		}
+		b.d.retire(e.Now(), trace.Read)
+		b.d.arrive(c.j)
 	}
 	b.completions = b.completions[:0]
 	b.chead = 0
@@ -266,10 +156,10 @@ func (b *Batcher) complete(e *sim.Env) {
 
 // Run is the dispatcher process body (Batcher implements sim.Runner): it
 // drains the pending queue in batches of up to Slots requests. Each batch
-// charges its amortised submission CPU, then every request's device service
-// is computed and queued for the completer; the dispatcher moves on to the
-// next batch without waiting for completions, so the device queue actually
-// fills. Requests arriving while a batch's CPU charge blocks are picked up
+// charges its amortised submission CPU, then every request is submitted to
+// the device and its completion queued for the completer; the dispatcher
+// moves on to the next batch without waiting for completions, so the device
+// queue actually fills. Requests arriving while a batch's CPU charge blocks are picked up
 // by later iterations; the queue storage is reset — not reallocated — once
 // drained.
 func (b *Batcher) Run(e *sim.Env) {
@@ -295,8 +185,13 @@ func (b *Batcher) Run(e *sim.Env) {
 				b.d.cpu.Use(e, cost)
 			}
 		}
-		for i := range batch {
-			b.submit(e, batch[i])
+		for _, req := range batch {
+			at := b.d.submit(e.Now(), trace.Read, req.bytes)
+			b.completions = append(b.completions, completion{at: at, j: req.j})
+		}
+		if !b.completing {
+			b.completing = true
+			b.d.k.SpawnRunner(b.cplName, &b.cpl)
 		}
 	}
 	b.pending = b.pending[:0]

@@ -17,13 +17,15 @@ func runReads(t *testing.T, n int, via func(d *Device, b *Batcher) func(e *sim.E
 	dev := New(k, cpu, DefaultConfig())
 	tr := trace.NewTracer(false)
 	dev.Attach(tr)
-	read := via(dev, NewBatcher(dev))
+	b := NewBatcher(dev)
+	read := via(dev, b)
 	for i := 0; i < n; i++ {
 		page := int64(i)
 		k.Spawn("reader", func(e *sim.Env) { read(e, page, 4096) })
 	}
 	end := k.RunAll()
 	tr.FinishAt(end)
+	checkDrained(t, dev, b, end)
 	return tr, cpu.BusyTime()
 }
 
@@ -60,7 +62,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		page := int64(i)
 		k.Spawn("reader", func(e *sim.Env) { b.Read(e, page, 4096) })
 	}
-	k.RunAll()
+	checkDrained(t, dev, b, k.RunAll())
 	batches, requests := b.Stats()
 	if requests != n {
 		t.Errorf("batcher carried %d requests, want %d", requests, n)
@@ -105,12 +107,38 @@ func TestBatcherSequentialRequestsStillComplete(t *testing.T) {
 			e.Sleep(time.Millisecond)
 		}
 	})
-	k.RunAll()
+	checkDrained(t, dev, b, k.RunAll())
 	if done != 3 {
 		t.Errorf("completed %d sequential batched reads, want 3", done)
 	}
 	batches, requests := b.Stats()
 	if batches != 3 || requests != 3 {
 		t.Errorf("sequential reads: %d batches / %d requests, want 3/3", batches, requests)
+	}
+}
+
+// TestCoalescedReadsAndWritesShareUnits: the two submission policies drive
+// one device, so a per-request write issued while a coalesced read holds the
+// only unit waits for it — the engine's WAL writes go through Device.Write
+// whatever the read policy.
+func TestCoalescedReadsAndWritesShareUnits(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Slots = 1
+	k := sim.NewKernel()
+	dev := New(k, nil, cfg)
+	b := NewBatcher(dev)
+	var readDone, writeDone sim.Time
+	k.Spawn("reader", func(e *sim.Env) {
+		b.Read(e, 0, 4096)
+		readDone = e.Now()
+	})
+	k.Spawn("writer", func(e *sim.Env) {
+		e.Sleep(time.Microsecond)
+		dev.Write(e, 1, 4096)
+		writeDone = e.Now()
+	})
+	checkDrained(t, dev, b, k.RunAll())
+	if writeDone < readDone.Add(cfg.WriteLatency) {
+		t.Errorf("write issued behind a read holding the only unit completed at %v; the read at %v", writeDone, readDone)
 	}
 }

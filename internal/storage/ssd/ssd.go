@@ -15,6 +15,14 @@
 // DefaultConfig is calibrated to the Samsung 990 Pro envelope the paper
 // measured with fio (Sec. III-A): ~324 KIOPS from one core, 1.3 MIOPS with
 // 64 concurrent 4 KiB requests, and 7.2 GiB/s of 128 KiB sequential reads.
+//
+// There is one device core and two ways to submit to it. The first three
+// components are Device.submit, which turns (now, op, bytes) into a
+// completion time and is the only code that knows them; reads and writes,
+// whoever issues them, contend there. The fourth is a submission policy:
+// per request (Device.Read, Write, ReadPages and their Async forms: every
+// request rings its own doorbell for SubmitCPU on a core) or coalesced
+// (Batcher: one doorbell per batch of reads outstanding together).
 package ssd
 
 import (
@@ -78,15 +86,48 @@ type Device struct {
 	cfg     Config
 	k       *sim.Kernel
 	cpu     *sim.CPU // may be nil: submission then costs no CPU
-	slots   *sim.Semaphore
 	busFree sim.Time
 	tracer  *trace.Tracer
 
-	nextPage    int64 // bump allocator for page addresses
-	reads       int64
-	writes      int64
-	outstanding int        // requests submitted and not yet completed
-	jobs        []*readJob // beam-read body pool (see ReadPages)
+	// When each of the Slots internal units frees up, split by the op it last
+	// served (indexed by trace.Read, trace.Write). The bus is serial and the
+	// base latency fixed per op, so completions are monotone among reads and
+	// among writes — each FIFO is sorted — but not across them: a 12 µs write
+	// overtakes the 49 µs read ahead of it, which is why one FIFO would not
+	// do. The earliest-free unit is the smaller of the two heads.
+	busy [2]unitFIFO
+
+	nextPage    int64                      // bump allocator for page addresses
+	retired     [2]int64                   // requests completed, by op
+	outstanding int                        // requests submitted and not yet completed
+	jobs        []*readJob                 // asynchronous per-request read body pool
+	joints      []*joint                   // completion count-down pool
+	made        struct{ jobs, joints int } // pooled objects ever created (drain check)
+}
+
+// unitFIFO is a fixed ring of unit free-up times in non-decreasing order.
+type unitFIFO struct {
+	at      []sim.Time
+	head, n int
+}
+
+func (f *unitFIFO) push(at sim.Time) {
+	i := f.head + f.n
+	if i >= len(f.at) {
+		i -= len(f.at)
+	}
+	f.at[i] = at
+	f.n++
+}
+
+func (f *unitFIFO) pop() sim.Time {
+	at := f.at[f.head]
+	f.head++
+	if f.head == len(f.at) {
+		f.head = 0
+	}
+	f.n--
+	return at
 }
 
 // New creates a device. cpu may be nil to model free submission.
@@ -94,12 +135,12 @@ func New(k *sim.Kernel, cpu *sim.CPU, cfg Config) *Device {
 	if cfg.PageSize <= 0 || cfg.Slots <= 0 || cfg.BandwidthBps <= 0 {
 		panic(fmt.Sprintf("ssd: invalid config %+v", cfg))
 	}
-	return &Device{
-		cfg:   cfg,
-		k:     k,
-		cpu:   cpu,
-		slots: sim.NewSemaphore(k, cfg.Name+"/slots", int64(cfg.Slots)),
+	d := &Device{cfg: cfg, k: k, cpu: cpu}
+	for op := range d.busy {
+		d.busy[op].at = make([]sim.Time, cfg.Slots)
 	}
+	d.busy[trace.Read].n = cfg.Slots // every unit free since time zero
+	return d
 }
 
 // Config returns the device configuration.
@@ -126,106 +167,163 @@ func (d *Device) Alloc(npages int64) int64 {
 // Read performs one read request of the given size, blocking the calling
 // process for the full device service time. Page is the starting page
 // address (used only for accounting realism).
-func (d *Device) Read(e *sim.Env, page int64, bytes int) {
-	d.request(e, trace.Read, bytes)
-	d.reads++
-}
+func (d *Device) Read(e *sim.Env, page int64, bytes int) { d.request(e, trace.Read, bytes) }
 
 // Write performs one write request of the given size.
-func (d *Device) Write(e *sim.Env, page int64, bytes int) {
-	d.request(e, trace.Write, bytes)
-	d.writes++
-}
+func (d *Device) Write(e *sim.Env, page int64, bytes int) { d.request(e, trace.Write, bytes) }
 
-// readJob is the pooled process body of one beam read (see ReadPages).
-type readJob struct {
-	d    *Device
-	page int64
-}
-
-// Run performs the read and returns the job to the device's pool (readJob
-// implements sim.Runner).
-func (r *readJob) Run(e *sim.Env) {
-	r.d.Read(e, r.page, r.d.cfg.PageSize)
-	r.d.jobs = append(r.d.jobs, r)
-}
-
-// ReadPages issues n page-sized read requests concurrently (a beam), and
-// returns when all have completed. This is how DiskANN's beam search fetches
-// the W frontier nodes of one iteration in parallel. The fork/join runs on
-// pooled groups and runner bodies, so the steady state allocates nothing.
-func (d *Device) ReadPages(e *sim.Env, pages []int64) {
-	switch len(pages) {
-	case 0:
-		return
-	case 1:
-		d.Read(e, pages[0], d.cfg.PageSize)
-		return
-	}
-	g := d.k.AllocGroup()
-	for _, p := range pages {
-		var j *readJob
-		if n := len(d.jobs); n > 0 {
-			j = d.jobs[n-1]
-			d.jobs = d.jobs[:n-1]
-		} else {
-			j = &readJob{d: d}
-		}
-		j.page = p
-		g.GoRunner("beam-read", j)
-	}
-	g.Wait(e)
-	d.k.ReleaseGroup(g)
-}
-
-// request is the shared single-request path: per-request submission CPU,
-// then the device-side service.
+// request is the per-request submission policy: the full submission CPU,
+// then the device's service time, in the calling process.
 func (d *Device) request(e *sim.Env, op trace.Op, bytes int) {
-	if bytes <= 0 {
-		panic("ssd: request of non-positive size")
-	}
 	// Host-side submission cost competes for CPU cores.
 	if d.cpu != nil && d.cfg.SubmitCPU > 0 {
 		d.cpu.Use(e, d.cfg.SubmitCPU)
 	}
-	d.service(e, op, bytes)
+	e.SleepUntil(d.submit(e.Now(), op, bytes))
+	d.retire(e.Now(), op)
 }
 
-// service is the device-side portion of one request — trace emission, queue
-// depth accounting, internal-unit and bus contention, base latency — without
-// any submission CPU. The Batcher charges one amortised submission cost for
-// a whole coalesced batch and routes each request through here.
-func (d *Device) service(e *sim.Env, op trace.Op, bytes int) {
+// submit is the device's physics, the only code that knows units, bus and
+// base latency: it accepts one request at virtual time now and returns its
+// completion time. The request waits for the earliest-free internal unit,
+// then for the serial transfer bus, then takes the op's base latency. Every
+// submit is paired with a retire at the returned time.
+func (d *Device) submit(now sim.Time, op trace.Op, bytes int) sim.Time {
 	if bytes <= 0 {
 		panic("ssd: request of non-positive size")
 	}
 	if d.tracer != nil {
-		d.tracer.Emit(e.Now(), op, bytes)
+		d.tracer.Emit(now, op, bytes)
 	}
 	d.outstanding++
-	d.tracer.NoteDepth(e.Now(), d.outstanding)
-	// Device-side service: wait for a free internal unit.
-	d.slots.Acquire(e, 1)
-	// Reserve the shared bus for the transfer.
+	d.tracer.NoteDepth(now, d.outstanding)
+	// Take the unit that frees first (free already if that instant is past).
+	r, w := &d.busy[trace.Read], &d.busy[trace.Write]
+	first := r
+	if r.n == 0 || (w.n > 0 && w.at[w.head] < r.at[r.head]) {
+		first = w
+	}
+	start := max(now, first.pop(), d.busFree)
 	busBytes := float64(bytes)
 	base := d.cfg.ReadLatency
 	if op == trace.Write {
 		busBytes *= d.cfg.WriteBusPenalty
 		base = d.cfg.WriteLatency
 	}
-	busTime := sim.Duration(busBytes / d.cfg.BandwidthBps * 1e9)
-	start := e.Now()
-	if d.busFree > start {
-		start = d.busFree
-	}
-	done := start.Add(busTime)
-	d.busFree = done
-	completion := done.Add(base)
-	e.SleepUntil(completion)
-	d.slots.Release(1)
+	d.busFree = start.Add(sim.Duration(busBytes / d.cfg.BandwidthBps * 1e9))
+	done := d.busFree.Add(base)
+	d.busy[op].push(done)
+	return done
+}
+
+// retire is submit's completion-side accounting.
+func (d *Device) retire(now sim.Time, op trace.Op) {
+	d.retired[op]++
 	d.outstanding--
-	d.tracer.NoteDepth(e.Now(), d.outstanding)
+	d.tracer.NoteDepth(now, d.outstanding)
+}
+
+// joint counts a multi-request submission down to one caller-owned event,
+// fired when the last request completes.
+type joint struct {
+	left int
+	ev   *sim.Event
+}
+
+func (d *Device) allocJoint(n int, ev *sim.Event) *joint {
+	var j *joint
+	if l := len(d.joints); l > 0 {
+		j = d.joints[l-1]
+		d.joints = d.joints[:l-1]
+	} else {
+		j = &joint{}
+		d.made.joints++
+	}
+	j.left, j.ev = n, ev
+	return j
+}
+
+// arrive marks one of the joint's requests complete.
+func (d *Device) arrive(j *joint) {
+	j.left--
+	if j.left == 0 {
+		j.ev.Fire()
+		j.ev = nil
+		d.joints = append(d.joints, j)
+	}
+}
+
+// await parks the caller on a pooled event and recycles it.
+func (d *Device) await(e *sim.Env, ev *sim.Event) {
+	ev.Wait(e)
+	d.k.ReleaseEvent(ev)
+}
+
+// readJob is the pooled process body of one asynchronous per-request read.
+// The read cannot be computed at the call like a coalesced one: its doorbell
+// occupies a simulated core for SubmitCPU, sim.CPU.Use blocks, and a beam's W
+// doorbells ringing on W cores at once is what the calibration rests on.
+type readJob struct {
+	d     *Device
+	bytes int
+	j     *joint
+}
+
+// Run performs the read, reports it to the joint and returns the job to the
+// device's pool (readJob implements sim.Runner).
+func (r *readJob) Run(e *sim.Env) {
+	d := r.d
+	d.request(e, trace.Read, r.bytes)
+	d.arrive(r.j)
+	r.j = nil
+	d.jobs = append(d.jobs, r)
+}
+
+func (d *Device) spawnRead(bytes int, j *joint) {
+	var r *readJob
+	if n := len(d.jobs); n > 0 {
+		r = d.jobs[n-1]
+		d.jobs = d.jobs[:n-1]
+	} else {
+		r = &readJob{d: d}
+		d.made.jobs++
+	}
+	r.bytes, r.j = bytes, j
+	d.k.SpawnRunner("ssd-read", r)
+}
+
+// ReadAsync submits one read without blocking the caller: ev fires when the
+// device completes it. The caller owns ev and must not release it before it
+// fires.
+func (d *Device) ReadAsync(page int64, bytes int, ev *sim.Event) {
+	d.spawnRead(bytes, d.allocJoint(1, ev))
+}
+
+// ReadPagesAsync submits one page-sized read per page (a beam) without
+// blocking the caller: ev fires when the whole beam has completed.
+func (d *Device) ReadPagesAsync(pages []int64, ev *sim.Event) {
+	if len(pages) == 0 {
+		panic("ssd: async beam of zero pages")
+	}
+	j := d.allocJoint(len(pages), ev)
+	for range pages {
+		d.spawnRead(d.cfg.PageSize, j)
+	}
+}
+
+// ReadPages issues n page-sized read requests concurrently (a beam), and
+// returns when all have completed. This is how DiskANN's beam search fetches
+// the W frontier nodes of one iteration in parallel.
+func (d *Device) ReadPages(e *sim.Env, pages []int64) {
+	if len(pages) == 0 {
+		return
+	}
+	ev := d.k.AllocEvent()
+	d.ReadPagesAsync(pages, ev)
+	d.await(e, ev)
 }
 
 // Stats reports the number of read and write requests serviced.
-func (d *Device) Stats() (reads, writes int64) { return d.reads, d.writes }
+func (d *Device) Stats() (reads, writes int64) {
+	return d.retired[trace.Read], d.retired[trace.Write]
+}

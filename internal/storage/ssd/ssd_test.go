@@ -26,7 +26,7 @@ func calibrate(t *testing.T, cores, njobs, reqBytes int, dur sim.Duration) (iops
 			}
 		})
 	}
-	k.RunAll()
+	checkDrained(t, dev, nil, k.RunAll())
 	secs := dur.Seconds()
 	return float64(ops) / secs, float64(ops) * float64(reqBytes) / (1 << 20) / secs
 }
@@ -86,7 +86,7 @@ func TestTracerObservesRequests(t *testing.T) {
 		dev.Read(e, 0, 4096)
 		dev.Write(e, 1, 8192)
 	})
-	k.RunAll()
+	checkDrained(t, dev, nil, k.RunAll())
 	r, w, rb, wb := tr.Totals()
 	if r != 1 || w != 1 || rb != 4096 || wb != 8192 {
 		t.Errorf("tracer totals = (%d,%d,%d,%d)", r, w, rb, wb)
@@ -129,7 +129,7 @@ func TestReadPagesEmptyAndSingle(t *testing.T) {
 		}
 		dev.ReadPages(e, []int64{3})
 	})
-	k.RunAll()
+	checkDrained(t, dev, nil, k.RunAll())
 	reads, _ := dev.Stats()
 	if reads != 1 {
 		t.Errorf("reads = %d, want 1", reads)

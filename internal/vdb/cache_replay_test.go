@@ -29,7 +29,7 @@ func TestReplayEmitsCacheHits(t *testing.T) {
 			t.Errorf("query failed: %v", err)
 		}
 	})
-	h.k.RunAll()
+	h.run(t)
 	hits, bytes := tr.CacheTotals()
 	if hits != 5 || bytes != int64(5*pageSize) {
 		t.Errorf("cache totals = (%d, %d), want (5, %d)", hits, bytes, 5*pageSize)
@@ -58,7 +58,7 @@ func TestReplayCacheHitsWithoutTracer(t *testing.T) {
 			t.Errorf("query failed: %v", err)
 		}
 	})
-	h.k.RunAll()
+	h.run(t)
 	if h.eng.Served() != 1 {
 		t.Errorf("served = %d, want 1", h.eng.Served())
 	}

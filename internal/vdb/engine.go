@@ -14,11 +14,10 @@ import (
 // the global lock, per-query memory accounting, and segment fan-out.
 type Engine struct {
 	Traits
-	k       *sim.Kernel
-	cpu     *sim.CPU
-	dev     *ssd.Device
-	rd      pageReader   // read path: the device directly, or a coalescing Batcher
-	batcher *ssd.Batcher // non-nil when rd coalesces (typed for ReadPages)
+	k   *sim.Kernel
+	cpu *sim.CPU
+	dev *ssd.Device
+	rd  reader // submission policy: the device per request, or a coalescing Batcher
 
 	sched      *sim.Semaphore // admission (nil = unbounded)
 	readSlots  *sim.Semaphore // segment-worker cap (nil = unbounded)
@@ -29,16 +28,16 @@ type Engine struct {
 	served    int64
 	oomFailed int64
 
-	scratch []*replayScratch // per-query replay state pool
-	pfPool  []*prefetchJob   // background-prefetch body pool
-	reap    []*prefetchJob   // abandoned async prefetches awaiting completion
-	pfName  string           // precomposed prefetch proc name (concat allocates)
+	scratch []*replayScratch          // per-query replay state pool
+	pfPool  []*prefetchJob            // idle prefetch records
+	reap    []*prefetchJob            // prefetches no query joined, still in flight
+	made    struct{ scratch, pf int } // pooled objects ever created (drain check)
 }
 
 // NewEngine binds a trait profile to a simulation, its CPU, and the storage
 // device queries read from.
 func NewEngine(k *sim.Kernel, cpu *sim.CPU, dev *ssd.Device, traits Traits) *Engine {
-	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev, pfName: traits.Name + "/prefetch"}
+	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev}
 	if traits.MaxConcurrent > 0 {
 		e.sched = sim.NewSemaphore(k, traits.Name+"/sched", int64(traits.MaxConcurrent))
 	}
@@ -51,25 +50,19 @@ func NewEngine(k *sim.Kernel, cpu *sim.CPU, dev *ssd.Device, traits Traits) *Eng
 	return e
 }
 
-// pageReader is the engine's read path: one blocking read request. The
-// device's direct path charges full submission CPU per request; an
-// ssd.Batcher coalesces requests outstanding across concurrent queries into
-// shared submissions.
-type pageReader interface {
+// reader is how the engine submits reads to its device: blocking in the
+// caller's process, or asynchronously with a completion event. *ssd.Device
+// charges full submission CPU per request; an *ssd.Batcher coalesces requests
+// outstanding across concurrent queries into shared submissions.
+type reader interface {
 	Read(e *sim.Env, page int64, bytes int)
+	ReadAsync(page int64, bytes int, ev *sim.Event)
+	ReadPagesAsync(pages []int64, ev *sim.Event)
 }
 
-// SetBatcher routes the engine's reads through a request coalescer (nil
-// restores the direct device path). The batcher must be bound to this
-// engine's device.
-func (e *Engine) SetBatcher(b *ssd.Batcher) {
-	e.batcher = b
-	if b == nil {
-		e.rd = e.dev
-		return
-	}
-	e.rd = b
-}
+// SetBatcher routes the engine's reads through a request coalescer bound to
+// this engine's device.
+func (e *Engine) SetBatcher(b *ssd.Batcher) { e.rd = b }
 
 // Device returns the engine's storage device.
 func (e *Engine) Device() *ssd.Device { return e.dev }
@@ -184,6 +177,7 @@ func (e *Engine) allocScratch() *replayScratch {
 	}
 	// Sized for a deep look-ahead schedule up front: the scratch is reused
 	// for the engine's lifetime, so growth allocations are worth avoiding.
+	e.made.scratch++
 	return &replayScratch{
 		inflight: make(map[int64]*prefetchJob, 64),
 		jobs:     make([]pfRef, 0, 64),
@@ -198,44 +192,14 @@ func (e *Engine) releaseScratch(s *replayScratch) {
 	e.scratch = append(e.scratch, s)
 }
 
-// prefetchJob is the pooled state of one background prefetch. A demand step
-// joining the prefetch waits on ev and releases the job immediately; jobs
-// the query never joined are swept at query end — released when already
-// complete, otherwise handed off to free themselves (proc path) or to the
-// engine's reap list (async path) once their read lands.
+// prefetchJob is the pooled record of one in-flight prefetch: the event its
+// read fires. A demand step joining the prefetch waits on ev and releases the
+// job immediately; jobs the query never joined are swept at query end —
+// released when already complete, otherwise parked on the engine's reap list
+// until their read lands.
 type prefetchJob struct {
-	eng       *Engine
-	page      int64
-	bytes     int
-	ev        *sim.Event
-	gen       uint32
-	abandoned bool
-}
-
-// Run performs the speculative read and fires the completion event
-// (prefetchJob implements sim.Runner) — the direct-device path; in
-// coalesced mode the batcher services the read and fires ev with no
-// process at all.
-func (pj *prefetchJob) Run(ce *sim.Env) {
-	pj.eng.rd.Read(ce, pj.page, pj.bytes)
-	pj.ev.Fire()
-	if pj.abandoned {
-		pj.eng.releasePF(pj)
-	}
-}
-
-func (e *Engine) allocPF(page int64, bytes int) *prefetchJob {
-	var pj *prefetchJob
-	if n := len(e.pfPool); n > 0 {
-		pj = e.pfPool[n-1]
-		e.pfPool = e.pfPool[:n-1]
-	} else {
-		pj = &prefetchJob{eng: e}
-	}
-	pj.page, pj.bytes = page, bytes
-	pj.ev = e.k.AllocEvent()
-	pj.abandoned = false
-	return pj
+	ev  *sim.Event
+	gen uint32
 }
 
 func (e *Engine) releasePF(pj *prefetchJob) {
@@ -245,7 +209,7 @@ func (e *Engine) releasePF(pj *prefetchJob) {
 	e.pfPool = append(e.pfPool, pj)
 }
 
-// reapPrefetches releases abandoned async prefetches whose reads have since
+// reapPrefetches releases unjoined prefetches whose reads have since
 // completed. Called on each query's sweep, keeping the unfired tail small.
 func (e *Engine) reapPrefetches() {
 	kept := e.reap[:0]
@@ -259,56 +223,39 @@ func (e *Engine) reapPrefetches() {
 	e.reap = kept
 }
 
-// spawnPrefetch issues one background prefetch and registers it with the
-// query's scratch under its first page. In coalesced mode the read is an
-// async batcher submission; otherwise a pooled process performs it.
-func (e *Engine) spawnPrefetch(scr *replayScratch, first int64, bytes int) {
-	pj := e.allocPF(first, bytes)
+// prefetch submits one speculative read and registers it with the query's
+// scratch under its first page.
+func (e *Engine) prefetch(scr *replayScratch, first int64, bytes int) {
+	var pj *prefetchJob
+	if n := len(e.pfPool); n > 0 {
+		pj = e.pfPool[n-1]
+		e.pfPool = e.pfPool[:n-1]
+	} else {
+		pj = &prefetchJob{}
+		e.made.pf++
+	}
+	pj.ev = e.k.AllocEvent()
 	scr.inflight[first] = pj
 	scr.jobs = append(scr.jobs, pfRef{pj: pj, gen: pj.gen})
-	if e.batcher != nil {
-		e.batcher.ReadAsync(first, bytes, pj.ev)
-	} else {
-		e.k.SpawnRunner(e.pfName, pj)
-	}
-}
-
-// issuePrefetches launches every speculative read a step recorded. In
-// coalesced mode the caller invokes it after submitting the step's demand
-// reads so speculative transfers queue behind demand ones — the same bus
-// order the process path produces, where prefetch processes only run once
-// the query parks on its demand I/O.
-func (e *Engine) issuePrefetches(scr *replayScratch, pfs []index.PrefetchRun, pageSize int) {
-	for _, pf := range pfs {
-		if len(pf.Pages) == 0 {
-			continue
-		}
-		if pf.Contiguous {
-			e.spawnPrefetch(scr, pf.Pages[0], len(pf.Pages)*pageSize)
-		} else {
-			for _, p := range pf.Pages {
-				e.spawnPrefetch(scr, p, pageSize)
-			}
-		}
-	}
+	e.rd.ReadAsync(first, bytes, pj.ev)
 }
 
 // replaySteps walks one segment's recorded steps: each step burns its CPU
-// on a core, launches its speculative prefetches in the background, then
-// issues its demand page batch (beam semantics). Node-cache hits recorded in
-// a step were already charged as CPU at record time; here they are only
-// reported to the tracer so run metrics can show hit rates alongside the
-// device traffic they displaced.
+// on a core, then submits its demand page batch (beam semantics) and, behind
+// it, the speculative reads look-ahead recorded — demand transfers keep their
+// place ahead of speculative ones on the bus — and parks until the demand
+// completes. Node-cache hits recorded in a step were already charged as CPU
+// at record time; here they are only reported to the tracer so run metrics
+// can show hit rates alongside the device traffic they displaced.
 //
-// Prefetches are the replay half of look-ahead: each PrefetchRun becomes a
-// background process reading its pages while subsequent steps burn CPU, with
-// a completion event keyed by first page. When a later step demands pages
-// whose prefetch is still in flight, the demand joins the event (waiting
-// only for the residual latency) instead of issuing a duplicate read — the
-// mechanism that overlaps hop h+1's I/O with hop h's compute.
+// Prefetches are the replay half of look-ahead: each PrefetchRun is read in
+// the background while subsequent steps burn CPU, with a completion event
+// keyed by first page. When a later step demands pages whose prefetch is
+// still in flight, the demand joins the event (waiting only for the residual
+// latency) instead of issuing a duplicate read — the mechanism that overlaps
+// hop h+1's I/O with hop h's compute.
 func (e *Engine) replaySteps(env *sim.Env, steps []index.Step) {
 	pageSize := e.dev.Config().PageSize
-	async := e.batcher != nil
 	var scr *replayScratch // lazily borrowed: only prefetching queries pay
 	for _, s := range steps {
 		if s.CPU > 0 {
@@ -317,61 +264,21 @@ func (e *Engine) replaySteps(env *sim.Env, steps []index.Step) {
 		if s.CachePages > 0 {
 			e.dev.Tracer().EmitCacheHit(env.Now(), s.CachePages, s.CachePages*pageSize)
 		}
-		pfs := s.Prefetch
-		if len(pfs) > 0 && scr == nil {
+		if len(s.Prefetch) > 0 && scr == nil {
 			scr = e.allocScratch()
 		}
-		if !async && len(pfs) > 0 {
-			// Process path: the prefetch processes are only scheduled here;
-			// they run — and enqueue their reads — once the query parks on
-			// its demand I/O below, so demand transfers stay ahead.
-			e.issuePrefetches(scr, pfs, pageSize)
-			pfs = nil
+		// A contiguous run is one request keyed by its first page; a beam is
+		// one page-sized request per page.
+		toRead, bytes := s.Pages, pageSize
+		if s.Contiguous && len(s.Pages) > 0 {
+			toRead, bytes = s.Pages[:1], len(s.Pages)*pageSize
 		}
-		if len(s.Pages) == 0 {
-			if len(pfs) > 0 {
-				e.issuePrefetches(scr, pfs, pageSize)
-			}
-			continue
-		}
-		if s.Contiguous {
-			var joined *prefetchJob
-			if scr != nil {
-				if pj, ok := scr.inflight[s.Pages[0]]; ok {
-					delete(scr.inflight, s.Pages[0])
-					joined = pj
-				}
-			}
-			switch {
-			case joined != nil:
-				if len(pfs) > 0 {
-					e.issuePrefetches(scr, pfs, pageSize)
-				}
-				joined.ev.Wait(env)
-				e.releasePF(joined)
-			case async:
-				// Submit the demand read, then the step's prefetches, then
-				// park — speculative transfers queue behind the demand one.
-				dem := e.k.AllocEvent()
-				e.batcher.ReadAsync(s.Pages[0], len(s.Pages)*pageSize, dem)
-				if len(pfs) > 0 {
-					e.issuePrefetches(scr, pfs, pageSize)
-				}
-				dem.Wait(env)
-				e.k.ReleaseEvent(dem)
-			default:
-				e.rd.Read(env, s.Pages[0], len(s.Pages)*pageSize)
-			}
-			continue
-		}
-		// Beam step: join pages already in flight from a prefetch, read the
-		// rest in parallel, then wait for everything.
+		// Split the demand into pages already in flight from a prefetch, to
+		// join, and the rest, to read.
 		var joins []*prefetchJob
-		toRead := s.Pages
 		if scr != nil && len(scr.inflight) > 0 {
-			scr.joins = scr.joins[:0]
-			scr.toRead = scr.toRead[:0]
-			for _, p := range s.Pages {
+			scr.joins, scr.toRead = scr.joins[:0], scr.toRead[:0]
+			for _, p := range toRead {
 				if pj, ok := scr.inflight[p]; ok {
 					delete(scr.inflight, p)
 					scr.joins = append(scr.joins, pj)
@@ -381,33 +288,32 @@ func (e *Engine) replaySteps(env *sim.Env, steps []index.Step) {
 			}
 			joins, toRead = scr.joins, scr.toRead
 		}
-		if async {
-			// Same demand-before-prefetch submission order as the contiguous
-			// case, with the whole residual beam joining one event.
-			var dem *sim.Event
-			if len(toRead) > 0 {
-				dem = e.k.AllocEvent()
-				if len(toRead) == 1 {
-					e.batcher.ReadAsync(toRead[0], pageSize, dem)
-				} else {
-					e.batcher.ReadPagesAsync(toRead, dem)
-				}
+		var dem *sim.Event
+		switch {
+		case len(toRead) == 1 && len(s.Prefetch) == 0:
+			// Nothing to submit behind it: block in the query's own process.
+			// Per request that also keeps the doorbell off a freshly spawned
+			// process, which would run later within the same instant.
+			e.rd.Read(env, toRead[0], bytes)
+		case len(toRead) == 1:
+			dem = e.k.AllocEvent()
+			e.rd.ReadAsync(toRead[0], bytes, dem)
+		case len(toRead) > 1:
+			dem = e.k.AllocEvent()
+			e.rd.ReadPagesAsync(toRead, dem)
+		}
+		for _, pf := range s.Prefetch {
+			if pf.Contiguous && len(pf.Pages) > 0 {
+				e.prefetch(scr, pf.Pages[0], len(pf.Pages)*pageSize)
+				continue
 			}
-			if len(pfs) > 0 {
-				e.issuePrefetches(scr, pfs, pageSize)
+			for _, p := range pf.Pages {
+				e.prefetch(scr, p, pageSize)
 			}
-			if dem != nil {
-				dem.Wait(env)
-				e.k.ReleaseEvent(dem)
-			}
-		} else {
-			switch len(toRead) {
-			case 0:
-			case 1:
-				e.rd.Read(env, toRead[0], pageSize)
-			default:
-				e.dev.ReadPages(env, toRead)
-			}
+		}
+		if dem != nil {
+			dem.Wait(env)
+			e.k.ReleaseEvent(dem)
 		}
 		for _, pj := range joins {
 			pj.ev.Wait(env)
@@ -415,25 +321,19 @@ func (e *Engine) replaySteps(env *sim.Env, steps []index.Step) {
 		}
 	}
 	if scr != nil {
-		// Sweep in issue order (deterministic — never map iteration).
-		// Joined jobs released at the join and possibly reissued since, so
-		// their refs are stale; completed-but-wasted prefetches release now;
-		// still-in-flight ones release themselves after their read lands
-		// (proc path) or park on the reap list (async path, no process to
-		// free them).
+		// Sweep in issue order (deterministic — never map iteration). Joined
+		// jobs were released at the join and possibly reissued since, so their
+		// refs are stale; completed-but-wasted prefetches release now; those
+		// still in flight have no process to free them and park on the reap
+		// list.
 		e.reapPrefetches()
 		for _, ref := range scr.jobs {
-			pj := ref.pj
-			if pj.gen != ref.gen {
-				continue
-			}
-			switch {
+			switch pj := ref.pj; {
+			case pj.gen != ref.gen:
 			case pj.ev.Fired():
 				e.releasePF(pj)
-			case e.batcher != nil:
-				e.reap = append(e.reap, pj)
 			default:
-				pj.abandoned = true
+				e.reap = append(e.reap, pj)
 			}
 		}
 		e.releaseScratch(scr)

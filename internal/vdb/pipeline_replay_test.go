@@ -10,15 +10,23 @@ import (
 	"svdbench/internal/trace"
 )
 
-// runTimed replays one QueryExec on a fresh neutral engine and returns the
-// elapsed virtual time plus the tracer that watched the device.
-func runTimed(t *testing.T, qe *QueryExec, batched bool) (sim.Duration, *trace.Tracer) {
+// eachPolicy runs fn as one subtest per submission policy: per-request (the
+// device charges every read its own doorbell) and coalesced (an ssd.Batcher).
+func eachPolicy(t *testing.T, fn func(t *testing.T, coalesce bool)) {
+	t.Run("per-request", func(t *testing.T) { fn(t, false) })
+	t.Run("coalesced", func(t *testing.T) { fn(t, true) })
+}
+
+// runTimed replays one QueryExec on a fresh neutral engine under the given
+// policy and returns the elapsed virtual time plus the tracer (raw records
+// kept) that watched the device.
+func runTimed(t *testing.T, qe *QueryExec, coalesce bool) (sim.Duration, *trace.Tracer) {
 	t.Helper()
 	h := newEngineHarness(Traits{Name: "neutral"})
-	if batched {
+	if coalesce {
 		h.eng.SetBatcher(ssd.NewBatcher(h.dev))
 	}
-	tr := trace.NewTracer(false)
+	tr := trace.NewTracer(true)
 	h.dev.Attach(tr)
 	var elapsed sim.Duration
 	h.k.Spawn("q", func(e *sim.Env) {
@@ -28,8 +36,7 @@ func runTimed(t *testing.T, qe *QueryExec, batched bool) (sim.Duration, *trace.T
 		}
 		elapsed = e.Now().Sub(start)
 	})
-	end := h.k.RunAll()
-	tr.FinishAt(end)
+	tr.FinishAt(h.run(t))
 	return elapsed, tr
 }
 
@@ -64,18 +71,20 @@ func stripPrefetch(qe *QueryExec) *QueryExec {
 // hop 2's CPU — while the device sees identical traffic (the prefetch read
 // replaces the demand read, it does not duplicate it).
 func TestReplayPrefetchOverlapsIO(t *testing.T) {
-	qe := pipelinedExec()
-	base, baseTr := runTimed(t, stripPrefetch(qe), false)
-	pf, pfTr := runTimed(t, qe, false)
-	if pf >= base {
-		t.Errorf("prefetched replay took %v, not below synchronous %v", pf, base)
-	}
-	bOps, _, bBytes, _ := baseTr.Totals()
-	pOps, _, pBytes, _ := pfTr.Totals()
-	if bOps != pOps || bBytes != pBytes {
-		t.Errorf("prefetched device traffic (%d ops, %d B) differs from synchronous (%d ops, %d B)",
-			pOps, pBytes, bOps, bBytes)
-	}
+	eachPolicy(t, func(t *testing.T, coalesce bool) {
+		qe := pipelinedExec()
+		base, baseTr := runTimed(t, stripPrefetch(qe), coalesce)
+		pf, pfTr := runTimed(t, qe, coalesce)
+		if pf >= base {
+			t.Errorf("prefetched replay took %v, not below synchronous %v", pf, base)
+		}
+		bOps, _, bBytes, _ := baseTr.Totals()
+		pOps, _, pBytes, _ := pfTr.Totals()
+		if bOps != pOps || bBytes != pBytes {
+			t.Errorf("prefetched device traffic (%d ops, %d B) differs from synchronous (%d ops, %d B)",
+				pOps, pBytes, bOps, bBytes)
+		}
+	})
 }
 
 // TestReplayPrefetchJoinWaitsForResidual: when the demand arrives before the
@@ -88,16 +97,18 @@ func TestReplayPrefetchJoinWaitsForResidual(t *testing.T) {
 		{CPU: time.Microsecond, Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
 		{CPU: time.Microsecond, Pages: []int64{10}},
 	}}}
-	base, baseTr := runTimed(t, stripPrefetch(qe), false)
-	pf, pfTr := runTimed(t, qe, false)
-	if pf >= base {
-		t.Errorf("joined replay took %v, not below synchronous %v", pf, base)
-	}
-	bOps, _, _, _ := baseTr.Totals()
-	pOps, _, _, _ := pfTr.Totals()
-	if bOps != 2 || pOps != 2 {
-		t.Errorf("read ops = %d sync / %d prefetched, want 2/2 (no duplicate reads)", bOps, pOps)
-	}
+	eachPolicy(t, func(t *testing.T, coalesce bool) {
+		base, baseTr := runTimed(t, stripPrefetch(qe), coalesce)
+		pf, pfTr := runTimed(t, qe, coalesce)
+		if pf >= base {
+			t.Errorf("joined replay took %v, not below synchronous %v", pf, base)
+		}
+		bOps, _, _, _ := baseTr.Totals()
+		pOps, _, _, _ := pfTr.Totals()
+		if bOps != 2 || pOps != 2 {
+			t.Errorf("read ops = %d sync / %d prefetched, want 2/2 (no duplicate reads)", bOps, pOps)
+		}
+	})
 }
 
 // TestReplayContiguousPrefetchJoin: SPANN-style contiguous runs join as one
@@ -112,16 +123,18 @@ func TestReplayContiguousPrefetchJoin(t *testing.T) {
 		},
 		{CPU: 100 * time.Microsecond, Pages: []int64{8, 9, 10, 11}, Contiguous: true},
 	}}}
-	base, baseTr := runTimed(t, stripPrefetch(qe), false)
-	pf, pfTr := runTimed(t, qe, false)
-	if pf >= base {
-		t.Errorf("contiguous prefetched replay took %v, not below synchronous %v", pf, base)
-	}
-	bOps, _, bBytes, _ := baseTr.Totals()
-	pOps, _, pBytes, _ := pfTr.Totals()
-	if bOps != pOps || bBytes != pBytes {
-		t.Errorf("device traffic differs: %d/%d ops, %d/%d bytes", bOps, pOps, bBytes, pBytes)
-	}
+	eachPolicy(t, func(t *testing.T, coalesce bool) {
+		base, baseTr := runTimed(t, stripPrefetch(qe), coalesce)
+		pf, pfTr := runTimed(t, qe, coalesce)
+		if pf >= base {
+			t.Errorf("contiguous prefetched replay took %v, not below synchronous %v", pf, base)
+		}
+		bOps, _, bBytes, _ := baseTr.Totals()
+		pOps, _, pBytes, _ := pfTr.Totals()
+		if bOps != pOps || bBytes != pBytes {
+			t.Errorf("device traffic differs: %d/%d ops, %d/%d bytes", bOps, pOps, bBytes, pBytes)
+		}
+	})
 }
 
 // TestReplayUnusedPrefetchCostsBandwidthNotLatency: a prefetch nothing
@@ -131,10 +144,49 @@ func TestReplayUnusedPrefetchCostsBandwidthNotLatency(t *testing.T) {
 	qe := &QueryExec{Segments: [][]index.Step{{
 		{CPU: 50 * time.Microsecond, Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{99}}}},
 	}}}
-	_, tr := runTimed(t, qe, false)
-	ops, _, _, _ := tr.Totals()
-	if ops != 2 {
-		t.Errorf("device read ops = %d, want 2 (demand + wasted prefetch)", ops)
+	eachPolicy(t, func(t *testing.T, coalesce bool) {
+		base, _ := runTimed(t, stripPrefetch(qe), coalesce)
+		pf, tr := runTimed(t, qe, coalesce)
+		if ops, _, _, _ := tr.Totals(); ops != 2 {
+			t.Errorf("device read ops = %d, want 2 (demand + wasted prefetch)", ops)
+		}
+		// The speculative read may share the demand's doorbell, never its
+		// service time.
+		if pf > base+ssd.DefaultConfig().BatchSubmitCPU {
+			t.Errorf("query with a wasted prefetch took %v, without it %v", pf, base)
+		}
+	})
+}
+
+// TestReplayDemandAheadOfPrefetch: a step's demand reads reach the device
+// before the speculative reads the same step recorded, under either policy.
+// Reads complete in the order they reach the serial bus, so this is what
+// keeps the step's last demand page finishing before its first prefetch.
+func TestReplayDemandAheadOfPrefetch(t *testing.T) {
+	// The prefetch is a 3-page contiguous run, so its request is told apart
+	// from the 4 KiB demand reads by size.
+	for _, tc := range []struct {
+		name   string
+		demand index.Step
+	}{
+		{"beam", index.Step{Pages: []int64{0, 1, 2, 3}}},
+		{"single", index.Step{Pages: []int64{0}}},
+		{"contiguous", index.Step{Pages: []int64{0, 1}, Contiguous: true}},
+	} {
+		tc.demand.Prefetch = []index.PrefetchRun{{Pages: []int64{10, 11, 12}, Contiguous: true}}
+		qe := &QueryExec{Segments: [][]index.Step{{tc.demand}}}
+		t.Run(tc.name, func(t *testing.T) {
+			eachPolicy(t, func(t *testing.T, coalesce bool) {
+				_, tr := runTimed(t, qe, coalesce)
+				recs := tr.Records()
+				if len(recs) < 2 {
+					t.Fatalf("device saw %d requests", len(recs))
+				}
+				if last := recs[len(recs)-1]; last.Bytes != 3*4096 {
+					t.Errorf("requests reached the device as %+v: the prefetch is not last", recs)
+				}
+			})
+		})
 	}
 }
 

@@ -236,6 +236,15 @@ func newEngineHarness(tr Traits) *engineHarness {
 	return &engineHarness{k: k, cpu: cpu, dev: dev, eng: NewEngine(k, cpu, dev, tr)}
 }
 
+// run drains the harness's kernel, checks the engine's drain invariants and
+// returns the final clock.
+func (h *engineHarness) run(t *testing.T) sim.Time {
+	t.Helper()
+	end := h.k.RunAll()
+	checkEngineDrained(t, h.eng)
+	return end
+}
+
 func cpuOnlyExec(d time.Duration) *QueryExec {
 	return &QueryExec{Segments: [][]index.Step{{{CPU: d}}}}
 }
@@ -251,7 +260,7 @@ func TestEngineRunQueryBasicTiming(t *testing.T) {
 		}
 		elapsed = e.Now().Sub(start)
 	})
-	h.k.RunAll()
+	h.run(t)
 	want := tr.RPCOverhead + tr.IdleWake + tr.PerQueryCPU + time.Millisecond
 	if elapsed != want {
 		t.Errorf("latency = %v, want %v", elapsed, want)
@@ -276,7 +285,7 @@ func TestIdleWakePaidOnlyWhenIdle(t *testing.T) {
 			lats[i] = e.Now().Sub(start)
 		})
 	}
-	h.k.RunAll()
+	h.run(t)
 	if lats[1] >= lats[0] {
 		t.Errorf("busy-arrival latency %v not below idle-arrival %v", lats[1], lats[0])
 	}
@@ -303,7 +312,7 @@ func TestIntraQueryParallelFansOut(t *testing.T) {
 			h.eng.RunQuery(e, mkExec())
 			elapsed = e.Now().Sub(start)
 		})
-		h.k.RunAll()
+		h.run(t)
 		return elapsed
 	}
 	ts := run(serial)
@@ -328,7 +337,7 @@ func TestMaxReadConcurrentCapsFanOut(t *testing.T) {
 		h.eng.RunQuery(e, &QueryExec{Segments: segs})
 		elapsed = e.Now().Sub(start)
 	})
-	h.k.RunAll()
+	h.run(t)
 	if elapsed < 4*time.Millisecond {
 		t.Errorf("capped fan-out finished in %v, want ≥4ms (serialised)", elapsed)
 	}
@@ -353,7 +362,7 @@ func TestOutOfMemoryFailure(t *testing.T) {
 			}
 		})
 	}
-	h.k.RunAll()
+	h.run(t)
 	if okCount != 2 || oomCount != 3 {
 		t.Errorf("ok=%d oom=%d, want 2/3", okCount, oomCount)
 	}
@@ -376,7 +385,7 @@ func TestGlobalLockSerializes(t *testing.T) {
 				}
 			})
 		}
-		h.k.RunAll()
+		h.run(t)
 		return done
 	}
 	locked := LanceDB() // GlobalLockFraction 0.6 of 2.5 ms
@@ -398,7 +407,7 @@ func TestStorageQueryIssuesIO(t *testing.T) {
 		{CPU: 10 * time.Microsecond, Pages: []int64{4, 5}},
 	}}}
 	h.k.Spawn("q", func(e *sim.Env) { h.eng.RunQuery(e, exec) })
-	h.k.RunAll()
+	h.run(t)
 	reads, _ := h.dev.Stats()
 	if reads != 6 {
 		t.Errorf("device reads = %d, want 6", reads)
@@ -412,7 +421,7 @@ func TestRunInsertAndDeleteWrite(t *testing.T) {
 		h.eng.RunInsert(e, 768*4)
 		h.eng.RunDelete(e)
 	})
-	h.k.RunAll()
+	h.run(t)
 	_, writes := h.dev.Stats()
 	if writes != 2 {
 		t.Errorf("writes = %d, want 2 (WAL + tombstone)", writes)
@@ -435,7 +444,7 @@ func TestReplayContiguousStepIsOneRequest(t *testing.T) {
 		{Pages: []int64{20, 21}},                           // beam
 	}}}
 	h.k.Spawn("q", func(e *sim.Env) { h.eng.RunQuery(e, exec) })
-	h.k.RunAll()
+	h.run(t)
 	recs := tr.Records()
 	if len(recs) != 3 {
 		t.Fatalf("got %d requests, want 3 (1 contiguous + 2 beam)", len(recs))
