@@ -108,12 +108,18 @@ quick-diff:
 	diff "$$tmp/base.txt" "$$tmp/new.txt" && \
 	echo "quick-diff: $(EXPERIMENTS) identical to $(BASE) on $$(wc -l < "$$tmp/new.txt") lines"
 
-# Short coverage-guided fuzzing of the node-cache invariants (the seeded
-# corpora already run as part of every plain `go test`); each target gets a
-# brief budget so CI exercises the mutation engine without open-ended runs.
+# Short coverage-guided fuzzing of the node-cache invariants and the two
+# graph snapshot decoders (the seeded corpora already run as part of every
+# plain `go test`); each target gets a brief budget so CI exercises the
+# mutation engine without open-ended runs. Minimising a newly covering input
+# is capped too: on multi-kilobyte snapshots the default minute of it would
+# eat the whole budget.
 FUZZTIME ?= 15s
+FUZZ = $(GO) test -run=^$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzLRUVsModel -fuzztime=$(FUZZTIME) ./internal/storage/nodecache
-	$(GO) test -run=^$$ -fuzz=FuzzStaticVsModel -fuzztime=$(FUZZTIME) ./internal/storage/nodecache
-	$(GO) test -run=^$$ -fuzz=FuzzDeterministicReplay -fuzztime=$(FUZZTIME) ./internal/storage/nodecache
+	$(FUZZ) -fuzz=FuzzLRUVsModel ./internal/storage/nodecache
+	$(FUZZ) -fuzz=FuzzStaticVsModel ./internal/storage/nodecache
+	$(FUZZ) -fuzz=FuzzDeterministicReplay ./internal/storage/nodecache
+	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/hnsw
+	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/diskann

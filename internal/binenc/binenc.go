@@ -180,35 +180,40 @@ func (r *Reader) length() int64 {
 	return n
 }
 
-// Bytes reads a length-prefixed byte slice.
-func (r *Reader) Bytes() []byte {
-	n := r.length()
+// payload reads the size·n bytes behind a length prefix. A large payload
+// grows its buffer as input arrives (doubling from 1 MiB), so a corrupt
+// prefix allocates in proportion to the bytes that really remain, never to
+// the prefix.
+func (r *Reader) payload(size int64) []byte {
+	n := size * r.length()
 	if r.err != nil {
 		return nil
 	}
-	buf := make([]byte, n)
+	buf := make([]byte, min(n, 1<<20))
 	r.read(buf)
+	for have := int64(len(buf)); have < n && r.err == nil; have = int64(len(buf)) {
+		buf = append(buf, make([]byte, min(n-have, have))...)
+		r.read(buf[have:])
+	}
 	if r.err != nil {
 		return nil
 	}
 	return buf
 }
 
+// Bytes reads a length-prefixed byte slice.
+func (r *Reader) Bytes() []byte { return r.payload(1) }
+
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
 // I32s reads a length-prefixed []int32.
 func (r *Reader) I32s() []int32 {
-	n := r.length()
+	buf := r.payload(4)
 	if r.err != nil {
 		return nil
 	}
-	buf := make([]byte, 4*n)
-	r.read(buf)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
+	out := make([]int32, len(buf)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
 	}
@@ -217,29 +222,24 @@ func (r *Reader) I32s() []int32 {
 
 // I64s reads a length-prefixed []int64.
 func (r *Reader) I64s() []int64 {
-	n := r.length()
+	buf := r.payload(8)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]int64, n)
+	out := make([]int64, len(buf)/8)
 	for i := range out {
-		out[i] = r.I64()
+		out[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
 	}
 	return out
 }
 
 // F32s reads a length-prefixed []float32.
 func (r *Reader) F32s() []float32 {
-	n := r.length()
+	buf := r.payload(4)
 	if r.err != nil {
 		return nil
 	}
-	buf := make([]byte, 4*n)
-	r.read(buf)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]float32, n)
+	out := make([]float32, len(buf)/4)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
 	}
@@ -248,13 +248,13 @@ func (r *Reader) F32s() []float32 {
 
 // Ints reads a length-prefixed []int.
 func (r *Reader) Ints() []int {
-	n := r.length()
+	buf := r.payload(8)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]int, n)
+	out := make([]int, len(buf)/8)
 	for i := range out {
-		out[i] = int(r.I64())
+		out[i] = int(int64(binary.LittleEndian.Uint64(buf[i*8:])))
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -128,6 +129,51 @@ func TestCorruptLengthRejected(t *testing.T) {
 	r2.Bytes()
 	if r2.Err() == nil {
 		t.Error("oversized length accepted")
+	}
+}
+
+// TestLengthPrefixCannotOutgrowInput: a prefix inside the limit but far past
+// the bytes that remain fails having allocated in proportion to the input,
+// not to the prefix; a genuine payload larger than the first buffer (1 MiB)
+// still round-trips through the growth loop.
+func TestLengthPrefixCannotOutgrowInput(t *testing.T) {
+	readers := map[string]func(*Reader){
+		"Bytes": func(r *Reader) { r.Bytes() },
+		"I32s":  func(r *Reader) { r.I32s() },
+		"F32s":  func(r *Reader) { r.F32s() },
+		"I64s":  func(r *Reader) { r.I64s() },
+		"Ints":  func(r *Reader) { r.Ints() },
+	}
+	for name, read := range readers {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.I64(1 << 30) // 1–8 GiB of payload announced, 64 bytes present
+		w.Bytes(make([]byte, 56))
+		w.Flush()
+		r := NewReader(&buf)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read(r)
+		runtime.ReadMemStats(&after)
+		if r.Err() == nil {
+			t.Errorf("%s: a payload longer than the input was accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Errorf("%s: allocated %d bytes decoding a 72-byte input", name, got)
+		}
+	}
+
+	want := make([]int32, 700_000) // 2.8 MB: three buffer growths
+	for i := range want {
+		want[i] = int32(i * 7)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.I32s(want)
+	w.Flush()
+	r := NewReader(&buf)
+	if got := r.I32s(); r.Err() != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("large slice did not round-trip (err %v, %d elements)", r.Err(), len(got))
 	}
 }
 

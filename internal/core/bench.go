@@ -44,7 +44,7 @@ type Bench struct {
 	datasets map[string]*datasetEntry
 	stacks   map[string]*stackEntry
 	prepared map[string]*preparedEntry
-	runCache map[string]*runEntry
+	runCache map[runKey]*runEntry
 }
 
 // Singleflight cache entries: the map slot is created under b.mu, the value
@@ -67,6 +67,13 @@ type (
 		p    *prepared
 		err  error
 	}
+	// runKey memoises a simulation on everything that determines it: the
+	// whole defaulted RunConfig, so no field can silently share a result.
+	runKey struct {
+		dataset, setup string
+		cfg            RunConfig
+		cellID         string
+	}
 	runEntry struct {
 		once sync.Once
 		out  RunOutput
@@ -82,7 +89,7 @@ func NewBench(scale dataset.Scale, cacheDir string) *Bench {
 		datasets: map[string]*datasetEntry{},
 		stacks:   map[string]*stackEntry{},
 		prepared: map[string]*preparedEntry{},
-		runCache: map[string]*runEntry{},
+		runCache: map[runKey]*runEntry{},
 	}
 }
 
@@ -306,11 +313,12 @@ func (b *Bench) buildPrepared(ctx context.Context, ck string, ds *dataset.Datase
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	col, _ := b.loadCachedCollection(ck, ds, setup)
+	params := vdb.DefaultBuildParams()
+	col := b.loadCachedCollection(ck, ds, setup, params)
 	if col == nil {
 		b.logf("collection %s: building", ck)
 		var err error
-		col, err = vdb.NewCollection(ck, ds.Spec.Dim, ds.Spec.Metric, setup.Engine, setup.Index, vdb.DefaultBuildParams())
+		col, err = vdb.NewCollection(ck, ds.Spec.Dim, ds.Spec.Metric, setup.Engine, setup.Index, params)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +327,7 @@ func (b *Bench) buildPrepared(ctx context.Context, ck string, ds *dataset.Datase
 			return nil, fmt.Errorf("collection %s: %w", ck, err)
 		}
 		b.logf("collection %s: built in %v", ck, time.Since(start).Round(time.Millisecond)) //annlint:allow wallclock -- host-side progress timing, never enters the simulation
-		b.saveCachedCollection(ck, ds, col)
+		b.saveCachedCollection(ck, ds, col, params)
 	} else {
 		b.logf("collection %s: loaded from cache", ck)
 	}
@@ -339,13 +347,14 @@ const PaperK = 10
 // stackCachePath returns the on-disk location of a persisted stack
 // collection ("" when caching is disabled). The dataset's generation
 // parameters participate so a generator change can never resurrect an index
-// built over different data.
-func (b *Bench) stackCachePath(key string, ds *dataset.Dataset) string {
+// built over different data, and the build fingerprint so a change of build
+// parameters or snapshot format never serves a stale one.
+func (b *Bench) stackCachePath(key string, ds *dataset.Dataset, params vdb.BuildParams) string {
 	if b.CacheDir == "" {
 		return ""
 	}
-	key = fmt.Sprintf("%s-n%d-s%d-c%d-sp%03d", key,
-		ds.Spec.N, ds.Spec.Seed, ds.Spec.Clusters, int(ds.Spec.Spread*100))
+	key = fmt.Sprintf("%s-n%d-s%d-c%d-sp%03d-%s", key,
+		ds.Spec.N, ds.Spec.Seed, ds.Spec.Clusters, int(ds.Spec.Spread*100), params.Fingerprint())
 	safe := make([]rune, 0, len(key))
 	for _, c := range key {
 		switch {
@@ -360,21 +369,21 @@ func (b *Bench) stackCachePath(key string, ds *dataset.Dataset) string {
 
 // loadCachedCollection restores a persisted stack collection, returning nil
 // on any miss or mismatch (the stack is then rebuilt).
-func (b *Bench) loadCachedCollection(key string, ds *dataset.Dataset, setup vdb.Setup) (*vdb.Collection, bool) {
-	path := b.stackCachePath(key, ds)
+func (b *Bench) loadCachedCollection(key string, ds *dataset.Dataset, setup vdb.Setup, params vdb.BuildParams) *vdb.Collection {
+	path := b.stackCachePath(key, ds, params)
 	if path == "" {
-		return nil, false
+		return nil
 	}
-	col, err := vdb.LoadCollection(path, ds.Vectors, setup.Engine, vdb.DefaultBuildParams())
+	col, err := vdb.LoadCollection(path, ds.Vectors, setup.Engine, params)
 	if err != nil {
-		return nil, false
+		return nil
 	}
-	return col, true
+	return col
 }
 
 // saveCachedCollection persists a freshly built collection, best-effort.
-func (b *Bench) saveCachedCollection(key string, ds *dataset.Dataset, col *vdb.Collection) {
-	path := b.stackCachePath(key, ds)
+func (b *Bench) saveCachedCollection(key string, ds *dataset.Dataset, col *vdb.Collection, params vdb.BuildParams) {
+	path := b.stackCachePath(key, ds, params)
 	if path == "" {
 		return
 	}
@@ -445,7 +454,7 @@ func (b *Bench) RunCellContext(ctx context.Context, st *Stack, execs []vdb.Query
 		return RunOutput{}, err
 	}
 	cfg = b.mergeDefaults(cfg)
-	key := fmt.Sprintf("%s/%s/t%d/d%v/mrc%d/cr%t/%s", st.DatasetName, st.Setup.Label(), cfg.Threads, cfg.Duration, cfg.MaxReadConcurrent, cfg.CoalesceReads, cellID)
+	key := runKey{st.DatasetName, st.Setup.Label(), cfg, cellID}
 	b.mu.Lock()
 	e, ok := b.runCache[key]
 	if !ok {

@@ -155,8 +155,38 @@ func TestRunCellMemoised(t *testing.T) {
 	}
 	a := b.RunCell(st, st.Execs, RunConfig{Threads: 2}, "x")
 	c := b.RunCell(st, st.Execs, RunConfig{Threads: 2}, "x")
-	if a.Metrics.QPS != c.Metrics.QPS {
-		t.Error("run cell not memoised")
+	if a.Metrics.QPS != c.Metrics.QPS || len(b.runCache) != 1 {
+		t.Errorf("run cell not memoised (%d simulations)", len(b.runCache))
+	}
+	// The memo keys on the whole config: the same cellID under another seed
+	// is another simulation, and so is a timeline request after a plain one.
+	b.RunCell(st, st.Execs, RunConfig{Threads: 2, Seed: 7}, "x")
+	b.RunCell(st, st.Execs, RunConfig{Threads: 2, Timeline: true}, "x")
+	if len(b.runCache) != 3 {
+		t.Errorf("a different Seed or Timeline shared the memoised run (%d simulations, want 3)", len(b.runCache))
+	}
+}
+
+// TestStackCacheKeyedOnBuildParams: a stack saved under one set of build
+// parameters is a miss under another, and a hit under its own.
+func TestStackCacheKeyedOnBuildParams(t *testing.T) {
+	b := tinyBench(t)
+	setup := vdb.Setup{Engine: vdb.Qdrant(), Index: vdb.IndexHNSW}
+	st, err := b.Stack("cohere-small", setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, other := vdb.DefaultBuildParams(), vdb.DefaultBuildParams()
+	other.EfConstruction++
+	if b.loadCachedCollection("k", st.Dataset, setup, built) != nil {
+		t.Fatal("cache hit before anything was saved")
+	}
+	b.saveCachedCollection("k", st.Dataset, st.Col, built)
+	if b.loadCachedCollection("k", st.Dataset, setup, built) == nil {
+		t.Error("stack not loaded under the parameters it was saved with")
+	}
+	if b.loadCachedCollection("k", st.Dataset, setup, other) != nil {
+		t.Error("stack saved under one BuildParams loaded under another")
 	}
 }
 

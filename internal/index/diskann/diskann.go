@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sort"
 	"sync"
 
 	"svdbench/internal/index"
@@ -144,16 +142,17 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	// in the degree-overflow band. The incremental pass maintains global
 	// connectivity by construction: every node links onto the search path
 	// from the medoid, and reverse edges are patched in immediately.
-	// Within a pass, nodes are processed in deterministic batches: the
-	// expensive searches and prunes run in parallel against the frozen
-	// graph, and the resulting edits are applied serially (the batch
-	// construction scheme of ParlayANN).
+	// Within a pass, nodes are processed in deterministic batches
+	// (index.InsertBatched). During the incremental pass batch sizes grow
+	// from 1 so the early graph — where every insertion changes everything —
+	// is built like the sequential algorithm.
 	order := r.Perm(n)
-	ix.buildPass(order, 1.0, true)
-	ix.buildPass(order, cfg.Alpha, false)
+	serial := index.NewSearchScratch()
+	ix.buildPass(order, 1.0, 1, serial)
+	ix.buildPass(order, cfg.Alpha, index.MaxInsertBatch, serial)
 	for node := range ix.graph {
 		if len(ix.graph[node]) > cfg.R {
-			ix.pruneNode(int32(node), cfg.Alpha)
+			ix.pruneNode(int32(node), cfg.Alpha, serial)
 		}
 	}
 	ix.bind()
@@ -181,65 +180,23 @@ func (ix *Index) bind() {
 	ix.caches = nodecache.NewSet(ix.cfg.PageSize, ix.cfg.Seed, ix.warmCache)
 }
 
-// buildPass runs one Vamana pass over the given node order. During the
-// incremental (first) pass batch sizes grow from 1 so the early graph —
-// where every insertion changes everything — is built like the sequential
-// algorithm.
-func (ix *Index) buildPass(order []int, alpha float64, growing bool) {
-	workers := runtime.GOMAXPROCS(0)
-	type result struct {
-		node   int32
-		pruned []int32
-	}
-	const maxBatch = 64
-	results := make([]result, maxBatch)
-	batch := maxBatch
-	if growing {
-		batch = 1
-	}
-	for lo := 0; lo < len(order); {
-		hi := lo + batch
-		if hi > len(order) {
-			hi = len(order)
-		}
-		n := hi - lo
-		// Parallel phase: search + prune against the frozen graph.
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			s, e := w*chunk, (w+1)*chunk
-			if e > n {
-				e = n
+// buildPass runs one Vamana pass over the given node order: search and prune
+// against the frozen graph in parallel, then apply each node's edits and
+// reverse edges serially (on the serial scratch).
+func (ix *Index) buildPass(order []int, alpha float64, batch int, serial *index.SearchScratch) {
+	index.InsertBatched(len(order), batch,
+		func(i int, scr *index.SearchScratch) []int32 {
+			p := int32(order[i])
+			ix.greedySearchBuild(ix.scorer.QueryRow(int(p)), ix.cfg.LBuild, p, scr)
+			return ix.robustPruneCands(p, scr.Scored, alpha, scr)
+		},
+		func(i int, pruned []int32) {
+			p := int32(order[i])
+			ix.graph[p] = pruned
+			for _, nb := range pruned {
+				ix.addEdge(nb, p, alpha, serial)
 			}
-			if s >= e {
-				break
-			}
-			wg.Add(1)
-			go func(s, e int) {
-				defer wg.Done()
-				var ps pruneScratch
-				for i := s; i < e; i++ {
-					p := int32(order[lo+i])
-					q := ix.scorer.QueryRow(int(p))
-					visited := ix.greedySearchBuild(q, ix.cfg.LBuild, p)
-					results[i] = result{node: p, pruned: ix.robustPruneCands(p, visited, alpha, &ps)}
-				}
-			}(s, e)
-		}
-		wg.Wait()
-		// Serial phase: apply edits and reverse edges.
-		for i := 0; i < n; i++ {
-			res := results[i]
-			ix.graph[res.node] = res.pruned
-			for _, nb := range res.pruned {
-				ix.addEdge(nb, res.node, alpha)
-			}
-		}
-		lo = hi
-		if growing && batch < maxBatch {
-			batch *= 2
-		}
-	}
+		})
 }
 
 // computeMedoid returns the row closest to the dataset mean.
@@ -263,7 +220,7 @@ func (ix *Index) computeMedoid() int32 {
 // degree is allowed to overflow to 2R before a robust prune compacts it back
 // to R (the batched reverse-edge pruning used by production Vamana builds);
 // a final prune pass at the end of Build enforces the bound everywhere.
-func (ix *Index) addEdge(from, to int32, alpha float64) {
+func (ix *Index) addEdge(from, to int32, alpha float64, scr *index.SearchScratch) {
 	for _, e := range ix.graph[from] {
 		if e == to {
 			return
@@ -271,70 +228,43 @@ func (ix *Index) addEdge(from, to int32, alpha float64) {
 	}
 	ix.graph[from] = append(ix.graph[from], to)
 	if len(ix.graph[from]) > 2*ix.cfg.R {
-		ix.pruneNode(from, alpha)
+		ix.pruneNode(from, alpha, scr)
 	}
 }
 
 // pruneNode robust-prunes a node's current neighbour list back to R.
-func (ix *Index) pruneNode(node int32, alpha float64) {
+func (ix *Index) pruneNode(node int32, alpha float64, scr *index.SearchScratch) {
 	v := ix.scorer.QueryRow(int(node))
 	cands := make([]index.Neighbor, 0, len(ix.graph[node]))
 	for _, e := range ix.graph[node] {
 		cands = append(cands, index.Neighbor{ID: e, Dist: v.Dist(int(e))})
 	}
-	sortNeighbors(cands)
-	ix.graph[node] = ix.robustPruneCands(node, cands, alpha, &pruneScratch{})
+	index.SortNeighbors(cands)
+	ix.graph[node] = ix.robustPruneCands(node, cands, alpha, scr)
 }
 
-// sortNeighbors orders cands ascending by (Dist, ID), the order
-// robustPruneCands consumes.
-func sortNeighbors(cands []index.Neighbor) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Dist != cands[j].Dist {
-			return cands[i].Dist < cands[j].Dist
-		}
-		return cands[i].ID < cands[j].ID
-	})
-}
-
-// greedySearchBuild is the construction-time full-precision greedy search;
-// it returns the visited set as neighbours of q (excluding skip), ascending
-// by (Dist, ID).
-func (ix *Index) greedySearchBuild(q index.QueryScorer, L int, skip int32) []index.Neighbor {
-	visited := map[int32]float32{}
-	var frontier index.MinHeap
-	var results index.MaxHeap
-	start := ix.medoid
-	d := q.Dist(int(start))
-	frontier.Push(index.Neighbor{ID: start, Dist: d})
-	visited[start] = d
-	results.PushBounded(index.Neighbor{ID: start, Dist: d}, L)
-	for frontier.Len() > 0 {
-		cur := frontier.Pop()
-		if results.Len() >= L && cur.Dist > results.Peek().Dist {
-			break
-		}
-		for _, nb := range ix.graph[cur.ID] {
-			if _, ok := visited[nb]; ok {
-				continue
-			}
-			nd := q.Dist(int(nb))
-			visited[nb] = nd
-			if results.Len() < L || nd < results.Peek().Dist {
-				frontier.Push(index.Neighbor{ID: nb, Dist: nd})
-				results.PushBounded(index.Neighbor{ID: nb, Dist: nd}, L)
-			}
-		}
+// greedySearchBuild is the construction-time full-precision greedy search:
+// index.BestFirst over the graph from the medoid, remembering every node it
+// scores. It leaves that visited set as neighbours of q (excluding skip),
+// ascending by (Dist, ID), in scr.Scored.
+func (ix *Index) greedySearchBuild(q index.QueryScorer, L int, skip int32, scr *index.SearchScratch) {
+	d := q.Dist(int(ix.medoid))
+	scored := scr.Scored[:0]
+	if ix.medoid != skip {
+		scored = append(scored, index.Neighbor{ID: ix.medoid, Dist: d})
 	}
-	out := make([]index.Neighbor, 0, len(visited))
-	for id, dist := range visited { //annlint:allow mapiter -- fully ordered by the (Dist, ID) sort below
-		if id == skip {
-			continue
-		}
-		out = append(out, index.Neighbor{ID: id, Dist: dist})
-	}
-	sortNeighbors(out)
-	return out
+	index.BestFirst(scr, len(ix.graph), []index.Neighbor{{ID: ix.medoid, Dist: d}}, L,
+		func(id int32) []int32 { return ix.graph[id] },
+		q.DistBatch,
+		func(ids []int32, dists []float32) {
+			for i, id := range ids {
+				if id != skip {
+					scored = append(scored, index.Neighbor{ID: id, Dist: dists[i]})
+				}
+			}
+		})
+	index.SortNeighbors(scored)
+	scr.Scored = scored
 }
 
 // maxOcclusion caps the candidate list RobustPrune scans, like DiskANN's
@@ -353,26 +283,22 @@ func (ix *Index) occlusionAlpha(alpha float64) float64 {
 	return alpha * alpha
 }
 
-// pruneScratch holds the gather buffers of robustPruneCands, reused across
-// stars and across the nodes one build worker handles.
-type pruneScratch struct {
-	ids   []int32
-	dists []float32
-}
-
 // robustPruneCands implements Vamana's RobustPrune over a candidate set
 // sorted ascending by (Dist, ID); it compacts cands in place. Each star
 // scores all candidates still alive behind it with one DistBatch (bit-
 // identical to per-pair Dist by Scorer's contract), so the occlusion loop —
-// most of a build — runs on the 4-row kernels.
-func (ix *Index) robustPruneCands(p int32, cands []index.Neighbor, alpha float64, ps *pruneScratch) []int32 {
+// most of a build — runs on the 4-row kernels. scr lends the gather buffers
+// (cands may be its Scored list; the search that filled it is over).
+func (ix *Index) robustPruneCands(p int32, cands []index.Neighbor, alpha float64, scr *index.SearchScratch) []int32 {
 	alpha = ix.occlusionAlpha(alpha)
 	if len(cands) > maxOcclusion {
 		cands = cands[:maxOcclusion]
 	}
-	if cap(ps.dists) < len(cands) {
-		ps.ids = make([]int32, len(cands))
-		ps.dists = make([]float32, len(cands))
+	if cap(scr.IDs) < len(cands) {
+		scr.IDs = make([]int32, len(cands))
+	}
+	if cap(scr.Dists) < len(cands) {
+		scr.Dists = make([]float32, len(cands))
 	}
 	out := make([]int32, 0, ix.cfg.R)
 	for len(cands) > 0 {
@@ -385,7 +311,7 @@ func (ix *Index) robustPruneCands(p int32, cands []index.Neighbor, alpha float64
 		if len(out) == ix.cfg.R {
 			break
 		}
-		ids, dists := ps.ids[:len(cands)], ps.dists[:len(cands)]
+		ids, dists := scr.IDs[:len(cands)], scr.Dists[:len(cands)]
 		for j, c := range cands {
 			ids[j] = c.ID
 		}
@@ -531,5 +457,4 @@ func (ix *Index) extID(row int32) int32 {
 }
 
 var _ index.Index = (*Index)(nil)
-var _ index.SearcherInto = (*Index)(nil)
 var _ index.SizeReporter = (*Index)(nil)

@@ -353,7 +353,7 @@ func TestPageSearchCachedSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // pagePersistBytes serialises ix and returns the framing bytes.
-func pagePersistBytes(t *testing.T, ix *Index) []byte {
+func pagePersistBytes(t testing.TB, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := binenc.NewWriter(&buf)
@@ -371,7 +371,7 @@ func TestPagePersistRoundTripByteIdentical(t *testing.T) {
 	ds := testData(t)
 	orig := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8, Layout: index.LayoutPage})
 	first := pagePersistBytes(t, orig)
-	if !bytes.HasPrefix(first, []byte(persistMagicV2)) {
+	if !bytes.HasPrefix(first, []byte(PersistMagicV2)) {
 		t.Fatalf("page-layout index persisted with magic %q", first[:8])
 	}
 	got, err := ReadFrom(binenc.NewReader(bytes.NewReader(first)), ds.Vectors, nil)
@@ -404,7 +404,7 @@ func TestPagePersistRoundTripByteIdentical(t *testing.T) {
 func TestPagePersistV1StillLoads(t *testing.T) {
 	ds, orig := shared(t)
 	raw := pagePersistBytes(t, orig)
-	if !bytes.HasPrefix(raw, []byte(persistMagic)) {
+	if !bytes.HasPrefix(raw, []byte(PersistMagic)) {
 		t.Fatalf("id-layout index persisted with magic %q", raw[:8])
 	}
 	got, err := ReadFrom(binenc.NewReader(bytes.NewReader(raw)), ds.Vectors, nil)

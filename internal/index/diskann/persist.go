@@ -16,14 +16,21 @@ import (
 // index was built with Config.Layout == index.LayoutPage. Readers accept
 // both, so collections persisted before the page layout existed still load.
 const (
-	persistMagic   = "VAMA0001"
-	persistMagicV2 = "VAMA0002"
+	PersistMagic   = "VAMA0001"
+	PersistMagicV2 = "VAMA0002"
 )
 
 // ErrCorruptLayout marks a persisted page-layout directory that fails
 // validation (truncated, out-of-range members or adjacency, or a partition
 // that does not cover the node set). Callers match it with errors.Is.
 var ErrCorruptLayout = errors.New("diskann: corrupt page layout")
+
+// Largest degree and page size a persisted config may claim: both size
+// buffers of the page packer, so a damaged value must fail at load.
+const (
+	maxPersistR        = 1 << 12
+	maxPersistPageSize = 1 << 22
+)
 
 // WriteTo serialises the Vamana graph, the medoid, and the in-memory PQ
 // state. Full-precision vectors are not written: they are re-derivable from
@@ -32,9 +39,9 @@ var ErrCorruptLayout = errors.New("diskann: corrupt page layout")
 // their page directory, so pack → persist → reload → persist is
 // byte-identical.
 func (ix *Index) WriteTo(w *binenc.Writer) {
-	magic := persistMagic
+	magic := PersistMagic
 	if ix.cfg.Layout == index.LayoutPage {
-		magic = persistMagicV2
+		magic = PersistMagicV2
 	}
 	w.Magic(magic)
 	w.Int(ix.cfg.R)
@@ -51,7 +58,7 @@ func (ix *Index) WriteTo(w *binenc.Writer) {
 	}
 	ix.quantizer.WriteTo(w)
 	w.Bytes(ix.codes)
-	if magic == persistMagicV2 {
+	if magic == PersistMagicV2 {
 		pl := ix.pageLayoutFor()
 		w.Int(pl.pages())
 		w.I32(pl.entry)
@@ -65,7 +72,7 @@ func (ix *Index) WriteTo(w *binenc.Writer) {
 // ReadFrom deserialises an index written with WriteTo, re-binding it to the
 // vector data (and optional external ids) it was built over.
 func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
-	magic := r.MagicOneOf(persistMagic, persistMagicV2)
+	magic := r.MagicOneOf(PersistMagic, PersistMagicV2)
 	cfg := Config{
 		R:        r.Int(),
 		LBuild:   r.Int(),
@@ -75,17 +82,18 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		PQM:      r.Int(),
 		PageSize: r.Int(),
 	}
-	if magic == persistMagicV2 {
+	if magic == PersistMagicV2 {
 		cfg.Layout = index.LayoutPage
 	}
 	n := r.Int()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return nil, fmt.Errorf("diskann: read snapshot: %w", r.Err())
 	}
 	if n != data.Len() {
 		return nil, fmt.Errorf("diskann: persisted index has %d nodes, data has %d", n, data.Len())
 	}
-	if cfg.R <= 0 || cfg.PageSize <= 0 {
+	if cfg.R <= 0 || cfg.R > maxPersistR || cfg.PageSize <= 0 || cfg.PageSize > maxPersistPageSize ||
+		cfg.Metric < vec.L2 || cfg.Metric > vec.Cosine {
 		return nil, fmt.Errorf("diskann: corrupt persisted config %+v", cfg)
 	}
 	ix := &Index{
@@ -107,9 +115,9 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 	ix.quantizer = q
 	ix.codes = r.Bytes()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return nil, fmt.Errorf("diskann: read snapshot: %w", r.Err())
 	}
-	if ix.medoid < 0 || int(ix.medoid) >= n || len(ix.codes) != n*q.M() {
+	if ix.medoid < 0 || int(ix.medoid) >= n || q.Dim() != data.Dim || len(ix.codes) != n*q.M() {
 		return nil, fmt.Errorf("diskann: corrupt persisted index")
 	}
 	// Both layouts' searches index by these neighbour ids unchecked, so a
@@ -122,7 +130,7 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		}
 	}
 	ix.bind()
-	if magic == persistMagicV2 {
+	if magic == PersistMagicV2 {
 		pl, err := readPageLayout(r, ix, n)
 		if err != nil {
 			return nil, err

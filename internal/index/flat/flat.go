@@ -120,5 +120,4 @@ func (ix *Index) extID(row int) int32 {
 }
 
 var _ index.Index = (*Index)(nil)
-var _ index.SearcherInto = (*Index)(nil)
 var _ index.SizeReporter = (*Index)(nil)

@@ -1,0 +1,119 @@
+// The graph toolkit: the one in-memory best-first traversal and the one
+// batched-insert driver that HNSW search, HNSW build and Vamana build share
+// (DESIGN.md "Graph toolkit").
+package index
+
+import (
+	"runtime"
+	"sync"
+)
+
+// BestFirst is the ef-bounded best-first expansion of an in-memory graph over
+// ids [0, n): HNSW's Algorithm 2 and Vamana's GreedySearch. From the scored
+// entry points eps it pops the closest frontier node until that node is
+// farther than the ef-th best result, and leaves the ef closest nodes found,
+// ascending by (Dist, ID), in scr.Neighbors (which eps may alias).
+//
+// Callers differ in three things only: adj is the adjacency of a node, score
+// writes the distance of every gathered id into out (one batch per hop), and
+// hop, when non-nil, is told each hop's freshly scored ids and distances —
+// where HNSW counts stats and records CPU and Vamana remembers its visited
+// list. The slices passed to score and hop are scratch, valid for that call.
+// All state lives in scr, so a warmed scratch makes the traversal
+// allocation-free.
+//
+//annlint:hotpath
+func BestFirst(scr *SearchScratch, n int, eps []Neighbor, ef int,
+	adj func(id int32) []int32,
+	score func(ids []int32, out []float32),
+	hop func(ids []int32, dists []float32)) {
+	scr.Visited.Begin(n)
+	frontier, results := &scr.Frontier, &scr.Results
+	frontier.Reset()
+	results.Reset()
+	for _, ep := range eps {
+		if scr.Visited.Contains(ep.ID) {
+			continue
+		}
+		scr.Visited.Add(ep.ID)
+		frontier.Push(ep)
+		results.PushBounded(ep, ef)
+	}
+	for frontier.Len() > 0 {
+		cur := frontier.Pop()
+		if results.Len() >= ef && cur.Dist > results.Peek().Dist {
+			break
+		}
+		// Gather this hop's unvisited neighbours, then score them in one
+		// batch. Marking order, distance values and the push sequence are
+		// those of a per-neighbour loop.
+		scr.IDs = scr.IDs[:0]
+		for _, nb := range adj(cur.ID) {
+			if scr.Visited.Contains(nb) {
+				continue
+			}
+			scr.Visited.Add(nb)
+			scr.IDs = append(scr.IDs, nb)
+		}
+		if cap(scr.Dists) < len(scr.IDs) {
+			scr.Dists = make([]float32, len(scr.IDs)) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
+		}
+		dists := scr.Dists[:len(scr.IDs)]
+		score(scr.IDs, dists)
+		for i, nb := range scr.IDs {
+			if d := dists[i]; results.Len() < ef || d < results.Peek().Dist {
+				frontier.Push(Neighbor{ID: nb, Dist: d})
+				results.PushBounded(Neighbor{ID: nb, Dist: d}, ef)
+			}
+		}
+		if hop != nil {
+			hop(scr.IDs, dists)
+		}
+	}
+	scr.Neighbors = results.DrainAscending(scr.Neighbors[:0])
+}
+
+// MaxInsertBatch caps the batches of InsertBatched.
+const MaxInsertBatch = 64
+
+// InsertBatched is the batched construction scheme of the graph builders
+// (ParlayANN's): items 0..n-1 are taken in batches of batch, doubling up to
+// MaxInsertBatch (a builder whose early graph changes with every insertion
+// starts at 1 and is built like the sequential algorithm there). Within a
+// batch every item's plan — the expensive search and prune — runs in parallel
+// and may only read the graph; then the plans are applied alone, in item
+// order, so the result does not depend on the worker count. A worker's scratch
+// lives for the whole call.
+func InsertBatched[P any](n, batch int, plan func(i int, scr *SearchScratch) P, apply func(i int, p P)) {
+	workers := runtime.GOMAXPROCS(0)
+	scratch := make([]*SearchScratch, workers)
+	for w := range scratch {
+		scratch[w] = NewSearchScratch()
+	}
+	plans := make([]P, MaxInsertBatch)
+	for lo := 0; lo < n; {
+		hi := min(lo+batch, n)
+		chunk := (hi - lo + workers - 1) / workers
+		var wg sync.WaitGroup
+		for w := 0; lo+w*chunk < hi; w++ {
+			s := lo + w*chunk
+			e := min(s+chunk, hi)
+			scr := scratch[w]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := s; i < e; i++ {
+					plans[i-lo] = plan(i, scr)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := lo; i < hi; i++ {
+			apply(i, plans[i-lo])
+		}
+		lo = hi
+		if batch < MaxInsertBatch {
+			batch *= 2
+		}
+	}
+}

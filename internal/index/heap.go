@@ -1,5 +1,7 @@
 package index
 
+import "slices"
+
 // Neighbor is a candidate vector with its distance to the query.
 type Neighbor struct {
 	ID   int32
@@ -13,6 +15,22 @@ func neighborLess(a, b Neighbor) bool {
 		return a.Dist < b.Dist
 	}
 	return a.ID < b.ID
+}
+
+// SortNeighbors orders ns ascending by (Dist, ID): the order the heaps drain
+// in, and the order HNSW's neighbour selection and Vamana's RobustPrune
+// consume their candidates in. Over distinct ids the order is strict, so the
+// result does not depend on how ns was arranged.
+func SortNeighbors(ns []Neighbor) {
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		switch {
+		case neighborLess(a, b):
+			return -1
+		case neighborLess(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // MinHeap is a binary min-heap of neighbours (closest on top), used as the

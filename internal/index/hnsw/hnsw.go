@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"svdbench/internal/index"
 	"svdbench/internal/index/sq"
@@ -80,7 +78,6 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		cost:     index.DefaultCostModel(),
 		scorer:   index.NewScorer(data, cfg.Metric),
 	}
-	n := data.Len()
 	if cfg.ScalarQuantize {
 		q, err := sq.Train(data)
 		if err != nil {
@@ -94,57 +91,11 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	for row := range ix.levels {
 		ix.levels[row] = ix.randomLevel(r)
 	}
-	// Batched construction: candidate searches run in parallel against the
-	// frozen graph, links are applied serially. Batch sizes grow from 1 so
-	// the early graph (where every insertion changes everything) is built
-	// like the sequential algorithm. Each worker owns one search scratch for
-	// the whole build; the sequential path reuses seqScratch across batches.
-	workers := runtime.GOMAXPROCS(0)
-	seqScratch := index.NewSearchScratch()
-	workScratch := make([]*index.SearchScratch, workers)
-	for w := range workScratch {
-		workScratch[w] = index.NewSearchScratch()
-	}
-	lo, batch := 0, 1
-	for lo < n {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		plans := make([][][]index.Neighbor, hi-lo)
-		if hi-lo == 1 || workers == 1 {
-			for i := lo; i < hi; i++ {
-				plans[i-lo] = ix.planInsert(int32(i), seqScratch)
-			}
-		} else {
-			var wg sync.WaitGroup
-			chunk := (hi - lo + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				s, e := lo+w*chunk, lo+(w+1)*chunk
-				if e > hi {
-					e = hi
-				}
-				if s >= e {
-					break
-				}
-				wg.Add(1)
-				go func(s, e int, scr *index.SearchScratch) {
-					defer wg.Done()
-					for i := s; i < e; i++ {
-						plans[i-lo] = ix.planInsert(int32(i), scr)
-					}
-				}(s, e, workScratch[w])
-			}
-			wg.Wait()
-		}
-		for i := lo; i < hi; i++ {
-			ix.applyInsert(int32(i), plans[i-lo])
-		}
-		lo = hi
-		if batch < 64 {
-			batch *= 2
-		}
-	}
+	// Candidate searches run in parallel against the frozen graph, links are
+	// applied serially (index.InsertBatched); batches grow from 1.
+	index.InsertBatched(data.Len(), 1,
+		func(i int, scr *index.SearchScratch) [][]index.Neighbor { return ix.planInsert(int32(i), scr) },
+		func(i int, selected [][]index.Neighbor) { ix.applyInsert(int32(i), selected) })
 	return ix, nil
 }
 
@@ -157,16 +108,9 @@ func (ix *Index) planInsert(row int32, scr *index.SearchScratch) [][]index.Neigh
 	}
 	level := ix.levels[row]
 	q := ix.rowQuery(row)
-	ep := ix.entry
-	for l := ix.maxLevel; l > level; l-- {
-		ep = ix.greedyClosest(q, ep, l)
-	}
-	top := level
-	if top > ix.maxLevel {
-		top = ix.maxLevel
-	}
+	top := min(level, ix.maxLevel)
 	selected := make([][]index.Neighbor, top+1)
-	eps := []index.Neighbor{{ID: ep, Dist: ix.dist(q, ep)}}
+	eps := []index.Neighbor{ix.descend(q, level, nil)}
 	for l := top; l >= 0; l-- {
 		found := ix.searchLayer(q, eps, ix.cfg.EfConstruction, l, nil, nil, scr)
 		selected[l] = ix.selectHeuristic(found, ix.cfg.M)
@@ -239,7 +183,7 @@ func (ix *Index) linkBack(node, target int32, level int) {
 	for _, nb := range nl {
 		cands = append(cands, index.Neighbor{ID: nb, Dist: ix.dist(v, nb)})
 	}
-	sortNeighbors(cands)
+	index.SortNeighbors(cands)
 	pruned := ix.selectHeuristic(cands, cap)
 	out := make([]int32, 0, len(pruned))
 	for _, n := range pruned {
@@ -285,27 +229,35 @@ func (ix *Index) selectHeuristic(cands []index.Neighbor, m int) []index.Neighbor
 				have[c.ID] = true
 			}
 		}
-		sortNeighbors(out)
+		index.SortNeighbors(out)
 	}
 	return out
 }
 
-// greedyClosest walks one layer greedily to the locally closest node.
-func (ix *Index) greedyClosest(q index.QueryScorer, ep int32, level int) int32 {
-	cur := ep
-	curD := ix.dist(q, cur)
-	for {
-		improved := false
-		for _, nb := range ix.neighbors(cur, level) {
-			if d := ix.dist(q, nb); d < curD {
-				cur, curD = nb, d
-				improved = true
+// descend walks the layers above level greedily, each to its locally
+// closest node, from the entry point down, and returns where it stopped: the
+// entry point of the layer search at level. stats, when non-nil, receives the
+// distance computations and hops of the walk.
+func (ix *Index) descend(q index.QueryScorer, level int, stats *index.Stats) index.Neighbor {
+	cur := index.Neighbor{ID: ix.entry, Dist: ix.dist(q, ix.entry)}
+	comps, hops := 1, 0
+	for l := ix.maxLevel; l > level; l-- {
+		for improved := true; improved; hops++ {
+			improved = false
+			for _, nb := range ix.neighbors(cur.ID, l) {
+				comps++
+				if d := ix.dist(q, nb); d < cur.Dist {
+					cur = index.Neighbor{ID: nb, Dist: d}
+					improved = true
+				}
 			}
 		}
-		if !improved {
-			return cur
-		}
 	}
+	if stats != nil {
+		stats.DistComps += comps
+		stats.Hops += hops
+	}
+	return cur
 }
 
 func (ix *Index) neighbors(node int32, level int) []int32 {
@@ -315,76 +267,33 @@ func (ix *Index) neighbors(node int32, level int) []int32 {
 	return ix.links[node][level]
 }
 
-// searchLayer is HNSW's Algorithm 2: best-first expansion bounded by ef.
-// stats and rec may be nil during construction. It returns the ef closest
-// nodes, ascending by distance.
-//
-// All working state lives in scr: heaps, the epoch-stamped visited set, the
-// gather buffers of the batched neighbour scoring, and the returned slice
-// itself (scr.Neighbors — consumed by the caller before the next searchLayer
-// call on the same scratch, which is safe because the entry points eps are
-// fully read into the heaps before the drain overwrites the buffer).
+// searchLayer is HNSW's Algorithm 2 on one layer: index.BestFirst over the
+// layer's links, scored exactly or over the SQ codes. stats and rec may be nil
+// during construction. It returns the ef closest nodes, ascending by distance.
 func (ix *Index) searchLayer(q index.QueryScorer, eps []index.Neighbor, ef, level int, stats *index.Stats, rec *index.Profile, scr *index.SearchScratch) []index.Neighbor {
-	scr.Visited.Begin(ix.data.Len())
-	frontier, results := &scr.Frontier, &scr.Results
-	frontier.Reset()
-	results.Reset()
-	for _, ep := range eps {
-		if scr.Visited.Contains(ep.ID) {
-			continue
-		}
-		scr.Visited.Add(ep.ID)
-		frontier.Push(ep)
-		results.PushBounded(ep, ef)
-	}
-	for frontier.Len() > 0 {
-		cur := frontier.Pop()
-		if results.Len() >= ef && cur.Dist > results.Peek().Dist {
-			break
-		}
-		nbs := ix.neighbors(cur.ID, level)
-		// Gather this hop's unvisited neighbours, then score them in one
-		// batch. Marking order, distance values and the push sequence are
-		// identical to the per-neighbour loop, so results and recorded
-		// costs are unchanged.
-		scr.IDs = scr.IDs[:0]
-		for _, nb := range nbs {
-			if scr.Visited.Contains(nb) {
-				continue
+	index.BestFirst(scr, ix.data.Len(), eps, ef,
+		func(id int32) []int32 { return ix.neighbors(id, level) },
+		func(ids []int32, out []float32) {
+			if ix.quantizer == nil {
+				q.DistBatch(ids, out)
+				return
 			}
-			scr.Visited.Add(nb)
-			scr.IDs = append(scr.IDs, nb)
-		}
-		comps := len(scr.IDs)
-		if cap(scr.Dists) < comps {
-			scr.Dists = make([]float32, comps) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
-		}
-		dists := scr.Dists[:comps]
-		if ix.quantizer != nil {
-			for i, nb := range scr.IDs {
-				dists[i] = ix.quantizer.DistanceAt(q.Vector(), ix.codes, int(nb))
+			for i, nb := range ids {
+				out[i] = ix.quantizer.DistanceAt(q.Vector(), ix.codes, int(nb))
 			}
-		} else {
-			q.DistBatch(scr.IDs, dists)
-		}
-		for i, nb := range scr.IDs {
-			d := dists[i]
-			if results.Len() < ef || d < results.Peek().Dist {
-				frontier.Push(index.Neighbor{ID: nb, Dist: d})
-				results.PushBounded(index.Neighbor{ID: nb, Dist: d}, ef)
+		},
+		func(ids []int32, _ []float32) {
+			comps := len(ids)
+			if stats != nil {
+				stats.Hops++
+				if ix.quantizer != nil {
+					stats.PQComps += comps
+				} else {
+					stats.DistComps += comps
+				}
 			}
-		}
-		if stats != nil {
-			stats.Hops++
-			if ix.quantizer != nil {
-				stats.PQComps += comps
-			} else {
-				stats.DistComps += comps
-			}
-		}
-		rec.AddCPU(ix.cost.Dist(ix.data.Dim, comps) + ix.cost.Heap(comps+2))
-	}
-	scr.Neighbors = results.DrainAscending(scr.Neighbors[:0])
+			rec.AddCPU(ix.cost.Dist(ix.data.Dim, comps) + ix.cost.Heap(comps+2))
+		})
 	// The returned slice is scr.Neighbors itself: valid only until the next
 	// operation touching scr, and every caller drains or copies it before
 	// that. Documented contract, not a leak.
@@ -413,28 +322,8 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	stats := index.Stats{}
 	rec := opts.Recorder
 	qs := ix.scorer.Query(q)
-	ep := ix.entry
-	epD := ix.dist(qs, ep)
-	stats.DistComps++
-	for l := ix.maxLevel; l >= 1; l-- {
-		for {
-			improved := false
-			for _, nb := range ix.neighbors(ep, l) {
-				d := ix.dist(qs, nb)
-				stats.DistComps++
-				if d < epD {
-					ep, epD = nb, d
-					improved = true
-				}
-			}
-			stats.Hops++
-			if !improved {
-				break
-			}
-		}
-	}
+	eps := [1]index.Neighbor{ix.descend(qs, 0, &stats)}
 	rec.AddCPU(ix.cost.Dist(ix.data.Dim, stats.DistComps))
-	eps := [1]index.Neighbor{{ID: ep, Dist: epD}}
 	found := ix.searchLayer(qs, eps[:], ef, 0, &stats, rec, scr)
 	rec.Flush()
 	// Apply filter and map to external ids, compacting in place (found
@@ -508,22 +397,5 @@ func (ix *Index) StorageBytes() int64 { return 0 }
 // Degree returns the out-degree of a node at a level (for tests).
 func (ix *Index) Degree(row int32, level int) int { return len(ix.neighbors(row, level)) }
 
-func sortNeighbors(ns []index.Neighbor) {
-	// Insertion sort: candidate lists are short and mostly sorted.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && lessNeighbor(ns[j], ns[j-1]); j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}
-
-func lessNeighbor(a, b index.Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.ID < b.ID
-}
-
 var _ index.Index = (*Index)(nil)
-var _ index.SearcherInto = (*Index)(nil)
 var _ index.SizeReporter = (*Index)(nil)

@@ -3,6 +3,7 @@ package hnsw
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"svdbench/internal/binenc"
@@ -10,6 +11,18 @@ import (
 	"svdbench/internal/index"
 	"svdbench/internal/vec"
 )
+
+// persistBytes serialises ix and returns the snapshot bytes.
+func persistBytes(t testing.TB, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := binenc.NewWriter(&buf)
+	ix.WriteTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 func roundTrip(t *testing.T, cfg Config) {
 	t.Helper()
@@ -22,13 +35,7 @@ func roundTrip(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	w := binenc.NewWriter(&buf)
-	orig.WriteTo(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(binenc.NewReader(&buf), ds.Vectors, nil)
+	got, err := ReadFrom(binenc.NewReader(bytes.NewReader(persistBytes(t, orig))), ds.Vectors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,21 +92,24 @@ func TestSnapshotByteIdentical(t *testing.T) {
 		Name: "hnsw-det", N: 500, Dim: 24, NumQueries: 10,
 		Clusters: 8, Seed: 31, Metric: vec.Cosine, GroundK: 10,
 	})
-	snap := func() []byte {
-		ix, err := Build(ds.Vectors, nil, Config{M: 8, EfConstruction: 60, Seed: 5, Metric: ds.Spec.Metric})
-		if err != nil {
-			t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, quantize := range []bool{false, true} {
+		snap := func(procs int) []byte {
+			runtime.GOMAXPROCS(procs)
+			ix, err := Build(ds.Vectors, nil, Config{M: 8, EfConstruction: 60, Seed: 5, Metric: ds.Spec.Metric, ScalarQuantize: quantize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return persistBytes(t, ix)
 		}
-		var buf bytes.Buffer
-		w := binenc.NewWriter(&buf)
-		ix.WriteTo(w)
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+		// The batched driver plans against the frozen graph and applies in
+		// order, so the worker count must not show either.
+		a, b, one := snap(4), snap(4), snap(1)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("sq=%t: two builds from the same seed persisted different bytes (%d vs %d)", quantize, len(a), len(b))
 		}
-		return buf.Bytes()
-	}
-	a, b := snap(), snap()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two builds from the same seed persisted different bytes (%d vs %d)", len(a), len(b))
+		if !bytes.Equal(a, one) {
+			t.Fatalf("sq=%t: builds with 4 workers and 1 worker persisted different bytes (%d vs %d)", quantize, len(a), len(one))
+		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"svdbench/internal/dataset"
 	"svdbench/internal/index"
+	"svdbench/internal/vec"
 )
 
 // TestScratchReuseIdentity: one scratch and one dst reused across every
@@ -56,5 +58,29 @@ func TestSearchSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state search allocates %.1f times per query, want 0", allocs)
+	}
+}
+
+// benchData is the serve-mono shape of the layered benchmark (the same 500
+// clustered 768-d cosine vectors DiskANN's BenchmarkBuild500x768 builds),
+// with the collection's default HNSW parameters.
+func benchData() (*dataset.Dataset, Config) {
+	ds := dataset.Generate(dataset.Spec{
+		Name: "diskann-bench", N: 500, Dim: 768, NumQueries: 200,
+		Clusters: 64, Spread: 0.9, Seed: 1, Metric: vec.Cosine, GroundK: 10,
+	})
+	return ds, Config{M: 16, EfConstruction: 200, Metric: vec.Cosine, Seed: 1}
+}
+
+// BenchmarkBuild500x768 times one full build: level sampling, the batched
+// candidate searches, heuristic selection and back-linking.
+func BenchmarkBuild500x768(b *testing.B) {
+	ds, cfg := benchData()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(ds.Vectors, nil, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -175,6 +175,8 @@ type Index interface {
 	Len() int
 	// Search returns the approximate k nearest neighbours of q.
 	Search(q []float32, k int, opts SearchOptions) Result
+	// SearchInto is Search writing into a caller-owned Result.
+	SearcherInto
 }
 
 // SizeReporter is implemented by indexes that can report their memory and

@@ -281,5 +281,4 @@ func (ix *Index) extID(row int32) int32 {
 }
 
 var _ index.Index = (*Index)(nil)
-var _ index.SearcherInto = (*Index)(nil)
 var _ index.SizeReporter = (*Index)(nil)

@@ -9,12 +9,13 @@ import (
 	"svdbench/internal/vec"
 )
 
-const persistMagic = "IVFX0001"
+// PersistMagic frames (and versions) a persisted IVF index.
+const PersistMagic = "IVFX0001"
 
 // WriteTo serialises the centroids, posting lists, and (for the PQ variant)
 // the codec and codes. Full-precision vectors are re-supplied at load time.
 func (ix *Index) WriteTo(w *binenc.Writer) {
-	w.Magic(persistMagic)
+	w.Magic(PersistMagic)
 	w.Int(ix.cfg.NList)
 	w.Int(int(ix.cfg.Metric))
 	w.I64(ix.cfg.Seed)
@@ -41,7 +42,7 @@ func (ix *Index) WriteTo(w *binenc.Writer) {
 // ReadFrom deserialises an index written with WriteTo, re-binding it to its
 // vector data (and optional external ids).
 func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
-	r.Magic(persistMagic)
+	r.Magic(PersistMagic)
 	cfg := Config{
 		NList:  r.Int(),
 		Metric: vec.Metric(r.Int()),

@@ -32,7 +32,7 @@ func ReadQuantizer(r *binenc.Reader) (*Quantizer, error) {
 	if q.m <= 0 || q.subDim <= 0 || q.dim != q.m*q.subDim || q.ksub <= 0 || q.ksub > centroidsPerSub {
 		return nil, fmt.Errorf("pq: corrupt quantiser header %+v", q)
 	}
-	q.codebooks = make([]*vec.Matrix, q.m)
+	// Grown as codebooks arrive: a corrupt m must not size an allocation.
 	for s := 0; s < q.m; s++ {
 		raw := r.F32s()
 		if r.Err() != nil {
@@ -43,7 +43,7 @@ func ReadQuantizer(r *binenc.Reader) (*Quantizer, error) {
 		}
 		cb := vec.NewMatrix(q.ksub, q.subDim)
 		copy(cb.Raw(), raw)
-		q.codebooks[s] = cb
+		q.codebooks = append(q.codebooks, cb)
 	}
 	return q, nil
 }

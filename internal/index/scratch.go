@@ -46,6 +46,9 @@ type SearchScratch struct {
 	Dists []float32
 	// Neighbors receives drained heap contents (ascending order).
 	Neighbors []Neighbor
+	// Scored collects every (id, dist) a Vamana build-time search scored:
+	// RobustPrune's candidate list.
+	Scored []Neighbor
 	// Nav holds SPANN's centroid-navigation result between queries.
 	Nav Result
 	// Cells receives IVF's probe order (closest cell first).
@@ -119,8 +122,8 @@ func (s *EpochSet) Add(id int32) { s.stamps[id] = s.epoch }
 // wrap-around.)
 func (s *EpochSet) Remove(id int32) { s.stamps[id] = 0 }
 
-// SearcherInto is implemented by indexes whose search can write its result
-// into a caller-owned Result, reusing dst's buffers: the zero-allocation
+// SearcherInto is the half of Index whose search writes its result into a
+// caller-owned Result, reusing dst's buffers: the zero-allocation
 // steady-state query path. Search(q, k, opts) is always equivalent to
 // SearchInto(q, k, opts, &fresh).
 type SearcherInto interface {

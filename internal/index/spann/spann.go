@@ -20,7 +20,6 @@ package spann
 
 import (
 	"fmt"
-	"sort"
 
 	"svdbench/internal/index"
 	"svdbench/internal/index/hnsw"
@@ -204,29 +203,20 @@ func (ix *Index) CacheWarmPostings(n int) []int32 {
 		return nil
 	}
 	ev := ix.centroids.Row(int(entry))
-	type cand struct {
-		id int32
-		d  float32
-	}
-	cands := make([]cand, 0, nc)
+	cands := make([]index.Neighbor, 0, nc)
 	for c := 0; c < nc; c++ {
 		if ix.pages != nil && len(ix.pages[c]) == 0 {
 			continue
 		}
-		cands = append(cands, cand{id: int32(c), d: vec.L2Sq(ev, ix.centroids.Row(c))})
+		cands = append(cands, index.Neighbor{ID: int32(c), Dist: vec.L2Sq(ev, ix.centroids.Row(c))})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].id < cands[j].id
-	})
+	index.SortNeighbors(cands)
 	if len(cands) > n {
 		cands = cands[:n]
 	}
 	out := make([]int32, len(cands))
 	for i, c := range cands {
-		out[i] = c.id
+		out[i] = c.ID
 	}
 	return out
 }
@@ -378,5 +368,4 @@ func (ix *Index) extID(row int32) int32 {
 }
 
 var _ index.Index = (*Index)(nil)
-var _ index.SearcherInto = (*Index)(nil)
 var _ index.SizeReporter = (*Index)(nil)

@@ -387,7 +387,7 @@ func (c *Collection) runOne(ctx context.Context, q []float32, k int, opts index.
 		}
 	}
 	for _, s := range c.segments {
-		search(s.Index.(index.SearcherInto))
+		search(s.Index)
 	}
 	if tail {
 		search(c.grow)

@@ -2,6 +2,7 @@ package vdb
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 
 	"svdbench/internal/binenc"
@@ -13,6 +14,17 @@ import (
 )
 
 const collectionMagic = "SVDCOL01"
+
+// Fingerprint identifies everything the bytes of a saved collection depend
+// on besides its data: the build parameters and the collection and index
+// snapshot formats. A cache of saved collections keys on it, so a change to
+// any of them is a miss rather than a stale hit.
+func (p BuildParams) Fingerprint() string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v %s %s %s %s %s", p, collectionMagic,
+		hnsw.PersistMagic, diskann.PersistMagic, diskann.PersistMagicV2, ivf.PersistMagic)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 // Save persists the collection's sealed index structures to path. Vector
 // payload data is not written — it is re-derivable from the dataset — so
