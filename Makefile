@@ -18,15 +18,16 @@ test:
 
 # The pure-Go kernel fallback (internal/vec/kernels_noasm.go) is what every
 # non-amd64 build runs and no amd64 test run compiles. `test-purego` selects
-# it with the purego build tag and runs the kernel property tests and the PQ
-# table equivalence test against it; `cross` compiles the whole tree for
-# arm64 and vets the kernel package there (both work offline).
+# it with the purego build tag and runs the kernel property tests, the PQ
+# table equivalence test, the SQ kernel differential test and the HNSW
+# snapshot golden against it; `cross` compiles the whole tree for arm64 and
+# vets the kernel packages there (both work offline).
 test-purego:
-	$(GO) test -tags purego ./internal/vec ./internal/index/pq
+	$(GO) test -tags purego ./internal/vec ./internal/index/pq ./internal/index/sq ./internal/index/hnsw
 
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/vec
+	GOARCH=arm64 $(GO) vet ./internal/vec ./internal/index/sq
 
 # The race detector slows the simulation-heavy core suite by an order of
 # magnitude; give it headroom beyond go test's 10m default.

@@ -147,12 +147,12 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	// from 1 so the early graph — where every insertion changes everything —
 	// is built like the sequential algorithm.
 	order := r.Perm(n)
-	serial := index.NewSearchScratch()
-	ix.buildPass(order, 1.0, 1, serial)
-	ix.buildPass(order, cfg.Alpha, index.MaxInsertBatch, serial)
+	ix.buildPass(order, 1.0, 1)
+	ix.buildPass(order, cfg.Alpha, index.MaxInsertBatch)
+	scr := index.NewSearchScratch()
 	for node := range ix.graph {
 		if len(ix.graph[node]) > cfg.R {
-			ix.pruneNode(int32(node), cfg.Alpha, serial)
+			ix.pruneNode(int32(node), cfg.Alpha, scr)
 		}
 	}
 	ix.bind()
@@ -181,20 +181,26 @@ func (ix *Index) bind() {
 }
 
 // buildPass runs one Vamana pass over the given node order: search and prune
-// against the frozen graph in parallel, then apply each node's edits and
-// reverse edges serially (on the serial scratch).
-func (ix *Index) buildPass(order []int, alpha float64, batch int, serial *index.SearchScratch) {
+// against the frozen graph in parallel, then apply the batch's edits on every
+// worker, each worker the edits of the nodes it owns — a node's new list, or a
+// reverse edge into it (with its overflow prune), which read and write only
+// that node's list.
+func (ix *Index) buildPass(order []int, alpha float64, batch int) {
 	index.InsertBatched(len(order), batch,
 		func(i int, scr *index.SearchScratch) []int32 {
 			p := int32(order[i])
 			ix.greedySearchBuild(ix.scorer.QueryRow(int(p)), ix.cfg.LBuild, p, scr)
 			return ix.robustPruneCands(p, scr.Scored, alpha, scr)
 		},
-		func(i int, pruned []int32) {
+		func(i int, pruned []int32, sh index.Shard) {
 			p := int32(order[i])
-			ix.graph[p] = pruned
+			if sh.Owns(p) {
+				ix.graph[p] = pruned
+			}
 			for _, nb := range pruned {
-				ix.addEdge(nb, p, alpha, serial)
+				if sh.Owns(nb) {
+					ix.addEdge(nb, p, alpha, sh.Scr)
+				}
 			}
 		})
 }
@@ -232,14 +238,21 @@ func (ix *Index) addEdge(from, to int32, alpha float64, scr *index.SearchScratch
 	}
 }
 
-// pruneNode robust-prunes a node's current neighbour list back to R.
+// pruneNode robust-prunes a node's current neighbour list back to R,
+// re-scoring the list in one batch.
 func (ix *Index) pruneNode(node int32, alpha float64, scr *index.SearchScratch) {
-	v := ix.scorer.QueryRow(int(node))
-	cands := make([]index.Neighbor, 0, len(ix.graph[node]))
-	for _, e := range ix.graph[node] {
-		cands = append(cands, index.Neighbor{ID: e, Dist: v.Dist(int(e))})
+	nl := ix.graph[node]
+	if cap(scr.Dists) < len(nl) {
+		scr.Dists = make([]float32, len(nl))
+	}
+	dists := scr.Dists[:len(nl)]
+	ix.scorer.QueryRow(int(node)).DistBatch(nl, dists)
+	cands := scr.Scored[:0]
+	for i, e := range nl {
+		cands = append(cands, index.Neighbor{ID: e, Dist: dists[i]})
 	}
 	index.SortNeighbors(cands)
+	scr.Scored = cands
 	ix.graph[node] = ix.robustPruneCands(node, cands, alpha, scr)
 }
 

@@ -76,41 +76,64 @@ func BestFirst(scr *SearchScratch, n int, eps []Neighbor, ef int,
 // MaxInsertBatch caps the batches of InsertBatched.
 const MaxInsertBatch = 64
 
+// Shard is one apply worker of an InsertBatched batch: the nodes it owns —
+// every node is owned by exactly one shard — and that worker's scratch.
+type Shard struct {
+	Scr  *SearchScratch
+	w, n int
+}
+
+// Owns reports whether this shard applies the edits to node's adjacency.
+func (s Shard) Owns(node int32) bool { return int(node)%s.n == s.w }
+
+// Lead reports whether this is the one shard that also applies the edits
+// keyed by no node (HNSW's entry point), which therefore run in item order.
+func (s Shard) Lead() bool { return s.w == 0 }
+
 // InsertBatched is the batched construction scheme of the graph builders
 // (ParlayANN's): items 0..n-1 are taken in batches of batch, doubling up to
 // MaxInsertBatch (a builder whose early graph changes with every insertion
 // starts at 1 and is built like the sequential algorithm there). Within a
 // batch every item's plan — the expensive search and prune — runs in parallel
-// and may only read the graph; then the plans are applied alone, in item
-// order, so the result does not depend on the worker count. A worker's scratch
-// lives for the whole call.
-func InsertBatched[P any](n, batch int, plan func(i int, scr *SearchScratch) P, apply func(i int, p P)) {
+// and may only read the graph. Then every worker calls apply for every item
+// of the batch, in item order, as its Shard, and apply performs only the
+// edits whose node the shard owns: each node's edits run in item order on one
+// worker, and an edit reads only its own node's adjacency plus immutable
+// vectors, so the graph is the serial one bit for bit at any worker count.
+// A worker's scratch lives for the whole call.
+func InsertBatched[P any](n, batch int, plan func(i int, scr *SearchScratch) P, apply func(i int, p P, sh Shard)) {
 	workers := runtime.GOMAXPROCS(0)
 	scratch := make([]*SearchScratch, workers)
 	for w := range scratch {
 		scratch[w] = NewSearchScratch()
 	}
+	// parallel runs f(w, scr) on n workers and waits for them.
+	parallel := func(n int, f func(w int, scr *SearchScratch)) {
+		var wg sync.WaitGroup
+		for w := 0; w < n; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f(w, scratch[w])
+			}()
+		}
+		wg.Wait()
+	}
 	plans := make([]P, MaxInsertBatch)
 	for lo := 0; lo < n; {
 		hi := min(lo+batch, n)
 		chunk := (hi - lo + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; lo+w*chunk < hi; w++ {
-			s := lo + w*chunk
-			e := min(s+chunk, hi)
-			scr := scratch[w]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := s; i < e; i++ {
-					plans[i-lo] = plan(i, scr)
-				}
-			}()
-		}
-		wg.Wait()
-		for i := lo; i < hi; i++ {
-			apply(i, plans[i-lo])
-		}
+		parallel((hi-lo+chunk-1)/chunk, func(w int, scr *SearchScratch) {
+			for i := lo + w*chunk; i < min(lo+(w+1)*chunk, hi); i++ {
+				plans[i-lo] = plan(i, scr)
+			}
+		})
+		parallel(workers, func(w int, scr *SearchScratch) {
+			sh := Shard{Scr: scr, w: w, n: workers}
+			for i := lo; i < hi; i++ {
+				apply(i, plans[i-lo], sh)
+			}
+		})
 		lo = hi
 		if batch < MaxInsertBatch {
 			batch *= 2

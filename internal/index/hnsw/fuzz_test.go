@@ -2,6 +2,8 @@ package hnsw
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -29,6 +31,9 @@ func FuzzReadFrom(f *testing.F) {
 		snapshot := persistBytes(f, ix)
 		f.Add(snapshot)
 		f.Add(snapshot[:len(snapshot)/2])
+		if quantize {
+			f.Add(withSQStep(snapshot, ds.Vectors.Len(), ds.Vectors.Dim, 0, float32(math.NaN())))
+		}
 	}
 	f.Fuzz(func(t *testing.T, snapshot []byte) {
 		var before, after runtime.MemStats
@@ -48,4 +53,39 @@ func FuzzReadFrom(f *testing.F) {
 		}
 		ix.Search(ds.Queries.Row(0), 5, index.SearchOptions{EfSearch: 16})
 	})
+}
+
+// withSQStep returns a copy of an SQ snapshot of n rows of dimension dim
+// whose quantiser step at dimension j is v. The snapshot ends with the step
+// slice (length prefix, dim floats) and the length-prefixed codes.
+func withSQStep(snapshot []byte, n, dim, j int, v float32) []byte {
+	out := bytes.Clone(snapshot)
+	off := len(out) - (8 + n*dim) - 4*dim + 4*j
+	binary.LittleEndian.PutUint32(out[off:], math.Float32bits(v))
+	return out
+}
+
+// TestReadFromRejectsBadQuantizer: a snapshot whose SQ step is NaN, zero or
+// infinite in any dimension is refused with an error naming the package,
+// instead of loading an index whose every distance is NaN.
+func TestReadFromRejectsBadQuantizer(t *testing.T) {
+	ds := dataset.Generate(dataset.Spec{
+		Name: "hnsw-badsq", N: 64, Dim: 8, NumQueries: 1,
+		Clusters: 4, Seed: 41, Metric: vec.Cosine, GroundK: 1,
+	})
+	ix, err := Build(ds.Vectors, nil, Config{M: 4, EfConstruction: 16, Seed: 3, Metric: ds.Spec.Metric, ScalarQuantize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := persistBytes(t, ix)
+	if _, err := ReadFrom(binenc.NewReader(bytes.NewReader(snapshot)), ds.Vectors, nil); err != nil {
+		t.Fatalf("intact snapshot rejected: %v", err)
+	}
+	for _, v := range []float32{float32(math.NaN()), 0, float32(math.Inf(1))} {
+		bad := withSQStep(snapshot, ds.Vectors.Len(), ds.Vectors.Dim, 5, v)
+		_, err := ReadFrom(binenc.NewReader(bytes.NewReader(bad)), ds.Vectors, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "hnsw: sq: ") {
+			t.Errorf("step %v: err = %v, want an hnsw-wrapped sq error", v, err)
+		}
+	}
 }

@@ -91,11 +91,12 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	for row := range ix.levels {
 		ix.levels[row] = ix.randomLevel(r)
 	}
-	// Candidate searches run in parallel against the frozen graph, links are
-	// applied serially (index.InsertBatched); batches grow from 1.
+	// Candidate searches run in parallel against the frozen graph, then every
+	// worker links the rows of the batch into the nodes it owns
+	// (index.InsertBatched); batches grow from 1.
 	index.InsertBatched(data.Len(), 1,
 		func(i int, scr *index.SearchScratch) [][]index.Neighbor { return ix.planInsert(int32(i), scr) },
-		func(i int, selected [][]index.Neighbor) { ix.applyInsert(int32(i), selected) })
+		func(i int, selected [][]index.Neighbor, sh index.Shard) { ix.applyInsert(int32(i), selected, sh) })
 	return ix, nil
 }
 
@@ -110,44 +111,56 @@ func (ix *Index) planInsert(row int32, scr *index.SearchScratch) [][]index.Neigh
 	q := ix.rowQuery(row)
 	top := min(level, ix.maxLevel)
 	selected := make([][]index.Neighbor, top+1)
-	eps := []index.Neighbor{ix.descend(q, level, nil)}
+	eps := []index.Neighbor{ix.descend(q, level, nil, scr)}
 	for l := top; l >= 0; l-- {
 		found := ix.searchLayer(q, eps, ix.cfg.EfConstruction, l, nil, nil, scr)
-		selected[l] = ix.selectHeuristic(found, ix.cfg.M)
+		selected[l] = ix.selectHeuristic(found, ix.cfg.M, scr)
 		eps = found
 	}
 	return selected
 }
 
-// applyInsert links one planned row into the graph.
-func (ix *Index) applyInsert(row int32, selected [][]index.Neighbor) {
+// applyInsert links one planned row into the graph: the shard that owns row
+// writes its lists, the owner of each selected neighbour adds and re-prunes
+// that neighbour's reverse edge, and the lead shard moves the entry point.
+// Every edit touches one node's lists (or, the entry point, none), and a new
+// row's neighbours were found in the frozen graph, so they are never rows of
+// the same batch.
+func (ix *Index) applyInsert(row int32, selected [][]index.Neighbor, sh index.Shard) {
 	level := ix.levels[row]
-	ix.links[row] = make([][]int32, level+1)
-	if ix.entry < 0 {
-		ix.entry = row
-		ix.maxLevel = level
-		return
-	}
-	for l := len(selected) - 1; l >= 0; l-- {
-		ix.links[row][l] = make([]int32, 0, len(selected[l]))
-		for _, n := range selected[l] {
-			ix.links[row][l] = append(ix.links[row][l], n.ID)
-			ix.linkBack(n.ID, row, l)
+	if sh.Owns(row) {
+		ix.links[row] = make([][]int32, level+1)
+		for l, sel := range selected {
+			ids := make([]int32, len(sel))
+			for k, n := range sel {
+				ids[k] = n.ID
+			}
+			ix.links[row][l] = ids
 		}
 	}
-	if level > ix.maxLevel {
+	for l := len(selected) - 1; l >= 0; l-- {
+		for _, n := range selected[l] {
+			if sh.Owns(n.ID) {
+				ix.linkBack(n.ID, row, l, sh.Scr)
+			}
+		}
+	}
+	// maxLevel starts at -1, so the first row becomes the entry.
+	if sh.Lead() && level > ix.maxLevel {
 		ix.maxLevel = level
 		ix.entry = row
 	}
 }
 
-// dist computes the index's working distance between a prepared query and a
-// stored row (quantised when the SQ variant is enabled).
-func (ix *Index) dist(q index.QueryScorer, row int32) float32 {
+// distBatch writes the index's working distance from a prepared query to
+// each listed row into out: exact through the scorer, or over the SQ codes
+// when the SQ variant is enabled.
+func (ix *Index) distBatch(q index.QueryScorer, ids []int32, out []float32) {
 	if ix.quantizer != nil {
-		return ix.quantizer.DistanceAt(q.Vector(), ix.codes, int(row))
+		ix.quantizer.DistanceBatch(q.Vector(), ix.codes, ids, out)
+		return
 	}
-	return q.Dist(int(row))
+	q.DistBatch(ids, out)
 }
 
 // rowQuery prepares stored row i as a query, reusing its cached norm.
@@ -170,63 +183,82 @@ func (ix *Index) maxDegree(level int) int {
 }
 
 // linkBack adds a reverse edge from node to target and re-prunes node's
-// neighbour list if it exceeds the layer cap.
-func (ix *Index) linkBack(node, target int32, level int) {
+// neighbour list if it exceeds the layer cap. It reads and writes only node's
+// list (plus immutable vectors and codes), so reverse edges of different
+// nodes can be applied concurrently.
+func (ix *Index) linkBack(node, target int32, level int, scr *index.SearchScratch) {
 	nl := append(ix.links[node][level], target)
-	cap := ix.maxDegree(level)
-	if len(nl) <= cap {
+	limit := ix.maxDegree(level)
+	if len(nl) <= limit {
 		ix.links[node][level] = nl
 		return
 	}
-	v := ix.rowQuery(node)
-	cands := make([]index.Neighbor, 0, len(nl))
-	for _, nb := range nl {
-		cands = append(cands, index.Neighbor{ID: nb, Dist: ix.dist(v, nb)})
+	growDists(scr, len(nl))
+	dists := scr.Dists[:len(nl)]
+	ix.distBatch(ix.rowQuery(node), nl, dists)
+	cands := scr.Scored[:0]
+	for i, nb := range nl {
+		cands = append(cands, index.Neighbor{ID: nb, Dist: dists[i]})
 	}
 	index.SortNeighbors(cands)
-	pruned := ix.selectHeuristic(cands, cap)
-	out := make([]int32, 0, len(pruned))
-	for _, n := range pruned {
-		out = append(out, n.ID)
+	scr.Scored = cands
+	pruned := ix.selectHeuristic(cands, limit, scr)
+	out := make([]int32, len(pruned))
+	for i, n := range pruned {
+		out[i] = n.ID
 	}
 	ix.links[node][level] = out
 }
 
+// selBatch is how many kept neighbours selectHeuristic scores a candidate
+// against per kernel call: one 4-row group, or one 4-lane SQ group. Most
+// rejections come from the first few kept neighbours, so larger batches cost
+// more wasted distances than they save in calls.
+const selBatch = 4
+
 // selectHeuristic is HNSW's Algorithm 4: scan candidates closest-first and
 // keep one only if it is closer to the query than to every already-kept
-// neighbour, which spreads edges across directions.
-func (ix *Index) selectHeuristic(cands []index.Neighbor, m int) []index.Neighbor {
+// neighbour, which spreads edges across directions. cands are ascending by
+// (Dist, ID) with distinct ids — a layer search's visited set, or a node's
+// list plus a row it cannot hold yet — so a kept flag per position is the
+// kept set. It returns a fresh slice; scr lends the working buffers.
+func (ix *Index) selectHeuristic(cands []index.Neighbor, m int, scr *index.SearchScratch) []index.Neighbor {
 	out := make([]index.Neighbor, 0, m)
-	for _, c := range cands {
+	if cap(scr.Kept) < len(cands) {
+		scr.Kept = make([]bool, len(cands))
+	}
+	kept := scr.Kept[:len(cands)]
+	clear(kept)
+	if n := vec.LaneBlockLen(m, ix.data.Dim); ix.quantizer != nil && len(scr.Lanes) < n {
+		scr.Lanes = make([]float32, n)
+	}
+	growDists(scr, selBatch)
+	dists := scr.Dists[:selBatch]
+	keptIDs := scr.IDs[:0]
+	for i, c := range cands {
 		if len(out) >= m {
 			break
 		}
-		keep := true
-		cv := ix.rowQuery(c.ID)
-		for _, s := range out {
-			if ix.dist(cv, s.ID) < c.Dist {
-				keep = false
-				break
-			}
+		if ix.occluded(c, keptIDs, dists, scr.Lanes) {
+			continue
 		}
-		if keep {
-			out = append(out, c)
+		if ix.quantizer != nil {
+			ix.quantizer.DecodeLane(scr.Lanes, len(out), ix.codes, int(c.ID))
 		}
+		kept[i] = true
+		keptIDs = append(keptIDs, c.ID)
+		out = append(out, c)
 	}
+	scr.IDs = keptIDs
 	// Backfill with the closest remaining candidates if the heuristic was
 	// too aggressive (keeps graphs connected on clustered data).
 	if len(out) < m {
-		have := make(map[int32]bool, len(out))
-		for _, s := range out {
-			have[s.ID] = true
-		}
-		for _, c := range cands {
+		for i, c := range cands {
 			if len(out) >= m {
 				break
 			}
-			if !have[c.ID] {
+			if !kept[i] {
 				out = append(out, c)
-				have[c.ID] = true
 			}
 		}
 		index.SortNeighbors(out)
@@ -234,20 +266,60 @@ func (ix *Index) selectHeuristic(cands []index.Neighbor, m int) []index.Neighbor
 	return out
 }
 
+// occluded reports whether some kept neighbour s is closer to candidate c
+// than the query is, d(c, s) < c.Dist, with c as the scoring side: exact
+// distances through c's DistBatch, or c's full vector against the kept codes
+// decoded into lanes. It scores selBatch kept neighbours per call and stops
+// after the first batch that occludes c.
+func (ix *Index) occluded(c index.Neighbor, kept []int32, dists, lanes []float32) bool {
+	cq := ix.rowQuery(c.ID)
+	for b := 0; b < len(kept); b += selBatch {
+		e := min(b+selBatch, len(kept))
+		ds := dists[:e-b]
+		if ix.quantizer != nil {
+			vec.L2SqLanes(cq.Vector(), lanes[b*ix.data.Dim:vec.LaneBlockLen(e, ix.data.Dim)], ds)
+		} else {
+			cq.DistBatch(kept[b:e], ds)
+		}
+		for _, d := range ds {
+			if d < c.Dist {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// growDists makes scr.Dists hold at least n distances.
+func growDists(scr *index.SearchScratch, n int) {
+	if cap(scr.Dists) < n {
+		scr.Dists = make([]float32, n) //annlint:allow hotalloc -- cap-guarded growth of the scratch distance buffer; steady state reuses its capacity
+	}
+}
+
 // descend walks the layers above level greedily, each to its locally
 // closest node, from the entry point down, and returns where it stopped: the
-// entry point of the layer search at level. stats, when non-nil, receives the
-// distance computations and hops of the walk.
-func (ix *Index) descend(q index.QueryScorer, level int, stats *index.Stats) index.Neighbor {
-	cur := index.Neighbor{ID: ix.entry, Dist: ix.dist(q, ix.entry)}
+// entry point of the layer search at level. Each node's neighbours are scored
+// in one batch, then scanned in list order. stats, when non-nil, receives the
+// distance computations and hops of the walk. scr lends the gather buffers.
+func (ix *Index) descend(q index.QueryScorer, level int, stats *index.Stats, scr *index.SearchScratch) index.Neighbor {
+	scr.IDs = append(scr.IDs[:0], ix.entry)
+	growDists(scr, 1)
+	dists := scr.Dists[:1]
+	ix.distBatch(q, scr.IDs, dists)
+	cur := index.Neighbor{ID: ix.entry, Dist: dists[0]}
 	comps, hops := 1, 0
 	for l := ix.maxLevel; l > level; l-- {
 		for improved := true; improved; hops++ {
 			improved = false
-			for _, nb := range ix.neighbors(cur.ID, l) {
-				comps++
-				if d := ix.dist(q, nb); d < cur.Dist {
-					cur = index.Neighbor{ID: nb, Dist: d}
+			nbs := ix.neighbors(cur.ID, l)
+			growDists(scr, len(nbs))
+			dists := scr.Dists[:len(nbs)]
+			ix.distBatch(q, nbs, dists)
+			comps += len(nbs)
+			for i, nb := range nbs {
+				if dists[i] < cur.Dist {
+					cur = index.Neighbor{ID: nb, Dist: dists[i]}
 					improved = true
 				}
 			}
@@ -273,15 +345,7 @@ func (ix *Index) neighbors(node int32, level int) []int32 {
 func (ix *Index) searchLayer(q index.QueryScorer, eps []index.Neighbor, ef, level int, stats *index.Stats, rec *index.Profile, scr *index.SearchScratch) []index.Neighbor {
 	index.BestFirst(scr, ix.data.Len(), eps, ef,
 		func(id int32) []int32 { return ix.neighbors(id, level) },
-		func(ids []int32, out []float32) {
-			if ix.quantizer == nil {
-				q.DistBatch(ids, out)
-				return
-			}
-			for i, nb := range ids {
-				out[i] = ix.quantizer.DistanceAt(q.Vector(), ix.codes, int(nb))
-			}
-		},
+		func(ids []int32, out []float32) { ix.distBatch(q, ids, out) },
 		func(ids []int32, _ []float32) {
 			comps := len(ids)
 			if stats != nil {
@@ -322,7 +386,7 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	stats := index.Stats{}
 	rec := opts.Recorder
 	qs := ix.scorer.Query(q)
-	eps := [1]index.Neighbor{ix.descend(qs, 0, &stats)}
+	eps := [1]index.Neighbor{ix.descend(qs, 0, &stats, scr)}
 	rec.AddCPU(ix.cost.Dist(ix.data.Dim, stats.DistComps))
 	found := ix.searchLayer(qs, eps[:], ef, 0, &stats, rec, scr)
 	rec.Flush()

@@ -1,6 +1,8 @@
 package hnsw
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"svdbench/internal/dataset"
@@ -174,6 +176,69 @@ func TestSingleVector(t *testing.T) {
 	res := ix.Search([]float32{0.9, 0}, 1, index.SearchOptions{EfSearch: 5})
 	if len(res.IDs) != 1 || res.IDs[0] != 0 {
 		t.Errorf("single-vector search = %+v", res.IDs)
+	}
+}
+
+// TestSelectionCandidatesDistinct: selectHeuristic's kept flags are
+// positional, which stands for a set of ids only because its candidates are
+// distinct — a layer search returns each visited node once, and linkBack
+// appends a row to lists that cannot hold it yet. The test replays a build
+// through the same plan and apply, asserts both at every insertion, and
+// checks that the replay persists the bytes Build did.
+func TestSelectionCandidatesDistinct(t *testing.T) {
+	ds := dataset.Generate(dataset.Spec{
+		Name: "hnsw-distinct", N: 400, Dim: 24, NumQueries: 1,
+		Clusters: 8, Seed: 13, Metric: vec.L2, GroundK: 1,
+	})
+	distinct := func(ns []index.Neighbor) bool {
+		seen := map[int32]bool{}
+		for _, n := range ns {
+			if seen[n.ID] {
+				return false
+			}
+			seen[n.ID] = true
+		}
+		return true
+	}
+	for _, quantize := range []bool{false, true} {
+		cfg := Config{M: 6, EfConstruction: 40, Metric: ds.Spec.Metric, Seed: 2, ScalarQuantize: quantize}
+		built, err := Build(ds.Vectors, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := &Index{
+			cfg: built.cfg, data: built.data, levels: built.levels, mult: built.mult,
+			links: make([][][]int32, ds.Vectors.Len()), entry: -1, maxLevel: -1,
+			cost: built.cost, scorer: built.scorer, quantizer: built.quantizer, codes: built.codes,
+		}
+		index.InsertBatched(ds.Vectors.Len(), 1,
+			func(i int, scr *index.SearchScratch) [][]index.Neighbor {
+				row := int32(i)
+				if ix.entry >= 0 {
+					q := ix.rowQuery(row)
+					eps := []index.Neighbor{ix.descend(q, ix.levels[row], nil, scr)}
+					for l := min(ix.levels[row], ix.maxLevel); l >= 0; l-- {
+						found := ix.searchLayer(q, eps, cfg.EfConstruction, l, nil, nil, scr)
+						if !distinct(found) {
+							t.Errorf("sq=%t row %d level %d: layer search returned a node twice", quantize, row, l)
+						}
+						eps = append([]index.Neighbor(nil), found...)
+					}
+				}
+				selected := ix.planInsert(row, scr)
+				for l, sel := range selected {
+					for _, n := range sel {
+						if slices.Contains(ix.links[n.ID][l], row) {
+							t.Errorf("sq=%t: node %d level %d already links to the row %d being inserted", quantize, n.ID, l, row)
+						}
+					}
+				}
+				return selected
+			},
+			func(i int, selected [][]index.Neighbor, sh index.Shard) { ix.applyInsert(int32(i), selected, sh) })
+		if !bytes.Equal(persistBytes(t, ix), persistBytes(t, built)) {
+			t.Fatalf("sq=%t: replayed build persisted different bytes than Build", quantize)
+		}
 	}
 }
 

@@ -2,6 +2,11 @@ package hnsw
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -102,14 +107,67 @@ func TestSnapshotByteIdentical(t *testing.T) {
 			}
 			return persistBytes(t, ix)
 		}
-		// The batched driver plans against the frozen graph and applies in
-		// order, so the worker count must not show either.
-		a, b, one := snap(4), snap(4), snap(1)
+		// The batched driver plans against the frozen graph and applies each
+		// node's edits in item order, so the worker count must not show.
+		a, b := snap(4), snap(4)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("sq=%t: two builds from the same seed persisted different bytes (%d vs %d)", quantize, len(a), len(b))
 		}
-		if !bytes.Equal(a, one) {
-			t.Fatalf("sq=%t: builds with 4 workers and 1 worker persisted different bytes (%d vs %d)", quantize, len(a), len(one))
+		for _, procs := range []int{1, 2} {
+			if other := snap(procs); !bytes.Equal(a, other) {
+				t.Fatalf("sq=%t: builds with 4 workers and %d persisted different bytes (%d vs %d)", quantize, procs, len(a), len(other))
+			}
 		}
+	}
+}
+
+var updateSnapshots = flag.Bool("update", false, "rewrite testdata/snapshots.golden")
+
+// TestSnapshotGolden pins the bytes HNSW and HNSW-SQ builds persist, as
+// SHA-256 per fixture, for every metric at 768-d and at 37-d (whose d%4 tail
+// the kernels fold in separately). The file was recorded on the scalar
+// builder; any faster construction must reproduce it without -update. Rows
+// are rescaled so L2 and IP see non-unit norms, and every tenth row is
+// stored three times, so the heuristic meets exact distance ties.
+func TestSnapshotGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, dim := range []int{768, 37} {
+		n := 600
+		if dim == 768 {
+			n = 300
+		}
+		ds := dataset.Generate(dataset.Spec{
+			Name: fmt.Sprintf("hnsw-golden-%d", dim), N: n, Dim: dim, NumQueries: 1,
+			Clusters: 8, Seed: 17, Metric: vec.Cosine, GroundK: 1,
+		})
+		for i := 0; i < n; i++ {
+			vec.Scale(ds.Vectors.Row(i), 1+float32(i%5)/4)
+			if i%10 > 0 && i%10 < 3 {
+				ds.Vectors.SetRow(i, ds.Vectors.Row(i-1))
+			}
+		}
+		for _, metric := range []vec.Metric{vec.Cosine, vec.L2, vec.IP} {
+			for _, quantize := range []bool{false, true} {
+				ix, err := Build(ds.Vectors, nil, Config{M: 8, EfConstruction: 48, Seed: 11, Metric: metric, ScalarQuantize: quantize})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&got, "%s dim=%d sq=%t sha256=%x\n", metric, dim, quantize, sha256.Sum256(persistBytes(t, ix)))
+			}
+		}
+	}
+	path := filepath.Join("testdata", "snapshots.golden")
+	if *updateSnapshots {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("snapshots drifted from %s\n--- got\n%s--- want\n%s", path, got.Bytes(), want)
 	}
 }

@@ -76,6 +76,18 @@ func benchData() (*dataset.Dataset, Config) {
 // candidate searches, heuristic selection and back-linking.
 func BenchmarkBuild500x768(b *testing.B) {
 	ds, cfg := benchData()
+	benchBuild(b, ds, cfg)
+}
+
+// BenchmarkBuildSQ500x768 is BenchmarkBuild500x768 for HNSW-SQ: training and
+// encoding, then the same build scored over the codes.
+func BenchmarkBuildSQ500x768(b *testing.B) {
+	ds, cfg := benchData()
+	cfg.ScalarQuantize = true
+	benchBuild(b, ds, cfg)
+}
+
+func benchBuild(b *testing.B, ds *dataset.Dataset, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

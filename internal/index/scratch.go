@@ -46,9 +46,15 @@ type SearchScratch struct {
 	Dists []float32
 	// Neighbors receives drained heap contents (ascending order).
 	Neighbors []Neighbor
-	// Scored collects every (id, dist) a Vamana build-time search scored:
-	// RobustPrune's candidate list.
+	// Scored is a build-time prune's candidate list: every (id, dist) a
+	// Vamana build search scored, or the over-full neighbour list a reverse
+	// edge re-prunes.
 	Scored []Neighbor
+	// Kept and Lanes belong to HNSW's neighbour selection: a kept flag per
+	// candidate position, and for HNSW-SQ the kept neighbours decoded into a
+	// vec lane block.
+	Kept  []bool
+	Lanes []float32
 	// Nav holds SPANN's centroid-navigation result between queries.
 	Nav Result
 	// Cells receives IVF's probe order (closest cell first).

@@ -96,19 +96,30 @@ func (q *Quantizer) Decode(code []byte) []float32 {
 }
 
 // DistanceL2Sq computes squared Euclidean distance between a full-precision
-// query and a code without materialising the decoded vector.
+// query and a code without materialising the decoded vector: vec.SQL2Sq, the
+// serial chain every batch form below reproduces bit for bit.
 func (q *Quantizer) DistanceL2Sq(query []float32, code []byte) float32 {
-	var s float32
-	for j, c := range code {
-		d := query[j] - (q.min[j] + float32(c)*q.scale[j])
-		s += d * d
-	}
-	return s
+	return vec.SQL2Sq(query, q.min, q.scale, code)
 }
 
 // DistanceAt scores code i inside a packed code array.
 func (q *Quantizer) DistanceAt(query []float32, codes []byte, i int) float32 {
 	return q.DistanceL2Sq(query, codes[i*q.dim:(i+1)*q.dim])
+}
+
+// DistanceBatch writes DistanceAt(query, codes, ids[i]) into out[i], four
+// codes per kernel pass, each bit-identical to the scalar call.
+//
+//annlint:hotpath
+func (q *Quantizer) DistanceBatch(query []float32, codes []byte, ids []int32, out []float32) {
+	vec.SQL2SqBatch(query, q.min, q.scale, codes, ids, out)
+}
+
+// DecodeLane decodes code i of a packed code array into the given lane of a
+// vec lane block (vec.LaneBlockLen). vec.L2SqLanes then scores a query
+// against the lane bit-identically to DistanceAt on that code.
+func (q *Quantizer) DecodeLane(block []float32, lane int, codes []byte, i int) {
+	vec.SQDecodeLane(block, q.min, q.scale, codes[i*q.dim:(i+1)*q.dim], lane)
 }
 
 // MemoryBytes reports the codec's parameter footprint.

@@ -90,3 +90,61 @@ func l2sqRows(q, rows, out []float32) {
 		}
 	}
 }
+
+// The SQ kernels (sq.go): sqL2Sq4SSE runs the serial chain of four gathered
+// codes over the d&^3 prefix, one code per lane, and the wrapper continues
+// each lane's chain through the remainder. l2sqLanesSSE scores groups
+// consecutive 4-lane groups of a lane block; it needs d >= 1.
+//
+//go:noescape
+func sqL2Sq4SSE(x, lo, step *float32, c0, c1, c2, c3 *byte, n int) (d0, d1, d2, d3 float32)
+
+//go:noescape
+func l2sqLanesSSE(x, block, out *float32, d, groups int)
+
+// sqL2SqBatch is SQL2SqBatch four ids per kernel call; a remainder of one to
+// three ids is padded with its last id.
+func sqL2SqBatch(x, lo, step []float32, codes []byte, ids []int32, out []float32) {
+	d, n := len(x), len(ids)
+	if d < 4 {
+		sqL2SqBatchGo(x, lo, step, codes, ids, out)
+		return
+	}
+	code := func(id int32) []byte { return codes[int(id)*d : (int(id)+1)*d : (int(id)+1)*d] }
+	last := n - 1
+	for i := 0; i < n; i += 4 {
+		var t [4]float32
+		t[0], t[1], t[2], t[3] = sqL2Sq4(x, lo, step,
+			code(ids[i]), code(ids[min(i+1, last)]), code(ids[min(i+2, last)]), code(ids[min(i+3, last)]))
+		copy(out[i:], t[:])
+	}
+}
+
+func sqL2Sq4(x, lo, step []float32, c0, c1, c2, c3 []byte) (d0, d1, d2, d3 float32) {
+	n := len(x)
+	lo, step = lo[:n:n], step[:n:n]
+	_, _, _, _ = c0[n-1], c1[n-1], c2[n-1], c3[n-1]
+	d0, d1, d2, d3 = sqL2Sq4SSE(&x[0], &lo[0], &step[0], &c0[0], &c1[0], &c2[0], &c3[0], n)
+	for j := n &^ 3; j < n; j++ {
+		t := x[j] - (lo[j] + float32(c0[j])*step[j])
+		d0 += t * t
+		t = x[j] - (lo[j] + float32(c1[j])*step[j])
+		d1 += t * t
+		t = x[j] - (lo[j] + float32(c2[j])*step[j])
+		d2 += t * t
+		t = x[j] - (lo[j] + float32(c3[j])*step[j])
+		d3 += t * t
+	}
+	return d0, d1, d2, d3
+}
+
+// l2sqLanes scores the len(out)/4 whole groups of block.
+func l2sqLanes(x, block, out []float32) {
+	d := len(x)
+	if d == 0 || len(out) == 0 {
+		l2sqLanesGo(x, block, out)
+		return
+	}
+	_ = block[len(out)*d-1]
+	l2sqLanesSSE(&x[0], &block[0], &out[0], d, len(out)/4)
+}

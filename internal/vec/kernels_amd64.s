@@ -140,3 +140,123 @@ TEXT ·dotRowsSSE(SB), NOSPLIT, $0-40
 // func l2sqRowsSSE(q, rows, out *float32, d, groups int)
 TEXT ·l2sqRowsSSE(SB), NOSPLIT, $0-40
 	ROWS4(L2SQ_ROW)
+
+// SQ kernels (sq.go). The contract is different from the one above: an SQ
+// distance is ONE serial chain over the dimensions, s += (x−(lo+c·step))², so
+// a chain is never split across lanes. Lanes are codes instead: lane i of an
+// accumulator is code i's s, and every packed step below is the scalar
+// step's operation on the scalar step's operands (MULPS/ADDPS/SUBPS round
+// per lane exactly like MULSS/ADDSS/SUBSS), so lane i ends bit-identical to
+// the scalar loop. The subtraction keeps the scalar operand order, x − r.
+
+// One dimension of sqL2Sq4SSE: codes holds the four codes' values at the
+// dimension as floats, k selects the dimension's lane of X8 (lo), X9 (step)
+// and X10 (x); X0 += (x − (c·step + lo))² lane-wise.
+#define SQ_DIM(codes, k) \
+	PSHUFD k, X9, X11;  \
+	MULPS  X11, codes;  \
+	PSHUFD k, X8, X11;  \
+	ADDPS  X11, codes;  \
+	PSHUFD k, X10, X11; \
+	SUBPS  codes, X11;  \
+	MULPS  X11, X11;    \
+	ADDPS  X11, X0
+
+// func sqL2Sq4SSE(x, lo, step *float32, c0, c1, c2, c3 *byte, n int) (d0, d1, d2, d3 float32)
+//
+// Four dimensions per iteration: the four codes' bytes j..j+3 are loaded as
+// one dword each, transposed (PUNPCKLBW/PUNPCKLWL) so that byte 4k+i is code
+// i at dimension j+k, zero-extended to dwords and converted to floats, one
+// register per dimension. AX = x, BX = lo, CX = step, DX/SI/DI/R8 = codes,
+// R9 = n&^3, R10 = j, X7 = 0. Callers guarantee n >= 4.
+TEXT ·sqL2Sq4SSE(SB), NOSPLIT, $0-80
+	MOVQ  x+0(FP), AX
+	MOVQ  lo+8(FP), BX
+	MOVQ  step+16(FP), CX
+	MOVQ  c0+24(FP), DX
+	MOVQ  c1+32(FP), SI
+	MOVQ  c2+40(FP), DI
+	MOVQ  c3+48(FP), R8
+	MOVQ  n+56(FP), R9
+	ANDQ  $~3, R9
+	XORPS X0, X0
+	PXOR  X7, X7
+	XORQ  R10, R10
+
+sqloop:
+	MOVSS     (DX)(R10*1), X1
+	MOVSS     (SI)(R10*1), X2
+	MOVSS     (DI)(R10*1), X3
+	MOVSS     (R8)(R10*1), X4
+	PUNPCKLBW X2, X1        // a0 b0 a1 b1 a2 b2 a3 b3
+	PUNPCKLBW X4, X3        // c0 e0 c1 e1 c2 e2 c3 e3
+	PUNPCKLWL X3, X1        // a0 b0 c0 e0 a1 b1 c1 e1 ... a3 b3 c3 e3
+	MOVO      X1, X3
+	PUNPCKLBW X7, X1        // words, dimensions j and j+1
+	PUNPCKHBW X7, X3        // words, dimensions j+2 and j+3
+	MOVO      X1, X2
+	PUNPCKLWL X7, X1
+	PUNPCKHWL X7, X2
+	MOVO      X3, X4
+	PUNPCKLWL X7, X3
+	PUNPCKHWL X7, X4
+	CVTPL2PS  X1, X1
+	CVTPL2PS  X2, X2
+	CVTPL2PS  X3, X3
+	CVTPL2PS  X4, X4
+	MOVUPS    (BX)(R10*4), X8
+	MOVUPS    (CX)(R10*4), X9
+	MOVUPS    (AX)(R10*4), X10
+	SQ_DIM(X1, $0x00)
+	SQ_DIM(X2, $0x55)
+	SQ_DIM(X3, $0xAA)
+	SQ_DIM(X4, $0xFF)
+	ADDQ      $4, R10
+	CMPQ      R10, R9
+	JLT       sqloop
+
+	MOVSS  X0, d0+64(FP)
+	SHUFPS $0x39, X0, X0
+	MOVSS  X0, d1+68(FP)
+	SHUFPS $0x39, X0, X0
+	MOVSS  X0, d2+72(FP)
+	SHUFPS $0x39, X0, X0
+	MOVSS  X0, d3+76(FP)
+	RET
+
+// func l2sqLanesSSE(x, block, out *float32, d, groups int)
+//
+// One group per pass, one accumulator: lane i of X0 is lane i's chain.
+// AX = x, BX walks the block 16 bytes per dimension, DI = out, R8 = d,
+// R9 = groups left, R10 = j.
+TEXT ·l2sqLanesSSE(SB), NOSPLIT, $0-40
+	MOVQ  x+0(FP), AX
+	MOVQ  block+8(FP), BX
+	MOVQ  out+16(FP), DI
+	MOVQ  d+24(FP), R8
+	MOVQ  groups+32(FP), R9
+	TESTQ R9, R9
+	JZ    done
+
+group:
+	XORPS X0, X0
+	XORQ  R10, R10
+
+lanes:
+	MOVSS  (AX)(R10*4), X4
+	SHUFPS $0x00, X4, X4
+	MOVUPS (BX), X5
+	SUBPS  X5, X4
+	MULPS  X4, X4
+	ADDPS  X4, X0
+	ADDQ   $16, BX
+	INCQ   R10
+	CMPQ   R10, R8
+	JLT    lanes
+	MOVUPS X0, (DI)
+	ADDQ   $16, DI
+	DECQ   R9
+	JNZ    group
+
+done:
+	RET
