@@ -2,7 +2,10 @@ package diskann
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -139,6 +142,54 @@ func TestGreedySearchBuildZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("build-time search allocates %.1f times on a warmed scratch, want 0", allocs)
+	}
+}
+
+// TestSnapshotGolden pins the VAMA0001 snapshot Build persists, as SHA-256 per
+// fixture, for every metric at 768-d and at 37-d (whose d%4 tail the kernels
+// fold in separately): IP is the metric whose alpha is not squared. The file
+// was recorded on the star-form RobustPrune; any other prune loop must
+// reproduce it without -update. Rows are rescaled so L2 and IP see non-unit
+// norms, and every tenth row is stored three times, so the prune meets exact
+// distance ties.
+func TestSnapshotGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, dim := range []int{768, 37} {
+		n := 600
+		if dim == 768 {
+			n = 300
+		}
+		ds := dataset.Generate(dataset.Spec{
+			Name: fmt.Sprintf("diskann-golden-%d", dim), N: n, Dim: dim, NumQueries: 1,
+			Clusters: 8, Seed: 17, Metric: vec.Cosine, GroundK: 1,
+		})
+		for i := 0; i < n; i++ {
+			vec.Scale(ds.Vectors.Row(i), 1+float32(i%5)/4)
+			if i%10 > 0 && i%10 < 3 {
+				ds.Vectors.SetRow(i, ds.Vectors.Row(i-1))
+			}
+		}
+		for _, metric := range []vec.Metric{vec.Cosine, vec.L2, vec.IP} {
+			ix, err := Build(ds.Vectors, nil, Config{R: 16, LBuild: 40, Seed: 11, Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%s dim=%d sha256=%x\n", metric, dim, snapshotSum(t, ix))
+		}
+	}
+	path := filepath.Join("testdata", "snapshots.golden")
+	if *updateGoldens {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("snapshots drifted from %s\n--- got\n%s--- want\n%s", path, got.Bytes(), want)
 	}
 }
 

@@ -150,9 +150,10 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	ix.buildPass(order, 1.0, 1)
 	ix.buildPass(order, cfg.Alpha, index.MaxInsertBatch)
 	scr := index.NewSearchScratch()
-	for node := range ix.graph {
-		if len(ix.graph[node]) > cfg.R {
-			ix.pruneNode(int32(node), cfg.Alpha, scr)
+	prune := ix.robustPrune(cfg.Alpha, scr)
+	for node, nl := range ix.graph {
+		if len(nl) > cfg.R {
+			ix.graph[node] = index.Reprune(scr, nl, cfg.R, ix.scorer.QueryRow(node).DistBatch, prune)
 		}
 	}
 	ix.bind()
@@ -190,7 +191,7 @@ func (ix *Index) buildPass(order []int, alpha float64, batch int) {
 		func(i int, scr *index.SearchScratch) []int32 {
 			p := int32(order[i])
 			ix.greedySearchBuild(ix.scorer.QueryRow(int(p)), ix.cfg.LBuild, p, scr)
-			return ix.robustPruneCands(p, scr.Scored, alpha, scr)
+			return ix.robustPrune(alpha, scr)(scr.Scored, ix.cfg.R)
 		},
 		func(i int, pruned []int32, sh index.Shard) {
 			p := int32(order[i])
@@ -222,38 +223,14 @@ func (ix *Index) computeMedoid() int32 {
 	return best
 }
 
-// addEdge inserts an edge from→to. To keep construction tractable the
-// degree is allowed to overflow to 2R before a robust prune compacts it back
-// to R (the batched reverse-edge pruning used by production Vamana builds);
-// a final prune pass at the end of Build enforces the bound everywhere.
+// addEdge inserts an edge from→to (index.Relink). To keep construction
+// tractable the degree is allowed to overflow to 2R before a robust prune
+// compacts it back to R (the batched reverse-edge pruning used by production
+// Vamana builds); a final prune pass at the end of Build enforces the bound
+// everywhere.
 func (ix *Index) addEdge(from, to int32, alpha float64, scr *index.SearchScratch) {
-	for _, e := range ix.graph[from] {
-		if e == to {
-			return
-		}
-	}
-	ix.graph[from] = append(ix.graph[from], to)
-	if len(ix.graph[from]) > 2*ix.cfg.R {
-		ix.pruneNode(from, alpha, scr)
-	}
-}
-
-// pruneNode robust-prunes a node's current neighbour list back to R,
-// re-scoring the list in one batch.
-func (ix *Index) pruneNode(node int32, alpha float64, scr *index.SearchScratch) {
-	nl := ix.graph[node]
-	if cap(scr.Dists) < len(nl) {
-		scr.Dists = make([]float32, len(nl))
-	}
-	dists := scr.Dists[:len(nl)]
-	ix.scorer.QueryRow(int(node)).DistBatch(nl, dists)
-	cands := scr.Scored[:0]
-	for i, e := range nl {
-		cands = append(cands, index.Neighbor{ID: e, Dist: dists[i]})
-	}
-	index.SortNeighbors(cands)
-	scr.Scored = cands
-	ix.graph[node] = ix.robustPruneCands(node, cands, alpha, scr)
+	ix.graph[from] = index.Relink(scr, ix.graph[from], to, 2*ix.cfg.R, ix.cfg.R,
+		ix.scorer.QueryRow(int(from)).DistBatch, ix.robustPrune(alpha, scr))
 }
 
 // greedySearchBuild is the construction-time full-precision greedy search:
@@ -296,50 +273,24 @@ func (ix *Index) occlusionAlpha(alpha float64) float64 {
 	return alpha * alpha
 }
 
-// robustPruneCands implements Vamana's RobustPrune over a candidate set
-// sorted ascending by (Dist, ID); it compacts cands in place. Each star
-// scores all candidates still alive behind it with one DistBatch (bit-
-// identical to per-pair Dist by Scorer's contract), so the occlusion loop —
-// most of a build — runs on the 4-row kernels. scr lends the gather buffers
-// (cands may be its Scored list; the search that filled it is over).
-func (ix *Index) robustPruneCands(p int32, cands []index.Neighbor, alpha float64, scr *index.SearchScratch) []int32 {
+// robustPrune returns Vamana's RobustPrune at alpha in the shape
+// index.Relink takes: index.Prune over a node p's candidates (ascending by
+// (Dist, ID), never p itself) cut to maxOcclusion, dropping c once a kept s
+// has alpha·d(s, c) ≤ d(p, c). A NaN distance never occludes. Each candidate
+// scores the kept set through its own DistBatch, bit-identical to d(s, c) by
+// the metrics' symmetry and Scorer's contract. scr lends the working buffers
+// (cands may be its Scored list; the search or re-score that filled it is
+// over).
+func (ix *Index) robustPrune(alpha float64, scr *index.SearchScratch) func(cands []index.Neighbor, m int) []int32 {
 	alpha = ix.occlusionAlpha(alpha)
-	if len(cands) > maxOcclusion {
-		cands = cands[:maxOcclusion]
-	}
-	if cap(scr.IDs) < len(cands) {
-		scr.IDs = make([]int32, len(cands))
-	}
-	if cap(scr.Dists) < len(cands) {
-		scr.Dists = make([]float32, len(cands))
-	}
-	out := make([]int32, 0, ix.cfg.R)
-	for len(cands) > 0 {
-		star := cands[0]
-		cands = cands[1:]
-		if star.ID == p {
-			continue
+	return func(cands []index.Neighbor, m int) []int32 {
+		if len(cands) > maxOcclusion {
+			cands = cands[:maxOcclusion]
 		}
-		out = append(out, star.ID)
-		if len(out) == ix.cfg.R {
-			break
-		}
-		ids, dists := scr.IDs[:len(cands)], scr.Dists[:len(cands)]
-		for j, c := range cands {
-			ids[j] = c.ID
-		}
-		ix.scorer.QueryRow(int(star.ID)).DistBatch(ids, dists)
-		alive := cands[:0]
-		for j, c := range cands {
-			// Occluded when alpha·d(star, c) <= d(p, c); the negated form
-			// keeps a NaN distance alive, where > would drop it.
-			if !(alpha*float64(dists[j]) <= float64(c.Dist)) {
-				alive = append(alive, c)
-			}
-		}
-		cands = alive
+		return index.Prune(scr, cands, m,
+			func(c int32, _ int, kept []int32, out []float32) { ix.scorer.QueryRow(int(c)).DistBatch(kept, out) },
+			func(d float32, c index.Neighbor) bool { return alpha*float64(d) <= float64(c.Dist) })
 	}
-	return out
 }
 
 // AssignPages lays the graph out on storage: node i occupies pagesPerNode

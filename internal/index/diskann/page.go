@@ -502,10 +502,8 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 				scr.IDs = append(scr.IDs, row)
 			}
 		}
-		if cap(scr.Dists) < len(scr.IDs) {
-			scr.Dists = make([]float32, len(scr.IDs)) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
-		}
-		memberDists := scr.Dists[:len(scr.IDs)]
+		scr.Dists = index.Grow(scr.Dists, len(scr.IDs))
+		memberDists := scr.Dists
 		qs.DistBatch(scr.IDs, memberDists)
 		pqThisIter = 0
 		j := 0

@@ -17,7 +17,7 @@ import (
 	"svdbench/internal/vec"
 )
 
-var updateProfiles = flag.Bool("update", false, "rewrite testdata/profiles.golden")
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/profiles.golden and testdata/snapshots.golden")
 
 // profileIndex is one golden fixture: external ids differ from rows and the
 // storage regions start at a non-zero base, so a kernel that confuses rows
@@ -153,7 +153,7 @@ func TestProfilesGolden(t *testing.T) {
 		}
 	}
 	path := filepath.Join("testdata", "profiles.golden")
-	if *updateProfiles {
+	if *updateGoldens {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

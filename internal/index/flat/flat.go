@@ -78,9 +78,7 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	n := ix.data.Len()
 	comps := 0
 	qs := ix.scorer.Query(q)
-	if cap(scr.Dists) < scanChunk {
-		scr.Dists = make([]float32, scanChunk) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
-	}
+	scr.Dists = index.Grow(scr.Dists, scanChunk)
 	for lo := 0; lo < n; lo += scanChunk {
 		hi := min(lo+scanChunk, n)
 		if opts.Filter == nil {

@@ -1,10 +1,12 @@
-// The graph toolkit: the one in-memory best-first traversal and the one
-// batched-insert driver that HNSW search, HNSW build and Vamana build share
-// (DESIGN.md "Graph toolkit").
+// The graph toolkit: the one in-memory best-first traversal, the one
+// neighbour-selection rule and reverse-edge step, and the one batched-insert
+// driver that HNSW search, HNSW build and Vamana build share (DESIGN.md
+// "Graph toolkit").
 package index
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -55,10 +57,8 @@ func BestFirst(scr *SearchScratch, n int, eps []Neighbor, ef int,
 			scr.Visited.Add(nb)
 			scr.IDs = append(scr.IDs, nb)
 		}
-		if cap(scr.Dists) < len(scr.IDs) {
-			scr.Dists = make([]float32, len(scr.IDs)) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
-		}
-		dists := scr.Dists[:len(scr.IDs)]
+		scr.Dists = Grow(scr.Dists, len(scr.IDs))
+		dists := scr.Dists
 		score(scr.IDs, dists)
 		for i, nb := range scr.IDs {
 			if d := dists[i]; results.Len() < ef || d < results.Peek().Dist {
@@ -71,6 +71,84 @@ func BestFirst(scr *SearchScratch, n int, eps []Neighbor, ef int,
 		}
 	}
 	scr.Neighbors = results.DrainAscending(scr.Neighbors[:0])
+}
+
+// selBatch is how many kept neighbours Prune scores a candidate against per
+// call: one 4-row group, or one 4-lane SQ group. Most rejections come from
+// the first few kept neighbours, so larger batches cost more wasted
+// distances than they save in calls.
+const selBatch = 4
+
+// Prune is the occlusion rule both graph builders select neighbours with:
+// HNSW's Algorithm 4 and Vamana's RobustPrune. It walks cands — ascending by
+// (Dist, ID), distinct ids — closest-first and keeps a candidate c unless an
+// already-kept one occludes it, until m are kept. score(c, lo, kept, out)
+// writes d(c, kept[i]) into out[i], where kept are the kept ids from
+// position lo on, selBatch per call; c is dropped after the first batch in
+// which occludes(d, c) holds for some d.
+//
+// Prune marks the kept positions of cands in scr.Kept and returns the kept
+// ids, closest first, in a fresh slice of capacity m. scr.Dists is its
+// distance buffer.
+func Prune(scr *SearchScratch, cands []Neighbor, m int,
+	score func(c int32, lo int, kept []int32, out []float32),
+	occludes func(d float32, c Neighbor) bool) []int32 {
+	kept := make([]int32, 0, m)
+	scr.Kept = Grow(scr.Kept, len(cands))
+	clear(scr.Kept)
+	scr.Dists = Grow(scr.Dists, selBatch)
+next:
+	for i, c := range cands {
+		if len(kept) == m {
+			break
+		}
+		for lo := 0; lo < len(kept); lo += selBatch {
+			ds := scr.Dists[:min(selBatch, len(kept)-lo)]
+			score(c.ID, lo, kept[lo:lo+len(ds)], ds)
+			for _, d := range ds {
+				if occludes(d, c) {
+					continue next
+				}
+			}
+		}
+		scr.Kept[i] = true
+		kept = append(kept, c.ID)
+	}
+	return kept
+}
+
+// Relink adds target to a node's neighbour list, the reverse of an edge a
+// new node links: the apply step of both graph builders. A list that
+// already holds target is returned unchanged; otherwise target is appended,
+// and once the list is longer than over it is re-scored and re-pruned to m
+// (Reprune).
+func Relink(scr *SearchScratch, list []int32, target int32, over, m int,
+	rescore func(ids []int32, out []float32),
+	prune func(cands []Neighbor, m int) []int32) []int32 {
+	if slices.Contains(list, target) {
+		return list
+	}
+	list = append(list, target)
+	if len(list) <= over {
+		return list
+	}
+	return Reprune(scr, list, m, rescore, prune)
+}
+
+// Reprune re-scores a node's neighbour list from the node in one batch
+// (rescore writes the distance of every listed id into out), sorts it into
+// scr.Scored by (Dist, ID) and returns prune's selection of at most m of it.
+func Reprune(scr *SearchScratch, list []int32, m int,
+	rescore func(ids []int32, out []float32),
+	prune func(cands []Neighbor, m int) []int32) []int32 {
+	scr.Dists = Grow(scr.Dists, len(list))
+	rescore(list, scr.Dists)
+	scr.Scored = scr.Scored[:0]
+	for i, id := range list {
+		scr.Scored = append(scr.Scored, Neighbor{ID: id, Dist: scr.Dists[i]})
+	}
+	SortNeighbors(scr.Scored)
+	return prune(scr.Scored, m)
 }
 
 // MaxInsertBatch caps the batches of InsertBatched.

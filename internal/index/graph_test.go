@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -105,5 +106,120 @@ func TestInsertBatchedContract(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// pruneCall is one score call Prune made: the candidate, the position of the
+// first kept id scored, and the kept ids scored.
+type pruneCall struct {
+	c   int32
+	lo  int
+	ids []int32
+}
+
+// TestPruneContract runs Prune over random candidate lists and a random
+// pair-distance table whose values, like the candidates' own distances, come
+// from four levels, so ties between d(c, s) and c.Dist are common. Under
+// both a strict and a non-strict occlusion rule it checks the kept ids and
+// flags against the definition (a candidate is kept iff no earlier-kept one
+// occludes it, until m are kept), the fresh slice's capacity, and every
+// score call: each candidate scores the kept set selBatch ids at a time, in
+// order, and stops after the first batch holding an occluder.
+func TestPruneContract(t *testing.T) {
+	const n = 40
+	r := rand.New(rand.NewSource(3))
+	var pair [n][n]float32
+	for i := range pair {
+		for j := range pair[i] {
+			pair[i][j] = float32(r.Intn(4))
+		}
+	}
+	scr := NewSearchScratch()
+	for trial := 0; trial < 300; trial++ {
+		cands := make([]Neighbor, 0, n)
+		for _, id := range r.Perm(n)[:1+r.Intn(n-1)] {
+			cands = append(cands, Neighbor{ID: int32(id), Dist: float32(r.Intn(4))})
+		}
+		SortNeighbors(cands)
+		m := 1 + r.Intn(len(cands)+3)
+		strict := trial%2 == 0
+		occludes := func(d float32, c Neighbor) bool { return d < c.Dist || !strict && d == c.Dist }
+		var calls []pruneCall
+		got := Prune(scr, cands, m,
+			func(c int32, lo int, kept []int32, out []float32) {
+				calls = append(calls, pruneCall{c, lo, slices.Clone(kept)})
+				for i, s := range kept {
+					out[i] = pair[c][s]
+				}
+			}, occludes)
+
+		var want []int32
+		var wantCalls []pruneCall
+		for i, c := range cands {
+			if len(want) == m {
+				break
+			}
+			first := -1 // position of the first kept occluder
+			for j, s := range want {
+				if occludes(pair[c.ID][s], c) {
+					first = j
+					break
+				}
+			}
+			last := len(want) // scored positions end here
+			if first >= 0 {
+				last = min(len(want), first/selBatch*selBatch+selBatch)
+			}
+			for lo := 0; lo < last; lo += selBatch {
+				wantCalls = append(wantCalls, pruneCall{c.ID, lo, slices.Clone(want[lo:min(lo+selBatch, last)])})
+			}
+			if scr.Kept[i] != (first < 0) {
+				t.Fatalf("trial %d: kept flag %d is %t", trial, i, scr.Kept[i])
+			}
+			if first < 0 {
+				want = append(want, c.ID)
+			}
+		}
+		if !slices.Equal(got, want) || cap(got) != m {
+			t.Fatalf("trial %d (m %d, strict %t): kept %v (cap %d), want %v", trial, m, strict, got, cap(got), want)
+		}
+		if !slices.EqualFunc(calls, wantCalls, func(a, b pruneCall) bool {
+			return a.c == b.c && a.lo == b.lo && slices.Equal(a.ids, b.ids)
+		}) {
+			t.Fatalf("trial %d (m %d, strict %t): score calls\n got %v\nwant %v", trial, m, strict, calls, wantCalls)
+		}
+	}
+}
+
+// TestRelink: a list that already holds the target comes back as it was; a
+// list that stays within over just grows; a list that outgrows over is
+// re-scored in one call and handed to prune sorted by (Dist, ID), with m.
+func TestRelink(t *testing.T) {
+	scr := NewSearchScratch()
+	dist := func(ids []int32, out []float32) {
+		for i, id := range ids {
+			out[i] = float32(id % 3)
+		}
+	}
+	noPrune := func([]Neighbor, int) []int32 { t.Fatal("pruned a list within its bound"); return nil }
+	list := []int32{7, 5}
+	if got := Relink(scr, list, 5, 2, 2, dist, noPrune); !slices.Equal(got, list) {
+		t.Fatalf("duplicate target changed the list to %v", got)
+	}
+	list = Relink(scr, list, 4, 3, 2, dist, noPrune)
+	if !slices.Equal(list, []int32{7, 5, 4}) {
+		t.Fatalf("append within bound gave %v", list)
+	}
+	var pruned []Neighbor
+	got := Relink(scr, list, 6, 3, 2, dist, func(cands []Neighbor, m int) []int32 {
+		pruned = slices.Clone(cands)
+		if m != 2 {
+			t.Errorf("prune got m %d, want 2", m)
+		}
+		return []int32{6, 4}
+	})
+	want := []Neighbor{{ID: 6, Dist: 0}, {ID: 4, Dist: 1}, {ID: 7, Dist: 1}, {ID: 5, Dist: 2}}
+	if !slices.Equal(pruned, want) || !slices.Equal(got, []int32{6, 4}) {
+		t.Fatalf("overflow pruned %v into %v, want %v into [6 4]", pruned, got, want)
 	}
 }

@@ -95,26 +95,26 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	// worker links the rows of the batch into the nodes it owns
 	// (index.InsertBatched); batches grow from 1.
 	index.InsertBatched(data.Len(), 1,
-		func(i int, scr *index.SearchScratch) [][]index.Neighbor { return ix.planInsert(int32(i), scr) },
-		func(i int, selected [][]index.Neighbor, sh index.Shard) { ix.applyInsert(int32(i), selected, sh) })
+		func(i int, scr *index.SearchScratch) [][]int32 { return ix.planInsert(int32(i), scr) },
+		func(i int, selected [][]int32, sh index.Shard) { ix.applyInsert(int32(i), selected, sh) })
 	return ix, nil
 }
 
 // planInsert computes, against the frozen graph, the selected neighbours of
 // one row per layer (nil for the very first node). scr is the calling
 // worker's scratch.
-func (ix *Index) planInsert(row int32, scr *index.SearchScratch) [][]index.Neighbor {
+func (ix *Index) planInsert(row int32, scr *index.SearchScratch) [][]int32 {
 	if ix.entry < 0 || ix.entry == row {
 		return nil
 	}
 	level := ix.levels[row]
 	q := ix.rowQuery(row)
 	top := min(level, ix.maxLevel)
-	selected := make([][]index.Neighbor, top+1)
+	selected := make([][]int32, top+1)
 	eps := []index.Neighbor{ix.descend(q, level, nil, scr)}
 	for l := top; l >= 0; l-- {
 		found := ix.searchLayer(q, eps, ix.cfg.EfConstruction, l, nil, nil, scr)
-		selected[l] = ix.selectHeuristic(found, ix.cfg.M, scr)
+		selected[l] = ix.selectNeighbors(found, ix.cfg.M, scr)
 		eps = found
 	}
 	return selected
@@ -126,22 +126,16 @@ func (ix *Index) planInsert(row int32, scr *index.SearchScratch) [][]index.Neigh
 // Every edit touches one node's lists (or, the entry point, none), and a new
 // row's neighbours were found in the frozen graph, so they are never rows of
 // the same batch.
-func (ix *Index) applyInsert(row int32, selected [][]index.Neighbor, sh index.Shard) {
+func (ix *Index) applyInsert(row int32, selected [][]int32, sh index.Shard) {
 	level := ix.levels[row]
 	if sh.Owns(row) {
 		ix.links[row] = make([][]int32, level+1)
-		for l, sel := range selected {
-			ids := make([]int32, len(sel))
-			for k, n := range sel {
-				ids[k] = n.ID
-			}
-			ix.links[row][l] = ids
-		}
+		copy(ix.links[row], selected)
 	}
 	for l := len(selected) - 1; l >= 0; l-- {
-		for _, n := range selected[l] {
-			if sh.Owns(n.ID) {
-				ix.linkBack(n.ID, row, l, sh.Scr)
+		for _, nb := range selected[l] {
+			if sh.Owns(nb) {
+				ix.linkBack(nb, row, l, sh.Scr)
 			}
 		}
 	}
@@ -182,119 +176,57 @@ func (ix *Index) maxDegree(level int) int {
 	return ix.cfg.M
 }
 
-// linkBack adds a reverse edge from node to target and re-prunes node's
-// neighbour list if it exceeds the layer cap. It reads and writes only node's
-// list (plus immutable vectors and codes), so reverse edges of different
-// nodes can be applied concurrently.
+// linkBack adds a reverse edge from node to target (index.Relink) and, over
+// the layer cap, re-prunes node's list to the cap. It reads and writes only
+// node's list (plus immutable vectors and codes), so reverse edges of
+// different nodes can be applied concurrently.
 func (ix *Index) linkBack(node, target int32, level int, scr *index.SearchScratch) {
-	nl := append(ix.links[node][level], target)
 	limit := ix.maxDegree(level)
-	if len(nl) <= limit {
-		ix.links[node][level] = nl
-		return
-	}
-	growDists(scr, len(nl))
-	dists := scr.Dists[:len(nl)]
-	ix.distBatch(ix.rowQuery(node), nl, dists)
-	cands := scr.Scored[:0]
-	for i, nb := range nl {
-		cands = append(cands, index.Neighbor{ID: nb, Dist: dists[i]})
-	}
-	index.SortNeighbors(cands)
-	scr.Scored = cands
-	pruned := ix.selectHeuristic(cands, limit, scr)
-	out := make([]int32, len(pruned))
-	for i, n := range pruned {
-		out[i] = n.ID
-	}
-	ix.links[node][level] = out
+	ix.links[node][level] = index.Relink(scr, ix.links[node][level], target, limit, limit,
+		func(ids []int32, out []float32) { ix.distBatch(ix.rowQuery(node), ids, out) },
+		func(cands []index.Neighbor, m int) []int32 { return ix.selectNeighbors(cands, m, scr) })
 }
 
-// selBatch is how many kept neighbours selectHeuristic scores a candidate
-// against per kernel call: one 4-row group, or one 4-lane SQ group. Most
-// rejections come from the first few kept neighbours, so larger batches cost
-// more wasted distances than they save in calls.
-const selBatch = 4
-
-// selectHeuristic is HNSW's Algorithm 4: scan candidates closest-first and
-// keep one only if it is closer to the query than to every already-kept
-// neighbour, which spreads edges across directions. cands are ascending by
-// (Dist, ID) with distinct ids — a layer search's visited set, or a node's
-// list plus a row it cannot hold yet — so a kept flag per position is the
-// kept set. It returns a fresh slice; scr lends the working buffers.
-func (ix *Index) selectHeuristic(cands []index.Neighbor, m int, scr *index.SearchScratch) []index.Neighbor {
-	out := make([]index.Neighbor, 0, m)
-	if cap(scr.Kept) < len(cands) {
-		scr.Kept = make([]bool, len(cands))
+// selectNeighbors is HNSW's Algorithm 4 on index.Prune: keep a candidate c
+// only if it is closer to the query than to every already-kept neighbour s,
+// d(c, s) < c.Dist, which spreads edges across directions; then back-fill
+// with the closest candidates left out, which keeps graphs connected on
+// clustered data. c is the scoring side: exact distances through c's
+// DistBatch, or for HNSW-SQ c's full vector against the kept codes, each
+// decoded into scr.Lanes the first time a candidate is scored against it.
+// It returns a fresh slice; scr lends the working buffers.
+func (ix *Index) selectNeighbors(cands []index.Neighbor, m int, scr *index.SearchScratch) []int32 {
+	dim, decoded := ix.data.Dim, 0
+	if ix.quantizer != nil {
+		scr.Lanes = index.Grow(scr.Lanes, vec.LaneBlockLen(m, dim))
 	}
-	kept := scr.Kept[:len(cands)]
-	clear(kept)
-	if n := vec.LaneBlockLen(m, ix.data.Dim); ix.quantizer != nil && len(scr.Lanes) < n {
-		scr.Lanes = make([]float32, n)
-	}
-	growDists(scr, selBatch)
-	dists := scr.Dists[:selBatch]
-	keptIDs := scr.IDs[:0]
-	for i, c := range cands {
-		if len(out) >= m {
-			break
-		}
-		if ix.occluded(c, keptIDs, dists, scr.Lanes) {
-			continue
-		}
-		if ix.quantizer != nil {
-			ix.quantizer.DecodeLane(scr.Lanes, len(out), ix.codes, int(c.ID))
-		}
-		kept[i] = true
-		keptIDs = append(keptIDs, c.ID)
-		out = append(out, c)
-	}
-	scr.IDs = keptIDs
-	// Backfill with the closest remaining candidates if the heuristic was
-	// too aggressive (keeps graphs connected on clustered data).
-	if len(out) < m {
+	sel := index.Prune(scr, cands, m,
+		func(c int32, lo int, kept []int32, out []float32) {
+			if ix.quantizer == nil {
+				ix.rowQuery(c).DistBatch(kept, out)
+				return
+			}
+			for ; decoded < lo+len(kept); decoded++ {
+				ix.quantizer.DecodeLane(scr.Lanes, decoded, ix.codes, int(kept[decoded-lo]))
+			}
+			vec.L2SqLanes(ix.data.Row(int(c)), scr.Lanes[lo*dim:vec.LaneBlockLen(lo+len(out), dim)], out)
+		},
+		func(d float32, c index.Neighbor) bool { return d < c.Dist })
+	// Back-fill: merge the first m-len(sel) left-out candidates into the
+	// kept ones by position, which keeps the list ascending by (Dist, ID).
+	if extra := m - len(sel); extra > 0 {
+		sel = sel[:0]
 		for i, c := range cands {
-			if len(out) >= m {
-				break
+			if !scr.Kept[i] {
+				if extra == 0 {
+					continue
+				}
+				extra--
 			}
-			if !kept[i] {
-				out = append(out, c)
-			}
-		}
-		index.SortNeighbors(out)
-	}
-	return out
-}
-
-// occluded reports whether some kept neighbour s is closer to candidate c
-// than the query is, d(c, s) < c.Dist, with c as the scoring side: exact
-// distances through c's DistBatch, or c's full vector against the kept codes
-// decoded into lanes. It scores selBatch kept neighbours per call and stops
-// after the first batch that occludes c.
-func (ix *Index) occluded(c index.Neighbor, kept []int32, dists, lanes []float32) bool {
-	cq := ix.rowQuery(c.ID)
-	for b := 0; b < len(kept); b += selBatch {
-		e := min(b+selBatch, len(kept))
-		ds := dists[:e-b]
-		if ix.quantizer != nil {
-			vec.L2SqLanes(cq.Vector(), lanes[b*ix.data.Dim:vec.LaneBlockLen(e, ix.data.Dim)], ds)
-		} else {
-			cq.DistBatch(kept[b:e], ds)
-		}
-		for _, d := range ds {
-			if d < c.Dist {
-				return true
-			}
+			sel = append(sel, c.ID)
 		}
 	}
-	return false
-}
-
-// growDists makes scr.Dists hold at least n distances.
-func growDists(scr *index.SearchScratch, n int) {
-	if cap(scr.Dists) < n {
-		scr.Dists = make([]float32, n) //annlint:allow hotalloc -- cap-guarded growth of the scratch distance buffer; steady state reuses its capacity
-	}
+	return sel
 }
 
 // descend walks the layers above level greedily, each to its locally
@@ -304,22 +236,20 @@ func growDists(scr *index.SearchScratch, n int) {
 // distance computations and hops of the walk. scr lends the gather buffers.
 func (ix *Index) descend(q index.QueryScorer, level int, stats *index.Stats, scr *index.SearchScratch) index.Neighbor {
 	scr.IDs = append(scr.IDs[:0], ix.entry)
-	growDists(scr, 1)
-	dists := scr.Dists[:1]
-	ix.distBatch(q, scr.IDs, dists)
-	cur := index.Neighbor{ID: ix.entry, Dist: dists[0]}
+	scr.Dists = index.Grow(scr.Dists, 1)
+	ix.distBatch(q, scr.IDs, scr.Dists)
+	cur := index.Neighbor{ID: ix.entry, Dist: scr.Dists[0]}
 	comps, hops := 1, 0
 	for l := ix.maxLevel; l > level; l-- {
 		for improved := true; improved; hops++ {
 			improved = false
 			nbs := ix.neighbors(cur.ID, l)
-			growDists(scr, len(nbs))
-			dists := scr.Dists[:len(nbs)]
-			ix.distBatch(q, nbs, dists)
+			scr.Dists = index.Grow(scr.Dists, len(nbs))
+			ix.distBatch(q, nbs, scr.Dists)
 			comps += len(nbs)
 			for i, nb := range nbs {
-				if dists[i] < cur.Dist {
-					cur = index.Neighbor{ID: nb, Dist: dists[i]}
+				if d := scr.Dists[i]; d < cur.Dist {
+					cur = index.Neighbor{ID: nb, Dist: d}
 					improved = true
 				}
 			}

@@ -179,12 +179,13 @@ func TestSingleVector(t *testing.T) {
 	}
 }
 
-// TestSelectionCandidatesDistinct: selectHeuristic's kept flags are
-// positional, which stands for a set of ids only because its candidates are
-// distinct — a layer search returns each visited node once, and linkBack
-// appends a row to lists that cannot hold it yet. The test replays a build
-// through the same plan and apply, asserts both at every insertion, and
-// checks that the replay persists the bytes Build did.
+// TestSelectionCandidatesDistinct: index.Prune's kept flags are positional,
+// which stands for a set of ids only because its candidates are distinct — a
+// layer search returns each visited node once, and linkBack appends a row to
+// lists that cannot hold it yet (so index.Relink's duplicate check never
+// fires for HNSW). The test replays a build through the same plan and apply,
+// asserts both at every insertion, and checks that the replay persists the
+// bytes Build did.
 func TestSelectionCandidatesDistinct(t *testing.T) {
 	ds := dataset.Generate(dataset.Spec{
 		Name: "hnsw-distinct", N: 400, Dim: 24, NumQueries: 1,
@@ -212,7 +213,7 @@ func TestSelectionCandidatesDistinct(t *testing.T) {
 			cost: built.cost, scorer: built.scorer, quantizer: built.quantizer, codes: built.codes,
 		}
 		index.InsertBatched(ds.Vectors.Len(), 1,
-			func(i int, scr *index.SearchScratch) [][]index.Neighbor {
+			func(i int, scr *index.SearchScratch) [][]int32 {
 				row := int32(i)
 				if ix.entry >= 0 {
 					q := ix.rowQuery(row)
@@ -227,15 +228,15 @@ func TestSelectionCandidatesDistinct(t *testing.T) {
 				}
 				selected := ix.planInsert(row, scr)
 				for l, sel := range selected {
-					for _, n := range sel {
-						if slices.Contains(ix.links[n.ID][l], row) {
-							t.Errorf("sq=%t: node %d level %d already links to the row %d being inserted", quantize, n.ID, l, row)
+					for _, nb := range sel {
+						if slices.Contains(ix.links[nb][l], row) {
+							t.Errorf("sq=%t: node %d level %d already links to the row %d being inserted", quantize, nb, l, row)
 						}
 					}
 				}
 				return selected
 			},
-			func(i int, selected [][]index.Neighbor, sh index.Shard) { ix.applyInsert(int32(i), selected, sh) })
+			func(i int, selected [][]int32, sh index.Shard) { ix.applyInsert(int32(i), selected, sh) })
 		if !bytes.Equal(persistBytes(t, ix), persistBytes(t, built)) {
 			t.Fatalf("sq=%t: replayed build persisted different bytes than Build", quantize)
 		}

@@ -194,12 +194,8 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	rec := opts.Recorder
 	// Coarse quantisation: compare against every centroid.
 	nc := ix.centroids.Len()
-	if cap(scr.Dists) < nc {
-		scr.Dists = make([]float32, nc) //annlint:allow hotalloc -- cap-guarded growth of the scratch distance buffer; steady state reuses its capacity
-	}
-	if cap(scr.Cells) < nc {
-		scr.Cells = make([]int, nc) //annlint:allow hotalloc -- cap-guarded growth of the scratch probe-order buffer; steady state reuses its capacity
-	}
+	scr.Dists = index.Grow(scr.Dists, nc)
+	scr.Cells = index.Grow(scr.Cells, nc)
 	cells := kmeans.NearestN(ix.centroids, q, nprobe, scr.Dists, scr.Cells)
 	stats := index.Stats{DistComps: nc}
 	rec.AddCPU(ix.cost.Dist(ix.data.Dim, nc))
@@ -234,10 +230,8 @@ func (ix *Index) scanFlat(q []float32, k int, cells []int, opts index.SearchOpti
 	}
 	// cells aliases scr.Cells, not scr.Dists: the centroid distances are
 	// spent, so the buffer is free for the row distances.
-	if cap(scr.Dists) < len(scr.IDs) {
-		scr.Dists = make([]float32, len(scr.IDs)) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
-	}
-	dists := scr.Dists[:len(scr.IDs)]
+	scr.Dists = index.Grow(scr.Dists, len(scr.IDs))
+	dists := scr.Dists
 	ix.scorer.Query(q).DistBatch(scr.IDs, dists)
 	for i, row := range scr.IDs {
 		scr.Bounded.PushBounded(index.Neighbor{ID: ix.extID(row), Dist: dists[i]}, k)

@@ -2,6 +2,7 @@ package ivf
 
 import (
 	"fmt"
+	"slices"
 
 	"svdbench/internal/binenc"
 	"svdbench/internal/index"
@@ -40,7 +41,10 @@ func (ix *Index) WriteTo(w *binenc.Writer) {
 }
 
 // ReadFrom deserialises an index written with WriteTo, re-binding it to its
-// vector data (and optional external ids).
+// vector data (and optional external ids). Everything a search indexes by
+// unchecked — metric, centroid dimension, posting-list rows, the PQ codec and
+// codes — is validated here, so a damaged snapshot is an error, never a panic
+// inside the first Search.
 func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 	r.Magic(PersistMagic)
 	cfg := Config{
@@ -53,18 +57,21 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 	cfg.PageSize = r.Int()
 	n := r.Int()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return nil, fmt.Errorf("ivf: read snapshot: %w", r.Err())
 	}
 	if n != data.Len() {
 		return nil, fmt.Errorf("ivf: persisted index has %d rows, data has %d", n, data.Len())
 	}
+	if cfg.Metric < vec.L2 || cfg.Metric > vec.Cosine || cfg.PageSize <= 0 {
+		return nil, fmt.Errorf("ivf: corrupt header: metric %d, page size %d", int(cfg.Metric), cfg.PageSize)
+	}
 	cdim := r.Int()
 	raw := r.F32s()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return nil, fmt.Errorf("ivf: read snapshot: %w", r.Err())
 	}
-	if cdim <= 0 || len(raw)%cdim != 0 {
-		return nil, fmt.Errorf("ivf: corrupt centroid block")
+	if cdim != data.Dim || len(raw)%cdim != 0 {
+		return nil, fmt.Errorf("ivf: corrupt centroid block: %d floats of dim %d for %d-d data", len(raw), cdim, data.Dim)
 	}
 	centroids := vec.NewMatrix(len(raw)/cdim, cdim)
 	copy(centroids.Raw(), raw)
@@ -78,16 +85,21 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 	}
 	nlists := r.Int()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return nil, fmt.Errorf("ivf: read snapshot: %w", r.Err())
 	}
 	if nlists != centroids.Len() {
 		return nil, fmt.Errorf("ivf: %d lists for %d centroids", nlists, centroids.Len())
 	}
 	ix.lists = make([][]int32, nlists)
-	total := 0
+	listed := make([]bool, n)
 	for c := 0; c < nlists; c++ {
 		ix.lists[c] = r.I32s()
-		total += len(ix.lists[c])
+		for _, row := range ix.lists[c] {
+			if row < 0 || int(row) >= n || listed[row] {
+				return nil, fmt.Errorf("ivf: list %d holds row %d: outside [0, %d) or listed twice", c, row, n)
+			}
+			listed[row] = true
+		}
 	}
 	if cfg.PQ {
 		q, err := pq.ReadQuantizer(r)
@@ -96,12 +108,15 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		}
 		ix.quantizer = q
 		ix.codes = r.Bytes()
+		if r.Err() == nil && (q.Dim() != data.Dim || len(ix.codes) != n*q.M()) {
+			return nil, fmt.Errorf("ivf: corrupt pq state: dim %d, %d code bytes for %d rows of %d", q.Dim(), len(ix.codes), n, q.M())
+		}
 	}
 	if r.Err() != nil {
-		return nil, r.Err()
+		return nil, fmt.Errorf("ivf: read snapshot: %w", r.Err())
 	}
-	if total != n {
-		return nil, fmt.Errorf("ivf: lists cover %d rows, want %d", total, n)
+	if slices.Contains(listed, false) {
+		return nil, fmt.Errorf("ivf: lists do not cover all %d rows", n)
 	}
 	return ix, nil
 }

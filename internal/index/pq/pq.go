@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"svdbench/internal/index"
 	"svdbench/internal/index/kmeans"
 	"svdbench/internal/vec"
 )
@@ -134,11 +135,7 @@ func (q *Quantizer) BuildTableInto(query []float32, t Table) Table {
 	if len(query) != q.dim {
 		panic(fmt.Sprintf("pq: table dim %d, want %d", len(query), q.dim))
 	}
-	need := q.m * centroidsPerSub
-	if cap(t) < need {
-		t = make(Table, need) //annlint:allow hotalloc -- cap-guarded growth; the table is reused at capacity on every later query
-	}
-	t = t[:need]
+	t = index.Grow(t, q.m*centroidsPerSub)
 	for s := 0; s < q.m; s++ {
 		sub := query[s*q.subDim : (s+1)*q.subDim]
 		cb := q.codebooks[s]

@@ -47,12 +47,11 @@ type SearchScratch struct {
 	// Neighbors receives drained heap contents (ascending order).
 	Neighbors []Neighbor
 	// Scored is a build-time prune's candidate list: every (id, dist) a
-	// Vamana build search scored, or the over-full neighbour list a reverse
-	// edge re-prunes.
+	// Vamana build search scored, or the over-full neighbour list Reprune
+	// re-scores.
 	Scored []Neighbor
-	// Kept and Lanes belong to HNSW's neighbour selection: a kept flag per
-	// candidate position, and for HNSW-SQ the kept neighbours decoded into a
-	// vec lane block.
+	// Kept is Prune's kept flag per candidate position. Lanes holds, for
+	// HNSW-SQ's selection, the kept neighbours decoded into a vec lane block.
 	Kept  []bool
 	Lanes []float32
 	// Nav holds SPANN's centroid-navigation result between queries.
@@ -70,6 +69,17 @@ type SearchScratch struct {
 // NewSearchScratch returns an empty scratch; buffers grow on first use and
 // are retained across queries.
 func NewSearchScratch() *SearchScratch { return &SearchScratch{} }
+
+// Grow returns s resliced to length n, allocating a new backing array only
+// when s's capacity is short: the one amortised growth path of every scratch
+// and caller-owned buffer, so a warmed buffer never allocates again. Contents
+// do not survive a reallocation.
+func Grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n) //annlint:allow hotalloc -- the one cap-guarded growth of reused buffers; steady state reuses their capacity
+	}
+	return s[:n]
+}
 
 // scratchOr returns opts.Scratch, or a fresh scratch when the caller did not
 // provide one (the single-shot Search path).

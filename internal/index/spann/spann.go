@@ -344,10 +344,8 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 			}
 			scr.IDs = append(scr.IDs, row)
 		}
-		if cap(scr.Dists) < len(scr.IDs) {
-			scr.Dists = make([]float32, len(scr.IDs)) //annlint:allow hotalloc -- cap-guarded growth of the scratch gather buffer; steady state reuses its capacity
-		}
-		dists := scr.Dists[:len(scr.IDs)]
+		scr.Dists = index.Grow(scr.Dists, len(scr.IDs))
+		dists := scr.Dists
 		qs.DistBatch(scr.IDs, dists)
 		for i, row := range scr.IDs {
 			stats.DistComps++
