@@ -19,12 +19,13 @@ test:
 # The pure-Go kernel fallback (internal/vec/kernels_noasm.go) is what every
 # non-amd64 build runs and no amd64 test run compiles. `test-purego` selects
 # it with the purego build tag and runs the kernel property tests, the PQ
-# table equivalence test, the SQ kernel differential test, the neighbour
-# selection contract and differential tests and the HNSW and DiskANN build
-# goldens against it; `cross` compiles the whole tree for arm64 and vets the
-# kernel packages there (both work offline).
+# table and batch ADC differential tests, the SQ kernel differential test,
+# the neighbour selection contract and differential tests, the HNSW and
+# DiskANN build goldens and IVF's search against its scalar reference;
+# `cross` compiles the whole tree for arm64 and vets the kernel packages
+# there (both work offline).
 test-purego:
-	$(GO) test -tags purego ./internal/vec ./internal/index ./internal/index/pq ./internal/index/sq ./internal/index/hnsw ./internal/index/diskann
+	$(GO) test -tags purego ./internal/vec ./internal/index ./internal/index/pq ./internal/index/sq ./internal/index/hnsw ./internal/index/diskann ./internal/index/ivf
 
 cross:
 	GOARCH=arm64 $(GO) build ./...
@@ -110,12 +111,12 @@ quick-diff:
 	diff "$$tmp/base.txt" "$$tmp/new.txt" && \
 	echo "quick-diff: $(EXPERIMENTS) identical to $(BASE) on $$(wc -l < "$$tmp/new.txt") lines"
 
-# Short coverage-guided fuzzing of the node-cache invariants and the three
-# index snapshot decoders (the seeded corpora already run as part of every
-# plain `go test`); each target gets a brief budget so CI exercises the
-# mutation engine without open-ended runs. Minimising a newly covering input
-# is capped too: on multi-kilobyte snapshots the default minute of it would
-# eat the whole budget.
+# Short coverage-guided fuzzing of the node-cache invariants, the three
+# index snapshot decoders and the .ds dataset decoder (the seeded corpora
+# already run as part of every plain `go test`); each target gets a brief
+# budget so CI exercises the mutation engine without open-ended runs.
+# Minimising a newly covering input is capped too: on multi-kilobyte
+# snapshots the default minute of it would eat the whole budget.
 FUZZTIME ?= 15s
 FUZZ = $(GO) test -run=^$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
@@ -126,3 +127,4 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/hnsw
 	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/diskann
 	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/ivf
+	$(FUZZ) -fuzz=FuzzDecode ./internal/dataset

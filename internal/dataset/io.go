@@ -91,10 +91,14 @@ func WriteFile(path string, ds *Dataset) error {
 func ReadFile(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	defer f.Close()
-	return decode(bufio.NewReaderSize(f, 1<<20))
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	return decode(bufio.NewReaderSize(f, 1<<20), info.Size())
 }
 
 func writeString(w io.Writer, s string) error {
@@ -188,13 +192,25 @@ func encode(w io.Writer, ds *Dataset) error {
 	return nil
 }
 
-func decode(r io.Reader) (*Dataset, error) {
+// decode reads a dataset file of size bytes. Every allocation is bounded by
+// size: the header's counts are checked against the words the rest of the
+// file can hold before any payload is sized from them, so a corrupt header
+// is an error, never a huge or impossible allocation.
+func decode(r io.Reader, size int64) (*Dataset, error) {
+	ds, err := decodeBody(r, size)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: decode: %w", err)
+	}
+	return ds, nil
+}
+
+func decodeBody(r io.Reader, size int64) (*Dataset, error) {
 	magic := make([]byte, len(fileMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, err
 	}
 	if string(magic) != fileMagic {
-		return nil, fmt.Errorf("dataset: bad magic %q", magic)
+		return nil, fmt.Errorf("bad magic %q", magic)
 	}
 	name, err := readString(r)
 	if err != nil {
@@ -204,6 +220,20 @@ func decode(r io.Reader) (*Dataset, error) {
 	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
 		return nil, err
 	}
+	n, dim, nq := hdr[0], hdr[1], hdr[2]
+	// words is the number of 4-byte values the payload can hold: the
+	// vectors and queries (n+nq rows of dim floats) and, per query, one
+	// ground-truth length word and its ids. Comparing by division keeps
+	// n·dim from overflowing.
+	words := (size - int64(len(fileMagic)+4+len(name)+8*len(hdr))) / 4
+	metric := vec.Metric(hdr[6])
+	if n <= 0 || dim <= 0 || nq <= 0 || n > math.MaxInt32 || hdr[7] < 0 ||
+		hdr[6] < int64(vec.L2) || hdr[6] > int64(vec.Cosine) ||
+		n > words || nq > words || n+nq > words/dim || (n+nq)*dim+nq > words {
+		return nil, fmt.Errorf("corrupt header: n %d, dim %d, queries %d, metric %v, ground-truth depth %d for a %d-byte file",
+			n, dim, nq, metric, hdr[7], size)
+	}
+	words -= (n+nq)*dim + nq
 	spec := Spec{
 		Name:       name,
 		N:          int(hdr[0]),
@@ -212,11 +242,8 @@ func decode(r io.Reader) (*Dataset, error) {
 		Clusters:   int(hdr[3]),
 		Spread:     math.Float64frombits(uint64(hdr[4])),
 		Seed:       hdr[5],
-		Metric:     vec.Metric(hdr[6]),
+		Metric:     metric,
 		GroundK:    int(hdr[7]),
-	}
-	if spec.N <= 0 || spec.Dim <= 0 || spec.NumQueries <= 0 || spec.N > 1<<31 {
-		return nil, fmt.Errorf("dataset: corrupt header %+v", spec)
 	}
 	vectors := vec.NewMatrix(spec.N, spec.Dim)
 	if err := readFloats(r, vectors.Raw()); err != nil {
@@ -228,14 +255,15 @@ func decode(r io.Reader) (*Dataset, error) {
 	}
 	gt := make([][]int32, spec.NumQueries)
 	for i := range gt {
-		var n int32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		var depth int32
+		if err := binary.Read(r, binary.LittleEndian, &depth); err != nil {
 			return nil, err
 		}
-		if n < 0 || int(n) > spec.N {
-			return nil, fmt.Errorf("dataset: corrupt ground truth length %d", n)
+		if depth < 0 || int64(depth) > n || int64(depth) > words {
+			return nil, fmt.Errorf("corrupt ground truth length %d", depth)
 		}
-		gt[i] = make([]int32, n)
+		words -= int64(depth)
+		gt[i] = make([]int32, depth)
 		if err := binary.Read(r, binary.LittleEndian, gt[i]); err != nil {
 			return nil, err
 		}

@@ -399,28 +399,41 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 	m := ix.quantizer.M()
 
 	cands := scr.Cands[:0]
-	pqThisIter := 0
 	// Steering: a unit is priced at the best in-memory PQ distance among its
 	// members. The per-node compressed vectors are RAM-resident in either
 	// layout, so page routing costs zero extra page bytes — just capacity×
-	// the PQ lookups, which the cost model charges below.
-	push := func(id int32) {
+	// the PQ lookups, which the cost model charges below. admit appends a
+	// new unit unpriced and queues its member rows in scr.IDs; price scores
+	// them all in one pq.Table.DistanceRows and gives each unit in
+	// cands[from:] its members' minimum (member order, strict <).
+	admit := func(id int32) {
 		if inList.Contains(id) {
 			return
 		}
 		inList.Add(id)
-		members := u.members[id]
-		d := table.DistanceAt(ix.codes, m, int(members[0]))
-		for _, row := range members[1:] {
-			if md := table.DistanceAt(ix.codes, m, int(row)); md < d {
-				d = md
-			}
-		}
-		stats.PQComps += len(members)
-		pqThisIter += len(members)
-		cands = append(cands, index.BeamEntry{ID: id, Dist: d})
+		scr.IDs = append(scr.IDs, u.members[id]...)
+		cands = append(cands, index.BeamEntry{ID: id})
 	}
-	push(u.entry)
+	price := func(from int) {
+		scr.Dists = index.Grow(scr.Dists, len(scr.IDs))
+		table.DistanceRows(ix.codes, m, scr.IDs, scr.Dists)
+		dists := scr.Dists
+		for i := from; i < len(cands); i++ {
+			n := len(u.members[cands[i].ID])
+			d := dists[0]
+			for _, md := range dists[1:n] {
+				if md < d {
+					d = md
+				}
+			}
+			cands[i].Dist = d
+			dists = dists[n:]
+		}
+		stats.PQComps += len(scr.IDs)
+	}
+	scr.IDs = scr.IDs[:0]
+	admit(u.entry)
+	price(0)
 
 	exact := &scr.Bounded // re-ranked results by full-precision distance
 	exact.Reset()
@@ -494,36 +507,33 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 		rec.AddIO(pages)
 		// Expand each fetched unit: every member is batch-scored exactly up
 		// front, bit-identical to per-node calls (this is the page layout's
-		// payoff — one read, capacity re-ranked nodes), then the unit's
-		// adjacency feeds the candidate list.
+		// payoff — one read, capacity re-ranked nodes). Then the units'
+		// adjacency feeds the candidate list — beam order, then adjacency
+		// order, the inList sequence of pushing unit by unit — and the new
+		// units are priced in one batch.
 		scr.IDs = scr.IDs[:0]
 		for _, bi := range beam {
-			for _, row := range u.members[cands[bi].ID] {
-				scr.IDs = append(scr.IDs, row)
-			}
+			scr.IDs = append(scr.IDs, u.members[cands[bi].ID]...)
 		}
 		scr.Dists = index.Grow(scr.Dists, len(scr.IDs))
-		memberDists := scr.Dists
-		qs.DistBatch(scr.IDs, memberDists)
-		pqThisIter = 0
-		j := 0
-		for _, bi := range beam {
-			cands[bi].Visited = true
-			id := cands[bi].ID
-			for _, row := range u.members[id] {
-				ed := memberDists[j]
-				j++
-				stats.DistComps++
-				extID := ix.extID(row)
-				if opts.Filter == nil || opts.Filter(extID) {
-					exact.PushBounded(index.Neighbor{ID: extID, Dist: ed}, k)
-				}
-			}
-			for _, nb := range u.adj[id] {
-				push(nb)
+		qs.DistBatch(scr.IDs, scr.Dists)
+		for j, row := range scr.IDs {
+			extID := ix.extID(row)
+			if opts.Filter == nil || opts.Filter(extID) {
+				exact.PushBounded(index.Neighbor{ID: extID, Dist: scr.Dists[j]}, k)
 			}
 		}
-		rec.AddCPU(ix.cost.Dist(ix.data.Dim, len(scr.IDs)) + ix.cost.PQ(m, pqThisIter))
+		reranked := len(scr.IDs)
+		stats.DistComps += reranked
+		scr.IDs = scr.IDs[:0]
+		for _, bi := range beam {
+			cands[bi].Visited = true
+			for _, nb := range u.adj[cands[bi].ID] {
+				admit(nb)
+			}
+		}
+		price(sorted)
+		rec.AddCPU(ix.cost.Dist(ix.data.Dim, reranked) + ix.cost.PQ(m, len(scr.IDs)))
 	}
 	rec.Flush()
 	scr.Cands, scr.Beam, scr.Pages = cands, beam, pages

@@ -202,68 +202,62 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 
 	heap := &scr.Bounded
 	heap.Reset()
-	if ix.cfg.PQ {
-		ix.scanPQ(q, k, cells, opts, scr, &stats)
-	} else {
-		ix.scanFlat(q, k, cells, opts, scr, &stats)
-	}
+	ix.scan(q, k, cells, opts, scr, &stats)
 	rec.Flush()
 	scr.Neighbors = heap.DrainAscending(scr.Neighbors[:0])
 	index.ResultInto(scr.Neighbors, k, stats, dst)
 }
 
-// scanFlat scores the probed cells at full precision. The rows that pass the
+// scan scores the probed cells: IVF_FLAT at full precision, IVF_PQ by ADC
+// after reading each cell's posting-list pages. The rows that pass the
 // filter are gathered across all probed cells (cell order, then list order)
-// and scored in one DistBatch — cells average a handful of rows, so per-cell
-// batches would be mostly remainder — then pushed in gathered order: the
-// same distances and heap-operation sequence as scoring row by row.
-func (ix *Index) scanFlat(q []float32, k int, cells []int, opts index.SearchOptions, scr *index.SearchScratch, stats *index.Stats) {
+// and scored in one batch — one DistBatch, or one four-codes-per-pass
+// DistanceRows — because cells average a handful of rows, so per-cell
+// batches would be mostly remainder. They are then pushed in gathered order:
+// the same distances and heap-operation sequence as scoring row by row,
+// while each cell's I/O and CPU steps are still recorded cell by cell.
+func (ix *Index) scan(q []float32, k int, cells []int, opts index.SearchOptions, scr *index.SearchScratch, stats *index.Stats) {
+	rec := opts.Recorder
+	m := 0
+	if ix.cfg.PQ {
+		scr.Table = ix.quantizer.BuildTableInto(q, scr.Table)
+		// Table construction scans all sub-space centroids once.
+		rec.AddCPU(ix.cost.Dist(ix.data.Dim, 256/4+1))
+		m = ix.quantizer.M()
+	}
 	scr.IDs = scr.IDs[:0]
 	for _, c := range cells {
 		list := ix.lists[c]
-		for _, row := range list {
-			if opts.Filter == nil || opts.Filter(ix.extID(row)) {
-				scr.IDs = append(scr.IDs, row)
-			}
-		}
-		opts.Recorder.AddCPU(ix.cost.Dist(ix.data.Dim, len(list)) + ix.cost.Heap(len(list)))
-	}
-	// cells aliases scr.Cells, not scr.Dists: the centroid distances are
-	// spent, so the buffer is free for the row distances.
-	scr.Dists = index.Grow(scr.Dists, len(scr.IDs))
-	dists := scr.Dists
-	ix.scorer.Query(q).DistBatch(scr.IDs, dists)
-	for i, row := range scr.IDs {
-		scr.Bounded.PushBounded(index.Neighbor{ID: ix.extID(row), Dist: dists[i]}, k)
-	}
-	stats.DistComps += len(scr.IDs)
-}
-
-func (ix *Index) scanPQ(q []float32, k int, cells []int, opts index.SearchOptions, scr *index.SearchScratch, stats *index.Stats) {
-	rec := opts.Recorder
-	scr.Table = ix.quantizer.BuildTableInto(q, scr.Table)
-	table := pq.Table(scr.Table)
-	// Table construction scans all sub-space centroids once.
-	rec.AddCPU(ix.cost.Dist(ix.data.Dim, 256/4+1))
-	m := ix.quantizer.M()
-	for _, c := range cells {
-		list := ix.lists[c]
-		// Posting list I/O: the cell's pages are read as one sequential
-		// request before scanning.
+		// Posting list I/O (IVF_PQ only): the cell's pages are read as one
+		// sequential request before scanning.
 		if ix.listPages != nil && len(ix.listPages[c]) > 0 {
 			rec.AddContiguousIO(ix.listPages[c])
 			stats.PagesRead += len(ix.listPages[c])
 		}
 		for _, row := range list {
-			id := ix.extID(row)
-			if opts.Filter != nil && !opts.Filter(id) {
-				continue
+			if opts.Filter == nil || opts.Filter(ix.extID(row)) {
+				scr.IDs = append(scr.IDs, row)
 			}
-			d := table.DistanceAt(ix.codes, m, int(row))
-			stats.PQComps++
-			scr.Bounded.PushBounded(index.Neighbor{ID: id, Dist: d}, k)
 		}
-		rec.AddCPU(ix.cost.PQ(m, len(list)) + ix.cost.Heap(len(list)))
+		score := ix.cost.Dist(ix.data.Dim, len(list))
+		if ix.cfg.PQ {
+			score = ix.cost.PQ(m, len(list))
+		}
+		rec.AddCPU(score + ix.cost.Heap(len(list)))
+	}
+	// cells aliases scr.Cells, not scr.Dists: the centroid distances are
+	// spent, so the buffer is free for the row distances.
+	scr.Dists = index.Grow(scr.Dists, len(scr.IDs))
+	dists := scr.Dists
+	if ix.cfg.PQ {
+		pq.Table(scr.Table).DistanceRows(ix.codes, m, scr.IDs, dists)
+		stats.PQComps += len(scr.IDs)
+	} else {
+		ix.scorer.Query(q).DistBatch(scr.IDs, dists)
+		stats.DistComps += len(scr.IDs)
+	}
+	for i, row := range scr.IDs {
+		scr.Bounded.PushBounded(index.Neighbor{ID: ix.extID(row), Dist: dists[i]}, k)
 	}
 }
 

@@ -38,7 +38,7 @@ func legacySearch(ix *Index, q []float32, k int, opts index.SearchOptions) index
 				if opts.Filter != nil && !opts.Filter(id) {
 					continue
 				}
-				d := table.DistanceAt(ix.codes, m, int(row))
+				d := table.Distance(ix.codes[int(row)*m : (int(row)+1)*m])
 				stats.PQComps++
 				heap.PushBounded(index.Neighbor{ID: id, Dist: d}, k)
 			}

@@ -145,20 +145,44 @@ func (q *Quantizer) BuildTableInto(query []float32, t Table) Table {
 	return t
 }
 
-// Distance scores one code against the table: the sum of M lookups.
+// Distance scores one code against the table: the sum of M lookups in
+// sub-space order (a row indexed as an array needs no check on the byte).
 func (t Table) Distance(code []byte) float32 {
 	var d float32
 	for s, c := range code {
-		d += t[s*centroidsPerSub+int(c)]
+		d += (*[centroidsPerSub]float32)(t[s*centroidsPerSub:])[c]
 	}
 	return d
 }
 
-// DistanceAt scores code i inside a packed code array with stride m.
+// DistanceRows writes the Distance of code rows[i] of the packed n×m code
+// array into out[i], bit for bit. It prices four codes per pass on four
+// independent add chains, each in Distance's sub-space order, so the core
+// is not left waiting on one chain's add latency; a 1–3-row remainder goes
+// through Distance.
 //
 //annlint:hotpath
-func (t Table) DistanceAt(codes []byte, m, i int) float32 {
-	return t.Distance(codes[i*m : (i+1)*m])
+func (t Table) DistanceRows(codes []byte, m int, rows []int32, out []float32) {
+	out = out[:len(rows)]
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		c0 := codes[int(rows[i])*m:][:m]
+		c1 := codes[int(rows[i+1])*m:][:m]
+		c2 := codes[int(rows[i+2])*m:][:m]
+		c3 := codes[int(rows[i+3])*m:][:m]
+		var d0, d1, d2, d3 float32
+		for s := range c0 {
+			row := (*[centroidsPerSub]float32)(t[s*centroidsPerSub:])
+			d0 += row[c0[s]]
+			d1 += row[c1[s]]
+			d2 += row[c2[s]]
+			d3 += row[c3[s]]
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = d0, d1, d2, d3
+	}
+	for ; i < len(rows); i++ {
+		out[i] = t.Distance(codes[int(rows[i])*m:][:m])
+	}
 }
 
 // MemoryBytes reports the quantiser's codebook footprint.

@@ -88,16 +88,50 @@ func TestADCMatchesDecodedDistance(t *testing.T) {
 	}
 }
 
-func TestDistanceAtMatchesDistance(t *testing.T) {
-	m := randMatrix(100, 16, 5)
-	q, _ := Train(m, 4, 1)
-	codes := q.EncodeAll(m)
-	table := q.BuildTable(m.Row(0))
-	for i := 0; i < 10; i++ {
-		a := table.DistanceAt(codes, q.M(), i)
-		b := table.Distance(codes[i*q.M() : (i+1)*q.M()])
-		if a != b {
-			t.Fatalf("row %d: DistanceAt %v vs Distance %v", i, a, b)
+// TestDistanceRowsMatchesDistance: the four-chain batch ADC reproduces
+// Distance bit for bit on tables from real BuildTable calls — under-trained
+// codebooks (ksub < 256), every sub-space count class, row counts 0–9 and 64
+// (the four-row body and every remainder), repeated rows, and row sets that
+// are not a prefix of the code array.
+func TestDistanceRowsMatchesDistance(t *testing.T) {
+	const n = 80
+	for _, ksub := range []int{3, 17, 256} {
+		for _, m := range []int{1, 2, 3, 8, 48, 96} {
+			// ksub distinct training rows train exactly ksub centroids;
+			// the n encoded rows are drawn apart from them.
+			quant, err := Train(randMatrix(ksub, m*2, int64(ksub*1000+m)), m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if quant.ksub != ksub {
+				t.Fatalf("ksub %d m %d: trained %d centroids", ksub, m, quant.ksub)
+			}
+			codes := quant.EncodeAll(randMatrix(n, m*2, int64(m)))
+			table := quant.BuildTable(randMatrix(1, m*2, 7).Row(0))
+			r := rand.New(rand.NewSource(int64(ksub + m)))
+			for _, count := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
+				rows := make([]int32, count)
+				for i := range rows {
+					rows[i] = int32(r.Intn(n))
+				}
+				if count >= 3 {
+					rows[count-1] = rows[0] // a repeat inside the set
+					rows[1] = n - 1         // the last code of the array
+				}
+				out := make([]float32, count+1)
+				out[count] = -1 // must stay untouched
+				table.DistanceRows(codes, m, rows, out[:count])
+				for i, row := range rows {
+					want := table.Distance(codes[int(row)*m : (int(row)+1)*m])
+					if math.Float32bits(out[i]) != math.Float32bits(want) {
+						t.Fatalf("ksub %d m %d rows %d: entry %d (row %d) = %v (%#x), Distance %v (%#x)",
+							ksub, m, count, i, row, out[i], math.Float32bits(out[i]), want, math.Float32bits(want))
+					}
+				}
+				if out[count] != -1 {
+					t.Fatalf("ksub %d m %d rows %d: wrote past the row count", ksub, m, count)
+				}
+			}
 		}
 	}
 }
@@ -210,5 +244,29 @@ func BenchmarkBuildTableInto768(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		table = quant.BuildTableInto(queries.Row(i%queries.Len()), table)
+	}
+}
+
+// BenchmarkDistanceRows is the batch ADC at the same 768-d shape: 64
+// random codes priced against one table per iteration, the size of a few
+// page-layout hops' admitted members.
+func BenchmarkDistanceRows(b *testing.B) {
+	data := randMatrix(500, 768, 1)
+	quant, err := Train(data, 96, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	codes := quant.EncodeAll(data)
+	table := quant.BuildTable(randMatrix(1, 768, 2).Row(0))
+	r := rand.New(rand.NewSource(3))
+	rows := make([]int32, 64)
+	for i := range rows {
+		rows[i] = int32(r.Intn(data.Len()))
+	}
+	out := make([]float32, len(rows))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		table.DistanceRows(codes, quant.M(), rows, out)
 	}
 }
