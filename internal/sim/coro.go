@@ -17,14 +17,9 @@ func (p *proc) loop(yield func(struct{}) bool) {
 	p.yield = yield
 	for {
 		p.state = procRunnable
-		if r := p.runner; r != nil {
-			p.runner = nil
-			r.Run(p.env)
-		} else {
-			fn := p.body
-			p.body = nil
-			fn(p.env)
-		}
+		fn := p.body
+		p.body = nil
+		fn(p.env)
 		if g := p.group; g != nil {
 			p.group = nil
 			g.done()

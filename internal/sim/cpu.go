@@ -32,33 +32,42 @@ func (c *CPU) Cores() int { return c.cores }
 // much of a run the CPU and the device overlap. Pass nil to detach.
 func (c *CPU) SetBusyNotify(fn func(at Time, busy bool)) { c.notify = fn }
 
-// burstStart marks one burst holding a core, firing the busy hook on the
-// idle→busy edge.
-func (c *CPU) burstStart(at Time) {
-	c.inUse++
-	if c.inUse == 1 && c.notify != nil {
-		c.notify(at, true)
-	}
-}
-
-// burstEnd marks one burst done, firing the busy hook on the busy→idle edge.
-func (c *CPU) burstEnd(at Time) {
-	c.inUse--
-	if c.inUse == 0 && c.notify != nil {
-		c.notify(at, false)
-	}
-}
-
 // Use occupies one core for d of virtual time, queueing if all cores are
-// busy. Zero and negative durations are no-ops.
+// busy. Zero and negative durations are no-ops. It is the process form of
+// the burst a Timer runs with Start, Granted and End.
 func (c *CPU) Use(e *Env, d Duration) {
 	if d <= 0 {
 		return
 	}
-	c.sem.Acquire(e, 1)
-	c.burstStart(e.Now())
+	if !c.sem.acquireOrQueue(e.p, 1) {
+		e.block()
+	}
+	c.Granted()
 	e.Sleep(d)
-	c.burstEnd(e.Now())
+	c.End(d)
+}
+
+// Start claims a core for t, reporting true if one is free now; otherwise t
+// queues FIFO and wakes when a core is granted. Either way t then calls
+// Granted, wakes itself after the burst, and calls End.
+func (c *CPU) Start(t *Timer) bool { return c.sem.acquireOrQueue(&t.p, 1) }
+
+// Granted marks a burst holding its core from now, firing the busy hook on
+// the idle→busy edge.
+func (c *CPU) Granted() {
+	c.inUse++
+	if c.inUse == 1 && c.notify != nil {
+		c.notify(c.sem.k.now, true)
+	}
+}
+
+// End finishes a burst of length d: it fires the busy hook on the busy→idle
+// edge and hands the core to the next queued burst.
+func (c *CPU) End(d Duration) {
+	c.inUse--
+	if c.inUse == 0 && c.notify != nil {
+		c.notify(c.sem.k.now, false)
+	}
 	c.sem.Release(1)
 	c.busy += d
 }

@@ -13,7 +13,8 @@
 // The package also provides the resource primitives the benchmark needs on
 // top of the raw kernel: counting semaphores with FIFO wait queues
 // (Semaphore), fork/join process groups (Group), one-shot completion signals
-// (Event), and a multi-core CPU resource with utilisation accounting (CPU).
+// (Event), a multi-core CPU resource with utilisation accounting (CPU), and
+// coroutine-less wake-up targets for actors that are state machines (Timer).
 //
 // Coroutines need a Go 1.23 or newer toolchain (see coro.go); the module's
 // language version stays at 1.22.
@@ -141,22 +142,38 @@ type proc struct {
 	yield func(struct{}) bool
 	stop  func()
 
-	body   func(*Env)
-	runner Runner
-	group  *Group // fork/join group counting this process, if any
+	body  func(*Env)
+	group *Group // fork/join group counting this process, if any
+
+	cb Callback // set on a Timer's proc: Run calls it instead of next
 }
 
-// Runner is a reusable process body: SpawnRunner runs it like Spawn runs a
-// closure, but hot simulation paths can free-list runner values and resubmit
-// them, avoiding the per-spawn closure allocation.
-type Runner interface{ Run(*Env) }
+// Callback is a Timer's body: Run calls Wake at every wake-up the timer was
+// scheduled for, where it would resume a process.
+type Callback interface{ Wake() }
+
+// Timer is a coroutine-less wake-up target. A state machine that wakes its
+// Timer (WakeAt) where a process would sleep, and queues it on a CPU where
+// the process would block, takes the same (at, seq) event slots and so
+// replays the same event sequence, at a call per wake-up instead of a
+// coroutine switch. Live does not count timers.
+type Timer struct{ p proc }
+
+// NewTimer returns a timer whose wake-ups call cb.Wake.
+func NewTimer(cb Callback) *Timer { return &Timer{p: proc{cb: cb}} }
+
+// WakeAt schedules one wake-up of t at virtual time at (at the current
+// instant if at is in the past).
+func (k *Kernel) WakeAt(t *Timer, at Time) { k.schedule(&t.p, at) }
 
 // Kernel is a discrete-event simulation instance. The zero value is not
 // usable; create one with NewKernel.
 type Kernel struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events eventHeap // wake-ups scheduled for a later instant than the clock read
+	ready  []event   // wake-ups scheduled for now, in order; ready[:rhead] ran
+	rhead  int
 	nextID int
 	live   int // processes spawned and not yet done
 
@@ -173,12 +190,15 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// schedule enqueues a wake-up for p at time at.
+// schedule enqueues a wake-up for p at time at. A wake-up at the current
+// instant skips the heap: it is appended to the ready FIFO, which Run drains
+// after the heap's events at now (see Run for why that order is exact).
 func (k *Kernel) schedule(p *proc, at Time) {
-	if at < k.now {
-		at = k.now
-	}
 	k.seq++
+	if at <= k.now {
+		k.ready = append(k.ready, event{at: k.now, seq: k.seq, gen: p.gen, proc: p})
+		return
+	}
 	k.events.push(event{at: at, seq: k.seq, gen: p.gen, proc: p})
 }
 
@@ -232,7 +252,7 @@ func (k *Kernel) unpark(p *proc) { k.schedule(p, k.now) }
 // spawn is the shared process-creation path: reuse a pooled proc (and its
 // suspended coroutine) when one is free, otherwise create a fresh one. The
 // process becomes runnable at the current virtual time.
-func (k *Kernel) spawn(name string, fn func(*Env), r Runner, g *Group) {
+func (k *Kernel) spawn(name string, fn func(*Env), g *Group) {
 	var p *proc
 	if n := len(k.free); n > 0 {
 		p = k.free[n-1]
@@ -246,7 +266,7 @@ func (k *Kernel) spawn(name string, fn func(*Env), r Runner, g *Group) {
 		k.procs = append(k.procs, p)
 	}
 	p.state, p.since = procBlocked, k.now
-	p.body, p.runner, p.group = fn, r, g
+	p.body, p.group = fn, g
 	k.live++
 	k.schedule(p, k.now)
 }
@@ -254,10 +274,7 @@ func (k *Kernel) spawn(name string, fn func(*Env), r Runner, g *Group) {
 // Spawn creates a new simulated process executing fn, runnable at the current
 // virtual time. fn runs as a coroutine under kernel control. Spawn may be
 // called before Run or from inside a running process.
-func (k *Kernel) Spawn(name string, fn func(*Env)) { k.spawn(name, fn, nil, nil) }
-
-// SpawnRunner is Spawn for a reusable Runner body (no closure allocation).
-func (k *Kernel) SpawnRunner(name string, r Runner) { k.spawn(name, nil, r, nil) }
+func (k *Kernel) Spawn(name string, fn func(*Env)) { k.spawn(name, fn, nil) }
 
 // recycle returns a finished proc to the free list for the next spawn.
 func (k *Kernel) recycle(p *proc) {
@@ -299,19 +316,53 @@ func (k *Kernel) DeadlockReport() string {
 // would pass until. It returns the virtual time at which the run stopped.
 // Processes still blocked at the horizon remain blocked; Run may be called
 // again with a later horizon to continue.
+//
+// Events run in (at, seq) order, taken from three places: the heap's events
+// at now, then the ready FIFO, then the heap again, advancing the clock. That
+// is exact: a heap event at now was scheduled before the clock reached now,
+// so its seq is below that of every ready entry, all of which were scheduled
+// at now; and the FIFO is empty whenever the clock advances.
 func (k *Kernel) Run(until Time) Time {
-	for len(k.events) > 0 {
-		ev := k.events[0]
-		if ev.at > until {
-			k.now = until
-			return k.now
+	if k.now > until && k.Pending() > 0 {
+		k.now = until
+		return k.now
+	}
+	for {
+		var ev event
+		switch {
+		case len(k.events) > 0 && k.events[0].at == k.now:
+			ev = k.events.pop()
+		case k.rhead < len(k.ready):
+			ev = k.ready[k.rhead]
+			k.rhead++
+		default:
+			k.ready, k.rhead = k.ready[:0], 0
+			if len(k.events) == 0 {
+				if k.live > 0 {
+					if k.deadlock != nil {
+						k.deadlock(k)
+						return k.now
+					}
+					panic(k.DeadlockReport())
+				}
+				k.drainPool()
+				return k.now
+			}
+			if k.events[0].at > until {
+				k.now = until
+				return k.now
+			}
+			ev = k.events.pop()
+			k.now = ev.at
 		}
-		k.events.pop()
 		p := ev.proc
 		if ev.gen != p.gen || p.state == procDone {
 			continue
 		}
-		k.now = ev.at
+		if p.cb != nil {
+			p.cb.Wake()
+			continue
+		}
 		// Resume the process; next returns when it blocks or terminates. A
 		// panic in the body propagates from here.
 		p.next()
@@ -320,15 +371,6 @@ func (k *Kernel) Run(until Time) Time {
 			k.recycle(p)
 		}
 	}
-	if k.live > 0 {
-		if k.deadlock != nil {
-			k.deadlock(k)
-			return k.now
-		}
-		panic(k.DeadlockReport())
-	}
-	k.drainPool()
-	return k.now
 }
 
 // RunAll executes the simulation until every process has finished.
@@ -339,4 +381,4 @@ func (k *Kernel) RunAll() Time { return k.Run(MaxTime) }
 func (k *Kernel) Live() int { return k.live }
 
 // Pending reports the number of scheduled events.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return len(k.events) + len(k.ready) - k.rhead }

@@ -363,8 +363,8 @@ func TestDeadlockDefaultPanicsWithReport(t *testing.T) {
 	k.RunAll()
 }
 
-// joinChild is a reusable Runner body for the allocation test: it sleeps, then
-// counts its fork down and fires the parent's event on the last arrival.
+// joinChild is a reusable process body for the allocation test: it sleeps,
+// then counts its fork down and fires the parent's event on the last arrival.
 type joinChild struct {
 	left int
 	ev   *Event
@@ -378,8 +378,9 @@ func (c *joinChild) Run(e *Env) {
 }
 
 // TestSteadyStateHandOffAllocatesNothing: on a warmed kernel, blocking and
-// resuming processes, and forking runners onto recycled procs and joining
-// them on a pooled event, allocate nothing.
+// resuming processes, forking a reusable body onto recycled procs and joining
+// it on a pooled event, and a timer queueing for a contended core, allocate
+// nothing.
 func TestSteadyStateHandOffAllocatesNothing(t *testing.T) {
 	k := NewKernel()
 	stop := false
@@ -392,17 +393,32 @@ func TestSteadyStateHandOffAllocatesNothing(t *testing.T) {
 	}
 	k.Spawn("forker", func(e *Env) {
 		c := &joinChild{}
+		run := c.Run // one method value: a fresh one per Spawn would allocate
 		for !stop {
 			c.left, c.ev = 4, k.AllocEvent()
 			for i := 0; i < 4; i++ {
-				k.SpawnRunner("child", c)
+				k.Spawn("child", run)
 			}
 			c.ev.Wait(e)
 			k.ReleaseEvent(c.ev)
 		}
 	})
+	cpu := NewCPU(k, 1)
+	k.Spawn("hog", func(e *Env) {
+		for !stop {
+			cpu.Use(e, 2*time.Microsecond)
+		}
+	})
+	var bell *doorbell
+	bell = newDoorbell(k, cpu, time.Microsecond, time.Microsecond, func() {
+		if !stop {
+			bell.ring()
+		}
+	})
+	bell.ring()
 	horizon := Time(100 * time.Microsecond)
 	k.Run(horizon) // warm: coroutines created, heap and pools grown
+	waits, _, _ := cpu.sem.WaitStats()
 	allocs := testing.AllocsPerRun(50, func() {
 		horizon = horizon.Add(100 * time.Microsecond)
 		k.Run(horizon)
@@ -410,10 +426,13 @@ func TestSteadyStateHandOffAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state hand-off allocates %.1f per 100µs window, want 0", allocs)
 	}
+	if after, _, _ := cpu.sem.WaitStats(); after-waits < 100 {
+		t.Errorf("%d bursts queued in the measured windows: the core was not contended", after-waits)
+	}
 	stop = true
 	k.RunAll()
-	if k.Live() != 0 {
-		t.Errorf("%d processes left alive", k.Live())
+	if k.Live() != 0 || k.Pending() != 0 {
+		t.Errorf("%d processes left alive, %d events pending", k.Live(), k.Pending())
 	}
 }
 

@@ -18,7 +18,7 @@ type orderLog struct{ b strings.Builder }
 
 func (l *orderLog) at(e *Env) { fmt.Fprintf(&l.b, "%d %s\n", int64(e.Now()), e.Name()) }
 
-// orderRunner is a reusable Runner body: two CPU bursts around a sleep.
+// orderRunner is a reusable process body: a CPU burst, then a sleep.
 type orderRunner struct {
 	l   *orderLog
 	cpu *CPU
@@ -137,7 +137,7 @@ func orderScenario() string {
 	k.Spawn("second", func(e *Env) {
 		l.at(e)
 		for i, r := range runners {
-			k.SpawnRunner(fmt.Sprintf("detached%d", i), r)
+			k.Spawn(fmt.Sprintf("detached%d", i), r.Run)
 		}
 		e.Sleep(time.Millisecond)
 		l.at(e)

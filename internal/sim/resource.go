@@ -47,9 +47,18 @@ func (s *Semaphore) Acquire(e *Env, n int64) {
 	if n <= 0 || n > s.capacity {
 		panic(fmt.Sprintf("sim: semaphore %q: acquire %d with capacity %d", s.name, n, s.capacity))
 	}
+	if !s.acquireOrQueue(e.p, n) {
+		e.block()
+	}
+}
+
+// acquireOrQueue takes n units for p if they are free and nobody queues
+// ahead, reporting true; otherwise it queues p FIFO, to be woken at the
+// instant dispatch grants it the units, and reports false.
+func (s *Semaphore) acquireOrQueue(p *proc, n int64) bool {
 	if s.QueueLen() == 0 && s.held+n <= s.capacity {
 		s.held += n
-		return
+		return true
 	}
 	s.totalWaits++
 	if s.head >= 4096 {
@@ -58,11 +67,11 @@ func (s *Semaphore) Acquire(e *Env, n int64) {
 		s.waiters = s.waiters[:copy(s.waiters, s.waiters[s.head:])]
 		s.head = 0
 	}
-	s.waiters = append(s.waiters, semWaiter{p: e.p, n: n, since: e.k.now})
+	s.waiters = append(s.waiters, semWaiter{p: p, n: n, since: s.k.now})
 	if s.QueueLen() > s.maxQueue {
 		s.maxQueue = s.QueueLen()
 	}
-	e.block()
+	return false
 }
 
 // Release returns n units and wakes as many FIFO waiters as now fit.
@@ -116,7 +125,7 @@ func (e *Env) NewGroup() *Group { return &Group{k: e.k} }
 // fn.
 func (g *Group) Go(name string, fn func(*Env)) {
 	g.pending++
-	g.k.spawn(name, fn, nil, g)
+	g.k.spawn(name, fn, g)
 }
 
 // done is the kernel's completion callback for a grouped process.

@@ -9,7 +9,7 @@ import (
 // concurrent simulated searches into shared device submissions, the
 // cross-query half of the async pipeline. Instead of every query paying the
 // full SubmitCPU per 4 KiB read, requests outstanding at the same instant
-// are drained by one dispatcher process in batches of up to the device queue
+// are drained by one dispatcher in batches of up to the device queue
 // depth (Config.Slots), paying SubmitCPU once per batch plus BatchSubmitCPU
 // per additional request — io_uring-style doorbell batching. The device
 // underneath is the same one the per-request policy drives (Device.submit),
@@ -17,11 +17,11 @@ import (
 // read, and coalesced reads contend with per-request reads and writes for
 // the same units and bus.
 //
-// No request has a process of its own: the dispatcher is the only one paying
+// No request has a timer of its own: the dispatcher is the only one paying
 // CPU, so each completion time is known the moment its batch is submitted,
-// and because read completions are monotone a single completer process walks
-// them in order, firing each request's event at its instant. Host-side, a
-// 64-deep device queue costs two processes instead of 64.
+// and because read completions are monotone a single completer walks them in
+// order, firing each request's event at its instant. Both are timers (see
+// step), so the coalescer runs no process at all.
 //
 // The steady state allocates nothing per request: pending requests and
 // computed completions live in reusable head-compacted slices, and joints
@@ -30,18 +30,19 @@ import (
 // A Batcher is bound to one device and must only be used from simulation
 // processes of that device's kernel.
 type Batcher struct {
-	d       *Device
-	name    string // precomposed dispatcher proc name (concat allocates)
-	cplName string // precomposed completer proc name
+	d *Device
 
-	pending []batchReq
-	head    int // pending[:head] has been dispatched
-	running bool
+	pending  []batchReq
+	head     int // pending[:head] has been dispatched
+	batch    int // the batch being charged is pending[batch:head]
+	cost     sim.Duration
+	disp     *sim.Timer
+	dispStep step
 
 	completions []completion
 	chead       int // completions[:chead] have been waited for
-	completing  bool
-	cpl         completerRunner
+	cpl         *sim.Timer
+	cplStep     step
 
 	batches  int64
 	requests int64
@@ -59,20 +60,16 @@ type completion struct {
 	j  *joint
 }
 
-// completerRunner is the process body walking the completion FIFO (a
-// distinct Runner type because Batcher.Run is the dispatcher).
-type completerRunner struct{ b *Batcher }
+// completer is the Callback of the batcher's completer timer (Batcher's own
+// Wake is the dispatcher's).
+type completer struct{ b *Batcher }
 
-func (c *completerRunner) Run(e *sim.Env) { c.b.complete(e) }
+func (c completer) Wake() { c.b.complete() }
 
 // NewBatcher creates a batcher over the device.
 func NewBatcher(d *Device) *Batcher {
-	b := &Batcher{
-		d:       d,
-		name:    d.cfg.Name + "/batcher",
-		cplName: d.cfg.Name + "/completer",
-	}
-	b.cpl.b = b
+	b := &Batcher{d: d}
+	b.disp, b.cpl = sim.NewTimer(b), sim.NewTimer(completer{b})
 	return b
 }
 
@@ -82,9 +79,9 @@ func (b *Batcher) enqueue(bytes int, j *joint) {
 		panic("ssd: batched read of non-positive size")
 	}
 	b.pending = append(b.pending, batchReq{bytes: bytes, j: j})
-	if !b.running {
-		b.running = true
-		b.d.k.SpawnRunner(b.name, b)
+	if b.dispStep == idle {
+		b.dispStep = spawned
+		b.d.k.WakeAt(b.disp, b.d.k.Now())
 	}
 }
 
@@ -130,73 +127,83 @@ func (b *Batcher) ReadPagesAsync(pages []int64, ev *sim.Event) {
 	}
 }
 
-// complete walks the completion FIFO, sleeping to each request's finish time
-// (monotone: they are all reads) and reporting it to its joint. Completions
-// appended while it sleeps are picked up in order; the queue storage is
-// reset — not reallocated — once drained.
-func (b *Batcher) complete(e *sim.Env) {
-	for b.chead < len(b.completions) {
-		if b.chead >= 4096 {
-			// Under continuous load the FIFO never fully drains; slide the
-			// unconsumed tail down so the backing array stays bounded.
-			n := copy(b.completions, b.completions[b.chead:])
-			b.completions = b.completions[:n]
-			b.chead = 0
-		}
-		c := b.completions[b.chead]
+// complete is the completer's step: it reports the head completion, whose
+// instant it was woken at, then sleeps to the next one (monotone: they are
+// all reads). Completions appended while it sleeps are picked up in order;
+// the queue storage is reset — not reallocated — once drained.
+func (b *Batcher) complete() {
+	if b.cplStep == flash {
+		b.d.retire(b.d.k.Now(), trace.Read)
+		b.d.arrive(b.completions[b.chead].j)
 		b.chead++
-		e.SleepUntil(c.at)
-		b.d.retire(e.Now(), trace.Read)
-		b.d.arrive(c.j)
 	}
-	b.completions = b.completions[:0]
-	b.chead = 0
-	b.completing = false
+	if b.chead == len(b.completions) {
+		b.completions, b.chead = b.completions[:0], 0
+		b.cplStep = idle
+		return
+	}
+	if b.chead >= 4096 {
+		// Under continuous load the FIFO never fully drains; slide the
+		// unconsumed tail down so the backing array stays bounded.
+		b.completions = b.completions[:copy(b.completions, b.completions[b.chead:])]
+		b.chead = 0
+	}
+	b.cplStep = flash
+	b.d.k.WakeAt(b.cpl, b.completions[b.chead].at)
 }
 
-// Run is the dispatcher process body (Batcher implements sim.Runner): it
-// drains the pending queue in batches of up to Slots requests. Each batch
-// charges its amortised submission CPU, then every request is submitted to
-// the device and its completion queued for the completer; the dispatcher
-// moves on to the next batch without waiting for completions, so the device
-// queue actually fills. Requests arriving while a batch's CPU charge blocks are picked up
-// by later iterations; the queue storage is reset — not reallocated — once
-// drained.
-func (b *Batcher) Run(e *sim.Env) {
+// Wake is the dispatcher's step (Batcher is its timer's Callback): it drains
+// the pending queue in batches of up to Slots requests. Each batch charges
+// its amortised submission CPU — across wake-ups, the batch kept as
+// pending[batch:head] — then every request is submitted to the device and its
+// completion queued for the completer; the dispatcher moves on to the next
+// batch without waiting for completions, so the device queue actually fills.
+// Requests arriving while a batch's CPU charge runs are picked up by later
+// batches; the queue storage is reset — not reallocated — once drained.
+func (b *Batcher) Wake() {
+	switch b.dispStep {
+	case queued:
+		b.d.charge(b.disp, &b.dispStep, b.cost)
+		return
+	case doorbell:
+		b.d.cpu.End(b.cost)
+		b.submitBatch()
+	}
 	for b.head < len(b.pending) {
 		if b.head >= 4096 {
 			// Same tail compaction as the completer: under continuous load
 			// the dispatcher may never observe an empty queue.
-			n := copy(b.pending, b.pending[b.head:])
-			b.pending = b.pending[:n]
+			b.pending = b.pending[:copy(b.pending, b.pending[b.head:])]
 			b.head = 0
 		}
-		n := len(b.pending) - b.head
-		if n > b.d.cfg.Slots {
-			n = b.d.cfg.Slots
-		}
-		batch := b.pending[b.head : b.head+n]
+		n := min(len(b.pending)-b.head, b.d.cfg.Slots)
+		b.batch = b.head
 		b.head += n
 		b.batches++
 		b.requests += int64(n)
-		if b.d.cpu != nil {
-			cost := b.d.cfg.SubmitCPU + sim.Duration(n-1)*b.d.cfg.BatchSubmitCPU
-			if cost > 0 {
-				b.d.cpu.Use(e, cost)
-			}
+		b.cost = b.d.cfg.SubmitCPU + sim.Duration(n-1)*b.d.cfg.BatchSubmitCPU
+		if b.d.cpu != nil && b.cost > 0 {
+			b.d.charge(b.disp, &b.dispStep, b.cost)
+			return
 		}
-		for _, req := range batch {
-			at := b.d.submit(e.Now(), trace.Read, req.bytes)
-			b.completions = append(b.completions, completion{at: at, j: req.j})
-		}
-		if !b.completing {
-			b.completing = true
-			b.d.k.SpawnRunner(b.cplName, &b.cpl)
-		}
+		b.submitBatch()
 	}
-	b.pending = b.pending[:0]
-	b.head = 0
-	b.running = false
+	b.pending, b.head = b.pending[:0], 0
+	b.dispStep = idle
+}
+
+// submitBatch submits the charged batch and makes sure the completer is
+// walking its completions.
+func (b *Batcher) submitBatch() {
+	now := b.d.k.Now()
+	for _, req := range b.pending[b.batch:b.head] {
+		at := b.d.submit(now, trace.Read, req.bytes)
+		b.completions = append(b.completions, completion{at: at, j: req.j})
+	}
+	if b.cplStep == idle {
+		b.cplStep = spawned
+		b.d.k.WakeAt(b.cpl, now)
+	}
 }
 
 // Stats reports the number of dispatched batches and the requests they

@@ -7,14 +7,15 @@ import (
 )
 
 // checkDrained asserts what must hold of a device (and its batcher, if any)
-// once the kernel has run dry at virtual time end: nothing outstanding, every
-// traced request retired, no unit busy past the final clock, every joint and
-// read job back in its pool, and the batcher's queues empty with neither of
-// its processes alive.
+// once the kernel has run dry at virtual time end: no process alive and no
+// wake-up pending, nothing outstanding, every traced request retired, no unit
+// busy past the final clock, every joint and read job back in its pool and
+// idle, and the batcher's queues empty with both of its timers idle.
 func checkDrained(t *testing.T, d *Device, b *Batcher, end sim.Time) {
 	t.Helper()
-	if d.k.Live() != 0 || d.outstanding != 0 {
-		t.Errorf("drained device has %d live processes, %d outstanding requests", d.k.Live(), d.outstanding)
+	if d.k.Live() != 0 || d.k.Pending() != 0 || d.outstanding != 0 {
+		t.Errorf("drained device has %d live processes, %d pending wake-ups, %d outstanding requests",
+			d.k.Live(), d.k.Pending(), d.outstanding)
 	}
 	if d.tracer != nil {
 		reads, writes := d.Stats()
@@ -45,8 +46,8 @@ func checkDrained(t *testing.T, d *Device, b *Batcher, end sim.Time) {
 		}
 	}
 	for _, r := range d.jobs {
-		if r.j != nil {
-			t.Error("pooled read job still holds a joint")
+		if r.j != nil || r.step != idle {
+			t.Errorf("pooled read job holds a joint (%v) or is not idle (step %d)", r.j != nil, r.step)
 		}
 	}
 	if b == nil {
@@ -56,7 +57,7 @@ func checkDrained(t *testing.T, d *Device, b *Batcher, end sim.Time) {
 		t.Errorf("batcher queues not reset: %d pending (head %d), %d completions (head %d)",
 			len(b.pending), b.head, len(b.completions), b.chead)
 	}
-	if b.running || b.completing {
-		t.Errorf("batcher processes alive: dispatcher %v, completer %v", b.running, b.completing)
+	if b.dispStep != idle || b.cplStep != idle {
+		t.Errorf("batcher timers not idle: dispatcher step %d, completer step %d", b.dispStep, b.cplStep)
 	}
 }

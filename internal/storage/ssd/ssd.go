@@ -100,7 +100,7 @@ type Device struct {
 	nextPage    int64                      // bump allocator for page addresses
 	retired     [2]int64                   // requests completed, by op
 	outstanding int                        // requests submitted and not yet completed
-	jobs        []*readJob                 // asynchronous per-request read body pool
+	jobs        []*readJob                 // asynchronous per-request read pool
 	joints      []*joint                   // completion count-down pool
 	made        struct{ jobs, joints int } // pooled objects ever created (drain check)
 }
@@ -259,26 +259,73 @@ func (d *Device) await(e *sim.Env, ev *sim.Event) {
 	d.k.ReleaseEvent(ev)
 }
 
-// readJob is the pooled process body of one asynchronous per-request read.
-// The read cannot be computed at the call like a coalesced one: its doorbell
-// occupies a simulated core for SubmitCPU, sim.CPU.Use blocks, and a beam's W
-// doorbells ringing on W cores at once is what the calibration rests on.
+// step is where one of the device's timers — a per-request read, the
+// coalescer's dispatcher or its completer — stands between wake-ups.
+type step uint8
+
+const (
+	idle     step = iota // not scheduled: pooled, or nothing left to do
+	spawned              // woken at the instant it was started
+	queued               // waiting for a core
+	doorbell             // holding a core for its submission CPU
+	flash                // waiting for a device completion
+)
+
+// charge takes timer t, at step *s, through a submission-CPU burst of dur as
+// sim.CPU.Use takes a process: from spawned it claims a core or queues for
+// one; once granted, the burst runs and t wakes at its end in step doorbell.
+func (d *Device) charge(t *sim.Timer, s *step, dur sim.Duration) {
+	if *s != queued && !d.cpu.Start(t) {
+		*s = queued
+		return
+	}
+	*s = doorbell
+	d.cpu.Granted()
+	d.k.WakeAt(t, d.k.Now().Add(dur))
+}
+
+// readJob is one asynchronous per-request read. It cannot be computed at the
+// call like a coalesced one: its doorbell occupies a simulated core for
+// SubmitCPU, queueing FIFO when all are busy, and a beam's W doorbells
+// ringing on W cores at once is what the calibration rests on. So it runs
+// Device.request as a state machine on a pooled timer: spawned → (queued) →
+// doorbell → flash.
 type readJob struct {
 	d     *Device
+	t     *sim.Timer
+	step  step
 	bytes int
 	j     *joint
 }
 
-// Run performs the read, reports it to the joint and returns the job to the
-// device's pool (readJob implements sim.Runner).
-func (r *readJob) Run(e *sim.Env) {
+func (r *readJob) Wake() {
 	d := r.d
-	d.request(e, trace.Read, r.bytes)
-	d.arrive(r.j)
-	r.j = nil
-	d.jobs = append(d.jobs, r)
+	switch r.step {
+	case spawned, queued:
+		if d.cpu == nil || d.cfg.SubmitCPU <= 0 {
+			r.submit()
+			return
+		}
+		d.charge(r.t, &r.step, d.cfg.SubmitCPU)
+	case doorbell:
+		d.cpu.End(d.cfg.SubmitCPU)
+		r.submit()
+	case flash:
+		d.retire(d.k.Now(), trace.Read)
+		d.arrive(r.j)
+		r.j, r.step = nil, idle
+		d.jobs = append(d.jobs, r)
+	}
 }
 
+func (r *readJob) submit() {
+	r.step = flash
+	r.d.k.WakeAt(r.t, r.d.submit(r.d.k.Now(), trace.Read, r.bytes))
+}
+
+// spawnRead starts one read at the current instant. Its first step runs on
+// its own wake-up, after those already scheduled for this instant, as the
+// process it replaces did (see TestBeamTieOrderDiffers).
 func (d *Device) spawnRead(bytes int, j *joint) {
 	var r *readJob
 	if n := len(d.jobs); n > 0 {
@@ -286,10 +333,11 @@ func (d *Device) spawnRead(bytes int, j *joint) {
 		d.jobs = d.jobs[:n-1]
 	} else {
 		r = &readJob{d: d}
+		r.t = sim.NewTimer(r)
 		d.made.jobs++
 	}
-	r.bytes, r.j = bytes, j
-	d.k.SpawnRunner("ssd-read", r)
+	r.bytes, r.j, r.step = bytes, j, spawned
+	d.k.WakeAt(r.t, d.k.Now())
 }
 
 // ReadAsync submits one read without blocking the caller: ev fires when the
