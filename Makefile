@@ -93,8 +93,9 @@ bench-check:
 # contract of every refactor under internal/sim, ssd and vdb: checks BASE out
 # under a temp dir (git archive: nothing is left behind in .git), builds
 # annbench on both sides, runs the quick suite on each, drops the host
-# wall-clock footers and diffs. Fails on any difference; offline; not a CI
-# step (a PR that moves tables on purpose must still pass CI).
+# wall-clock footers and diffs. Fails on any difference; offline. CI runs it
+# on pull requests against their base, so a PR that moves tables on purpose
+# fails that step and says why in its description.
 # EXPERIMENTS=table2,cache,pipeline,layout is the two-minute short form.
 BASE ?= HEAD
 EXPERIMENTS ?= all

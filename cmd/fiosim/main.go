@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
+	"svdbench/internal/core"
 	"svdbench/internal/sim"
 	"svdbench/internal/storage/ssd"
 )
@@ -50,44 +50,19 @@ func run(args []string, w io.Writer) error {
 	k := sim.NewKernel()
 	cpu := sim.NewCPU(k, *cores)
 	dev := ssd.New(k, cpu, ssd.DefaultConfig())
-	deadline := sim.Time(*duration)
-	var ops int64
 	var lats []sim.Duration
-	for i := 0; i < *jobs; i++ {
-		k.Spawn("job", func(e *sim.Env) {
-			for e.Now() < deadline {
-				start := e.Now()
-				if *rw == "write" {
-					dev.Write(e, 0, *bs)
-				} else {
-					dev.Read(e, 0, *bs)
-				}
-				ops++
-				lats = append(lats, e.Now().Sub(start))
-			}
-		})
-	}
+	dev.Jobs(*jobs, *bs, *rw == "write", sim.Time(*duration), func(lat sim.Duration) { lats = append(lats, lat) })
 	k.RunAll()
 
+	ops := len(lats)
 	secs := duration.Seconds()
 	iops := float64(ops) / secs
 	mibps := float64(ops) * float64(*bs) / (1 << 20) / secs
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) sim.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p*float64(len(lats))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return lats[i]
-	}
 	fmt.Fprintf(w, "%s: bs=%d jobs=%d cores=%d duration=%v rw=%s\n", ssd.DefaultConfig().Name, *bs, *jobs, *cores, *duration, *rw)
 	fmt.Fprintf(w, "  IOPS      = %.0f\n", iops)
 	fmt.Fprintf(w, "  bandwidth = %.1f MiB/s (%.2f GiB/s)\n", mibps, mibps/1024)
-	fmt.Fprintf(w, "  lat p50   = %v\n", pct(0.50))
-	fmt.Fprintf(w, "  lat p99   = %v\n", pct(0.99))
+	fmt.Fprintf(w, "  lat p50   = %v\n", core.Percentile(lats, 0.50))
+	fmt.Fprintf(w, "  lat p99   = %v\n", core.Percentile(lats, 0.99))
 	fmt.Fprintf(w, "  CPU busy  = %v\n", cpu.BusyTime())
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,9 +19,9 @@ import (
 // like the paper's scripts reuse the same built indexes.
 //
 // All Bench state is safe for concurrent use: experiment cells fan out
-// across Scheduler workers, and every cache is a per-key singleflight — the
-// first goroutine asking for a dataset, stack or run cell computes it while
-// later askers block on that one computation instead of duplicating it.
+// across Scheduler workers, and every cache is a memo — the first goroutine
+// asking for a dataset, stack or run cell computes it while later askers
+// block on that one computation instead of duplicating it.
 type Bench struct {
 	// Scale selects dataset sizes (see dataset.Scale).
 	Scale dataset.Scale
@@ -40,57 +39,62 @@ type Bench struct {
 	// OnProgress, when non-nil, receives one report per completed cell.
 	OnProgress func(Progress)
 
-	mu       sync.Mutex
-	datasets map[string]*datasetEntry
-	stacks   map[string]*stackEntry
-	prepared map[string]*preparedEntry
-	runCache map[runKey]*runEntry
+	datasets memo[string, *dataset.Dataset]
+	stacks   memo[string, *Stack]
+	prepared memo[string, *prepared]
+	runs     memo[runKey, RunOutput]
 }
 
-// Singleflight cache entries: the map slot is created under b.mu, the value
-// is computed exactly once under the entry's own sync.Once, and failed
-// computations evict their slot so a cancelled run never poisons a later
-// one.
-type (
-	datasetEntry struct {
-		once sync.Once
-		ds   *dataset.Dataset
-		err  error
+// runKey memoises a simulation on everything that determines it: the whole
+// defaulted RunConfig, so no field can silently share a result.
+type runKey struct {
+	dataset, setup string
+	cfg            RunConfig
+	cellID         string
+}
+
+// memo is a per-key singleflight cache, ready to use at its zero value: the
+// slot for a key is created under mu, its value is computed exactly once
+// under the slot's own sync.Once, and a failed computation evicts its slot so
+// a cancelled run never poisons a later one.
+type memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	slots map[K]*memoSlot[V]
+}
+
+type memoSlot[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// get returns the value for key, computing it with f on first use.
+// Concurrent calls for one key share one computation.
+func (m *memo[K, V]) get(key K, f func() (V, error)) (V, error) {
+	m.mu.Lock()
+	if m.slots == nil {
+		m.slots = map[K]*memoSlot[V]{}
 	}
-	stackEntry struct {
-		once sync.Once
-		st   *Stack
-		err  error
+	e, ok := m.slots[key]
+	if !ok {
+		e = &memoSlot[V]{}
+		m.slots[key] = e
 	}
-	preparedEntry struct {
-		once sync.Once
-		p    *prepared
-		err  error
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = f() })
+	if e.err != nil {
+		m.mu.Lock()
+		if m.slots[key] == e {
+			delete(m.slots, key)
+		}
+		m.mu.Unlock()
 	}
-	// runKey memoises a simulation on everything that determines it: the
-	// whole defaulted RunConfig, so no field can silently share a result.
-	runKey struct {
-		dataset, setup string
-		cfg            RunConfig
-		cellID         string
-	}
-	runEntry struct {
-		once sync.Once
-		out  RunOutput
-		err  error
-	}
-)
+	return e.v, e.err
+}
 
 // NewBench creates a bench at the given scale.
 func NewBench(scale dataset.Scale, cacheDir string) *Bench {
-	return &Bench{
-		Scale:    scale,
-		CacheDir: cacheDir,
-		datasets: map[string]*datasetEntry{},
-		stacks:   map[string]*stackEntry{},
-		prepared: map[string]*preparedEntry{},
-		runCache: map[runKey]*runEntry{},
-	}
+	return &Bench{Scale: scale, CacheDir: cacheDir}
 }
 
 // runGrid executes cells through a scheduler configured from the bench's
@@ -120,26 +124,7 @@ func (b *Bench) DatasetContext(ctx context.Context, name string) (*dataset.Datas
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b.mu.Lock()
-	e, ok := b.datasets[name]
-	if !ok {
-		e = &datasetEntry{}
-		b.datasets[name] = e
-	}
-	b.mu.Unlock()
-	e.once.Do(func() { e.ds, e.err = b.loadDataset(ctx, name) })
-	if e.err != nil {
-		b.evictDataset(name, e)
-	}
-	return e.ds, e.err
-}
-
-func (b *Bench) evictDataset(name string, e *datasetEntry) {
-	b.mu.Lock()
-	if b.datasets[name] == e {
-		delete(b.datasets, name)
-	}
-	b.mu.Unlock()
+	return b.datasets.get(name, func() (*dataset.Dataset, error) { return b.loadDataset(ctx, name) })
 }
 
 func (b *Bench) loadDataset(ctx context.Context, name string) (*dataset.Dataset, error) {
@@ -186,22 +171,15 @@ type Stack struct {
 // Qdrant and Weaviate both run one monolithic HNSW graph, so the expensive
 // build and recording happen once, exactly as the paper shares index
 // parameters across databases.
+//
+// The recording of each search-option variant, and its recall, are memoised
+// by variantKey, so concurrent cells asking for the same options share one
+// RecordQueries pass.
 type prepared struct {
-	col      *vdb.Collection
-	dataset  *dataset.Dataset
-	mu       sync.Mutex
-	variants map[string]*execsEntry
-}
-
-// execsEntry singleflights the recording (and recall computation) of one
-// search-option variant, so concurrent cells asking for the same options
-// share one RecordQueries pass.
-type execsEntry struct {
-	once  sync.Once
-	execs []vdb.QueryExec
-
-	recallOnce sync.Once
-	recall     float64
+	col     *vdb.Collection
+	dataset *dataset.Dataset
+	execs   memo[string, []vdb.QueryExec]
+	recall  memo[string, float64]
 }
 
 // stackKey identifies a stack in the bench cache.
@@ -237,25 +215,10 @@ func (b *Bench) StackContext(ctx context.Context, dsName string, setup vdb.Setup
 		setup.Engine.MemPerQuery, setup.Engine.MemBudget = 0, 0
 	}
 	key := stackKey(dsName, setup)
-	b.mu.Lock()
-	e, ok := b.stacks[key]
-	if !ok {
-		e = &stackEntry{}
-		b.stacks[key] = e
-	}
-	b.mu.Unlock()
-	e.once.Do(func() { e.st, e.err = b.buildStack(ctx, key, dsName, setup) })
-	if e.err != nil {
-		b.mu.Lock()
-		if b.stacks[key] == e {
-			delete(b.stacks, key)
-		}
-		b.mu.Unlock()
-	}
-	return e.st, e.err
+	return b.stacks.get(key, func() (*Stack, error) { return b.buildStack(ctx, key, dsName, setup) })
 }
 
-// buildStack is the singleflight body of StackContext.
+// buildStack is the memoised body of StackContext.
 func (b *Bench) buildStack(ctx context.Context, key, dsName string, setup vdb.Setup) (*Stack, error) {
 	ds, err := b.DatasetContext(ctx, dsName)
 	if err != nil {
@@ -287,28 +250,13 @@ func (b *Bench) buildStack(ctx context.Context, key, dsName string, setup vdb.Se
 }
 
 // prepare builds (or restores) the shared collection for a dataset and
-// setup, singleflighted by structural key.
+// setup, memoised by structural key.
 func (b *Bench) prepare(ctx context.Context, dsName string, ds *dataset.Dataset, setup vdb.Setup) (*prepared, error) {
 	ck := colKey(dsName, setup)
-	b.mu.Lock()
-	e, ok := b.prepared[ck]
-	if !ok {
-		e = &preparedEntry{}
-		b.prepared[ck] = e
-	}
-	b.mu.Unlock()
-	e.once.Do(func() { e.p, e.err = b.buildPrepared(ctx, ck, ds, setup) })
-	if e.err != nil {
-		b.mu.Lock()
-		if b.prepared[ck] == e {
-			delete(b.prepared, ck)
-		}
-		b.mu.Unlock()
-	}
-	return e.p, e.err
+	return b.prepared.get(ck, func() (*prepared, error) { return b.buildPrepared(ctx, ck, ds, setup) })
 }
 
-// buildPrepared is the singleflight body of prepare.
+// buildPrepared is the memoised body of prepare.
 func (b *Bench) buildPrepared(ctx context.Context, ck string, ds *dataset.Dataset, setup vdb.Setup) (*prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -333,11 +281,7 @@ func (b *Bench) buildPrepared(ctx context.Context, ck string, ds *dataset.Datase
 	}
 	var nextPage int64
 	col.AssignStorage(func(n int64) int64 { p := nextPage; nextPage += n; return p })
-	return &prepared{
-		col:      col,
-		dataset:  ds,
-		variants: map[string]*execsEntry{},
-	}, nil
+	return &prepared{col: col, dataset: ds}, nil
 }
 
 // PaperK is the result depth of every experiment (the paper evaluates
@@ -405,21 +349,12 @@ func recallOfExecs(execs []vdb.QueryExec, gt [][]int32) float64 {
 	return dataset.MeanRecallAtK(ids, gt, PaperK)
 }
 
-// variantEntry returns (creating on first use) the singleflight entry for
-// one option set.
-func (p *prepared) variantEntry(opts index.SearchOptions) *execsEntry {
-	key := fmt.Sprintf("np%d-ef%d-sl%d-bw%d-nc%d-ncp%s-la%d-qc%d-ly%s",
+// variantKey identifies one search-option variant in a prepared's memos.
+func variantKey(opts index.SearchOptions) string {
+	return fmt.Sprintf("np%d-ef%d-sl%d-bw%d-nc%d-ncp%s-la%d-qc%d-ly%s",
 		opts.NProbe, opts.EfSearch, opts.SearchList, opts.BeamWidth,
 		opts.NodeCacheNodes, opts.NodeCachePolicy,
 		opts.LookAhead, opts.QueryConcurrency, opts.Layout)
-	p.mu.Lock()
-	e, ok := p.variants[key]
-	if !ok {
-		e = &execsEntry{}
-		p.variants[key] = e
-	}
-	p.mu.Unlock()
-	return e
 }
 
 // ExecsFor returns recorded executions at the given search options,
@@ -427,17 +362,19 @@ func (p *prepared) variantEntry(opts index.SearchOptions) *execsEntry {
 // structure). Concurrent calls for the same options share one recording.
 func (s *Stack) ExecsFor(opts index.SearchOptions) []vdb.QueryExec {
 	p := s.prep
-	e := p.variantEntry(opts)
-	e.once.Do(func() { e.execs = p.col.RecordQueries(p.dataset.Queries, PaperK, opts) })
-	return e.execs
+	execs, _ := p.execs.get(variantKey(opts), func() ([]vdb.QueryExec, error) {
+		return p.col.RecordQueries(p.dataset.Queries, PaperK, opts), nil
+	})
+	return execs
 }
 
 // RecallFor computes achieved recall at non-default options, memoised.
 func (s *Stack) RecallFor(opts index.SearchOptions) float64 {
 	p := s.prep
-	e := p.variantEntry(opts)
-	e.recallOnce.Do(func() { e.recall = recallOfExecs(s.ExecsFor(opts), p.dataset.GroundTruth) })
-	return e.recall
+	recall, _ := p.recall.get(variantKey(opts), func() (float64, error) {
+		return recallOfExecs(s.ExecsFor(opts), p.dataset.GroundTruth), nil
+	})
+	return recall
 }
 
 // RunCell executes (memoised) one measurement cell for a stack. It is the
@@ -455,22 +392,7 @@ func (b *Bench) RunCellContext(ctx context.Context, st *Stack, execs []vdb.Query
 	}
 	cfg = b.mergeDefaults(cfg)
 	key := runKey{st.DatasetName, st.Setup.Label(), cfg, cellID}
-	b.mu.Lock()
-	e, ok := b.runCache[key]
-	if !ok {
-		e = &runEntry{}
-		b.runCache[key] = e
-	}
-	b.mu.Unlock()
-	e.once.Do(func() { e.out, e.err = RunContext(ctx, execs, st.Setup.Engine, cfg) })
-	if e.err != nil {
-		b.mu.Lock()
-		if b.runCache[key] == e {
-			delete(b.runCache, key)
-		}
-		b.mu.Unlock()
-	}
-	return e.out, e.err
+	return b.runs.get(key, func() (RunOutput, error) { return RunContext(ctx, execs, st.Setup.Engine, cfg) })
 }
 
 func (b *Bench) mergeDefaults(cfg RunConfig) RunConfig {
@@ -508,13 +430,3 @@ var SearchListSweep = []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
 // BeamWidthSweep is the paper's Fig. 12–15 ladder.
 var BeamWidthSweep = []int{1, 2, 4, 8, 16, 32}
-
-// sortedKeys is a small test helper.
-func sortedKeys(m map[string]*execsEntry) []string {
-	out := make([]string, 0, len(m))
-	for k := range m { //annlint:allow mapiter -- key order is restored by the sort below
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,8 +145,36 @@ func TestExecsForMemoised(t *testing.T) {
 		t.Error("variant executions not memoised")
 	}
 	// Tuned executions plus the explicit variant.
-	if len(sortedKeys(st.prep.variants)) != 2 {
-		t.Errorf("variant cache keys = %v", sortedKeys(st.prep.variants))
+	if n := len(st.prep.execs.slots); n != 2 {
+		t.Errorf("%d recorded variants, want 2", n)
+	}
+}
+
+// TestMemoSharesAndEvicts: concurrent askers of one key share one
+// computation, and a failed computation is not cached.
+func TestMemoSharesAndEvicts(t *testing.T) {
+	var m memo[string, int]
+	var calls atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, err := m.get("k", func() (int, error) { calls.Add(1); return 42, nil }); v != 42 || err != nil {
+				t.Errorf("get = %d, %v", v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d computations for one key, want 1", n)
+	}
+	boom := errors.New("boom")
+	if _, err := m.get("bad", func() (int, error) { return 0, boom }); err != boom {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if v, err := m.get("bad", func() (int, error) { return 7, nil }); v != 7 || err != nil {
+		t.Errorf("after a failure get = %d, %v: the failure was cached", v, err)
 	}
 }
 
@@ -155,15 +186,15 @@ func TestRunCellMemoised(t *testing.T) {
 	}
 	a := b.RunCell(st, st.Execs, RunConfig{Threads: 2}, "x")
 	c := b.RunCell(st, st.Execs, RunConfig{Threads: 2}, "x")
-	if a.Metrics.QPS != c.Metrics.QPS || len(b.runCache) != 1 {
-		t.Errorf("run cell not memoised (%d simulations)", len(b.runCache))
+	if a.Metrics.QPS != c.Metrics.QPS || len(b.runs.slots) != 1 {
+		t.Errorf("run cell not memoised (%d simulations)", len(b.runs.slots))
 	}
 	// The memo keys on the whole config: the same cellID under another seed
 	// is another simulation, and so is a timeline request after a plain one.
 	b.RunCell(st, st.Execs, RunConfig{Threads: 2, Seed: 7}, "x")
 	b.RunCell(st, st.Execs, RunConfig{Threads: 2, Timeline: true}, "x")
-	if len(b.runCache) != 3 {
-		t.Errorf("a different Seed or Timeline shared the memoised run (%d simulations, want 3)", len(b.runCache))
+	if len(b.runs.slots) != 3 {
+		t.Errorf("a different Seed or Timeline shared the memoised run (%d simulations, want 3)", len(b.runs.slots))
 	}
 }
 

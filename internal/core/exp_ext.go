@@ -8,7 +8,6 @@ import (
 	"svdbench/internal/dataset"
 	"svdbench/internal/index"
 	"svdbench/internal/sim"
-	"svdbench/internal/storage/ssd"
 	"svdbench/internal/trace"
 	"svdbench/internal/vdb"
 	"svdbench/internal/vec"
@@ -30,11 +29,11 @@ func runExtA(ctx context.Context, b *Bench, w io.Writer) error {
 		i, writers := i, writers
 		cells[i] = cell{
 			key: fmt.Sprintf("extA/writers=%d", writers),
-			run: func(ctx context.Context) error {
+			run: func(ctx context.Context) (err error) {
 				// Each cell spins up a private simulated stack inside
 				// runHybrid, so cells are independent and parallel-safe.
-				results[i] = runHybrid(st, 16, writers, b.mergeDefaults(RunConfig{}))
-				return nil
+				results[i], err = runHybrid(st, 16, writers, b.mergeDefaults(RunConfig{}))
+				return err
 			},
 		}
 	}
@@ -56,49 +55,33 @@ func runExtA(ctx context.Context, b *Bench, w io.Writer) error {
 
 // runHybrid is the Ext-A workload: queryThreads closed-loop searchers plus
 // writerThreads alternating insert/delete clients against the same engine
-// and device.
-func runHybrid(st *Stack, queryThreads, writerThreads int, cfg RunConfig) Metrics {
-	k := sim.NewKernel()
-	cpu := sim.NewCPU(k, cfg.Cores)
-	dev := ssd.New(k, cpu, ssd.DefaultConfig())
+// and device. Failed operations are not counted.
+func runHybrid(st *Stack, queryThreads, writerThreads int, cfg RunConfig) (Metrics, error) {
 	tr := trace.NewTracer(false)
-	dev.Attach(tr)
-	eng := vdb.NewEngine(k, cpu, dev, st.Setup.Engine)
+	r := newRig(cfg.Cores, tr)
+	eng := vdb.NewEngine(r.k, r.cpu, r.dev, st.Setup.Engine)
 	deadline := sim.Time(cfg.Duration)
 	var latencies []sim.Duration
 	var served int64
-	next := 0
-	for t := 0; t < queryThreads; t++ {
-		k.Spawn("query", func(e *sim.Env) {
-			for e.Now() < deadline {
-				qe := &st.Execs[next]
-				next++
-				if next == len(st.Execs) {
-					next = 0
-				}
-				start := e.Now()
-				if eng.RunQuery(e, qe) == nil && e.Now() <= deadline {
-					served++
-					latencies = append(latencies, e.Now().Sub(start))
-				}
-			}
-		})
-	}
+	queries := cursor{execs: st.Execs}
+	r.clients("query", queryThreads, deadline, nil, func(e *sim.Env, _ int) {
+		start := e.Now()
+		if eng.RunQuery(e, queries.next()) == nil && e.Now() <= deadline {
+			served++
+			latencies = append(latencies, e.Now().Sub(start))
+		}
+	})
 	vectorBytes := st.Dataset.Spec.Dim * 4
-	for t := 0; t < writerThreads; t++ {
-		k.Spawn("writer", func(e *sim.Env) {
-			i := 0
-			for e.Now() < deadline {
-				if i%8 == 7 {
-					eng.RunDelete(e)
-				} else {
-					eng.RunInsert(e, vectorBytes)
-				}
-				i++
-			}
-		})
+	r.clients("writer", writerThreads, deadline, nil, func(e *sim.Env, i int) {
+		if i%8 == 7 {
+			eng.RunDelete(e)
+		} else {
+			eng.RunInsert(e, vectorBytes)
+		}
+	})
+	if _, err := r.run(); err != nil {
+		return Metrics{}, err
 	}
-	k.RunAll()
 	m := Metrics{
 		P99:         Percentile(latencies, 0.99),
 		MeanLatency: MeanDuration(latencies),
@@ -110,7 +93,7 @@ func runHybrid(st *Stack, queryThreads, writerThreads int, cfg RunConfig) Metric
 	sum := tr.Summarize(cfg.Duration)
 	m.ReadMiBps = sum.ReadMiBps
 	m.WriteMiBps = sum.WriteMiBps
-	return m
+	return m, nil
 }
 
 // runExtB measures filtered search (payload predicate pushdown): recall

@@ -17,27 +17,16 @@ import (
 // 32 threads. The paper's measured values were 324.3 KIOPS, 1.3 MIOPS and
 // 7.2 GiB/s on the Samsung 990 Pro.
 func runTable1(ctx context.Context, b *Bench, w io.Writer) error {
-	type cal struct {
-		name            string
-		cores, jobs, sz int
-		paper           string
-	}
-	cals := []cal{
-		{"4KiB randread, 1 core, qd256", 1, 256, 4096, "324.3 KIOPS"},
-		{"4KiB randread, 4 cores, qd64", 4, 64, 4096, "1.3 MIOPS"},
-		{"128KiB seqread, 32 threads", 20, 32, 128 * 1024, "7.2 GiB/s"},
-	}
 	type point struct{ iops, mibps float64 }
-	results := make([]point, len(cals))
-	cells := make([]cell, len(cals))
-	for i, c := range cals {
+	results := make([]point, len(ssd.TableI))
+	cells := make([]cell, len(ssd.TableI))
+	for i, c := range ssd.TableI {
 		i, c := i, c
 		cells[i] = cell{
-			key: "table1/" + c.name,
-			run: func(ctx context.Context) error {
-				iops, mibps := fioLike(c.cores, c.jobs, c.sz, 500*time.Millisecond)
-				results[i] = point{iops, mibps}
-				return nil
+			key: "table1/" + c.Name,
+			run: func(ctx context.Context) (err error) {
+				results[i].iops, results[i].mibps, err = fioLike(c, 500*time.Millisecond)
+				return err
 			},
 		}
 	}
@@ -45,30 +34,23 @@ func runTable1(ctx context.Context, b *Bench, w io.Writer) error {
 		return err
 	}
 	tw := table(w, "workload", "paper", "measured IOPS", "measured MiB/s")
-	for i, c := range cals {
-		row(tw, c.name, c.paper, fmt.Sprintf("%.0f", results[i].iops), fmt.Sprintf("%.0f", results[i].mibps))
+	for i, c := range ssd.TableI {
+		row(tw, c.Name, c.Paper, fmt.Sprintf("%.0f", results[i].iops), fmt.Sprintf("%.0f", results[i].mibps))
 	}
 	return tw.Flush()
 }
 
-// fioLike runs a closed-loop raw-device workload on a fresh simulated stack.
-func fioLike(cores, jobs, reqBytes int, dur sim.Duration) (iops, mibps float64) {
-	k := sim.NewKernel()
-	cpu := sim.NewCPU(k, cores)
-	dev := ssd.New(k, cpu, ssd.DefaultConfig())
-	deadline := sim.Time(dur)
+// fioLike runs one calibration job set on a fresh simulated stack. Requests
+// that complete after the deadline are counted.
+func fioLike(c ssd.Calibration, dur sim.Duration) (iops, mibps float64, err error) {
+	r := newRig(c.Cores, nil)
 	var ops int64
-	for i := 0; i < jobs; i++ {
-		k.Spawn("fio", func(e *sim.Env) {
-			for e.Now() < deadline {
-				dev.Read(e, 0, reqBytes)
-				ops++
-			}
-		})
+	r.dev.Jobs(c.Jobs, c.Bytes, false, sim.Time(dur), func(sim.Duration) { ops++ })
+	if _, err := r.run(); err != nil {
+		return 0, 0, err
 	}
-	k.RunAll()
 	secs := dur.Seconds()
-	return float64(ops) / secs, float64(ops) * float64(reqBytes) / (1 << 20) / secs
+	return float64(ops) / secs, float64(ops) * float64(c.Bytes) / (1 << 20) / secs, nil
 }
 
 // prefetchStacks builds the given (dataset, setup) stacks as one scheduler

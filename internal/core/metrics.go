@@ -9,7 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"svdbench/internal/sim"
@@ -17,22 +17,26 @@ import (
 
 // Percentile returns the p-quantile (0 < p ≤ 1) of the samples using the
 // nearest-rank method the paper's tooling uses for P99. It returns 0 for an
-// empty sample set.
+// empty sample set and leaves samples unchanged.
 func Percentile(samples []sim.Duration, p float64) sim.Duration {
-	if len(samples) == 0 {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	return rank(sorted, p)
+}
+
+// rank is Percentile over samples already sorted ascending.
+func rank(sorted []sim.Duration, p float64) sim.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]sim.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
+	r := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if r < 0 {
+		r = 0
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
+	if r >= len(sorted) {
+		r = len(sorted) - 1
 	}
-	return sorted[rank]
+	return sorted[r]
 }
 
 // MeanDuration averages the samples.

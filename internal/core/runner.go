@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"svdbench/internal/sim"
@@ -105,8 +102,7 @@ func Run(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig) RunOutput {
 // repetition whose simulation deadlocks fails the run with the kernel's
 // process dump.
 //
-// Repetitions fan out across host goroutines (bounded by the repetition
-// count and runtime.GOMAXPROCS): every repetition owns a fresh simulated
+// Repetitions run as Scheduler cells: every repetition owns a fresh simulated
 // stack and a private result slot indexed by repetition number, so the
 // aggregate — and the reported timeline, taken from the last repetition — is
 // bit-identical to a sequential run regardless of host scheduling.
@@ -125,33 +121,18 @@ func RunContext(ctx context.Context, execs []vdb.QueryExec, traits vdb.Traits, c
 	nrep := cfg.Repetitions
 	reps := make([]Metrics, nrep)
 	timelines := make([][]trace.BucketPoint, nrep)
-	errs := make([]error, nrep)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nrep {
-		workers = nrep
+	cells := make([]cell, nrep)
+	for rep := range cells {
+		rep := rep
+		cells[rep] = cell{
+			key: fmt.Sprintf("rep=%d", rep),
+			run: func(context.Context) (err error) {
+				reps[rep], timelines[rep], err = runOnce(execs, traits, cfg, int64(rep)+cfg.Seed, bucket)
+				return err
+			},
+		}
 	}
-	var (
-		next int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				rep := int(atomic.AddInt64(&next, 1)) - 1
-				if rep >= nrep || ctx.Err() != nil {
-					return
-				}
-				reps[rep], timelines[rep], errs[rep] = runOnce(execs, traits, cfg, int64(rep)+cfg.Seed, bucket)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return RunOutput{}, err
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err := NewScheduler(0).Run(ctx, cells); err != nil {
 		return RunOutput{}, err
 	}
 	return RunOutput{Metrics: AggregateRuns(reps), Timeline: timelines[nrep-1], TimelineBucket: bucket}, nil
@@ -166,72 +147,56 @@ func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64
 	if traits.IntraQueryParallel && cfg.MaxReadConcurrent > 0 {
 		traits.MaxReadConcurrent = cfg.MaxReadConcurrent
 	}
-	k := sim.NewKernel()
-	cpu := sim.NewCPU(k, cfg.Cores)
-	dev := ssd.New(k, cpu, ssd.DefaultConfig())
 	tr := trace.NewTracer(false)
 	tr.SetBucket(bucket)
-	dev.Attach(tr)
-	cpu.SetBusyNotify(tr.SetCPUBusy)
-	eng := vdb.NewEngine(k, cpu, dev, traits)
+	r := newRig(cfg.Cores, tr)
+	eng := vdb.NewEngine(r.k, r.cpu, r.dev, traits)
 	if cfg.CoalesceReads {
-		eng.SetBatcher(ssd.NewBatcher(dev))
+		eng.SetBatcher(ssd.NewBatcher(r.dev))
 	}
 
 	deadline := sim.Time(cfg.Duration)
 	var latencies []sim.Duration
 	var served, failed int64
-	next := 0 // shared round-robin cursor over the query set
-
-	for t := 0; t < cfg.Threads; t++ {
-		t := t
-		k.Spawn("query-thread", func(e *sim.Env) {
-			// Small deterministic start skew so repetitions differ and
-			// threads do not tick in lockstep.
-			skew := time.Duration((int64(t)*7919+seed*104729)%997) * time.Microsecond / 10
-			e.Sleep(skew)
-			for e.Now() < deadline {
-				qe := &execs[next]
-				next++
-				if next == len(execs) {
-					next = 0
-				}
-				start := e.Now()
-				err := eng.RunQuery(e, qe)
-				end := e.Now()
-				if err != nil {
-					failed++
-					// Back off like a crashing client loop would.
-					e.Sleep(time.Millisecond)
-					continue
-				}
-				if end <= deadline {
-					served++
-					latencies = append(latencies, end.Sub(start))
-				}
-			}
-		})
+	queries := cursor{execs: execs}
+	// Small deterministic start skew so repetitions differ and threads do
+	// not tick in lockstep.
+	skew := func(t int) sim.Duration {
+		return time.Duration((int64(t)*7919+seed*104729)%997) * time.Microsecond / 10
 	}
-	busyStart := cpu.BusyTime()
-	endTime, err := runToEnd(k) // lets in-flight queries drain past the horizon
+	r.clients("query-thread", cfg.Threads, deadline, skew, func(e *sim.Env, _ int) {
+		start := e.Now()
+		err := eng.RunQuery(e, queries.next())
+		end := e.Now()
+		if err != nil {
+			failed++
+			// Back off like a crashing client loop would.
+			e.Sleep(time.Millisecond)
+			return
+		}
+		if end <= deadline {
+			served++
+			latencies = append(latencies, end.Sub(start))
+		}
+	})
+	endTime, err := r.run() // lets in-flight queries drain past the horizon
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	tr.FinishAt(endTime) // close the queue-depth/overlap integration
-	busyEnd := cpu.BusyTime()
 	window := cfg.Duration
 	if d := endTime.Sub(0); d > window {
 		window = d
 	}
-	util := sim.Utilization(busyStart, busyEnd, window, cfg.Cores)
+	util := sim.Utilization(0, r.cpu.BusyTime(), window, cfg.Cores)
 	if util > 1 {
 		util = 1
 	}
 
+	slices.Sort(latencies)
 	m := Metrics{
-		P50:         Percentile(latencies, 0.50),
-		P90:         Percentile(latencies, 0.90),
-		P99:         Percentile(latencies, 0.99),
+		P50:         rank(latencies, 0.50),
+		P90:         rank(latencies, 0.90),
+		P99:         rank(latencies, 0.99),
 		MeanLatency: MeanDuration(latencies),
 		CPUUtil:     util,
 		Served:      served,
@@ -263,14 +228,70 @@ func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64
 	return m, tl, nil
 }
 
-// runToEnd runs the simulation until every process has finished. If the
-// event queue drains with processes still blocked — a deadlock in the
-// simulated program — it returns an error naming them, where the kernel's
-// default is to panic on whichever host goroutine runs the repetition.
-func runToEnd(k *sim.Kernel) (end sim.Time, err error) {
-	k.OnDeadlock(func(k *sim.Kernel) {
+// rig is one fresh simulated testbed — a kernel, a CPU and the default SSD —
+// on which a harness measurement runs its closed-loop clients. A non-nil
+// tracer observes the device and the CPU's busy edges.
+type rig struct {
+	k   *sim.Kernel
+	cpu *sim.CPU
+	dev *ssd.Device
+	tr  *trace.Tracer
+}
+
+func newRig(cores int, tr *trace.Tracer) *rig {
+	k := sim.NewKernel()
+	cpu := sim.NewCPU(k, cores)
+	dev := ssd.New(k, cpu, ssd.DefaultConfig())
+	if tr != nil {
+		dev.Attach(tr)
+		cpu.SetBusyNotify(tr.SetCPUBusy)
+	}
+	return &rig{k: k, cpu: cpu, dev: dev, tr: tr}
+}
+
+// clients spawns n closed-loop clients named name. Client c first sleeps
+// skew(c) when skew is non-nil, then calls op until the clock reaches
+// deadline; op's iter counts the client's earlier calls.
+func (r *rig) clients(name string, n int, deadline sim.Time, skew func(c int) sim.Duration, op func(e *sim.Env, iter int)) {
+	for c := 0; c < n; c++ {
+		c := c
+		r.k.Spawn(name, func(e *sim.Env) {
+			if skew != nil {
+				e.Sleep(skew(c))
+			}
+			for iter := 0; e.Now() < deadline; iter++ {
+				op(e, iter)
+			}
+		})
+	}
+}
+
+// run runs the simulation until every process has finished, so in-flight
+// operations drain past the deadline, and closes the tracer's integration at
+// the end time. If the event queue drains with processes still blocked — a
+// deadlock in the simulated program — it returns an error naming them, where
+// the kernel's default is to panic on whichever host goroutine runs the cell.
+func (r *rig) run() (end sim.Time, err error) {
+	r.k.OnDeadlock(func(k *sim.Kernel) {
 		err = fmt.Errorf("core: replay wedged: %s", k.DeadlockReport())
 	})
-	end = k.RunAll()
+	end = r.k.RunAll()
+	r.tr.FinishAt(end)
 	return end, err
+}
+
+// cursor hands out a recorded query set round-robin, restarting from the
+// first query when exhausted; the clients of one rig share it.
+type cursor struct {
+	execs []vdb.QueryExec
+	i     int
+}
+
+func (c *cursor) next() *vdb.QueryExec {
+	qe := &c.execs[c.i]
+	c.i++
+	if c.i == len(c.execs) {
+		c.i = 0
+	}
+	return qe
 }

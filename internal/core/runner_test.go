@@ -203,14 +203,14 @@ func TestRunSegmentPoolPlateau(t *testing.T) {
 // repetition with an error naming the blocked process, instead of panicking
 // on a worker goroutine.
 func TestRunToEndReportsWedgedSimulation(t *testing.T) {
-	k := sim.NewKernel()
-	sem := sim.NewSemaphore(k, "lock", 1)
-	k.Spawn("query-thread", func(e *sim.Env) {
+	r := newRig(1, nil)
+	sem := sim.NewSemaphore(r.k, "lock", 1)
+	r.clients("query-thread", 1, sim.Time(time.Second), nil, func(e *sim.Env, _ int) {
 		e.Sleep(time.Millisecond)
 		sem.Acquire(e, 1)
 		sem.Acquire(e, 1)
 	})
-	_, err := runToEnd(k)
+	_, err := r.run()
 	if err == nil || !strings.Contains(err.Error(), `"query-thread" blocked since t=1ms`) {
 		t.Errorf("wedged simulation returned %v, want an error naming the blocked process", err)
 	}

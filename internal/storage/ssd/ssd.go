@@ -172,6 +172,44 @@ func (d *Device) Read(e *sim.Env, page int64, bytes int) { d.request(e, trace.Re
 // Write performs one write request of the given size.
 func (d *Device) Write(e *sim.Env, page int64, bytes int) { d.request(e, trace.Write, bytes) }
 
+// Calibration is one closed-loop fio job set of the paper's raw-device
+// calibration: Jobs jobs on Cores cores, each keeping one Bytes-sized read in
+// flight. Paper is the paper's reading.
+type Calibration struct {
+	Name               string
+	Cores, Jobs, Bytes int
+	Paper              string
+}
+
+// TableI holds the paper's three fio calibration points (Sec. III-A, Table
+// I), which DefaultConfig reproduces.
+var TableI = []Calibration{
+	{"4KiB randread, 1 core, qd256", 1, 256, 4096, "324.3 KIOPS"},
+	{"4KiB randread, 4 cores, qd64", 4, 64, 4096, "1.3 MIOPS"},
+	{"128KiB seqread, 32 threads", 20, 32, 128 * 1024, "7.2 GiB/s"},
+}
+
+// Jobs spawns n closed-loop raw-device jobs, fio-style: each issues one
+// request of the given size at a time (a write if write is set, else a read)
+// until the clock reaches deadline, and reports every request's latency to
+// done, including those that complete after the deadline. The caller runs
+// the kernel.
+func (d *Device) Jobs(n, bytes int, write bool, deadline sim.Time, done func(lat sim.Duration)) {
+	op := trace.Read
+	if write {
+		op = trace.Write
+	}
+	for i := 0; i < n; i++ {
+		d.k.Spawn("job", func(e *sim.Env) {
+			for e.Now() < deadline {
+				start := e.Now()
+				d.request(e, op, bytes)
+				done(e.Now().Sub(start))
+			}
+		})
+	}
+}
+
 // request is the per-request submission policy: the full submission CPU,
 // then the device's service time, in the calling process.
 func (d *Device) request(e *sim.Env, op trace.Op, bytes int) {

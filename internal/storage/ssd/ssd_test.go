@@ -8,33 +8,30 @@ import (
 	"svdbench/internal/trace"
 )
 
-// calibrate runs a closed-loop fio-like workload: njobs processes each keep
-// one request of reqBytes in flight for the given virtual duration, on a CPU
-// with the given core count. It returns achieved IOPS and MiB/s.
+// calibrate runs njobs closed-loop read jobs of reqBytes for the given virtual
+// duration on a CPU with the given core count, and returns the achieved IOPS
+// and MiB/s.
 func calibrate(t *testing.T, cores, njobs, reqBytes int, dur sim.Duration) (iops, mibps float64) {
 	t.Helper()
 	k := sim.NewKernel()
-	cpu := sim.NewCPU(k, cores)
-	dev := New(k, cpu, DefaultConfig())
-	deadline := sim.Time(dur)
+	dev := New(k, sim.NewCPU(k, cores), DefaultConfig())
 	var ops int64
-	for i := 0; i < njobs; i++ {
-		k.Spawn("job", func(e *sim.Env) {
-			for e.Now() < deadline {
-				dev.Read(e, 0, reqBytes)
-				ops++
-			}
-		})
-	}
+	dev.Jobs(njobs, reqBytes, false, sim.Time(dur), func(sim.Duration) { ops++ })
 	checkDrained(t, dev, nil, k.RunAll())
 	secs := dur.Seconds()
 	return float64(ops) / secs, float64(ops) * float64(reqBytes) / (1 << 20) / secs
 }
 
+// calibrateTableI runs one of the paper's fio calibration points for 500 ms.
+func calibrateTableI(t *testing.T, c Calibration) (iops, mibps float64) {
+	t.Helper()
+	return calibrate(t, c.Cores, c.Jobs, c.Bytes, 500*time.Millisecond)
+}
+
 // The paper's fio calibration (Sec. III-A): 324.3 KIOPS with 4 KiB requests
 // on a single core.
 func TestCalibrationSingleCore4K(t *testing.T) {
-	iops, _ := calibrate(t, 1, 256, 4096, 500*time.Millisecond)
+	iops, _ := calibrateTableI(t, TableI[0])
 	if iops < 280e3 || iops > 360e3 {
 		t.Errorf("single-core 4 KiB IOPS = %.0f, want ≈324K", iops)
 	}
@@ -42,7 +39,7 @@ func TestCalibrationSingleCore4K(t *testing.T) {
 
 // 1.3 MIOPS with 64 concurrent 4 KiB requests on four cores.
 func TestCalibrationFourCore4K(t *testing.T) {
-	iops, _ := calibrate(t, 4, 64, 4096, 500*time.Millisecond)
+	iops, _ := calibrateTableI(t, TableI[1])
 	if iops < 1.15e6 || iops > 1.45e6 {
 		t.Errorf("4-core 64-deep 4 KiB IOPS = %.0f, want ≈1.3M", iops)
 	}
@@ -50,7 +47,7 @@ func TestCalibrationFourCore4K(t *testing.T) {
 
 // 7.2 GiB/s with 128 KiB sequential reads and 32 concurrent threads.
 func TestCalibrationSequentialBandwidth(t *testing.T) {
-	_, mibps := calibrate(t, 20, 32, 128*1024, 500*time.Millisecond)
+	_, mibps := calibrateTableI(t, TableI[2])
 	if mibps < 6800 || mibps > 7500 {
 		t.Errorf("128 KiB × 32 bandwidth = %.0f MiB/s, want ≈7372 (7.2 GiB/s)", mibps)
 	}
@@ -144,22 +141,9 @@ func TestWriteInterferenceSlowsReads(t *testing.T) {
 		dev := New(k, nil, DefaultConfig())
 		deadline := sim.Time(200 * time.Millisecond)
 		var readBytes int64
-		for i := 0; i < 16; i++ {
-			k.Spawn("reader", func(e *sim.Env) {
-				for e.Now() < deadline {
-					dev.Read(e, 0, 128*1024)
-					readBytes += 128 * 1024
-				}
-			})
-		}
+		dev.Jobs(16, 128*1024, false, deadline, func(sim.Duration) { readBytes += 128 * 1024 })
 		if withWrites {
-			for i := 0; i < 16; i++ {
-				k.Spawn("writer", func(e *sim.Env) {
-					for e.Now() < deadline {
-						dev.Write(e, 0, 128*1024)
-					}
-				})
-			}
+			dev.Jobs(16, 128*1024, true, deadline, func(sim.Duration) {})
 		}
 		k.RunAll()
 		return float64(readBytes) / (1 << 20) / 0.2
