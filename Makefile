@@ -1,12 +1,12 @@
 # svdbench build/verify targets. `make check` is the tier-1 verification
-# gate: vet, the annlint determinism/seeding/error-hygiene analyzers, build,
+# gate: vet, the annlint determinism/zero-alloc/error-hygiene analyzers, build,
 # and the full test suite under the race detector (the scheduler fans
 # experiment cells across host goroutines, so every test run doubles as a
 # concurrency audit).
 
 GO ?= go
 
-.PHONY: all build test test-purego cross race vet lint lint-fast lint-deep check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
+.PHONY: all build test test-purego cross race vet lint check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
 
 all: build
 
@@ -44,19 +44,12 @@ vet:
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # Domain-specific static analysis (see DESIGN.md "Static analysis &
-# determinism conventions" and `go run ./cmd/annlint -list`). `lint` runs the
-# full suite; `lint-fast` runs only the single-pass AST analyzers (wallclock,
-# seededrand, mapiter, errwrap, ctxprop, floatcmp, detmerge) and `lint-deep`
-# only the fact-based cross-package analyzers (hotalloc, scratchalias,
-# goroleak).
+# determinism conventions" and `go run ./cmd/annlint -list`): the
+# determinism analyzers (wallclock, seededrand, mapiter, floatcmp), the
+# exit-code contract (errwrap) and the fact-based zero-alloc check
+# (hotalloc), in one pass over the whole module, internal/analysis included.
 lint:
 	$(GO) run ./cmd/annlint ./...
-
-lint-fast:
-	$(GO) run ./cmd/annlint -fast ./...
-
-lint-deep:
-	$(GO) run ./cmd/annlint -deep ./...
 
 check: vet lint build race
 
@@ -113,9 +106,10 @@ quick-diff:
 	echo "quick-diff: $(EXPERIMENTS) identical to $(BASE) on $$(wc -l < "$$tmp/new.txt") lines"
 
 # Short coverage-guided fuzzing of the node-cache invariants, the three
-# index snapshot decoders and the .ds dataset decoder (the seeded corpora
-# already run as part of every plain `go test`); each target gets a brief
-# budget so CI exercises the mutation engine without open-ended runs.
+# index snapshot decoders, the .ds dataset decoder and the binenc Reader
+# every snapshot decoder reads through (the seeded corpora already run as
+# part of every plain `go test`); each target gets a brief budget so CI
+# exercises the mutation engine without open-ended runs.
 # Minimising a newly covering input is capped too: on multi-kilobyte
 # snapshots the default minute of it would eat the whole budget.
 FUZZTIME ?= 15s
@@ -129,3 +123,4 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/diskann
 	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/ivf
 	$(FUZZ) -fuzz=FuzzDecode ./internal/dataset
+	$(FUZZ) -fuzz=FuzzReader ./internal/binenc

@@ -1,18 +1,16 @@
 // Command annlint runs the repo's domain-specific static analyzers — the
-// determinism, seeding, error-hygiene, and hot-path/concurrency invariants
-// the compiler cannot check (see internal/analysis and DESIGN.md "Static
-// analysis & determinism conventions").
+// determinism, zero-alloc and error-hygiene invariants the compiler cannot
+// check (see internal/analysis and DESIGN.md "Static analysis & determinism
+// conventions").
 //
 // Usage:
 //
-//	annlint [-list] [-fast | -deep] [-suppressions] [packages]
+//	annlint [-list] [-suppressions] [packages]
 //
-// With no arguments it lints ./... with the full suite. -fast runs only the
-// single-pass AST analyzers; -deep runs only the fact-based multi-pass
-// analyzers (cross-package function summaries). -suppressions lists every
-// active //annlint:allow directive with file:line and justification, for
-// audit, and exits 0. Exit codes: 0 clean, 1 diagnostics found, 2 usage or
-// load failure.
+// With no arguments it lints ./... with the full suite. -suppressions lists
+// every active //annlint:allow directive with file:line and justification,
+// for audit, and exits 0. Exit codes: 0 clean, 1 diagnostics found, 2 usage
+// or load failure.
 package main
 
 import (
@@ -38,24 +36,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("annlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	fast := fs.Bool("fast", false, "run only the single-pass AST analyzers")
-	deep := fs.Bool("deep", false, "run only the fact-based multi-pass analyzers")
 	suppressions := fs.Bool("suppressions", false, "list active //annlint:allow directives and exit")
 	if err := fs.Parse(args); err != nil {
 		return exitError
 	}
-	if *fast && *deep {
-		fmt.Fprintln(stderr, "annlint: -fast and -deep are mutually exclusive")
-		return exitError
-	}
 
 	analyzers := analysis.All()
-	switch {
-	case *fast:
-		analyzers = analysis.Fast()
-	case *deep:
-		analyzers = analysis.Deep()
-	}
 	if *list {
 		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
@@ -80,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if pkg.FactsOnly {
 				continue
 			}
-			for _, s := range analysis.ListSuppressions(pkg, analysis.All()) {
+			for _, s := range analysis.ListSuppressions(pkg, analyzers) {
 				fmt.Fprintf(stdout, "%s:%d: allow %s -- %s\n", s.Pos.Filename, s.Pos.Line, s.Analyzer, s.Justification)
 				n++
 			}

@@ -11,13 +11,13 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != exitClean {
 		t.Fatalf("run(-list) = %d, want %d (stderr: %s)", code, exitClean, errb.String())
 	}
-	for _, name := range []string{
-		"wallclock", "seededrand", "mapiter", "errwrap", "ctxprop", "floatcmp",
-		"hotalloc", "scratchalias", "goroleak", "detmerge",
-	} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing analyzer %q", name)
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := []string{"wallclock", "seededrand", "mapiter", "errwrap", "floatcmp", "hotalloc"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("-list analyzers = %v, want exactly %v", names, want)
 	}
 }
 
@@ -30,24 +30,6 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// The split passes must individually come back clean too: -fast is the
-// AST-only suite, -deep the fact-based suite.
-func TestRepoIsCleanSplitPasses(t *testing.T) {
-	for _, flag := range []string{"-fast", "-deep"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{flag, "svdbench/..."}, &out, &errb); code != exitClean {
-			t.Fatalf("repo lint %s = %d, want %d\n%s%s", flag, code, exitClean, out.String(), errb.String())
-		}
-	}
-}
-
-func TestFastDeepMutuallyExclusive(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-fast", "-deep", "./..."}, &out, &errb); code != exitError {
-		t.Fatalf("run(-fast -deep) = %d, want %d", code, exitError)
-	}
-}
-
 // -suppressions lists every allow directive with its justification and
 // exits clean: the audit mode reports, it does not judge.
 func TestSuppressionAudit(t *testing.T) {
@@ -57,9 +39,6 @@ func TestSuppressionAudit(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "allow hotalloc -- ") {
 		t.Errorf("-suppressions output missing hotalloc allow entries:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "allow scratchalias -- ") {
-		t.Errorf("-suppressions output missing the scratchalias allow entry:\n%s", out.String())
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package analysis is annlint: a suite of domain-specific static analyzers
-// that mechanically enforce the simulator's determinism, seeding, and
-// error-hygiene invariants. The whole credibility of the reproduction rests
-// on properties the compiler cannot see — simulated results must be a pure
+// that mechanically enforce the invariants the reproduction's credibility
+// rests on and the compiler cannot see — simulated results must be a pure
 // function of (dataset seed, config), persisted snapshots must be
-// byte-identical across runs, and sentinel errors must survive wrapping so
-// annbench's exit-code classification works. This package encodes those
-// reviewer-head rules as machine-checked diagnostics.
+// byte-identical across runs, the //annlint:hotpath search kernels must not
+// allocate, and sentinel errors must survive wrapping so annbench's
+// exit-code classification works. Six analyzers encode those rules:
+// wallclock, seededrand, mapiter and floatcmp (determinism), hotalloc (the
+// zero-alloc SearchInto contract) and errwrap (the exit-code contract).
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite can be ported to the real framework and
@@ -111,44 +112,17 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// All returns the full annlint suite in stable order: the six single-pass
-// AST analyzers from PR 2, then the four fact-based concurrency/hot-path
-// analyzers.
+// All returns the annlint suite in stable order: the five single-pass AST
+// analyzers, then hotalloc, the one fact-based analyzer.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Wallclock,
 		SeededRand,
 		MapIter,
 		ErrWrap,
-		CtxProp,
 		FloatCmp,
 		Hotalloc,
-		ScratchAlias,
-		GoroLeak,
-		DetMerge,
 	}
-}
-
-// Fast returns only the single-pass AST analyzers (make lint-fast).
-func Fast() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range All() {
-		if !a.FactBased {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Deep returns only the fact-based multi-pass analyzers (make lint-deep).
-func Deep() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range All() {
-		if a.FactBased {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // byName maps analyzer names for directive validation.
@@ -160,13 +134,6 @@ func byName(analyzers []*Analyzer) map[string]*Analyzer {
 	return m
 }
 
-// Lint runs every matching analyzer over one package. Kept for single-
-// package callers; fact-based analyzers see only this package's own facts,
-// so cross-package diagnostics need LintPackages.
-func Lint(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return LintPackages([]*Package{pkg}, analyzers)
-}
-
 // LintPackages is the multi-pass driver: it orders pkgs dependencies-first,
 // runs fact-based analyzers over every package in that order (computing
 // summaries even where Match rejects or the package is FactsOnly) and AST
@@ -176,8 +143,8 @@ func Lint(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 // diagnostics of the pseudo-analyzer "annlint".
 func LintPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	// Directives are validated against the full suite, not the subset being
-	// run: an //annlint:allow wallclock must stay well-formed during a
-	// -deep run that doesn't include wallclock.
+	// run: an //annlint:allow wallclock must stay well-formed in a run that
+	// doesn't include wallclock.
 	known := byName(append(All(), analyzers...))
 	ordered := topoPackages(pkgs)
 	sups := make(map[*Package]*suppressions, len(ordered))
@@ -327,7 +294,7 @@ func pkgFunc(info *types.Info, expr ast.Expr, pkgPath string) *types.Func {
 
 // enclosingFuncs walks file and calls fn for every function declaration and
 // literal together with its body. Convenience for analyzers that need the
-// enclosing signature (errwrap, ctxprop).
+// enclosing signature (errwrap).
 func enclosingFuncs(file *ast.File, fn func(ft *ast.FuncType, body *ast.BlockStmt)) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch d := n.(type) {

@@ -67,14 +67,6 @@ func TestErrWrapRootErrorsOnlyInClassifiedPackages(t *testing.T) {
 	}
 }
 
-func TestCtxPropBad(t *testing.T) {
-	runFixture(t, CtxProp, "ctxprop_bad", modulePath+"/internal/core/cpfix")
-}
-
-func TestCtxPropClean(t *testing.T) {
-	runFixture(t, CtxProp, "ctxprop_clean", modulePath+"/internal/core/cpclean")
-}
-
 func TestFloatCmpBad(t *testing.T) {
 	runFixture(t, FloatCmp, "floatcmp_bad", modulePath+"/internal/index/fcfix")
 }
@@ -101,30 +93,6 @@ func TestHotallocCrossPackage(t *testing.T) {
 	})
 }
 
-func TestScratchAliasBad(t *testing.T) {
-	runFixture(t, ScratchAlias, "scratchalias_bad", modulePath+"/internal/index/safix")
-}
-
-func TestScratchAliasClean(t *testing.T) {
-	runFixture(t, ScratchAlias, "scratchalias_clean", modulePath+"/internal/index/saclean")
-}
-
-func TestGoroLeakBad(t *testing.T) {
-	runFixture(t, GoroLeak, "goroleak_bad", modulePath+"/internal/core/glfix")
-}
-
-func TestGoroLeakClean(t *testing.T) {
-	runFixture(t, GoroLeak, "goroleak_clean", modulePath+"/internal/core/glclean")
-}
-
-func TestDetMergeBad(t *testing.T) {
-	runFixture(t, DetMerge, "detmerge_bad", modulePath+"/internal/core/dmfix")
-}
-
-func TestDetMergeClean(t *testing.T) {
-	runFixture(t, DetMerge, "detmerge_clean", modulePath+"/internal/core/dmclean")
-}
-
 func TestSuiteNamesUniqueAndDocumented(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range All() {
@@ -139,22 +107,8 @@ func TestSuiteNamesUniqueAndDocumented(t *testing.T) {
 			t.Errorf("analyzer name %q must be lower-case with no spaces (directive grammar)", a.Name)
 		}
 	}
-	if len(seen) != 10 {
-		t.Errorf("suite has %d analyzers, want 10", len(seen))
-	}
-	fast, deep := Fast(), Deep()
-	if len(fast)+len(deep) != len(All()) {
-		t.Errorf("fast (%d) + deep (%d) analyzers don't partition the suite (%d)", len(fast), len(deep), len(All()))
-	}
-	for _, a := range fast {
-		if a.FactBased {
-			t.Errorf("fact-based analyzer %q in the fast set", a.Name)
-		}
-	}
-	for _, a := range deep {
-		if !a.FactBased {
-			t.Errorf("AST-only analyzer %q in the deep set", a.Name)
-		}
+	if len(seen) != 6 {
+		t.Errorf("suite has %d analyzers, want 6", len(seen))
 	}
 }
 
@@ -197,8 +151,6 @@ func TestAnalyzerScopes(t *testing.T) {
 		{Wallclock, modulePath + "/examples/rag", false},
 		{MapIter, modulePath + "/internal/trace", true},
 		{MapIter, modulePath + "/cmd/annbench", false},
-		{CtxProp, modulePath + "/internal/core", true},
-		{CtxProp, modulePath + "/internal/vdb", false},
 		{FloatCmp, modulePath + "/internal/index/kmeans", true},
 		{FloatCmp, modulePath + "/internal/vec", true},
 		{FloatCmp, modulePath + "/internal/core", false},
@@ -206,18 +158,6 @@ func TestAnalyzerScopes(t *testing.T) {
 		{Hotalloc, modulePath + "/internal/vec", true},
 		{Hotalloc, modulePath + "/internal/storage/nodecache", true},
 		{Hotalloc, modulePath + "/internal/core", false},
-		{ScratchAlias, modulePath + "/internal/index/hnsw", true},
-		{ScratchAlias, modulePath + "/internal/vdb", true},
-		{ScratchAlias, modulePath + "/internal/core", true},
-		{ScratchAlias, modulePath + "/internal/vec", false},
-		{GoroLeak, modulePath + "/internal/core", true},
-		{GoroLeak, modulePath + "/internal/vdb", true},
-		{GoroLeak, modulePath + "/internal/index", true},
-		{GoroLeak, modulePath + "/internal/storage/ssd", true},
-		{GoroLeak, modulePath + "/internal/vec", false},
-		{DetMerge, modulePath + "/internal/core", true},
-		{DetMerge, modulePath + "/internal/index/diskann", true},
-		{DetMerge, modulePath + "/internal/storage", false},
 	}
 	for _, c := range cases {
 		if got := c.analyzer.Match(c.path); got != c.match {

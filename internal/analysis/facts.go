@@ -1,15 +1,14 @@
 package analysis
 
-// Cross-package fact propagation: the multi-pass half of annlint. Fact-based
-// analyzers (hotalloc, scratchalias, goroleak) summarise every function they
-// see — does it allocate, do its parameters escape, does it signal goroutine
-// completion — and export those summaries keyed by the function's fully
-// qualified name. Because LintPackages analyses packages in dependency order,
-// an importing package always finds its dependencies' summaries already in
-// the store, so a violation that is only visible through a callee in another
-// package (say, a hot search loop calling an allocating helper in
-// internal/storage) is still reported, at the call site, with the callee's
-// evidence attached.
+// Cross-package fact propagation: the multi-pass half of annlint. The
+// fact-based analyzer, hotalloc, summarises every function it sees — can
+// calling it heap-allocate — and exports those summaries keyed by the
+// function's fully qualified name. Because LintPackages analyses packages
+// in dependency order, an importing package always finds its dependencies'
+// summaries already in the store, so a violation that is only visible
+// through a callee in another package (say, a hot search loop calling an
+// allocating helper in internal/storage) is still reported, at the call
+// site, with the callee's evidence attached.
 //
 // The design mirrors golang.org/x/tools/go/analysis facts with two
 // simplifications the stdlib-only constraint forces: facts live in one

@@ -219,7 +219,7 @@ func collectAllocs(p *Pass, body *ast.BlockStmt, fa *funcAlloc) {
 	// in a way this linter polices.
 	safeLit := make(map[*ast.FuncLit]bool)
 	markSafe := func(e ast.Expr) {
-		if fl, ok := unparen(e).(*ast.FuncLit); ok {
+		if fl, ok := ast.Unparen(e).(*ast.FuncLit); ok {
 			safeLit[fl] = true
 		}
 	}
@@ -233,7 +233,7 @@ func collectAllocs(p *Pass, body *ast.BlockStmt, fa *funcAlloc) {
 		case *ast.AssignStmt:
 			if len(n.Lhs) == len(n.Rhs) {
 				for i := range n.Rhs {
-					if _, ok := unparen(n.Lhs[i]).(*ast.Ident); ok {
+					if _, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok {
 						markSafe(n.Rhs[i])
 					}
 				}
@@ -277,7 +277,7 @@ func collectAllocs(p *Pass, body *ast.BlockStmt, fa *funcAlloc) {
 				case "new":
 					site(n.Pos(), "new")
 				case "append":
-					if id, ok := unparen(n.Args[0]).(*ast.Ident); ok {
+					if id, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
 						if obj := info.ObjectOf(id); obj != nil && nilSlice[obj] {
 							site(n.Pos(), "append to a nil-origin slice")
 						}
@@ -297,7 +297,7 @@ func collectAllocs(p *Pass, body *ast.BlockStmt, fa *funcAlloc) {
 			boxCheckCall(p, info, n, site)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if _, ok := unparen(n.X).(*ast.CompositeLit); ok {
+				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
 					site(n.Pos(), "composite literal")
 					// visit the literal's element expressions but not the
 					// literal itself (already accounted for)
@@ -349,18 +349,18 @@ func collectAllocs(p *Pass, body *ast.BlockStmt, fa *funcAlloc) {
 func trackNilSlices(info *types.Info, n *ast.AssignStmt, nilSlice map[types.Object]bool, markNil func(*ast.Ident, bool), flag func(token.Pos)) {
 	if len(n.Lhs) != len(n.Rhs) {
 		for _, lhs := range n.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
 				markNil(id, false)
 			}
 		}
 		return
 	}
 	for i, lhs := range n.Lhs {
-		id, ok := unparen(lhs).(*ast.Ident)
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			continue
 		}
-		rhs := unparen(n.Rhs[i])
+		rhs := ast.Unparen(n.Rhs[i])
 		switch r := rhs.(type) {
 		case *ast.Ident:
 			markNil(id, r.Name == "nil")
@@ -369,7 +369,7 @@ func trackNilSlices(info *types.Info, n *ast.AssignStmt, nilSlice map[types.Obje
 			markNil(id, isSlice && len(r.Elts) == 0)
 		case *ast.CallExpr:
 			if b := builtinOf(info, r); b != nil && b.Name() == "append" && len(r.Args) > 0 {
-				if aid, ok := unparen(r.Args[0]).(*ast.Ident); ok {
+				if aid, ok := ast.Unparen(r.Args[0]).(*ast.Ident); ok {
 					if obj := info.ObjectOf(aid); obj != nil && nilSlice[obj] {
 						flag(n.Pos())
 					}
@@ -486,8 +486,42 @@ func capturesOuter(info *types.Info, fl *ast.FuncLit) bool {
 	return found
 }
 
+// isPackageLevel reports whether obj is declared at package scope.
+func isPackageLevel(obj types.Object) bool {
+	return obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
+}
+
+// staticCallee resolves a call to the *types.Func it statically invokes:
+// package functions, qualified functions, and concrete methods. Interface
+// methods and func-typed values return nil (dynamic dispatch).
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if sel.Kind() != types.MethodVal {
+				return nil // func-typed field: dynamic
+			}
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				if types.IsInterface(sel.Recv()) {
+					return nil // dynamic dispatch
+				}
+				return fn
+			}
+			return nil
+		}
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn // qualified package function
+		}
+	}
+	return nil
+}
+
 func builtinOf(info *types.Info, call *ast.CallExpr) *types.Builtin {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			return b
 		}

@@ -135,7 +135,9 @@ func (r *Reader) read(buf []byte) {
 	if r.err != nil {
 		return
 	}
-	_, r.err = io.ReadFull(r.r, buf)
+	if _, err := io.ReadFull(r.r, buf); err != nil {
+		r.err = fmt.Errorf("binenc: %w", err)
+	}
 }
 
 // U64 reads an unsigned 64-bit value.

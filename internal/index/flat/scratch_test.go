@@ -9,21 +9,29 @@ import (
 )
 
 // TestScratchReuseIdentity: the batched unfiltered scan with a reused
-// scratch must match the fresh-scratch search exactly for every metric.
+// scratch must match the fresh-scratch search exactly for every metric, and
+// must leave the previous query's result as it was (a result that aliased
+// scratch memory would change under the next query).
 func TestScratchReuseIdentity(t *testing.T) {
 	for _, metric := range []vec.Metric{vec.L2, vec.IP, vec.Cosine} {
 		ds := testData()
 		ix := New(ds.Vectors, metric, nil)
 		scr := index.NewSearchScratch()
-		var dst index.Result
+		var dsts [2]index.Result
+		var prev index.Result
 		for qi := 0; qi < ds.Queries.Len(); qi++ {
 			q := ds.Queries.Row(qi)
+			dst := &dsts[qi%2]
 			base := ix.Search(q, 10, index.SearchOptions{})
-			ix.SearchInto(q, 10, index.SearchOptions{Scratch: scr}, &dst)
+			ix.SearchInto(q, 10, index.SearchOptions{Scratch: scr}, dst)
 			if !reflect.DeepEqual(base.IDs, dst.IDs) || !reflect.DeepEqual(base.Dists, dst.Dists) ||
 				base.Stats != dst.Stats {
 				t.Fatalf("metric %v query %d: reused scratch changed results", metric, qi)
 			}
+			if last := dsts[(qi+1)%2]; qi > 0 && (!reflect.DeepEqual(prev.IDs, last.IDs) || !reflect.DeepEqual(prev.Dists, last.Dists)) {
+				t.Fatalf("query %d changed query %d's result: SearchInto's result aliases the scratch", qi, qi-1)
+			}
+			prev = base
 		}
 	}
 }

@@ -291,7 +291,7 @@ func (ix *Index) searchLayer(q index.QueryScorer, eps []index.Neighbor, ef, leve
 	// The returned slice is scr.Neighbors itself: valid only until the next
 	// operation touching scr, and every caller drains or copies it before
 	// that. Documented contract, not a leak.
-	return scr.Neighbors //annlint:allow scratchalias -- returns scr.Neighbors by contract; callers consume it before the scratch is reused
+	return scr.Neighbors
 }
 
 // Search implements index.Index: greedy descent through upper layers, then

@@ -8,23 +8,26 @@ import (
 	"svdbench/internal/index"
 )
 
-// TestScratchReuseIdentity: one scratch and one dst reused across every
-// query must reproduce the fresh-scratch search exactly — ids, distances,
-// stats, and the full recorded execution (the navigator shares the scratch).
+// TestScratchReuseIdentity: one scratch reused across every query, with two
+// dsts taken in turn, must reproduce the fresh-scratch search exactly — ids,
+// distances, stats, and the full recorded execution (the navigator shares
+// the scratch) — and leave the previous query's result as it was.
 func TestScratchReuseIdentity(t *testing.T) {
 	ds := testData(t)
 	ix := build(t, ds, Config{})
 	opts := index.SearchOptions{NProbe: 6, LookAhead: 2}
 	scr := index.NewSearchScratch()
-	var dst index.Result
+	var dsts [2]index.Result
+	var prev index.Result
 	for qi := 0; qi < ds.Queries.Len(); qi++ {
 		q := ds.Queries.Row(qi)
+		dst := &dsts[qi%2]
 		base, baseProf := recordOne(ix, q, opts)
 		var prof index.Profile
 		o := opts
 		o.Recorder = &prof
 		o.Scratch = scr
-		ix.SearchInto(q, 10, o, &dst)
+		ix.SearchInto(q, 10, o, dst)
 		if !reflect.DeepEqual(base.IDs, dst.IDs) || !reflect.DeepEqual(base.Dists, dst.Dists) {
 			t.Fatalf("query %d: reused scratch changed results", qi)
 		}
@@ -34,6 +37,10 @@ func TestScratchReuseIdentity(t *testing.T) {
 		if !reflect.DeepEqual(baseProf.Steps, prof.Steps) {
 			t.Fatalf("query %d: recorded execution differs under scratch reuse", qi)
 		}
+		if last := dsts[(qi+1)%2]; qi > 0 && (!reflect.DeepEqual(prev.IDs, last.IDs) || !reflect.DeepEqual(prev.Dists, last.Dists)) {
+			t.Fatalf("query %d changed query %d's result: SearchInto's result aliases the scratch", qi, qi-1)
+		}
+		prev = base
 	}
 }
 

@@ -22,6 +22,7 @@ type Engine struct {
 	sched      *sim.Semaphore // admission (nil = unbounded)
 	readSlots  *sim.Semaphore // segment-worker cap (nil = unbounded)
 	globalLock *sim.Semaphore
+	segName    string // process name of a fanned-out segment's child
 
 	active    int
 	memInUse  int64
@@ -37,7 +38,7 @@ type Engine struct {
 // NewEngine binds a trait profile to a simulation, its CPU, and the storage
 // device queries read from.
 func NewEngine(k *sim.Kernel, cpu *sim.CPU, dev *ssd.Device, traits Traits) *Engine {
-	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev}
+	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev, segName: traits.Name + "/seg"}
 	if traits.MaxConcurrent > 0 {
 		e.sched = sim.NewSemaphore(k, traits.Name+"/sched", int64(traits.MaxConcurrent))
 	}
@@ -126,7 +127,7 @@ func (e *Engine) RunQuery(env *sim.Env, qe *QueryExec) error {
 		g := env.NewGroup()
 		for _, steps := range qe.Segments {
 			steps := steps
-			g.Go(e.Name+"/seg", func(ce *sim.Env) {
+			g.Go(e.segName, func(ce *sim.Env) {
 				if e.readSlots != nil {
 					e.readSlots.Acquire(ce, 1)
 					defer e.readSlots.Release(1)
