@@ -106,10 +106,11 @@ quick-diff:
 	echo "quick-diff: $(EXPERIMENTS) identical to $(BASE) on $$(wc -l < "$$tmp/new.txt") lines"
 
 # Short coverage-guided fuzzing of the node-cache invariants, the three
-# index snapshot decoders, the .ds dataset decoder and the binenc Reader
-# every snapshot decoder reads through (the seeded corpora already run as
-# part of every plain `go test`); each target gets a brief budget so CI
-# exercises the mutation engine without open-ended runs.
+# index snapshot decoders, the saved-collection loader over them, the .ds
+# dataset decoder and the binenc Reader every snapshot decoder reads
+# through (the seeded corpora already run as part of every plain `go
+# test`); each target gets a brief budget so CI exercises the mutation
+# engine without open-ended runs.
 # Minimising a newly covering input is capped too: on multi-kilobyte
 # snapshots the default minute of it would eat the whole budget.
 FUZZTIME ?= 15s
@@ -122,5 +123,6 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/hnsw
 	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/diskann
 	$(FUZZ) -fuzz=FuzzReadFrom ./internal/index/ivf
+	$(FUZZ) -fuzz=FuzzLoadCollection ./internal/vdb
 	$(FUZZ) -fuzz=FuzzDecode ./internal/dataset
 	$(FUZZ) -fuzz=FuzzReader ./internal/binenc

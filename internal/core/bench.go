@@ -41,6 +41,7 @@ type Bench struct {
 
 	datasets memo[string, *dataset.Dataset]
 	stacks   memo[string, *Stack]
+	spanns   memo[string, *spannStack]
 	prepared memo[string, *prepared]
 	runs     memo[runKey, RunOutput]
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"svdbench/internal/index"
-	"svdbench/internal/index/spann"
 	"svdbench/internal/vdb"
 )
 
@@ -62,36 +60,21 @@ func cacheOpts(base index.SearchOptions, p cachePoint) index.SearchOptions {
 // traffic falls with hit rate; the interesting outputs are the hit rate,
 // the per-query read count, and what the saved I/O buys in latency.
 func runCache(ctx context.Context, b *Bench, w io.Writer) error {
-	ds, err := b.DatasetContext(ctx, "cohere-large")
-	if err != nil {
-		return err
-	}
-	neutral := vdb.Traits{Name: "neutral", PerQueryCPU: 30 * time.Microsecond}
-
 	// DiskANN over the monolithic Milvus stack (shared with Ext-C/D), at
 	// its tuned search_list so every row sits at the same recall target.
-	mono := vdb.Milvus()
-	mono.Name = "milvus-monolithic"
-	mono.SegmentCapacity = 0
-	st, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: mono, Index: vdb.IndexDiskANN})
+	st, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: monoMilvus(), Index: vdb.IndexDiskANN})
 	if err != nil {
 		return err
 	}
 
 	// SPANN built raw over the same vectors, nprobe tuned to the recall
-	// target (the Ext-D construction).
-	sp, err := spann.Build(ds.Vectors, nil, spann.Config{Metric: ds.Spec.Metric, Seed: 1})
+	// target (the Ext-D index, shared with it).
+	sp, err := b.spannContext(ctx, "cohere-large")
 	if err != nil {
 		return err
 	}
-	var page int64
-	sp.AssignPages(func(n int64) int64 { p := page; page += n; return p })
-	spOpts := index.SearchOptions{NProbe: tuneUp("cache-spann-nprobe", 1, sp.Postings(), func(v int) float64 {
-		_, r := recordRawSample(ds, sp, index.SearchOptions{NProbe: v}, 100)
-		return r
-	})}
 
-	pts := cachePoints(ds.Vectors.Len())
+	pts := cachePoints(sp.ds.Vectors.Len())
 	type cellOut struct {
 		recall float64
 		m      Metrics
@@ -115,8 +98,8 @@ func runCache(ctx context.Context, b *Bench, w io.Writer) error {
 		cells = append(cells, cell{
 			key: fmt.Sprintf("cohere-large/cache/spann-%s-%d", p.policy, p.nodes),
 			run: func(ctx context.Context) error {
-				execs, recall := recordRaw(ds, sp, cacheOpts(spOpts, p))
-				out, err := RunContext(ctx, execs, neutral, b.mergeDefaults(RunConfig{Threads: 4}))
+				execs, recall := sp.record(cacheOpts(sp.opts, p))
+				out, err := RunContext(ctx, execs, neutralEngine, b.mergeDefaults(RunConfig{Threads: 4}))
 				spOuts[i] = cellOut{recall: recall, m: out.Metrics}
 				return err
 			},
@@ -145,7 +128,7 @@ func runCache(ctx context.Context, b *Bench, w io.Writer) error {
 		}
 	}
 	emit(fmt.Sprintf("DiskANN (W=%d, L=%d)", st.Opts.BeamWidth, st.Opts.SearchList), daOuts)
-	emit(fmt.Sprintf("SPANN (nprobe=%d)", spOpts.NProbe), spOuts)
+	emit(fmt.Sprintf("SPANN (nprobe=%d)", sp.opts.NProbe), spOuts)
 	if err := tw.Flush(); err != nil {
 		return err
 	}

@@ -11,10 +11,7 @@ import (
 // monoDiskANN is the monolithic Milvus-DiskANN setup the cache experiment
 // measures.
 func monoDiskANN() vdb.Setup {
-	mono := vdb.Milvus()
-	mono.Name = "milvus-monolithic"
-	mono.SegmentCapacity = 0
-	return vdb.Setup{Engine: mono, Index: vdb.IndexDiskANN}
+	return vdb.Setup{Engine: monoMilvus(), Index: vdb.IndexDiskANN}
 }
 
 // TestCacheReducesReadOpsAtIdenticalRecall is the PR's acceptance criterion:

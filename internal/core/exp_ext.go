@@ -221,10 +221,7 @@ func runExtC(ctx context.Context, b *Bench, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mono := vdb.Milvus()
-	mono.Name = "milvus-monolithic"
-	mono.SegmentCapacity = 0
-	monoStack, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: mono, Index: vdb.IndexDiskANN})
+	monoStack, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: monoMilvus(), Index: vdb.IndexDiskANN})
 	if err != nil {
 		return err
 	}

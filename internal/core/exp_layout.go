@@ -37,7 +37,7 @@ func runLayout(ctx context.Context, b *Bench, w io.Writer) error {
 	if hi < 16 {
 		hi = 16
 	}
-	tunedL := tuneUpTo("layout-page-L", 1, hi, st.Recall-0.005, func(v int) float64 {
+	tunedL := tuneUpTo(1, hi, st.Recall-0.005, func(v int) float64 {
 		return st.RecallFor(pageEq.With(index.WithSearchList(v)))
 	})
 	pageTuned := pageEq.With(index.WithSearchList(tunedL))

@@ -35,7 +35,7 @@ func TestLayoutCutsDeviceReadsAtEqualRecall(t *testing.T) {
 		hi = 16
 	}
 	target := st.Recall - 0.005
-	tunedL := tuneUpTo("layout-accept-L", 1, hi, target, func(v int) float64 {
+	tunedL := tuneUpTo(1, hi, target, func(v int) float64 {
 		return st.RecallFor(pageEq.With(index.WithSearchList(v)))
 	})
 	pageOpts := pageEq.With(index.WithSearchList(tunedL))

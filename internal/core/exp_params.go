@@ -98,46 +98,52 @@ func sweepHeader(vals []int, prefix string) []interface{} {
 	return out
 }
 
-// runFig7 prints DiskANN throughput across search_list at 1 and 256 threads.
-func runFig7(ctx context.Context, b *Bench, w io.Writer) error {
-	for _, threads := range []int{1, 256} {
-		sweep, err := b.sweepSearchList(ctx, threads)
+// ladder selects the DiskANN parameter a Figure 7–15 table sweeps.
+type ladder int
+
+const (
+	searchList ladder = iota // Figs. 7–11: SearchListSweep at beam_width 4
+	beamWidth                // Figs. 12–15: BeamWidthSweep at search_list 100
+)
+
+// paramFigure is one of Figures 7, 8 and 10–15: Milvus-DiskANN on every
+// dataset across one parameter ladder, one metric per cell, one table per
+// thread count. Figures with two thread counts print a blank line after
+// each table.
+type paramFigure struct {
+	metric  string
+	ladder  ladder
+	threads []int
+	cell    func(Metrics) string
+}
+
+func (f paramFigure) run(ctx context.Context, b *Bench, w io.Writer) error {
+	vals, prefix, axis, sweep := SearchListSweep, "L", "search_list", b.sweepSearchList
+	if f.ladder == beamWidth {
+		vals, prefix, axis, sweep = BeamWidthSweep, "W", "beam_width, search_list=100", b.sweepBeamWidth
+	}
+	for _, threads := range f.threads {
+		res, err := sweep(ctx, threads)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "# Milvus-DiskANN throughput (QPS) vs search_list, threads=%d\n", threads)
-		tw := table(w, append([]interface{}{"dataset"}, sweepHeader(SearchListSweep, "L")...)...)
+		fmt.Fprintf(w, "# Milvus-DiskANN %s vs %s, threads=%d\n", f.metric, axis, threads)
+		tw := table(w, append([]interface{}{"dataset"}, sweepHeader(vals, prefix)...)...)
 		for _, dsName := range paperDatasets() {
 			cols := []interface{}{dsName}
-			for _, L := range SearchListSweep {
-				cols = append(cols, fmt.Sprintf("%.1f", sweep[dsName][L].QPS))
+			for _, v := range vals {
+				cols = append(cols, f.cell(res[dsName][v]))
 			}
 			row(tw, cols...)
 		}
 		if err := tw.Flush(); err != nil {
 			return err
 		}
-		fmt.Fprintln(w)
+		if len(f.threads) > 1 {
+			fmt.Fprintln(w)
+		}
 	}
 	return nil
-}
-
-// runFig8 prints DiskANN P99 latency across search_list with one thread.
-func runFig8(ctx context.Context, b *Bench, w io.Writer) error {
-	sweep, err := b.sweepSearchList(ctx, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Milvus-DiskANN P99 latency (µs) vs search_list, threads=1")
-	tw := table(w, append([]interface{}{"dataset"}, sweepHeader(SearchListSweep, "L")...)...)
-	for _, dsName := range paperDatasets() {
-		cols := []interface{}{dsName}
-		for _, L := range SearchListSweep {
-			cols = append(cols, fmtDur(sweep[dsName][L].P99))
-		}
-		row(tw, cols...)
-	}
-	return tw.Flush()
 }
 
 // runFig9 prints recall@10 across search_list (pure algorithm property, no
@@ -156,128 +162,6 @@ func runFig9(ctx context.Context, b *Bench, w io.Writer) error {
 		cols := []interface{}{dsName}
 		for _, L := range SearchListSweep {
 			cols = append(cols, fmt.Sprintf("%.3f", st.RecallFor(searchListOpts(L))))
-		}
-		row(tw, cols...)
-	}
-	return tw.Flush()
-}
-
-// runFig10 prints total read bandwidth across search_list at 1 and 256
-// threads.
-func runFig10(ctx context.Context, b *Bench, w io.Writer) error {
-	for _, threads := range []int{1, 256} {
-		sweep, err := b.sweepSearchList(ctx, threads)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "# Milvus-DiskANN read bandwidth (MiB/s) vs search_list, threads=%d\n", threads)
-		tw := table(w, append([]interface{}{"dataset"}, sweepHeader(SearchListSweep, "L")...)...)
-		for _, dsName := range paperDatasets() {
-			cols := []interface{}{dsName}
-			for _, L := range SearchListSweep {
-				cols = append(cols, fmt.Sprintf("%.1f", sweep[dsName][L].ReadMiBps))
-			}
-			row(tw, cols...)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// runFig11 prints per-query average bandwidth across search_list.
-func runFig11(ctx context.Context, b *Bench, w io.Writer) error {
-	for _, threads := range []int{1, 256} {
-		sweep, err := b.sweepSearchList(ctx, threads)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "# Milvus-DiskANN per-query read volume (KiB/query) vs search_list, threads=%d\n", threads)
-		tw := table(w, append([]interface{}{"dataset"}, sweepHeader(SearchListSweep, "L")...)...)
-		for _, dsName := range paperDatasets() {
-			cols := []interface{}{dsName}
-			for _, L := range SearchListSweep {
-				cols = append(cols, fmt.Sprintf("%.1f", sweep[dsName][L].KiBPerQuery()))
-			}
-			row(tw, cols...)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// runFig12 prints throughput across beam_width (threads=1, as in the
-// artifact's var-bwidth runs).
-func runFig12(ctx context.Context, b *Bench, w io.Writer) error {
-	sweep, err := b.sweepBeamWidth(ctx, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Milvus-DiskANN throughput (QPS) vs beam_width, search_list=100, threads=1")
-	tw := table(w, append([]interface{}{"dataset"}, sweepHeader(BeamWidthSweep, "W")...)...)
-	for _, dsName := range paperDatasets() {
-		cols := []interface{}{dsName}
-		for _, W := range BeamWidthSweep {
-			cols = append(cols, fmt.Sprintf("%.1f", sweep[dsName][W].QPS))
-		}
-		row(tw, cols...)
-	}
-	return tw.Flush()
-}
-
-// runFig13 prints P99 latency across beam_width.
-func runFig13(ctx context.Context, b *Bench, w io.Writer) error {
-	sweep, err := b.sweepBeamWidth(ctx, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Milvus-DiskANN P99 latency (µs) vs beam_width, search_list=100, threads=1")
-	tw := table(w, append([]interface{}{"dataset"}, sweepHeader(BeamWidthSweep, "W")...)...)
-	for _, dsName := range paperDatasets() {
-		cols := []interface{}{dsName}
-		for _, W := range BeamWidthSweep {
-			cols = append(cols, fmtDur(sweep[dsName][W].P99))
-		}
-		row(tw, cols...)
-	}
-	return tw.Flush()
-}
-
-// runFig14 prints total read bandwidth across beam_width.
-func runFig14(ctx context.Context, b *Bench, w io.Writer) error {
-	sweep, err := b.sweepBeamWidth(ctx, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Milvus-DiskANN read bandwidth (MiB/s) vs beam_width, search_list=100, threads=1")
-	tw := table(w, append([]interface{}{"dataset"}, sweepHeader(BeamWidthSweep, "W")...)...)
-	for _, dsName := range paperDatasets() {
-		cols := []interface{}{dsName}
-		for _, W := range BeamWidthSweep {
-			cols = append(cols, fmt.Sprintf("%.1f", sweep[dsName][W].ReadMiBps))
-		}
-		row(tw, cols...)
-	}
-	return tw.Flush()
-}
-
-// runFig15 prints per-query bandwidth across beam_width.
-func runFig15(ctx context.Context, b *Bench, w io.Writer) error {
-	sweep, err := b.sweepBeamWidth(ctx, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Milvus-DiskANN per-query read volume (KiB/query) vs beam_width, search_list=100, threads=1")
-	tw := table(w, append([]interface{}{"dataset"}, sweepHeader(BeamWidthSweep, "W")...)...)
-	for _, dsName := range paperDatasets() {
-		cols := []interface{}{dsName}
-		for _, W := range BeamWidthSweep {
-			cols = append(cols, fmt.Sprintf("%.1f", sweep[dsName][W].KiBPerQuery()))
 		}
 		row(tw, cols...)
 	}

@@ -188,78 +188,28 @@ func (b *Bench) fig234Sweeps(ctx context.Context, dsNames []string, setups []vdb
 	return res, nil
 }
 
-// runFig2 prints throughput (QPS) per setup per dataset across the thread
-// ladder.
-func runFig2(ctx context.Context, b *Bench, w io.Writer) error {
-	sweeps, err := b.fig234Sweeps(ctx, paperDatasets(), setupsForFigure2())
-	if err != nil {
-		return err
-	}
-	for _, dsName := range paperDatasets() {
-		fmt.Fprintf(w, "# %s — throughput (QPS), higher is better\n", dsName)
-		tw := table(w, append([]interface{}{"setup"}, threadsHeader()...)...)
-		for _, setup := range setupsForFigure2() {
-			cells := sweeps[dsName][setup.Label()]
-			cols := []interface{}{setup.Label()}
-			for _, t := range ThreadSweep {
-				cols = append(cols, failLabel(cells[t]))
-			}
-			row(tw, cols...)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+// threadFigure is one of Figures 2–4: every paper setup across the thread
+// ladder, one table per dataset, one metric per cell, a blank line after
+// each table.
+type threadFigure struct {
+	metric   string
+	datasets []string
+	cell     func(Metrics) string
 }
 
-// runFig3 prints P99 latency (µs).
-func runFig3(ctx context.Context, b *Bench, w io.Writer) error {
-	sweeps, err := b.fig234Sweeps(ctx, paperDatasets(), setupsForFigure2())
+func (f threadFigure) run(ctx context.Context, b *Bench, w io.Writer) error {
+	sweeps, err := b.fig234Sweeps(ctx, f.datasets, setupsForFigure2())
 	if err != nil {
 		return err
 	}
-	for _, dsName := range paperDatasets() {
-		fmt.Fprintf(w, "# %s — P99 latency (µs), lower is better\n", dsName)
+	for _, dsName := range f.datasets {
+		fmt.Fprintf(w, "# %s — %s\n", dsName, f.metric)
 		tw := table(w, append([]interface{}{"setup"}, threadsHeader()...)...)
 		for _, setup := range setupsForFigure2() {
 			cells := sweeps[dsName][setup.Label()]
 			cols := []interface{}{setup.Label()}
 			for _, t := range ThreadSweep {
-				m := cells[t]
-				if m.Served == 0 {
-					cols = append(cols, "FAIL")
-				} else {
-					cols = append(cols, fmtDur(m.P99))
-				}
-			}
-			row(tw, cols...)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// runFig4 prints global CPU utilisation (%) for the two large datasets, as
-// in the paper.
-func runFig4(ctx context.Context, b *Bench, w io.Writer) error {
-	largeDatasets := []string{"cohere-large", "openai-large"}
-	sweeps, err := b.fig234Sweeps(ctx, largeDatasets, setupsForFigure2())
-	if err != nil {
-		return err
-	}
-	for _, dsName := range largeDatasets {
-		fmt.Fprintf(w, "# %s — global CPU usage (%%), 100 = all cores busy\n", dsName)
-		tw := table(w, append([]interface{}{"setup"}, threadsHeader()...)...)
-		for _, setup := range setupsForFigure2() {
-			cells := sweeps[dsName][setup.Label()]
-			cols := []interface{}{setup.Label()}
-			for _, t := range ThreadSweep {
-				cols = append(cols, fmt.Sprintf("%.1f", 100*cells[t].CPUUtil))
+				cols = append(cols, f.cell(cells[t]))
 			}
 			row(tw, cols...)
 		}

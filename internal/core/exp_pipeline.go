@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"svdbench/internal/index"
-	"svdbench/internal/index/spann"
 	"svdbench/internal/vdb"
 )
 
@@ -49,45 +47,29 @@ func prefetchTotals(execs []vdb.QueryExec) index.Stats {
 // wasted-prefetch ratio the speculation pays, and how much of the run
 // overlaps device and CPU time (the overlap a pipeline exists to create).
 func runPipeline(ctx context.Context, b *Bench, w io.Writer) error {
-	ds, err := b.DatasetContext(ctx, "cohere-large")
+	// SPANN built raw over the dataset (the Ext-D index, shared with it):
+	// its probe order is known after navigation, so look-ahead overlaps
+	// posting j+1's contiguous read with posting j's scan — the favourable
+	// case.
+	sp, err := b.spannContext(ctx, "cohere-large")
 	if err != nil {
 		return err
 	}
-	neutral := vdb.Traits{Name: "neutral", PerQueryCPU: 30 * time.Microsecond}
-
-	// SPANN built raw over the dataset: its probe order is known after
-	// navigation, so look-ahead overlaps posting j+1's contiguous read with
-	// posting j's scan — the favourable case.
-	sp, err := spann.Build(ds.Vectors, nil, spann.Config{Metric: ds.Spec.Metric, Seed: 1})
-	if err != nil {
-		return err
-	}
-	var page int64
-	sp.AssignPages(func(n int64) int64 { p := page; page += n; return p })
-	nprobe := tuneUp("pipeline-spann-nprobe", 1, sp.Postings(), func(v int) float64 {
-		_, r := recordRawSample(ds, sp, index.SearchOptions{NProbe: v}, 100)
-		return r
-	})
 	// The pipeline needs a probe sequence to overlap: floor nprobe at 8 (or
 	// every posting on very small builds) so the sweep exercises look-ahead
 	// even when one probe already reaches the recall target. Raising nprobe
 	// only raises recall, and the comparison down each look-ahead column is
 	// at one fixed nprobe either way.
+	nprobe := sp.opts.NProbe
 	if nprobe < 8 {
-		nprobe = 8
-		if nprobe > sp.Postings() {
-			nprobe = sp.Postings()
-		}
+		nprobe = min(8, sp.ix.Postings())
 	}
 	spOpts := index.SearchOptions{NProbe: nprobe}
 
 	// DiskANN over the monolithic Milvus stack at its tuned search_list:
 	// the adversarial case, where the frontier shifts between hops and
 	// speculation can be wasted.
-	mono := vdb.Milvus()
-	mono.Name = "milvus-monolithic"
-	mono.SegmentCapacity = 0
-	st, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: mono, Index: vdb.IndexDiskANN})
+	st, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: monoMilvus(), Index: vdb.IndexDiskANN})
 	if err != nil {
 		return err
 	}
@@ -107,8 +89,8 @@ func runPipeline(ctx context.Context, b *Bench, w io.Writer) error {
 		cells = append(cells, cell{
 			key: fmt.Sprintf("cohere-large/pipeline/spann-la%d-t%d", p.la, p.threads),
 			run: func(ctx context.Context) error {
-				execs, recall := recordRaw(ds, sp, spOpts.With(index.WithLookAhead(p.la)))
-				out, err := RunContext(ctx, execs, neutral, b.mergeDefaults(cfg))
+				execs, recall := sp.record(spOpts.With(index.WithLookAhead(p.la)))
+				out, err := RunContext(ctx, execs, neutralEngine, b.mergeDefaults(cfg))
 				spOuts[i] = cellOut{recall: recall, pf: prefetchTotals(execs), m: out.Metrics}
 				return err
 			},

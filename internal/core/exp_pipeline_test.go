@@ -8,7 +8,6 @@ import (
 
 	"svdbench/internal/index"
 	"svdbench/internal/index/spann"
-	"svdbench/internal/vdb"
 )
 
 // TestPipelineLookAheadCutsLatency is the PR's acceptance criterion: at one
@@ -38,8 +37,8 @@ func TestPipelineLookAheadCutsLatency(t *testing.T) {
 	}
 	opts := index.SearchOptions{NProbe: nprobe}
 
-	syncExecs, syncRecall := recordRaw(ds, sp, opts)
-	laExecs, laRecall := recordRaw(ds, sp, opts.With(index.WithLookAhead(2)))
+	syncExecs, syncRecall := recordRaw(ds, sp, opts, ds.Queries.Len())
+	laExecs, laRecall := recordRaw(ds, sp, opts.With(index.WithLookAhead(2)), ds.Queries.Len())
 	if syncRecall != laRecall {
 		t.Fatalf("recall changed under look-ahead: %v vs %v", syncRecall, laRecall)
 	}
@@ -49,17 +48,16 @@ func TestPipelineLookAheadCutsLatency(t *testing.T) {
 		}
 	}
 
-	neutral := vdb.Traits{Name: "neutral", PerQueryCPU: 30 * time.Microsecond}
 	cfg := RunConfig{Threads: 1, Duration: 100 * time.Millisecond, Repetitions: 1, Cores: 20}
 	ctx := context.Background()
-	syncOut, err := RunContext(ctx, syncExecs, neutral, cfg)
+	syncOut, err := RunContext(ctx, syncExecs, neutralEngine, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	laCfg := cfg
 	laCfg.CoalesceReads = true
 	laCfg.LookAhead = 2
-	laOut, err := RunContext(ctx, laExecs, neutral, laCfg)
+	laOut, err := RunContext(ctx, laExecs, neutralEngine, laCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

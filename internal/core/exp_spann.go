@@ -20,18 +20,10 @@ import (
 // monolithically over the same dataset and replayed under identical neutral
 // engine traits, so every difference is the index's own.
 func runExtD(ctx context.Context, b *Bench, w io.Writer) error {
-	ds, err := b.DatasetContext(ctx, "cohere-large")
-	if err != nil {
-		return err
-	}
-	neutral := vdb.Traits{Name: "neutral", PerQueryCPU: 30 * time.Microsecond}
-
-	// DiskANN at its tuned minimum search_list, reusing the monolithic
-	// collection the Ext-C ablation also uses (disk-cached across runs).
-	mono := vdb.Milvus()
-	mono.Name = "milvus-monolithic"
-	mono.SegmentCapacity = 0
-	monoStack, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: mono, Index: vdb.IndexDiskANN})
+	// DiskANN at its tuned minimum search_list: the monolithic collection
+	// the Ext-C ablation also uses (disk-cached across runs). It has no
+	// tombstones, so its recorded executions are the bare index's.
+	monoStack, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: monoMilvus(), Index: vdb.IndexDiskANN})
 	if err != nil {
 		return err
 	}
@@ -39,42 +31,29 @@ func runExtD(ctx context.Context, b *Bench, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("extD: %w: monolithic stack holds %T, want *diskann.Index", vdb.ErrBadParams, monoStack.Col.Segments()[0].Index)
 	}
-	var page int64
-	alloc := func(n int64) int64 { p := page; page += n; return p }
-	da.AssignPages(alloc)
-	// Use the stack's tuned search_list so both indexes are compared at
-	// the same recall target.
 	daOpts := monoStack.Opts
-	daExecs, daRecall := recordRaw(ds, da, daOpts)
 
-	// SPANN with nprobe tuned to at least DiskANN's recall.
-	sp, err := spann.Build(ds.Vectors, nil, spann.Config{Metric: ds.Spec.Metric, Seed: 1})
+	// SPANN with nprobe tuned to the same recall target.
+	sp, err := b.spannContext(ctx, "cohere-large")
 	if err != nil {
 		return err
 	}
-	sp.AssignPages(alloc)
-	spOpts := index.SearchOptions{NProbe: tuneUp("spann-nprobe", 1, sp.Postings(), func(v int) float64 {
-		_, r := recordRawSample(ds, sp, index.SearchOptions{NProbe: v}, 100)
-		return r
-	})}
-	spExecs, spRecall := recordRaw(ds, sp, spOpts)
+	spExecs, spRecall := sp.record(sp.opts)
 
-	type row2 struct {
+	rows := []struct {
 		name    string
-		ix      index.Index
 		execs   []vdb.QueryExec
 		recall  float64
 		details string
-	}
-	rows := []row2{
-		{fmt.Sprintf("DiskANN (graph, W=%d, L=%d)", daOpts.BeamWidth, daOpts.SearchList), da, daExecs, daRecall,
+	}{
+		{fmt.Sprintf("DiskANN (graph, W=%d, L=%d)", daOpts.BeamWidth, daOpts.SearchList), monoStack.Execs, monoStack.Recall,
 			fmt.Sprintf("storage=%.1fMiB memory=%.1fMiB", mib(da.StorageBytes()), mib(da.MemoryBytes()))},
-		{fmt.Sprintf("SPANN (clusters, nprobe=%d)", spOpts.NProbe), sp, spExecs, spRecall,
-			fmt.Sprintf("storage=%.1fMiB memory=%.1fMiB amplification=%.2fx", mib(sp.StorageBytes()), mib(sp.MemoryBytes()), sp.SpaceAmplification())},
+		{fmt.Sprintf("SPANN (clusters, nprobe=%d)", sp.opts.NProbe), spExecs, spRecall,
+			fmt.Sprintf("storage=%.1fMiB memory=%.1fMiB amplification=%.2fx", mib(sp.ix.StorageBytes()), mib(sp.ix.MemoryBytes()), sp.ix.SpaceAmplification())},
 	}
 	tw := table(w, "index", "recall@10", "QPS (t=16)", "P99 (µs)", "KiB/query", "mean req size (KiB)", "footprint")
 	for _, r := range rows {
-		out, err := RunContext(ctx, r.execs, neutral, b.mergeDefaults(RunConfig{Threads: 16}))
+		out, err := RunContext(ctx, r.execs, neutralEngine, b.mergeDefaults(RunConfig{Threads: 16}))
 		if err != nil {
 			return err
 		}
@@ -96,33 +75,71 @@ func runExtD(ctx context.Context, b *Bench, w io.Writer) error {
 	return nil
 }
 
-// recordRaw records the execution of every dataset query against a bare
-// index, returning replayable executions and the achieved recall@10.
-func recordRaw(ds *dataset.Dataset, ix index.Index, opts index.SearchOptions) ([]vdb.QueryExec, float64) {
-	execs := make([]vdb.QueryExec, ds.Queries.Len())
-	ids := make([][]int32, ds.Queries.Len())
-	for qi := 0; qi < ds.Queries.Len(); qi++ {
-		var prof index.Profile
-		o := opts
-		o.Recorder = &prof
-		res := ix.Search(ds.Queries.Row(qi), PaperK, o)
-		execs[qi] = vdb.QueryExec{Segments: [][]index.Step{prof.Steps}, IDs: res.IDs, Stats: res.Stats}
-		ids[qi] = res.IDs
-	}
-	return execs, dataset.MeanRecallAtK(ids, ds.GroundTruth, PaperK)
+// neutralEngine is the engine the raw-index extensions (D–F) replay under:
+// no engine-specific overhead beyond a fixed per-query CPU cost, so every
+// difference between rows is the index's own.
+var neutralEngine = vdb.Traits{Name: "neutral", PerQueryCPU: 30 * time.Microsecond}
+
+// spannStack is the SPANN index Extensions D, E and F measure: built raw
+// over a dataset's vectors, laid out from page 0, with nprobe tuned to the
+// recall target on the first 100 queries.
+type spannStack struct {
+	ds   *dataset.Dataset
+	ix   *spann.Index
+	opts index.SearchOptions
+	recs memo[string, spannRecording]
 }
 
-// recordRawSample is recordRaw over the first n queries (for tuning).
-func recordRawSample(ds *dataset.Dataset, ix index.Index, opts index.SearchOptions, n int) ([]vdb.QueryExec, float64) {
-	if n > ds.Queries.Len() {
-		n = ds.Queries.Len()
+type spannRecording struct {
+	execs  []vdb.QueryExec
+	recall float64
+}
+
+// record returns the executions of every dataset query at opts and their
+// recall@10, memoised per option set like Stack.ExecsFor: an LRU node cache
+// is warm after its first recording, so recording again would differ.
+func (s *spannStack) record(opts index.SearchOptions) ([]vdb.QueryExec, float64) {
+	r, _ := s.recs.get(variantKey(opts), func() (spannRecording, error) {
+		execs, recall := recordRaw(s.ds, s.ix, opts, s.ds.Queries.Len())
+		return spannRecording{execs, recall}, nil
+	})
+	return r.execs, r.recall
+}
+
+// spannContext returns (building and tuning on first use) the shared SPANN
+// stack for a dataset. Concurrent calls share one build.
+func (b *Bench) spannContext(ctx context.Context, dsName string) (*spannStack, error) {
+	ds, err := b.DatasetContext(ctx, dsName)
+	if err != nil {
+		return nil, err
 	}
-	ids := make([][]int32, n)
-	for qi := 0; qi < n; qi++ {
-		res := ix.Search(ds.Queries.Row(qi), PaperK, opts)
-		ids[qi] = res.IDs
-	}
-	return nil, dataset.MeanRecallAtK(ids, ds.GroundTruth[:n], PaperK)
+	return b.spanns.get(dsName, func() (*spannStack, error) {
+		sp, err := spann.Build(ds.Vectors, nil, spann.Config{Metric: ds.Spec.Metric, Seed: 1})
+		if err != nil {
+			return nil, err
+		}
+		var page int64
+		sp.AssignPages(func(n int64) int64 { p := page; page += n; return p })
+		nprobe := tuneUp("spann-nprobe", 1, sp.Postings(), func(v int) float64 {
+			_, r := recordRaw(ds, sp, index.SearchOptions{NProbe: v}, 100)
+			return r
+		})
+		return &spannStack{ds: ds, ix: sp, opts: index.SearchOptions{NProbe: nprobe}}, nil
+	})
+}
+
+// recordRaw records the execution of the first n dataset queries (all of
+// them when n is larger) against a bare index through index.BatchRun,
+// returning replayable executions and the achieved recall@10.
+func recordRaw(ds *dataset.Dataset, ix index.Index, opts index.SearchOptions, n int) ([]vdb.QueryExec, float64) {
+	n = min(n, ds.Queries.Len())
+	execs := index.BatchRun(context.Background(), n, opts, func(qi int, o index.SearchOptions) vdb.QueryExec {
+		var prof index.Profile
+		o.Recorder = &prof
+		res := ix.Search(ds.Queries.Row(qi), PaperK, o)
+		return vdb.QueryExec{Segments: [][]index.Step{prof.Steps}, IDs: res.IDs, Stats: res.Stats}
+	})
+	return execs, recallOfExecs(execs, ds.GroundTruth[:n])
 }
 
 func mib(b int64) float64 { return float64(b) / (1 << 20) }

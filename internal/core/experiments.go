@@ -50,20 +50,20 @@ func Experiments() []Experiment {
 	return []Experiment{
 		{ID: "table1", Paper: "Table I", Title: "SSD calibration: fio-style raw device envelope", run: runTable1},
 		{ID: "table2", Paper: "Table II", Title: "Build/search-time parameters and achieved recall@10", run: runTable2},
-		{ID: "fig2", Paper: "Figure 2", Title: "Throughput scalability vs query threads", run: runFig2},
-		{ID: "fig3", Paper: "Figure 3", Title: "P99 latency scalability vs query threads", run: runFig3},
-		{ID: "fig4", Paper: "Figure 4", Title: "Global CPU usage vs query threads", run: runFig4},
+		{ID: "fig2", Paper: "Figure 2", Title: "Throughput scalability vs query threads", run: threadFigure{"throughput (QPS), higher is better", paperDatasets(), failLabel}.run},
+		{ID: "fig3", Paper: "Figure 3", Title: "P99 latency scalability vs query threads", run: threadFigure{"P99 latency (µs), lower is better", paperDatasets(), p99OrFail}.run},
+		{ID: "fig4", Paper: "Figure 4", Title: "Global CPU usage vs query threads", run: threadFigure{"global CPU usage (%), 100 = all cores busy", []string{"cohere-large", "openai-large"}, cpuPercent}.run},
 		{ID: "fig5", Paper: "Figure 5", Title: "Milvus-DiskANN read bandwidth timeline", run: runFig5},
 		{ID: "fig6", Paper: "Figure 6", Title: "Milvus-DiskANN per-query read bandwidth", run: runFig6},
-		{ID: "fig7", Paper: "Figure 7", Title: "DiskANN throughput vs search_list", run: runFig7},
-		{ID: "fig8", Paper: "Figure 8", Title: "DiskANN P99 latency vs search_list", run: runFig8},
+		{ID: "fig7", Paper: "Figure 7", Title: "DiskANN throughput vs search_list", run: paramFigure{"throughput (QPS)", searchList, []int{1, 256}, qps}.run},
+		{ID: "fig8", Paper: "Figure 8", Title: "DiskANN P99 latency vs search_list", run: paramFigure{"P99 latency (µs)", searchList, []int{1}, p99}.run},
 		{ID: "fig9", Paper: "Figure 9", Title: "DiskANN recall@10 vs search_list", run: runFig9},
-		{ID: "fig10", Paper: "Figure 10", Title: "DiskANN total read bandwidth vs search_list", run: runFig10},
-		{ID: "fig11", Paper: "Figure 11", Title: "DiskANN per-query bandwidth vs search_list", run: runFig11},
-		{ID: "fig12", Paper: "Figure 12", Title: "DiskANN throughput vs beam_width", run: runFig12},
-		{ID: "fig13", Paper: "Figure 13", Title: "DiskANN P99 latency vs beam_width", run: runFig13},
-		{ID: "fig14", Paper: "Figure 14", Title: "DiskANN total read bandwidth vs beam_width", run: runFig14},
-		{ID: "fig15", Paper: "Figure 15", Title: "DiskANN per-query bandwidth vs beam_width", run: runFig15},
+		{ID: "fig10", Paper: "Figure 10", Title: "DiskANN total read bandwidth vs search_list", run: paramFigure{"read bandwidth (MiB/s)", searchList, []int{1, 256}, readMiBps}.run},
+		{ID: "fig11", Paper: "Figure 11", Title: "DiskANN per-query bandwidth vs search_list", run: paramFigure{"per-query read volume (KiB/query)", searchList, []int{1, 256}, kibPerQuery}.run},
+		{ID: "fig12", Paper: "Figure 12", Title: "DiskANN throughput vs beam_width", run: paramFigure{"throughput (QPS)", beamWidth, []int{1}, qps}.run},
+		{ID: "fig13", Paper: "Figure 13", Title: "DiskANN P99 latency vs beam_width", run: paramFigure{"P99 latency (µs)", beamWidth, []int{1}, p99}.run},
+		{ID: "fig14", Paper: "Figure 14", Title: "DiskANN total read bandwidth vs beam_width", run: paramFigure{"read bandwidth (MiB/s)", beamWidth, []int{1}, readMiBps}.run},
+		{ID: "fig15", Paper: "Figure 15", Title: "DiskANN per-query bandwidth vs beam_width", run: paramFigure{"per-query read volume (KiB/query)", beamWidth, []int{1}, kibPerQuery}.run},
 		{ID: "extA", Paper: "Extension A", Title: "Hybrid search + insert/delete workload (Sec. VIII)", run: runExtA},
 		{ID: "extB", Paper: "Extension B", Title: "Filtered search performance (Sec. VIII)", run: runExtB},
 		{ID: "extC", Paper: "Extension C", Title: "Design ablations: beam width 1, monolithic Milvus", run: runExtC},
@@ -125,5 +125,20 @@ func failLabel(m Metrics) string {
 	if m.Failed > 0 {
 		return fmt.Sprintf("%.1f (partial, %d oom)", m.QPS, m.Failed)
 	}
-	return fmt.Sprintf("%.1f", m.QPS)
+	return qps(m)
+}
+
+// Figure cell formats.
+func qps(m Metrics) string         { return fmt.Sprintf("%.1f", m.QPS) }
+func p99(m Metrics) string         { return fmtDur(m.P99) }
+func readMiBps(m Metrics) string   { return fmt.Sprintf("%.1f", m.ReadMiBps) }
+func kibPerQuery(m Metrics) string { return fmt.Sprintf("%.1f", m.KiBPerQuery()) }
+func cpuPercent(m Metrics) string  { return fmt.Sprintf("%.1f", 100*m.CPUUtil) }
+
+// p99OrFail is p99, or FAIL for a cell that served no query.
+func p99OrFail(m Metrics) string {
+	if m.Served == 0 {
+		return "FAIL"
+	}
+	return p99(m)
 }

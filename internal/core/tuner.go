@@ -107,13 +107,13 @@ func (b *Bench) tuneEf(st *Stack) int {
 // returned, mirroring the paper's LanceDB-IVF case where the target is
 // unreachable and the achieved accuracy is simply reported.
 func tuneUp(name string, lo, hi int, eval func(int) float64) int {
-	return tuneUpTo(name, lo, hi, TargetRecall, eval)
+	return tuneUpTo(lo, hi, TargetRecall, eval)
 }
 
 // tuneUpTo is tuneUp against an arbitrary recall target, used when an
 // experiment matches a previously-achieved recall instead of the paper's
 // fixed 0.9 goal (e.g. the layout experiment's equal-recall comparison).
-func tuneUpTo(name string, lo, hi int, target float64, eval func(int) float64) int {
+func tuneUpTo(lo, hi int, target float64, eval func(int) float64) int {
 	if lo < 1 {
 		lo = 1
 	}
@@ -149,6 +149,5 @@ func tuneUpTo(name string, lo, hi int, target float64, eval func(int) float64) i
 			loB = mid + 1
 		}
 	}
-	_ = name
 	return hiB
 }

@@ -63,7 +63,7 @@ type SearchOptions struct {
 	// second layout ignore the field. An explicit option overrides the
 	// layout the index was built with.
 	Layout string
-	// QueryConcurrency bounds how many queries of one SearchBatch run
+	// QueryConcurrency bounds how many queries of one batch (BatchRun) run
 	// concurrently on host goroutines (0 means the default of 8). Batches
 	// against a mutable node cache always run sequentially in query order
 	// regardless, so recorded executions stay deterministic.
@@ -76,11 +76,6 @@ type SearchOptions struct {
 	Scratch *SearchScratch
 	// Recorder, when non-nil, receives the query's execution profile.
 	Recorder *Profile
-	// RecorderFor, when non-nil, supplies a per-query profile recorder for
-	// batch searches: SearchBatch resolves Recorder for query qi as
-	// RecorderFor(qi), letting one option set record a whole batch. It
-	// overrides Recorder inside SearchBatch and is ignored by Search.
-	RecorderFor func(qi int) *Profile
 }
 
 // On-disk layout names understood by the storage-based indexes.
@@ -108,8 +103,8 @@ const (
 // NodeCacheMutable reports whether the options select a node cache whose
 // state evolves across queries (every policy except the static set).
 // Recording against a mutable cache must be sequential in query order —
-// vdb.Collection.RecordQueries serialises itself when this is true — or the
-// recorded executions would depend on host goroutine interleaving.
+// BatchRun runs such a batch on one goroutine — or the recorded executions
+// would depend on host goroutine interleaving.
 func (o SearchOptions) NodeCacheMutable() bool {
 	return o.NodeCacheNodes > 0 && o.NodeCachePolicy != NodeCacheStatic
 }

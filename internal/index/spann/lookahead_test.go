@@ -114,7 +114,8 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	for _, qc := range []int{1, 4} {
 		opts := index.SearchOptions{NProbe: 8}.With(
 			index.WithQueryConcurrency(qc), index.WithLookAhead(2))
-		batch := index.SearchBatchOf(context.Background(), ix, queries, 10, opts)
+		batch := index.BatchRun(context.Background(), len(queries), opts,
+			func(qi int, o index.SearchOptions) index.Result { return ix.Search(queries[qi], 10, o) })
 		for qi, q := range queries {
 			if !reflect.DeepEqual(batch[qi], ix.Search(q, 10, opts)) {
 				t.Fatalf("qc=%d query=%d: batch result differs from Search", qc, qi)

@@ -57,8 +57,8 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		want[qi] = ix.Search(queries[qi], 10, opts)
 	}
 	for _, workers := range []int{1, 4} {
-		got := index.SearchBatchOf(context.Background(), ix, queries, 10,
-			opts.With(index.WithQueryConcurrency(workers)))
+		got := index.BatchRun(context.Background(), len(queries), opts.With(index.WithQueryConcurrency(workers)),
+			func(qi int, o index.SearchOptions) index.Result { return ix.Search(queries[qi], 10, o) })
 		for qi := range queries {
 			if !reflect.DeepEqual(want[qi].IDs, got[qi].IDs) ||
 				!reflect.DeepEqual(want[qi].Dists, got[qi].Dists) ||

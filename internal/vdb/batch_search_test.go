@@ -6,24 +6,34 @@ import (
 	"reflect"
 	"testing"
 
+	"svdbench/internal/dataset"
 	"svdbench/internal/index"
 )
 
 // TestSearchBatchMatchesSequentialProperty is the pipeline's determinism
-// property: SearchBatch must be byte-identical to a sequential Search loop
-// under every combination of look-ahead depth, query concurrency, and
-// node-cache configuration. Look-ahead and concurrency may only change when
+// property: SearchBatch must be byte-identical to a sequential Search loop,
+// and RecordQueries to a sequential Record loop, under every combination of
+// look-ahead depth, query concurrency, and node-cache configuration, on a
+// monolithic collection and on a segmented one with a growing tail (an LRU
+// cache per segment index). Look-ahead and concurrency may only change when
 // pages are read, never what the search returns or demands.
 //
-// Each trial searches two independently built but identical collections —
-// batch on one, sequential on the other — so mutable (LRU) cache state
-// cannot leak between the two orderings being compared.
+// Every ordering being compared runs on its own independently built but
+// identical collection, so mutable (LRU) cache state cannot leak between
+// them.
 func TestSearchBatchMatchesSequentialProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	caches := []index.SearchOption{
 		func(o *index.SearchOptions) {}, // no cache
 		index.WithNodeCachePolicy(index.NodeCacheStatic),
 		index.WithNodeCachePolicy(index.NodeCacheLRU),
+	}
+	inputs := []struct {
+		name  string
+		build func(*testing.T) (*Collection, *dataset.Dataset)
+	}{
+		{"monolithic", lruCollection},
+		{"segmented", segmentedCollection},
 	}
 	prefetchTrials, prefetchSeen := 0, 0
 	for trial := 0; trial < 6; trial++ {
@@ -36,26 +46,42 @@ func TestSearchBatchMatchesSequentialProperty(t *testing.T) {
 		if opts.NodeCachePolicy != "" {
 			opts = opts.With(index.WithNodeCacheNodes(16))
 		}
-		colBatch, ds := lruCollection(t)
-		colSeq, _ := lruCollection(t)
-
-		batch := colBatch.SearchBatch(context.Background(), ds.Queries, 10, opts)
-		if len(batch) != ds.Queries.Len() {
-			t.Fatalf("trial %d: batch returned %d execs for %d queries", trial, len(batch), ds.Queries.Len())
-		}
-		for qi := range batch {
-			seq := colSeq.Search(ds.Queries.Row(qi), 10, opts)
-			if !reflect.DeepEqual(batch[qi], seq) {
-				t.Fatalf("trial %d (la=%d qc=%d cache=%q): query %d batch exec differs from sequential\nbatch: %+v\nseq:   %+v",
-					trial, opts.LookAhead, opts.QueryConcurrency, opts.NodeCachePolicy, qi, batch[qi], seq)
+		for _, in := range inputs {
+			twin := func() *Collection {
+				col, _ := in.build(t)
+				return col
 			}
-		}
-		if opts.LookAhead > 0 {
-			prefetchTrials++
+			colBatch, ds := in.build(t)
+			colSeq := twin()
+			batch := colBatch.SearchBatch(context.Background(), ds.Queries, 10, opts)
+			recorded := twin().RecordQueries(ds.Queries, 10, opts)
+			colRec := twin()
+			if len(batch) != ds.Queries.Len() || len(recorded) != ds.Queries.Len() {
+				t.Fatalf("trial %d %s: batch returned %d and %d execs for %d queries",
+					trial, in.name, len(batch), len(recorded), ds.Queries.Len())
+			}
 			for qi := range batch {
-				if batch[qi].Stats.PrefetchPages > 0 {
-					prefetchSeen++
-					break
+				q := ds.Queries.Row(qi)
+				for _, c := range []struct {
+					kind      string
+					got, want QueryExec
+				}{
+					{"SearchBatch vs Search", batch[qi], colSeq.Search(q, 10, opts)},
+					{"RecordQueries vs Record", recorded[qi], colRec.Record(q, 10, opts)},
+				} {
+					if !reflect.DeepEqual(c.got, c.want) {
+						t.Fatalf("trial %d %s (la=%d qc=%d cache=%q): query %d: %s differs\nbatch: %+v\nseq:   %+v",
+							trial, in.name, opts.LookAhead, opts.QueryConcurrency, opts.NodeCachePolicy, qi, c.kind, c.got, c.want)
+					}
+				}
+			}
+			if opts.LookAhead > 0 {
+				prefetchTrials++
+				for qi := range batch {
+					if batch[qi].Stats.PrefetchPages > 0 {
+						prefetchSeen++
+						break
+					}
 				}
 			}
 		}

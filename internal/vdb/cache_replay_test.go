@@ -83,6 +83,34 @@ func lruCollection(t *testing.T) (*Collection, *dataset.Dataset) {
 	return col, ds
 }
 
+// segmentedCollection is lruCollection's data split into three DiskANN
+// segments, each with its own node caches, plus a growing tail: a search
+// visits four units.
+func segmentedCollection(t *testing.T) (*Collection, *dataset.Dataset) {
+	t.Helper()
+	ds := testDataset(t, 300)
+	traits := Milvus()
+	traits.SegmentCapacity = 100
+	col, err := NewCollection("cache-test-seg", ds.Spec.Dim, ds.Spec.Metric, traits, IndexDiskANN, DefaultBuildParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.BulkLoad(ds.Vectors, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(col.Segments()) < 3 {
+		t.Fatalf("%d segments, want at least 3", len(col.Segments()))
+	}
+	var next int64
+	col.AssignStorage(func(n int64) int64 { p := next; next += n; return p })
+	for row := 0; row < 10; row++ {
+		if _, err := col.Insert(ds.Vectors.Row(row*29), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return col, ds
+}
+
 // TestRecordQueriesDeterministicWithLRUCache is the fuzz-satellite's
 // integration half: two independent, identically built collections record
 // the same workload against a mutable (LRU) node cache and must produce

@@ -263,71 +263,16 @@ type QueryExec struct {
 	Stats    index.Stats
 }
 
-// runBatch is the collection's batch-first search core: every public search
-// entry point — Search, Record, SearchBatch, RecordQueries — routes through
-// it. The batch visits each unit (sealed segments in order, then the
-// brute-forced growing tail) once, running all queries against that unit via
-// index.SearchBatchOf, and merges per query in unit order, so each query's
-// result is byte-identical to searching the units sequentially for that
-// query alone — which is literally what a one-row batch does (runOne). When
-// record is true, per-(query, unit) profiles are captured through
-// SearchOptions.RecorderFor into the returned QueryExecs.
-func (c *Collection) runBatch(ctx context.Context, rows [][]float32, k int, opts index.SearchOptions, record bool) []QueryExec {
-	out := make([]QueryExec, len(rows))
-	switch len(rows) {
-	case 0:
-		return out
-	case 1:
-		out[0] = c.runOne(ctx, rows[0], k, opts, record)
-		return out
-	}
-	units := c.units()
-	if len(units) == 0 {
-		return out
-	}
-	opts.Filter = c.liveFilter(opts.Filter)
-
-	heaps := make([]index.MaxHeap, len(rows))
-	if record {
-		for qi := range out {
-			out[qi].Segments = make([][]index.Step, 0, len(units))
-		}
-	}
-	for _, unit := range units {
-		uOpts := opts
-		var profs []index.Profile
-		if record {
-			profs = make([]index.Profile, len(rows))
-			uOpts.RecorderFor = func(qi int) *index.Profile { return &profs[qi] }
-		}
-		results := index.SearchBatchOf(ctx, unit, rows, k, uOpts)
-		for qi, res := range results {
-			for i := range res.IDs {
-				heaps[qi].PushBounded(index.Neighbor{ID: res.IDs[i], Dist: res.Dists[i]}, k)
-			}
-			out[qi].Stats.Add(res.Stats)
-			if record {
-				out[qi].Segments = append(out[qi].Segments, profs[qi].Steps)
-			}
-		}
-	}
-	for qi := range out {
-		out[qi].IDs = neighborIDs(heaps[qi].SortedAscending())
-	}
-	return out
-}
-
-// units lists what a search visits, in merge order: the sealed segments'
-// indexes, then the growing tail when it holds rows.
-func (c *Collection) units() []index.Index {
-	units := make([]index.Index, 0, len(c.segments)+1)
-	for _, s := range c.segments {
-		units = append(units, s.Index)
-	}
-	if c.grow.Len() > 0 {
-		units = append(units, c.grow)
-	}
-	return units
+// runBatch is the collection's batch search: index.BatchRun over runOne, so
+// each query runs to completion on one worker (query-major) and its result
+// is byte-identical to a single Search or Record of that query. A query's
+// answer depends on the others only through a mutable (LRU) node cache;
+// those caches are per index, and BatchRun runs such batches on one worker
+// in query order, so every index still sees the queries in order.
+func (c *Collection) runBatch(ctx context.Context, queries *vec.Matrix, k int, opts index.SearchOptions, record bool) []QueryExec {
+	return index.BatchRun(ctx, queries.Len(), opts, func(qi int, o index.SearchOptions) QueryExec {
+		return c.runOne(ctx, queries.Row(qi), k, o, record)
+	})
 }
 
 func neighborIDs(ns []index.Neighbor) []int32 {
@@ -338,9 +283,11 @@ func neighborIDs(ns []index.Neighbor) []int32 {
 	return ids
 }
 
-// runOne is runBatch for a single query: the units are searched one after
-// another on the calling goroutine with one scratch, so a query costs its
-// index searches plus a merge — no goroutine, channel or per-unit scratch.
+// runOne runs one query: the units (sealed segments in order, then the
+// brute-forced growing tail when it holds rows) are searched one after
+// another on the calling goroutine with one scratch and merged in that
+// order, so a query costs its index searches plus a merge — no goroutine,
+// channel or per-unit scratch.
 // The scratch is opts.Scratch when the caller brings one; otherwise the
 // collection lends the one it retains. That is an atomic swap of a single
 // pointer: a second concurrent caller finds it taken and works on a fresh
@@ -354,9 +301,6 @@ func (c *Collection) runOne(ctx context.Context, q []float32, k int, opts index.
 		return out
 	}
 	opts.Filter = c.liveFilter(opts.Filter)
-	if opts.RecorderFor != nil {
-		opts.Recorder, opts.RecorderFor = opts.RecorderFor(0), nil
-	}
 	scr := opts.Scratch
 	if scr == nil {
 		if scr = c.scratch.Swap(nil); scr == nil {
@@ -410,31 +354,21 @@ func (c *Collection) Record(q []float32, k int, opts index.SearchOptions) QueryE
 	return c.runOne(context.Background(), q, k, opts, true)
 }
 
-// SearchBatch runs every query row through the batch-first core without
-// recording, up to opts.QueryConcurrency queries concurrently per unit. Each
-// query's result is byte-identical to Search on the same options; ctx
-// cancellation stops scheduling new queries (unstarted queries return zero
-// QueryExecs).
+// SearchBatch runs every query row through the batch core without
+// recording, up to opts.QueryConcurrency queries concurrently. Each query's
+// result is byte-identical to Search on the same options; ctx cancellation
+// stops starting new queries (unstarted queries return zero QueryExecs).
 func (c *Collection) SearchBatch(ctx context.Context, queries *vec.Matrix, k int, opts index.SearchOptions) []QueryExec {
-	return c.runBatch(ctx, matrixRows(queries), k, opts, false)
+	return c.runBatch(ctx, queries, k, opts, false)
 }
 
 // RecordQueries captures the execution of every query row: the workload the
-// simulation replays. It is a thin wrapper over the same batch core as
-// SearchBatch with recording enabled. Queries are processed in parallel
-// (host goroutines) since recording is preprocessing — except when the
-// options select a mutable node cache (LRU), whose state evolves across
-// queries: those run sequentially in query order (index.BatchRun serialises
-// them) so the captured executions do not depend on goroutine interleaving.
+// simulation replays. It is the batch core of SearchBatch with recording
+// enabled. Queries are processed in parallel (host goroutines) since
+// recording is preprocessing — except when the options select a mutable
+// node cache (LRU), whose state evolves across queries: those run
+// sequentially in query order (index.BatchRun serialises them) so the
+// captured executions do not depend on goroutine interleaving.
 func (c *Collection) RecordQueries(queries *vec.Matrix, k int, opts index.SearchOptions) []QueryExec {
-	return c.runBatch(context.Background(), matrixRows(queries), k, opts, true)
-}
-
-// matrixRows views a query matrix as a row slice for the batch core.
-func matrixRows(m *vec.Matrix) [][]float32 {
-	rows := make([][]float32, m.Len())
-	for i := range rows {
-		rows[i] = m.Row(i)
-	}
-	return rows
+	return c.runBatch(context.Background(), queries, k, opts, true)
 }

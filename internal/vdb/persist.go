@@ -80,7 +80,7 @@ func (c *Collection) Save(path string) error {
 func LoadCollection(path string, data *vec.Matrix, traits Traits, params BuildParams) (*Collection, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("vdb: load: %w", err)
 	}
 	defer f.Close()
 	r := binenc.NewReader(f)
@@ -128,10 +128,10 @@ func LoadCollection(path string, data *vec.Matrix, traits Traits, params BuildPa
 		case IndexIVFFlat, IndexIVFPQ:
 			ix, err = ivf.ReadFrom(r, sub, ids)
 		default:
-			err = fmt.Errorf("vdb: load: unknown index kind %q", kind) //annlint:allow errwrap -- corrupt snapshot bytes are a cache condition, not caller parameters
+			return nil, fmt.Errorf("vdb: load: unknown index kind %q", kind) //annlint:allow errwrap -- corrupt snapshot bytes are a cache condition, not caller parameters
 		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("vdb: load: segment %d: %w", si, err)
 		}
 		col.segments = append(col.segments, &Segment{IDs: ids, Data: sub, Index: ix})
 	}
