@@ -107,10 +107,10 @@ quick-diff:
 
 # Short coverage-guided fuzzing of the node-cache invariants, the three
 # index snapshot decoders, the saved-collection loader over them, the .ds
-# dataset decoder and the binenc Reader every snapshot decoder reads
-# through (the seeded corpora already run as part of every plain `go
-# test`); each target gets a brief budget so CI exercises the mutation
-# engine without open-ended runs.
+# dataset decoder, the binenc Reader every snapshot decoder reads through
+# and the sim kernel's lanes against its event heap (the seeded corpora
+# already run as part of every plain `go test`); each target gets a brief
+# budget so CI exercises the mutation engine without open-ended runs.
 # Minimising a newly covering input is capped too: on multi-kilobyte
 # snapshots the default minute of it would eat the whole budget.
 FUZZTIME ?= 15s
@@ -126,3 +126,4 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzLoadCollection ./internal/vdb
 	$(FUZZ) -fuzz=FuzzDecode ./internal/dataset
 	$(FUZZ) -fuzz=FuzzReader ./internal/binenc
+	$(FUZZ) -fuzz=FuzzLaneOrder ./internal/sim

@@ -10,6 +10,12 @@
 // number, which makes runs fully deterministic: the same program produces the
 // same event order and the same virtual timestamps on every run.
 //
+// Run takes each next event from one of three sources: the event heap, the
+// sorted lanes (Lane: a FIFO per stream of wake-ups whose times never
+// decrease, such as a device's completions, which therefore never touch the
+// heap) and the ready FIFO of wake-ups for the current instant. Whichever
+// source an event waits in, it runs at the same (at, seq) slot.
+//
 // The package also provides the resource primitives the benchmark needs on
 // top of the raw kernel: counting semaphores with FIFO wait queues
 // (Semaphore), fork/join process groups (Group), one-shot completion signals
@@ -65,11 +71,14 @@ type event struct {
 // is the kernel's hottest operation.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
+
+// before reports whether ev runs before o: (at, seq) order.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
 
 func (h *eventHeap) push(ev event) {
@@ -172,6 +181,7 @@ type Kernel struct {
 	now    Time
 	seq    uint64
 	events eventHeap // wake-ups scheduled for a later instant than the clock read
+	lanes  []*Lane   // sorted streams of later wake-ups that bypass the heap
 	ready  []event   // wake-ups scheduled for now, in order; ready[:rhead] ran
 	rhead  int
 	nextID int
@@ -317,11 +327,12 @@ func (k *Kernel) DeadlockReport() string {
 // Processes still blocked at the horizon remain blocked; Run may be called
 // again with a later horizon to continue.
 //
-// Events run in (at, seq) order, taken from three places: the heap's events
-// at now, then the ready FIFO, then the heap again, advancing the clock. That
-// is exact: a heap event at now was scheduled before the clock reached now,
-// so its seq is below that of every ready entry, all of which were scheduled
-// at now; and the FIFO is empty whenever the clock advances.
+// Events run in (at, seq) order, taken from three places: the earliest of
+// the heap top and the lane heads while it is at now, then the ready FIFO,
+// then that earliest again, advancing the clock. That is exact: a heap or
+// lane event at now was scheduled before the clock reached now, so its seq is
+// below that of every ready entry, all of which were scheduled at now; and
+// the FIFO is empty whenever the clock advances.
 func (k *Kernel) Run(until Time) Time {
 	if k.now > until && k.Pending() > 0 {
 		k.now = until
@@ -329,15 +340,16 @@ func (k *Kernel) Run(until Time) Time {
 	}
 	for {
 		var ev event
+		src, head := k.earliest()
 		switch {
-		case len(k.events) > 0 && k.events[0].at == k.now:
-			ev = k.events.pop()
+		case head != nil && head.at == k.now:
+			ev = k.take(src)
 		case k.rhead < len(k.ready):
 			ev = k.ready[k.rhead]
 			k.rhead++
 		default:
 			k.ready, k.rhead = k.ready[:0], 0
-			if len(k.events) == 0 {
+			if head == nil {
 				if k.live > 0 {
 					if k.deadlock != nil {
 						k.deadlock(k)
@@ -348,11 +360,11 @@ func (k *Kernel) Run(until Time) Time {
 				k.drainPool()
 				return k.now
 			}
-			if k.events[0].at > until {
+			if head.at > until {
 				k.now = until
 				return k.now
 			}
-			ev = k.events.pop()
+			ev = k.take(src)
 			k.now = ev.at
 		}
 		p := ev.proc
@@ -380,5 +392,11 @@ func (k *Kernel) RunAll() Time { return k.Run(MaxTime) }
 // yet terminated.
 func (k *Kernel) Live() int { return k.live }
 
-// Pending reports the number of scheduled events.
-func (k *Kernel) Pending() int { return len(k.events) + len(k.ready) - k.rhead }
+// Pending reports the number of scheduled events, lane entries included.
+func (k *Kernel) Pending() int {
+	n := len(k.events) + len(k.ready) - k.rhead
+	for _, l := range k.lanes {
+		n += l.n
+	}
+	return n
+}

@@ -163,7 +163,7 @@ func (b *Batcher) complete() {
 func (b *Batcher) Wake() {
 	switch b.dispStep {
 	case queued:
-		b.d.charge(b.disp, &b.dispStep, b.cost)
+		b.d.charge(b.disp, &b.dispStep, b.cost, b.d.k)
 		return
 	case doorbell:
 		b.d.cpu.End(b.cost)
@@ -183,7 +183,7 @@ func (b *Batcher) Wake() {
 		b.requests += int64(n)
 		b.cost = b.d.cfg.SubmitCPU + sim.Duration(n-1)*b.d.cfg.BatchSubmitCPU
 		if b.d.cpu != nil && b.cost > 0 {
-			b.d.charge(b.disp, &b.dispStep, b.cost)
+			b.d.charge(b.disp, &b.dispStep, b.cost, b.d.k)
 			return
 		}
 		b.submitBatch()

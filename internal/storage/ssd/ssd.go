@@ -97,6 +97,15 @@ type Device struct {
 	// do. The earliest-free unit is the smaller of the two heads.
 	busy [2]unitFIFO
 
+	// The device's monotone wake-up streams, which bypass the kernel's event
+	// heap (see sim.Lane). bell holds per-request doorbell ends: each is
+	// SubmitCPU after the instant its core was granted, and the clock never
+	// goes back. done holds completions by op: busFree never decreases and
+	// the base latency is fixed per op, so submit's completion times never
+	// decrease within an op.
+	bell *sim.Lane
+	done [2]*sim.Lane
+
 	nextPage    int64                      // bump allocator for page addresses
 	retired     [2]int64                   // requests completed, by op
 	outstanding int                        // requests submitted and not yet completed
@@ -135,7 +144,7 @@ func New(k *sim.Kernel, cpu *sim.CPU, cfg Config) *Device {
 	if cfg.PageSize <= 0 || cfg.Slots <= 0 || cfg.BandwidthBps <= 0 {
 		panic(fmt.Sprintf("ssd: invalid config %+v", cfg))
 	}
-	d := &Device{cfg: cfg, k: k, cpu: cpu}
+	d := &Device{cfg: cfg, k: k, cpu: cpu, bell: k.NewLane(), done: [2]*sim.Lane{k.NewLane(), k.NewLane()}}
 	for op := range d.busy {
 		d.busy[op].at = make([]sim.Time, cfg.Slots)
 	}
@@ -217,7 +226,7 @@ func (d *Device) request(e *sim.Env, op trace.Op, bytes int) {
 	if d.cpu != nil && d.cfg.SubmitCPU > 0 {
 		d.cpu.Use(e, d.cfg.SubmitCPU)
 	}
-	e.SleepUntil(d.submit(e.Now(), op, bytes))
+	d.done[op].SleepUntil(e, d.submit(e.Now(), op, bytes))
 	d.retire(e.Now(), op)
 }
 
@@ -309,17 +318,24 @@ const (
 	flash                // waiting for a device completion
 )
 
+// waker schedules a timer's wake-up: the kernel's event heap, or one of the
+// device's lanes for a stream known to be monotone.
+type waker interface {
+	WakeAt(t *sim.Timer, at sim.Time)
+}
+
 // charge takes timer t, at step *s, through a submission-CPU burst of dur as
 // sim.CPU.Use takes a process: from spawned it claims a core or queues for
-// one; once granted, the burst runs and t wakes at its end in step doorbell.
-func (d *Device) charge(t *sim.Timer, s *step, dur sim.Duration) {
+// one; once granted, the burst runs and w wakes t at its end in step
+// doorbell.
+func (d *Device) charge(t *sim.Timer, s *step, dur sim.Duration, w waker) {
 	if *s != queued && !d.cpu.Start(t) {
 		*s = queued
 		return
 	}
 	*s = doorbell
 	d.cpu.Granted()
-	d.k.WakeAt(t, d.k.Now().Add(dur))
+	w.WakeAt(t, d.k.Now().Add(dur))
 }
 
 // readJob is one asynchronous per-request read. It cannot be computed at the
@@ -344,7 +360,7 @@ func (r *readJob) Wake() {
 			r.submit()
 			return
 		}
-		d.charge(r.t, &r.step, d.cfg.SubmitCPU)
+		d.charge(r.t, &r.step, d.cfg.SubmitCPU, d.bell)
 	case doorbell:
 		d.cpu.End(d.cfg.SubmitCPU)
 		r.submit()
@@ -358,7 +374,7 @@ func (r *readJob) Wake() {
 
 func (r *readJob) submit() {
 	r.step = flash
-	r.d.k.WakeAt(r.t, r.d.submit(r.d.k.Now(), trace.Read, r.bytes))
+	r.d.done[trace.Read].WakeAt(r.t, r.d.submit(r.d.k.Now(), trace.Read, r.bytes))
 }
 
 // spawnRead starts one read at the current instant. Its first step runs on

@@ -176,3 +176,29 @@ func TestInvalidConfigPanics(t *testing.T) {
 	cfg.Slots = 0
 	New(sim.NewKernel(), nil, cfg)
 }
+
+// BenchmarkReadAsync measures the host cost of one per-request read: 64
+// processes on 20 cores each keep one 4 KiB ReadAsync in flight, a closed
+// loop that rings doorbells, queues on the units and completes — the device
+// path replay drives. One op is one read.
+func BenchmarkReadAsync(b *testing.B) {
+	const streams = 64
+	k := sim.NewKernel()
+	d := New(k, sim.NewCPU(k, 20), DefaultConfig())
+	for i := 0; i < streams; i++ {
+		reads := b.N / streams
+		if i < b.N%streams {
+			reads++
+		}
+		k.Spawn("stream", func(e *sim.Env) {
+			for j := 0; j < reads; j++ {
+				ev := k.AllocEvent()
+				d.ReadAsync(int64(j), 4096, ev)
+				d.await(e, ev)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunAll()
+}

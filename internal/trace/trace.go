@@ -10,8 +10,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,11 +58,10 @@ type Tracer struct {
 	enabled   bool
 	keepRaw   bool
 	records   []Record
-	bucket    sim.Duration // bucket width for the bandwidth timeline
-	readBkt   map[int64]int64
-	writeBkt  map[int64]int64
-	cacheBkt  map[int64]int64
-	sizeHist  map[int]int64
+	bucket    sim.Duration  // bucket width for the bandwidth timeline
+	bkt       []bucketBytes // timeline buckets: bkt[i] is bucket bktBase+i
+	bktBase   int64
+	sizeHist  []SizeBucket // request sizes, ascending
 	readOps   int64
 	writeOps  int64
 	readByte  int64
@@ -92,15 +92,33 @@ type Tracer struct {
 // NewTracer creates an active tracer with a per-second bandwidth timeline.
 // If keepRaw is true, every raw record is retained as well.
 func NewTracer(keepRaw bool) *Tracer {
-	return &Tracer{
-		enabled:  true,
-		keepRaw:  keepRaw,
-		bucket:   time.Second,
-		readBkt:  make(map[int64]int64),
-		writeBkt: make(map[int64]int64),
-		cacheBkt: make(map[int64]int64),
-		sizeHist: make(map[int]int64),
+	return &Tracer{enabled: true, keepRaw: keepRaw, bucket: time.Second}
+}
+
+// bucketBytes is one timeline bucket's bytes by op.
+type bucketBytes struct{ read, write, cache int64 }
+
+// bucketAt returns the timeline bucket holding virtual time at, extending the
+// series to reach it.
+func (t *Tracer) bucketAt(at sim.Time) *bucketBytes {
+	b := int64(at) / int64(t.bucket)
+	if len(t.bkt) == 0 {
+		t.bktBase = b
 	}
+	if b < t.bktBase {
+		t.bkt = append(make([]bucketBytes, t.bktBase-b, t.bktBase-b+int64(len(t.bkt))), t.bkt...)
+		t.bktBase = b
+	}
+	i := b - t.bktBase
+	if n := i + 1 - int64(len(t.bkt)); n > 0 {
+		t.bkt = append(t.bkt, make([]bucketBytes, n)...)
+	}
+	return &t.bkt[i]
+}
+
+// sizeIndex returns where the histogram holds (or would hold) bytes.
+func (t *Tracer) sizeIndex(bytes int) (int, bool) {
+	return slices.BinarySearchFunc(t.sizeHist, bytes, func(b SizeBucket, n int) int { return cmp.Compare(b.Bytes, n) })
 }
 
 // SetBucket changes the timeline bucket width (default one second). It must
@@ -124,18 +142,22 @@ func (t *Tracer) Emit(at sim.Time, op Op, bytes int) {
 		t.last = at
 	}
 	t.any = true
-	b := int64(at) / int64(t.bucket)
+	bkt := t.bucketAt(at)
 	switch op {
 	case Read:
 		t.readOps++
 		t.readByte += int64(bytes)
-		t.readBkt[b] += int64(bytes)
+		bkt.read += int64(bytes)
 	case Write:
 		t.writeOps++
 		t.writeByte += int64(bytes)
-		t.writeBkt[b] += int64(bytes)
+		bkt.write += int64(bytes)
 	}
-	t.sizeHist[bytes]++
+	i, ok := t.sizeIndex(bytes)
+	if !ok {
+		t.sizeHist = slices.Insert(t.sizeHist, i, SizeBucket{Bytes: bytes})
+	}
+	t.sizeHist[i].Count++
 	if t.keepRaw {
 		t.records = append(t.records, Record{At: at, Op: op, Bytes: bytes})
 	}
@@ -159,7 +181,7 @@ func (t *Tracer) EmitCacheHit(at sim.Time, pages, bytes int) {
 		t.last = at
 	}
 	t.any = true
-	t.cacheBkt[int64(at)/int64(t.bucket)] += int64(bytes)
+	t.bucketAt(at).cache += int64(bytes)
 	if t.keepRaw {
 		t.records = append(t.records, Record{At: at, Op: CacheHit, Bytes: bytes})
 	}
@@ -257,11 +279,12 @@ func (t *Tracer) Timeline() []BucketPoint {
 	hi := int64(t.last) / int64(t.bucket)
 	out := make([]BucketPoint, 0, hi-lo+1)
 	for b := lo; b <= hi; b++ {
+		bkt := t.bkt[b-t.bktBase]
 		out = append(out, BucketPoint{
 			Start:      sim.Time(b * int64(t.bucket)),
-			ReadBytes:  t.readBkt[b],
-			WriteBytes: t.writeBkt[b],
-			CacheBytes: t.cacheBkt[b],
+			ReadBytes:  bkt.read,
+			WriteBytes: bkt.write,
+			CacheBytes: bkt.cache,
 		})
 	}
 	return out
@@ -278,12 +301,7 @@ type SizeBucket struct {
 
 // SizeHistogram returns request sizes sorted ascending.
 func (t *Tracer) SizeHistogram() []SizeBucket {
-	out := make([]SizeBucket, 0, len(t.sizeHist))
-	for sz, n := range t.sizeHist { //annlint:allow mapiter -- unique Bytes keys; order restored by the sort below
-		out = append(out, SizeBucket{Bytes: sz, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bytes < out[j].Bytes })
-	return out
+	return append(make([]SizeBucket, 0, len(t.sizeHist)), t.sizeHist...)
 }
 
 // FractionOfSize returns the fraction of all requests with exactly the given
@@ -293,7 +311,11 @@ func (t *Tracer) FractionOfSize(bytes int) float64 {
 	if total == 0 {
 		return 0
 	}
-	return float64(t.sizeHist[bytes]) / float64(total)
+	i, ok := t.sizeIndex(bytes)
+	if !ok {
+		return 0
+	}
+	return float64(t.sizeHist[i].Count) / float64(total)
 }
 
 // Summary holds the derived statistics of a traced window.

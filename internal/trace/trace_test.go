@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -145,5 +146,29 @@ func TestKeepRawRetainsOrder(t *testing.T) {
 	recs := tr.Records()
 	if len(recs) != 2 || recs[0].At != 5 || recs[1].At != 7 {
 		t.Errorf("records = %+v", recs)
+	}
+}
+
+// TestRecordsOutOfOrder: records fed out of time and size order (an offline
+// trace) still bucket and sort as in order.
+func TestRecordsOutOfOrder(t *testing.T) {
+	sec := sim.Time(time.Second)
+	tr := Replay([]Record{
+		{At: 2*sec + 1, Op: Read, Bytes: 300},
+		{At: 0, Op: Write, Bytes: 8192},
+		{At: sec / 2, Op: CacheHit, Bytes: 4096},
+		{At: sec / 2, Op: Read, Bytes: 512},
+	})
+	want := []BucketPoint{
+		{Start: 0, ReadBytes: 512, WriteBytes: 8192, CacheBytes: 4096},
+		{Start: sec},
+		{Start: 2 * sec, ReadBytes: 300},
+	}
+	if got := tr.Timeline(); !slices.Equal(got, want) {
+		t.Errorf("timeline = %+v, want %+v", got, want)
+	}
+	wantH := []SizeBucket{{Bytes: 300, Count: 1}, {Bytes: 512, Count: 1}, {Bytes: 8192, Count: 1}}
+	if got := tr.SizeHistogram(); !slices.Equal(got, wantH) {
+		t.Errorf("histogram = %+v, want %+v", got, wantH)
 	}
 }

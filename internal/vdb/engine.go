@@ -155,10 +155,27 @@ func (e *Engine) RunQuery(env *sim.Env, qe *QueryExec) error {
 // its own instance from the engine's pool; the steady state allocates
 // nothing per query.
 type replayScratch struct {
-	inflight map[int64]*prefetchJob // first page → in-flight prefetch
-	jobs     []pfRef                // every prefetch issued by this query
-	joins    []*prefetchJob         // current step's joined prefetches
-	toRead   []int64                // current step's demand pages
+	inflight []inflightPF   // in-flight prefetches not yet joined, one per first page
+	jobs     []pfRef        // every prefetch issued by this query
+	joins    []*prefetchJob // current step's joined prefetches
+	toRead   []int64        // current step's demand pages
+}
+
+// inflightPF keys an in-flight prefetch by its first page. A query has at
+// most a few dozen in flight, so a scan beats a map's hashing.
+type inflightPF struct {
+	first int64
+	pj    *prefetchJob
+}
+
+// inflightAt returns the index of first's entry in s.inflight, or -1.
+func (s *replayScratch) inflightAt(first int64) int {
+	for i := range s.inflight {
+		if s.inflight[i].first == first {
+			return i
+		}
+	}
+	return -1
 }
 
 // pfRef records one issued prefetch for the end-of-query sweep. Joined jobs
@@ -180,7 +197,7 @@ func (e *Engine) allocScratch() *replayScratch {
 	// for the engine's lifetime, so growth allocations are worth avoiding.
 	e.made.scratch++
 	return &replayScratch{
-		inflight: make(map[int64]*prefetchJob, 64),
+		inflight: make([]inflightPF, 0, 64),
 		jobs:     make([]pfRef, 0, 64),
 		joins:    make([]*prefetchJob, 0, 16),
 		toRead:   make([]int64, 0, 16),
@@ -188,8 +205,7 @@ func (e *Engine) allocScratch() *replayScratch {
 }
 
 func (e *Engine) releaseScratch(s *replayScratch) {
-	clear(s.inflight)
-	s.jobs, s.joins, s.toRead = s.jobs[:0], s.joins[:0], s.toRead[:0]
+	s.inflight, s.jobs, s.joins, s.toRead = s.inflight[:0], s.jobs[:0], s.joins[:0], s.toRead[:0]
 	e.scratch = append(e.scratch, s)
 }
 
@@ -236,7 +252,12 @@ func (e *Engine) prefetch(scr *replayScratch, first int64, bytes int) {
 		e.made.pf++
 	}
 	pj.ev = e.k.AllocEvent()
-	scr.inflight[first] = pj
+	// A later prefetch of the same first page replaces the earlier entry.
+	if i := scr.inflightAt(first); i >= 0 {
+		scr.inflight[i].pj = pj
+	} else {
+		scr.inflight = append(scr.inflight, inflightPF{first: first, pj: pj})
+	}
 	scr.jobs = append(scr.jobs, pfRef{pj: pj, gen: pj.gen})
 	e.rd.ReadAsync(first, bytes, pj.ev)
 }
@@ -280,9 +301,11 @@ func (e *Engine) replaySteps(env *sim.Env, steps []index.Step) {
 		if scr != nil && len(scr.inflight) > 0 {
 			scr.joins, scr.toRead = scr.joins[:0], scr.toRead[:0]
 			for _, p := range toRead {
-				if pj, ok := scr.inflight[p]; ok {
-					delete(scr.inflight, p)
-					scr.joins = append(scr.joins, pj)
+				if i := scr.inflightAt(p); i >= 0 {
+					scr.joins = append(scr.joins, scr.inflight[i].pj)
+					last := len(scr.inflight) - 1
+					scr.inflight[i] = scr.inflight[last]
+					scr.inflight = scr.inflight[:last]
 				} else {
 					scr.toRead = append(scr.toRead, p)
 				}

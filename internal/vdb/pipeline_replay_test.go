@@ -137,6 +137,28 @@ func TestReplayContiguousPrefetchJoin(t *testing.T) {
 	})
 }
 
+// TestReplayRepeatedPrefetchJoinsLatest: when a query prefetches the same
+// first page twice, the later prefetch replaces the earlier one, so a demand
+// for that page joins the later read — here still in flight, issued after
+// 100µs of CPU — rather than the earlier one, which landed long before.
+func TestReplayRepeatedPrefetchJoinsLatest(t *testing.T) {
+	qe := &QueryExec{Segments: [][]index.Step{{
+		{CPU: time.Microsecond, Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
+		{CPU: 100 * time.Microsecond, Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
+		{CPU: time.Microsecond, Pages: []int64{10}},
+	}}}
+	eachPolicy(t, func(t *testing.T, coalesce bool) {
+		elapsed, tr := runTimed(t, qe, coalesce)
+		// Step 0 waits one read, step 2 another begun after step 1's CPU.
+		if floor := 102*time.Microsecond + 2*ssd.DefaultConfig().ReadLatency; elapsed < floor {
+			t.Errorf("query took %v, below %v: the demand joined the earlier prefetch", elapsed, floor)
+		}
+		if ops, _, _, _ := tr.Totals(); ops != 3 {
+			t.Errorf("device read ops = %d, want 3 (demand + two prefetches, no demand re-read)", ops)
+		}
+	})
+}
+
 // TestReplayUnusedPrefetchCostsBandwidthNotLatency: a prefetch nothing
 // demands adds device reads (the wasted-speculation bandwidth tax) without
 // blocking query completion.
