@@ -107,8 +107,9 @@ quick-diff:
 
 # Short coverage-guided fuzzing of the node-cache invariants, the three
 # index snapshot decoders, the saved-collection loader over them, the .ds
-# dataset decoder, the binenc Reader every snapshot decoder reads through
-# and the sim kernel's lanes against its event heap (the seeded corpora
+# dataset decoder, the binenc Reader every snapshot decoder reads through,
+# the sim kernel's lanes against its event heap and the engine's timer
+# replay against its process reference (the seeded corpora
 # already run as part of every plain `go test`); each target gets a brief
 # budget so CI exercises the mutation engine without open-ended runs.
 # Minimising a newly covering input is capped too: on multi-kilobyte
@@ -127,3 +128,4 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzDecode ./internal/dataset
 	$(FUZZ) -fuzz=FuzzReader ./internal/binenc
 	$(FUZZ) -fuzz=FuzzLaneOrder ./internal/sim
+	$(FUZZ) -fuzz=FuzzTimerReplay ./internal/vdb

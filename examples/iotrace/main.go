@@ -47,18 +47,10 @@ func main() {
 	deadline := sim.Time(400 * time.Millisecond)
 	next := 0
 	for t := 0; t < 8; t++ {
-		k.Spawn("query", func(e *sim.Env) {
-			for e.Now() < deadline {
-				qe := &execs[next]
-				next++
-				if next == len(execs) {
-					next = 0
-				}
-				if err := eng.RunQuery(e, qe); err != nil {
-					log.Fatal(err)
-				}
-			}
-		})
+		c := &client{k: k, deadline: deadline, execs: execs, next: &next}
+		timer := sim.NewTimer(c)
+		c.op = eng.NewOp(timer)
+		k.WakeAt(timer, k.Now())
 	}
 	k.RunAll()
 
@@ -94,6 +86,41 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nCSV round trip: %d records re-read (analyse offline with cmd/iostat)\n", len(records))
+}
+
+// client is a closed-loop query thread: a timer that replays the recorded
+// queries round-robin, starting each in the wake-up the last one finished
+// in, until the clock reaches the deadline.
+type client struct {
+	k        *sim.Kernel
+	op       *vdb.Op
+	deadline sim.Time
+	execs    []vdb.QueryExec
+	next     *int // the threads' shared position in execs
+	busy     bool // a query is in flight
+}
+
+func (c *client) Wake() {
+	if c.busy && !c.op.Resume() {
+		return
+	}
+	for {
+		if err := c.op.Err(); err != nil {
+			log.Fatal(err)
+		}
+		if c.k.Now() >= c.deadline {
+			c.busy = false
+			return
+		}
+		qe := &c.execs[*c.next]
+		if *c.next++; *c.next == len(c.execs) {
+			*c.next = 0
+		}
+		if !c.op.Query(qe) {
+			c.busy = true
+			return
+		}
+	}
 }
 
 func bars(n int) string {

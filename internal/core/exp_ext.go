@@ -32,7 +32,8 @@ func runExtA(ctx context.Context, b *Bench, w io.Writer) error {
 			run: func(ctx context.Context) (err error) {
 				// Each cell spins up a private simulated stack inside
 				// runHybrid, so cells are independent and parallel-safe.
-				results[i], err = runHybrid(st, 16, writers, b.mergeDefaults(RunConfig{}))
+				cfg := b.mergeDefaults(RunConfig{})
+				results[i], err = runHybrid(newRig(cfg.Cores, trace.NewTracer(false)), st, 16, writers, cfg)
 				return err
 			},
 		}
@@ -53,48 +54,54 @@ func runExtA(ctx context.Context, b *Bench, w io.Writer) error {
 	return tw.Flush()
 }
 
-// runHybrid is the Ext-A workload: queryThreads closed-loop searchers plus
-// writerThreads alternating insert/delete clients against the same engine
-// and device. Failed operations are not counted.
-func runHybrid(st *Stack, queryThreads, writerThreads int, cfg RunConfig) (Metrics, error) {
-	tr := trace.NewTracer(false)
-	r := newRig(cfg.Cores, tr)
+// runHybrid is the Ext-A workload on r, a fresh rig with a tracer:
+// queryThreads closed-loop searchers plus writerThreads alternating
+// insert/delete clients against the same engine and device. Failed
+// operations are not counted.
+func runHybrid(r *rig, st *Stack, queryThreads, writerThreads int, cfg RunConfig) (Metrics, error) {
 	eng := vdb.NewEngine(r.k, r.cpu, r.dev, st.Setup.Engine)
-	deadline := sim.Time(cfg.Duration)
-	var latencies []sim.Duration
-	var served int64
 	queries := cursor{execs: st.Execs}
-	r.clients("query", queryThreads, deadline, nil, func(e *sim.Env, _ int) {
-		start := e.Now()
-		if eng.RunQuery(e, queries.next()) == nil && e.Now() <= deadline {
-			served++
-			latencies = append(latencies, e.Now().Sub(start))
-		}
+	res := tally{deadline: sim.Time(cfg.Duration)}
+	r.clients("query", queryThreads, res.deadline, nil, func(t *sim.Timer) clientOp {
+		return &queryOp{k: r.k, t: t, q: eng.NewOp(t), queries: &queries, tally: &res}
 	})
 	vectorBytes := st.Dataset.Spec.Dim * 4
-	r.clients("writer", writerThreads, deadline, nil, func(e *sim.Env, i int) {
-		if i%8 == 7 {
-			eng.RunDelete(e)
-		} else {
-			eng.RunInsert(e, vectorBytes)
-		}
+	r.clients("writer", writerThreads, res.deadline, nil, func(t *sim.Timer) clientOp {
+		return &writeOp{q: eng.NewOp(t), bytes: vectorBytes}
 	})
 	if _, err := r.run(); err != nil {
 		return Metrics{}, err
 	}
 	m := Metrics{
-		P99:         Percentile(latencies, 0.99),
-		MeanLatency: MeanDuration(latencies),
-		Served:      served,
+		P99:         Percentile(res.latencies, 0.99),
+		MeanLatency: MeanDuration(res.latencies),
+		Served:      res.served,
 	}
 	if cfg.Duration > 0 {
-		m.QPS = float64(served) / cfg.Duration.Seconds()
+		m.QPS = float64(res.served) / cfg.Duration.Seconds()
 	}
-	sum := tr.Summarize(cfg.Duration)
+	sum := r.tr.Summarize(cfg.Duration)
 	m.ReadMiBps = sum.ReadMiBps
 	m.WriteMiBps = sum.WriteMiBps
 	return m, nil
 }
+
+// writeOp is an Ext-A writer's operation: seven inserts of a vector, then a
+// delete, over and over.
+type writeOp struct {
+	q     *vdb.Op
+	bytes int
+}
+
+func (w *writeOp) start(iter int) bool {
+	if iter%8 == 7 {
+		return w.q.Delete()
+	}
+	return w.q.Insert(w.bytes)
+}
+
+func (w *writeOp) resume() bool  { return w.q.Resume() }
+func (w *writeOp) phase() string { return w.q.Phase() }
 
 // runExtB measures filtered search (payload predicate pushdown): recall
 // against filtered ground truth and the work amplification caused by

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"svdbench/internal/sim"
@@ -127,7 +128,9 @@ func RunContext(ctx context.Context, execs []vdb.QueryExec, traits vdb.Traits, c
 		cells[rep] = cell{
 			key: fmt.Sprintf("rep=%d", rep),
 			run: func(context.Context) (err error) {
-				reps[rep], timelines[rep], err = runOnce(execs, traits, cfg, int64(rep)+cfg.Seed, bucket)
+				tr := trace.NewTracer(false)
+				tr.SetBucket(bucket)
+				reps[rep], timelines[rep], err = runOnce(newRig(cfg.Cores, tr), execs, traits, cfg, int64(rep)+cfg.Seed)
 				return err
 			},
 		}
@@ -138,51 +141,37 @@ func RunContext(ctx context.Context, execs []vdb.QueryExec, traits vdb.Traits, c
 	return RunOutput{Metrics: AggregateRuns(reps), Timeline: timelines[nrep-1], TimelineBucket: bucket}, nil
 }
 
-// runOnce is a single repetition: fresh virtual hardware, drop-caches
-// equivalent (everything starts cold), closed loop until the horizon.
-func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64, bucket sim.Duration) (Metrics, []trace.BucketPoint, error) {
+// runOnce is a single repetition on r, a fresh rig with a tracer:
+// drop-caches equivalent (everything starts cold), closed loop until the
+// horizon.
+func runOnce(r *rig, execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64) (Metrics, []trace.BucketPoint, error) {
 	// A positive MaxReadConcurrent raises (or lowers) the engine's
 	// segment-task pool for this run — the paper adjusts Milvus's
 	// maxReadConcurrentRatio this way for the beam-width experiments.
 	if traits.IntraQueryParallel && cfg.MaxReadConcurrent > 0 {
 		traits.MaxReadConcurrent = cfg.MaxReadConcurrent
 	}
-	tr := trace.NewTracer(false)
-	tr.SetBucket(bucket)
-	r := newRig(cfg.Cores, tr)
 	eng := vdb.NewEngine(r.k, r.cpu, r.dev, traits)
 	if cfg.CoalesceReads {
 		eng.SetBatcher(ssd.NewBatcher(r.dev))
 	}
 
-	deadline := sim.Time(cfg.Duration)
-	var latencies []sim.Duration
-	var served, failed int64
 	queries := cursor{execs: execs}
+	res := tally{deadline: sim.Time(cfg.Duration)}
 	// Small deterministic start skew so repetitions differ and threads do
 	// not tick in lockstep.
 	skew := func(t int) sim.Duration {
 		return time.Duration((int64(t)*7919+seed*104729)%997) * time.Microsecond / 10
 	}
-	r.clients("query-thread", cfg.Threads, deadline, skew, func(e *sim.Env, _ int) {
-		start := e.Now()
-		err := eng.RunQuery(e, queries.next())
-		end := e.Now()
-		if err != nil {
-			failed++
-			// Back off like a crashing client loop would.
-			e.Sleep(time.Millisecond)
-			return
-		}
-		if end <= deadline {
-			served++
-			latencies = append(latencies, end.Sub(start))
-		}
+	r.clients("query-thread", cfg.Threads, res.deadline, skew, func(t *sim.Timer) clientOp {
+		// Back off like a crashing client loop would.
+		return &queryOp{k: r.k, t: t, q: eng.NewOp(t), queries: &queries, tally: &res, backoff: time.Millisecond}
 	})
 	endTime, err := r.run() // lets in-flight queries drain past the horizon
 	if err != nil {
 		return Metrics{}, nil, err
 	}
+	latencies, served, failed := res.latencies, res.served, res.failed
 	window := cfg.Duration
 	if d := endTime.Sub(0); d > window {
 		window = d
@@ -205,7 +194,7 @@ func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64
 	if cfg.Duration > 0 {
 		m.QPS = float64(served) / cfg.Duration.Seconds()
 	}
-	sum := tr.Summarize(cfg.Duration)
+	sum := r.tr.Summarize(cfg.Duration)
 	m.ReadMiBps = sum.ReadMiBps
 	m.WriteMiBps = sum.WriteMiBps
 	m.Frac4KiB = sum.Frac4KiB
@@ -223,7 +212,7 @@ func runOnce(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, seed int64
 	}
 	var tl []trace.BucketPoint
 	if cfg.Timeline {
-		tl = tr.Timeline()
+		tl = r.tr.Timeline()
 	}
 	return m, tl, nil
 }
@@ -236,6 +225,7 @@ type rig struct {
 	cpu *sim.CPU
 	dev *ssd.Device
 	tr  *trace.Tracer
+	all []*client // every client started, for the wedge report
 }
 
 func newRig(cores int, tr *trace.Tracer) *rig {
@@ -249,35 +239,156 @@ func newRig(cores int, tr *trace.Tracer) *rig {
 	return &rig{k: k, cpu: cpu, dev: dev, tr: tr}
 }
 
-// clients spawns n closed-loop clients named name. Client c first sleeps
-// skew(c) when skew is non-nil, then calls op until the clock reaches
-// deadline; op's iter counts the client's earlier calls.
-func (r *rig) clients(name string, n int, deadline sim.Time, skew func(c int) sim.Duration, op func(e *sim.Env, iter int)) {
-	for c := 0; c < n; c++ {
-		c := c
-		r.k.Spawn(name, func(e *sim.Env) {
-			if skew != nil {
-				e.Sleep(skew(c))
-			}
-			for iter := 0; e.Now() < deadline; iter++ {
-				op(e, iter)
-			}
-		})
+// clientOp is the operation a closed-loop client repeats, a state machine on
+// the client's timer: start begins the iter'th at the current instant and
+// resume continues it at a wake-up, each reporting whether it has finished;
+// phase names what a blocked one waits in.
+type clientOp interface {
+	start(iter int) bool
+	resume() bool
+	phase() string
+}
+
+// client is one closed-loop client: a timer that sleeps its start skew, if
+// any, then runs operations back to back, each starting in the wake-up the
+// last finished in, until the clock reaches the deadline.
+type client struct {
+	k        *sim.Kernel
+	t        *sim.Timer
+	name     string
+	idx      int
+	deadline sim.Time
+	skew     func(c int) sim.Duration
+	op       clientOp
+	iter     int      // operations finished
+	since    sim.Time // when the operation in flight last blocked
+	state    uint8    // clientNew, clientSkewed, clientBusy or clientDone
+}
+
+const (
+	clientNew = iota
+	clientSkewed
+	clientBusy
+	clientDone
+)
+
+// clients starts n closed-loop clients named name at the current instant,
+// each repeating the operation op makes for its timer. Client c first sleeps
+// skew(c) when skew is non-nil.
+func (r *rig) clients(name string, n int, deadline sim.Time, skew func(c int) sim.Duration, op func(t *sim.Timer) clientOp) {
+	for i := 0; i < n; i++ {
+		c := &client{k: r.k, name: name, idx: i, deadline: deadline, skew: skew}
+		c.t = sim.NewTimer(c)
+		c.op = op(c.t)
+		r.all = append(r.all, c)
+		r.k.WakeAt(c.t, r.k.Now())
 	}
 }
 
-// run runs the simulation until every process has finished, so in-flight
-// operations drain past the deadline, and closes the tracer's integration at
-// the end time. If the event queue drains with processes still blocked — a
-// deadlock in the simulated program — it returns an error naming them, where
-// the kernel's default is to panic on whichever host goroutine runs the cell.
+func (c *client) Wake() {
+	switch c.state {
+	case clientNew:
+		if c.skew != nil {
+			c.state = clientSkewed
+			c.k.WakeAt(c.t, c.k.Now().Add(c.skew(c.idx)))
+			return
+		}
+	case clientBusy:
+		if !c.op.resume() {
+			c.since = c.k.Now()
+			return
+		}
+		c.iter++
+	}
+	for c.k.Now() < c.deadline {
+		if !c.op.start(c.iter) {
+			c.state, c.since = clientBusy, c.k.Now()
+			return
+		}
+		c.iter++
+	}
+	c.state = clientDone
+}
+
+// run runs the simulation until it drains, so in-flight operations finish
+// past the deadline, and closes the tracer's integration at the end time. A
+// simulation that drains with a client unfinished or a process blocked is
+// wedged, and run returns an error naming them, where the kernel's default
+// is to panic on whichever host goroutine runs the cell.
 func (r *rig) run() (end sim.Time, err error) {
 	r.k.OnDeadlock(func(k *sim.Kernel) {
 		err = fmt.Errorf("core: replay wedged: %s", k.DeadlockReport())
 	})
 	end = r.k.RunAll()
 	r.tr.FinishAt(end)
+	var stuck []string
+	for _, c := range r.all {
+		if c.state != clientDone {
+			stuck = append(stuck, fmt.Sprintf("%s #%d in %s blocked since t=%v", c.name, c.idx, c.op.phase(), c.since))
+		}
+	}
+	if err == nil && len(stuck) > 0 {
+		err = fmt.Errorf("core: replay wedged at t=%v: %d of %d clients unfinished:\n  %s", end, len(stuck), len(r.all), strings.Join(stuck, "\n  "))
+	}
 	return end, err
+}
+
+// tally collects a rig's query outcomes: the latency of every query that
+// finished by the deadline, and the number the engine refused.
+type tally struct {
+	deadline       sim.Time
+	latencies      []sim.Duration
+	served, failed int64
+}
+
+// queryOp is a query client's operation: the next recorded query and, if the
+// engine refused it and backoff is positive, a back-off sleep.
+type queryOp struct {
+	k       *sim.Kernel
+	t       *sim.Timer
+	q       *vdb.Op
+	queries *cursor
+	tally   *tally
+	backoff sim.Duration
+	began   sim.Time
+	resting bool
+}
+
+func (o *queryOp) start(int) bool {
+	o.began = o.k.Now()
+	return o.q.Query(o.queries.next()) && o.finish()
+}
+
+func (o *queryOp) resume() bool {
+	if o.resting {
+		o.resting = false
+		return true
+	}
+	return o.q.Resume() && o.finish()
+}
+
+// finish accounts a finished query and reports whether the operation is over.
+func (o *queryOp) finish() bool {
+	now := o.k.Now()
+	if o.q.Err() != nil {
+		o.tally.failed++
+		if o.resting = o.backoff > 0; o.resting {
+			o.k.WakeAt(o.t, now.Add(o.backoff))
+		}
+		return !o.resting
+	}
+	if now <= o.tally.deadline {
+		o.tally.served++
+		o.tally.latencies = append(o.tally.latencies, now.Sub(o.began))
+	}
+	return true
+}
+
+func (o *queryOp) phase() string {
+	if o.resting {
+		return "back-off"
+	}
+	return o.q.Phase()
 }
 
 // cursor hands out a recorded query set round-robin, restarting from the

@@ -7,6 +7,7 @@ import (
 
 	"svdbench/internal/index"
 	"svdbench/internal/sim"
+	"svdbench/internal/trace"
 	"svdbench/internal/vdb"
 )
 
@@ -199,19 +200,82 @@ func TestRunSegmentPoolPlateau(t *testing.T) {
 	}
 }
 
+// wedgeOp sleeps 1 ms, then takes its semaphore twice, so its second take
+// waits forever.
+type wedgeOp struct {
+	k   *sim.Kernel
+	t   *sim.Timer
+	sem *sim.Semaphore
+}
+
+func (w *wedgeOp) start(int) bool {
+	w.k.WakeAt(w.t, w.k.Now().Add(time.Millisecond))
+	return false
+}
+
+func (w *wedgeOp) resume() bool {
+	w.sem.AcquireTimer(w.t, 1)
+	return w.sem.AcquireTimer(w.t, 1)
+}
+
+func (w *wedgeOp) phase() string { return "lock" }
+
 // TestRunToEndReportsWedgedSimulation: a simulation that deadlocks fails the
-// repetition with an error naming the blocked process, instead of panicking
-// on a worker goroutine.
+// repetition with an error naming the blocked client, instead of panicking on
+// a worker goroutine or — its clients being timers the kernel does not count
+// — ending the run silently and short.
 func TestRunToEndReportsWedgedSimulation(t *testing.T) {
 	r := newRig(1, nil)
 	sem := sim.NewSemaphore(r.k, "lock", 1)
-	r.clients("query-thread", 1, sim.Time(time.Second), nil, func(e *sim.Env, _ int) {
-		e.Sleep(time.Millisecond)
-		sem.Acquire(e, 1)
-		sem.Acquire(e, 1)
+	r.clients("query-thread", 1, sim.Time(time.Second), nil, func(t *sim.Timer) clientOp {
+		return &wedgeOp{k: r.k, t: t, sem: sem}
 	})
 	_, err := r.run()
-	if err == nil || !strings.Contains(err.Error(), `"query-thread" blocked since t=1ms`) {
-		t.Errorf("wedged simulation returned %v, want an error naming the blocked process", err)
+	if err == nil || !strings.Contains(err.Error(), "query-thread #0 in lock blocked since t=1ms") {
+		t.Errorf("wedged simulation returned %v, want an error naming the blocked client", err)
+	}
+}
+
+// TestReplayRunsNoProcess pins what the harness's replay costs the kernel,
+// exactly: a Milvus-DiskANN repetition and an Extension A run resume no
+// process — clients, queries, segments, reads and writers are all timers —
+// and push no more heap wake-ups per served query than they push today: 22.53
+// and 26.73. The process replay pushed 27.71 and 33.30 on this workload,
+// where every blocking read's doorbell went through the heap (on the
+// benchmark's replay-sync workload, 13.34 against 12.14 now).
+func TestReplayRunsNoProcess(t *testing.T) {
+	b := tinyBench(t)
+	st, err := b.Stack("cohere-small", milvusDiskANN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{Threads: 16, Duration: 50 * time.Millisecond}.Defaults()
+	for _, run := range []struct {
+		name string
+		do   func(r *rig) (Metrics, error)
+		heap float64 // heap pushes per served query
+	}{
+		{"runOnce", func(r *rig) (Metrics, error) {
+			m, _, err := runOnce(r, st.Execs, st.Setup.Engine, cfg, 0)
+			return m, err
+		}, 22.54},
+		{"runHybrid", func(r *rig) (Metrics, error) { return runHybrid(r, st, 16, 4, cfg) }, 26.73},
+	} {
+		r := newRig(cfg.Cores, trace.NewTracer(false))
+		m, err := run.do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.k.Stats()
+		if s.Resumes != 0 {
+			t.Errorf("%s resumed a process %d times", run.name, s.Resumes)
+		}
+		if m.Served == 0 || s.TimerWakes == 0 {
+			t.Fatalf("%s served %d queries in %d timer wake-ups", run.name, m.Served, s.TimerWakes)
+		}
+		if perQuery := float64(s.HeapPushes) / float64(m.Served); perQuery > run.heap {
+			t.Errorf("%s pushed %.3f heap wake-ups per served query, want ≤ %.2f", run.name, perQuery, run.heap)
+
+		}
 	}
 }

@@ -20,10 +20,6 @@ func (p *proc) loop(yield func(struct{}) bool) {
 		fn := p.body
 		p.body = nil
 		fn(p.env)
-		if g := p.group; g != nil {
-			p.group = nil
-			g.done()
-		}
 		p.state = procDone
 		if !yield(struct{}{}) {
 			return

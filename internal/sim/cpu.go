@@ -34,7 +34,7 @@ func (c *CPU) SetBusyNotify(fn func(at Time, busy bool)) { c.notify = fn }
 
 // Use occupies one core for d of virtual time, queueing if all cores are
 // busy. Zero and negative durations are no-ops. It is the process form of
-// the burst a Timer runs with Start, Granted and End.
+// Burn.
 func (c *CPU) Use(e *Env, d Duration) {
 	if d <= 0 {
 		return
@@ -42,28 +42,64 @@ func (c *CPU) Use(e *Env, d Duration) {
 	if !c.sem.acquireOrQueue(e.p, 1) {
 		e.block()
 	}
-	c.Granted()
+	c.granted()
 	e.Sleep(d)
-	c.End(d)
+	c.end(d)
 }
 
-// Start claims a core for t, reporting true if one is free now; otherwise t
-// queues FIFO and wakes when a core is granted. Either way t then calls
-// Granted, wakes itself after the burst, and calls End.
-func (c *CPU) Start(t *Timer) bool { return c.sem.acquireOrQueue(&t.p, 1) }
+// Burst is a CPU burst in timer form: where it stands between the wake-ups
+// of the timer that runs it. The zero value is a burst not yet begun.
+type Burst struct {
+	d     Duration
+	state uint8 // burstIdle, burstQueued or burstRunning
+}
 
-// Granted marks a burst holding its core from now, firing the busy hook on
+const (
+	burstIdle    = iota // not begun, or finished
+	burstQueued         // waiting for a core
+	burstRunning        // holding a core until t's next wake-up
+)
+
+// Burn is Use for a timer: call it where the process would call Use, and
+// again at each of t's wake-ups until it reports the burst finished. The
+// first call claims a core, or queues t FIFO for one; once a core is
+// granted, w wakes t at the end of the burst of d. A non-positive d finishes
+// at once. Burn takes the same (at, seq) slots as Use, so the two replay the
+// same event sequence.
+func (c *CPU) Burn(t *Timer, b *Burst, d Duration, w Waker) bool {
+	switch b.state {
+	case burstIdle:
+		if d <= 0 {
+			return true
+		}
+		b.d = d
+		if !c.sem.acquireOrQueue(&t.p, 1) {
+			b.state = burstQueued
+			return false
+		}
+	case burstRunning:
+		c.end(b.d)
+		b.state = burstIdle
+		return true
+	}
+	c.granted()
+	b.state = burstRunning
+	w.WakeAt(t, c.sem.k.now.Add(b.d))
+	return false
+}
+
+// granted marks a burst holding its core from now, firing the busy hook on
 // the idle→busy edge.
-func (c *CPU) Granted() {
+func (c *CPU) granted() {
 	c.inUse++
 	if c.inUse == 1 && c.notify != nil {
 		c.notify(c.sem.k.now, true)
 	}
 }
 
-// End finishes a burst of length d: it fires the busy hook on the busy→idle
+// end finishes a burst of length d: it fires the busy hook on the busy→idle
 // edge and hands the core to the next queued burst.
-func (c *CPU) End(d Duration) {
+func (c *CPU) end(d Duration) {
 	c.inUse--
 	if c.inUse == 0 && c.notify != nil {
 		c.notify(c.sem.k.now, false)

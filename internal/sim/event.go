@@ -1,12 +1,12 @@
 package sim
 
-// Event is a one-shot completion signal between simulated processes: one
-// process fires it exactly once, any number of processes wait for it. Waiting
-// on an already-fired event returns immediately, which is what makes it the
-// join primitive for speculative work — a prefetch read fires its event when
-// the device completes it, and the demand path that later needs the same
-// pages waits on the event instead of issuing a duplicate read (a no-op when
-// the prefetch already landed).
+// Event is a one-shot completion signal: one actor fires it exactly once, any
+// number of processes and timers wait for it. Waiting on an already-fired
+// event returns immediately, which is what makes it the join primitive for
+// speculative work — a prefetch read fires its event when the device
+// completes it, and the demand path that later needs the same pages waits on
+// the event instead of issuing a duplicate read (a no-op when the prefetch
+// already landed).
 type Event struct {
 	k       *Kernel
 	fired   bool
@@ -47,11 +47,23 @@ func (ev *Event) Wait(e *Env) {
 	e.block()
 }
 
+// WaitTimer is Wait for a timer: it reports true if the event has already
+// fired, otherwise it queues t, to be woken at the instant the event fires,
+// and reports false.
+func (ev *Event) WaitTimer(t *Timer) bool {
+	if ev.fired {
+		return true
+	}
+	ev.waiters = append(ev.waiters, &t.p)
+	return false
+}
+
 // AllocEvent returns an unfired event from the kernel's free list (or a
 // fresh one). Hot simulation paths pair it with ReleaseEvent so one-shot
 // completion signals stop allocating in the steady state; NewEvent remains
 // the unpooled constructor for events with open-ended lifetimes.
 func (k *Kernel) AllocEvent() *Event {
+	k.eventsOut++
 	if n := len(k.eventPool); n > 0 {
 		ev := k.eventPool[n-1]
 		k.eventPool = k.eventPool[:n-1]
@@ -69,5 +81,10 @@ func (k *Kernel) ReleaseEvent(ev *Event) {
 	if !ev.fired || len(ev.waiters) != 0 {
 		panic("sim: ReleaseEvent of an event still in use")
 	}
+	k.eventsOut--
 	k.eventPool = append(k.eventPool, ev)
 }
+
+// EventsOut reports the events AllocEvent handed out that ReleaseEvent has not
+// taken back: zero once every pooled completion signal has been returned.
+func (k *Kernel) EventsOut() int { return k.eventsOut }

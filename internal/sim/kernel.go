@@ -1,14 +1,21 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel drives a set of processes, each a coroutine (iter.Pull), through
-// a virtual clock. Exactly one process executes at a time, on the goroutine
-// that called Run: the kernel resumes a process directly and the process
-// yields back whenever it waits for virtual time to pass or for a resource to
-// become available, so a process switch never goes through the Go scheduler
-// and a panic in a process body surfaces in Run's caller. Events scheduled
-// for the same instant are ordered by a monotonically increasing sequence
-// number, which makes runs fully deterministic: the same program produces the
-// same event order and the same virtual timestamps on every run.
+// The kernel drives actors through a virtual clock. An actor is either a
+// timer (Timer), a state machine whose Callback the kernel calls at each of
+// its wake-ups, or a process, a coroutine (iter.Pull) that the kernel resumes
+// and that yields back whenever it waits for virtual time to pass or for a
+// resource to become available. Exactly one actor executes at a time, on the
+// goroutine that called Run, so a switch never goes through the Go scheduler
+// and a panic in an actor surfaces in Run's caller. Events scheduled for the
+// same instant are ordered by a monotonically increasing sequence number,
+// which makes runs fully deterministic: the same program produces the same
+// event order and the same virtual timestamps on every run.
+//
+// Every blocking primitive has a process form and a timer form that takes
+// the same (at, seq) event slots — Env.Sleep and Kernel.WakeAt, CPU.Use and
+// CPU.Burn, Semaphore.Acquire and AcquireTimer, Event.Wait and WaitTimer —
+// so a process rewritten as a timer replays the same event sequence, at a
+// call per wake-up instead of a coroutine switch.
 //
 // Run takes each next event from one of three sources: the event heap, the
 // sorted lanes (Lane: a FIFO per stream of wake-ups whose times never
@@ -18,9 +25,8 @@
 //
 // The package also provides the resource primitives the benchmark needs on
 // top of the raw kernel: counting semaphores with FIFO wait queues
-// (Semaphore), fork/join process groups (Group), one-shot completion signals
-// (Event), a multi-core CPU resource with utilisation accounting (CPU), and
-// coroutine-less wake-up targets for actors that are state machines (Timer).
+// (Semaphore), one-shot completion signals (Event) and a multi-core CPU
+// resource with utilisation accounting (CPU).
 //
 // Coroutines need a Go 1.23 or newer toolchain (see coro.go); the module's
 // language version stays at 1.22.
@@ -151,8 +157,7 @@ type proc struct {
 	yield func(struct{}) bool
 	stop  func()
 
-	body  func(*Env)
-	group *Group // fork/join group counting this process, if any
+	body func(*Env)
 
 	cb Callback // set on a Timer's proc: Run calls it instead of next
 }
@@ -162,10 +167,11 @@ type proc struct {
 type Callback interface{ Wake() }
 
 // Timer is a coroutine-less wake-up target. A state machine that wakes its
-// Timer (WakeAt) where a process would sleep, and queues it on a CPU where
-// the process would block, takes the same (at, seq) event slots and so
-// replays the same event sequence, at a call per wake-up instead of a
-// coroutine switch. Live does not count timers.
+// Timer (WakeAt) where a process would sleep, and queues it (CPU.Burn,
+// Semaphore.AcquireTimer, Event.WaitTimer) where the process would block,
+// takes the same (at, seq) event slots and so replays the same event
+// sequence. Live does not count timers: an owner that must know whether its
+// timers finished tracks them itself.
 type Timer struct{ p proc }
 
 // NewTimer returns a timer whose wake-ups call cb.Wake.
@@ -174,6 +180,22 @@ func NewTimer(cb Callback) *Timer { return &Timer{p: proc{cb: cb}} }
 // WakeAt schedules one wake-up of t at virtual time at (at the current
 // instant if at is in the past).
 func (k *Kernel) WakeAt(t *Timer, at Time) { k.schedule(&t.p, at) }
+
+// Waker schedules a timer's wake-up: through the event heap (Kernel) or
+// through a Lane, for a stream known to be monotone.
+type Waker interface {
+	WakeAt(t *Timer, at Time)
+}
+
+// Stats counts the kernel's work since it was created. The counts are exact
+// — a function of the simulated program, not of the host — so a test can pin
+// what a change to the program costs the kernel.
+type Stats struct {
+	Resumes    int64 // process resumes: coroutine switches into a process body
+	TimerWakes int64 // Callback.Wake calls
+	HeapPushes int64 // wake-ups for a later instant through the event heap
+	LanePushes int64 // wake-ups for a later instant through a Lane
+}
 
 // Kernel is a discrete-event simulation instance. The zero value is not
 // usable; create one with NewKernel.
@@ -190,6 +212,8 @@ type Kernel struct {
 	procs     []*proc  // every proc with a coroutine, pooled or live
 	free      []*proc  // recycled procs suspended between bodies
 	eventPool []*Event // fired events returned via ReleaseEvent
+	eventsOut int      // events AllocEvent handed out and not released
+	stats     Stats
 
 	deadlock func(k *Kernel) // called when no events remain but processes are blocked
 }
@@ -209,8 +233,12 @@ func (k *Kernel) schedule(p *proc, at Time) {
 		k.ready = append(k.ready, event{at: k.now, seq: k.seq, gen: p.gen, proc: p})
 		return
 	}
+	k.stats.HeapPushes++
 	k.events.push(event{at: at, seq: k.seq, gen: p.gen, proc: p})
 }
+
+// Stats returns the kernel's work counts so far.
+func (k *Kernel) Stats() Stats { return k.stats }
 
 // Env is a process's handle to the simulation. Every simulated process
 // receives one; all interaction with virtual time flows through it. An Env
@@ -259,10 +287,11 @@ func (e *Env) block() {
 // unpark schedules p to resume at the current virtual time.
 func (k *Kernel) unpark(p *proc) { k.schedule(p, k.now) }
 
-// spawn is the shared process-creation path: reuse a pooled proc (and its
-// suspended coroutine) when one is free, otherwise create a fresh one. The
-// process becomes runnable at the current virtual time.
-func (k *Kernel) spawn(name string, fn func(*Env), g *Group) {
+// Spawn creates a new simulated process executing fn, runnable at the current
+// virtual time. fn runs as a coroutine under kernel control: a pooled proc
+// (and its suspended coroutine) is reused when one is free. Spawn may be
+// called before Run or from inside a running process.
+func (k *Kernel) Spawn(name string, fn func(*Env)) {
 	var p *proc
 	if n := len(k.free); n > 0 {
 		p = k.free[n-1]
@@ -276,15 +305,10 @@ func (k *Kernel) spawn(name string, fn func(*Env), g *Group) {
 		k.procs = append(k.procs, p)
 	}
 	p.state, p.since = procBlocked, k.now
-	p.body, p.group = fn, g
+	p.body = fn
 	k.live++
 	k.schedule(p, k.now)
 }
-
-// Spawn creates a new simulated process executing fn, runnable at the current
-// virtual time. fn runs as a coroutine under kernel control. Spawn may be
-// called before Run or from inside a running process.
-func (k *Kernel) Spawn(name string, fn func(*Env)) { k.spawn(name, fn, nil) }
 
 // recycle returns a finished proc to the free list for the next spawn.
 func (k *Kernel) recycle(p *proc) {
@@ -328,60 +352,69 @@ func (k *Kernel) DeadlockReport() string {
 // again with a later horizon to continue.
 //
 // Events run in (at, seq) order, taken from three places: the earliest of
-// the heap top and the lane heads while it is at now, then the ready FIFO,
-// then that earliest again, advancing the clock. That is exact: a heap or
-// lane event at now was scheduled before the clock reached now, so its seq is
-// below that of every ready entry, all of which were scheduled at now; and
-// the FIFO is empty whenever the clock advances.
+// the heap top and the lane heads while it is at now, then the whole ready
+// FIFO, then that earliest again, advancing the clock. That is exact: a heap
+// or lane event at now was scheduled before the clock reached now, so its seq
+// is below that of every ready entry, all of which were scheduled at now;
+// nothing scheduled while the FIFO drains can join the heap or a lane at now;
+// and the FIFO is empty whenever the clock advances.
 func (k *Kernel) Run(until Time) Time {
 	if k.now > until && k.Pending() > 0 {
 		k.now = until
 		return k.now
 	}
 	for {
-		var ev event
 		src, head := k.earliest()
 		switch {
 		case head != nil && head.at == k.now:
-			ev = k.take(src)
+			k.dispatch(k.take(src))
+			continue
 		case k.rhead < len(k.ready):
-			ev = k.ready[k.rhead]
-			k.rhead++
-		default:
+			for k.rhead < len(k.ready) {
+				ev := k.ready[k.rhead]
+				k.rhead++
+				k.dispatch(ev)
+			}
 			k.ready, k.rhead = k.ready[:0], 0
-			if head == nil {
-				if k.live > 0 {
-					if k.deadlock != nil {
-						k.deadlock(k)
-						return k.now
-					}
-					panic(k.DeadlockReport())
+			continue
+		case head == nil:
+			if k.live > 0 {
+				if k.deadlock != nil {
+					k.deadlock(k)
+					return k.now
 				}
-				k.drainPool()
-				return k.now
+				panic(k.DeadlockReport())
 			}
-			if head.at > until {
-				k.now = until
-				return k.now
-			}
-			ev = k.take(src)
-			k.now = ev.at
+			k.drainPool()
+			return k.now
+		case head.at > until:
+			k.now = until
+			return k.now
 		}
-		p := ev.proc
-		if ev.gen != p.gen || p.state == procDone {
-			continue
-		}
-		if p.cb != nil {
-			p.cb.Wake()
-			continue
-		}
-		// Resume the process; next returns when it blocks or terminates. A
-		// panic in the body propagates from here.
-		p.next()
-		if p.state == procDone {
-			k.live--
-			k.recycle(p)
-		}
+		ev := k.take(src)
+		k.now = ev.at
+		k.dispatch(ev)
+	}
+}
+
+// dispatch runs one event: it calls a timer's Callback, or resumes a process
+// until it blocks or terminates (a panic in the body propagates from here).
+// A stale event, for a since-recycled or finished process, is skipped.
+func (k *Kernel) dispatch(ev event) {
+	p := ev.proc
+	if ev.gen != p.gen || p.state == procDone {
+		return
+	}
+	if p.cb != nil {
+		k.stats.TimerWakes++
+		p.cb.Wake()
+		return
+	}
+	k.stats.Resumes++
+	p.next()
+	if p.state == procDone {
+		k.live--
+		k.recycle(p)
 	}
 }
 

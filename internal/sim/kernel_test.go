@@ -218,38 +218,6 @@ func TestSemaphoreWaitStats(t *testing.T) {
 	}
 }
 
-func TestGroupJoin(t *testing.T) {
-	k := NewKernel()
-	var joined Time
-	k.Spawn("parent", func(e *Env) {
-		g := e.NewGroup()
-		for i := 1; i <= 4; i++ {
-			d := time.Duration(i) * time.Millisecond
-			g.Go("child", func(ce *Env) { ce.Sleep(d) })
-		}
-		g.Wait(e)
-		joined = e.Now()
-	})
-	k.RunAll()
-	if joined != Time(4*time.Millisecond) {
-		t.Errorf("joined at %v, want 4ms (slowest child)", joined)
-	}
-}
-
-func TestGroupWaitAfterChildrenDone(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("parent", func(e *Env) {
-		g := e.NewGroup()
-		g.Go("fast", func(ce *Env) {})
-		e.Sleep(time.Millisecond)
-		g.Wait(e) // children already done: must not block forever
-		if e.Now() != Time(time.Millisecond) {
-			t.Errorf("wait advanced clock to %v", e.Now())
-		}
-	})
-	k.RunAll()
-}
-
 func TestCPUSerializesBeyondCores(t *testing.T) {
 	k := NewKernel()
 	cpu := NewCPU(k, 2)

@@ -55,6 +55,7 @@ func (l *Lane) schedule(p *proc, at Time) {
 		return
 	}
 	k.seq++
+	k.stats.LanePushes++
 	if l.n == len(l.ring) {
 		ring := make([]event, max(8, 2*len(l.ring)))
 		n := copy(ring, l.ring[l.head:])

@@ -34,7 +34,8 @@ func (r *orderRunner) Run(e *Env) {
 }
 
 // orderScenario drives every primitive whose wake-up order the kernel
-// decides — same-instant Sleep ties, Semaphore FIFO queues, Group fork/join,
+// decides — same-instant Sleep ties, Semaphore FIFO queues, fork/join on an
+// Event,
 // Event fire/wait, CPU.Use contention, and proc recycling across waves and
 // across a full drain — and returns the resume log.
 func orderScenario() string {
@@ -101,7 +102,8 @@ func orderScenario() string {
 	})
 
 	// Fork/join in waves: closures and runners, more bursts than cores, each
-	// wave reusing the procs the previous one returned to the pool.
+	// wave reusing the procs the previous one returned to the pool. The last
+	// child to finish fires the wave's event.
 	runners := make([]*orderRunner, 3)
 	for i := range runners {
 		runners[i] = &orderRunner{l: l, cpu: cpu, d: time.Duration(60+25*i) * time.Microsecond}
@@ -109,19 +111,27 @@ func orderScenario() string {
 	k.Spawn("parent", func(e *Env) {
 		l.at(e)
 		for wave := 0; wave < 3; wave++ {
-			g := e.NewGroup()
+			left, joined := 6, NewEvent(k)
+			fork := func(name string, fn func(*Env)) {
+				k.Spawn(name, func(ce *Env) {
+					fn(ce)
+					if left--; left == 0 {
+						joined.Fire()
+					}
+				})
+			}
 			for i := 0; i < 3; i++ {
 				d := time.Duration(100*(3-i)) * time.Microsecond
-				g.Go(fmt.Sprintf("child%d.%d", wave, i), func(ce *Env) {
+				fork(fmt.Sprintf("child%d.%d", wave, i), func(ce *Env) {
 					l.at(ce)
 					cpu.Use(ce, d)
 					l.at(ce)
 				})
 			}
 			for i, r := range runners {
-				g.Go(fmt.Sprintf("runner%d.%d", wave, i), r.Run)
+				fork(fmt.Sprintf("runner%d.%d", wave, i), r.Run)
 			}
-			g.Wait(e)
+			joined.Wait(e)
 			l.at(e)
 			e.Sleep(150 * time.Microsecond)
 			l.at(e)

@@ -39,7 +39,7 @@ func (s *Semaphore) Capacity() int64 { return s.capacity }
 // Held returns the number of units currently held.
 func (s *Semaphore) Held() int64 { return s.held }
 
-// QueueLen returns the number of processes waiting to acquire.
+// QueueLen returns the number of processes and timers waiting to acquire.
 func (s *Semaphore) QueueLen() int { return len(s.waiters) - s.head }
 
 // Acquire obtains n units, blocking in FIFO order until they are available.
@@ -50,6 +50,16 @@ func (s *Semaphore) Acquire(e *Env, n int64) {
 	if !s.acquireOrQueue(e.p, n) {
 		e.block()
 	}
+}
+
+// AcquireTimer is Acquire for a timer: it reports true if it took n units at
+// once, otherwise it queues t FIFO, to be woken at the instant the units are
+// granted, and reports false.
+func (s *Semaphore) AcquireTimer(t *Timer, n int64) bool {
+	if n <= 0 || n > s.capacity {
+		panic(fmt.Sprintf("sim: semaphore %q: acquire %d with capacity %d", s.name, n, s.capacity))
+	}
+	return s.acquireOrQueue(&t.p, n)
 }
 
 // acquireOrQueue takes n units for p if they are free and nobody queues
@@ -106,47 +116,4 @@ func (s *Semaphore) dispatch() {
 // virtual time spent waiting, and the maximum queue length observed.
 func (s *Semaphore) WaitStats() (waits int64, total Duration, maxQueue int) {
 	return s.totalWaits, s.totalWaitDur, s.maxQueue
-}
-
-// Group is a fork/join helper: a parent process spawns children with Go and
-// blocks in Wait until all of them finish. It mirrors sync.WaitGroup for
-// simulated processes.
-type Group struct {
-	k       *Kernel
-	pending int
-	waiter  *proc
-}
-
-// NewGroup creates an empty group bound to the environment's kernel.
-func (e *Env) NewGroup() *Group { return &Group{k: e.k} }
-
-// Go spawns fn as a child process counted by the group. The kernel calls the
-// group back when the child finishes, so Go adds no wrapper closure around
-// fn.
-func (g *Group) Go(name string, fn func(*Env)) {
-	g.pending++
-	g.k.spawn(name, fn, g)
-}
-
-// done is the kernel's completion callback for a grouped process.
-func (g *Group) done() {
-	g.pending--
-	if g.pending == 0 && g.waiter != nil {
-		w := g.waiter
-		g.waiter = nil
-		g.k.unpark(w)
-	}
-}
-
-// Wait blocks the calling process until every child spawned with Go has
-// finished. Only one process may Wait on a group at a time.
-func (g *Group) Wait(e *Env) {
-	if g.pending == 0 {
-		return
-	}
-	if g.waiter != nil {
-		panic("sim: concurrent Wait on Group")
-	}
-	g.waiter = e.p
-	e.block()
 }

@@ -19,13 +19,13 @@ type doorbell struct {
 	t            *Timer
 	burst, pause Duration
 	then         func()
+	b            Burst
 	step         int
 }
 
 const (
 	bellIdle = iota
 	bellSpawned
-	bellQueued
 	bellBurst
 	bellPause
 )
@@ -45,23 +45,41 @@ func (b *doorbell) ring() {
 
 func (b *doorbell) Wake() {
 	switch b.step {
-	case bellSpawned:
-		if !b.cpu.Start(b.t) {
-			b.step = bellQueued
+	case bellSpawned, bellBurst:
+		b.step = bellBurst
+		if !b.cpu.Burn(b.t, &b.b, b.burst, b.k) {
 			return
 		}
-		fallthrough
-	case bellQueued:
-		b.cpu.Granted()
-		b.step = bellBurst
-		b.k.WakeAt(b.t, b.k.Now().Add(b.burst))
-	case bellBurst:
-		b.cpu.End(b.burst)
 		b.step = bellPause
 		b.k.WakeAt(b.t, b.k.Now().Add(b.pause))
 	case bellPause:
 		b.step = bellIdle
 		b.then()
+	}
+}
+
+// listener is the timer form of the process body
+//
+//	log; ev.Wait(e); log
+//
+// parking on the event with WaitTimer.
+type listener struct {
+	l      *orderLog
+	k      *Kernel
+	t      *Timer
+	name   string
+	ev     *Event
+	waited bool
+}
+
+func (ls *listener) Wake() {
+	fmt.Fprintf(&ls.l.b, "%d %s\n", int64(ls.k.Now()), ls.name)
+	if !ls.waited {
+		ls.waited = true
+		if !ls.ev.WaitTimer(ls.t) {
+			return
+		}
+		fmt.Fprintf(&ls.l.b, "%d %s\n", int64(ls.k.Now()), ls.name)
 	}
 }
 
@@ -108,11 +126,18 @@ func bellScenario(timers bool) string {
 		for round := 0; round < 5; round++ {
 			l.at(e)
 			left, ev = chains, k.AllocEvent()
-			k.Spawn(fmt.Sprintf("listener%d", round), func(le *Env) {
-				l.at(le)
-				ev.Wait(le)
-				l.at(le)
-			})
+			name := fmt.Sprintf("listener%d", round)
+			if timers {
+				ls := &listener{l: l, k: k, name: name, ev: ev}
+				ls.t = NewTimer(ls)
+				k.WakeAt(ls.t, k.Now())
+			} else {
+				k.Spawn(name, func(le *Env) {
+					l.at(le)
+					ev.Wait(le)
+					l.at(le)
+				})
+			}
 			for _, b := range bells {
 				if timers {
 					b.ring()
@@ -146,5 +171,84 @@ func TestTimerMatchesProcess(t *testing.T) {
 	}
 	if !strings.Contains(procs, "listener4") || strings.Contains(procs, "max queue 0\n") {
 		t.Errorf("scenario did not run contended to the end:\n%s", procs)
+	}
+}
+
+// holder is a timer that takes its semaphore, holds it for d and releases it,
+// logging when it got it.
+type holder struct {
+	k    *Kernel
+	t    *Timer
+	sem  *Semaphore
+	d    Duration
+	got  Time
+	step int
+}
+
+func (h *holder) Wake() {
+	switch h.step {
+	case 0:
+		h.step = 1
+		if !h.sem.AcquireTimer(h.t, 1) {
+			return
+		}
+		fallthrough
+	case 1:
+		h.got, h.step = h.k.Now(), 2
+		h.k.WakeAt(h.t, h.k.Now().Add(h.d))
+	case 2:
+		h.sem.Release(1)
+	}
+}
+
+// TestAcquireTimerQueuesFIFO: timers queue on a semaphore behind each other
+// in arrival order and are woken at the instant the units are granted.
+func TestAcquireTimerQueuesFIFO(t *testing.T) {
+	k := NewKernel()
+	sem := NewSemaphore(k, "s", 1)
+	hs := make([]*holder, 3)
+	for i := range hs {
+		hs[i] = &holder{k: k, sem: sem, d: time.Duration(i+1) * time.Millisecond}
+		hs[i].t = NewTimer(hs[i])
+		k.WakeAt(hs[i].t, 0)
+	}
+	k.RunAll()
+	for i, want := range []Time{0, Time(time.Millisecond), Time(3 * time.Millisecond)} {
+		if hs[i].got != want {
+			t.Errorf("holder %d got the semaphore at %v, want %v", i, hs[i].got, want)
+		}
+	}
+	if waits, waited, _ := sem.WaitStats(); waits != 2 || waited != 4*time.Millisecond {
+		t.Errorf("wait stats = %d waits, %v waited; want 2, 4ms", waits, waited)
+	}
+}
+
+// TestKernelStats: the kernel counts process resumes, timer wake-ups and
+// wake-ups for a later instant by where they wait — the heap or a lane —
+// and the pooled events still handed out.
+func TestKernelStats(t *testing.T) {
+	k := NewKernel()
+	l := k.NewLane()
+	k.Spawn("p", func(e *Env) {
+		e.Sleep(time.Microsecond) // heap
+		e.Sleep(0)                // ready FIFO
+		l.SleepUntil(e, e.Now().Add(time.Microsecond))
+	})
+	b := newDoorbell(k, NewCPU(k, 1), time.Microsecond, time.Microsecond, func() {})
+	b.ring() // ready FIFO, then two heap wake-ups
+	ev := k.AllocEvent()
+	k.AllocEvent()
+	k.RunAll()
+	want := Stats{Resumes: 4, TimerWakes: 3, HeapPushes: 3, LanePushes: 1}
+	if got := k.Stats(); got != want {
+		t.Errorf("Stats() = %+v, want %+v", got, want)
+	}
+	if n := k.EventsOut(); n != 2 {
+		t.Errorf("EventsOut() = %d, want 2", n)
+	}
+	ev.Fire()
+	k.ReleaseEvent(ev)
+	if n := k.EventsOut(); n != 1 {
+		t.Errorf("EventsOut() after one release = %d, want 1", n)
 	}
 }

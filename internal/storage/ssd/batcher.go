@@ -38,6 +38,7 @@ type Batcher struct {
 	cost     sim.Duration
 	disp     *sim.Timer
 	dispStep step
+	bell     sim.Burst // the charged batch's submission CPU
 
 	completions []completion
 	chead       int // completions[:chead] have been waited for
@@ -161,12 +162,10 @@ func (b *Batcher) complete() {
 // Requests arriving while a batch's CPU charge runs are picked up by later
 // batches; the queue storage is reset — not reallocated — once drained.
 func (b *Batcher) Wake() {
-	switch b.dispStep {
-	case queued:
-		b.d.charge(b.disp, &b.dispStep, b.cost, b.d.k)
-		return
-	case doorbell:
-		b.d.cpu.End(b.cost)
+	if b.dispStep == doorbell {
+		if !b.d.cpu.Burn(b.disp, &b.bell, b.cost, b.d.k) {
+			return
+		}
 		b.submitBatch()
 	}
 	for b.head < len(b.pending) {
@@ -182,9 +181,11 @@ func (b *Batcher) Wake() {
 		b.batches++
 		b.requests += int64(n)
 		b.cost = b.d.cfg.SubmitCPU + sim.Duration(n-1)*b.d.cfg.BatchSubmitCPU
-		if b.d.cpu != nil && b.cost > 0 {
-			b.d.charge(b.disp, &b.dispStep, b.cost, b.d.k)
-			return
+		if b.d.cpu != nil {
+			b.dispStep = doorbell
+			if !b.d.cpu.Burn(b.disp, &b.bell, b.cost, b.d.k) {
+				return
+			}
 		}
 		b.submitBatch()
 	}

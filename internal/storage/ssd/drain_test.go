@@ -46,8 +46,8 @@ func checkDrained(t *testing.T, d *Device, b *Batcher, end sim.Time) {
 		}
 	}
 	for _, r := range d.jobs {
-		if r.j != nil || r.step != idle {
-			t.Errorf("pooled read job holds a joint (%v) or is not idle (step %d)", r.j != nil, r.step)
+		if r.j != nil || r.req.flash {
+			t.Errorf("pooled read job holds a joint (%v) or awaits the device (%v)", r.j != nil, r.req.flash)
 		}
 	}
 	if b == nil {

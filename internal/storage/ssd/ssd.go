@@ -306,75 +306,74 @@ func (d *Device) await(e *sim.Env, ev *sim.Event) {
 	d.k.ReleaseEvent(ev)
 }
 
-// step is where one of the device's timers — a per-request read, the
-// coalescer's dispatcher or its completer — stands between wake-ups.
+// step is where one of the coalescer's timers — its dispatcher or its
+// completer — stands between wake-ups.
 type step uint8
 
 const (
-	idle     step = iota // not scheduled: pooled, or nothing left to do
+	idle     step = iota // not scheduled: nothing left to do
 	spawned              // woken at the instant it was started
-	queued               // waiting for a core
-	doorbell             // holding a core for its submission CPU
+	doorbell             // running a burst of submission CPU
 	flash                // waiting for a device completion
 )
 
-// waker schedules a timer's wake-up: the kernel's event heap, or one of the
-// device's lanes for a stream known to be monotone.
-type waker interface {
-	WakeAt(t *sim.Timer, at sim.Time)
+// Request is one per-request read or write in timer form: Read or Write for a
+// state machine, which serves it with Serve from its own timer's wake-ups, so
+// the doorbell rings in the owner's wake-up as Read rings it in the calling
+// process. The zero value is not a request; make one with ReadRequest or
+// WriteRequest.
+type Request struct {
+	op    trace.Op
+	bytes int
+	bell  sim.Burst // the doorbell's submission CPU
+	flash bool      // submitted: waiting for the device's completion
 }
 
-// charge takes timer t, at step *s, through a submission-CPU burst of dur as
-// sim.CPU.Use takes a process: from spawned it claims a core or queues for
-// one; once granted, the burst runs and w wakes t at its end in step
-// doorbell.
-func (d *Device) charge(t *sim.Timer, s *step, dur sim.Duration, w waker) {
-	if *s != queued && !d.cpu.Start(t) {
-		*s = queued
-		return
+// ReadRequest returns a read request of the given size.
+func ReadRequest(bytes int) Request { return Request{op: trace.Read, bytes: bytes} }
+
+// WriteRequest returns a write request of the given size.
+func WriteRequest(bytes int) Request { return Request{op: trace.Write, bytes: bytes} }
+
+// Serve advances r on behalf of timer t and reports whether the device has
+// completed it: call it where a process would call Read or Write, and again at
+// each of t's wake-ups until it reports true. It takes the (at, seq) slots
+// request takes: the doorbell's SubmitCPU on a core, queueing FIFO when all
+// are busy, then the device's service time. The doorbell ends and the
+// completions wake t through the device's lanes.
+func (d *Device) Serve(t *sim.Timer, r *Request) bool {
+	if r.flash {
+		r.flash = false
+		d.retire(d.k.Now(), r.op)
+		return true
 	}
-	*s = doorbell
-	d.cpu.Granted()
-	w.WakeAt(t, d.k.Now().Add(dur))
+	if d.cpu != nil && !d.cpu.Burn(t, &r.bell, d.cfg.SubmitCPU, d.bell) {
+		return false
+	}
+	r.flash = true
+	d.done[r.op].WakeAt(t, d.submit(d.k.Now(), r.op, r.bytes))
+	return false
 }
 
 // readJob is one asynchronous per-request read. It cannot be computed at the
 // call like a coalesced one: its doorbell occupies a simulated core for
 // SubmitCPU, queueing FIFO when all are busy, and a beam's W doorbells
-// ringing on W cores at once is what the calibration rests on. So it runs
-// Device.request as a state machine on a pooled timer: spawned → (queued) →
-// doorbell → flash.
+// ringing on W cores at once is what the calibration rests on. So it serves a
+// Request on a pooled timer of its own.
 type readJob struct {
-	d     *Device
-	t     *sim.Timer
-	step  step
-	bytes int
-	j     *joint
+	d   *Device
+	t   *sim.Timer
+	req Request
+	j   *joint
 }
 
 func (r *readJob) Wake() {
-	d := r.d
-	switch r.step {
-	case spawned, queued:
-		if d.cpu == nil || d.cfg.SubmitCPU <= 0 {
-			r.submit()
-			return
-		}
-		d.charge(r.t, &r.step, d.cfg.SubmitCPU, d.bell)
-	case doorbell:
-		d.cpu.End(d.cfg.SubmitCPU)
-		r.submit()
-	case flash:
-		d.retire(d.k.Now(), trace.Read)
-		d.arrive(r.j)
-		r.j, r.step = nil, idle
-		d.jobs = append(d.jobs, r)
+	if !r.d.Serve(r.t, &r.req) {
+		return
 	}
-}
-
-func (r *readJob) submit() {
-	r.step = flash
-	r.d.done[trace.Read].WakeAt(r.t, r.d.submit(r.d.k.Now(), trace.Read, r.bytes))
+	r.d.arrive(r.j)
+	r.j = nil
+	r.d.jobs = append(r.d.jobs, r)
 }
 
 // spawnRead starts one read at the current instant. Its first step runs on
@@ -390,7 +389,7 @@ func (d *Device) spawnRead(bytes int, j *joint) {
 		r.t = sim.NewTimer(r)
 		d.made.jobs++
 	}
-	r.bytes, r.j, r.step = bytes, j, spawned
+	r.req, r.j = ReadRequest(bytes), j
 	d.k.WakeAt(r.t, d.k.Now())
 }
 

@@ -24,8 +24,8 @@ func TestReplayEmitsCacheHits(t *testing.T) {
 		{CPU: time.Microsecond, Pages: []int64{1, 2}, CachePages: 3},
 		{CPU: time.Microsecond, CachePages: 2},
 	}}}
-	h.k.Spawn("q", func(e *sim.Env) {
-		if err := h.eng.RunQuery(e, qe); err != nil {
+	h.query(0, qe, func(err error, _ sim.Duration) {
+		if err != nil {
 			t.Errorf("query failed: %v", err)
 		}
 	})
@@ -53,8 +53,8 @@ func TestReplayEmitsCacheHits(t *testing.T) {
 func TestReplayCacheHitsWithoutTracer(t *testing.T) {
 	h := newEngineHarness(Traits{Name: "neutral"})
 	qe := &QueryExec{Segments: [][]index.Step{{{CachePages: 4}}}}
-	h.k.Spawn("q", func(e *sim.Env) {
-		if err := h.eng.RunQuery(e, qe); err != nil {
+	h.query(0, qe, func(err error, _ sim.Duration) {
+		if err != nil {
 			t.Errorf("query failed: %v", err)
 		}
 	})

@@ -3,9 +3,10 @@ package vdb
 import "testing"
 
 // checkEngineDrained asserts what must hold of an engine whose kernel has run
-// dry: no query in flight or holding memory, every replay scratch back in the
-// pool and clean, and — once the prefetches no query joined have been reaped —
-// every prefetch record back too, its event returned to the kernel.
+// dry: no query in flight or holding memory, every replay scratch and
+// segment timer back in its pool and clean, and — once the prefetches no
+// query joined have been reaped — every prefetch record back too, and every
+// event the kernel pooled returned to it.
 func checkEngineDrained(t *testing.T, e *Engine) {
 	t.Helper()
 	if e.active != 0 || e.memInUse != 0 {
@@ -30,5 +31,16 @@ func checkEngineDrained(t *testing.T, e *Engine) {
 		if pj.ev != nil {
 			t.Error("pooled prefetch record still holds an event")
 		}
+	}
+	if len(e.tasks) != e.made.tasks {
+		t.Errorf("%d of %d segment timers back in the pool", len(e.tasks), e.made.tasks)
+	}
+	for _, c := range e.tasks {
+		if c.o != nil || c.held || c.run.steps != nil {
+			t.Error("pooled segment timer still serves a query")
+		}
+	}
+	if n := e.k.EventsOut(); n != 0 {
+		t.Errorf("%d pooled events never released", n)
 	}
 }

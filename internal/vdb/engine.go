@@ -12,33 +12,38 @@ import (
 // under one trait profile. It owns the scheduler state that produces the
 // paper's engine-level differences: admission control, idle-wake penalties,
 // the global lock, per-query memory accounting, and segment fan-out.
+//
+// The engine runs no simulated process: each query, insert or delete is an
+// Op, a state machine its owner drives from a sim.Timer's wake-ups, and a
+// fanned-out segment is a pooled timer of the engine's own.
 type Engine struct {
 	Traits
-	k   *sim.Kernel
-	cpu *sim.CPU
-	dev *ssd.Device
-	rd  reader // submission policy: the device per request, or a coalescing Batcher
+	k       *sim.Kernel
+	cpu     *sim.CPU
+	dev     *ssd.Device
+	rd      reader // submission policy: the device per request, or a coalescing Batcher
+	batched bool   // rd is a Batcher
 
 	sched      *sim.Semaphore // admission (nil = unbounded)
 	readSlots  *sim.Semaphore // segment-worker cap (nil = unbounded)
 	globalLock *sim.Semaphore
-	segName    string // process name of a fanned-out segment's child
 
 	active    int
 	memInUse  int64
 	served    int64
 	oomFailed int64
 
-	scratch []*replayScratch          // per-query replay state pool
-	pfPool  []*prefetchJob            // idle prefetch records
-	reap    []*prefetchJob            // prefetches no query joined, still in flight
-	made    struct{ scratch, pf int } // pooled objects ever created (drain check)
+	scratch []*replayScratch                 // per-query replay state pool
+	pfPool  []*prefetchJob                   // idle prefetch records
+	reap    []*prefetchJob                   // prefetches no query joined, still in flight
+	tasks   []*segTask                       // idle fanned-out segment timers
+	made    struct{ scratch, pf, tasks int } // pooled objects ever created (drain check)
 }
 
 // NewEngine binds a trait profile to a simulation, its CPU, and the storage
 // device queries read from.
 func NewEngine(k *sim.Kernel, cpu *sim.CPU, dev *ssd.Device, traits Traits) *Engine {
-	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev, segName: traits.Name + "/seg"}
+	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev}
 	if traits.MaxConcurrent > 0 {
 		e.sched = sim.NewSemaphore(k, traits.Name+"/sched", int64(traits.MaxConcurrent))
 	}
@@ -51,19 +56,18 @@ func NewEngine(k *sim.Kernel, cpu *sim.CPU, dev *ssd.Device, traits Traits) *Eng
 	return e
 }
 
-// reader is how the engine submits reads to its device: blocking in the
-// caller's process, or asynchronously with a completion event. *ssd.Device
-// charges full submission CPU per request; an *ssd.Batcher coalesces requests
-// outstanding across concurrent queries into shared submissions.
+// reader is how the engine submits reads to its device asynchronously, with
+// a completion event. *ssd.Device charges full submission CPU per request;
+// an *ssd.Batcher coalesces requests outstanding across concurrent queries
+// into shared submissions.
 type reader interface {
-	Read(e *sim.Env, page int64, bytes int)
 	ReadAsync(page int64, bytes int, ev *sim.Event)
 	ReadPagesAsync(pages []int64, ev *sim.Event)
 }
 
 // SetBatcher routes the engine's reads through a request coalescer bound to
 // this engine's device.
-func (e *Engine) SetBatcher(b *ssd.Batcher) { e.rd = b }
+func (e *Engine) SetBatcher(b *ssd.Batcher) { e.rd, e.batched = b, true }
 
 // Device returns the engine's storage device.
 func (e *Engine) Device() *ssd.Device { return e.dev }
@@ -77,80 +81,7 @@ func (e *Engine) Served() int64 { return e.served }
 // OOMFailures returns the number of queries rejected for memory.
 func (e *Engine) OOMFailures() int64 { return e.oomFailed }
 
-// RunQuery executes one recorded query in the calling simulated process,
-// blocking for its full virtual duration. It returns ErrOutOfMemory when the
-// trait memory budget is exceeded (the paper's LanceDB-HNSW failure mode).
-func (e *Engine) RunQuery(env *sim.Env, qe *QueryExec) error {
-	// Client → server half of the round trip.
-	if e.RPCOverhead > 0 {
-		env.Sleep(e.RPCOverhead / 2)
-	}
-	// Memory admission.
-	if e.MemPerQuery > 0 && e.MemBudget > 0 {
-		if e.memInUse+e.MemPerQuery > e.MemBudget {
-			e.oomFailed++
-			return ErrOutOfMemory
-		}
-		e.memInUse += e.MemPerQuery
-		defer func() { e.memInUse -= e.MemPerQuery }()
-	}
-	// A query arriving at an idle engine pays the thread-pool wake-up;
-	// queries arriving while it is already waking queue behind it instead
-	// of paying again.
-	wasIdle := e.active == 0
-	e.active++
-	defer func() { e.active-- }()
-	if e.IdleWake > 0 && wasIdle {
-		env.Sleep(e.IdleWake)
-	}
-
-	if e.sched != nil {
-		e.sched.Acquire(env, 1)
-		defer e.sched.Release(1)
-	}
-
-	// Fixed request-processing cost, part of it under the global lock.
-	if e.PerQueryCPU > 0 {
-		locked := time.Duration(float64(e.PerQueryCPU) * e.GlobalLockFraction)
-		free := e.PerQueryCPU - locked
-		if locked > 0 && e.globalLock != nil {
-			e.globalLock.Acquire(env, 1)
-			e.cpu.Use(env, locked)
-			e.globalLock.Release(1)
-		}
-		e.cpu.Use(env, free)
-	}
-
-	// Per-segment work: fan out when the engine parallelises a query
-	// across segments (Milvus), otherwise run them in sequence.
-	if e.IntraQueryParallel && len(qe.Segments) > 1 {
-		g := env.NewGroup()
-		for _, steps := range qe.Segments {
-			steps := steps
-			g.Go(e.segName, func(ce *sim.Env) {
-				if e.readSlots != nil {
-					e.readSlots.Acquire(ce, 1)
-					defer e.readSlots.Release(1)
-				}
-				e.replaySteps(ce, steps)
-			})
-		}
-		g.Wait(env)
-	} else {
-		for _, steps := range qe.Segments {
-			e.replaySteps(env, steps)
-		}
-	}
-
-	// Server → client half of the round trip.
-	if e.RPCOverhead > 0 {
-		env.Sleep(e.RPCOverhead / 2)
-	}
-	e.served++
-	return nil
-}
-
-// replayScratch is the reusable per-query state of replaySteps. Replaying
+// replayScratch is the reusable per-query state of a segment replay. Replaying
 // queries interleave inside the simulation, so each in-flight query borrows
 // its own instance from the engine's pool; the steady state allocates
 // nothing per query.
@@ -262,13 +193,269 @@ func (e *Engine) prefetch(scr *replayScratch, first int64, bytes int) {
 	e.rd.ReadAsync(first, bytes, pj.ev)
 }
 
-// replaySteps walks one segment's recorded steps: each step burns its CPU
-// on a core, then submits its demand page batch (beam semantics) and, behind
-// it, the speculative reads look-ahead recorded — demand transfers keep their
-// place ahead of speculative ones on the bus — and parks until the demand
-// completes. Node-cache hits recorded in a step were already charged as CPU
-// at record time; here they are only reported to the tracer so run metrics
-// can show hit rates alongside the device traffic they displaced.
+// Op is one engine operation — a recorded query, an insert or a delete —
+// replayed as a state machine on its owner's timer: Query, Insert or Delete
+// starts it and reports whether it finished without blocking; until then the
+// owner calls Resume at every wake-up of the timer. Each wake-up takes the
+// (at, seq) slot the operation run as a process would, so the event sequence
+// is the process form's.
+type Op struct {
+	e     *Engine
+	t     *sim.Timer
+	qe    *QueryExec // the query replayed; nil for a write
+	phase opPhase
+	err   error
+	seg   int          // next sequential segment
+	left  int          // fanned-out segments still running
+	run   segReplay    // the sequential segment in progress
+	cpu   sim.Burst    // the request-processing burst
+	wcpu  sim.Duration // a write's request-processing CPU
+	req   ssd.Request  // a write's WAL record
+}
+
+// opPhase is where an Op resumes at its next wake-up; opPhaseNames names
+// what it waits for there.
+type opPhase uint8
+
+const (
+	opIdle opPhase = iota
+	opAdmit
+	opSched
+	opLock
+	opLocked // holding the global lock
+	opFree
+	opSegments
+	opSteps
+	opReply // after the sequential or the fanned-out segments
+	opDone
+	opWriteCPU
+	opWrite
+)
+
+var opPhaseNames = [...]string{"idle", "rpc in", "idle wake", "admission", "global lock", "cpu",
+	"segments", "steps", "fan-out", "rpc out", "write cpu", "wal write"}
+
+// NewOp returns an idle operation of the engine driven by timer t.
+func (e *Engine) NewOp(t *sim.Timer) *Op { return &Op{e: e, t: t} }
+
+// Query starts replaying qe at the current instant. The query fails with
+// ErrOutOfMemory (see Err) when the trait memory budget is exceeded — the
+// paper's LanceDB-HNSW failure mode.
+func (o *Op) Query(qe *QueryExec) bool {
+	o.qe, o.err = qe, nil
+	return o.begin()
+}
+
+// Insert starts one insert at the current instant: request processing plus a
+// write-ahead-log append of the vector rounded up to page granularity.
+func (o *Op) Insert(vectorBytes int) bool {
+	pageSize := o.e.dev.Config().PageSize
+	return o.write(o.e.PerQueryCPU/2+10*time.Microsecond, ((vectorBytes+pageSize-1)/pageSize)*pageSize)
+}
+
+// Delete starts one delete at the current instant: request processing plus
+// a one-page tombstone WAL record.
+func (o *Op) Delete() bool {
+	return o.write(o.e.PerQueryCPU/2+5*time.Microsecond, o.e.dev.Config().PageSize)
+}
+
+func (o *Op) write(cpu time.Duration, bytes int) bool {
+	o.qe, o.err, o.wcpu, o.req = nil, nil, cpu, ssd.WriteRequest(bytes)
+	return o.begin()
+}
+
+// begin runs the request half of the round trip, which every operation
+// starts with.
+func (o *Op) begin() bool {
+	o.phase = opAdmit
+	if o.e.RPCOverhead > 0 {
+		return o.sleep(o.e.RPCOverhead / 2)
+	}
+	return o.Resume()
+}
+
+// Err returns the error the last finished operation failed with, or nil.
+func (o *Op) Err() error { return o.err }
+
+// Phase names what a blocked operation waits in.
+func (o *Op) Phase() string { return opPhaseNames[o.phase] }
+
+// sleep parks the operation for d; it always reports false, for returning.
+func (o *Op) sleep(d time.Duration) bool {
+	o.e.k.WakeAt(o.t, o.e.k.Now().Add(d))
+	return false
+}
+
+// lockedCPU is the share of the request-processing CPU run under the global
+// lock.
+func (e *Engine) lockedCPU() time.Duration {
+	return time.Duration(float64(e.PerQueryCPU) * e.GlobalLockFraction)
+}
+
+// Resume advances the operation at a wake-up of its timer and reports
+// whether it has finished.
+func (o *Op) Resume() bool {
+	e := o.e
+	for {
+		switch o.phase {
+		case opAdmit:
+			if o.qe == nil {
+				o.phase = opWriteCPU
+				continue
+			}
+			if e.MemPerQuery > 0 && e.MemBudget > 0 {
+				if e.memInUse+e.MemPerQuery > e.MemBudget {
+					e.oomFailed++
+					o.err, o.phase = ErrOutOfMemory, opIdle
+					return true
+				}
+				e.memInUse += e.MemPerQuery
+			}
+			// A query arriving at an idle engine pays the thread-pool
+			// wake-up; queries arriving while it is already waking queue
+			// behind it instead of paying again.
+			wasIdle := e.active == 0
+			e.active++
+			o.phase = opSched
+			if e.IdleWake > 0 && wasIdle {
+				return o.sleep(e.IdleWake)
+			}
+		case opSched:
+			o.phase = opLock
+			if e.sched != nil && !e.sched.AcquireTimer(o.t, 1) {
+				return false
+			}
+		case opLock:
+			// Fixed request-processing cost, part of it under the global lock.
+			o.phase = opFree
+			if e.lockedCPU() > 0 && e.globalLock != nil {
+				o.phase = opLocked
+				if !e.globalLock.AcquireTimer(o.t, 1) {
+					return false
+				}
+			}
+		case opLocked:
+			if !e.cpu.Burn(o.t, &o.cpu, e.lockedCPU(), e.k) {
+				return false
+			}
+			e.globalLock.Release(1)
+			o.phase = opFree
+		case opFree:
+			if !e.cpu.Burn(o.t, &o.cpu, e.PerQueryCPU-e.lockedCPU(), e.k) {
+				return false
+			}
+			o.phase = opSegments
+		case opSegments:
+			// Fan out when the engine parallelises a query across segments
+			// (Milvus), otherwise run them in sequence.
+			if segs := o.qe.Segments; e.IntraQueryParallel && len(segs) > 1 {
+				o.left, o.phase = len(segs), opReply
+				for _, steps := range segs {
+					e.fork(o, steps)
+				}
+				return false
+			}
+			o.seg, o.phase = 0, opSteps
+		case opSteps:
+			for segs := o.qe.Segments; o.seg < len(segs); o.seg++ {
+				if o.run.steps == nil {
+					o.run.steps = segs[o.seg]
+				}
+				if !e.replay(o.t, &o.run) {
+					return false
+				}
+			}
+			o.phase = opReply
+		case opWriteCPU:
+			if !e.cpu.Burn(o.t, &o.cpu, o.wcpu, e.k) {
+				return false
+			}
+			o.phase = opWrite
+		case opWrite:
+			if !e.dev.Serve(o.t, &o.req) {
+				return false
+			}
+			o.phase = opReply
+		case opReply:
+			o.phase = opDone
+			if e.RPCOverhead > 0 {
+				return o.sleep(e.RPCOverhead / 2)
+			}
+		case opDone:
+			o.phase = opIdle
+			if o.qe != nil {
+				e.served++
+				if e.sched != nil {
+					e.sched.Release(1)
+				}
+				e.active--
+				if e.MemPerQuery > 0 && e.MemBudget > 0 {
+					e.memInUse -= e.MemPerQuery
+				}
+			}
+			return true
+		default:
+			panic("vdb: Resume of an idle Op")
+		}
+	}
+}
+
+// segTask is one segment of a fanned-out query, replayed on a pooled timer of
+// its own under a read slot; the last one to finish wakes the query.
+type segTask struct {
+	e    *Engine
+	t    *sim.Timer
+	o    *Op
+	held bool // past the read-slot wait
+	run  segReplay
+}
+
+// fork starts a segment task for o at the current instant. Its first step
+// runs on its own wake-up, after those already scheduled for this instant.
+func (e *Engine) fork(o *Op, steps []index.Step) {
+	var c *segTask
+	if n := len(e.tasks); n > 0 {
+		c = e.tasks[n-1]
+		e.tasks = e.tasks[:n-1]
+	} else {
+		c = &segTask{e: e}
+		c.t = sim.NewTimer(c)
+		e.made.tasks++
+	}
+	c.o, c.run.steps = o, steps
+	e.k.WakeAt(c.t, e.k.Now())
+}
+
+func (c *segTask) Wake() {
+	e := c.e
+	if !c.held {
+		c.held = true
+		if e.readSlots != nil && !e.readSlots.AcquireTimer(c.t, 1) {
+			return
+		}
+	}
+	if !e.replay(c.t, &c.run) {
+		return
+	}
+	if e.readSlots != nil {
+		e.readSlots.Release(1)
+	}
+	o := c.o
+	c.o, c.held = nil, false
+	e.tasks = append(e.tasks, c)
+	if o.left--; o.left == 0 {
+		e.k.WakeAt(o.t, e.k.Now())
+	}
+}
+
+// segReplay is one segment's recorded steps replayed on a timer. Each step
+// burns its CPU on a core, then submits its demand page batch (beam
+// semantics) and, behind it, the speculative reads look-ahead recorded —
+// demand transfers keep their place ahead of speculative ones on the bus —
+// and parks until the demand completes. Node-cache hits recorded in a step
+// were already charged as CPU at record time; here they are only reported to
+// the tracer so run metrics can show hit rates alongside the device traffic
+// they displaced.
 //
 // Prefetches are the replay half of look-ahead: each PrefetchRun is read in
 // the background while subsequent steps burn CPU, with a completion event
@@ -276,80 +463,67 @@ func (e *Engine) prefetch(scr *replayScratch, first int64, bytes int) {
 // still in flight, the demand joins the event (waiting only for the residual
 // latency) instead of issuing a duplicate read — the mechanism that overlaps
 // hop h+1's I/O with hop h's compute.
-func (e *Engine) replaySteps(env *sim.Env, steps []index.Step) {
-	pageSize := e.dev.Config().PageSize
-	var scr *replayScratch // lazily borrowed: only prefetching queries pay
-	for _, s := range steps {
-		if s.CPU > 0 {
-			e.cpu.Use(env, s.CPU)
-		}
-		if s.CachePages > 0 {
-			e.dev.Tracer().EmitCacheHit(env.Now(), s.CachePages, s.CachePages*pageSize)
-		}
-		if len(s.Prefetch) > 0 && scr == nil {
-			scr = e.allocScratch()
-		}
-		// A contiguous run is one request keyed by its first page; a beam is
-		// one page-sized request per page.
-		toRead, bytes := s.Pages, pageSize
-		if s.Contiguous && len(s.Pages) > 0 {
-			toRead, bytes = s.Pages[:1], len(s.Pages)*pageSize
-		}
-		// Split the demand into pages already in flight from a prefetch, to
-		// join, and the rest, to read.
-		var joins []*prefetchJob
-		if scr != nil && len(scr.inflight) > 0 {
-			scr.joins, scr.toRead = scr.joins[:0], scr.toRead[:0]
-			for _, p := range toRead {
-				if i := scr.inflightAt(p); i >= 0 {
-					scr.joins = append(scr.joins, scr.inflight[i].pj)
-					last := len(scr.inflight) - 1
-					scr.inflight[i] = scr.inflight[last]
-					scr.inflight = scr.inflight[:last]
-				} else {
-					scr.toRead = append(scr.toRead, p)
+type segReplay struct {
+	steps []index.Step
+	i     int // current step
+	phase stepPhase
+	scr   *replayScratch // lazily borrowed: only prefetching queries pay
+	cpu   sim.Burst
+	req   ssd.Request    // a blocking per-request demand read
+	dem   *sim.Event     // an asynchronous demand's completion
+	joins []*prefetchJob // the step's joined prefetches, joins[:j] done
+	j     int
+}
+
+// stepPhase is where a segment replay resumes within its current step.
+type stepPhase uint8
+
+const (
+	stepCPU    stepPhase = iota // the step's CPU burst
+	stepRead                    // a blocking per-request demand read
+	stepDemand                  // waiting for the asynchronous demand
+	stepJoin                    // waiting for the joined prefetches
+)
+
+// replay advances r on behalf of timer t and reports whether its last step
+// has finished, leaving r ready for the next segment.
+func (e *Engine) replay(t *sim.Timer, r *segReplay) bool {
+	for r.i < len(r.steps) {
+		s := &r.steps[r.i]
+		switch r.phase {
+		case stepCPU:
+			if !e.cpu.Burn(t, &r.cpu, s.CPU, e.k) {
+				return false
+			}
+			e.submit(r, s)
+		case stepRead:
+			if !e.dev.Serve(t, &r.req) {
+				return false
+			}
+			r.phase = stepJoin
+		case stepDemand:
+			if !r.dem.WaitTimer(t) {
+				return false
+			}
+			e.k.ReleaseEvent(r.dem)
+			r.dem, r.phase = nil, stepJoin
+		case stepJoin:
+			for ; r.j < len(r.joins); r.j++ {
+				if !r.joins[r.j].ev.WaitTimer(t) {
+					return false
 				}
+				e.releasePF(r.joins[r.j])
 			}
-			joins, toRead = scr.joins, scr.toRead
-		}
-		var dem *sim.Event
-		switch {
-		case len(toRead) == 1 && len(s.Prefetch) == 0:
-			// Nothing to submit behind it: block in the query's own process.
-			// Per request that also keeps the doorbell off a freshly spawned
-			// process, which would run later within the same instant.
-			e.rd.Read(env, toRead[0], bytes)
-		case len(toRead) == 1:
-			dem = e.k.AllocEvent()
-			e.rd.ReadAsync(toRead[0], bytes, dem)
-		case len(toRead) > 1:
-			dem = e.k.AllocEvent()
-			e.rd.ReadPagesAsync(toRead, dem)
-		}
-		for _, pf := range s.Prefetch {
-			if pf.Contiguous && len(pf.Pages) > 0 {
-				e.prefetch(scr, pf.Pages[0], len(pf.Pages)*pageSize)
-				continue
-			}
-			for _, p := range pf.Pages {
-				e.prefetch(scr, p, pageSize)
-			}
-		}
-		if dem != nil {
-			dem.Wait(env)
-			e.k.ReleaseEvent(dem)
-		}
-		for _, pj := range joins {
-			pj.ev.Wait(env)
-			e.releasePF(pj)
+			r.joins, r.j = nil, 0
+			r.i, r.phase = r.i+1, stepCPU
 		}
 	}
-	if scr != nil {
+	if scr := r.scr; scr != nil {
 		// Sweep in issue order (deterministic — never map iteration). Joined
 		// jobs were released at the join and possibly reissued since, so their
 		// refs are stale; completed-but-wasted prefetches release now; those
-		// still in flight have no process to free them and park on the reap
-		// list.
+		// still in flight have no query left to free them and park on the
+		// reap list.
 		e.reapPrefetches()
 		for _, ref := range scr.jobs {
 			switch pj := ref.pj; {
@@ -362,32 +536,64 @@ func (e *Engine) replaySteps(env *sim.Env, steps []index.Step) {
 		}
 		e.releaseScratch(scr)
 	}
+	r.steps, r.i, r.scr = nil, 0, nil
+	return true
 }
 
-// RunInsert executes one insert in simulated time: request processing plus
-// a write-ahead-log append of the vector rounded up to page granularity.
-func (e *Engine) RunInsert(env *sim.Env, vectorBytes int) {
-	if e.RPCOverhead > 0 {
-		env.Sleep(e.RPCOverhead / 2)
-	}
-	e.cpu.Use(env, e.PerQueryCPU/2+10*time.Microsecond)
+// submit issues step s's device traffic once its CPU has burnt and sets the
+// wait r parks in next.
+func (e *Engine) submit(r *segReplay, s *index.Step) {
 	pageSize := e.dev.Config().PageSize
-	walBytes := ((vectorBytes + pageSize - 1) / pageSize) * pageSize
-	e.dev.Write(env, 0, walBytes)
-	if e.RPCOverhead > 0 {
-		env.Sleep(e.RPCOverhead / 2)
+	if s.CachePages > 0 {
+		e.dev.Tracer().EmitCacheHit(e.k.Now(), s.CachePages, s.CachePages*pageSize)
 	}
-}
-
-// RunDelete executes one delete: request processing plus a one-page
-// tombstone WAL record.
-func (e *Engine) RunDelete(env *sim.Env) {
-	if e.RPCOverhead > 0 {
-		env.Sleep(e.RPCOverhead / 2)
+	if len(s.Prefetch) > 0 && r.scr == nil {
+		r.scr = e.allocScratch()
 	}
-	e.cpu.Use(env, e.PerQueryCPU/2+5*time.Microsecond)
-	e.dev.Write(env, 0, e.dev.Config().PageSize)
-	if e.RPCOverhead > 0 {
-		env.Sleep(e.RPCOverhead / 2)
+	scr := r.scr
+	// A contiguous run is one request keyed by its first page; a beam is one
+	// page-sized request per page.
+	toRead, bytes := s.Pages, pageSize
+	if s.Contiguous && len(s.Pages) > 0 {
+		toRead, bytes = s.Pages[:1], len(s.Pages)*pageSize
+	}
+	// Split the demand into pages already in flight from a prefetch, to join,
+	// and the rest, to read.
+	if scr != nil && len(scr.inflight) > 0 {
+		scr.joins, scr.toRead = scr.joins[:0], scr.toRead[:0]
+		for _, p := range toRead {
+			if i := scr.inflightAt(p); i >= 0 {
+				scr.joins = append(scr.joins, scr.inflight[i].pj)
+				last := len(scr.inflight) - 1
+				scr.inflight[i] = scr.inflight[last]
+				scr.inflight = scr.inflight[:last]
+			} else {
+				scr.toRead = append(scr.toRead, p)
+			}
+		}
+		r.joins, toRead = scr.joins, scr.toRead
+	}
+	r.phase = stepJoin
+	switch {
+	case len(toRead) == 1 && len(s.Prefetch) == 0 && !e.batched:
+		// Nothing to submit behind it: the doorbell rings in the query's own
+		// wake-up, where a freshly started timer would ring it later within
+		// the same instant.
+		r.req, r.phase = ssd.ReadRequest(bytes), stepRead
+	case len(toRead) == 1:
+		r.dem, r.phase = e.k.AllocEvent(), stepDemand
+		e.rd.ReadAsync(toRead[0], bytes, r.dem)
+	case len(toRead) > 1:
+		r.dem, r.phase = e.k.AllocEvent(), stepDemand
+		e.rd.ReadPagesAsync(toRead, r.dem)
+	}
+	for _, pf := range s.Prefetch {
+		if pf.Contiguous && len(pf.Pages) > 0 {
+			e.prefetch(scr, pf.Pages[0], len(pf.Pages)*pageSize)
+			continue
+		}
+		for _, p := range pf.Pages {
+			e.prefetch(scr, p, pageSize)
+		}
 	}
 }

@@ -29,12 +29,11 @@ func runTimed(t *testing.T, qe *QueryExec, coalesce bool) (sim.Duration, *trace.
 	tr := trace.NewTracer(true)
 	h.dev.Attach(tr)
 	var elapsed sim.Duration
-	h.k.Spawn("q", func(e *sim.Env) {
-		start := e.Now()
-		if err := h.eng.RunQuery(e, qe); err != nil {
+	h.query(0, qe, func(err error, lat sim.Duration) {
+		if err != nil {
 			t.Errorf("query failed: %v", err)
 		}
-		elapsed = e.Now().Sub(start)
+		elapsed = lat
 	})
 	tr.FinishAt(h.run(t))
 	return elapsed, tr

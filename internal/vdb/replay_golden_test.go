@@ -3,6 +3,7 @@ package vdb
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -77,10 +78,12 @@ func syntheticExecs() []QueryExec {
 	return execs
 }
 
-// replayLine replays the workload with the given closed-loop client count —
-// and, on the per-request policy only, one insert/delete client per eight
-// query clients — and renders the run as one golden line.
-func replayLine(t *testing.T, tr Traits, execs []QueryExec, clients int, coalesce bool) string {
+// replayLine replays the workload with the given closed-loop query and
+// insert/delete client counts and renders the run as one golden line. The
+// clients are timers driving the engine's Op, or, with procs, processes
+// running the reference replay of engine_ref_test.go. A query refused for
+// memory counts in the line's oom field, which is left out when zero.
+func replayLine(t *testing.T, tr Traits, execs []QueryExec, clients, writers int, coalesce, procs bool) string {
 	const perClient = 8
 	k := sim.NewKernel()
 	cpu := sim.NewCPU(k, 8)
@@ -94,21 +97,20 @@ func replayLine(t *testing.T, tr Traits, execs []QueryExec, clients int, coalesc
 	}
 	lats := make([]sim.Duration, clients*perClient)
 	running := clients
-	for c := 0; c < clients; c++ {
+	for c := 0; c < clients+writers; c++ {
 		c := c
-		k.Spawn("client", func(e *sim.Env) {
-			for i := 0; i < perClient; i++ {
-				start := e.Now()
-				if err := eng.RunQuery(e, &execs[(c*7+i)%len(execs)]); err != nil {
-					t.Errorf("query failed: %v", err)
-				}
-				lats[c*perClient+i] = e.Now().Sub(start)
+		if !procs {
+			tc := &testClient{t: t, k: k, execs: execs, running: &running, n: perClient}
+			if c < clients {
+				tc.c, tc.lats = c, lats[c*perClient:(c+1)*perClient]
+			} else {
+				tc.c = -1
 			}
-			running--
-		})
-	}
-	if !coalesce {
-		for w := 0; w < clients/8; w++ {
+			tc.op = eng.NewOp(sim.NewTimer(tc))
+			k.WakeAt(tc.op.t, k.Now())
+			continue
+		}
+		if c >= clients {
 			k.Spawn("writer", func(e *sim.Env) {
 				for i := 0; running > 0; i++ {
 					if i%8 == 7 {
@@ -118,19 +120,98 @@ func replayLine(t *testing.T, tr Traits, execs []QueryExec, clients int, coalesc
 					}
 				}
 			})
+			continue
 		}
+		k.Spawn("client", func(e *sim.Env) {
+			for i := 0; i < perClient; i++ {
+				start := e.Now()
+				if err := eng.RunQuery(e, &execs[(c*7+i)%len(execs)]); err != nil && !errors.Is(err, ErrOutOfMemory) {
+					t.Errorf("query failed: %v", err)
+				}
+				lats[c*perClient+i] = e.Now().Sub(start)
+			}
+			running--
+		})
 	}
 	end := k.RunAll()
 	tracer.FinishAt(end)
 	checkEngineDrained(t, eng)
+	if !procs && running != 0 {
+		t.Errorf("%d query clients never finished", running)
+	}
 	h := sha256.New()
 	for _, l := range lats {
 		binary.Write(h, binary.LittleEndian, int64(l))
 	}
 	sum := tracer.Summarize(end.Sub(0))
-	return fmt.Sprintf("lat=%x end=%d served=%d reads=%d read_bytes=%d writes=%d cache_pages=%d max_depth=%d mean_depth=%.6f overlap=%.6f cpu_busy=%d",
+	line := fmt.Sprintf("lat=%x end=%d served=%d reads=%d read_bytes=%d writes=%d cache_pages=%d max_depth=%d mean_depth=%.6f overlap=%.6f cpu_busy=%d",
 		h.Sum(nil)[:12], int64(end), eng.Served(), sum.ReadOps, sum.ReadBytes, sum.WriteOps,
 		sum.CacheHits, sum.MaxQueueDepth, sum.MeanQueueDepth, sum.OverlapFrac, int64(cpu.BusyTime()))
+	if n := eng.OOMFailures(); n > 0 {
+		line += fmt.Sprintf(" oom=%d", n)
+	}
+	return line
+}
+
+// testClient is the timer form of replayLine's client processes: query
+// client c (c ≥ 0) runs its n queries back to back, recording each latency;
+// a writer (c < 0) alternates inserts and deletes while any query client
+// runs.
+type testClient struct {
+	t       *testing.T
+	k       *sim.Kernel
+	op      *Op
+	execs   []QueryExec
+	lats    []sim.Duration
+	running *int
+	c, i, n int // client, operations finished, queries to run
+	start   sim.Time
+	busy    bool
+}
+
+func (tc *testClient) Wake() {
+	if tc.busy {
+		if !tc.op.Resume() {
+			return
+		}
+		tc.finish()
+	}
+	for tc.more() {
+		tc.start = tc.k.Now()
+		var done bool
+		switch {
+		case tc.c >= 0:
+			done = tc.op.Query(&tc.execs[(tc.c*7+tc.i)%len(tc.execs)])
+		case tc.i%8 == 7:
+			done = tc.op.Delete()
+		default:
+			done = tc.op.Insert(768 * 4)
+		}
+		if tc.busy = !done; tc.busy {
+			return
+		}
+		tc.finish()
+	}
+	if tc.c >= 0 {
+		*tc.running--
+	}
+}
+
+func (tc *testClient) more() bool {
+	if tc.c < 0 {
+		return *tc.running > 0
+	}
+	return tc.i < tc.n
+}
+
+func (tc *testClient) finish() {
+	if tc.c >= 0 {
+		if err := tc.op.Err(); err != nil && !errors.Is(err, ErrOutOfMemory) {
+			tc.t.Errorf("query failed: %v", err)
+		}
+		tc.lats[tc.i] = tc.k.Now().Sub(tc.start)
+	}
+	tc.i++
 }
 
 // TestReplayGolden pins the engine's replay in virtual time: per-query
@@ -153,8 +234,12 @@ func TestReplayGolden(t *testing.T) {
 				execs    []QueryExec
 				coalesce bool
 			}{{"per-request", sync, false}, {"coalesced", sync, true}, {"coalesced+prefetch", execs, true}} {
+				writers := 0
+				if !mode.coalesce {
+					writers = clients / 8
+				}
 				fmt.Fprintf(&b, "%s clients=%d %s: %s\n", tr.Name, clients, mode.name,
-					replayLine(t, tr, mode.execs, clients, mode.coalesce))
+					replayLine(t, tr, mode.execs, clients, writers, mode.coalesce, false))
 			}
 		}
 	}

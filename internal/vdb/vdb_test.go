@@ -245,6 +245,61 @@ func (h *engineHarness) run(t *testing.T) sim.Time {
 	return end
 }
 
+// harnessClient is a client of a harness's engine: a timer that runs
+// operations back to back while more(i) holds, starting the i'th with
+// start(op, i) and reporting each finished one to done with its latency.
+type harnessClient struct {
+	k     *sim.Kernel
+	op    *Op
+	more  func(i int) bool
+	start func(o *Op, i int) bool
+	done  func(o *Op, lat sim.Duration)
+	i     int
+	began sim.Time
+	busy  bool
+}
+
+// client starts a harness client after delay.
+func (h *engineHarness) client(delay sim.Duration, more func(i int) bool, start func(o *Op, i int) bool, done func(o *Op, lat sim.Duration)) {
+	c := &harnessClient{k: h.k, more: more, start: start, done: done}
+	t := sim.NewTimer(c)
+	c.op = h.eng.NewOp(t)
+	h.k.WakeAt(t, h.k.Now().Add(delay))
+}
+
+// query starts a client running one query after delay; done receives its
+// error and latency.
+func (h *engineHarness) query(delay sim.Duration, qe *QueryExec, done func(err error, lat sim.Duration)) {
+	h.client(delay, func(i int) bool { return i == 0 },
+		func(o *Op, _ int) bool { return o.Query(qe) },
+		func(o *Op, lat sim.Duration) {
+			if done != nil {
+				done(o.Err(), lat)
+			}
+		})
+}
+
+func (c *harnessClient) Wake() {
+	if c.busy {
+		if !c.op.Resume() {
+			return
+		}
+		c.finish()
+	}
+	for c.more(c.i) {
+		c.began = c.k.Now()
+		if c.busy = !c.start(c.op, c.i); c.busy {
+			return
+		}
+		c.finish()
+	}
+}
+
+func (c *harnessClient) finish() {
+	c.done(c.op, c.k.Now().Sub(c.began))
+	c.i++
+}
+
 func cpuOnlyExec(d time.Duration) *QueryExec {
 	return &QueryExec{Segments: [][]index.Step{{{CPU: d}}}}
 }
@@ -253,12 +308,11 @@ func TestEngineRunQueryBasicTiming(t *testing.T) {
 	tr := Qdrant()
 	h := newEngineHarness(tr)
 	var elapsed sim.Duration
-	h.k.Spawn("q", func(e *sim.Env) {
-		start := e.Now()
-		if err := h.eng.RunQuery(e, cpuOnlyExec(time.Millisecond)); err != nil {
+	h.query(0, cpuOnlyExec(time.Millisecond), func(err error, lat sim.Duration) {
+		if err != nil {
 			t.Errorf("query failed: %v", err)
 		}
-		elapsed = e.Now().Sub(start)
+		elapsed = lat
 	})
 	h.run(t)
 	want := tr.RPCOverhead + tr.IdleWake + tr.PerQueryCPU + time.Millisecond
@@ -276,13 +330,9 @@ func TestIdleWakePaidOnlyWhenIdle(t *testing.T) {
 	lats := make([]sim.Duration, 2)
 	for i := 0; i < 2; i++ {
 		i := i
-		h.k.Spawn("q", func(e *sim.Env) {
-			if i == 1 {
-				e.Sleep(50 * time.Microsecond) // arrive while q0 is in flight
-			}
-			start := e.Now()
-			h.eng.RunQuery(e, cpuOnlyExec(time.Millisecond))
-			lats[i] = e.Now().Sub(start)
+		// The second query arrives while the first is in flight.
+		h.query(sim.Duration(i)*50*time.Microsecond, cpuOnlyExec(time.Millisecond), func(_ error, lat sim.Duration) {
+			lats[i] = lat
 		})
 	}
 	h.run(t)
@@ -307,11 +357,7 @@ func TestIntraQueryParallelFansOut(t *testing.T) {
 	run := func(tr Traits) sim.Duration {
 		h := newEngineHarness(tr)
 		var elapsed sim.Duration
-		h.k.Spawn("q", func(e *sim.Env) {
-			start := e.Now()
-			h.eng.RunQuery(e, mkExec())
-			elapsed = e.Now().Sub(start)
-		})
+		h.query(0, mkExec(), func(_ error, lat sim.Duration) { elapsed = lat })
 		h.run(t)
 		return elapsed
 	}
@@ -332,11 +378,7 @@ func TestMaxReadConcurrentCapsFanOut(t *testing.T) {
 		segs[i] = []index.Step{{CPU: time.Millisecond}}
 	}
 	var elapsed sim.Duration
-	h.k.Spawn("q", func(e *sim.Env) {
-		start := e.Now()
-		h.eng.RunQuery(e, &QueryExec{Segments: segs})
-		elapsed = e.Now().Sub(start)
-	})
+	h.query(0, &QueryExec{Segments: segs}, func(_ error, lat sim.Duration) { elapsed = lat })
 	h.run(t)
 	if elapsed < 4*time.Millisecond {
 		t.Errorf("capped fan-out finished in %v, want ≥4ms (serialised)", elapsed)
@@ -350,8 +392,7 @@ func TestOutOfMemoryFailure(t *testing.T) {
 	h := newEngineHarness(tr)
 	var okCount, oomCount int
 	for i := 0; i < 5; i++ {
-		h.k.Spawn("q", func(e *sim.Env) {
-			err := h.eng.RunQuery(e, cpuOnlyExec(10*time.Millisecond))
+		h.query(0, cpuOnlyExec(10*time.Millisecond), func(err error, _ sim.Duration) {
 			switch {
 			case err == nil:
 				okCount++
@@ -377,13 +418,13 @@ func TestGlobalLockSerializes(t *testing.T) {
 		deadline := sim.Time(40 * time.Millisecond)
 		done := 0
 		for i := 0; i < 8; i++ {
-			h.k.Spawn("q", func(e *sim.Env) {
-				for e.Now() < deadline {
-					if h.eng.RunQuery(e, cpuOnlyExec(0)) == nil {
+			h.client(0, func(int) bool { return h.k.Now() < deadline },
+				func(o *Op, _ int) bool { return o.Query(cpuOnlyExec(0)) },
+				func(o *Op, _ sim.Duration) {
+					if o.Err() == nil {
 						done++
 					}
-				}
-			})
+				})
 		}
 		h.run(t)
 		return done
@@ -406,7 +447,7 @@ func TestStorageQueryIssuesIO(t *testing.T) {
 		{CPU: 10 * time.Microsecond, Pages: []int64{0, 1, 2, 3}},
 		{CPU: 10 * time.Microsecond, Pages: []int64{4, 5}},
 	}}}
-	h.k.Spawn("q", func(e *sim.Env) { h.eng.RunQuery(e, exec) })
+	h.query(0, exec, nil)
 	h.run(t)
 	reads, _ := h.dev.Stats()
 	if reads != 6 {
@@ -417,10 +458,14 @@ func TestStorageQueryIssuesIO(t *testing.T) {
 func TestRunInsertAndDeleteWrite(t *testing.T) {
 	tr := Milvus()
 	h := newEngineHarness(tr)
-	h.k.Spawn("w", func(e *sim.Env) {
-		h.eng.RunInsert(e, 768*4)
-		h.eng.RunDelete(e)
-	})
+	h.client(0, func(i int) bool { return i < 2 },
+		func(o *Op, i int) bool {
+			if i == 0 {
+				return o.Insert(768 * 4)
+			}
+			return o.Delete()
+		},
+		func(*Op, sim.Duration) {})
 	h.run(t)
 	_, writes := h.dev.Stats()
 	if writes != 2 {
@@ -443,7 +488,7 @@ func TestReplayContiguousStepIsOneRequest(t *testing.T) {
 		{Pages: []int64{10, 11, 12, 13}, Contiguous: true}, // posting list
 		{Pages: []int64{20, 21}},                           // beam
 	}}}
-	h.k.Spawn("q", func(e *sim.Env) { h.eng.RunQuery(e, exec) })
+	h.query(0, exec, nil)
 	h.run(t)
 	recs := tr.Records()
 	if len(recs) != 3 {
