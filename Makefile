@@ -21,11 +21,12 @@ test:
 # it with the purego build tag and runs the kernel property tests, the PQ
 # table and batch ADC differential tests, the SQ kernel differential test,
 # the neighbour selection contract and differential tests, the HNSW and
-# DiskANN build goldens and IVF's search against its scalar reference;
+# DiskANN build goldens, IVF's search against its scalar reference and
+# kmeans.Nearest's zero-allocation test;
 # `cross` compiles the whole tree for arm64 and vets the kernel packages
 # there (both work offline).
 test-purego:
-	$(GO) test -tags purego ./internal/vec ./internal/index ./internal/index/pq ./internal/index/sq ./internal/index/hnsw ./internal/index/diskann ./internal/index/ivf
+	$(GO) test -tags purego ./internal/vec ./internal/index ./internal/index/pq ./internal/index/sq ./internal/index/hnsw ./internal/index/diskann ./internal/index/ivf ./internal/index/kmeans
 
 cross:
 	GOARCH=arm64 $(GO) build ./...
@@ -108,8 +109,9 @@ quick-diff:
 # Short coverage-guided fuzzing of the node-cache invariants, the three
 # index snapshot decoders, the saved-collection loader over them, the .ds
 # dataset decoder, the binenc Reader every snapshot decoder reads through,
-# the sim kernel's lanes against its event heap and the engine's timer
-# replay against its process reference (the seeded corpora
+# the sim kernel's lanes against its event heap, the engine's timer
+# replay against its process reference and the HNSW build's re-prune memo
+# against a from-scratch reference build (the seeded corpora
 # already run as part of every plain `go test`); each target gets a brief
 # budget so CI exercises the mutation engine without open-ended runs.
 # Minimising a newly covering input is capped too: on multi-kilobyte
@@ -129,3 +131,4 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzReader ./internal/binenc
 	$(FUZZ) -fuzz=FuzzLaneOrder ./internal/sim
 	$(FUZZ) -fuzz=FuzzTimerReplay ./internal/vdb
+	$(FUZZ) -fuzz=FuzzRepruneMemo ./internal/index/hnsw

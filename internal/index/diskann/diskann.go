@@ -153,7 +153,7 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	prune := ix.robustPrune(cfg.Alpha, scr)
 	for node, nl := range ix.graph {
 		if len(nl) > cfg.R {
-			ix.graph[node] = index.Reprune(scr, nl, cfg.R, ix.scorer.QueryRow(node).DistBatch, prune)
+			ix.graph[node] = index.Reprune(scr, nl, cfg.R, nil, ix.scorer.QueryRow(node).DistBatch, prune)
 		}
 	}
 	ix.bind()
@@ -227,9 +227,9 @@ func (ix *Index) computeMedoid() int32 {
 // tractable the degree is allowed to overflow to 2R before a robust prune
 // compacts it back to R (the batched reverse-edge pruning used by production
 // Vamana builds); a final prune pass at the end of Build enforces the bound
-// everywhere.
+// everywhere. It passes no index.PruneMemo, which needs one left out per prune.
 func (ix *Index) addEdge(from, to int32, alpha float64, scr *index.SearchScratch) {
-	ix.graph[from] = index.Relink(scr, ix.graph[from], to, 2*ix.cfg.R, ix.cfg.R,
+	ix.graph[from] = index.Relink(scr, ix.graph[from], to, 2*ix.cfg.R, ix.cfg.R, nil,
 		ix.scorer.QueryRow(int(from)).DistBatch, ix.robustPrune(alpha, scr))
 }
 
@@ -287,7 +287,7 @@ func (ix *Index) robustPrune(alpha float64, scr *index.SearchScratch) func(cands
 		if len(cands) > maxOcclusion {
 			cands = cands[:maxOcclusion]
 		}
-		return index.Prune(scr, cands, m,
+		return index.Prune(scr, cands, m, nil,
 			func(c int32, _ int, kept []int32, out []float32) { ix.scorer.QueryRow(int(c)).DistBatch(kept, out) },
 			func(d float32, c index.Neighbor) bool { return alpha*float64(d) <= float64(c.Dist) })
 	}

@@ -72,7 +72,7 @@ func TestRobustPruneMatchesReference(t *testing.T) {
 		for _, alpha := range []float64{1, 1.2} {
 			var levels [4]float32
 			for k := range levels {
-				levels[k] = float32(ix.occlusionAlpha(alpha) * float64(ix.scorer.RowDist(r.Intn(n), r.Intn(n))))
+				levels[k] = float32(ix.occlusionAlpha(alpha) * float64(ix.scorer.QueryRow(r.Intn(n)).Dist(r.Intn(n))))
 			}
 			for trial := 0; trial < 60; trial++ {
 				size := 2 + r.Intn(30)

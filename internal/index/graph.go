@@ -87,24 +87,45 @@ const selBatch = 4
 // position lo on, selBatch per call; c is dropped after the first batch in
 // which occludes(d, c) holds for some d.
 //
+// memo is nil, or the PruneMemo Reprune set up for cands: c is dropped at
+// once if a pair it holds occludes c, a batch it holds whole is skipped,
+// and every scored pair is held. The kept set is the same.
+//
 // Prune marks the kept positions of cands in scr.Kept and returns the kept
 // ids, closest first, in a fresh slice of capacity m. scr.Dists is its
-// distance buffer.
-func Prune(scr *SearchScratch, cands []Neighbor, m int,
+// distance buffer, scr.Slots the memo slots of the kept ids.
+func Prune(scr *SearchScratch, cands []Neighbor, m int, memo *PruneMemo,
 	score func(c int32, lo int, kept []int32, out []float32),
 	occludes func(d float32, c Neighbor) bool) []int32 {
 	kept := make([]int32, 0, m)
 	scr.Kept = Grow(scr.Kept, len(cands))
 	clear(scr.Kept)
 	scr.Dists = Grow(scr.Dists, selBatch)
+	slots := scr.Slots[:0]
 next:
 	for i, c := range cands {
 		if len(kept) == m {
 			break
 		}
+		var sc int32
+		if memo != nil {
+			sc = memo.order[i]
+			for _, s := range slots {
+				if k, ok := memo.at(sc, s); ok && occludes(memo.pair[k], c) {
+					continue next
+				}
+			}
+		}
 		for lo := 0; lo < len(kept); lo += selBatch {
-			ds := scr.Dists[:min(selBatch, len(kept)-lo)]
-			score(c.ID, lo, kept[lo:lo+len(ds)], ds)
+			n := min(selBatch, len(kept)-lo)
+			if memo != nil && memo.holds(sc, slots[lo:lo+n]) {
+				continue
+			}
+			ds := scr.Dists[:n]
+			score(c.ID, lo, kept[lo:lo+n], ds)
+			if memo != nil {
+				memo.remember(sc, slots[lo:lo+n], ds)
+			}
 			for _, d := range ds {
 				if occludes(d, c) {
 					continue next
@@ -113,7 +134,9 @@ next:
 		}
 		scr.Kept[i] = true
 		kept = append(kept, c.ID)
+		slots = append(slots, sc)
 	}
+	scr.Slots = slots
 	return kept
 }
 
@@ -121,8 +144,8 @@ next:
 // new node links: the apply step of both graph builders. A list that
 // already holds target is returned unchanged; otherwise target is appended,
 // and once the list is longer than over it is re-scored and re-pruned to m
-// (Reprune).
-func Relink(scr *SearchScratch, list []int32, target int32, over, m int,
+// (Reprune, with the node's memo if the builder keeps one).
+func Relink(scr *SearchScratch, list []int32, target int32, over, m int, memo *PruneMemo,
 	rescore func(ids []int32, out []float32),
 	prune func(cands []Neighbor, m int) []int32) []int32 {
 	if slices.Contains(list, target) {
@@ -132,23 +155,136 @@ func Relink(scr *SearchScratch, list []int32, target int32, over, m int,
 	if len(list) <= over {
 		return list
 	}
-	return Reprune(scr, list, m, rescore, prune)
+	return Reprune(scr, list, m, memo, rescore, prune)
 }
 
 // Reprune re-scores a node's neighbour list from the node in one batch
 // (rescore writes the distance of every listed id into out), sorts it into
 // scr.Scored by (Dist, ID) and returns prune's selection of at most m of it.
-func Reprune(scr *SearchScratch, list []int32, m int,
+//
+// memo, if not nil, is the node's PruneMemo: prune must hand it to Prune
+// and leave exactly one candidate out. Once it is set up, list is the last
+// selection plus one id, and only that id is scored and placed by insertion.
+func Reprune(scr *SearchScratch, list []int32, m int, memo *PruneMemo,
 	rescore func(ids []int32, out []float32),
 	prune func(cands []Neighbor, m int) []int32) []int32 {
-	scr.Dists = Grow(scr.Dists, len(list))
-	rescore(list, scr.Dists)
-	scr.Scored = scr.Scored[:0]
-	for i, id := range list {
-		scr.Scored = append(scr.Scored, Neighbor{ID: id, Dist: scr.Dists[i]})
+	if memo != nil && memo.ids != nil {
+		last := list[len(list)-1:]
+		scr.Dists = Grow(scr.Dists, 1)
+		rescore(last, scr.Dists)
+		scr.Scored = memo.place(Neighbor{ID: last[0], Dist: scr.Dists[0]}, scr.Scored[:0])
+	} else {
+		scr.Dists = Grow(scr.Dists, len(list))
+		rescore(list, scr.Dists)
+		scr.Scored = scr.Scored[:0]
+		for i, id := range list {
+			scr.Scored = append(scr.Scored, Neighbor{ID: id, Dist: scr.Dists[i]})
+		}
+		SortNeighbors(scr.Scored)
+		if memo != nil {
+			memo.init(scr.Scored)
+		}
 	}
-	SortNeighbors(scr.Scored)
-	return prune(scr.Scored, m)
+	sel := prune(scr.Scored, m)
+	if memo != nil {
+		memo.leaveOut(sel)
+	}
+	return sel
+}
+
+// PruneMemo is what a node's re-prunes at its degree cap remember for the
+// next (DESIGN.md "Graph toolkit"): the members in fixed slots, one more
+// than the cap, where the member a re-prune leaves out frees its slot for
+// the next appended id; their distances from the node; and the pair
+// distances Prune scored. A member's distance never changes, so two members
+// keep their order while both stay and Prune scores their pair one way
+// only, the later candidate against the earlier kept one: the triangular
+// table holds that d(later, earlier). The zero memo is empty.
+type PruneMemo struct {
+	ids   []int32   // the member in each slot
+	dist  []float32 // each slot's distance from the node
+	order []int32   // the occupied slots, ascending by (dist, id)
+	pair  []float32 // d(later, earlier) of slots a > b at a(a-1)/2 + b
+	known []uint64  // one bit per pair held
+	free  int32     // the slot the last re-prune left out
+}
+
+// init sets the memo up over a node's first sorted candidate list.
+func (p *PruneMemo) init(cands []Neighbor) {
+	n := len(cands)
+	ints, floats := make([]int32, 2*n), make([]float32, n+n*(n-1)/2)
+	p.ids, p.order, p.dist, p.pair = ints[:n:n], ints[n:], floats[:n:n], floats[n:]
+	for i, c := range cands {
+		p.ids[i], p.dist[i], p.order[i] = c.ID, c.Dist, int32(i)
+	}
+	p.known = make([]uint64, (len(p.pair)+63)/64)
+}
+
+// place puts c into the free slot and its sorted place, and appends the
+// members, in order, to dst: the re-prune's candidates.
+func (p *PruneMemo) place(c Neighbor, dst []Neighbor) []Neighbor {
+	p.ids[p.free], p.dist[p.free] = c.ID, c.Dist
+	at := slices.IndexFunc(p.order, func(s int32) bool { return neighborLess(c, Neighbor{ID: p.ids[s], Dist: p.dist[s]}) })
+	if at < 0 {
+		at = len(p.order)
+	}
+	p.order = slices.Insert(p.order, at, p.free)
+	for _, s := range p.order {
+		dst = append(dst, Neighbor{ID: p.ids[s], Dist: p.dist[s]})
+	}
+	return dst
+}
+
+// leaveOut frees the slot of the one candidate that sel, a subsequence of
+// the candidates, left out, and forgets that slot's pairs.
+func (p *PruneMemo) leaveOut(sel []int32) {
+	if len(sel) != len(p.order)-1 {
+		panic("index: a memoised re-prune must leave exactly one candidate out")
+	}
+	out := len(sel)
+	for i, id := range sel {
+		if p.ids[p.order[i]] != id {
+			out = i
+			break
+		}
+	}
+	p.free = p.order[out]
+	p.order = slices.Delete(p.order, out, out+1)
+	for s := range int32(len(p.ids)) {
+		if s != p.free {
+			k, _ := p.at(p.free, s)
+			p.known[k/64] &^= 1 << (k % 64)
+		}
+	}
+}
+
+// at returns the table index of the pair of slots c != s, and whether the
+// pair is held.
+func (p *PruneMemo) at(c, s int32) (int, bool) {
+	if c < s {
+		c, s = s, c
+	}
+	k := int(c)*int(c-1)/2 + int(s)
+	return k, p.known[k/64]&(1<<(k%64)) != 0
+}
+
+// holds reports whether d(c, s) is held for every s in kept.
+func (p *PruneMemo) holds(c int32, kept []int32) bool {
+	for _, s := range kept {
+		if _, ok := p.at(c, s); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// remember holds ds[i] as d(c, kept[i]).
+func (p *PruneMemo) remember(c int32, kept []int32, ds []float32) {
+	for i, s := range kept {
+		k, _ := p.at(c, s)
+		p.pair[k] = ds[i]
+		p.known[k/64] |= 1 << (k % 64)
+	}
 }
 
 // MaxInsertBatch caps the batches of InsertBatched.

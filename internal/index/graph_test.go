@@ -145,7 +145,7 @@ func TestPruneContract(t *testing.T) {
 		strict := trial%2 == 0
 		occludes := func(d float32, c Neighbor) bool { return d < c.Dist || !strict && d == c.Dist }
 		var calls []pruneCall
-		got := Prune(scr, cands, m,
+		got := Prune(scr, cands, m, nil,
 			func(c int32, lo int, kept []int32, out []float32) {
 				calls = append(calls, pruneCall{c, lo, slices.Clone(kept)})
 				for i, s := range kept {
@@ -203,15 +203,15 @@ func TestRelink(t *testing.T) {
 	}
 	noPrune := func([]Neighbor, int) []int32 { t.Fatal("pruned a list within its bound"); return nil }
 	list := []int32{7, 5}
-	if got := Relink(scr, list, 5, 2, 2, dist, noPrune); !slices.Equal(got, list) {
+	if got := Relink(scr, list, 5, 2, 2, nil, dist, noPrune); !slices.Equal(got, list) {
 		t.Fatalf("duplicate target changed the list to %v", got)
 	}
-	list = Relink(scr, list, 4, 3, 2, dist, noPrune)
+	list = Relink(scr, list, 4, 3, 2, nil, dist, noPrune)
 	if !slices.Equal(list, []int32{7, 5, 4}) {
 		t.Fatalf("append within bound gave %v", list)
 	}
 	var pruned []Neighbor
-	got := Relink(scr, list, 6, 3, 2, dist, func(cands []Neighbor, m int) []int32 {
+	got := Relink(scr, list, 6, 3, 2, nil, dist, func(cands []Neighbor, m int) []int32 {
 		pruned = slices.Clone(cands)
 		if m != 2 {
 			t.Errorf("prune got m %d, want 2", m)
@@ -221,5 +221,80 @@ func TestRelink(t *testing.T) {
 	want := []Neighbor{{ID: 6, Dist: 0}, {ID: 4, Dist: 1}, {ID: 7, Dist: 1}, {ID: 5, Dist: 2}}
 	if !slices.Equal(pruned, want) || !slices.Equal(got, []int32{6, 4}) {
 		t.Fatalf("overflow pruned %v into %v, want %v into [6 4]", pruned, got, want)
+	}
+}
+
+// TestPruneMemo drives one node's list through a few hundred reverse edges
+// twice, with and without a PruneMemo, under an HNSW-style prune (strict
+// rule, positional back-fill to the cap). Pair distances form an asymmetric
+// table of four levels, so an orientation mix-up or a stale pair shows as a
+// different list; the node's distances tie as often. The memoised lists
+// must equal the fresh ones at every step, each re-prune past the first
+// must score one id from the node, and the memo must score fewer pairs.
+func TestPruneMemo(t *testing.T) {
+	const n = 48
+	r := rand.New(rand.NewSource(5))
+	var pair [n][n]float32
+	var dist [n]float32
+	for i := range pair {
+		dist[i] = float32(r.Intn(4))
+		for j := range pair[i] {
+			pair[i][j] = float32(r.Intn(4))
+		}
+	}
+	rescore := func(ids []int32, out []float32) {
+		for i, id := range ids {
+			out[i] = dist[id]
+		}
+	}
+	for _, m := range []int{2, 3, 5, 8, 13} {
+		var memo PruneMemo
+		scored := [2]int{}
+		prune := func(scr *SearchScratch, memo *PruneMemo, side int) func([]Neighbor, int) []int32 {
+			return func(cands []Neighbor, m int) []int32 {
+				sel := Prune(scr, cands, m, memo,
+					func(c int32, _ int, kept []int32, out []float32) {
+						scored[side] += len(kept)
+						for i, s := range kept {
+							out[i] = pair[c][s]
+						}
+					},
+					func(d float32, c Neighbor) bool { return d < c.Dist })
+				if extra := m - len(sel); extra > 0 {
+					sel = sel[:0]
+					for i, c := range cands {
+						if !scr.Kept[i] {
+							if extra == 0 {
+								continue
+							}
+							extra--
+						}
+						sel = append(sel, c.ID)
+					}
+				}
+				return sel
+			}
+		}
+		scr, refScr := NewSearchScratch(), NewSearchScratch()
+		var got, want []int32
+		for step := 0; step < 300; step++ {
+			target := int32(r.Intn(n))
+			calls := 0
+			got = Relink(scr, got, target, m, m, &memo, func(ids []int32, out []float32) {
+				calls++
+				if memo.ids != nil && len(ids) != 1 {
+					t.Fatalf("m %d step %d: memoised re-prune re-scored %d ids", m, step, len(ids))
+				}
+				rescore(ids, out)
+			}, prune(scr, &memo, 0))
+			want = Relink(refScr, want, target, m, m, nil, rescore, prune(refScr, nil, 1))
+			if !slices.Equal(got, want) {
+				t.Fatalf("m %d step %d: memoised list %v, fresh %v", m, step, got, want)
+			}
+		}
+		if scored[0] >= scored[1] {
+			t.Errorf("m %d: the memo scored %d pairs, fresh re-prunes %d", m, scored[0], scored[1])
+		}
+		t.Logf("m %d: %d pairs scored with the memo, %d without", m, scored[0], scored[1])
 	}
 }

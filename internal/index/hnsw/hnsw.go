@@ -88,15 +88,22 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	// Pre-sample levels so the batched build stays deterministic.
+	lists := 0
 	for row := range ix.levels {
 		ix.levels[row] = ix.randomLevel(r)
+		lists += ix.levels[row] + 1
 	}
 	// Candidate searches run in parallel against the frozen graph, then every
 	// worker links the rows of the batch into the nodes it owns
-	// (index.InsertBatched); batches grow from 1.
+	// (index.InsertBatched); batches grow from 1. memos[row][level] is what
+	// that list's re-prunes remember; it is the build's and dies with it.
+	memos, all := make([][]index.PruneMemo, data.Len()), make([]index.PruneMemo, lists)
+	for row, level := range ix.levels {
+		memos[row], all = all[:level+1:level+1], all[level+1:]
+	}
 	index.InsertBatched(data.Len(), 1,
 		func(i int, scr *index.SearchScratch) [][]int32 { return ix.planInsert(int32(i), scr) },
-		func(i int, selected [][]int32, sh index.Shard) { ix.applyInsert(int32(i), selected, sh) })
+		func(i int, selected [][]int32, sh index.Shard) { ix.applyInsert(int32(i), selected, sh, memos) })
 	return ix, nil
 }
 
@@ -114,7 +121,7 @@ func (ix *Index) planInsert(row int32, scr *index.SearchScratch) [][]int32 {
 	eps := []index.Neighbor{ix.descend(q, level, nil, scr)}
 	for l := top; l >= 0; l-- {
 		found := ix.searchLayer(q, eps, ix.cfg.EfConstruction, l, nil, nil, scr)
-		selected[l] = ix.selectNeighbors(found, ix.cfg.M, scr)
+		selected[l] = ix.selectNeighbors(found, ix.cfg.M, nil, scr)
 		eps = found
 	}
 	return selected
@@ -123,10 +130,10 @@ func (ix *Index) planInsert(row int32, scr *index.SearchScratch) [][]int32 {
 // applyInsert links one planned row into the graph: the shard that owns row
 // writes its lists, the owner of each selected neighbour adds and re-prunes
 // that neighbour's reverse edge, and the lead shard moves the entry point.
-// Every edit touches one node's lists (or, the entry point, none), and a new
-// row's neighbours were found in the frozen graph, so they are never rows of
-// the same batch.
-func (ix *Index) applyInsert(row int32, selected [][]int32, sh index.Shard) {
+// Every edit touches one node's lists and memos (or, the entry point, none),
+// and a new row's neighbours were found in the frozen graph, so they are
+// never rows of the same batch.
+func (ix *Index) applyInsert(row int32, selected [][]int32, sh index.Shard, memos [][]index.PruneMemo) {
 	level := ix.levels[row]
 	if sh.Owns(row) {
 		ix.links[row] = make([][]int32, level+1)
@@ -135,7 +142,7 @@ func (ix *Index) applyInsert(row int32, selected [][]int32, sh index.Shard) {
 	for l := len(selected) - 1; l >= 0; l-- {
 		for _, nb := range selected[l] {
 			if sh.Owns(nb) {
-				ix.linkBack(nb, row, l, sh.Scr)
+				ix.linkBack(nb, row, l, &memos[nb][l], sh.Scr)
 			}
 		}
 	}
@@ -177,14 +184,14 @@ func (ix *Index) maxDegree(level int) int {
 }
 
 // linkBack adds a reverse edge from node to target (index.Relink) and, over
-// the layer cap, re-prunes node's list to the cap. It reads and writes only
-// node's list (plus immutable vectors and codes), so reverse edges of
-// different nodes can be applied concurrently.
-func (ix *Index) linkBack(node, target int32, level int, scr *index.SearchScratch) {
+// the layer cap, re-prunes node's list to the cap with its memo. It reads and
+// writes only node's list and memo (plus immutable vectors and codes), so
+// reverse edges of different nodes can be applied concurrently.
+func (ix *Index) linkBack(node, target int32, level int, memo *index.PruneMemo, scr *index.SearchScratch) {
 	limit := ix.maxDegree(level)
-	ix.links[node][level] = index.Relink(scr, ix.links[node][level], target, limit, limit,
+	ix.links[node][level] = index.Relink(scr, ix.links[node][level], target, limit, limit, memo,
 		func(ids []int32, out []float32) { ix.distBatch(ix.rowQuery(node), ids, out) },
-		func(cands []index.Neighbor, m int) []int32 { return ix.selectNeighbors(cands, m, scr) })
+		func(cands []index.Neighbor, m int) []int32 { return ix.selectNeighbors(cands, m, memo, scr) })
 }
 
 // selectNeighbors is HNSW's Algorithm 4 on index.Prune: keep a candidate c
@@ -194,20 +201,26 @@ func (ix *Index) linkBack(node, target int32, level int, scr *index.SearchScratc
 // clustered data. c is the scoring side: exact distances through c's
 // DistBatch, or for HNSW-SQ c's full vector against the kept codes, each
 // decoded into scr.Lanes the first time a candidate is scored against it.
-// It returns a fresh slice; scr lends the working buffers.
-func (ix *Index) selectNeighbors(cands []index.Neighbor, m int, scr *index.SearchScratch) []int32 {
-	dim, decoded := ix.data.Dim, 0
+// memo is the re-pruned node's (index.Prune), or nil. It returns a fresh
+// slice; scr lends the working buffers.
+func (ix *Index) selectNeighbors(cands []index.Neighbor, m int, memo *index.PruneMemo, scr *index.SearchScratch) []int32 {
+	dim := ix.data.Dim
 	if ix.quantizer != nil {
 		scr.Lanes = index.Grow(scr.Lanes, vec.LaneBlockLen(m, dim))
+		scr.Decoded = index.Grow(scr.Decoded, m)
+		clear(scr.Decoded)
 	}
-	sel := index.Prune(scr, cands, m,
+	sel := index.Prune(scr, cands, m, memo,
 		func(c int32, lo int, kept []int32, out []float32) {
 			if ix.quantizer == nil {
 				ix.rowQuery(c).DistBatch(kept, out)
 				return
 			}
-			for ; decoded < lo+len(kept); decoded++ {
-				ix.quantizer.DecodeLane(scr.Lanes, decoded, ix.codes, int(kept[decoded-lo]))
+			for i, id := range kept {
+				if !scr.Decoded[lo+i] {
+					scr.Decoded[lo+i] = true
+					ix.quantizer.DecodeLane(scr.Lanes, lo+i, ix.codes, int(id))
+				}
 			}
 			vec.L2SqLanes(ix.data.Row(int(c)), scr.Lanes[lo*dim:vec.LaneBlockLen(lo+len(out), dim)], out)
 		},
@@ -361,9 +374,6 @@ func (ix *Index) Metric() vec.Metric { return ix.cfg.Metric }
 
 // Len implements index.Index.
 func (ix *Index) Len() int { return ix.data.Len() }
-
-// MaxLevel returns the top layer of the graph.
-func (ix *Index) MaxLevel() int { return ix.maxLevel }
 
 // Entry returns the row every search descends from (the top-layer entry
 // point), or -1 for an empty graph. SPANN uses it to warm its static node

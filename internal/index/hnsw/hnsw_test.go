@@ -212,6 +212,10 @@ func TestSelectionCandidatesDistinct(t *testing.T) {
 			links: make([][][]int32, ds.Vectors.Len()), entry: -1, maxLevel: -1,
 			cost: built.cost, scorer: built.scorer, quantizer: built.quantizer, codes: built.codes,
 		}
+		memos := make([][]index.PruneMemo, ds.Vectors.Len())
+		for row, level := range ix.levels {
+			memos[row] = make([]index.PruneMemo, level+1)
+		}
 		index.InsertBatched(ds.Vectors.Len(), 1,
 			func(i int, scr *index.SearchScratch) [][]int32 {
 				row := int32(i)
@@ -236,7 +240,7 @@ func TestSelectionCandidatesDistinct(t *testing.T) {
 				}
 				return selected
 			},
-			func(i int, selected [][]int32, sh index.Shard) { ix.applyInsert(int32(i), selected, sh) })
+			func(i int, selected [][]int32, sh index.Shard) { ix.applyInsert(int32(i), selected, sh, memos) })
 		if !bytes.Equal(persistBytes(t, ix), persistBytes(t, built)) {
 			t.Fatalf("sq=%t: replayed build persisted different bytes than Build", quantize)
 		}

@@ -52,8 +52,8 @@ func roundTrip(t *testing.T, cfg Config) {
 			t.Fatalf("query %d: %v vs %v", qi, a.IDs, b.IDs)
 		}
 	}
-	if got.MaxLevel() != orig.MaxLevel() {
-		t.Errorf("max level %d vs %d", got.MaxLevel(), orig.MaxLevel())
+	if got.maxLevel != orig.maxLevel {
+		t.Errorf("max level %d vs %d", got.maxLevel, orig.maxLevel)
 	}
 }
 

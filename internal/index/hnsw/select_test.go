@@ -139,7 +139,7 @@ func TestSelectNeighborsMatchesReference(t *testing.T) {
 					for _, nb := range ix.refSelectHeuristic(slices.Clone(cands), m, refScr) {
 						want = append(want, nb.ID)
 					}
-					if got := ix.selectNeighbors(slices.Clone(cands), m, scr); !slices.Equal(got, want) {
+					if got := ix.selectNeighbors(slices.Clone(cands), m, nil, scr); !slices.Equal(got, want) {
 						t.Fatalf("%v sq=%t trial %d m %d: selected %v, want %v\ncandidates %v", metric, quantize, trial, m, got, want, cands)
 					}
 				}

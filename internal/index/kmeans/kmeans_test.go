@@ -142,3 +142,15 @@ func TestConvergesEarly(t *testing.T) {
 		t.Errorf("did not converge early: %d iters", res.Iters)
 	}
 }
+
+// TestNearestZeroAlloc: Nearest's chunk buffer stays on the stack, which
+// holds only while the vec kernels it reaches keep no pointer to it (their
+// //go:noescape directives). Two chunks plus a remainder, at a dimension
+// with a d%4 tail.
+func TestNearestZeroAlloc(t *testing.T) {
+	cents, _ := blobs(3, 50, 13, 5)
+	v := cents.Row(7)
+	if allocs := testing.AllocsPerRun(50, func() { Nearest(cents, v) }); allocs != 0 {
+		t.Fatalf("Nearest allocates %.1f times per call, want 0", allocs)
+	}
+}

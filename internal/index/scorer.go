@@ -140,11 +140,5 @@ func (qs QueryScorer) DistRange(lo int, out []float32) {
 	vec.DistanceBatch(qs.s.metric, qs.q, rows, out)
 }
 
-// RowDist returns the metric distance between two stored rows, using cached
-// norms where available.
-func (s *Scorer) RowDist(i, j int) float32 {
-	return s.QueryRow(i).Dist(j)
-}
-
 // Metric returns the scorer's metric.
 func (s *Scorer) Metric() vec.Metric { return s.metric }

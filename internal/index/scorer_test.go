@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"svdbench/internal/index/sq"
 	"svdbench/internal/vec"
 )
 
@@ -55,14 +56,59 @@ func TestQueryRowUsesCachedNorm(t *testing.T) {
 	}
 }
 
+// TestRowDistSymmetric pins the two properties a PruneMemo's reuse rests
+// on, bit for bit, for every metric at a dimension with and without a d%4
+// tail: a stored-row distance is the same from either side, and a distance
+// is the same whichever DistBatch position, or whichever SQ lane of a
+// decoded block, computed it.
 func TestRowDistSymmetric(t *testing.T) {
-	m := randMatrix(20, 8, 3)
-	s := NewScorer(m, vec.Cosine)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			a, b := s.RowDist(i, j), s.RowDist(j, i)
-			if math.Abs(float64(a-b)) > 1e-5 {
-				t.Fatalf("RowDist(%d,%d)=%v != RowDist(%d,%d)=%v", i, j, a, j, i, b)
+	const n = 20
+	r := rand.New(rand.NewSource(3))
+	for _, dim := range []int{8, 13} {
+		m := randMatrix(n, dim, int64(dim))
+		for _, metric := range []vec.Metric{vec.L2, vec.IP, vec.Cosine} {
+			s := NewScorer(m, metric)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if a, b := s.QueryRow(i).Dist(j), s.QueryRow(j).Dist(i); math.Float32bits(a) != math.Float32bits(b) {
+						t.Fatalf("%v dim %d: d(%d,%d)=%v != d(%d,%d)=%v", metric, dim, i, j, a, j, i, b)
+					}
+				}
+			}
+			for trial := 0; trial < 50; trial++ {
+				qs := s.QueryRow(r.Intn(n))
+				ids := make([]int32, 1+r.Intn(9))
+				for k := range ids {
+					ids[k] = int32(r.Intn(n))
+				}
+				out := make([]float32, len(ids))
+				qs.DistBatch(ids, out)
+				for k, id := range ids {
+					if want := qs.Dist(int(id)); math.Float32bits(out[k]) != math.Float32bits(want) {
+						t.Fatalf("%v dim %d: DistBatch position %d of %v = %v, Dist = %v", metric, dim, k, ids, out[k], want)
+					}
+				}
+			}
+		}
+		q, err := sq.Train(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := q.EncodeAll(m)
+		block := make([]float32, vec.LaneBlockLen(8, dim))
+		out := make([]float32, 8)
+		for trial := 0; trial < 50; trial++ {
+			ids := make([]int, 1+r.Intn(8))
+			for lane := range ids {
+				ids[lane] = r.Intn(n)
+				q.DecodeLane(block, lane, codes, ids[lane])
+			}
+			x := m.Row(r.Intn(n))
+			vec.L2SqLanes(x, block, out[:len(ids)])
+			for lane, id := range ids {
+				if want := q.DistanceAt(x, codes, id); math.Float32bits(out[lane]) != math.Float32bits(want) {
+					t.Fatalf("dim %d: lane %d of %d scored code %d as %v, DistanceAt = %v", dim, lane, len(ids), id, out[lane], want)
+				}
 			}
 		}
 	}

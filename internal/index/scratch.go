@@ -50,10 +50,13 @@ type SearchScratch struct {
 	// Vamana build search scored, or the over-full neighbour list Reprune
 	// re-scores.
 	Scored []Neighbor
-	// Kept is Prune's kept flag per candidate position. Lanes holds, for
-	// HNSW-SQ's selection, the kept neighbours decoded into a vec lane block.
-	Kept  []bool
-	Lanes []float32
+	// Kept is Prune's kept flag per candidate position, Slots the memo slots
+	// of its kept ids. Lanes holds, for HNSW-SQ's selection, the kept
+	// neighbours decoded into a vec lane block, flagged in Decoded.
+	Kept    []bool
+	Slots   []int32
+	Lanes   []float32
+	Decoded []bool
 	// Nav holds SPANN's centroid-navigation result between queries.
 	Nav Result
 	// Cells receives IVF's probe order (closest cell first).

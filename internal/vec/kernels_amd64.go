@@ -5,14 +5,21 @@ package vec
 // The SSE kernels process the d&^3 prefix of each row; the wrappers below
 // fold the remainder elements in afterwards, matching the scalar kernels'
 // order (remainder added one at a time after the ((s0+s1)+s2)+s3 reduction).
-// They require d >= 4: shorter rows take the Go kernels.
+// They require d >= 4 (shorter rows take the Go kernels) and keep no pointer.
 
+//go:noescape
 func dot4SSE(q, r0, r1, r2, r3 *float32, n int) (d0, d1, d2, d3 float32)
+
+//go:noescape
 func l2sq4SSE(q, r0, r1, r2, r3 *float32, n int) (d0, d1, d2, d3 float32)
 
 // dotRowsSSE and l2sqRowsSSE score groups consecutive groups of four packed
 // d-float rows against q, writing four results per group to out.
+//
+//go:noescape
 func dotRowsSSE(q, rows, out *float32, d, groups int)
+
+//go:noescape
 func l2sqRowsSSE(q, rows, out *float32, d, groups int)
 
 func dot4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
