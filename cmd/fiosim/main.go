@@ -51,8 +51,11 @@ func run(args []string, w io.Writer) error {
 	cpu := sim.NewCPU(k, *cores)
 	dev := ssd.New(k, cpu, ssd.DefaultConfig())
 	var lats []sim.Duration
-	dev.Jobs(*jobs, *bs, *rw == "write", sim.Time(*duration), func(lat sim.Duration) { lats = append(lats, lat) })
+	check := dev.Jobs(*jobs, *bs, *rw == "write", sim.Time(*duration), func(lat sim.Duration) { lats = append(lats, lat) })
 	k.RunAll()
+	if err := check(); err != nil {
+		return err
+	}
 
 	ops := len(lats)
 	secs := duration.Seconds()

@@ -45,8 +45,11 @@ func runTable1(ctx context.Context, b *Bench, w io.Writer) error {
 func fioLike(c ssd.Calibration, dur sim.Duration) (iops, mibps float64, err error) {
 	r := newRig(c.Cores, nil)
 	var ops int64
-	r.dev.Jobs(c.Jobs, c.Bytes, false, sim.Time(dur), func(sim.Duration) { ops++ })
+	check := r.dev.Jobs(c.Jobs, c.Bytes, false, sim.Time(dur), func(sim.Duration) { ops++ })
 	if _, err := r.run(); err != nil {
+		return 0, 0, err
+	}
+	if err := check(); err != nil {
 		return 0, 0, err
 	}
 	secs := dur.Seconds()

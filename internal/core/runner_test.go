@@ -11,11 +11,17 @@ import (
 	"svdbench/internal/vdb"
 )
 
+// heapWork is the work of a synthetic step whose burst under the default
+// cost model is d, a whole multiple of one heap operation's 25 ns.
+func heapWork(d time.Duration) index.Work {
+	return index.Work{Heap: int32(d * 1000 / time.Duration(index.DefaultCostModel().HeapOpPs))}
+}
+
 // syntheticExecs builds n pure-CPU query executions of the given cost.
 func syntheticExecs(n int, cpu time.Duration, pages int) []vdb.QueryExec {
 	execs := make([]vdb.QueryExec, n)
 	for i := range execs {
-		step := index.Step{CPU: cpu}
+		step := index.Step{Work: heapWork(cpu)}
 		for p := 0; p < pages; p++ {
 			step.Pages = append(step.Pages, int64(p))
 		}
@@ -178,8 +184,8 @@ func TestRunSegmentPoolPlateau(t *testing.T) {
 			segs := make([][]index.Step, 30)
 			for s := range segs {
 				segs[s] = []index.Step{
-					{CPU: 5 * time.Microsecond, Pages: []int64{0}},
-					{CPU: 5 * time.Microsecond, Pages: []int64{1}},
+					{Work: heapWork(5 * time.Microsecond), Pages: []int64{0}},
+					{Work: heapWork(5 * time.Microsecond), Pages: []int64{1}},
 				}
 			}
 			execs[i] = vdb.QueryExec{Segments: segs}

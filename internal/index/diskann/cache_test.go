@@ -51,9 +51,9 @@ func TestCachePageConservation(t *testing.T) {
 				t.Fatalf("policy=%s query=%d: read %d + cached %d != uncached %d",
 					policy, qi, got.Stats.PagesRead, got.Stats.CachePages, base.Stats.PagesRead)
 			}
-			if prof.TotalPages() != got.Stats.PagesRead || prof.TotalCachePages() != got.Stats.CachePages {
+			if pages, cached := profilePages(&prof); pages != got.Stats.PagesRead || cached != got.Stats.CachePages {
 				t.Fatalf("policy=%s query=%d: profile (%d,%d) != stats (%d,%d)", policy, qi,
-					prof.TotalPages(), prof.TotalCachePages(), got.Stats.PagesRead, got.Stats.CachePages)
+					pages, cached, got.Stats.PagesRead, got.Stats.CachePages)
 			}
 		}
 	}

@@ -57,7 +57,6 @@ type Index struct {
 	ids    []int32
 	graph  [][]int32
 	medoid int32
-	cost   index.CostModel
 	scorer *index.Scorer
 
 	quantizer *pq.Quantizer
@@ -123,7 +122,6 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		data:   data,
 		ids:    ids,
 		graph:  make([][]int32, n),
-		cost:   index.DefaultCostModel(),
 		scorer: index.NewScorer(data, cfg.Metric),
 	}
 
@@ -385,7 +383,7 @@ func (ix *Index) CacheWarmNodes(n int) []int32 { return ix.nodeLay.warmSet(n) }
 // from its entry.
 func (ix *Index) warmCache(layout string, c *nodecache.Cache) {
 	u := ix.unitsOf(layout)
-	c.Warm(u.warmSet(c.Capacity()), func(int32) int { return u.ppu })
+	c.Warm(u.warmSet(c.Capacity()))
 }
 
 // CacheSnapshot reports the counters of the node cache the options select,

@@ -131,11 +131,12 @@ func TestProfileInterleavesComputeAndIO(t *testing.T) {
 	ix.AssignPages(func(n int64) int64 { p := next; next += n; return p })
 	var p index.Profile
 	res := ix.Search(ds.Queries.Row(0), 10, index.SearchOptions{SearchList: 20, BeamWidth: 4, Recorder: &p})
-	if p.TotalPages() == 0 {
+	pages, _ := profilePages(&p)
+	if pages == 0 {
 		t.Fatal("no I/O recorded")
 	}
-	if p.TotalPages() != res.Stats.PagesRead {
-		t.Errorf("profile pages %d != stats pages %d", p.TotalPages(), res.Stats.PagesRead)
+	if pages != res.Stats.PagesRead {
+		t.Errorf("profile pages %d != stats pages %d", pages, res.Stats.PagesRead)
 	}
 	ioSteps := 0
 	for _, s := range p.Steps {

@@ -16,6 +16,16 @@ func recordOne(ix *Index, q []float32, opts index.SearchOptions) (index.Result, 
 	return res, prof
 }
 
+// profilePages counts the pages a recorded profile read and the pages its
+// node cache absorbed.
+func profilePages(p *index.Profile) (pages, cached int) {
+	for _, s := range p.Steps {
+		pages += len(s.Pages)
+		cached += int(s.CachePages)
+	}
+	return pages, cached
+}
+
 // TestLookAheadResultsAndDemandIdentical is the pipeline's core invariant
 // at the index layer: look-ahead may only change when pages are read. The
 // result ids/distances, the demand statistics, and every recorded step

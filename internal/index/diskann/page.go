@@ -395,14 +395,14 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 	scr.Table = ix.quantizer.BuildTableInto(q, scr.Table)
 	table := pq.Table(scr.Table)
 	// Table construction cost: 256 sub-distance rows over the full dim.
-	rec.AddCPU(ix.cost.Dist(ix.data.Dim, 256))
+	rec.AddWork(index.Work{Dist: 256, Dim: uint16(ix.data.Dim)})
 	m := ix.quantizer.M()
 
 	cands := scr.Cands[:0]
 	// Steering: a unit is priced at the best in-memory PQ distance among its
 	// members. The per-node compressed vectors are RAM-resident in either
 	// layout, so page routing costs zero extra page bytes — just capacity×
-	// the PQ lookups, which the cost model charges below. admit appends a
+	// the PQ lookups, which are counted below. admit appends a
 	// new unit unpriced and queues its member rows in scr.IDs; price scores
 	// them all in one pq.Table.DistanceRows and gives each unit in
 	// cands[from:] its members' minimum (member order, strict <).
@@ -478,14 +478,11 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 		}
 		stats.PagesRead += len(pages)
 		stats.CachePages += cachedPages
-		rec.AddCPU(ix.cost.Heap(len(cands)))
-		if cachedPages > 0 {
-			rec.AddCPU(cache.HitCost(cachedPages))
-			rec.AddCacheHit(cachedPages)
-		}
+		rec.AddWork(index.Work{Heap: int32(len(cands))})
+		rec.AddCacheHit(cachedPages)
 		// Look-ahead: speculatively issue the pages of the next la unvisited
 		// candidates beyond the beam alongside this hop's demand I/O. The
-		// scan only peeks (Contains, not Touch) and charges no CPU, so the
+		// scan only peeks (Contains, not Touch) and counts no work, so the
 		// recorded demand execution stays byte-identical to LookAhead==0.
 		if la > 0 {
 			picked := 0
@@ -533,7 +530,7 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 			}
 		}
 		price(sorted)
-		rec.AddCPU(ix.cost.Dist(ix.data.Dim, reranked) + ix.cost.PQ(m, len(scr.IDs)))
+		rec.AddWork(index.Work{Dist: int32(reranked), ADC: int32(len(scr.IDs)), Dim: uint16(ix.data.Dim), M: uint16(m)})
 	}
 	rec.Flush()
 	scr.Cands, scr.Beam, scr.Pages = cands, beam, pages

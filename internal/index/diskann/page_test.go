@@ -201,11 +201,12 @@ func TestPageSearchCutsDeviceReads(t *testing.T) {
 func TestPageProfileInterleavesComputeAndIO(t *testing.T) {
 	ds, ix := sharedPaged(t)
 	res, prof := recordOne(ix, ds.Queries.Row(0), pageOpts())
-	if prof.TotalPages() == 0 {
+	pages, _ := profilePages(&prof)
+	if pages == 0 {
 		t.Fatal("no I/O recorded")
 	}
-	if prof.TotalPages() != res.Stats.PagesRead {
-		t.Errorf("profile pages %d != stats pages %d", prof.TotalPages(), res.Stats.PagesRead)
+	if pages != res.Stats.PagesRead {
+		t.Errorf("profile pages %d != stats pages %d", pages, res.Stats.PagesRead)
 	}
 	ioSteps := 0
 	for _, s := range prof.Steps {

@@ -101,7 +101,6 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		data:   data,
 		ids:    ids,
 		medoid: r.I32(),
-		cost:   index.DefaultCostModel(),
 		scorer: index.NewScorer(data, cfg.Metric),
 	}
 	ix.graph = make([][]int32, n)

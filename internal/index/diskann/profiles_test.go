@@ -43,8 +43,9 @@ func profileIndex(t *testing.T, name string, n, dim, queries int, cfg Config) (*
 }
 
 // profileDigest hashes everything a recorded search produces for every
-// query in order — ids, distance bits, Stats, and each Step's CPU, pages,
-// Contiguous, CachePages and Prefetch runs — and sums the Stats for a
+// query in order — ids, distance bits, Stats, and each Step's price under
+// the default cost model, pages, Contiguous, CachePages and Prefetch runs —
+// and sums the Stats for a
 // human-readable tail. LRU rows depend on the query order; it is fixed.
 func profileDigest(ds *dataset.Dataset, ix *Index, opts index.SearchOptions) string {
 	h := sha256.New()
@@ -63,6 +64,7 @@ func profileDigest(ds *dataset.Dataset, ix *Index, opts index.SearchOptions) str
 		}
 	}
 	var total index.Stats
+	cost := index.DefaultCostModel()
 	for qi := 0; qi < ds.Queries.Len(); qi++ {
 		res, prof := recordOne(ix, ds.Queries.Row(qi), opts)
 		put(int64(len(res.IDs)))
@@ -77,7 +79,7 @@ func profileDigest(ds *dataset.Dataset, ix *Index, opts index.SearchOptions) str
 		}
 		put(int64(len(prof.Steps)))
 		for _, st := range prof.Steps {
-			put(int64(st.CPU))
+			put(int64(cost.Price(&st)))
 			putPages(st.Pages)
 			putBool(st.Contiguous)
 			put(int64(st.CachePages))

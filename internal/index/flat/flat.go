@@ -12,7 +12,6 @@ import (
 type Index struct {
 	data   *vec.Matrix
 	scorer *index.Scorer
-	cost   index.CostModel
 	// ids maps matrix rows to external ids (nil means identity).
 	ids []int32
 }
@@ -20,7 +19,7 @@ type Index struct {
 // New creates a flat index over data. ids, when non-nil, maps rows to
 // external ids.
 func New(data *vec.Matrix, metric vec.Metric, ids []int32) *Index {
-	return &Index{data: data, scorer: index.NewScorer(data, metric), cost: index.DefaultCostModel(), ids: ids}
+	return &Index{data: data, scorer: index.NewScorer(data, metric), ids: ids}
 }
 
 // Append adds one vector with its external id as the new last row: how a
@@ -104,7 +103,7 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 		comps += len(scr.IDs)
 	}
 	stats := index.Stats{DistComps: comps}
-	opts.Recorder.AddCPU(ix.cost.Dist(ix.data.Dim, comps) + ix.cost.Heap(comps))
+	opts.Recorder.AddWork(index.Work{Dist: int32(comps), Heap: int32(comps), Dim: uint16(ix.data.Dim)})
 	opts.Recorder.Flush()
 	scr.Neighbors = heap.DrainAscending(scr.Neighbors[:0])
 	index.ResultInto(scr.Neighbors, k, stats, dst)

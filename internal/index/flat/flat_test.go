@@ -45,10 +45,10 @@ func TestProfileRecorded(t *testing.T) {
 	ix := New(ds.Vectors, ds.Spec.Metric, nil)
 	var p index.Profile
 	ix.Search(ds.Queries.Row(0), 5, index.SearchOptions{Recorder: &p})
-	if p.TotalCPU() <= 0 {
-		t.Error("no CPU recorded")
+	if len(p.Steps) != 1 || p.Steps[0].Work.Dist <= 0 {
+		t.Fatalf("profile %+v, want one step of counted work", p.Steps)
 	}
-	if p.TotalPages() != 0 {
+	if p.Steps[0].Pages != nil {
 		t.Error("memory index recorded I/O")
 	}
 }

@@ -88,9 +88,12 @@ func TestSearchMatchesScalarScan(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%v %s filter=%s query %d:\n got %+v\nwant %+v", metric, name, fname, qi, got, want)
 					}
-					cost := index.DefaultCostModel()
-					if cpu := cost.Dist(ds.Vectors.Dim, want.Stats.DistComps) + cost.Heap(want.Stats.DistComps); prof.TotalCPU() != cpu {
-						t.Fatalf("%v %s filter=%s query %d: recorded CPU %v, want %v", metric, name, fname, qi, prof.TotalCPU(), cpu)
+					var steps []index.Step
+					if n := int32(want.Stats.DistComps); n > 0 {
+						steps = []index.Step{{Work: index.Work{Dist: n, Heap: n, Dim: uint16(ds.Vectors.Dim)}}}
+					}
+					if !reflect.DeepEqual(prof.Steps, steps) {
+						t.Fatalf("%v %s filter=%s query %d: recorded %+v, want %+v", metric, name, fname, qi, prof.Steps, steps)
 					}
 				}
 			}

@@ -47,7 +47,6 @@ type Index struct {
 	entry    int32
 	maxLevel int
 	mult     float64
-	cost     index.CostModel
 	scorer   *index.Scorer
 
 	quantizer *sq.Quantizer
@@ -75,7 +74,6 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		entry:    -1,
 		maxLevel: -1,
 		mult:     1 / math.Log(float64(cfg.M)),
-		cost:     index.DefaultCostModel(),
 		scorer:   index.NewScorer(data, cfg.Metric),
 	}
 	if cfg.ScalarQuantize {
@@ -299,7 +297,7 @@ func (ix *Index) searchLayer(q index.QueryScorer, eps []index.Neighbor, ef, leve
 					stats.DistComps += comps
 				}
 			}
-			rec.AddCPU(ix.cost.Dist(ix.data.Dim, comps) + ix.cost.Heap(comps+2))
+			rec.AddWork(index.Work{Dist: int32(comps), Heap: int32(comps + 2), Dim: uint16(ix.data.Dim)})
 		})
 	// The returned slice is scr.Neighbors itself: valid only until the next
 	// operation touching scr, and every caller drains or copies it before
@@ -330,7 +328,7 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	rec := opts.Recorder
 	qs := ix.scorer.Query(q)
 	eps := [1]index.Neighbor{ix.descend(qs, 0, &stats, scr)}
-	rec.AddCPU(ix.cost.Dist(ix.data.Dim, stats.DistComps))
+	rec.AddWork(index.Work{Dist: int32(stats.DistComps), Dim: uint16(ix.data.Dim)})
 	found := ix.searchLayer(qs, eps[:], ef, 0, &stats, rec, scr)
 	rec.Flush()
 	// Apply filter and map to external ids, compacting in place (found

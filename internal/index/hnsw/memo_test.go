@@ -90,7 +90,7 @@ func FuzzRepruneMemo(f *testing.F) {
 		ref := &Index{
 			cfg: built.cfg, data: built.data, levels: built.levels, mult: built.mult,
 			links: make([][][]int32, n), entry: -1, maxLevel: -1,
-			cost: built.cost, scorer: built.scorer, quantizer: built.quantizer, codes: built.codes,
+			scorer: built.scorer, quantizer: built.quantizer, codes: built.codes,
 		}
 		index.InsertBatched(n, 1,
 			func(i int, scr *index.SearchScratch) [][]int32 { return ref.planInsert(int32(i), scr) },

@@ -73,7 +73,6 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		ids:    ids,
 		levels: r.Ints(),
 		entry:  r.I32(),
-		cost:   index.DefaultCostModel(),
 		scorer: index.NewScorer(data, cfg.Metric),
 	}
 	ix.maxLevel = r.Int()

@@ -183,10 +183,10 @@ type SizeReporter interface {
 	StorageBytes() int64
 }
 
-// CostModel converts counted algorithmic work into virtual CPU time. Costs
-// are expressed in picoseconds because SIMD kernels spend well under a
-// nanosecond per dimension; the defaults approximate one core of the paper's
-// Xeon Silver 4416+.
+// CostModel converts a step's counted work into virtual CPU time; Price is
+// the only place that happens. Costs are expressed in picoseconds because
+// SIMD kernels spend well under a nanosecond per dimension; the defaults
+// approximate one core of the paper's Xeon Silver 4416+.
 type CostModel struct {
 	// DistFixedPs is the fixed overhead of one full-precision distance.
 	DistFixedPs int64
@@ -199,6 +199,9 @@ type CostModel struct {
 	PQPerSubPs int64
 	// HeapOpPs is the bookkeeping cost per candidate push/pop.
 	HeapOpPs int64
+	// CacheHitPs is the in-memory cost of serving one node-cache page (a
+	// DRAM copy plus lookup, far below a device read).
+	CacheHitPs int64
 }
 
 // DefaultCostModel is the calibration used by all experiments.
@@ -209,24 +212,34 @@ func DefaultCostModel() CostModel {
 		PQFixedPs:    20_000,
 		PQPerSubPs:   900,
 		HeapOpPs:     25_000,
+		CacheHitPs:   120_000,
 	}
 }
 
-// Dist returns the virtual time of n full-precision distance computations at
-// the given dimensionality.
-func (c CostModel) Dist(dim, n int) time.Duration {
-	return time.Duration((c.DistFixedPs + int64(dim)*c.DistPerDimPs) * int64(n) / 1000)
+// Price returns the virtual CPU time of one step: its counted work and its
+// node-cache hits, each kind truncated to whole nanoseconds on its own. It
+// takes pointers because the engine prices every replayed step: copying the
+// step and the model costs more than the arithmetic.
+//
+//annlint:hotpath
+func (c *CostModel) Price(s *Step) time.Duration {
+	w := &s.Work
+	dist := (c.DistFixedPs + int64(w.Dim)*c.DistPerDimPs) * int64(w.Dist) / 1000
+	adc := (c.PQFixedPs + int64(w.M)*c.PQPerSubPs) * int64(w.ADC) / 1000
+	return time.Duration(dist + adc + c.HeapOpPs*int64(w.Heap)/1000 + c.CacheHitPs*int64(s.CachePages)/1000)
 }
 
-// PQ returns the virtual time of n PQ distance computations with m
-// sub-quantizers.
-func (c CostModel) PQ(m, n int) time.Duration {
-	return time.Duration((c.PQFixedPs + int64(m)*c.PQPerSubPs) * int64(n) / 1000)
-}
-
-// Heap returns the virtual time of n heap operations.
-func (c CostModel) Heap(n int) time.Duration {
-	return time.Duration(c.HeapOpPs * int64(n) / 1000)
+// Work counts the compute of one step, priced only at replay by
+// CostModel.Price.
+type Work struct {
+	// Dist counts full-precision distances, each over Dim dimensions.
+	Dist int32
+	// ADC counts asymmetric PQ distances, each M table lookups.
+	ADC int32
+	// Heap counts candidate heap operations.
+	Heap int32
+	Dim  uint16
+	M    uint16
 }
 
 // Step is one stage of a query's execution: a CPU burst followed by a batch
@@ -235,17 +248,19 @@ func (c CostModel) Heap(n int) time.Duration {
 // parallel; cluster scans produce one step per probed cluster with the
 // posting's pages read as a single contiguous request.
 type Step struct {
-	CPU   time.Duration
+	// Work is the burst's counted compute; the replay engine prices it,
+	// with CachePages, when the burst starts.
+	Work  Work
 	Pages []int64
 	// Contiguous marks the page batch as one sequential multi-page read
 	// (a posting list) rather than parallel random reads (a beam).
 	Contiguous bool
 	// CachePages counts pages the node cache absorbed in this step: reads
-	// the search would have issued to the device but served from cache at
-	// hit cost (the hit cost is already folded into CPU). The replay
-	// engine reports them to the tracer so hit rates appear in run
-	// metrics without any device traffic.
-	CachePages int
+	// the search would have issued to the device but served from memory,
+	// priced per page into the burst. The replay engine reports them to
+	// the tracer so hit rates appear in run metrics without any device
+	// traffic.
+	CachePages int32
 	// Prefetch lists the speculative reads look-ahead issued alongside
 	// this step's demand I/O. The replay engine launches them
 	// asynchronously — they complete in the background while later steps
@@ -270,54 +285,58 @@ type PrefetchRun struct {
 // inside the simulation.
 type Profile struct {
 	Steps []Step
-	// pending accumulates CPU cost not yet flushed into a step.
-	pending time.Duration
-	// pendingCache accumulates node-cache page hits not yet flushed.
-	pendingCache int
-	// pendingPrefetch accumulates speculative reads not yet flushed.
-	pendingPrefetch []PrefetchRun
+	// pending accumulates the work, node-cache hits and prefetches not yet
+	// flushed into a step.
+	pending Step
 }
 
-// AddCPU accumulates compute time into the current (unflushed) step.
-func (p *Profile) AddCPU(d time.Duration) {
+// AddWork accumulates counted compute into the current (unflushed) step; a
+// non-zero Dim or M replaces the step's.
+func (p *Profile) AddWork(w Work) {
 	if p == nil {
 		return
 	}
-	p.pending += d
+	pw := &p.pending.Work
+	pw.Dist += w.Dist
+	pw.ADC += w.ADC
+	pw.Heap += w.Heap
+	if w.Dim != 0 {
+		pw.Dim = w.Dim
+	}
+	if w.M != 0 {
+		pw.M = w.M
+	}
 }
 
 // AddCacheHit accumulates node-cache page hits into the current (unflushed)
-// step; the caller charges the corresponding hit cost through AddCPU.
+// step; they are priced with its work.
 func (p *Profile) AddCacheHit(pages int) {
 	if p == nil {
 		return
 	}
-	p.pendingCache += pages
+	p.pending.CachePages += int32(pages)
 }
 
 // AddPrefetch accumulates one speculative read batch into the current
-// (unflushed) step; the pages are copied. Look-ahead charges no extra
-// record-time CPU — selecting prefetch targets rides on work the search
-// already does — which keeps CPU bursts byte-identical to the synchronous
-// profile.
+// (unflushed) step; the pages are copied. Look-ahead counts no extra work —
+// selecting prefetch targets rides on work the search already does — which
+// keeps CPU bursts byte-identical to the synchronous profile.
 func (p *Profile) AddPrefetch(run PrefetchRun) {
 	if p == nil || len(run.Pages) == 0 {
 		return
 	}
 	cp := make([]int64, len(run.Pages)) //annlint:allow hotalloc -- profiling copy, taken only when a recorder is attached; measurement runs accept it
 	copy(cp, run.Pages)
-	p.pendingPrefetch = append(p.pendingPrefetch, PrefetchRun{Pages: cp, Contiguous: run.Contiguous})
+	p.pending.Prefetch = append(p.pending.Prefetch, PrefetchRun{Pages: cp, Contiguous: run.Contiguous})
 }
 
-// flushStep appends one step carrying everything pending.
-func (p *Profile) flushStep(s Step) {
-	s.CPU = p.pending
-	s.CachePages = p.pendingCache
-	s.Prefetch = p.pendingPrefetch
+// flushStep appends one step carrying everything pending plus the given
+// page batch.
+func (p *Profile) flushStep(pages []int64, contiguous bool) {
+	s := p.pending
+	s.Pages, s.Contiguous = pages, contiguous
 	p.Steps = append(p.Steps, s)
-	p.pending = 0
-	p.pendingCache = 0
-	p.pendingPrefetch = nil
+	p.pending = Step{}
 }
 
 // AddIO flushes the pending compute plus the given parallel page batch as
@@ -328,7 +347,7 @@ func (p *Profile) AddIO(pages []int64) {
 	}
 	cp := make([]int64, len(pages)) //annlint:allow hotalloc -- profiling copy, taken only when a recorder is attached; measurement runs accept it
 	copy(cp, pages)
-	p.flushStep(Step{Pages: cp})
+	p.flushStep(cp, false)
 }
 
 // AddContiguousIO flushes the pending compute plus one sequential
@@ -339,7 +358,7 @@ func (p *Profile) AddContiguousIO(pages []int64) {
 	}
 	cp := make([]int64, len(pages)) //annlint:allow hotalloc -- profiling copy, taken only when a recorder is attached; measurement runs accept it
 	copy(cp, pages)
-	p.flushStep(Step{Pages: cp, Contiguous: true})
+	p.flushStep(cp, true)
 }
 
 // Flush closes the profile, emitting any pending compute, cache hits or
@@ -348,34 +367,8 @@ func (p *Profile) Flush() {
 	if p == nil {
 		return
 	}
-	if p.pending > 0 || p.pendingCache > 0 || len(p.pendingPrefetch) > 0 {
-		p.flushStep(Step{})
+	w := p.pending.Work
+	if w.Dist > 0 || w.ADC > 0 || w.Heap > 0 || p.pending.CachePages > 0 || len(p.pending.Prefetch) > 0 {
+		p.flushStep(nil, false)
 	}
-}
-
-// TotalCPU sums the compute time across steps.
-func (p *Profile) TotalCPU() time.Duration {
-	var d time.Duration
-	for _, s := range p.Steps {
-		d += s.CPU
-	}
-	return d + p.pending
-}
-
-// TotalPages counts the pages read across steps.
-func (p *Profile) TotalPages() int {
-	n := 0
-	for _, s := range p.Steps {
-		n += len(s.Pages)
-	}
-	return n
-}
-
-// TotalCachePages counts the pages the node cache absorbed across steps.
-func (p *Profile) TotalCachePages() int {
-	n := p.pendingCache
-	for _, s := range p.Steps {
-		n += s.CachePages
-	}
-	return n
 }

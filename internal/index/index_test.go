@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,51 +11,45 @@ import (
 
 func TestCostModelArithmetic(t *testing.T) {
 	c := DefaultCostModel()
-	one := c.Dist(768, 1)
+	one := c.Price(&Step{Work: Work{Dist: 1, Dim: 768}})
 	want := time.Duration((c.DistFixedPs + 768*c.DistPerDimPs) / 1000)
 	if one != want {
-		t.Errorf("Dist(768,1) = %v, want %v", one, want)
+		t.Errorf("one 768-d distance = %v, want %v", one, want)
 	}
 	if one < 200*time.Nanosecond || one > 300*time.Nanosecond {
 		t.Errorf("768-d distance costs %v, expected a few hundred ns", one)
 	}
-	if got := c.Dist(768, 1000); got < 999*one || got > 1001*one {
-		t.Errorf("Dist not ~linear in count: %v vs 1000×%v", got, one)
+	if got := c.Price(&Step{Work: Work{Dist: 1000, Dim: 768}}); got != 1000*one {
+		t.Errorf("price not linear in count: %v vs 1000×%v", got, one)
 	}
-	if c.PQ(96, 1) <= 0 || c.PQ(96, 2) < c.PQ(96, 1) {
-		t.Error("PQ cost not increasing")
-	}
-	if c.Heap(4) != 4*time.Duration(c.HeapOpPs)/1000 {
-		t.Error("Heap cost wrong")
+	// Each kind truncates on its own: 3 ADCs at m=96 are 319.2 ns, 2 heap
+	// ops 50 ns and 2 cache hits 240 ns.
+	s := Step{Work: Work{ADC: 3, Heap: 2, M: 96}, CachePages: 2}
+	if got := c.Price(&s); got != 319+50+240 {
+		t.Errorf("price of %+v = %v, want 609ns", s, got)
 	}
 }
 
 func TestProfileRecording(t *testing.T) {
 	var p Profile
-	p.AddCPU(100 * time.Nanosecond)
+	p.AddWork(Work{Dist: 3, Dim: 8})
+	p.AddWork(Work{Heap: 4})
+	p.AddCacheHit(2)
 	p.AddIO([]int64{1, 2})
-	p.AddCPU(50 * time.Nanosecond)
+	p.AddWork(Work{ADC: 5, M: 4})
 	p.Flush()
-	if len(p.Steps) != 2 {
-		t.Fatalf("steps = %d, want 2", len(p.Steps))
+	want := []Step{
+		{Work: Work{Dist: 3, Heap: 4, Dim: 8}, Pages: []int64{1, 2}, CachePages: 2},
+		{Work: Work{ADC: 5, M: 4}},
 	}
-	if p.Steps[0].CPU != 100*time.Nanosecond || len(p.Steps[0].Pages) != 2 {
-		t.Errorf("step 0 = %+v", p.Steps[0])
-	}
-	if p.Steps[1].CPU != 50*time.Nanosecond || len(p.Steps[1].Pages) != 0 {
-		t.Errorf("step 1 = %+v", p.Steps[1])
-	}
-	if p.TotalCPU() != 150*time.Nanosecond {
-		t.Errorf("total CPU = %v", p.TotalCPU())
-	}
-	if p.TotalPages() != 2 {
-		t.Errorf("total pages = %d", p.TotalPages())
+	if !reflect.DeepEqual(p.Steps, want) {
+		t.Errorf("steps = %+v, want %+v", p.Steps, want)
 	}
 }
 
 func TestProfileNilSafe(t *testing.T) {
 	var p *Profile
-	p.AddCPU(time.Nanosecond) // must not panic
+	p.AddWork(Work{Heap: 1}) // must not panic
 	p.AddIO([]int64{1})
 	p.Flush()
 }

@@ -55,8 +55,7 @@ type Index struct {
 	data      *vec.Matrix
 	ids       []int32
 	centroids *vec.Matrix
-	lists     [][]int32 // row indexes per cell
-	cost      index.CostModel
+	lists     [][]int32     // row indexes per cell
 	scorer    *index.Scorer // full-precision scoring (IVF_FLAT cell scans)
 
 	// PQ variant state.
@@ -89,7 +88,6 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		ids:       ids,
 		centroids: res.Centroids,
 		lists:     make([][]int32, res.Centroids.Len()),
-		cost:      index.DefaultCostModel(),
 		scorer:    index.NewScorer(data, cfg.Metric),
 	}
 	for row, c := range res.Assign {
@@ -198,7 +196,7 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	scr.Cells = index.Grow(scr.Cells, nc)
 	cells := kmeans.NearestN(ix.centroids, q, nprobe, scr.Dists, scr.Cells)
 	stats := index.Stats{DistComps: nc}
-	rec.AddCPU(ix.cost.Dist(ix.data.Dim, nc))
+	rec.AddWork(index.Work{Dist: int32(nc), Dim: uint16(ix.data.Dim)})
 
 	heap := &scr.Bounded
 	heap.Reset()
@@ -218,11 +216,12 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 // while each cell's I/O and CPU steps are still recorded cell by cell.
 func (ix *Index) scan(q []float32, k int, cells []int, opts index.SearchOptions, scr *index.SearchScratch, stats *index.Stats) {
 	rec := opts.Recorder
+	dim := uint16(ix.data.Dim)
 	m := 0
 	if ix.cfg.PQ {
 		scr.Table = ix.quantizer.BuildTableInto(q, scr.Table)
 		// Table construction scans all sub-space centroids once.
-		rec.AddCPU(ix.cost.Dist(ix.data.Dim, 256/4+1))
+		rec.AddWork(index.Work{Dist: 256/4 + 1, Dim: dim})
 		m = ix.quantizer.M()
 	}
 	scr.IDs = scr.IDs[:0]
@@ -239,11 +238,13 @@ func (ix *Index) scan(q []float32, k int, cells []int, opts index.SearchOptions,
 				scr.IDs = append(scr.IDs, row)
 			}
 		}
-		score := ix.cost.Dist(ix.data.Dim, len(list))
+		w := index.Work{Heap: int32(len(list))}
 		if ix.cfg.PQ {
-			score = ix.cost.PQ(m, len(list))
+			w.ADC, w.M = w.Heap, uint16(m)
+		} else {
+			w.Dist, w.Dim = w.Heap, dim
 		}
-		rec.AddCPU(score + ix.cost.Heap(len(list)))
+		rec.AddWork(w)
 	}
 	// cells aliases scr.Cells, not scr.Dists: the centroid distances are
 	// spent, so the buffer is free for the row distances.

@@ -77,10 +77,10 @@ func TestStatsAndProfile(t *testing.T) {
 	if res.Stats.DistComps <= ix.NList() {
 		t.Errorf("dist comps = %d, want more than centroid count %d", res.Stats.DistComps, ix.NList())
 	}
-	if p.TotalCPU() <= 0 {
-		t.Error("no CPU recorded")
+	if len(p.Steps) != 1 || p.Steps[0].Work.Dist <= 0 {
+		t.Fatalf("profile %+v, want one step of counted work", p.Steps)
 	}
-	if p.TotalPages() != 0 {
+	if p.Steps[0].Pages != nil {
 		t.Error("IVF_FLAT is memory-based but recorded I/O")
 	}
 }
@@ -99,7 +99,7 @@ func TestPQVariantIssuesIO(t *testing.T) {
 	})
 	var p index.Profile
 	res := ix.Search(ds.Queries.Row(0), 10, index.SearchOptions{NProbe: 4, Recorder: &p})
-	if res.Stats.PagesRead == 0 || p.TotalPages() == 0 {
+	if res.Stats.PagesRead == 0 || len(p.Steps) < 2 || len(p.Steps[1].Pages) == 0 {
 		t.Error("PQ variant issued no I/O")
 	}
 	if res.Stats.PQComps == 0 {

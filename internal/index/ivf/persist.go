@@ -80,7 +80,6 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		data:      data,
 		ids:       ids,
 		centroids: centroids,
-		cost:      index.DefaultCostModel(),
 		scorer:    index.NewScorer(data, cfg.Metric),
 	}
 	nlists := r.Int()

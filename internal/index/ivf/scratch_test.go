@@ -10,7 +10,7 @@ import (
 
 // legacySearch is the pre-SearchInto search, kept as the reference: scalar
 // vec.Distance per scanned row, a fresh heap and ADC table per query, and the
-// per-cell AddCPU/AddContiguousIO sequence the recorded profiles were built
+// per-cell AddWork/AddContiguousIO sequence the recorded profiles were built
 // from. Only the probe order comes from the shared kmeans.NearestN.
 func legacySearch(ix *Index, q []float32, k int, opts index.SearchOptions) index.Result {
 	nprobe := opts.NProbe
@@ -20,12 +20,13 @@ func legacySearch(ix *Index, q []float32, k int, opts index.SearchOptions) index
 	rec := opts.Recorder
 	cells := probeOrder(ix.centroids, q, nprobe)
 	stats := index.Stats{DistComps: ix.centroids.Len()}
-	rec.AddCPU(ix.cost.Dist(ix.data.Dim, ix.centroids.Len()))
+	dim := uint16(ix.data.Dim)
+	rec.AddWork(index.Work{Dist: int32(ix.centroids.Len()), Dim: dim})
 
 	var heap index.MaxHeap
 	if ix.cfg.PQ {
 		table := ix.quantizer.BuildTable(q)
-		rec.AddCPU(ix.cost.Dist(ix.data.Dim, 256/4+1))
+		rec.AddWork(index.Work{Dist: 256/4 + 1, Dim: dim})
 		m := ix.quantizer.M()
 		for _, c := range cells {
 			list := ix.lists[c]
@@ -42,7 +43,7 @@ func legacySearch(ix *Index, q []float32, k int, opts index.SearchOptions) index
 				stats.PQComps++
 				heap.PushBounded(index.Neighbor{ID: id, Dist: d}, k)
 			}
-			rec.AddCPU(ix.cost.PQ(m, len(list)) + ix.cost.Heap(len(list)))
+			rec.AddWork(index.Work{ADC: int32(len(list)), Heap: int32(len(list)), M: uint16(m)})
 		}
 	} else {
 		for _, c := range cells {
@@ -56,7 +57,7 @@ func legacySearch(ix *Index, q []float32, k int, opts index.SearchOptions) index
 				stats.DistComps++
 				heap.PushBounded(index.Neighbor{ID: id, Dist: d}, k)
 			}
-			rec.AddCPU(ix.cost.Dist(ix.data.Dim, len(list)) + ix.cost.Heap(len(list)))
+			rec.AddWork(index.Work{Dist: int32(len(list)), Heap: int32(len(list)), Dim: dim})
 		}
 	}
 	rec.Flush()

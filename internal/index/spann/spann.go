@@ -56,7 +56,6 @@ type Index struct {
 	postings  [][]int32   // rows per posting list
 	pages     [][]int64   // storage pages per posting list
 	replicas  int64       // total posting entries (≥ n)
-	cost      index.CostModel
 	scorer    *index.Scorer
 
 	// caches holds one posting cache per (policy, capacity) requested
@@ -95,7 +94,6 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		ids:       ids,
 		centroids: res.Centroids,
 		postings:  make([][]int32, res.Centroids.Len()),
-		cost:      index.DefaultCostModel(),
 		scorer:    index.NewScorer(data, cfg.Metric),
 	}
 	// Closure assignment with replication: join every centroid within
@@ -224,7 +222,7 @@ func (ix *Index) CacheWarmPostings(n int) []int32 {
 // warmCache installs the warm posting set of a new static cache (the
 // nodecache.Set warm hook; SPANN has one id space, so the space is unused).
 func (ix *Index) warmCache(_ string, c *nodecache.Cache) {
-	c.Warm(ix.CacheWarmPostings(c.Capacity()), func(p int32) int { return len(ix.pages[p]) })
+	c.Warm(ix.CacheWarmPostings(c.Capacity()))
 }
 
 // CacheSnapshot reports the counters of the posting cache the options
@@ -280,7 +278,7 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 	// j's demand read — they complete in the background while probe j's
 	// vectors are scanned. nextPF tracks the first posting not yet
 	// considered for prefetch; selection only peeks at the cache (Contains)
-	// and charges no CPU, keeping the demand execution byte-identical to
+	// and counts no work, keeping the demand execution byte-identical to
 	// LookAhead==0.
 	la := opts.LookAhead
 	var inFlight *index.EpochSet
@@ -312,10 +310,9 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 		list := ix.postings[c]
 		if ix.pages != nil && len(ix.pages[c]) > 0 {
 			if cache != nil && cache.Touch(c, len(ix.pages[c])) {
-				// Cached posting: charge the in-memory hit cost
-				// instead of the contiguous device read.
+				// Cached posting: an in-memory hit instead of the
+				// contiguous device read.
 				stats.CachePages += len(ix.pages[c])
-				rec.AddCPU(cache.HitCost(len(ix.pages[c])))
 				rec.AddCacheHit(len(ix.pages[c]))
 			} else {
 				if la > 0 && inFlight.Contains(c) {
@@ -351,7 +348,7 @@ func (ix *Index) SearchInto(q []float32, k int, opts index.SearchOptions, dst *i
 			stats.DistComps++
 			heap.PushBounded(index.Neighbor{ID: ix.extID(row), Dist: dists[i]}, k)
 		}
-		rec.AddCPU(ix.cost.Dist(ix.data.Dim, len(list)) + ix.cost.Heap(len(list)))
+		rec.AddWork(index.Work{Dist: int32(len(list)), Heap: int32(len(list)), Dim: uint16(ix.data.Dim)})
 	}
 	rec.Flush()
 	scr.Neighbors = heap.DrainAscending(scr.Neighbors[:0])

@@ -119,9 +119,3 @@ func Utilization(busyStart, busyEnd Duration, window Duration, cores int) float6
 	}
 	return float64(busyEnd-busyStart) / (float64(window) * float64(cores))
 }
-
-// InUse returns the number of cores currently occupied.
-func (c *CPU) InUse() int { return int(c.sem.Held()) }
-
-// QueueLen returns the number of bursts waiting for a core.
-func (c *CPU) QueueLen() int { return c.sem.QueueLen() }

@@ -36,7 +36,7 @@ func FuzzLRUVsModel(f *testing.F) {
 					t.Fatalf("op %d: Touch(%d) = %v, model %v", i, node, got, want)
 				}
 			case 1: // warm one node (no counter traffic)
-				c.Warm([]int32{node}, func(int32) int { return 1 })
+				c.Warm([]int32{node})
 				m.warm([]int32{node})
 			case 2: // drop
 				c.Drop()
@@ -65,7 +65,7 @@ func FuzzStaticVsModel(f *testing.F) {
 		for i, b := range warmBytes {
 			warm[i] = universe[int(b)%len(universe)]
 		}
-		c.Warm(warm, func(int32) int { return 1 })
+		c.Warm(warm)
 		m.warm(warm)
 		resident := c.Len()
 		for i, b := range touches {
@@ -97,7 +97,7 @@ func FuzzDeterministicReplay(f *testing.F) {
 				case 0:
 					c.Touch(node, 1+int(ops[i+1]%3))
 				case 1:
-					c.Warm([]int32{node}, func(int32) int { return 1 })
+					c.Warm([]int32{node})
 				case 2:
 					c.Drop()
 				}

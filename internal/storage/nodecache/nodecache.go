@@ -7,8 +7,9 @@
 // time, the node cache works in *index units* — a DiskANN graph node or page
 // group, or a SPANN posting list — and is consulted by the index itself
 // during search, before any page request is recorded. A hit removes
-// the node's pages from the recorded I/O and charges a small in-memory hit
-// cost instead; a miss records the device pages as before.
+// the node's pages from the recorded I/O and records them as cache pages,
+// which replay prices at a small in-memory cost per page; a miss records the
+// device pages as before.
 //
 // Two replacement policies are provided, mirroring the deployed systems:
 //
@@ -33,9 +34,6 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-	"time"
-
-	"svdbench/internal/sim"
 )
 
 // Policy is a node replacement policy.
@@ -63,10 +61,6 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// DefaultHitCost is the in-memory cost of serving one cached page (a
-// DRAM-resident 4 KiB copy).
-const DefaultHitCost = 120 * time.Nanosecond
-
 // Config parameterises a cache.
 type Config struct {
 	// Capacity is the maximum resident node count. It must be positive:
@@ -75,9 +69,6 @@ type Config struct {
 	Capacity int
 	// Policy selects replacement ("" means PolicyLRU).
 	Policy Policy
-	// HitCostPerPage is the virtual time one cached page costs to serve
-	// (default DefaultHitCost).
-	HitCostPerPage sim.Duration
 	// PageSize converts saved pages to saved bytes (default 4096).
 	PageSize int
 	// Seed is recorded for provenance so any future sampled policy is
@@ -93,19 +84,13 @@ type Cache struct {
 	mu  sync.Mutex
 	cfg Config
 
-	lru   *list.List // front = most recently used; values are entry
+	lru   *list.List // front = most recently used; values are node ids
 	index map[int32]*list.Element
 
 	hits       int64
 	misses     int64
 	evictions  int64
 	bytesSaved int64
-}
-
-// entry is one resident node and its page footprint.
-type entry struct {
-	node  int32
-	pages int
 }
 
 // New creates a cache. It panics on a non-positive capacity or an unknown
@@ -120,9 +105,6 @@ func New(cfg Config) *Cache {
 		panic(err.Error())
 	}
 	cfg.Policy = p
-	if cfg.HitCostPerPage <= 0 {
-		cfg.HitCostPerPage = DefaultHitCost
-	}
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 4096
 	}
@@ -139,11 +121,6 @@ func (c *Cache) Policy() Policy { return c.cfg.Policy }
 
 // Capacity returns the maximum resident node count.
 func (c *Cache) Capacity() int { return c.cfg.Capacity }
-
-// HitCost returns the virtual time serving pages cached pages costs.
-func (c *Cache) HitCost(pages int) sim.Duration {
-	return c.cfg.HitCostPerPage * sim.Duration(pages)
-}
 
 // Touch is the search-time access path: it reports whether node is resident,
 // counting a hit or a miss. On a hit the node's recency is refreshed (LRU)
@@ -164,7 +141,7 @@ func (c *Cache) Touch(node int32, pages int) bool {
 	}
 	c.misses++
 	if c.cfg.Policy == PolicyLRU {
-		c.admit(node, pages)
+		c.admit(node)
 	}
 	return false
 }
@@ -179,25 +156,25 @@ func (c *Cache) Contains(node int32) bool {
 
 // admit inserts a node, evicting from the LRU tail when over capacity.
 // Callers hold c.mu.
-func (c *Cache) admit(node int32, pages int) {
+func (c *Cache) admit(node int32) {
 	if el, ok := c.index[node]; ok {
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.index[node] = c.lru.PushFront(entry{node: node, pages: pages}) //annlint:allow hotalloc -- LRU admission allocates its list entry once per miss; the modeled device read dominates that cost
+	c.index[node] = c.lru.PushFront(node) //annlint:allow hotalloc -- LRU admission allocates its list entry once per miss; the modeled device read dominates that cost
 	for c.lru.Len() > c.cfg.Capacity {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
-		delete(c.index, oldest.Value.(entry).node)
+		delete(c.index, oldest.Value.(int32))
 		c.evictions++
 	}
 }
 
 // Warm marks nodes resident without touching hit/miss counters, in order:
-// the first node given is the last to be evicted under LRU. pages reports
-// each node's page footprint. Nodes beyond capacity are ignored, so a
-// static cache holds exactly its first Capacity warm nodes.
-func (c *Cache) Warm(nodes []int32, pages func(node int32) int) {
+// the first node given is the last to be evicted under LRU. Nodes beyond
+// capacity are ignored, so a static cache holds exactly its first Capacity
+// warm nodes.
+func (c *Cache) Warm(nodes []int32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range nodes {
@@ -207,7 +184,7 @@ func (c *Cache) Warm(nodes []int32, pages func(node int32) int) {
 		if c.lru.Len() >= c.cfg.Capacity {
 			continue
 		}
-		c.index[n] = c.lru.PushBack(entry{node: n, pages: pages(n)}) //annlint:allow hotalloc -- warm set is installed once at cache construction, before any query runs
+		c.index[n] = c.lru.PushBack(n) //annlint:allow hotalloc -- warm set is installed once at cache construction, before any query runs
 	}
 }
 
@@ -225,17 +202,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
-}
-
-// ResidentPages sums the page footprint of the resident set.
-func (c *Cache) ResidentPages() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		total += el.Value.(entry).pages
-	}
-	return total
 }
 
 // Snapshot is a copy of the cache's counters and occupancy at one instant.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -42,7 +41,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestStaticWarmHitsAndNeverAdmits(t *testing.T) {
 	c := New(Config{Capacity: 2, Policy: PolicyStatic})
-	c.Warm([]int32{10, 20, 30}, func(int32) int { return 2 }) // 30 is over capacity
+	c.Warm([]int32{10, 20, 30}) // 30 is over capacity
 	if c.Len() != 2 || !c.Contains(10) || !c.Contains(20) || c.Contains(30) {
 		t.Fatalf("warm set wrong: len=%d", c.Len())
 	}
@@ -96,26 +95,6 @@ func TestDropKeepsCounters(t *testing.T) {
 	s := c.Snapshot()
 	if s.Hits != 1 || s.Misses != 2 {
 		t.Errorf("counters not kept across drop: %v", s)
-	}
-}
-
-func TestHitCost(t *testing.T) {
-	def := New(Config{Capacity: 1})
-	if got := def.HitCost(3); got != 3*DefaultHitCost {
-		t.Errorf("default hit cost = %v, want %v", got, 3*DefaultHitCost)
-	}
-	custom := New(Config{Capacity: 1, HitCostPerPage: time.Microsecond})
-	if got := custom.HitCost(2); got != 2*time.Microsecond {
-		t.Errorf("custom hit cost = %v, want 2µs", got)
-	}
-}
-
-func TestResidentPages(t *testing.T) {
-	c := New(Config{Capacity: 4, Policy: PolicyLRU})
-	c.Touch(1, 2)
-	c.Touch(2, 3)
-	if got := c.ResidentPages(); got != 5 {
-		t.Errorf("resident pages = %d, want 5", got)
 	}
 }
 
@@ -256,7 +235,7 @@ func TestPropertyStaticMatchesModel(t *testing.T) {
 				universe[i] = int32(i)
 			}
 			warm := universe[:capacity+2] // over-long: truncated at capacity
-			c.Warm(warm, func(int32) int { return 1 })
+			c.Warm(warm)
 			m.warm(warm)
 			for step := 0; step < 300; step++ {
 				n := universe[r.Intn(len(universe))]

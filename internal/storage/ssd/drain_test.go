@@ -8,14 +8,15 @@ import (
 
 // checkDrained asserts what must hold of a device (and its batcher, if any)
 // once the kernel has run dry at virtual time end: no process alive and no
-// wake-up pending, nothing outstanding, every traced request retired, no unit
-// busy past the final clock, every joint and read job back in its pool and
-// idle, and the batcher's queues empty with both of its timers idle.
+// wake-up pending, nothing outstanding, no fio job looping, every traced
+// request retired, no unit busy past the final clock, every joint and read
+// job back in its pool and idle, and the batcher's queues empty with both of
+// its timers idle.
 func checkDrained(t *testing.T, d *Device, b *Batcher, end sim.Time) {
 	t.Helper()
-	if d.k.Live() != 0 || d.k.Pending() != 0 || d.outstanding != 0 {
-		t.Errorf("drained device has %d live processes, %d pending wake-ups, %d outstanding requests",
-			d.k.Live(), d.k.Pending(), d.outstanding)
+	if d.k.Live() != 0 || d.k.Pending() != 0 || d.outstanding != 0 || d.looping != 0 {
+		t.Errorf("drained device has %d live processes, %d pending wake-ups, %d outstanding requests, %d fio jobs looping",
+			d.k.Live(), d.k.Pending(), d.outstanding, d.looping)
 	}
 	if d.tracer != nil {
 		reads, writes := d.Stats()

@@ -223,3 +223,85 @@ func TestBeamTieOrderDiffers(t *testing.T) {
 		t.Errorf("last completion differs: per-request %v, coalesced %v", dev[0], bat[1])
 	}
 }
+
+// TestJobsMatchProcessLoop: Jobs' timer loops take the (at, seq) slots of the
+// fio processes they replaced — per-job latencies in completion order, device
+// counters and CPU busy time agree for every Table I point and for reads
+// sharing the device with writes. Each mix is compared at two deadlines: a
+// round one, and the instant of a completion, where a job must stop exactly
+// as the process loop's `now < deadline` does.
+func TestJobsMatchProcessLoop(t *testing.T) {
+	type mix struct{ cores, reads, writes, bytes int }
+	mixes := []mix{{2, 8, 4, 128 << 10}, {1, 3, 3, 4096}}
+	for _, c := range TableI {
+		mixes = append(mixes, mix{c.Cores, c.Jobs, 0, c.Bytes})
+	}
+	var deadline sim.Time
+	var completions []sim.Time
+	run := func(m mix, procs bool) string {
+		completions = completions[:0]
+		k := sim.NewKernel()
+		cpu := sim.NewCPU(k, m.cores)
+		d := New(k, cpu, DefaultConfig())
+		var lats []string
+		done := func(op string) func(sim.Duration) {
+			return func(lat sim.Duration) {
+				lats = append(lats, fmt.Sprintf("%s%d@%d", op, lat, k.Now()))
+				completions = append(completions, k.Now())
+			}
+		}
+		for _, j := range []struct {
+			n     int
+			write bool
+			op    string
+		}{{m.reads, false, "r"}, {m.writes, true, "w"}} {
+			if !procs {
+				d.Jobs(j.n, m.bytes, j.write, deadline, done(j.op))
+				continue
+			}
+			op := trace.Read
+			if j.write {
+				op = trace.Write
+			}
+			report := done(j.op)
+			for i := 0; i < j.n; i++ {
+				k.Spawn("job", func(e *sim.Env) {
+					for e.Now() < deadline {
+						start := e.Now()
+						d.request(e, op, m.bytes)
+						report(e.Now().Sub(start))
+					}
+				})
+			}
+		}
+		end := k.RunAll()
+		checkDrained(t, d, nil, end)
+		reads, writes := d.Stats()
+		return fmt.Sprintf("end=%v reads=%d writes=%d busy=%v lats=%s", end, reads, writes, cpu.BusyTime(), strings.Join(lats, " "))
+	}
+	for _, m := range mixes {
+		deadline = sim.Time(2 * time.Millisecond)
+		run(m, false)
+		for _, deadline = range []sim.Time{deadline, completions[len(completions)/2]} {
+			if procs, timers := run(m, true), run(m, false); timers != procs {
+				t.Errorf("%+v deadline %v: timer jobs diverge from processes:\n  processes %.300s\n  timers    %.300s", m, deadline, procs, timers)
+			}
+		}
+	}
+}
+
+// TestJobsReportUnfinished: a job still looping when the kernel stops is
+// check's error, not a silently short count.
+func TestJobsReportUnfinished(t *testing.T) {
+	k := sim.NewKernel()
+	d := New(k, sim.NewCPU(k, 1), DefaultConfig())
+	check := d.Jobs(4, 4096, false, sim.Time(time.Millisecond), func(sim.Duration) {})
+	k.Run(sim.Time(time.Millisecond / 2))
+	if err := check(); err == nil || !strings.Contains(err.Error(), "4 fio jobs unfinished") {
+		t.Errorf("check mid-run = %v, want 4 unfinished jobs", err)
+	}
+	k.RunAll()
+	if err := check(); err != nil {
+		t.Errorf("check after the run: %v", err)
+	}
+}

@@ -110,6 +110,7 @@ type Device struct {
 	retired     [2]int64                   // requests completed, by op
 	outstanding int                        // requests submitted and not yet completed
 	jobs        []*readJob                 // asynchronous per-request read pool
+	looping     int                        // Jobs' closed loops not yet finished
 	joints      []*joint                   // completion count-down pool
 	made        struct{ jobs, joints int } // pooled objects ever created (drain check)
 }
@@ -198,24 +199,29 @@ var TableI = []Calibration{
 	{"128KiB seqread, 32 threads", 20, 32, 128 * 1024, "7.2 GiB/s"},
 }
 
-// Jobs spawns n closed-loop raw-device jobs, fio-style: each issues one
+// Jobs starts n closed-loop raw-device jobs, fio-style: each issues one
 // request of the given size at a time (a write if write is set, else a read)
 // until the clock reaches deadline, and reports every request's latency to
-// done, including those that complete after the deadline. The caller runs
-// the kernel.
-func (d *Device) Jobs(n, bytes int, write bool, deadline sim.Time, done func(lat sim.Duration)) {
-	op := trace.Read
+// done, including those that complete after the deadline. Each job is a
+// timer serving its requests through Serve. The caller runs the kernel, then
+// calls check, which returns an error if a job is still unfinished: the
+// simulation wedged.
+func (d *Device) Jobs(n, bytes int, write bool, deadline sim.Time, done func(lat sim.Duration)) (check func() error) {
+	req := ReadRequest(bytes)
 	if write {
-		op = trace.Write
+		req = WriteRequest(bytes)
 	}
-	for i := 0; i < n; i++ {
-		d.k.Spawn("job", func(e *sim.Env) {
-			for e.Now() < deadline {
-				start := e.Now()
-				d.request(e, op, bytes)
-				done(e.Now().Sub(start))
-			}
-		})
+	for i := 0; i < n && d.k.Now() < deadline; i++ {
+		f := &fioJob{d: d, req: req, start: d.k.Now(), deadline: deadline, done: done}
+		f.t = sim.NewTimer(f)
+		d.looping++
+		d.k.WakeAt(f.t, d.k.Now())
+	}
+	return func() error {
+		if d.looping > 0 {
+			return fmt.Errorf("ssd: %d fio jobs unfinished at t=%v", d.looping, d.k.Now())
+		}
+		return nil
 	}
 }
 
@@ -353,6 +359,29 @@ func (d *Device) Serve(t *sim.Timer, r *Request) bool {
 	r.flash = true
 	d.done[r.op].WakeAt(t, d.submit(d.k.Now(), r.op, r.bytes))
 	return false
+}
+
+// fioJob is one of Jobs' closed loops: a timer serving one request at a
+// time, the one it started at start, until the clock reaches deadline. It
+// lives for the whole run, so unlike a readJob it is not pooled.
+type fioJob struct {
+	d               *Device
+	t               *sim.Timer
+	req             Request
+	start, deadline sim.Time
+	done            func(lat sim.Duration)
+}
+
+func (f *fioJob) Wake() {
+	d := f.d
+	for d.Serve(f.t, &f.req) {
+		f.done(d.k.Now().Sub(f.start))
+		if d.k.Now() >= f.deadline {
+			d.looping--
+			return
+		}
+		f.start = d.k.Now()
+	}
 }
 
 // readJob is one asynchronous per-request read. It cannot be computed at the

@@ -16,8 +16,11 @@ func calibrate(t *testing.T, cores, njobs, reqBytes int, dur sim.Duration) (iops
 	k := sim.NewKernel()
 	dev := New(k, sim.NewCPU(k, cores), DefaultConfig())
 	var ops int64
-	dev.Jobs(njobs, reqBytes, false, sim.Time(dur), func(sim.Duration) { ops++ })
+	check := dev.Jobs(njobs, reqBytes, false, sim.Time(dur), func(sim.Duration) { ops++ })
 	checkDrained(t, dev, nil, k.RunAll())
+	if err := check(); err != nil {
+		t.Fatal(err)
+	}
 	secs := dur.Seconds()
 	return float64(ops) / secs, float64(ops) * float64(reqBytes) / (1 << 20) / secs
 }

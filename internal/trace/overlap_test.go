@@ -26,9 +26,8 @@ func TestCacheHitsAppearInTimeline(t *testing.T) {
 	if tl[1].ReadBytes != 0 || tl[1].CacheBytes != 4096 {
 		t.Errorf("bucket 1 = read %d cache %d, want 0/4096", tl[1].ReadBytes, tl[1].CacheBytes)
 	}
-	pages, bytes := tr.CacheTotals()
-	if pages != 3 || bytes != 12288 {
-		t.Errorf("cache totals = (%d, %d), want (3, 12288)", pages, bytes)
+	if s := tr.Summarize(time.Second); s.CacheHits != 3 || s.CacheBytes != 12288 {
+		t.Errorf("summary cache = (%d, %d), want (3, 12288)", s.CacheHits, s.CacheBytes)
 	}
 }
 

@@ -240,11 +240,6 @@ func (t *Tracer) FinishAt(at sim.Time) {
 	t.advance(at)
 }
 
-// CacheTotals reports the node-cache pages and bytes absorbed so far.
-func (t *Tracer) CacheTotals() (pages, bytes int64) {
-	return t.cacheHits, t.cacheByte
-}
-
 // Totals reports aggregate operation counts and bytes.
 func (t *Tracer) Totals() (readOps, writeOps, readBytes, writeBytes int64) {
 	return t.readOps, t.writeOps, t.readByte, t.writeByte

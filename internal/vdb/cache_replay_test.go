@@ -21,8 +21,8 @@ func TestReplayEmitsCacheHits(t *testing.T) {
 	h.dev.Attach(tr)
 	pageSize := h.dev.Config().PageSize
 	qe := &QueryExec{Segments: [][]index.Step{{
-		{CPU: time.Microsecond, Pages: []int64{1, 2}, CachePages: 3},
-		{CPU: time.Microsecond, CachePages: 2},
+		{Work: burn(time.Microsecond), Pages: []int64{1, 2}, CachePages: 3},
+		{Work: burn(time.Microsecond), CachePages: 2},
 	}}}
 	h.query(0, qe, func(err error, _ sim.Duration) {
 		if err != nil {
@@ -30,17 +30,13 @@ func TestReplayEmitsCacheHits(t *testing.T) {
 		}
 	})
 	h.run(t)
-	hits, bytes := tr.CacheTotals()
-	if hits != 5 || bytes != int64(5*pageSize) {
-		t.Errorf("cache totals = (%d, %d), want (5, %d)", hits, bytes, 5*pageSize)
-	}
 	readOps, _, readBytes, _ := tr.Totals()
 	if readOps != 2 || readBytes != int64(2*pageSize) {
 		t.Errorf("device totals = (%d, %d), want 2 page reads", readOps, readBytes)
 	}
 	sum := tr.Summarize(time.Second)
-	if sum.CacheHits != 5 {
-		t.Errorf("summary cache hits = %d, want 5", sum.CacheHits)
+	if sum.CacheHits != 5 || sum.CacheBytes != int64(5*pageSize) {
+		t.Errorf("summary cache = (%d, %d), want (5, %d)", sum.CacheHits, sum.CacheBytes, 5*pageSize)
 	}
 	wantRate := float64(5) / float64(7)
 	if diff := sum.CacheHitRate - wantRate; diff > 1e-12 || diff < -1e-12 {
@@ -147,7 +143,7 @@ func TestRecordQueriesDeterministicWithLRUCache(t *testing.T) {
 	for _, qe := range execs1 {
 		for _, seg := range qe.Segments {
 			for _, s := range seg {
-				cached += s.CachePages
+				cached += int(s.CachePages)
 			}
 		}
 	}

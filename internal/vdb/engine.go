@@ -21,8 +21,9 @@ type Engine struct {
 	k       *sim.Kernel
 	cpu     *sim.CPU
 	dev     *ssd.Device
-	rd      reader // submission policy: the device per request, or a coalescing Batcher
-	batched bool   // rd is a Batcher
+	rd      reader          // submission policy: the device per request, or a coalescing Batcher
+	batched bool            // rd is a Batcher
+	cost    index.CostModel // prices each recorded step's burst
 
 	sched      *sim.Semaphore // admission (nil = unbounded)
 	readSlots  *sim.Semaphore // segment-worker cap (nil = unbounded)
@@ -43,7 +44,7 @@ type Engine struct {
 // NewEngine binds a trait profile to a simulation, its CPU, and the storage
 // device queries read from.
 func NewEngine(k *sim.Kernel, cpu *sim.CPU, dev *ssd.Device, traits Traits) *Engine {
-	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev}
+	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev, cost: index.DefaultCostModel()}
 	if traits.MaxConcurrent > 0 {
 		e.sched = sim.NewSemaphore(k, traits.Name+"/sched", int64(traits.MaxConcurrent))
 	}
@@ -452,10 +453,10 @@ func (c *segTask) Wake() {
 // burns its CPU on a core, then submits its demand page batch (beam
 // semantics) and, behind it, the speculative reads look-ahead recorded —
 // demand transfers keep their place ahead of speculative ones on the bus —
-// and parks until the demand completes. Node-cache hits recorded in a step
-// were already charged as CPU at record time; here they are only reported to
-// the tracer so run metrics can show hit rates alongside the device traffic
-// they displaced.
+// and parks until the demand completes. The burst is the step's counted work
+// and node-cache hits, priced by the engine's cost model as it starts; the
+// hits are also reported to the tracer so run metrics can show hit rates
+// alongside the device traffic they displaced.
 //
 // Prefetches are the replay half of look-ahead: each PrefetchRun is read in
 // the background while subsequent steps burn CPU, with a completion event
@@ -492,7 +493,7 @@ func (e *Engine) replay(t *sim.Timer, r *segReplay) bool {
 		s := &r.steps[r.i]
 		switch r.phase {
 		case stepCPU:
-			if !e.cpu.Burn(t, &r.cpu, s.CPU, e.k) {
+			if !e.cpu.Burn(t, &r.cpu, e.cost.Price(s), e.k) {
 				return false
 			}
 			e.submit(r, s)
@@ -544,8 +545,8 @@ func (e *Engine) replay(t *sim.Timer, r *segReplay) bool {
 // wait r parks in next.
 func (e *Engine) submit(r *segReplay, s *index.Step) {
 	pageSize := e.dev.Config().PageSize
-	if s.CachePages > 0 {
-		e.dev.Tracer().EmitCacheHit(e.k.Now(), s.CachePages, s.CachePages*pageSize)
+	if n := int(s.CachePages); n > 0 {
+		e.dev.Tracer().EmitCacheHit(e.k.Now(), n, n*pageSize)
 	}
 	if len(s.Prefetch) > 0 && r.scr == nil {
 		r.scr = e.allocScratch()

@@ -97,9 +97,9 @@ func (e *Engine) RunQuery(env *sim.Env, qe *QueryExec) error {
 // on a core, then submits its demand page batch (beam semantics) and, behind
 // it, the speculative reads look-ahead recorded — demand transfers keep their
 // place ahead of speculative ones on the bus — and parks until the demand
-// completes. Node-cache hits recorded in a step were already charged as CPU
-// at record time; here they are only reported to the tracer so run metrics
-// can show hit rates alongside the device traffic they displaced.
+// completes. Node-cache hits recorded in a step are priced into its burst and
+// also reported to the tracer, so run metrics can show hit rates alongside
+// the device traffic they displaced.
 //
 // Prefetches are the replay half of look-ahead: each PrefetchRun is read in
 // the background while subsequent steps burn CPU, with a completion event
@@ -111,11 +111,11 @@ func (e *Engine) replaySteps(env *sim.Env, steps []index.Step) {
 	pageSize := e.dev.Config().PageSize
 	var scr *replayScratch // lazily borrowed: only prefetching queries pay
 	for _, s := range steps {
-		if s.CPU > 0 {
-			e.cpu.Use(env, s.CPU)
+		if d := e.cost.Price(&s); d > 0 {
+			e.cpu.Use(env, d)
 		}
-		if s.CachePages > 0 {
-			e.dev.Tracer().EmitCacheHit(env.Now(), s.CachePages, s.CachePages*pageSize)
+		if n := int(s.CachePages); n > 0 {
+			e.dev.Tracer().EmitCacheHit(env.Now(), n, n*pageSize)
 		}
 		if len(s.Prefetch) > 0 && scr == nil {
 			scr = e.allocScratch()

@@ -44,11 +44,11 @@ func runTimed(t *testing.T, qe *QueryExec, coalesce bool) (sim.Duration, *trace.
 func pipelinedExec() *QueryExec {
 	return &QueryExec{Segments: [][]index.Step{{
 		{
-			CPU:      200 * time.Microsecond,
+			Work:     burn(200 * time.Microsecond),
 			Pages:    []int64{0, 1},
 			Prefetch: []index.PrefetchRun{{Pages: []int64{10, 11}}},
 		},
-		{CPU: 200 * time.Microsecond, Pages: []int64{10, 11}},
+		{Work: burn(200 * time.Microsecond), Pages: []int64{10, 11}},
 	}}}
 }
 
@@ -93,8 +93,8 @@ func TestReplayPrefetchJoinWaitsForResidual(t *testing.T) {
 	// Tiny CPU burst: the hop-2 demand arrives long before the ~100µs read
 	// completes, so the join path (Wait on an unfired event) is exercised.
 	qe := &QueryExec{Segments: [][]index.Step{{
-		{CPU: time.Microsecond, Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
-		{CPU: time.Microsecond, Pages: []int64{10}},
+		{Work: burn(time.Microsecond), Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
+		{Work: burn(time.Microsecond), Pages: []int64{10}},
 	}}}
 	eachPolicy(t, func(t *testing.T, coalesce bool) {
 		base, baseTr := runTimed(t, stripPrefetch(qe), coalesce)
@@ -115,12 +115,12 @@ func TestReplayPrefetchJoinWaitsForResidual(t *testing.T) {
 func TestReplayContiguousPrefetchJoin(t *testing.T) {
 	qe := &QueryExec{Segments: [][]index.Step{{
 		{
-			CPU:        100 * time.Microsecond,
+			Work:       burn(100 * time.Microsecond),
 			Pages:      []int64{0, 1, 2, 3},
 			Contiguous: true,
 			Prefetch:   []index.PrefetchRun{{Pages: []int64{8, 9, 10, 11}, Contiguous: true}},
 		},
-		{CPU: 100 * time.Microsecond, Pages: []int64{8, 9, 10, 11}, Contiguous: true},
+		{Work: burn(100 * time.Microsecond), Pages: []int64{8, 9, 10, 11}, Contiguous: true},
 	}}}
 	eachPolicy(t, func(t *testing.T, coalesce bool) {
 		base, baseTr := runTimed(t, stripPrefetch(qe), coalesce)
@@ -142,9 +142,9 @@ func TestReplayContiguousPrefetchJoin(t *testing.T) {
 // 100µs of CPU — rather than the earlier one, which landed long before.
 func TestReplayRepeatedPrefetchJoinsLatest(t *testing.T) {
 	qe := &QueryExec{Segments: [][]index.Step{{
-		{CPU: time.Microsecond, Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
-		{CPU: 100 * time.Microsecond, Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
-		{CPU: time.Microsecond, Pages: []int64{10}},
+		{Work: burn(time.Microsecond), Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
+		{Work: burn(100 * time.Microsecond), Prefetch: []index.PrefetchRun{{Pages: []int64{10}}}},
+		{Work: burn(time.Microsecond), Pages: []int64{10}},
 	}}}
 	eachPolicy(t, func(t *testing.T, coalesce bool) {
 		elapsed, tr := runTimed(t, qe, coalesce)
@@ -163,7 +163,7 @@ func TestReplayRepeatedPrefetchJoinsLatest(t *testing.T) {
 // blocking query completion.
 func TestReplayUnusedPrefetchCostsBandwidthNotLatency(t *testing.T) {
 	qe := &QueryExec{Segments: [][]index.Step{{
-		{CPU: 50 * time.Microsecond, Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{99}}}},
+		{Work: burn(50 * time.Microsecond), Pages: []int64{0}, Prefetch: []index.PrefetchRun{{Pages: []int64{99}}}},
 	}}}
 	eachPolicy(t, func(t *testing.T, coalesce bool) {
 		base, _ := runTimed(t, stripPrefetch(qe), coalesce)

@@ -43,9 +43,9 @@ func syntheticExecs() []QueryExec {
 					runs[i][j] = first + int64(j)
 				}
 			}
-			steps := []index.Step{{CPU: us(30, 40), Prefetch: []index.PrefetchRun{{Pages: runs[0], Contiguous: true}}}}
+			steps := []index.Step{{Work: burn(us(30, 40)), Prefetch: []index.PrefetchRun{{Pages: runs[0], Contiguous: true}}}}
 			for i, run := range runs {
-				s := index.Step{CPU: us(10, 60), Pages: run, Contiguous: true}
+				s := index.Step{Work: burn(us(10, 60)), Pages: run, Contiguous: true}
 				if i+1 < len(runs) {
 					s.Prefetch = []index.PrefetchRun{{Pages: runs[i+1], Contiguous: true}}
 				}
@@ -64,7 +64,7 @@ func syntheticExecs() []QueryExec {
 			}
 			var steps []index.Step
 			for i, hop := range hops {
-				s := index.Step{CPU: us(5, 50), Pages: hop, CachePages: r.Intn(3)}
+				s := index.Step{Work: burn(us(5, 50)), Pages: hop, CachePages: int32(r.Intn(3))}
 				if i+1 < len(hops) {
 					next := hops[i+1]
 					guess := append([]int64{page()}, next[:1+r.Intn(len(next))]...)
@@ -92,6 +92,7 @@ func replayLine(t *testing.T, tr Traits, execs []QueryExec, clients, writers int
 	dev.Attach(tracer)
 	cpu.SetBusyNotify(tracer.SetCPUBusy)
 	eng := NewEngine(k, cpu, dev, tr)
+	eng.cost = testCost
 	if coalesce {
 		eng.SetBatcher(ssd.NewBatcher(dev))
 	}

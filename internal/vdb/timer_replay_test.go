@@ -77,10 +77,10 @@ func fuzzExecs(b *fuzzBytes) []QueryExec {
 			for i := range steps {
 				shape := b.next()
 				s := index.Step{
-					CPU:        time.Duration(b.next()%64) * time.Microsecond,
+					Work:       burn(time.Duration(b.next()%64) * time.Microsecond),
 					Pages:      pages(shape % 5),
 					Contiguous: shape&8 != 0,
-					CachePages: (shape >> 4) % 3,
+					CachePages: int32(shape>>4) % 3,
 				}
 				for pf := shape >> 6; pf > 0; pf-- {
 					run := b.next()

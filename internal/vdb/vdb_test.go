@@ -229,11 +229,21 @@ type engineHarness struct {
 	eng *Engine
 }
 
+// testCost prices one heap operation at 1 ns and all other work, node-cache
+// hits included, at nothing, so a synthetic step's burst is its heap count
+// in nanoseconds: the engines replaying synthetic steps price them with it.
+var testCost = index.CostModel{HeapOpPs: 1000}
+
+// burn is the work of a synthetic step whose burst under testCost is d.
+func burn(d time.Duration) index.Work { return index.Work{Heap: int32(d)} }
+
 func newEngineHarness(tr Traits) *engineHarness {
 	k := sim.NewKernel()
 	cpu := sim.NewCPU(k, 20)
 	dev := ssd.New(k, cpu, ssd.DefaultConfig())
-	return &engineHarness{k: k, cpu: cpu, dev: dev, eng: NewEngine(k, cpu, dev, tr)}
+	eng := NewEngine(k, cpu, dev, tr)
+	eng.cost = testCost
+	return &engineHarness{k: k, cpu: cpu, dev: dev, eng: eng}
 }
 
 // run drains the harness's kernel, checks the engine's drain invariants and
@@ -301,7 +311,7 @@ func (c *harnessClient) finish() {
 }
 
 func cpuOnlyExec(d time.Duration) *QueryExec {
-	return &QueryExec{Segments: [][]index.Step{{{CPU: d}}}}
+	return &QueryExec{Segments: [][]index.Step{{{Work: burn(d)}}}}
 }
 
 func TestEngineRunQueryBasicTiming(t *testing.T) {
@@ -350,7 +360,7 @@ func TestIntraQueryParallelFansOut(t *testing.T) {
 	mkExec := func() *QueryExec {
 		segs := make([][]index.Step, 4)
 		for i := range segs {
-			segs[i] = []index.Step{{CPU: time.Millisecond}}
+			segs[i] = []index.Step{{Work: burn(time.Millisecond)}}
 		}
 		return &QueryExec{Segments: segs}
 	}
@@ -375,7 +385,7 @@ func TestMaxReadConcurrentCapsFanOut(t *testing.T) {
 	h := newEngineHarness(tr)
 	segs := make([][]index.Step, 4)
 	for i := range segs {
-		segs[i] = []index.Step{{CPU: time.Millisecond}}
+		segs[i] = []index.Step{{Work: burn(time.Millisecond)}}
 	}
 	var elapsed sim.Duration
 	h.query(0, &QueryExec{Segments: segs}, func(_ error, lat sim.Duration) { elapsed = lat })
@@ -444,8 +454,8 @@ func TestStorageQueryIssuesIO(t *testing.T) {
 	tr := Milvus()
 	h := newEngineHarness(tr)
 	exec := &QueryExec{Segments: [][]index.Step{{
-		{CPU: 10 * time.Microsecond, Pages: []int64{0, 1, 2, 3}},
-		{CPU: 10 * time.Microsecond, Pages: []int64{4, 5}},
+		{Work: burn(10 * time.Microsecond), Pages: []int64{0, 1, 2, 3}},
+		{Work: burn(10 * time.Microsecond), Pages: []int64{4, 5}},
 	}}}
 	h.query(0, exec, nil)
 	h.run(t)

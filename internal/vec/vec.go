@@ -3,8 +3,9 @@
 // and normalisation, plus batch variants (batch.go) that score one query
 // against many rows per call — SSE assembly on amd64, interleaved pure Go
 // elsewhere, bit-identical to the scalar path either way (see kernels.go for
-// the reduction-order contract). The simulated CPU cost model (internal/sim)
-// charges virtual time per dimension independently of the host's real speed.
+// the reduction-order contract). The simulated CPU cost model
+// (index.CostModel) prices virtual time per dimension independently of the
+// host's real speed.
 package vec
 
 import (
