@@ -20,9 +20,11 @@ test:
 # non-amd64 build runs and no amd64 test run compiles. `test-purego` selects
 # it with the purego build tag and runs the kernel property tests, the PQ
 # table and batch ADC differential tests, the SQ kernel differential test,
-# the neighbour selection contract and differential tests, the HNSW and
-# DiskANN build goldens, IVF's search against its scalar reference and
-# kmeans.Nearest's zero-allocation test;
+# the lane kernels against L2Sq and the scalar argmin, the neighbour
+# selection contract and differential tests, the HNSW, DiskANN and IVF build
+# goldens, IVF's search against its scalar reference, k-means seeding and
+# assignment against their references and kmeans.Nearest's zero-allocation
+# test;
 # `cross` compiles the whole tree for arm64 and vets the kernel packages
 # there (both work offline).
 test-purego:
@@ -110,8 +112,9 @@ quick-diff:
 # index snapshot decoders, the saved-collection loader over them, the .ds
 # dataset decoder, the binenc Reader every snapshot decoder reads through,
 # the sim kernel's lanes against its event heap, the engine's timer
-# replay against its process reference and the HNSW build's re-prune memo
-# against a from-scratch reference build (the seeded corpora
+# replay against its process reference, the HNSW build's re-prune memo
+# against a from-scratch reference build and the k-means lane kernel's
+# argmin against the scalar first-minimum scan (the seeded corpora
 # already run as part of every plain `go test`); each target gets a brief
 # budget so CI exercises the mutation engine without open-ended runs.
 # Minimising a newly covering input is capped too: on multi-kilobyte
@@ -132,3 +135,4 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzLaneOrder ./internal/sim
 	$(FUZZ) -fuzz=FuzzTimerReplay ./internal/vdb
 	$(FUZZ) -fuzz=FuzzRepruneMemo ./internal/index/hnsw
+	$(FUZZ) -fuzz=FuzzNearest ./internal/index/kmeans

@@ -109,10 +109,7 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		cfg.PageSize = 4096
 	}
 	if cfg.PQM <= 0 {
-		cfg.PQM = data.Dim / 8
-		if cfg.PQM == 0 {
-			cfg.PQM = 1
-		}
+		cfg.PQM = pq.DefaultM(data.Dim)
 	}
 	for data.Dim%cfg.PQM != 0 {
 		cfg.PQM--

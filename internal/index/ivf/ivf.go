@@ -33,7 +33,7 @@ type Config struct {
 	// Seed drives k-means.
 	Seed int64
 	// PQ enables the product-quantised storage variant with PQM
-	// sub-quantizers (dim/8 when zero).
+	// sub-quantizers (pq.DefaultM when zero).
 	PQ  bool
 	PQM int
 	// PageSize is the storage page size for the PQ variant (4096 when
@@ -96,7 +96,7 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	if cfg.PQ {
 		m := cfg.PQM
 		if m <= 0 {
-			m = data.Dim / 8
+			m = pq.DefaultM(data.Dim)
 		}
 		q, err := pq.Train(data, m, cfg.Seed+1)
 		if err != nil {

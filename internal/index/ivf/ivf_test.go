@@ -1,10 +1,13 @@
 package ivf
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"svdbench/internal/dataset"
 	"svdbench/internal/index"
+	"svdbench/internal/index/pq"
 	"svdbench/internal/vec"
 )
 
@@ -172,5 +175,32 @@ func TestNProbeDefaultsToOne(t *testing.T) {
 	res := ix.Search(ds.Queries.Row(0), 5, index.SearchOptions{})
 	if len(res.IDs) == 0 {
 		t.Error("nprobe=0 returned nothing")
+	}
+}
+
+// TestPQBuildsAtDimsDiskANNAccepts: the default m is pq.DefaultM, the rule
+// DiskANN uses, so IVF_PQ builds wherever DiskANN does — including dims that
+// dim/8 does not divide, whose sub-vectors (10, 6 and 4 floats here) end in
+// a d%4 tail — and probing every cell finds a query's own row first.
+func TestPQBuildsAtDimsDiskANNAccepts(t *testing.T) {
+	for _, dim := range []int{4, 6, 50, 100, 300} {
+		ds := dataset.Generate(dataset.Spec{
+			Name: fmt.Sprintf("ivf-pq-dim-%d", dim), N: 300, Dim: dim, NumQueries: 1,
+			Clusters: 8, Seed: 3, Metric: vec.L2, GroundK: 1,
+		})
+		ix, err := Build(ds.Vectors, nil, Config{Metric: vec.L2, Seed: 1, PQ: true})
+		if err != nil {
+			t.Fatalf("dim %d: %v", dim, err)
+		}
+		if want := pq.DefaultM(dim); ix.quantizer.M() != want {
+			t.Errorf("dim %d: m = %d, want %d", dim, ix.quantizer.M(), want)
+		}
+		res := ix.Search(ds.Vectors.Row(17), 10, index.SearchOptions{NProbe: ix.NList()})
+		if len(res.IDs) != 10 {
+			t.Fatalf("dim %d: %d results, want 10", dim, len(res.IDs))
+		}
+		if !slices.Contains(res.IDs, 17) {
+			t.Errorf("dim %d: row 17 missing from its own top 10 %v", dim, res.IDs)
+		}
 	}
 }

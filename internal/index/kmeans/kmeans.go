@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 
 	"svdbench/internal/vec"
@@ -58,10 +59,11 @@ func Run(data *vec.Matrix, cfg Config) Result {
 	centroids := seedPlusPlus(data, cfg.K, r)
 	assign := make([]int32, n)
 	sizes := make([]int, cfg.K)
+	var block []float32
 
 	iters := 0
 	for ; iters < cfg.MaxIter; iters++ {
-		assignAll(data, centroids, assign)
+		block = assignAll(data, centroids, block, assign)
 		// Recompute centroids.
 		next := vec.NewMatrix(cfg.K, dim)
 		for i := range sizes {
@@ -89,7 +91,7 @@ func Run(data *vec.Matrix, cfg Config) Result {
 			break
 		}
 	}
-	assignAll(data, centroids, assign)
+	assignAll(data, centroids, block, assign)
 	for i := range sizes {
 		sizes[i] = 0
 	}
@@ -99,89 +101,68 @@ func Run(data *vec.Matrix, cfg Config) Result {
 	return Result{Centroids: centroids, Assign: assign, Sizes: sizes, Iters: iters}
 }
 
-// seedPlusPlus picks initial centroids with the k-means++ D² weighting. The
-// data-wide distance sweeps run through the batch kernel (data rows are
-// contiguous); L2Sq is argument-order-exact, so the picks are unchanged.
+// seedPlusPlus picks initial centroids with the k-means++ D² weighting. Each
+// pick is one pass over the data, packed once as a lane block: the new
+// centroid's distance to every row (L2Sq is argument-order-exact), the
+// min-update of d2 and the running float64 sum of d2 in row order, kept as a
+// prefix. The next pick is the first row whose prefix reaches x: the same
+// additions in the same order as summing d2 and then scanning it, and the
+// prefix never decreases, so a binary search finds the scan's row.
 func seedPlusPlus(data *vec.Matrix, k int, r *rand.Rand) *vec.Matrix {
-	n := data.Len()
-	centroids := vec.NewMatrix(k, data.Dim)
-	first := r.Intn(n)
-	copy(centroids.Row(0), data.Row(first))
-	d2 := make([]float64, n)
-	sweep := func(c int, min bool) {
-		var buf [scoreChunk]float32
-		raw := data.Raw()
-		dim := data.Dim
-		cv := centroids.Row(c)
-		for lo := 0; lo < n; lo += scoreChunk {
-			cn := n - lo
-			if cn > scoreChunk {
-				cn = scoreChunk
-			}
-			vec.L2SqBatch(cv, raw[lo*dim:(lo+cn)*dim], buf[:cn])
-			for i := 0; i < cn; i++ {
-				if d := float64(buf[i]); !min || d < d2[lo+i] {
-					d2[lo+i] = d
-				}
-			}
-		}
-	}
-	sweep(0, false)
+	n, dim := data.Len(), data.Dim
+	centroids := vec.NewMatrix(k, dim)
+	copy(centroids.Row(0), data.Row(r.Intn(n)))
+	block := vec.PackLanes(nil, data.Raw(), dim)
+	dist, d2 := make([]float32, n), make([]float32, n)
+	prefix := make([]float64, n)
 	for c := 1; c < k; c++ {
+		vec.L2SqLaneBatch(centroids.Row(c-1), block, dist)
 		var sum float64
-		for _, d := range d2 {
-			sum += d
+		for i, d := range dist {
+			if c == 1 || d < d2[i] {
+				d2[i] = d
+			}
+			sum += float64(d2[i])
+			prefix[i] = sum
 		}
 		var pick int
 		if sum <= 0 {
 			pick = r.Intn(n)
 		} else {
-			x := r.Float64() * sum
-			acc := 0.0
-			pick = n - 1
-			for i, d := range d2 {
-				acc += d
-				if acc >= x {
-					pick = i
-					break
-				}
-			}
+			pick = min(sort.SearchFloat64s(prefix, r.Float64()*sum), n-1)
 		}
 		copy(centroids.Row(c), data.Row(pick))
-		sweep(c, true)
 	}
 	return centroids
 }
 
 // assignAll writes the nearest centroid of every row into assign, in
-// parallel.
-func assignAll(data, centroids *vec.Matrix, assign []int32) {
-	n := data.Len()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// parallel, through a lane block of the centroids packed into block's
+// storage, which it returns for the next call.
+func assignAll(data, centroids *vec.Matrix, block []float32, assign []int32) []float32 {
+	block = vec.PackLanes(block, centroids.Raw(), centroids.Dim)
+	k := centroids.Len()
+	Parallel(data.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			assign[i] = int32(vec.NearestLane(data.Row(i), block, k))
+		}
+	})
+	return block
+}
+
+// Parallel runs f over contiguous chunks of [0, n) on up to GOMAXPROCS
+// goroutines and waits for them. Construction runs on real cores: it is
+// preprocessing, not simulated work.
+func Parallel(n int, f func(lo, hi int)) {
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				assign[i] = int32(Nearest(centroids, data.Row(i)))
-			}
-		}(lo, hi)
+			f(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }

@@ -2,8 +2,10 @@ package pq
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -268,5 +270,73 @@ func BenchmarkDistanceRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		table.DistanceRows(codes, quant.M(), rows, out)
+	}
+}
+
+func TestDefaultM(t *testing.T) {
+	for dim, want := range map[int]int{1: 1, 4: 1, 6: 1, 8: 1, 16: 2, 50: 5, 100: 10, 300: 30, 768: 96, 1536: 192, 37: 1} {
+		if got := DefaultM(dim); got != want {
+			t.Errorf("DefaultM(%d) = %d, want %d", dim, got, want)
+		}
+	}
+}
+
+// TestEncodeAllMatchesEncode: the sub-space-major lane-block encoder writes
+// the byte Encode's row-major scan picks, at sub-dims with and without a
+// d%4 tail, with fewer than 256 centroids per sub-space, on rows with exact
+// ties, and at any GOMAXPROCS.
+func TestEncodeAllMatchesEncode(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, shape := range []struct{ n, dim, m int }{{300, 64, 8}, {200, 40, 4}, {90, 30, 5}} {
+		data := randMatrix(shape.n, shape.dim, 3)
+		for i := 1; i < shape.n; i += 7 {
+			data.SetRow(i, data.Row(i-1))
+		}
+		quant, err := Train(data, shape.m, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 5} {
+			runtime.GOMAXPROCS(procs)
+			codes := quant.EncodeAll(data)
+			for i := 0; i < shape.n; i++ {
+				if want := quant.Encode(data.Row(i)); !bytes.Equal(codes[i*shape.m:(i+1)*shape.m], want) {
+					t.Fatalf("n=%d dim=%d m=%d procs=%d: row %d coded %v, Encode %v", shape.n, shape.dim, shape.m, procs, i, codes[i*shape.m:(i+1)*shape.m], want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTrain and BenchmarkEncodeAll are PQ construction at DiskANN's
+// 768-d shape (96 sub-spaces of 8 dims), on the tiny grid's 200 rows and on
+// ten times that.
+func BenchmarkTrain(b *testing.B) {
+	for _, n := range []int{200, 2000} {
+		data := randMatrix(n, 768, 1)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(data, 96, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkEncodeAll(b *testing.B) {
+	for _, n := range []int{200, 2000} {
+		data := randMatrix(n, 768, 1)
+		quant, err := Train(data, 96, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				quant.EncodeAll(data)
+			}
+		})
 	}
 }

@@ -15,6 +15,8 @@
 // stable across kernel changes.
 package vec
 
+import "math"
+
 // dotGo is the portable dot product. Dimensions that are a multiple of 8
 // (every common embedding dim: 96, 128, 384, 768, 1536) take the 8-way
 // unrolled kernel; everything else takes the 4-way loop with a scalar tail.
@@ -276,4 +278,50 @@ func l2sqRowsGo(q, rows, out []float32) {
 			rows[b:b+d:b+d], rows[b+d:b+2*d:b+2*d],
 			rows[b+2*d:b+3*d:b+3*d], rows[b+3*d:b+4*d:b+4*d])
 	}
+}
+
+// l2sqLaneRowsGo is the portable L2SqLaneBatch over whole groups (len(out)
+// is a multiple of four): l2sqGo's accumulators and expression shapes per
+// lane, reading the lane's values at stride four.
+func l2sqLaneRowsGo(x, block, out []float32) {
+	d := len(x)
+	for i := range out {
+		g := block[i/4*4*d:][:4*d]
+		l := i % 4
+		var s0, s1, s2, s3 float32
+		j := 0
+		for ; j+4 <= d; j += 4 {
+			d0 := x[j] - g[4*j+l]
+			d1 := x[j+1] - g[4*j+4+l]
+			d2 := x[j+2] - g[4*j+8+l]
+			d3 := x[j+3] - g[4*j+12+l]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		s := s0 + s1 + s2 + s3
+		for ; j < d; j++ {
+			t := x[j] - g[4*j+l]
+			s += t * t
+		}
+		out[i] = s
+	}
+}
+
+// nearestLaneGo is the portable NearestLane: the lane distances of each
+// group, then the scalar first-minimum scan over the real rows.
+func nearestLaneGo(x, block []float32, k int) int {
+	d := len(x)
+	best, bestD := 0, float32(math.Inf(1))
+	var t [4]float32
+	for lo := 0; lo < k; lo += 4 {
+		l2sqLaneRowsGo(x, block[lo*d:(lo+4)*d], t[:])
+		for l, v := range t[:min(4, k-lo)] {
+			if v < bestD {
+				best, bestD = lo+l, v
+			}
+		}
+	}
+	return best
 }

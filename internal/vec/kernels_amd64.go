@@ -155,3 +155,53 @@ func l2sqLanes(x, block, out []float32) {
 	_ = block[len(out)*d-1]
 	l2sqLanesSSE(&x[0], &block[0], &out[0], d, len(out)/4)
 }
+
+// l2sqLaneRowsSSE writes the eight lane distances of each pair of groups;
+// nearestLaneSSE keeps each lane's first minimum over the groups and its
+// row, for firstMin to fold. Both run one pair body (kernels_amd64.s) and
+// need d >= 1.
+//
+//go:noescape
+func l2sqLaneRowsSSE(x, block, out *float32, d, pairs int)
+
+//go:noescape
+func nearestLaneSSE(x, block *float32, d, pairs int, best *float32, idx *int32)
+
+// l2sqLaneRows scores the len(out)/8 whole pairs of groups of block.
+func l2sqLaneRows(x, block, out []float32) {
+	d := len(x)
+	if d == 0 || len(out) == 0 {
+		l2sqLaneRowsGo(x, block, out)
+		return
+	}
+	_ = block[len(out)*d-1]
+	l2sqLaneRowsSSE(&x[0], &block[0], &out[0], d, len(out)/8)
+}
+
+// nearestLane scans the (k+7)/8 pairs of groups of block, whose padding
+// lanes repeat row k-1 and so lose every tie to it.
+func nearestLane(x, block []float32, k int) int {
+	d := len(x)
+	if d == 0 {
+		return nearestLaneGo(x, block, k)
+	}
+	var best [4]float32
+	var idx [4]int32
+	pairs := (k + 7) / 8
+	_ = block[pairs*8*d-1]
+	nearestLaneSSE(&x[0], &block[0], d, pairs, &best[0], &idx[0])
+	return firstMin(best, idx)
+}
+
+// firstMin folds the per-lane minima of a nearest-lane scan: each lane holds
+// its own first minimum (value and row), so the smallest value wins and a
+// tie goes to the lower row. Lanes that found nothing hold (+Inf, 0).
+func firstMin(best [4]float32, idx [4]int32) int {
+	bi, bd := idx[0], best[0]
+	for l := 1; l < 4; l++ {
+		if best[l] < bd || (best[l] == bd && idx[l] < bi) {
+			bi, bd = idx[l], best[l]
+		}
+	}
+	return int(bi)
+}

@@ -260,3 +260,161 @@ lanes:
 
 done:
 	RET
+
+// Lane kernels under the L2Sq contract (batch.go, "lane block"): lane i of
+// a group is row i, so each of the four scalar accumulators s0..s3 becomes
+// one register holding that accumulator for all four rows, and the scalar
+// reduction ((s0+s1)+s2)+s3 is three lane-wise adds, no transpose. The d%4
+// remainder is folded in after the reduction, one dimension at a time, as in
+// the scalar kernel. Every packed operation takes the scalar step's operands
+// in the scalar order, so each lane ends bit-identical to L2Sq(x, row). The
+// kernels run two groups per pass (a lane block holds whole pairs): each
+// broadcast of x[j] serves both, and their eight accumulator chains
+// interleave.
+
+// One dimension of LANES_PAIR: acc += (x[j] − row[j])² for the four rows of
+// the group at BX (into a) and of the group at R13 (into b), where k selects
+// x[j]'s lane of X14 and off the dimension's 16 bytes from R10.
+#define LANE_DIM(k, off, a, b) \
+	PSHUFD k, X14, X8;          \
+	MOVAPS X8, X9;              \
+	SUBPS  off(BX)(R10*1), X8;  \
+	SUBPS  off(R13)(R10*1), X9; \
+	MULPS  X8, X8;              \
+	MULPS  X9, X9;              \
+	ADDPS  X8, a;               \
+	ADDPS  X9, b
+
+// LANES_PAIR leaves the four distances of the group at BX in X0, those of
+// the next group in X4, and advances BX past both. AX = x, R8 = 16·d, R11 =
+// 16·(d&^3) (the byte lengths of a group and of its whole quads); clobbers
+// R10, R12, R13, X1..X3, X5..X9 and X14.
+#define LANES_PAIR(loop, sum, rem, end) \
+	XORPS  X0, X0;            \
+	XORPS  X1, X1;            \
+	XORPS  X2, X2;            \
+	XORPS  X3, X3;            \
+	XORPS  X4, X4;            \
+	XORPS  X5, X5;            \
+	XORPS  X6, X6;            \
+	XORPS  X7, X7;            \
+	XORQ   R10, R10;          \
+	MOVQ   AX, R12;           \
+	LEAQ   (BX)(R8*1), R13;   \
+	CMPQ   R10, R11;          \
+	JGE    sum;               \
+loop:                         \
+	MOVUPS (R12), X14;        \
+	LANE_DIM($0x00, 0, X0, X4);  \
+	LANE_DIM($0x55, 16, X1, X5); \
+	LANE_DIM($0xAA, 32, X2, X6); \
+	LANE_DIM($0xFF, 48, X3, X7); \
+	ADDQ   $16, R12;          \
+	ADDQ   $64, R10;          \
+	CMPQ   R10, R11;          \
+	JLT    loop;              \
+sum:                          \
+	ADDPS  X1, X0;            \
+	ADDPS  X2, X0;            \
+	ADDPS  X3, X0;            \
+	ADDPS  X5, X4;            \
+	ADDPS  X6, X4;            \
+	ADDPS  X7, X4;            \
+rem:                          \
+	CMPQ   R10, R8;           \
+	JGE    end;               \
+	MOVSS  (R12), X14;        \
+	LANE_DIM($0x00, 0, X0, X4);  \
+	ADDQ   $4, R12;           \
+	ADDQ   $16, R10;          \
+	JMP    rem;               \
+end:                          \
+	LEAQ   (R13)(R8*1), BX
+
+// func l2sqLaneRowsSSE(x, block, out *float32, d, pairs int)
+//
+// DI = out, R9 = pairs left.
+TEXT ·l2sqLaneRowsSSE(SB), NOSPLIT, $0-40
+	MOVQ  x+0(FP), AX
+	MOVQ  block+8(FP), BX
+	MOVQ  out+16(FP), DI
+	MOVQ  d+24(FP), R8
+	MOVQ  pairs+32(FP), R9
+	MOVQ  R8, R11
+	ANDQ  $~3, R11
+	SHLQ  $4, R8
+	SHLQ  $4, R11
+	TESTQ R9, R9
+	JZ    done
+
+pair:
+	LANES_PAIR(dims, sum, rem, next)
+	MOVUPS X0, (DI)
+	MOVUPS X4, 16(DI)
+	ADDQ   $32, DI
+	DECQ   R9
+	JNZ    pair
+
+done:
+	RET
+
+// NEAREST_UPDATE folds one group's distances (in dist) into the per-lane
+// first minima: X10 = best distance (from +Inf), X11 = its row (from 0),
+// X12 = the group's rows, X13 = four 4s. A lane takes the distance only
+// where it is strictly less (CMPPS lt is false on NaN): MINPS keeps the old
+// value on ties and NaN, and the same mask selects the row.
+#define NEAREST_UPDATE(dist) \
+	MOVAPS dist, X8;     \
+	CMPPS  X10, X8, $1;  \
+	MINPS  X10, dist;    \
+	MOVAPS dist, X10;    \
+	MOVAPS X8, X9;       \
+	ANDPS  X12, X9;      \
+	ANDNPS X11, X8;      \
+	ORPS   X9, X8;       \
+	MOVAPS X8, X11;      \
+	PADDL  X13, X12
+
+// func nearestLaneSSE(x, block *float32, d, pairs int, best *float32, idx *int32)
+//
+// Per lane, the scalar scan's first-minimum rule over the lane's rows in
+// ascending order. R9 = pairs left.
+TEXT ·nearestLaneSSE(SB), NOSPLIT, $0-48
+	MOVQ   x+0(FP), AX
+	MOVQ   block+8(FP), BX
+	MOVQ   d+16(FP), R8
+	MOVQ   pairs+24(FP), R9
+	MOVQ   R8, R11
+	ANDQ   $~3, R11
+	SHLQ   $4, R8
+	SHLQ   $4, R11
+	MOVQ   $0x7f800000, CX
+	MOVQ   CX, X10
+	PSHUFD $0x00, X10, X10
+	PXOR   X11, X11
+	MOVUPS laneRows<>(SB), X12
+	MOVQ   $4, CX
+	MOVQ   CX, X13
+	PSHUFD $0x00, X13, X13
+	TESTQ  R9, R9
+	JZ     done
+
+pair:
+	LANES_PAIR(dims, sum, rem, next)
+	NEAREST_UPDATE(X0)
+	NEAREST_UPDATE(X4)
+	DECQ   R9
+	JNZ    pair
+
+done:
+	MOVQ   best+32(FP), DI
+	MOVUPS X10, (DI)
+	MOVQ   idx+40(FP), DI
+	MOVUPS X11, (DI)
+	RET
+
+DATA laneRows<>+0(SB)/4, $0
+DATA laneRows<>+4(SB)/4, $1
+DATA laneRows<>+8(SB)/4, $2
+DATA laneRows<>+12(SB)/4, $3
+GLOBL laneRows<>(SB), RODATA|NOPTR, $16

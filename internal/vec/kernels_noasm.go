@@ -19,3 +19,7 @@ func sqL2SqBatch(x, lo, step []float32, codes []byte, ids []int32, out []float32
 }
 
 func l2sqLanes(x, block, out []float32) { l2sqLanesGo(x, block, out) }
+
+func l2sqLaneRows(x, block, out []float32) { l2sqLaneRowsGo(x, block, out) }
+
+func nearestLane(x, block []float32, k int) int { return nearestLaneGo(x, block, k) }
