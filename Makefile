@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego cross race vet lint check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
+.PHONY: all build test test-purego test-widths cross race vet lint check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
 
 all: build
 
@@ -29,6 +29,13 @@ test:
 # there (both work offline).
 test-purego:
 	$(GO) test -tags purego ./internal/vec ./internal/index ./internal/index/pq ./internal/index/sq ./internal/index/hnsw ./internal/index/diskann ./internal/index/ivf ./internal/index/kmeans
+
+# A lone query fans its segments out over GOMAXPROCS workers; a batch query
+# does not. `test-widths` runs the single-query tests under the race
+# detector at GOMAXPROCS 1, 2 and 4, three times each, so the fan-out, the
+# scratch hand-off and the width-1 loop are each audited.
+test-widths:
+	$(GO) test -race -cpu 1,2,4 -count=3 -run 'FanOut|ConcurrentSearch|SingleQuery|SearchAllocations' ./internal/vdb
 
 cross:
 	GOARCH=arm64 $(GO) build ./...

@@ -34,7 +34,10 @@ type SearchOptions struct {
 	// storage per search iteration.
 	BeamWidth int
 	// Filter restricts results to ids for which it returns true (nil
-	// means no filtering). Implements the filtered-search extension.
+	// means no filtering). Implements the filtered-search extension. It
+	// may be called from several goroutines at once: a batch runs its
+	// queries on several workers, and a collection's single query
+	// searches its segments on several.
 	Filter func(id int32) bool
 	// NodeCacheNodes is the capacity, in nodes, of the index-aware node
 	// cache storage-based indexes (DiskANN, SPANN) consult before issuing

@@ -61,12 +61,14 @@ type SearchScratch struct {
 	Nav Result
 	// Cells receives IVF's probe order (closest cell first).
 	Cells []int
-	// Merged and Unit belong to the layer above the indexes: a collection's
-	// single-query search merges each unit's result (Unit, rewritten per
-	// unit) into its cross-unit top-k (Merged). Index searches never touch
-	// them, so they survive the per-unit SearchInto calls sharing the scratch.
+	// Merged and Units belong to the layer above the indexes: a collection's
+	// single-query search writes each unit's result into its own slot of
+	// Units (one slot per unit, whichever worker searched it) and merges the
+	// slots in unit order into its cross-unit top-k (Merged). Index searches
+	// never touch them, so they survive the per-unit SearchInto calls
+	// sharing the scratch.
 	Merged MaxHeap
-	Unit   Result
+	Units  []Result
 }
 
 // NewSearchScratch returns an empty scratch; buffers grow on first use and

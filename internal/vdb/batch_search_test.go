@@ -30,7 +30,7 @@ func TestSearchBatchMatchesSequentialProperty(t *testing.T) {
 	}
 	inputs := []struct {
 		name  string
-		build func(*testing.T) (*Collection, *dataset.Dataset)
+		build func(testing.TB) (*Collection, *dataset.Dataset)
 	}{
 		{"monolithic", lruCollection},
 		{"segmented", segmentedCollection},

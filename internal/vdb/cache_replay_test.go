@@ -62,7 +62,7 @@ func TestReplayCacheHitsWithoutTracer(t *testing.T) {
 
 // lruCollection builds a small monolithic DiskANN collection with storage
 // assigned, ready for cached recording.
-func lruCollection(t *testing.T) (*Collection, *dataset.Dataset) {
+func lruCollection(t testing.TB) (*Collection, *dataset.Dataset) {
 	t.Helper()
 	ds := testDataset(t, 300)
 	traits := Milvus()
@@ -82,7 +82,7 @@ func lruCollection(t *testing.T) (*Collection, *dataset.Dataset) {
 // segmentedCollection is lruCollection's data split into three DiskANN
 // segments, each with its own node caches, plus a growing tail: a search
 // visits four units.
-func segmentedCollection(t *testing.T) (*Collection, *dataset.Dataset) {
+func segmentedCollection(t testing.TB) (*Collection, *dataset.Dataset) {
 	t.Helper()
 	ds := testDataset(t, 300)
 	traits := Milvus()

@@ -3,6 +3,7 @@ package vdb
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -42,13 +43,16 @@ type Collection struct {
 	// Insert appends to and every search scans as the last unit.
 	grow *flat.Index
 
-	tombstones map[int32]bool
-	payloads   map[int32]Payload
-	nextID     int32
+	// dead is the tombstone bitset over assigned ids, ndead its set bits.
+	dead     []uint64
+	ndead    int
+	payloads map[int32]Payload
+	nextID   int32
 
-	// scratch is the one search workspace the collection retains for
-	// single-query searches that bring none (see runOne).
-	scratch atomic.Pointer[index.SearchScratch]
+	// scratch holds the search workspaces the collection retains for
+	// single queries: slot 0 for a query that brings none, slot h for its
+	// fan-out helper h (see runOne). GOMAXPROCS slots at NewCollection.
+	scratch []atomic.Pointer[index.SearchScratch]
 }
 
 // NewCollection creates an empty collection for the engine's traits.
@@ -61,15 +65,15 @@ func NewCollection(name string, dim int, metric vec.Metric, traits Traits, kind 
 		return nil, fmt.Errorf("%w: invalid dimension %d", ErrBadParams, dim)
 	}
 	return &Collection{
-		Name:       name,
-		dim:        dim,
-		metric:     metric,
-		traits:     traits,
-		kind:       kind,
-		params:     params,
-		grow:       flat.New(vec.NewMatrix(0, dim), metric, []int32{}),
-		tombstones: map[int32]bool{},
-		payloads:   map[int32]Payload{},
+		Name:     name,
+		dim:      dim,
+		metric:   metric,
+		traits:   traits,
+		kind:     kind,
+		params:   params,
+		grow:     flat.New(vec.NewMatrix(0, dim), metric, []int32{}),
+		payloads: map[int32]Payload{},
+		scratch:  make([]atomic.Pointer[index.SearchScratch], runtime.GOMAXPROCS(0)),
 	}, nil
 }
 
@@ -91,7 +95,7 @@ func (c *Collection) Len() int {
 	for _, s := range c.segments {
 		n += len(s.IDs)
 	}
-	return n - len(c.tombstones)
+	return n - c.ndead
 }
 
 // Segments returns the sealed segments.
@@ -211,20 +215,27 @@ func (c *Collection) Insert(v []float32, payload Payload) (int32, error) {
 
 // Delete tombstones an id; searches stop returning it immediately. Ids the
 // collection never assigned are ignored: a tombstone for one would make Len
-// under-count and the liveness map grow without bound.
+// under-count and the tombstone bitset grow without bound.
 func (c *Collection) Delete(id int32) {
 	if id < 0 || id >= c.nextID {
 		return
 	}
-	c.tombstones[id] = true
+	w := int(id >> 6)
+	for len(c.dead) <= w {
+		c.dead = append(c.dead, 0)
+	}
+	if bit := uint64(1) << (id & 63); c.dead[w]&bit == 0 {
+		c.dead[w] |= bit
+		c.ndead++
+	}
 	delete(c.payloads, id)
 }
 
 // Deleted reports whether an id is tombstoned.
-func (c *Collection) Deleted(id int32) bool { return c.tombstones[id] }
-
-// GrowingLen returns the number of rows in the growing tail.
-func (c *Collection) GrowingLen() int { return c.grow.Len() }
+func (c *Collection) Deleted(id int32) bool {
+	w := uint(id) >> 6
+	return w < uint(len(c.dead)) && c.dead[w]&(1<<(id&63)) != 0
+}
 
 // Payload returns the payload of an id (nil when absent).
 func (c *Collection) Payload(id int32) Payload { return c.payloads[id] }
@@ -233,7 +244,7 @@ func (c *Collection) Payload(id int32) Payload { return c.payloads[id] }
 // honouring tombstones.
 func (c *Collection) FilterEq(field, value string) func(int32) bool {
 	return func(id int32) bool {
-		if c.tombstones[id] {
+		if c.Deleted(id) {
 			return false
 		}
 		p := c.payloads[id]
@@ -243,11 +254,11 @@ func (c *Collection) FilterEq(field, value string) func(int32) bool {
 
 // liveFilter wraps a user filter with tombstone checking.
 func (c *Collection) liveFilter(user func(int32) bool) func(int32) bool {
-	if len(c.tombstones) == 0 {
+	if c.ndead == 0 {
 		return user
 	}
 	return func(id int32) bool {
-		if c.tombstones[id] {
+		if c.Deleted(id) {
 			return false
 		}
 		return user == nil || user(id)
@@ -265,13 +276,15 @@ type QueryExec struct {
 
 // runBatch is the collection's batch search: index.BatchRun over runOne, so
 // each query runs to completion on one worker (query-major) and its result
-// is byte-identical to a single Search or Record of that query. A query's
-// answer depends on the others only through a mutable (LRU) node cache;
-// those caches are per index, and BatchRun runs such batches on one worker
-// in query order, so every index still sees the queries in order.
+// is byte-identical to a single Search or Record of that query. BatchRun
+// already puts a query on every core, so a batch query does not fan its
+// units out (width 1). A query's answer depends on the others only through
+// a mutable (LRU) node cache; those caches are per index, and BatchRun runs
+// such batches on one worker in query order, so every index still sees the
+// queries in order.
 func (c *Collection) runBatch(ctx context.Context, queries *vec.Matrix, k int, opts index.SearchOptions, record bool) []QueryExec {
 	return index.BatchRun(ctx, queries.Len(), opts, func(qi int, o index.SearchOptions) QueryExec {
-		return c.runOne(ctx, queries.Row(qi), k, o, record)
+		return c.runOne(ctx, queries.Row(qi), k, o, record, 1)
 	})
 }
 
@@ -283,75 +296,133 @@ func neighborIDs(ns []index.Neighbor) []int32 {
 	return ids
 }
 
-// runOne runs one query: the units (sealed segments in order, then the
-// brute-forced growing tail when it holds rows) are searched one after
-// another on the calling goroutine with one scratch and merged in that
-// order, so a query costs its index searches plus a merge — no goroutine,
-// channel or per-unit scratch.
+// runOne runs one query over its units: the sealed segments in order, then
+// the brute-forced growing tail when it holds rows. Up to width workers
+// (never more than the units) search them; the calling goroutine is worker
+// 0, and a width of 1 is a plain loop with no goroutine. Each unit writes
+// its top-k into its own slot of scr.Units and its recorded steps into its
+// own out.Segments entry, and the merge pushes the slots and sums their
+// Stats in unit order, so the answer is the serial loop's whatever order
+// the units finished in.
 // The scratch is opts.Scratch when the caller brings one; otherwise the
-// collection lends the one it retains. That is an atomic swap of a single
-// pointer: a second concurrent caller finds it taken and works on a fresh
-// scratch, and whichever finishes last leaves its scratch behind. One is
-// all a closed-loop client needs, and a scratch is not small (a DiskANN
-// one carries a PQ table of about 0.1 MiB), so there is no pool.
-func (c *Collection) runOne(ctx context.Context, q []float32, k int, opts index.SearchOptions, record bool) QueryExec {
+// collection lends the one it retains in slot 0 (see borrow).
+func (c *Collection) runOne(ctx context.Context, q []float32, k int, opts index.SearchOptions, record bool, width int) QueryExec {
 	var out QueryExec
-	tail := c.grow.Len() > 0
-	if len(c.segments) == 0 && !tail {
+	units := len(c.segments)
+	if c.grow.Len() > 0 {
+		units++
+	}
+	if units == 0 {
 		return out
 	}
 	opts.Filter = c.liveFilter(opts.Filter)
 	scr := opts.Scratch
 	if scr == nil {
-		if scr = c.scratch.Swap(nil); scr == nil {
-			scr = index.NewSearchScratch()
-		}
-		defer c.scratch.Store(scr)
+		scr = c.borrow(0)
+		defer c.scratch[0].Store(scr)
 		opts.Scratch = scr
 	}
 	if record {
-		out.Segments = make([][]index.Step, 0, len(c.segments)+1)
+		out.Segments = make([][]index.Step, units)
+	}
+	scr.Units = index.Grow(scr.Units, units)
+	if width = min(width, units); width > 1 {
+		c.fanOut(ctx, q, k, opts, width, out.Segments)
+	} else {
+		for u := range units {
+			c.searchUnit(ctx, u, q, k, opts, &scr.Units[u], out.Segments)
+		}
 	}
 	scr.Merged.Reset()
-	search := func(unit index.SearcherInto) {
-		var prof *index.Profile
-		if record {
-			prof = new(index.Profile)
-			opts.Recorder = prof
+	for _, r := range scr.Units {
+		for i, id := range r.IDs {
+			scr.Merged.PushBounded(index.Neighbor{ID: id, Dist: r.Dists[i]}, k)
 		}
-		if ctx.Err() == nil {
-			unit.SearchInto(q, k, opts, &scr.Unit)
-			for i, id := range scr.Unit.IDs {
-				scr.Merged.PushBounded(index.Neighbor{ID: id, Dist: scr.Unit.Dists[i]}, k)
-			}
-			out.Stats.Add(scr.Unit.Stats)
-		}
-		if record {
-			out.Segments = append(out.Segments, prof.Steps)
-		}
-	}
-	for _, s := range c.segments {
-		search(s.Index)
-	}
-	if tail {
-		search(c.grow)
+		out.Stats.Add(r.Stats)
 	}
 	scr.Neighbors = scr.Merged.DrainAscending(scr.Neighbors[:0])
 	out.IDs = neighborIDs(scr.Neighbors)
 	return out
 }
 
+// searchUnit searches unit u (sealed segment u, or the growing tail after
+// the segments) on opts.Scratch into dst, and records its steps into segs[u]
+// when segs is non-nil. A cancelled ctx leaves dst empty.
+func (c *Collection) searchUnit(ctx context.Context, u int, q []float32, k int, opts index.SearchOptions, dst *index.Result, segs [][]index.Step) {
+	var prof *index.Profile
+	if segs != nil {
+		prof = new(index.Profile)
+		opts.Recorder = prof
+	}
+	if ctx.Err() != nil {
+		dst.IDs, dst.Stats = dst.IDs[:0], index.Stats{}
+	} else if u < len(c.segments) {
+		c.segments[u].Index.SearchInto(q, k, opts, dst)
+	} else {
+		c.grow.SearchInto(q, k, opts, dst)
+	}
+	if segs != nil {
+		segs[u] = prof.Steps
+	}
+}
+
+// fanOut searches the units of opts.Scratch.Units on width workers: the
+// calling goroutine and width-1 helpers started for this query. Workers
+// claim units from an atomic counter, the growing tail first: it is brute
+// forced and the largest unit. Helper h borrows scratch slot h.
+func (c *Collection) fanOut(ctx context.Context, q []float32, k int, opts index.SearchOptions, width int, segs [][]index.Step) {
+	slots := opts.Scratch.Units
+	units, nseg := len(slots), len(c.segments)
+	var next atomic.Int64
+	work := func(o index.SearchOptions) {
+		for j := int(next.Add(1)) - 1; j < units; j = int(next.Add(1)) - 1 {
+			u := (j + nseg) % units // j = 0 is the tail when there is one
+			c.searchUnit(ctx, u, q, k, o, &slots[u], segs)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(width - 1)
+	for h := 1; h < width; h++ {
+		go func() {
+			defer wg.Done()
+			o := opts
+			o.Scratch = c.borrow(h)
+			if h < len(c.scratch) {
+				defer c.scratch[h].Store(o.Scratch)
+			}
+			work(o)
+		}()
+	}
+	work(opts)
+	wg.Wait()
+}
+
+// borrow lends the scratch retained in slot w. That is an atomic swap of a
+// single pointer: a concurrent query that finds the slot taken, or a helper
+// beyond the slots (GOMAXPROCS was raised), works on a fresh scratch, and
+// whichever finishes last leaves its scratch behind. One per slot is all a
+// closed-loop client needs, and a scratch is not small (a DiskANN one
+// carries a PQ table of about 0.1 MiB), so there is no pool.
+func (c *Collection) borrow(w int) *index.SearchScratch {
+	if w < len(c.scratch) {
+		if scr := c.scratch[w].Swap(nil); scr != nil {
+			return scr
+		}
+	}
+	return index.NewSearchScratch()
+}
+
 // Search runs one real query (outside the simulation) and returns the merged
 // top-k result without capturing execution profiles. It replaces the old
 // SearchDirect(q, k, opts, false).
 func (c *Collection) Search(q []float32, k int, opts index.SearchOptions) QueryExec {
-	return c.runOne(context.Background(), q, k, opts, false)
+	return c.runOne(context.Background(), q, k, opts, false, runtime.GOMAXPROCS(0))
 }
 
 // Record runs one real query and captures its per-segment execution profiles
 // for replay. It replaces the old SearchDirect(q, k, opts, true).
 func (c *Collection) Record(q []float32, k int, opts index.SearchOptions) QueryExec {
-	return c.runOne(context.Background(), q, k, opts, true)
+	return c.runOne(context.Background(), q, k, opts, true, runtime.GOMAXPROCS(0))
 }
 
 // SearchBatch runs every query row through the batch core without

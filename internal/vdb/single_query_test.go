@@ -3,6 +3,7 @@ package vdb
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // mixedCollection builds the shape the single-query path has to get right:
 // 13 IVF_FLAT segments, a growing tail and tombstones in sealed rows and in
 // the tail.
-func mixedCollection(t *testing.T) (*Collection, *dataset.Dataset) {
+func mixedCollection(t testing.TB) (*Collection, *dataset.Dataset) {
 	t.Helper()
 	ds := testDataset(t, 1300)
 	tr := Milvus()
@@ -39,9 +40,9 @@ func mixedCollection(t *testing.T) (*Collection, *dataset.Dataset) {
 	return col, ds
 }
 
-// TestSingleQueryMatchesBatch: Search and Record (inline, one scratch) return
-// what SearchBatch and RecordQueries (worker fan-out) return for the same
-// query, with the collection's retained scratch and with a caller's, and a
+// TestSingleQueryMatchesBatch: Search and Record (units fanned out over
+// GOMAXPROCS workers) return what SearchBatch and RecordQueries (queries
+// fanned out, units in a loop) return for the same query, with the collection's retained scratch and with a caller's, and a
 // one-row batch takes the inline path to the same answer.
 func TestSingleQueryMatchesBatch(t *testing.T) {
 	col, ds := mixedCollection(t)
@@ -80,8 +81,9 @@ func TestSingleQueryMatchesBatch(t *testing.T) {
 }
 
 // TestSearchAllocations pins the single-query path's steady state: the
-// result ids, plus the tombstone-filter closure when anything is deleted —
-// not a goroutine, two channels and eight scratches per unit.
+// result ids, plus the tombstone-filter closure when anything is deleted,
+// plus the helpers' goroutines and counter when the units fan out — not a
+// goroutine, two channels and eight scratches per unit.
 func TestSearchAllocations(t *testing.T) {
 	mono, monoDS := lruCollection(t)
 	mixed, mixedDS := mixedCollection(t)
@@ -111,8 +113,9 @@ func TestSearchAllocations(t *testing.T) {
 }
 
 // TestConcurrentSearch: eight goroutines searching one collection at once —
-// contending for the single retained scratch — get the sequential answers.
-// Run under -race this is the audit of the scratch hand-off.
+// contending for the retained scratch and helper scratches — get the
+// sequential answers. Run under -race this is the audit of the scratch
+// hand-off.
 func TestConcurrentSearch(t *testing.T) {
 	col, ds := mixedCollection(t)
 	opts := index.SearchOptions{NProbe: 4}
@@ -172,13 +175,110 @@ func TestDeleteKeepsLenHonest(t *testing.T) {
 		t.Fatalf("Len = %d after deleting a sealed id twice, want 300", col.Len())
 	}
 	col.Delete(tailID)
-	if col.Len() != 299 || col.GrowingLen() != 1 || col.Payload(tailID) != nil {
-		t.Fatalf("after deleting the tail id: Len=%d GrowingLen=%d payload=%v, want 299, 1, nil", col.Len(), col.GrowingLen(), col.Payload(tailID))
+	// A tombstoned tail row stays in the tail: a search still visits the
+	// one segment and the tail.
+	units := len(col.Record(ds.Queries.Row(0), 10, index.SearchOptions{EfSearch: 32}).Segments)
+	if col.Len() != 299 || units != 2 || col.Payload(tailID) != nil {
+		t.Fatalf("after deleting the tail id: Len=%d units=%d payload=%v, want 299, 2, nil", col.Len(), units, col.Payload(tailID))
 	}
 	// The id after the tail becomes valid once assigned.
 	next, _ := col.Insert(ds.Queries.Row(1), nil)
 	col.Delete(next)
 	if !col.Deleted(next) || col.Len() != 299 {
 		t.Fatalf("Delete of a freshly assigned id: Deleted=%v Len=%d, want true and 299", col.Deleted(next), col.Len())
+	}
+}
+
+// TestFanOutMatchesSerial: Search and Record fan a lone query's units out
+// over GOMAXPROCS workers and must return the width-1 loop's answer — ids,
+// Stats and every recorded Segment — at any width and whatever order the
+// units finish in. Both collections hold sealed rows re-inserted into the
+// growing tail, and the tie queries are such rows: the row and its copy tie
+// exactly under different ids, one from a segment and one from the tail.
+func TestFanOutMatchesSerial(t *testing.T) {
+	mixed, mixedDS := mixedCollection(t)
+	seg, segDS := segmentedCollection(t)
+	for id := int32(5); id < 310; id += 23 {
+		seg.Delete(id)
+	}
+	for _, tc := range []struct {
+		name string
+		col  *Collection
+		ds   *dataset.Dataset
+		opts index.SearchOptions
+		// copyOf maps tail row r to the sealed id it re-inserted.
+		copyOf func(r int32) int32
+	}{
+		{"13 IVF_FLAT segments + tail + tombstones", mixed, mixedDS, index.SearchOptions{NProbe: 8},
+			func(r int32) int32 { return 7 * r }},
+		{"3 DiskANN segments + static cache + tail + tombstones", seg, segDS,
+			index.SearchOptions{SearchList: 20, BeamWidth: 4, NodeCacheNodes: 16, NodeCachePolicy: index.NodeCacheStatic},
+			func(r int32) int32 { return 29 * r }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sealed := int32(tc.ds.Vectors.Len())
+			var queries [][]float32
+			var ties [][2]int32
+			for r := int32(0); r < 10 && len(ties) < 4; r++ {
+				if a, b := tc.copyOf(r), sealed+r; !tc.col.Deleted(a) && !tc.col.Deleted(b) {
+					queries = append(queries, tc.ds.Vectors.Row(int(a)))
+					ties = append(ties, [2]int32{a, b})
+				}
+			}
+			for qi := 0; qi < tc.ds.Queries.Len(); qi++ {
+				queries = append(queries, tc.ds.Queries.Row(qi))
+			}
+			ctx := context.Background()
+			wantSearch := make([]QueryExec, len(queries))
+			wantRecord := make([]QueryExec, len(queries))
+			for qi, q := range queries {
+				wantSearch[qi] = tc.col.runOne(ctx, q, 10, tc.opts, false, 1)
+				wantRecord[qi] = tc.col.runOne(ctx, q, 10, tc.opts, true, 1)
+			}
+			for i, tie := range ties {
+				if ids := wantSearch[i].IDs; len(ids) < 2 || ids[0] != tie[0] || ids[1] != tie[1] {
+					t.Fatalf("tie query %d: ids %v, want the sealed row %d and its tail copy %d first", i, ids, tie[0], tie[1])
+				}
+			}
+			for _, procs := range []int{1, 2, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				for rep := 0; rep < 3; rep++ {
+					for qi, q := range queries {
+						if got := tc.col.Search(q, 10, tc.opts); !reflect.DeepEqual(got, wantSearch[qi]) {
+							t.Errorf("GOMAXPROCS %d query %d: Search differs from the width-1 loop\n got %+v\nwant %+v", procs, qi, got, wantSearch[qi])
+						}
+						if got := tc.col.Record(q, 10, tc.opts); !reflect.DeepEqual(got, wantRecord[qi]) {
+							t.Errorf("GOMAXPROCS %d query %d: Record differs from the width-1 loop", procs, qi)
+						}
+					}
+				}
+				runtime.GOMAXPROCS(prev)
+			}
+		})
+	}
+}
+
+// BenchmarkSearch is the single-query path end to end: one DiskANN segment
+// (one unit, the serial loop) and 13 IVF_FLAT segments with a growing tail
+// and tombstones (fanned out over GOMAXPROCS workers), per query.
+func BenchmarkSearch(b *testing.B) {
+	mono, monoDS := lruCollection(b)
+	mixed, mixedDS := mixedCollection(b)
+	for _, bc := range []struct {
+		name string
+		col  *Collection
+		ds   *dataset.Dataset
+		opts index.SearchOptions
+	}{
+		{"diskann-1seg", mono, monoDS, index.SearchOptions{SearchList: 20, BeamWidth: 4}},
+		{"ivf-13seg-tail", mixed, mixedDS, index.SearchOptions{NProbe: 8}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			nq := bc.ds.Queries.Len()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.col.Search(bc.ds.Queries.Row(i%nq), 10, bc.opts)
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"svdbench/internal/vec"
 )
 
-func testDataset(t *testing.T, n int) *dataset.Dataset {
+func testDataset(t testing.TB, n int) *dataset.Dataset {
 	t.Helper()
 	return dataset.Generate(dataset.Spec{
 		Name: fmt.Sprintf("vdb-test-%d", n), N: n, Dim: 32, NumQueries: 20,
