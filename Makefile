@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego test-widths cross race vet lint check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
+.PHONY: all build test test-purego test-widths quick-widths cross race vet lint check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
 
 all: build
 
@@ -30,12 +30,26 @@ test:
 test-purego:
 	$(GO) test -tags purego ./internal/vec ./internal/index ./internal/index/pq ./internal/index/sq ./internal/index/hnsw ./internal/index/diskann ./internal/index/ivf ./internal/index/kmeans
 
-# A lone query fans its segments out over GOMAXPROCS workers; a batch query
-# does not. `test-widths` runs the single-query tests under the race
-# detector at GOMAXPROCS 1, 2 and 4, three times each, so the fan-out, the
-# scratch hand-off and the width-1 loop are each audited.
+# Every host parallel loop is par.For, whose width follows GOMAXPROCS.
+# `test-widths` runs the tests of the loop itself, of a lone query's fan-out
+# and its scratch hand-off, of the batched graph insert and of the
+# experiment scheduler under the race detector at GOMAXPROCS 1, 2 and 4,
+# three times each, so the helpers and the width-1 loop are each audited.
 test-widths:
-	$(GO) test -race -cpu 1,2,4 -count=3 -run 'FanOut|ConcurrentSearch|SingleQuery|SearchAllocations' ./internal/vdb
+	$(GO) test -race -cpu 1,2,4 -count=3 -run 'FanOut|ConcurrentSearch|SingleQuery|SearchAllocations|InsertBatched|Scheduler|^TestFor' ./internal/par ./internal/index ./internal/core ./internal/vdb
+
+# The quick suite's output must not depend on how many workers the host
+# loops get: `quick-widths` runs it at GOMAXPROCS 1 and 4, drops the host
+# wall-clock footers as quick-diff does, and diffs the two.
+quick-widths:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/annbench" ./cmd/annbench && \
+	for procs in 1 4; do \
+		GOMAXPROCS=$$procs "$$tmp/annbench" -experiment all -quick -quiet -data "" > "$$tmp/$$procs.raw" || exit 1; \
+		sed '/^== .* done in /d' "$$tmp/$$procs.raw" > "$$tmp/$$procs.txt"; \
+	done && \
+	diff "$$tmp/1.txt" "$$tmp/4.txt" && \
+	echo "quick-widths: GOMAXPROCS 1 and 4 identical on $$(wc -l < "$$tmp/4.txt") lines"
 
 cross:
 	GOARCH=arm64 $(GO) build ./...
@@ -67,15 +81,17 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Async-pipeline microbenchmarks: regenerates the committed
-# BENCH_pipeline.json wall-clock trajectory artefact (ROADMAP item 5).
+# BENCH_pipeline.json wall-clock trajectory artefact (ROADMAP item 1 plans
+# to retire it for the bench/ ledger).
 bench-pipeline:
 	$(GO) run ./cmd/pipelinebench -out BENCH_pipeline.json
 
 # Host-speed microbenchmarks of the distance kernels and the zero-alloc
 # search layer: regenerates the committed BENCH_host.json trajectory
-# artefact (ROADMAP item 4). HOSTBENCH_FLAGS=-quick runs the kernel section
-# only; CI must not run this target (it overwrites the committed baseline
-# bench-diff compares against) — bench-diff is the CI smoke.
+# artefact (ROADMAP item 1 plans to retire it for the bench/ ledger).
+# HOSTBENCH_FLAGS=-quick runs the kernel section only; CI must not run this
+# target (it overwrites the committed baseline bench-diff compares
+# against) — bench-diff is the CI smoke.
 bench-host:
 	$(GO) run ./cmd/hostbench -out BENCH_host.json $(HOSTBENCH_FLAGS)
 

@@ -1,7 +1,8 @@
 // Command pipelinebench runs the host-side microbenchmark suite of the
 // async batched search pipeline and writes the results as JSON — the
 // BENCH_pipeline.json artefact that tracks the wall-clock trajectory of the
-// batch-first hot path across PRs (ROADMAP item 5).
+// batch-first hot path across PRs (ROADMAP item 1 plans to retire it for
+// the bench/ ledger).
 //
 // Five targets cover the pipeline's two halves at tiny dataset scale:
 //

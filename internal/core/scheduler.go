@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"svdbench/internal/par"
 )
 
 // cell is one unit of scheduler work: a keyed, self-contained measurement.
@@ -41,8 +42,8 @@ type Progress struct {
 	Err error
 }
 
-// Scheduler fans independent experiment cells out across a bounded pool of
-// host goroutines. It is the harness-level counterpart of the simulated
+// Scheduler fans independent experiment cells out over a bounded number of
+// host workers (par.For). It is the harness-level counterpart of the simulated
 // testbed's virtual cores: `Workers` controls how many *simulations* run
 // concurrently on the host, while RunConfig.Cores controls how many virtual
 // CPUs exist *inside* each simulation — the two never interact, which is why
@@ -89,19 +90,10 @@ func (s *Scheduler) Run(ctx context.Context, cells []cell) error {
 		return err
 	}
 	n := len(cells)
-	if n == 0 {
-		return nil
-	}
-	workers := s.workers
-	if workers > n {
-		workers = n
-	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
-		next     int64 // atomic cursor over the cell list
-		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 		done     int
@@ -128,25 +120,16 @@ func (s *Scheduler) Run(ctx context.Context, cells []cell) error {
 		errMu.Unlock()
 	}
 
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n || runCtx.Err() != nil {
-					return
-				}
-				err := cells[i].run(runCtx)
-				complete(cells[i].key, err)
-				if err != nil {
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(s.workers, n, func(_, i int) {
+		if runCtx.Err() != nil {
+			return
+		}
+		err := cells[i].run(runCtx)
+		complete(cells[i].key, err)
+		if err != nil {
+			cancel()
+		}
+	})
 	if firstErr != nil {
 		return firstErr
 	}

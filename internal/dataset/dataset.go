@@ -19,9 +19,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"svdbench/internal/index"
+	"svdbench/internal/par"
 	"svdbench/internal/vec"
 )
 
@@ -186,56 +186,39 @@ func Generate(spec Spec) *Dataset {
 }
 
 // BruteForce computes the exact top-k neighbours of every query over the
-// base vectors, parallelised across queries with real goroutines (this is
-// preprocessing, not simulated work). Base rows are scored through one
-// shared index.Scorer — cached row norms and the packed-rows batch kernel,
-// bit-identical to per-pair vec.Distance — and ranked by (distance, id).
+// base vectors, on every core through par.For, one query per claim (this is
+// preprocessing, not simulated work); each worker keeps its own heap and
+// buffers. Base rows are scored through one shared index.Scorer — cached row
+// norms and the packed-rows batch kernel, bit-identical to per-pair
+// vec.Distance — and ranked by (distance, id).
 func BruteForce(base, queries *vec.Matrix, metric vec.Metric, k int) [][]int32 {
-	nq := queries.Len()
+	nq, n := queries.Len(), base.Len()
 	out := make([][]int32, nq)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nq {
-		workers = nq
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	scorer := index.NewScorer(base, metric)
-	var wg sync.WaitGroup
-	next := make(chan int, nq)
-	for q := 0; q < nq; q++ {
-		next <- q
+	type worker struct {
+		heap  index.MaxHeap
+		dists [256]float32
+		ns    []index.Neighbor
 	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var (
-				heap  index.MaxHeap
-				dists [256]float32
-				ns    []index.Neighbor
-			)
-			n := base.Len()
-			for q := range next {
-				qs := scorer.Query(queries.Row(q))
-				for lo := 0; lo < n; lo += len(dists) {
-					chunk := dists[:min(len(dists), n-lo)]
-					qs.DistRange(lo, chunk)
-					for i, d := range chunk {
-						heap.PushBounded(index.Neighbor{ID: int32(lo + i), Dist: d}, k)
-					}
-				}
-				ns = heap.DrainAscending(ns[:0])
-				ids := make([]int32, len(ns))
-				for i, nb := range ns {
-					ids[i] = nb.ID
-				}
-				out[q] = ids
+	width := runtime.GOMAXPROCS(0)
+	workers := make([]worker, max(1, min(width, nq)))
+	par.For(width, nq, func(w, q int) {
+		st := &workers[w]
+		qs := scorer.Query(queries.Row(q))
+		for lo := 0; lo < n; lo += len(st.dists) {
+			chunk := st.dists[:min(len(st.dists), n-lo)]
+			qs.DistRange(lo, chunk)
+			for i, d := range chunk {
+				st.heap.PushBounded(index.Neighbor{ID: int32(lo + i), Dist: d}, k)
 			}
-		}()
-	}
-	wg.Wait()
+		}
+		st.ns = st.heap.DrainAscending(st.ns[:0])
+		ids := make([]int32, len(st.ns))
+		for i, nb := range st.ns {
+			ids[i] = nb.ID
+		}
+		out[q] = ids
+	})
 	return out
 }
 

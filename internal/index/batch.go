@@ -8,21 +8,18 @@ package index
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
-)
+	"runtime"
 
-// DefaultQueryConcurrency is the batch fan-out used when
-// SearchOptions.QueryConcurrency is zero.
-const DefaultQueryConcurrency = 8
+	"svdbench/internal/par"
+)
 
 // BatchRun calls run(qi, opts) once for each query qi in [0, n) and returns
 // the results in query order. Up to SearchOptions.QueryConcurrency queries
-// (DefaultQueryConcurrency when zero, never more than n) run concurrently on
-// host goroutines. When the options select a mutable node cache (LRU), the
-// queries run on the calling goroutine strictly in query order, so whatever
-// they record does not depend on goroutine interleaving. A cancelled ctx
-// stops starting queries; unstarted queries keep T's zero value.
+// (every core when zero, never more than n) run concurrently through
+// par.For. When the options select a mutable node cache (LRU), the queries
+// run on the calling goroutine strictly in query order, so whatever they
+// record does not depend on goroutine interleaving. A cancelled ctx stops
+// starting queries; unstarted queries keep T's zero value.
 //
 // Each worker owns one SearchScratch, passed to run as opts.Scratch, so the
 // heaps and visited sets of the search hot path are allocated once per
@@ -32,36 +29,25 @@ const DefaultQueryConcurrency = 8
 // query→worker pairing is harmless.
 func BatchRun[T any](ctx context.Context, n int, opts SearchOptions, run func(qi int, opts SearchOptions) T) []T {
 	out := make([]T, n)
-	workers := opts.QueryConcurrency
-	if workers <= 0 {
-		workers = DefaultQueryConcurrency
+	width := opts.QueryConcurrency
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
 	}
 	if opts.NodeCacheMutable() {
-		workers = 1
+		width = 1
 	}
-	workers = min(workers, n)
-	var next atomic.Int64
-	work := func(o SearchOptions) {
-		for qi := int(next.Add(1)) - 1; qi < n && ctx.Err() == nil; qi = int(next.Add(1)) - 1 {
-			out[qi] = run(qi, o)
+	scratch := make([]*SearchScratch, max(1, min(width, n)))
+	scratch[0] = opts.Scratch
+	par.For(width, n, func(w, qi int) {
+		if ctx.Err() != nil {
+			return
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+		if scratch[w] == nil {
+			scratch[w] = NewSearchScratch()
+		}
 		o := opts
-		if w > 0 || o.Scratch == nil {
-			o.Scratch = NewSearchScratch()
-		}
-		if workers == 1 {
-			work(o) // on the calling goroutine, in query order
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(o)
-		}()
-	}
-	wg.Wait()
+		o.Scratch = scratch[w]
+		out[qi] = run(qi, o)
+	})
 	return out
 }

@@ -95,8 +95,8 @@ func TestCacheWarmNodesBFS(t *testing.T) {
 		if len(warm) != want {
 			t.Fatalf("n=%d: warm set has %d nodes, want %d", n, len(warm), want)
 		}
-		if warm[0] != ix.Medoid() {
-			t.Fatalf("n=%d: warm set starts at %d, want medoid %d", n, warm[0], ix.Medoid())
+		if warm[0] != ix.medoid {
+			t.Fatalf("n=%d: warm set starts at %d, want medoid %d", n, warm[0], ix.medoid)
 		}
 		seen := map[int32]bool{}
 		for _, r := range warm {

@@ -298,10 +298,6 @@ func (ix *Index) AssignPages(alloc func(npages int64) int64) {
 	ix.pageBase = alloc(int64(ix.data.Len()) * int64(ix.pagesPerGroup))
 }
 
-// PagesPerNode reports the node footprint in pages (1 for 768-d, 2 for
-// 1536-d at R=48).
-func (ix *Index) PagesPerNode() int { return ix.pagesPerNode }
-
 // PagesPerGroup reports the footprint of one page-node group in pages (1
 // whenever a member fits the page budget at all).
 func (ix *Index) PagesPerGroup() int { return ix.pagesPerGroup }
@@ -341,9 +337,6 @@ func (ix *Index) pageLayoutFor() *pageLayout {
 	}
 	return ix.pageLay
 }
-
-// Medoid returns the traversal entry point.
-func (ix *Index) Medoid() int32 { return ix.medoid }
 
 // Name implements index.Index.
 func (ix *Index) Name() string { return "DISKANN" }

@@ -111,8 +111,8 @@ func TestPagesPerNodeByDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix768.PagesPerNode() != 1 {
-		t.Errorf("768-d pages/node = %d, want 1", ix768.PagesPerNode())
+	if ix768.pagesPerNode != 1 {
+		t.Errorf("768-d pages/node = %d, want 1", ix768.pagesPerNode)
 	}
 	// 1536-d: 6144+4+192 = 6340 B → two pages.
 	ds1536 := dataset.Generate(dataset.Spec{Name: "d1536", N: 300, Dim: 1536, NumQueries: 2, Clusters: 4, Seed: 1, Metric: vec.Cosine, GroundK: 5})
@@ -120,8 +120,8 @@ func TestPagesPerNodeByDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix1536.PagesPerNode() != 2 {
-		t.Errorf("1536-d pages/node = %d, want 2", ix1536.PagesPerNode())
+	if ix1536.pagesPerNode != 2 {
+		t.Errorf("1536-d pages/node = %d, want 2", ix1536.pagesPerNode)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestProfileInterleavesComputeAndIO(t *testing.T) {
 	for _, s := range p.Steps {
 		if len(s.Pages) > 0 {
 			ioSteps++
-			if len(s.Pages) > 4*ix.PagesPerNode() {
+			if len(s.Pages) > 4*ix.pagesPerNode {
 				t.Errorf("beam step fetched %d pages, exceeds W×pages/node", len(s.Pages))
 			}
 		}
@@ -167,7 +167,7 @@ func TestBestFirstIsBeamWidthOne(t *testing.T) {
 	// exactly pagesPerNode pages.
 	ds, ix := shared(t)
 	res := ix.Search(ds.Queries.Row(0), 10, index.SearchOptions{SearchList: 20, BeamWidth: 1})
-	if res.Stats.PagesRead != res.Stats.Hops*ix.PagesPerNode() {
+	if res.Stats.PagesRead != res.Stats.Hops*ix.pagesPerNode {
 		t.Errorf("W=1: pages %d != hops %d", res.Stats.PagesRead, res.Stats.Hops)
 	}
 }

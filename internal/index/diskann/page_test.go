@@ -97,7 +97,7 @@ func TestPagePackingPartition(t *testing.T) {
 			t.Fatalf("row %d unassigned", row)
 		}
 	}
-	if pl.pageOf[ix.Medoid()] != pl.entry {
+	if pl.pageOf[ix.medoid] != pl.entry {
 		t.Fatalf("entry %d does not hold medoid", pl.entry)
 	}
 }

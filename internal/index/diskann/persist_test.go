@@ -23,7 +23,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Medoid() != orig.Medoid() || got.PagesPerNode() != orig.PagesPerNode() {
+	if got.medoid != orig.medoid || got.pagesPerNode != orig.pagesPerNode {
 		t.Error("metadata mismatch after round trip")
 	}
 	for qi := 0; qi < 10; qi++ {

@@ -144,7 +144,7 @@ func TestProfilesGolden(t *testing.T) {
 	for _, f := range fixtures {
 		ds, ix := profileIndex(t, "profiles-"+f.name, f.n, f.dim, f.queries, f.cfg)
 		fmt.Fprintf(&got, "%s shape pages/node=%d capacity=%d pages/group=%d\n",
-			f.name, ix.PagesPerNode(), ix.PageCapacity(), ix.PagesPerGroup())
+			f.name, ix.pagesPerNode, ix.PageCapacity(), ix.PagesPerGroup())
 		fmt.Fprintf(&got, "%s warm %v\n", f.name, ix.CacheWarmNodes(20))
 		fmt.Fprintf(&got, "%s snapshot sha256=%x\n", f.name, snapshotSum(t, ix))
 		for _, layout := range []string{index.LayoutID, index.LayoutPage} {

@@ -7,7 +7,8 @@ package index
 import (
 	"runtime"
 	"slices"
-	"sync"
+
+	"svdbench/internal/par"
 )
 
 // BestFirst is the ef-bounded best-first expansion of an in-memory graph over
@@ -308,42 +309,26 @@ func (s Shard) Lead() bool { return s.w == 0 }
 // (ParlayANN's): items 0..n-1 are taken in batches of batch, doubling up to
 // MaxInsertBatch (a builder whose early graph changes with every insertion
 // starts at 1 and is built like the sequential algorithm there). Within a
-// batch every item's plan — the expensive search and prune — runs in parallel
-// and may only read the graph. Then every worker calls apply for every item
-// of the batch, in item order, as its Shard, and apply performs only the
-// edits whose node the shard owns: each node's edits run in item order on one
-// worker, and an edit reads only its own node's adjacency plus immutable
-// vectors, so the graph is the serial one bit for bit at any worker count.
-// A worker's scratch lives for the whole call.
+// batch every item's plan — the expensive search and prune — runs through
+// par.For and may only read the graph. Then par.For runs the shards, one per
+// core (counted once per call, so ownership is fixed for the call): a shard
+// calls apply for every item of the batch, in item order, and apply performs
+// only the edits whose node the shard owns. Each node's edits run in item
+// order on one worker, and an edit reads only its own node's adjacency plus
+// immutable vectors, so the graph is the serial one bit for bit at any worker
+// count. A worker's scratch lives for the whole call.
 func InsertBatched[P any](n, batch int, plan func(i int, scr *SearchScratch) P, apply func(i int, p P, sh Shard)) {
 	workers := runtime.GOMAXPROCS(0)
 	scratch := make([]*SearchScratch, workers)
 	for w := range scratch {
 		scratch[w] = NewSearchScratch()
 	}
-	// parallel runs f(w, scr) on n workers and waits for them.
-	parallel := func(n int, f func(w int, scr *SearchScratch)) {
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f(w, scratch[w])
-			}()
-		}
-		wg.Wait()
-	}
 	plans := make([]P, MaxInsertBatch)
 	for lo := 0; lo < n; {
 		hi := min(lo+batch, n)
-		chunk := (hi - lo + workers - 1) / workers
-		parallel((hi-lo+chunk-1)/chunk, func(w int, scr *SearchScratch) {
-			for i := lo + w*chunk; i < min(lo+(w+1)*chunk, hi); i++ {
-				plans[i-lo] = plan(i, scr)
-			}
-		})
-		parallel(workers, func(w int, scr *SearchScratch) {
-			sh := Shard{Scr: scr, w: w, n: workers}
+		par.For(workers, hi-lo, func(w, j int) { plans[j] = plan(lo+j, scratch[w]) })
+		par.For(workers, workers, func(w, s int) {
+			sh := Shard{Scr: scratch[w], w: s, n: workers}
 			for i := lo; i < hi; i++ {
 				apply(i, plans[i-lo], sh)
 			}

@@ -67,7 +67,7 @@ type SearchOptions struct {
 	// layout the index was built with.
 	Layout string
 	// QueryConcurrency bounds how many queries of one batch (BatchRun) run
-	// concurrently on host goroutines (0 means the default of 8). Batches
+	// concurrently on host cores (0 means one per core, GOMAXPROCS). Batches
 	// against a mutable node cache always run sequentially in query order
 	// regardless, so recorded executions stay deterministic.
 	QueryConcurrency int

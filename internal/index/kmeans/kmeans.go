@@ -1,7 +1,7 @@
 // Package kmeans implements Lloyd's algorithm with k-means++ seeding, the
 // clustering substrate behind the IVF index family and the product
-// quantisation codebooks. Assignment steps are parallelised with real
-// goroutines (index construction is preprocessing, not simulated work).
+// quantisation codebooks. Assignment steps run on every core through
+// par.For (index construction is preprocessing, not simulated work).
 package kmeans
 
 import (
@@ -9,8 +9,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
+	"svdbench/internal/par"
 	"svdbench/internal/vec"
 )
 
@@ -136,35 +136,23 @@ func seedPlusPlus(data *vec.Matrix, k int, r *rand.Rand) *vec.Matrix {
 	return centroids
 }
 
-// assignAll writes the nearest centroid of every row into assign, in
-// parallel, through a lane block of the centroids packed into block's
-// storage, which it returns for the next call.
+// RowBlock is the rows one claim of a build's row loop covers (assignAll,
+// pq.EncodeAll): enough NearestLane calls that a claim's atomic add costs
+// little next to them, even at 8 dims.
+const RowBlock = 256
+
+// assignAll writes the nearest centroid of every row into assign, on every
+// core, through a lane block of the centroids packed into block's storage,
+// which it returns for the next call.
 func assignAll(data, centroids *vec.Matrix, block []float32, assign []int32) []float32 {
 	block = vec.PackLanes(block, centroids.Raw(), centroids.Dim)
-	k := centroids.Len()
-	Parallel(data.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	n, k := data.Len(), centroids.Len()
+	par.For(runtime.GOMAXPROCS(0), (n+RowBlock-1)/RowBlock, func(_, b int) {
+		for i := b * RowBlock; i < min(n, (b+1)*RowBlock); i++ {
 			assign[i] = int32(vec.NearestLane(data.Row(i), block, k))
 		}
 	})
 	return block
-}
-
-// Parallel runs f over contiguous chunks of [0, n) on up to GOMAXPROCS
-// goroutines and waits for them. Construction runs on real cores: it is
-// preprocessing, not simulated work.
-func Parallel(n int, f func(lo, hi int)) {
-	workers := max(1, min(runtime.GOMAXPROCS(0), n))
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, min(lo+chunk, n))
-	}
-	wg.Wait()
 }
 
 // scoreChunk is the row batch of the chunked centroid scans below: big

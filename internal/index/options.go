@@ -51,7 +51,7 @@ func WithLayout(layout string) SearchOption {
 }
 
 // WithQueryConcurrency bounds how many queries of one SearchBatch run
-// concurrently (0 means the default of index.DefaultQueryConcurrency).
+// concurrently (0 means one per core, GOMAXPROCS).
 func WithQueryConcurrency(n int) SearchOption {
 	return func(o *SearchOptions) { o.QueryConcurrency = n }
 }

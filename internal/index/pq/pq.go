@@ -12,9 +12,11 @@ package pq
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"svdbench/internal/index"
 	"svdbench/internal/index/kmeans"
+	"svdbench/internal/par"
 	"svdbench/internal/vec"
 )
 
@@ -63,15 +65,13 @@ func Train(training *vec.Matrix, m int, seed int64) (*Quantizer, error) {
 	}
 	r := rand.New(rand.NewSource(seed))
 	idx := r.Perm(n)[:sample]
-	kmeans.Parallel(m, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			sub := vec.NewMatrix(sample, subDim)
-			for i, row := range idx {
-				copy(sub.Row(i), training.Row(row)[s*subDim:(s+1)*subDim])
-			}
-			res := kmeans.Run(sub, kmeans.Config{K: centroidsPerSub, MaxIter: 8, Seed: seed + int64(s)})
-			q.codebooks[s] = res.Centroids
+	par.For(runtime.GOMAXPROCS(0), m, func(_, s int) {
+		sub := vec.NewMatrix(sample, subDim)
+		for i, row := range idx {
+			copy(sub.Row(i), training.Row(row)[s*subDim:(s+1)*subDim])
 		}
+		res := kmeans.Run(sub, kmeans.Config{K: centroidsPerSub, MaxIter: 8, Seed: seed + int64(s)})
+		q.codebooks[s] = res.Centroids
 	})
 	q.ksub = q.codebooks[0].Len()
 	return q, nil
@@ -97,9 +97,9 @@ func (q *Quantizer) Encode(v []float32) []byte {
 }
 
 // EncodeAll quantises every row of data into a packed n×m code array, each
-// code byte the one Encode writes. Rows are split across all cores, and each
-// core walks its rows one sub-space at a time against that codebook's lane
-// block, packed once for the call.
+// code byte the one Encode writes. All cores claim the rows kmeans.RowBlock
+// at a time, and walk each block one sub-space at a time against that
+// codebook's lane block, packed once for the call.
 func (q *Quantizer) EncodeAll(data *vec.Matrix) []byte {
 	if data.Dim != q.dim {
 		panic(fmt.Sprintf("pq: encode dim %d, want %d", data.Dim, q.dim))
@@ -110,7 +110,8 @@ func (q *Quantizer) EncodeAll(data *vec.Matrix) []byte {
 	for s, cb := range q.codebooks {
 		blocks[s] = vec.PackLanes(nil, cb.Raw(), q.subDim)
 	}
-	kmeans.Parallel(n, func(lo, hi int) {
+	par.For(runtime.GOMAXPROCS(0), (n+kmeans.RowBlock-1)/kmeans.RowBlock, func(_, b int) {
+		lo, hi := b*kmeans.RowBlock, min(n, (b+1)*kmeans.RowBlock)
 		for s, block := range blocks {
 			for i := lo; i < hi; i++ {
 				sub := data.Row(i)[s*q.subDim : (s+1)*q.subDim]

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"svdbench/internal/index"
@@ -12,6 +11,7 @@ import (
 	"svdbench/internal/index/flat"
 	"svdbench/internal/index/hnsw"
 	"svdbench/internal/index/ivf"
+	"svdbench/internal/par"
 	"svdbench/internal/vec"
 )
 
@@ -103,8 +103,8 @@ func (c *Collection) Segments() []*Segment { return c.segments }
 
 // BulkLoad ingests the matrix as the collection's sealed contents: rows are
 // split into SegmentCapacity-sized segments (or one monolithic segment) and
-// indexed in parallel. Assigned ids are sequential from zero. payloads, when
-// non-nil, attaches payloads[i] to row i.
+// indexed on every core, one segment per claim. Assigned ids are sequential
+// from zero. payloads, when non-nil, attaches payloads[i] to row i.
 func (c *Collection) BulkLoad(data *vec.Matrix, payloads []Payload) error {
 	n := data.Len()
 	if n == 0 {
@@ -117,40 +117,24 @@ func (c *Collection) BulkLoad(data *vec.Matrix, payloads []Payload) error {
 	if capPer <= 0 {
 		capPer = n
 	}
-	type job struct {
-		lo, hi int
-		out    int
-	}
-	var jobs []job
-	for lo := 0; lo < n; lo += capPer {
-		hi := lo + capPer
-		if hi > n {
-			hi = n
+	nseg := (n + capPer - 1) / capPer
+	segs := make([]*Segment, nseg)
+	errs := make([]error, nseg)
+	par.For(runtime.GOMAXPROCS(0), nseg, func(_, s int) {
+		lo, hi := s*capPer, min(n, (s+1)*capPer)
+		sub := vec.NewMatrix(hi-lo, c.dim)
+		ids := make([]int32, hi-lo)
+		for i := lo; i < hi; i++ {
+			sub.SetRow(i-lo, data.Row(i))
+			ids[i-lo] = int32(i)
 		}
-		jobs = append(jobs, job{lo, hi, len(jobs)})
-	}
-	segs := make([]*Segment, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sub := vec.NewMatrix(j.hi-j.lo, c.dim)
-			ids := make([]int32, j.hi-j.lo)
-			for i := j.lo; i < j.hi; i++ {
-				sub.SetRow(i-j.lo, data.Row(i))
-				ids[i-j.lo] = int32(i)
-			}
-			ix, err := c.buildIndex(sub, ids, int64(j.out))
-			if err != nil {
-				errs[j.out] = err
-				return
-			}
-			segs[j.out] = &Segment{IDs: ids, Data: sub, Index: ix}
-		}(j)
-	}
-	wg.Wait()
+		ix, err := c.buildIndex(sub, ids, int64(s))
+		if err != nil {
+			errs[s] = err
+			return
+		}
+		segs[s] = &Segment{IDs: ids, Data: sub, Index: ix}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -366,35 +350,26 @@ func (c *Collection) searchUnit(ctx context.Context, u int, q []float32, k int, 
 	}
 }
 
-// fanOut searches the units of opts.Scratch.Units on width workers: the
-// calling goroutine and width-1 helpers started for this query. Workers
-// claim units from an atomic counter, the growing tail first: it is brute
-// forced and the largest unit. Helper h borrows scratch slot h.
+// fanOut searches the units of opts.Scratch.Units on width workers through
+// par.For, the growing tail first: it is brute forced and the largest unit.
+// Worker 0 is the caller on opts.Scratch; helper w borrows scratch slot w.
 func (c *Collection) fanOut(ctx context.Context, q []float32, k int, opts index.SearchOptions, width int, segs [][]index.Step) {
 	slots := opts.Scratch.Units
 	units, nseg := len(slots), len(c.segments)
-	var next atomic.Int64
-	work := func(o index.SearchOptions) {
-		for j := int(next.Add(1)) - 1; j < units; j = int(next.Add(1)) - 1 {
-			u := (j + nseg) % units // j = 0 is the tail when there is one
-			c.searchUnit(ctx, u, q, k, o, &slots[u], segs)
-		}
+	scr := make([]*index.SearchScratch, width)
+	scr[0] = opts.Scratch
+	for w := 1; w < width; w++ {
+		scr[w] = c.borrow(w)
 	}
-	var wg sync.WaitGroup
-	wg.Add(width - 1)
-	for h := 1; h < width; h++ {
-		go func() {
-			defer wg.Done()
-			o := opts
-			o.Scratch = c.borrow(h)
-			if h < len(c.scratch) {
-				defer c.scratch[h].Store(o.Scratch)
-			}
-			work(o)
-		}()
+	par.For(width, units, func(w, j int) {
+		o := opts
+		o.Scratch = scr[w]
+		u := (j + nseg) % units // j = 0 is the tail when there is one
+		c.searchUnit(ctx, u, q, k, o, &slots[u], segs)
+	})
+	for w := 1; w < min(width, len(c.scratch)); w++ {
+		c.scratch[w].Store(scr[w])
 	}
-	work(opts)
-	wg.Wait()
 }
 
 // borrow lends the scratch retained in slot w. That is an atomic swap of a
@@ -412,17 +387,35 @@ func (c *Collection) borrow(w int) *index.SearchScratch {
 	return index.NewSearchScratch()
 }
 
+// minFanOutWork is the least live rows × dim at which a lone Search or
+// Record fans its units out. Below it, starting helpers costs more than they
+// save. It is the break-even of runOne at width 2 against width 1 on
+// BenchmarkSearch's 13 IVF_FLAT segments + tail shape at GOMAXPROCS 2 (a
+// 2-vCPU Xeon): over 1280 live rows, width 2 ran 0.84× the loop's speed at
+// 32 dims (41 k), 0.92–1.0× at 256 (0.33 M), 1.08× at 320 (0.41 M), 1.08×
+// at 384 (0.49 M) and 1.36× at 768 (0.98 M). serve-seg-mixed is about 3.4 M.
+const minFanOutWork = 350_000
+
+// width is the fan-out width of a lone query: every core, or 1 when the
+// collection holds too little work to share (minFanOutWork).
+func (c *Collection) width() int {
+	if c.Len()*c.dim < minFanOutWork {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Search runs one real query (outside the simulation) and returns the merged
 // top-k result without capturing execution profiles. It replaces the old
 // SearchDirect(q, k, opts, false).
 func (c *Collection) Search(q []float32, k int, opts index.SearchOptions) QueryExec {
-	return c.runOne(context.Background(), q, k, opts, false, runtime.GOMAXPROCS(0))
+	return c.runOne(context.Background(), q, k, opts, false, c.width())
 }
 
 // Record runs one real query and captures its per-segment execution profiles
 // for replay. It replaces the old SearchDirect(q, k, opts, true).
 func (c *Collection) Record(q []float32, k int, opts index.SearchOptions) QueryExec {
-	return c.runOne(context.Background(), q, k, opts, true, runtime.GOMAXPROCS(0))
+	return c.runOne(context.Background(), q, k, opts, true, c.width())
 }
 
 // SearchBatch runs every query row through the batch core without

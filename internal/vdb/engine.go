@@ -79,9 +79,6 @@ func (e *Engine) CPUResource() *sim.CPU { return e.cpu }
 // Served returns the number of queries completed.
 func (e *Engine) Served() int64 { return e.served }
 
-// OOMFailures returns the number of queries rejected for memory.
-func (e *Engine) OOMFailures() int64 { return e.oomFailed }
-
 // replayScratch is the reusable per-query state of a segment replay. Replaying
 // queries interleave inside the simulation, so each in-flight query borrows
 // its own instance from the engine's pool; the steady state allocates

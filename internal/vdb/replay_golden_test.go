@@ -148,7 +148,7 @@ func replayLine(t *testing.T, tr Traits, execs []QueryExec, clients, writers int
 	line := fmt.Sprintf("lat=%x end=%d served=%d reads=%d read_bytes=%d writes=%d cache_pages=%d max_depth=%d mean_depth=%.6f overlap=%.6f cpu_busy=%d",
 		h.Sum(nil)[:12], int64(end), eng.Served(), sum.ReadOps, sum.ReadBytes, sum.WriteOps,
 		sum.CacheHits, sum.MaxQueueDepth, sum.MeanQueueDepth, sum.OverlapFrac, int64(cpu.BusyTime()))
-	if n := eng.OOMFailures(); n > 0 {
+	if n := eng.oomFailed; n > 0 {
 		line += fmt.Sprintf(" oom=%d", n)
 	}
 	return line

@@ -9,14 +9,19 @@ import (
 
 	"svdbench/internal/dataset"
 	"svdbench/internal/index"
+	"svdbench/internal/vec"
 )
 
 // mixedCollection builds the shape the single-query path has to get right:
 // 13 IVF_FLAT segments, a growing tail and tombstones in sealed rows and in
-// the tail.
+// the tail, over 1300 rows of the 32-d test data.
 func mixedCollection(t testing.TB) (*Collection, *dataset.Dataset) {
+	return mixedCollectionOf(t, testDataset(t, 1300))
+}
+
+// mixedCollectionOf is mixedCollection over ds, which holds 1300 rows.
+func mixedCollectionOf(t testing.TB, ds *dataset.Dataset) (*Collection, *dataset.Dataset) {
 	t.Helper()
-	ds := testDataset(t, 1300)
 	tr := Milvus()
 	tr.SegmentCapacity = 100
 	col, err := NewCollection("mixed", ds.Spec.Dim, ds.Spec.Metric, tr, IndexIVFFlat, DefaultBuildParams())
@@ -81,29 +86,42 @@ func TestSingleQueryMatchesBatch(t *testing.T) {
 }
 
 // TestSearchAllocations pins the single-query path's steady state: the
-// result ids, plus the tombstone-filter closure when anything is deleted,
-// plus the helpers' goroutines and counter when the units fan out — not a
-// goroutine, two channels and eight scratches per unit.
+// result ids, plus the tombstone-filter closure when anything is deleted —
+// at every GOMAXPROCS, since the 32-d collections hold too little work to
+// fan out — and, when runOne fans the units out over 2 workers, the loop's
+// closure, its counter and wait group, the helpers' scratch list and the
+// helper's goroutine (7), plus a fresh scratch at GOMAXPROCS 1, where the
+// helper has no retained slot: not a goroutine, two channels and eight
+// scratches per unit.
 func TestSearchAllocations(t *testing.T) {
 	mono, monoDS := lruCollection(t)
 	mixed, mixedDS := mixedCollection(t)
 	for _, tc := range []struct {
-		name string
-		col  *Collection
-		ds   *dataset.Dataset
-		opts index.SearchOptions
-		max  float64
+		name  string
+		col   *Collection
+		ds    *dataset.Dataset
+		opts  index.SearchOptions
+		width int // 0: Search's own width
+		max   float64
 	}{
-		{"one DiskANN segment", mono, monoDS, index.SearchOptions{SearchList: 20, BeamWidth: 4}, 4},
-		{"13 IVF_FLAT segments + tail + tombstones", mixed, mixedDS, index.SearchOptions{NProbe: 8}, 16},
+		{"one DiskANN segment", mono, monoDS, index.SearchOptions{SearchList: 20, BeamWidth: 4}, 0, 1},
+		{"13 IVF_FLAT segments + tail + tombstones", mixed, mixedDS, index.SearchOptions{NProbe: 8}, 0, 2},
+		{"13 IVF_FLAT segments + tail + tombstones, fanned out", mixed, mixedDS, index.SearchOptions{NProbe: 8}, 2, 8},
 	} {
+		search := func(q []float32) {
+			if tc.width == 0 {
+				tc.col.Search(q, 10, tc.opts)
+			} else {
+				tc.col.runOne(context.Background(), q, 10, tc.opts, false, tc.width)
+			}
+		}
 		nq := tc.ds.Queries.Len()
 		for qi := 0; qi < nq; qi++ {
-			tc.col.Search(tc.ds.Queries.Row(qi), 10, tc.opts)
+			search(tc.ds.Queries.Row(qi))
 		}
 		qi := 0
 		allocs := testing.AllocsPerRun(50, func() {
-			tc.col.Search(tc.ds.Queries.Row(qi%nq), 10, tc.opts)
+			search(tc.ds.Queries.Row(qi % nq))
 			qi++
 		})
 		if allocs > tc.max {
@@ -112,40 +130,55 @@ func TestSearchAllocations(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearch: eight goroutines searching one collection at once —
-// contending for the retained scratch and helper scratches — get the
-// sequential answers. Run under -race this is the audit of the scratch
-// hand-off.
+// TestConcurrentSearch: eight goroutines searching one collection at once,
+// each query fanned out over 4 workers — contending for the retained scratch
+// and helper scratches — get the width-1 loop's answers and recordings, on
+// 13 IVF_FLAT segments and on 3 DiskANN segments with a static node cache,
+// each with a tail and tombstones. Run under -race this is the audit of the
+// scratch hand-off.
 func TestConcurrentSearch(t *testing.T) {
-	col, ds := mixedCollection(t)
-	opts := index.SearchOptions{NProbe: 4}
-	nq := ds.Queries.Len()
-	want := make([]QueryExec, nq)
-	for qi := range want {
-		want[qi] = col.Search(ds.Queries.Row(qi), 10, opts)
+	mixed, mixedDS := mixedCollection(t)
+	seg, segDS := segmentedCollection(t)
+	for id := int32(5); id < 310; id += 23 {
+		seg.Delete(id)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 3*nq; i++ {
-				qi := (g + i) % nq
-				var got QueryExec
-				if i%4 == 0 {
-					got = col.Record(ds.Queries.Row(qi), 10, opts)
-					got.Segments = nil
-				} else {
-					got = col.Search(ds.Queries.Row(qi), 10, opts)
-				}
-				if !reflect.DeepEqual(got, want[qi]) {
-					t.Errorf("goroutine %d query %d: concurrent result differs from sequential", g, qi)
-					return
-				}
+	for _, tc := range []struct {
+		col  *Collection
+		ds   *dataset.Dataset
+		opts index.SearchOptions
+	}{
+		{mixed, mixedDS, index.SearchOptions{NProbe: 4}},
+		{seg, segDS, index.SearchOptions{SearchList: 20, BeamWidth: 4, NodeCacheNodes: 16, NodeCachePolicy: index.NodeCacheStatic}},
+	} {
+		col, ds, opts := tc.col, tc.ds, tc.opts
+		ctx := context.Background()
+		nq := ds.Queries.Len()
+		want := make([][2]QueryExec, nq)
+		for qi := range want {
+			for r, record := range []bool{false, true} {
+				want[qi][r] = col.runOne(ctx, ds.Queries.Row(qi), 10, opts, record, 1)
 			}
-		}(g)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 3*nq; i++ {
+					qi, r := (g+i)%nq, 0
+					if i%4 == 0 {
+						r = 1
+					}
+					got := col.runOne(ctx, ds.Queries.Row(qi), 10, opts, r == 1, 4)
+					if !reflect.DeepEqual(got, want[qi][r]) {
+						t.Errorf("%s: goroutine %d query %d: concurrent result differs from sequential", col.Name, g, qi)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestDeleteKeepsLenHonest: Len counts live vectors whatever is passed to
@@ -260,10 +293,15 @@ func TestFanOutMatchesSerial(t *testing.T) {
 
 // BenchmarkSearch is the single-query path end to end: one DiskANN segment
 // (one unit, the serial loop) and 13 IVF_FLAT segments with a growing tail
-// and tombstones (fanned out over GOMAXPROCS workers), per query.
+// and tombstones, at 32 dims (too little work to fan out, so a loop) and at
+// 768 (fanned out over GOMAXPROCS workers), per query.
 func BenchmarkSearch(b *testing.B) {
 	mono, monoDS := lruCollection(b)
 	mixed, mixedDS := mixedCollection(b)
+	wide, wideDS := mixedCollectionOf(b, dataset.Generate(dataset.Spec{
+		Name: "vdb-test-768", N: 1300, Dim: 768, NumQueries: 20,
+		Clusters: 8, Seed: 21, Metric: vec.Cosine, GroundK: 10,
+	}))
 	for _, bc := range []struct {
 		name string
 		col  *Collection
@@ -272,6 +310,7 @@ func BenchmarkSearch(b *testing.B) {
 	}{
 		{"diskann-1seg", mono, monoDS, index.SearchOptions{SearchList: 20, BeamWidth: 4}},
 		{"ivf-13seg-tail", mixed, mixedDS, index.SearchOptions{NProbe: 8}},
+		{"ivf-13seg-tail-768d", wide, wideDS, index.SearchOptions{NProbe: 8}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			nq := bc.ds.Queries.Len()

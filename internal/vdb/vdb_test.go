@@ -417,8 +417,8 @@ func TestOutOfMemoryFailure(t *testing.T) {
 	if okCount != 2 || oomCount != 3 {
 		t.Errorf("ok=%d oom=%d, want 2/3", okCount, oomCount)
 	}
-	if h.eng.OOMFailures() != 3 {
-		t.Errorf("OOMFailures = %d", h.eng.OOMFailures())
+	if h.eng.oomFailed != 3 {
+		t.Errorf("oomFailed = %d", h.eng.oomFailed)
 	}
 }
 

@@ -219,7 +219,7 @@ func WithBeamWidth(w int) SearchOption  { return index.WithBeamWidth(w) }
 // how many top unexpanded candidates' pages a storage-based search
 // speculatively prefetches while the current hop scores (results stay
 // byte-identical at any depth); WithQueryConcurrency bounds how many queries
-// of one SearchBatch run concurrently.
+// of one SearchBatch run concurrently (0, the default, means one per core).
 func WithLookAhead(n int) SearchOption        { return index.WithLookAhead(n) }
 func WithQueryConcurrency(n int) SearchOption { return index.WithQueryConcurrency(n) }
 
