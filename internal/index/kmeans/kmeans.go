@@ -155,38 +155,6 @@ func assignAll(data, centroids *vec.Matrix, block []float32, assign []int32) []f
 	return block
 }
 
-// scoreChunk is the row batch of the chunked centroid scans below: big
-// enough to amortise the batch-kernel call, small enough to live on the
-// stack.
-const scoreChunk = 64
-
-// Nearest returns the index of the centroid closest to v under squared
-// Euclidean distance.
-//
-// Centroid matrices are contiguous, so distances come from the batch kernel
-// in chunks; they are bit-identical to the scalar loop, and the first-
-// minimum rule (strict <, ascending scan) picks the same argmin.
-func Nearest(centroids *vec.Matrix, v []float32) int {
-	var buf [scoreChunk]float32
-	raw := centroids.Raw()
-	dim := centroids.Dim
-	k := centroids.Len()
-	best, bestD := 0, float32(math.Inf(1))
-	for lo := 0; lo < k; lo += scoreChunk {
-		n := k - lo
-		if n > scoreChunk {
-			n = scoreChunk
-		}
-		vec.L2SqBatch(v, raw[lo*dim:(lo+n)*dim], buf[:n])
-		for i := 0; i < n; i++ {
-			if buf[i] < bestD {
-				best, bestD = lo+i, buf[i]
-			}
-		}
-	}
-	return best
-}
-
 // NearestN returns the indexes of the n closest centroids to v, closest
 // first (ties by lower index). dists and cells are caller-owned scratch with
 // capacity for one entry per centroid, so a search that keeps them performs

@@ -146,16 +146,31 @@ func TestConvergesEarly(t *testing.T) {
 	}
 }
 
-// TestNearestZeroAlloc: Nearest's chunk buffer stays on the stack, which
-// holds only while the vec kernels it reaches keep no pointer to it (their
-// //go:noescape directives). Two chunks plus a remainder, at a dimension
-// with a d%4 tail.
+// TestNearestZeroAlloc: the nearest-centroid scan that assignment and the
+// PQ encoders run, vec.NearestLane over a lane block, allocates nothing: its
+// per-lane minima stay on the stack, which holds only while the kernel keeps
+// no pointer to them (//go:noescape). 150 centroids, a padded last pair, at
+// a dimension with a d%4 tail.
 func TestNearestZeroAlloc(t *testing.T) {
 	cents, _ := blobs(3, 50, 13, 5)
+	block := vec.PackLanes(nil, cents.Raw(), cents.Dim)
 	v := cents.Row(7)
-	if allocs := testing.AllocsPerRun(50, func() { Nearest(cents, v) }); allocs != 0 {
-		t.Fatalf("Nearest allocates %.1f times per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { vec.NearestLane(v, block, cents.Len()) }); allocs != 0 {
+		t.Fatalf("NearestLane allocates %.1f times per call, want 0", allocs)
 	}
+}
+
+// Nearest is the row-major scalar scan the lane kernel is held to: the
+// first centroid (strict <, ascending) nearest to v under L2Sq, and 0 when
+// no distance is below +Inf.
+func Nearest(centroids *vec.Matrix, v []float32) int {
+	best, bestD := 0, float32(math.Inf(1))
+	for c := 0; c < centroids.Len(); c++ {
+		if d := vec.L2Sq(v, centroids.Row(c)); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
 }
 
 // refSeedPlusPlus is the k-means++ seeding before it ran on lane blocks, with

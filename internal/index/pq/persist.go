@@ -7,14 +7,19 @@ import (
 	"svdbench/internal/vec"
 )
 
-// WriteTo serialises the trained quantiser.
+// WriteTo serialises the trained quantiser, each codebook as its ksub
+// row-major centroids.
 func (q *Quantizer) WriteTo(w *binenc.Writer) {
 	w.Int(q.dim)
 	w.Int(q.m)
 	w.Int(q.subDim)
 	w.Int(q.ksub)
+	raw := make([]float32, q.ksub*q.subDim)
 	for _, cb := range q.codebooks {
-		w.F32s(cb.Raw())
+		for c := 0; c < q.ksub; c++ {
+			vec.LaneRow(raw[c*q.subDim:(c+1)*q.subDim], cb, c)
+		}
+		w.F32s(raw)
 	}
 }
 
@@ -41,9 +46,7 @@ func ReadQuantizer(r *binenc.Reader) (*Quantizer, error) {
 		if len(raw) != q.ksub*q.subDim {
 			return nil, fmt.Errorf("pq: codebook %d has %d floats, want %d", s, len(raw), q.ksub*q.subDim)
 		}
-		cb := vec.NewMatrix(q.ksub, q.subDim)
-		copy(cb.Raw(), raw)
-		q.codebooks = append(q.codebooks, cb)
+		q.codebooks = append(q.codebooks, vec.PackLanes(nil, raw, q.subDim))
 	}
 	return q, nil
 }

@@ -29,8 +29,9 @@ type Quantizer struct {
 	m      int // sub-quantizer count
 	subDim int
 	ksub   int // centroids per sub-space (256, or fewer for tiny training sets)
-	// codebooks[s] is the ksub×subDim centroid matrix of sub-space s.
-	codebooks []*vec.Matrix
+	// codebooks[s] is the lane block (vec.PackLanes) of sub-space s's ksub
+	// centroids: the one layout, the row-major matrix's size at ksub 256.
+	codebooks [][]float32
 }
 
 // DefaultM returns the sub-quantizer count both PQ builders use when none is
@@ -56,13 +57,14 @@ func Train(training *vec.Matrix, m int, seed int64) (*Quantizer, error) {
 		return nil, fmt.Errorf("pq: empty training set")
 	}
 	subDim := dim / m
-	q := &Quantizer{dim: dim, m: m, subDim: subDim, codebooks: make([]*vec.Matrix, m)}
 	n := training.Len()
 	// Cap the k-means training sample to keep construction tractable.
 	sample := n
 	if sample > 20_000 {
 		sample = 20_000
 	}
+	// k-means clamps K to the sample.
+	q := &Quantizer{dim: dim, m: m, subDim: subDim, ksub: min(centroidsPerSub, sample), codebooks: make([][]float32, m)}
 	r := rand.New(rand.NewSource(seed))
 	idx := r.Perm(n)[:sample]
 	par.For(runtime.GOMAXPROCS(0), m, func(_, s int) {
@@ -71,9 +73,8 @@ func Train(training *vec.Matrix, m int, seed int64) (*Quantizer, error) {
 			copy(sub.Row(i), training.Row(row)[s*subDim:(s+1)*subDim])
 		}
 		res := kmeans.Run(sub, kmeans.Config{K: centroidsPerSub, MaxIter: 8, Seed: seed + int64(s)})
-		q.codebooks[s] = res.Centroids
+		q.codebooks[s] = vec.PackLanes(nil, res.Centroids.Raw(), subDim)
 	})
-	q.ksub = q.codebooks[0].Len()
 	return q, nil
 }
 
@@ -91,7 +92,7 @@ func (q *Quantizer) Encode(v []float32) []byte {
 	code := make([]byte, q.m)
 	for s := range code {
 		sub := v[s*q.subDim : (s+1)*q.subDim]
-		code[s] = byte(kmeans.Nearest(q.codebooks[s], sub))
+		code[s] = byte(vec.NearestLane(sub, q.codebooks[s], q.ksub))
 	}
 	return code
 }
@@ -99,20 +100,16 @@ func (q *Quantizer) Encode(v []float32) []byte {
 // EncodeAll quantises every row of data into a packed n×m code array, each
 // code byte the one Encode writes. All cores claim the rows kmeans.RowBlock
 // at a time, and walk each block one sub-space at a time against that
-// codebook's lane block, packed once for the call.
+// codebook's lane block.
 func (q *Quantizer) EncodeAll(data *vec.Matrix) []byte {
 	if data.Dim != q.dim {
 		panic(fmt.Sprintf("pq: encode dim %d, want %d", data.Dim, q.dim))
 	}
 	n := data.Len()
 	codes := make([]byte, n*q.m)
-	blocks := make([][]float32, q.m)
-	for s, cb := range q.codebooks {
-		blocks[s] = vec.PackLanes(nil, cb.Raw(), q.subDim)
-	}
 	par.For(runtime.GOMAXPROCS(0), (n+kmeans.RowBlock-1)/kmeans.RowBlock, func(_, b int) {
 		lo, hi := b*kmeans.RowBlock, min(n, (b+1)*kmeans.RowBlock)
-		for s, block := range blocks {
+		for s, block := range q.codebooks {
 			for i := lo; i < hi; i++ {
 				sub := data.Row(i)[s*q.subDim : (s+1)*q.subDim]
 				codes[i*q.m+s] = byte(vec.NearestLane(sub, block, q.ksub))
@@ -126,7 +123,7 @@ func (q *Quantizer) EncodeAll(data *vec.Matrix) []byte {
 func (q *Quantizer) Decode(code []byte) []float32 {
 	v := make([]float32, q.dim)
 	for s := 0; s < q.m; s++ {
-		copy(v[s*q.subDim:(s+1)*q.subDim], q.codebooks[s].Row(int(code[s])))
+		vec.LaneRow(v[s*q.subDim:(s+1)*q.subDim], q.codebooks[s], int(code[s]))
 	}
 	return v
 }
@@ -144,13 +141,9 @@ func (q *Quantizer) BuildTable(query []float32) Table {
 
 // BuildTableInto computes the ADC table for query into t, reusing t's
 // storage when its capacity suffices (the zero-allocation form of
-// BuildTable). Each codebook is one contiguous centroid matrix, so the
-// 256 sub-distances per sub-space are scored with one batch call, and on
-// amd64 that call walks all 64 four-centroid groups inside the SSE rows
-// kernel: m kernel entries per query, not m·64. The codebooks keep their one
-// row-major layout (a transposed copy would add a sixth to a small
-// collection's heap; see DESIGN.md "Kernels & scratch buffers"), and every
-// entry is bit-identical to the per-centroid scalar vec.L2Sq loop. Entries
+// BuildTable): one vec.L2SqLaneBatch kernel entry per sub-space over its
+// lane-block codebook, every entry bit-identical to the per-centroid scalar
+// vec.L2Sq loop (DESIGN.md "One codebook layout: lane blocks"). Entries
 // past ksub (under-trained codebooks) are never read — code bytes always
 // index a trained centroid — so stale values there are harmless.
 //
@@ -162,9 +155,8 @@ func (q *Quantizer) BuildTableInto(query []float32, t Table) Table {
 	t = index.Grow(t, q.m*centroidsPerSub)
 	for s := 0; s < q.m; s++ {
 		sub := query[s*q.subDim : (s+1)*q.subDim]
-		cb := q.codebooks[s]
 		base := s * centroidsPerSub
-		vec.L2SqBatch(sub, cb.Raw(), t[base:base+q.ksub])
+		vec.L2SqLaneBatch(sub, q.codebooks[s], t[base:base+q.ksub])
 	}
 	return t
 }
@@ -180,30 +172,15 @@ func (t Table) Distance(code []byte) float32 {
 }
 
 // DistanceRows writes the Distance of code rows[i] of the packed n×m code
-// array into out[i], bit for bit. It prices four codes per pass on four
-// independent add chains, each in Distance's sub-space order, so the core
-// is not left waiting on one chain's add latency; a 1–3-row remainder goes
-// through Distance.
+// array into out[i], bit for bit: whole groups of four codes in one
+// vec.ADCRows call (four add chains, each in Distance's order; a bad row
+// panics there, in Go), a 1–3-row remainder through Distance.
 //
 //annlint:hotpath
 func (t Table) DistanceRows(codes []byte, m int, rows []int32, out []float32) {
 	out = out[:len(rows)]
-	i := 0
-	for ; i+4 <= len(rows); i += 4 {
-		c0 := codes[int(rows[i])*m:][:m]
-		c1 := codes[int(rows[i+1])*m:][:m]
-		c2 := codes[int(rows[i+2])*m:][:m]
-		c3 := codes[int(rows[i+3])*m:][:m]
-		var d0, d1, d2, d3 float32
-		for s := range c0 {
-			row := (*[centroidsPerSub]float32)(t[s*centroidsPerSub:])
-			d0 += row[c0[s]]
-			d1 += row[c1[s]]
-			d2 += row[c2[s]]
-			d3 += row[c3[s]]
-		}
-		out[i], out[i+1], out[i+2], out[i+3] = d0, d1, d2, d3
-	}
+	i := len(rows) &^ 3
+	vec.ADCRows(t, codes, m, rows[:i], out[:i])
 	for ; i < len(rows); i++ {
 		out[i] = t.Distance(codes[int(rows[i])*m:][:m])
 	}

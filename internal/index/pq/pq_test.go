@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +139,80 @@ func TestDistanceRowsMatchesDistance(t *testing.T) {
 	}
 }
 
+// FuzzDistanceRows: the fuzz input picks m (1–192), the centroids per
+// sub-space (1–256, so codes below it), 0–67 rows of a small code array
+// (repeats are common) and the table's values, a few of them large enough
+// to overflow a sum to +Inf. DistanceRows must write Distance's bits for
+// every row; with bad set, one row lies outside the code array and the call
+// must panic in Go — vec.ADCRows's check or a bounds check, never a fault
+// in the kernel.
+func FuzzDistanceRows(f *testing.F) {
+	f.Add(uint8(95), uint8(255), uint8(64), int64(1), false)
+	f.Add(uint8(0), uint8(0), uint8(4), int64(2), false)
+	f.Add(uint8(191), uint8(16), uint8(67), int64(3), false)
+	f.Add(uint8(7), uint8(200), uint8(9), int64(4), true)
+	f.Add(uint8(2), uint8(3), uint8(2), int64(5), true)
+	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, seed int64, bad bool) {
+		m, ksub, count := 1+int(mb)%192, 1+int(kb), int(nb)%68
+		r := rand.New(rand.NewSource(seed))
+		table := make(Table, m*centroidsPerSub)
+		for i := range table {
+			if table[i] = r.Float32(); r.Intn(64) == 0 {
+				table[i] = 1e38
+			}
+		}
+		n := 1 + r.Intn(24)
+		codes := make([]byte, n*m)
+		for i := range codes {
+			codes[i] = byte(r.Intn(ksub))
+		}
+		rows := make([]int32, count)
+		for i := range rows {
+			rows[i] = int32(r.Intn(n))
+		}
+		out := make([]float32, count)
+		if bad && count > 0 {
+			rows[r.Intn(count)] = []int32{int32(n), -1, math.MaxInt32, math.MinInt32}[r.Intn(4)]
+			p := func() (p any) {
+				defer func() { p = recover() }()
+				table.DistanceRows(codes, m, rows, out)
+				return nil
+			}()
+			if msg := fmt.Sprint(p); p == nil || !strings.HasPrefix(msg, "vec: ADC code row") && !strings.Contains(msg, "out of range") {
+				t.Fatalf("m %d rows %v of %d codes: panic %v, want a Go row check", m, rows, n, p)
+			}
+			return
+		}
+		table.DistanceRows(codes, m, rows, out)
+		for i, row := range rows {
+			want := table.Distance(codes[int(row)*m : (int(row)+1)*m])
+			if math.Float32bits(out[i]) != math.Float32bits(want) {
+				t.Fatalf("m %d ksub %d rows %d: entry %d (row %d) = %v, Distance %v", m, ksub, count, i, row, out[i], want)
+			}
+		}
+	})
+}
+
+// TestQueryKernelsAllocateNothing: a warm BuildTableInto and DistanceRows
+// allocate nothing.
+func TestQueryKernelsAllocateNothing(t *testing.T) {
+	data := randMatrix(300, 64, 11)
+	quant, err := Train(data, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := quant.EncodeAll(data)
+	rows := []int32{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
+	out := make([]float32, len(rows))
+	table := quant.BuildTable(data.Row(0))
+	if n := testing.AllocsPerRun(50, func() { table = quant.BuildTableInto(data.Row(1), table) }); n != 0 {
+		t.Errorf("BuildTableInto allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { table.DistanceRows(codes, quant.M(), rows, out) }); n != 0 {
+		t.Errorf("DistanceRows allocates %v times", n)
+	}
+}
+
 // Property: ADC distance correlates with true distance well enough that the
 // nearest of {near duplicate, random far vector} is always ranked first.
 func TestPropertyADCRanksNearVsFar(t *testing.T) {
@@ -221,7 +296,9 @@ func TestBuildTableMatchesScalarLoop(t *testing.T) {
 					sub := query[s*subDim : (s+1)*subDim]
 					for c := 0; c < ksub; c++ {
 						got := table[s*centroidsPerSub+c]
-						want := vec.L2Sq(sub, quant.codebooks[s].Row(c))
+						centroid := make([]float32, subDim)
+						vec.LaneRow(centroid, quant.codebooks[s], c)
+						want := vec.L2Sq(sub, centroid)
 						if math.Float32bits(got) != math.Float32bits(want) {
 							t.Fatalf("ksub %d subDim %d sub-space %d centroid %d: table %x, scalar %x", ksub, subDim, s, c, got, want)
 						}

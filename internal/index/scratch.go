@@ -66,9 +66,11 @@ type SearchScratch struct {
 	// Units (one slot per unit, whichever worker searched it) and merges the
 	// slots in unit order into its cross-unit top-k (Merged). Index searches
 	// never touch them, so they survive the per-unit SearchInto calls
-	// sharing the scratch.
-	Merged MaxHeap
-	Units  []Result
+	// sharing the scratch. Helpers lists, while the units are fanned out,
+	// the scratch each worker searches on; it is empty between queries.
+	Merged  MaxHeap
+	Units   []Result
+	Helpers []*SearchScratch
 }
 
 // NewSearchScratch returns an empty scratch; buffers grow on first use and

@@ -28,17 +28,19 @@ func For(width, n int, f func(w, i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(width - 1)
+	var s struct { // one heap object: the claim counter and the join
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
+	s.wg.Add(width - 1)
 	for w := 1; w < width; w++ {
 		go func() {
-			defer wg.Done()
-			drain(&next, n, w, f)
+			defer s.wg.Done()
+			drain(&s.next, n, w, f)
 		}()
 	}
-	drain(&next, n, 0, f)
-	wg.Wait()
+	drain(&s.next, n, 0, f)
+	s.wg.Wait()
 }
 
 // drain is worker w's loop: claim the next i below n and call f(w, i).

@@ -352,24 +352,29 @@ func (c *Collection) searchUnit(ctx context.Context, u int, q []float32, k int, 
 
 // fanOut searches the units of opts.Scratch.Units on width workers through
 // par.For, the growing tail first: it is brute forced and the largest unit.
-// Worker 0 is the caller on opts.Scratch; helper w borrows scratch slot w.
+// Worker 0 is the caller on opts.Scratch; helper w borrows scratch slot w
+// when it claims its first unit, into the caller scratch's Helpers list.
 func (c *Collection) fanOut(ctx context.Context, q []float32, k int, opts index.SearchOptions, width int, segs [][]index.Step) {
 	slots := opts.Scratch.Units
 	units, nseg := len(slots), len(c.segments)
-	scr := make([]*index.SearchScratch, width)
+	scr := index.Grow(opts.Scratch.Helpers, width)
 	scr[0] = opts.Scratch
-	for w := 1; w < width; w++ {
-		scr[w] = c.borrow(w)
-	}
 	par.For(width, units, func(w, j int) {
+		if scr[w] == nil {
+			scr[w] = c.borrow(w)
+		}
 		o := opts
 		o.Scratch = scr[w]
 		u := (j + nseg) % units // j = 0 is the tail when there is one
 		c.searchUnit(ctx, u, q, k, o, &slots[u], segs)
 	})
 	for w := 1; w < min(width, len(c.scratch)); w++ {
-		c.scratch[w].Store(scr[w])
+		if scr[w] != nil {
+			c.scratch[w].Store(scr[w])
+		}
 	}
+	clear(scr)
+	opts.Scratch.Helpers = scr
 }
 
 // borrow lends the scratch retained in slot w. That is an atomic swap of a

@@ -183,6 +183,15 @@ func PackLanes(dst, rows []float32, d int) []float32 {
 // pairedLen is the length of a PackLanes block of n rows of d floats.
 func pairedLen(n, d int) int { return (n + 7) / 8 * 8 * d }
 
+// LaneRow copies row i of a lane block of len(dst)-float rows into dst: the
+// inverse of PackLanes for one row.
+func LaneRow(dst, block []float32, i int) {
+	g := block[i/4*4*len(dst):]
+	for j := range dst {
+		dst[j] = g[4*j+i%4]
+	}
+}
+
 // L2SqLaneBatch writes L2Sq(x, row_i) into out[i] for the first len(out)
 // rows packed into block by PackLanes; each out[i] is bit-identical to the
 // scalar call.
@@ -214,4 +223,23 @@ func NearestLane(x, block []float32, k int) int {
 		panic(fmt.Sprintf("vec: lane block of %d floats for %d rows of dim %d", len(block), k, d))
 	}
 	return nearestLane(x, block[:pairedLen(k, d)], k)
+}
+
+// ADCRows is pq.Table's batch lookup: for the len(rows) code rows (a
+// multiple of four) of codes, m bytes each, out[i] sums table[s*256+code[s]]
+// over s = 0, 1, …, m−1 in order from zero, four codes per pass on four add
+// chains. The table and every row are checked before the kernel runs.
+//
+//annlint:hotpath
+func ADCRows(table []float32, codes []byte, m int, rows []int32, out []float32) {
+	if m <= 0 || len(rows)%4 != 0 || len(out) < len(rows) || len(table) < m*256 {
+		panic(fmt.Sprintf("vec: ADC of %d rows into %d, m %d, table of %d floats", len(rows), len(out), m, len(table)))
+	}
+	n := len(codes) / m
+	for _, r := range rows {
+		if uint(int(r)) >= uint(n) {
+			panic(fmt.Sprintf("vec: ADC code row %d of %d", r, n))
+		}
+	}
+	adcRows(table, codes, m, rows, out[:len(rows)])
 }

@@ -301,6 +301,12 @@ func TestBatchLengthMismatchPanics(t *testing.T) {
 		func() {
 			L2Sq4(make([]float32, 4), make([]float32, 5), make([]float32, 4), make([]float32, 4), make([]float32, 4))
 		},
+		// ADCRows: m 0, a row count not a multiple of four, a short out, a
+		// short table.
+		func() { ADCRows(make([]float32, 256), make([]byte, 8), 0, make([]int32, 4), make([]float32, 4)) },
+		func() { ADCRows(make([]float32, 512), make([]byte, 8), 2, make([]int32, 3), make([]float32, 4)) },
+		func() { ADCRows(make([]float32, 512), make([]byte, 8), 2, make([]int32, 4), make([]float32, 3)) },
+		func() { ADCRows(make([]float32, 511), make([]byte, 8), 2, make([]int32, 4), make([]float32, 4)) },
 	}
 	for i, f := range cases {
 		func() {

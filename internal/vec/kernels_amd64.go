@@ -205,3 +205,14 @@ func firstMin(best [4]float32, idx [4]int32) int {
 	}
 	return int(bi)
 }
+
+// adcRowsSSE runs ADCRows over groups groups of four checked rows, m >= 1.
+//
+//go:noescape
+func adcRowsSSE(table *float32, codes *byte, rows *int32, out *float32, m, groups int)
+
+func adcRows(table []float32, codes []byte, m int, rows []int32, out []float32) {
+	if len(rows) > 0 {
+		adcRowsSSE(&table[0], &codes[0], &rows[0], &out[0], m, len(rows)/4)
+	}
+}

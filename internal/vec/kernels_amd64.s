@@ -418,3 +418,61 @@ DATA laneRows<>+4(SB)/4, $1
 DATA laneRows<>+8(SB)/4, $2
 DATA laneRows<>+12(SB)/4, $3
 GLOBL laneRows<>(SB), RODATA|NOPTR, $16
+
+// func adcRowsSSE(table *float32, codes *byte, rows *int32, out *float32, m, groups int)
+//
+// PQ ADC (ADCRows): per group of four rows, four scalar ADDSS chains, each
+// adding its code's lookups in sub-space order from zero, as the Go loop
+// does. CX walks rows and DI out; DX/SI/R10/R11 = the four code rows,
+// R12 = the sub-space's 256 floats (stepping 1 KiB), R13 = s, R8 = m,
+// R9 = groups left, AX/BX = code bytes.
+TEXT ·adcRowsSSE(SB), NOSPLIT, $0-48
+	MOVQ rows+16(FP), CX
+	MOVQ out+24(FP), DI
+	MOVQ m+32(FP), R8
+	MOVQ groups+40(FP), R9
+
+group:
+	MOVQ    codes+8(FP), BX
+	MOVLQSX (CX), DX
+	IMULQ   R8, DX
+	ADDQ    BX, DX
+	MOVLQSX 4(CX), SI
+	IMULQ   R8, SI
+	ADDQ    BX, SI
+	MOVLQSX 8(CX), R10
+	IMULQ   R8, R10
+	ADDQ    BX, R10
+	MOVLQSX 12(CX), R11
+	IMULQ   R8, R11
+	ADDQ    BX, R11
+	MOVQ    table+0(FP), R12
+	XORPS   X0, X0
+	XORPS   X1, X1
+	XORPS   X2, X2
+	XORPS   X3, X3
+	XORQ    R13, R13
+
+sub:
+	MOVBLZX (DX)(R13*1), AX
+	ADDSS   (R12)(AX*4), X0
+	MOVBLZX (SI)(R13*1), BX
+	ADDSS   (R12)(BX*4), X1
+	MOVBLZX (R10)(R13*1), AX
+	ADDSS   (R12)(AX*4), X2
+	MOVBLZX (R11)(R13*1), BX
+	ADDSS   (R12)(BX*4), X3
+	ADDQ    $1024, R12
+	INCQ    R13
+	CMPQ    R13, R8
+	JLT     sub
+
+	MOVSS X0, (DI)
+	MOVSS X1, 4(DI)
+	MOVSS X2, 8(DI)
+	MOVSS X3, 12(DI)
+	ADDQ  $16, CX
+	ADDQ  $16, DI
+	DECQ  R9
+	JNZ   group
+	RET
