@@ -40,7 +40,11 @@ test-widths:
 
 # The quick suite's output must not depend on how many workers the host
 # loops get: `quick-widths` runs it at GOMAXPROCS 1 and 4, drops the host
-# wall-clock footers as quick-diff does, and diffs the two.
+# wall-clock footers as quick-diff does, and diffs the two. Nor may a table
+# depend on which experiment ran first, now that experiments share memoised
+# run cells: it then runs the three extensions that share the most cells
+# (layout, pipeline, cache) alone and in reverse order, and diffs each of
+# their sections against the same section of the GOMAXPROCS 4 suite.
 quick-widths:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/annbench" ./cmd/annbench && \
@@ -49,7 +53,15 @@ quick-widths:
 		sed '/^== .* done in /d' "$$tmp/$$procs.raw" > "$$tmp/$$procs.txt"; \
 	done && \
 	diff "$$tmp/1.txt" "$$tmp/4.txt" && \
-	echo "quick-widths: GOMAXPROCS 1 and 4 identical on $$(wc -l < "$$tmp/4.txt") lines"
+	echo "quick-widths: GOMAXPROCS 1 and 4 identical on $$(wc -l < "$$tmp/4.txt") lines" && \
+	"$$tmp/annbench" -experiment layout,pipeline,cache -quick -quiet -data "" > "$$tmp/order.txt" && \
+	for id in layout pipeline cache; do \
+		for side in 4 order; do \
+			awk -v id=$$id '/^== /{on = ($$2 == id)} on' "$$tmp/$$side.txt" | sed '/^== .* done in /d' > "$$tmp/$$side.$$id"; \
+		done; \
+		test -s "$$tmp/order.$$id" && diff "$$tmp/4.$$id" "$$tmp/order.$$id" || exit 1; \
+	done && \
+	echo "quick-widths: layout, pipeline and cache alone in reverse order match the suite"
 
 cross:
 	GOARCH=arm64 $(GO) build ./...

@@ -46,8 +46,10 @@ type Bench struct {
 	runs     memo[runKey, RunOutput]
 }
 
-// runKey memoises a simulation on everything that determines it: the whole
-// defaulted RunConfig, so no field can silently share a result.
+// runKey memoises a simulation on everything that determines it: the stack,
+// the recording (inside core the variantKey of its search options, see
+// Bench.run; outside it RunCell's caller-chosen ID) and the whole defaulted
+// RunConfig, so no field can silently share a result.
 type runKey struct {
 	dataset, setup string
 	cfg            RunConfig
@@ -98,13 +100,12 @@ func NewBench(scale dataset.Scale, cacheDir string) *Bench {
 	return &Bench{Scale: scale, CacheDir: cacheDir}
 }
 
-// runGrid executes cells through a scheduler configured from the bench's
-// Workers and OnProgress fields. Every experiment fans its measurement grid
-// out through here.
-func (b *Bench) runGrid(ctx context.Context, cells []cell) error {
+// sched returns a scheduler configured from the bench's Workers and
+// OnProgress fields: the one every experiment grid is measured on.
+func (b *Bench) sched() *Scheduler {
 	s := NewScheduler(b.Workers)
 	s.OnProgress(b.OnProgress)
-	return s.Run(ctx, cells)
+	return s
 }
 
 func (b *Bench) logf(format string, args ...interface{}) {
@@ -350,7 +351,8 @@ func recallOfExecs(execs []vdb.QueryExec, gt [][]int32) float64 {
 	return dataset.MeanRecallAtK(ids, gt, PaperK)
 }
 
-// variantKey identifies one search-option variant in a prepared's memos.
+// variantKey identifies one search-option variant in a prepared's memos and
+// in the run memo: it must name every field that can change a recording.
 func variantKey(opts index.SearchOptions) string {
 	return fmt.Sprintf("np%d-ef%d-sl%d-bw%d-nc%d-ncp%s-la%d-qc%d-ly%s",
 		opts.NProbe, opts.EfSearch, opts.SearchList, opts.BeamWidth,
@@ -394,6 +396,13 @@ func (b *Bench) RunCellContext(ctx context.Context, st *Stack, execs []vdb.Query
 	cfg = b.mergeDefaults(cfg)
 	key := runKey{st.DatasetName, st.Setup.Label(), cfg, cellID}
 	return b.runs.get(key, func() (RunOutput, error) { return RunContext(ctx, execs, st.Setup.Engine, cfg) })
+}
+
+// run measures the stack's recording at opts under cfg as one memoised run
+// cell named by its inputs, so experiments that measure the same (stack,
+// options, config) share one simulation.
+func (b *Bench) run(ctx context.Context, st *Stack, opts index.SearchOptions, cfg RunConfig) (RunOutput, error) {
+	return b.RunCellContext(ctx, st, st.ExecsFor(opts), cfg, variantKey(opts))
 }
 
 func (b *Bench) mergeDefaults(cfg RunConfig) RunConfig {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,6 +151,34 @@ func TestExecsForMemoised(t *testing.T) {
 	}
 }
 
+// TestVariantKeyNamesEveryField: variantKey names run cells, so a search
+// option it missed would let two different recordings share one simulation.
+// Every field but the three that cannot change a recording must move it.
+func TestVariantKeyNamesEveryField(t *testing.T) {
+	base := variantKey(index.SearchOptions{})
+	typ := reflect.TypeOf(index.SearchOptions{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Name {
+		case "Filter", "Scratch", "Recorder":
+			continue
+		}
+		var opts index.SearchOptions
+		v := reflect.ValueOf(&opts).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int:
+			v.SetInt(3)
+		case reflect.String:
+			v.SetString("x")
+		default:
+			t.Fatalf("field %s has kind %s: teach this test to set it", f.Name, v.Kind())
+		}
+		if variantKey(opts) == base {
+			t.Errorf("variantKey ignores SearchOptions.%s", f.Name)
+		}
+	}
+}
+
 // TestMemoSharesAndEvicts: concurrent askers of one key share one
 // computation, and a failed computation is not cached.
 func TestMemoSharesAndEvicts(t *testing.T) {
@@ -229,15 +258,15 @@ func TestTuneUp(t *testing.T) {
 		}
 		return 0.5
 	}
-	if got := tuneUp("x", 1, 1000, eval); got != 37 {
+	if got := tuneUp(1, 1000, eval); got != 37 {
 		t.Errorf("tuneUp = %d, want 37", got)
 	}
 	// Unreachable target returns hi.
-	if got := tuneUp("x", 1, 8, func(int) float64 { return 0.1 }); got != 8 {
+	if got := tuneUp(1, 8, func(int) float64 { return 0.1 }); got != 8 {
 		t.Errorf("unreachable tuneUp = %d, want 8", got)
 	}
 	// Passing at lo returns lo.
-	if got := tuneUp("x", 5, 100, func(int) float64 { return 1 }); got != 5 {
+	if got := tuneUp(5, 100, func(int) float64 { return 1 }); got != 5 {
 		t.Errorf("lo-pass tuneUp = %d, want 5", got)
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"io"
 	"reflect"
 	"testing"
+	"time"
 
 	"svdbench/internal/index"
 	"svdbench/internal/vdb"
@@ -52,5 +54,33 @@ func TestCacheReducesReadOpsAtIdenticalRecall(t *testing.T) {
 	}
 	if hit.Metrics.ReadOps >= base.Metrics.ReadOps {
 		t.Errorf("cached read ops %d not strictly below uncached %d", hit.Metrics.ReadOps, base.Metrics.ReadOps)
+	}
+}
+
+// TestExperimentsShareRunCells: run cells are named by their inputs, so
+// cache's DiskANN "off" row and layout's "id" row — the same recording
+// replayed under the same config — are one simulation in the run memo.
+func TestExperimentsShareRunCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds index stacks")
+	}
+	b := tinyBench(t)
+	b.RunDefaults.Duration = 20 * time.Millisecond
+	cells := func(id string) int {
+		exp, err := ExperimentByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := exp.Run(b, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		return len(b.runs.slots)
+	}
+	// cache memoises its seven DiskANN rows; its SPANN rows replay unmemoised.
+	if n := cells("cache"); n != 7 {
+		t.Fatalf("cache left %d run cells, want 7", n)
+	}
+	if n := cells("layout"); n != 7+2 {
+		t.Errorf("cache then layout left %d run cells, want 9: layout's id row is cache's off row", n)
 	}
 }

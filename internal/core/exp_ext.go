@@ -23,22 +23,12 @@ func runExtA(ctx context.Context, b *Bench, w io.Writer) error {
 		return err
 	}
 	writerCounts := []int{0, 4, 16, 64, 128}
-	results := make([]Metrics, len(writerCounts))
-	cells := make([]cell, len(writerCounts))
-	for i, writers := range writerCounts {
-		i, writers := i, writers
-		cells[i] = cell{
-			key: fmt.Sprintf("extA/writers=%d", writers),
-			run: func(ctx context.Context) (err error) {
-				// Each cell spins up a private simulated stack inside
-				// runHybrid, so cells are independent and parallel-safe.
-				cfg := b.mergeDefaults(RunConfig{})
-				results[i], err = runHybrid(newRig(cfg.Cores, trace.NewTracer(false)), st, 16, writers, cfg)
-				return err
-			},
-		}
-	}
-	if err := b.runGrid(ctx, cells); err != nil {
+	cfg := b.mergeDefaults(RunConfig{})
+	results, err := measure(ctx, b.sched(), writerCounts, func(writers int) string { return fmt.Sprintf("extA/writers=%d", writers) },
+		func(_ context.Context, writers int) (Metrics, error) {
+			return runHybrid(newRig(cfg.Cores, trace.NewTracer(false)), st, 16, writers, cfg)
+		})
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "# Milvus-DiskANN search under concurrent writes (16 query threads)")
@@ -56,8 +46,8 @@ func runExtA(ctx context.Context, b *Bench, w io.Writer) error {
 
 // runHybrid is the Ext-A workload on r, a fresh rig with a tracer:
 // queryThreads closed-loop searchers plus writerThreads alternating
-// insert/delete clients against the same engine and device. Failed
-// operations are not counted.
+// insert/delete clients against the same engine and device, its Metrics
+// assembled as runOnce's are. Failed writes are not counted.
 func runHybrid(r *rig, st *Stack, queryThreads, writerThreads int, cfg RunConfig) (Metrics, error) {
 	eng := vdb.NewEngine(r.k, r.cpu, r.dev, st.Setup.Engine)
 	queries := cursor{execs: st.Execs}
@@ -69,21 +59,11 @@ func runHybrid(r *rig, st *Stack, queryThreads, writerThreads int, cfg RunConfig
 	r.clients("writer", writerThreads, res.deadline, nil, func(t *sim.Timer) clientOp {
 		return &writeOp{q: eng.NewOp(t), bytes: vectorBytes}
 	})
-	if _, err := r.run(); err != nil {
+	end, err := r.run()
+	if err != nil {
 		return Metrics{}, err
 	}
-	m := Metrics{
-		P99:         Percentile(res.latencies, 0.99),
-		MeanLatency: MeanDuration(res.latencies),
-		Served:      res.served,
-	}
-	if cfg.Duration > 0 {
-		m.QPS = float64(res.served) / cfg.Duration.Seconds()
-	}
-	sum := r.tr.Summarize(cfg.Duration)
-	m.ReadMiBps = sum.ReadMiBps
-	m.WriteMiBps = sum.WriteMiBps
-	return m, nil
+	return r.metrics(&res, end, cfg), nil
 }
 
 // writeOp is an Ext-A writer's operation: seven inserts of a vector, then a
@@ -103,9 +83,11 @@ func (w *writeOp) start(iter int) bool {
 func (w *writeOp) resume() bool  { return w.q.Resume() }
 func (w *writeOp) phase() string { return w.q.Phase() }
 
-// runExtB measures filtered search (payload predicate pushdown): recall
-// against filtered ground truth and the work amplification caused by
-// discarding candidates inside the traversal.
+// runExtB measures filtered search: recall against filtered ground truth,
+// the distance computations the recorded searches took, and throughput.
+// The HNSW search post-filters its ef candidate list (hnsw.SearchInto), so
+// the traversal, and with it the work column, is the same under every
+// filter; a selective filter costs recall instead.
 func runExtB(ctx context.Context, b *Bench, w io.Writer) error {
 	ds, err := b.DatasetContext(ctx, "cohere-small")
 	if err != nil {
@@ -148,20 +130,13 @@ func runExtB(ctx context.Context, b *Bench, w io.Writer) error {
 		opts := index.SearchOptions{EfSearch: 128, Filter: c.filter}
 		execs := col.RecordQueries(ds.Queries, PaperK, opts)
 		recall := recallOfExecs(execs, gt)
-		// Mean work from a direct pass.
-		var comps int
-		n := ds.Queries.Len()
-		for qi := 0; qi < n; qi++ {
-			res := col.Segments()[0].Index.Search(ds.Queries.Row(qi), PaperK, opts)
-			comps += res.Stats.DistComps
-		}
 		out, err := RunContext(ctx, execs, vdb.Qdrant(), b.mergeDefaults(RunConfig{Threads: 16}))
 		if err != nil {
 			return err
 		}
 		row(tw, c.name,
 			fmt.Sprintf("%.3f", recall),
-			comps/n,
+			totalStats(execs).DistComps/len(execs),
 			fmt.Sprintf("%.1f", out.Metrics.QPS))
 	}
 	return tw.Flush()
@@ -207,8 +182,7 @@ func runExtC(ctx context.Context, b *Bench, w io.Writer) error {
 	fmt.Fprintln(w, "# Ablation 1 — beam search vs best-first (search_list=100, 1 thread)")
 	tw := table(w, "beam width", "QPS", "P99 (µs)", "KiB/query")
 	for _, W := range []int{1, 4} {
-		execs := st.ExecsFor(index.NewSearchOptions(index.WithSearchList(100), index.WithBeamWidth(W)))
-		out, err := b.RunCellContext(ctx, st, execs, RunConfig{Threads: 1}, fmt.Sprintf("extC-W%d", W))
+		out, err := b.run(ctx, st, index.NewSearchOptions(index.WithSearchList(100), index.WithBeamWidth(W)), RunConfig{Threads: 1})
 		if err != nil {
 			return err
 		}
@@ -234,7 +208,7 @@ func runExtC(ctx context.Context, b *Bench, w io.Writer) error {
 	}
 	tw = table(w, "layout", "segments", "QPS (t=16)", "P99 (µs)", "KiB/query", "recall@10")
 	for _, s := range []*Stack{seg, monoStack} {
-		out, err := b.RunCellContext(ctx, s, s.Execs, RunConfig{Threads: 16}, "extC-seg")
+		out, err := b.run(ctx, s, s.Opts, RunConfig{Threads: 16})
 		if err != nil {
 			return err
 		}

@@ -10,49 +10,20 @@ import (
 // throughput plateaus in the paper (Sec. IV-A: after 4 concurrent threads).
 const diskannPlateauThreads = 4
 
-// fig56Grid runs the Fig. 5/6 timeline cells — every dataset at the three
-// concurrency levels — as one scheduler fan-out. Both figures read from the
+// fig56Threads are the Fig. 5/6 concurrency levels: 1, the plateau, and 256.
+var fig56Threads = []int{1, diskannPlateauThreads, 256}
+
+// fig56Grid runs the Fig. 5/6 timeline cells — every dataset at each of
+// fig56Threads, in that order — as one grid. Both figures read from the
 // same memoised cells, so whichever runs first pays for the grid.
-func (b *Bench) fig56Grid(ctx context.Context) (map[string]map[int]RunOutput, error) {
-	threadLevels := []int{1, diskannPlateauThreads, 256}
-	type point struct {
-		ds      string
-		threads int
-	}
-	var pts []point
+func (b *Bench) fig56Grid(ctx context.Context) ([]RunOutput, error) {
+	var pts []figPoint
 	for _, dsName := range paperDatasets() {
-		for _, threads := range threadLevels {
-			pts = append(pts, point{dsName, threads})
+		for _, threads := range fig56Threads {
+			pts = append(pts, figPoint{ds: dsName, setup: milvusDiskANN(), cfg: RunConfig{Threads: threads, Timeline: true}})
 		}
 	}
-	outs := make([]RunOutput, len(pts))
-	cells := make([]cell, len(pts))
-	for i, p := range pts {
-		i, p := i, p
-		cells[i] = cell{
-			key: fmt.Sprintf("%s/diskann-timeline/t=%d", p.ds, p.threads),
-			run: func(ctx context.Context) error {
-				st, err := b.StackContext(ctx, p.ds, milvusDiskANN())
-				if err != nil {
-					return err
-				}
-				res, err := b.RunCellContext(ctx, st, st.Execs, RunConfig{Threads: p.threads, Timeline: true}, "fig5")
-				outs[i] = res
-				return err
-			},
-		}
-	}
-	if err := b.runGrid(ctx, cells); err != nil {
-		return nil, err
-	}
-	res := map[string]map[int]RunOutput{}
-	for i, p := range pts {
-		if res[p.ds] == nil {
-			res[p.ds] = map[int]RunOutput{}
-		}
-		res[p.ds][p.threads] = outs[i]
-	}
-	return res, nil
+	return b.figure(ctx, pts)
 }
 
 // runFig5 traces Milvus-DiskANN read bandwidth over the run at three
@@ -62,10 +33,10 @@ func runFig5(ctx context.Context, b *Bench, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for _, dsName := range paperDatasets() {
+	for di, dsName := range paperDatasets() {
 		fmt.Fprintf(w, "# %s — Milvus-DiskANN read bandwidth timeline (MiB/s per bucket)\n", dsName)
-		for _, threads := range []int{1, diskannPlateauThreads, 256} {
-			res := grid[dsName][threads]
+		for ti, threads := range fig56Threads {
+			res := grid[di*len(fig56Threads)+ti]
 			fmt.Fprintf(w, "threads=%d mean=%.1f MiB/s: ", threads, res.Metrics.ReadMiBps)
 			for _, p := range res.Timeline {
 				fmt.Fprintf(w, "%.0f ", p.ReadMiBps(res.TimelineBucket))
@@ -85,9 +56,12 @@ func runFig6(ctx context.Context, b *Bench, w io.Writer) error {
 		return err
 	}
 	tw := table(w, "dataset", "threads", "KiB/query", "read MiB/s", "QPS", "4KiB fraction")
-	for _, dsName := range paperDatasets() {
-		for _, threads := range []int{1, 256} {
-			m := grid[dsName][threads].Metrics
+	for di, dsName := range paperDatasets() {
+		for ti, threads := range fig56Threads {
+			if threads == diskannPlateauThreads {
+				continue
+			}
+			m := grid[di*len(fig56Threads)+ti].Metrics
 			row(tw, dsName, threads,
 				fmt.Sprintf("%.1f", m.KiBPerQuery()),
 				fmt.Sprintf("%.1f", m.ReadMiBps),

@@ -27,6 +27,7 @@ func runLayout(ctx context.Context, b *Bench, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	s := storageStacks{b: b, da: st} // DiskANN rows only: no SPANN build
 
 	pageEq := st.Opts.With(index.WithLayout(index.LayoutPage))
 	// Re-tune the page layout's search_list to the ID baseline's achieved
@@ -42,55 +43,26 @@ func runLayout(ctx context.Context, b *Bench, w io.Writer) error {
 	})
 	pageTuned := pageEq.With(index.WithSearchList(tunedL))
 
-	variants := []struct {
-		label  string
-		cellID string
-		opts   index.SearchOptions
-	}{
-		{"id", "layout-id", st.Opts},
-		{"page (equal L)", "layout-page-eqL", pageEq},
-		{"page (tuned L)", "layout-page-tuned", pageTuned},
-	}
-	type cellOut struct {
-		recall float64
-		nq     int
-		pf     index.Stats
-		m      Metrics
-	}
-	outs := make([]cellOut, len(variants))
-	cells := make([]cell, 0, len(variants))
-	for i, v := range variants {
-		i, v := i, v
-		cells = append(cells, cell{
-			key: fmt.Sprintf("cohere-large/layout/%s", v.cellID),
-			run: func(ctx context.Context) error {
-				execs := st.ExecsFor(v.opts)
-				out, err := b.RunCellContext(ctx, st, execs, RunConfig{Threads: 4}, v.cellID)
-				outs[i] = cellOut{recall: st.RecallFor(v.opts), nq: len(execs), pf: prefetchTotals(execs), m: out.Metrics}
-				return err
-			},
-		})
-	}
-	if err := b.runGrid(ctx, cells); err != nil {
+	labels := []string{"id", "page (equal L)", "page (tuned L)"}
+	cfg := RunConfig{Threads: 4}
+	rows := []storageRow{{opts: st.Opts, cfg: cfg}, {opts: pageEq, cfg: cfg}, {opts: pageTuned, cfg: cfg}}
+	outs, err := s.measure(ctx, rows)
+	if err != nil {
 		return err
 	}
 
 	tw := table(w, "layout", "search_list", "recall@10", "hops/query", "dev reads/query", "KiB/query", "QPS", "mean (µs)", "P99 (µs)")
-	readsPerQ := make([]float64, len(variants))
-	for i, v := range variants {
+	for i, r := range rows {
 		o := outs[i]
-		if o.m.Served > 0 {
-			readsPerQ[i] = float64(o.m.ReadOps) / float64(o.m.Served)
-		}
 		hopsPerQ := 0.0
 		if o.nq > 0 {
-			hopsPerQ = float64(o.pf.Hops) / float64(o.nq)
+			hopsPerQ = float64(o.stats.Hops) / float64(o.nq)
 		}
-		row(tw, v.label,
-			fmt.Sprintf("%d", v.opts.SearchList),
+		row(tw, labels[i],
+			fmt.Sprintf("%d", r.opts.SearchList),
 			fmt.Sprintf("%.3f", o.recall),
 			fmt.Sprintf("%.1f", hopsPerQ),
-			fmt.Sprintf("%.1f", readsPerQ[i]),
+			fmt.Sprintf("%.1f", o.readsPerQuery()),
 			fmt.Sprintf("%.1f", o.m.KiBPerQuery()),
 			fmt.Sprintf("%.1f", o.m.QPS),
 			fmtDur(o.m.MeanLatency),
@@ -108,8 +80,8 @@ func runLayout(ctx context.Context, b *Bench, w io.Writer) error {
 		}
 	}
 	reduction := 0.0
-	if readsPerQ[0] > 0 {
-		reduction = 1 - readsPerQ[2]/readsPerQ[0]
+	if id := outs[0].readsPerQuery(); id > 0 {
+		reduction = 1 - outs[2].readsPerQuery()/id
 	}
 	fmt.Fprintf(w, "\n(Page-node co-design: %d nodes share each 4 KiB page with their nearest graph\n", capacity)
 	fmt.Fprintf(w, " neighbours, so one device read feeds %d candidate scores instead of one. At the\n", capacity)

@@ -21,75 +21,6 @@ func beamWidthOpts(W int) index.SearchOptions {
 	return index.NewSearchOptions(index.WithSearchList(100), index.WithBeamWidth(W))
 }
 
-// diskannSweep measures every dataset across a DiskANN parameter ladder as
-// one flattened scheduler grid: each (dataset, value) pair is its own cell,
-// so the whole figure's measurement fans out over host workers instead of
-// serialising per dataset. Results are keyed dataset → swept value.
-func (b *Bench) diskannSweep(ctx context.Context, vals []int,
-	optsFor func(int) index.SearchOptions, cfgFor func(int) RunConfig,
-	cellIDFor func(int) string) (map[string]map[int]Metrics, error) {
-
-	type point struct {
-		ds  string
-		val int
-	}
-	var pts []point
-	for _, dsName := range paperDatasets() {
-		for _, v := range vals {
-			pts = append(pts, point{dsName, v})
-		}
-	}
-	outs := make([]Metrics, len(pts))
-	cells := make([]cell, len(pts))
-	for i, p := range pts {
-		i, p := i, p
-		cells[i] = cell{
-			key: fmt.Sprintf("%s/%s", p.ds, cellIDFor(p.val)),
-			run: func(ctx context.Context) error {
-				st, err := b.StackContext(ctx, p.ds, milvusDiskANN())
-				if err != nil {
-					return err
-				}
-				execs := st.ExecsFor(optsFor(p.val))
-				res, err := b.RunCellContext(ctx, st, execs, cfgFor(p.val), cellIDFor(p.val))
-				outs[i] = res.Metrics
-				return err
-			},
-		}
-	}
-	if err := b.runGrid(ctx, cells); err != nil {
-		return nil, err
-	}
-	res := map[string]map[int]Metrics{}
-	for i, p := range pts {
-		if res[p.ds] == nil {
-			res[p.ds] = map[int]Metrics{}
-		}
-		res[p.ds][p.val] = outs[i]
-	}
-	return res, nil
-}
-
-// sweepSearchList measures all datasets across the search_list ladder at the
-// given concurrency.
-func (b *Bench) sweepSearchList(ctx context.Context, threads int) (map[string]map[int]Metrics, error) {
-	return b.diskannSweep(ctx, SearchListSweep,
-		searchListOpts,
-		func(int) RunConfig { return RunConfig{Threads: threads} },
-		func(L int) string { return fmt.Sprintf("figSL-%d", L) })
-}
-
-// sweepBeamWidth measures all datasets across the beam_width ladder. The
-// paper raises Milvus's maxReadConcurrentRatio for this experiment so the
-// beam is never starved of scheduler slots; the equivalent here is raising
-// the segment-task pool well beyond the core count.
-func (b *Bench) sweepBeamWidth(ctx context.Context, threads int) (map[string]map[int]Metrics, error) {
-	return b.diskannSweep(ctx, BeamWidthSweep,
-		beamWidthOpts,
-		func(int) RunConfig { return RunConfig{Threads: threads, MaxReadConcurrent: 256} },
-		func(W int) string { return fmt.Sprintf("figBW-%d", W) })
-}
-
 func sweepHeader(vals []int, prefix string) []interface{} {
 	out := make([]interface{}, len(vals))
 	for i, v := range vals {
@@ -118,21 +49,36 @@ type paramFigure struct {
 }
 
 func (f paramFigure) run(ctx context.Context, b *Bench, w io.Writer) error {
-	vals, prefix, axis, sweep := SearchListSweep, "L", "search_list", b.sweepSearchList
+	vals, prefix, axis, optsFor, maxReads := SearchListSweep, "L", "search_list", searchListOpts, 0
 	if f.ladder == beamWidth {
-		vals, prefix, axis, sweep = BeamWidthSweep, "W", "beam_width, search_list=100", b.sweepBeamWidth
+		// The paper raises Milvus's maxReadConcurrentRatio for the beam
+		// width sweep so the beam is never starved of scheduler slots; the
+		// equivalent here is raising the segment-task pool well beyond the
+		// core count.
+		vals, prefix, axis, optsFor, maxReads = BeamWidthSweep, "W", "beam_width, search_list=100", beamWidthOpts, 256
 	}
+	var pts []figPoint
 	for _, threads := range f.threads {
-		res, err := sweep(ctx, threads)
-		if err != nil {
-			return err
+		for _, dsName := range paperDatasets() {
+			for _, v := range vals {
+				opts := optsFor(v)
+				pts = append(pts, figPoint{dsName, milvusDiskANN(), &opts, RunConfig{Threads: threads, MaxReadConcurrent: maxReads}})
+			}
 		}
+	}
+	outs, err := b.figure(ctx, pts)
+	if err != nil {
+		return err
+	}
+	i := 0
+	for _, threads := range f.threads {
 		fmt.Fprintf(w, "# Milvus-DiskANN %s vs %s, threads=%d\n", f.metric, axis, threads)
 		tw := table(w, append([]interface{}{"dataset"}, sweepHeader(vals, prefix)...)...)
 		for _, dsName := range paperDatasets() {
 			cols := []interface{}{dsName}
-			for _, v := range vals {
-				cols = append(cols, f.cell(res[dsName][v]))
+			for range vals {
+				cols = append(cols, f.cell(outs[i].Metrics))
+				i++
 			}
 			row(tw, cols...)
 		}

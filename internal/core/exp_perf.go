@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"svdbench/internal/index"
 	"svdbench/internal/sim"
 	"svdbench/internal/storage/ssd"
 	"svdbench/internal/vdb"
@@ -17,20 +18,9 @@ import (
 // 32 threads. The paper's measured values were 324.3 KIOPS, 1.3 MIOPS and
 // 7.2 GiB/s on the Samsung 990 Pro.
 func runTable1(ctx context.Context, b *Bench, w io.Writer) error {
-	type point struct{ iops, mibps float64 }
-	results := make([]point, len(ssd.TableI))
-	cells := make([]cell, len(ssd.TableI))
-	for i, c := range ssd.TableI {
-		i, c := i, c
-		cells[i] = cell{
-			key: "table1/" + c.Name,
-			run: func(ctx context.Context) (err error) {
-				results[i].iops, results[i].mibps, err = fioLike(c, 500*time.Millisecond)
-				return err
-			},
-		}
-	}
-	if err := b.runGrid(ctx, cells); err != nil {
+	results, err := measure(ctx, b.sched(), ssd.TableI, func(c ssd.Calibration) string { return "table1/" + c.Name },
+		func(_ context.Context, c ssd.Calibration) (fio, error) { return fioLike(c, 500*time.Millisecond) })
+	if err != nil {
 		return err
 	}
 	tw := table(w, "workload", "paper", "measured IOPS", "measured MiB/s")
@@ -40,40 +30,72 @@ func runTable1(ctx context.Context, b *Bench, w io.Writer) error {
 	return tw.Flush()
 }
 
+// fio is one calibration job set's measured rates.
+type fio struct{ iops, mibps float64 }
+
 // fioLike runs one calibration job set on a fresh simulated stack. Requests
 // that complete after the deadline are counted.
-func fioLike(c ssd.Calibration, dur sim.Duration) (iops, mibps float64, err error) {
+func fioLike(c ssd.Calibration, dur sim.Duration) (fio, error) {
 	r := newRig(c.Cores, nil)
 	var ops int64
 	check := r.dev.Jobs(c.Jobs, c.Bytes, false, sim.Time(dur), func(sim.Duration) { ops++ })
 	if _, err := r.run(); err != nil {
-		return 0, 0, err
+		return fio{}, err
 	}
 	if err := check(); err != nil {
-		return 0, 0, err
+		return fio{}, err
 	}
 	secs := dur.Seconds()
-	return float64(ops) / secs, float64(ops) * float64(c.Bytes) / (1 << 20) / secs, nil
+	return fio{float64(ops) / secs, float64(ops) * float64(c.Bytes) / (1 << 20) / secs}, nil
 }
 
-// prefetchStacks builds the given (dataset, setup) stacks as one scheduler
-// grid so independent index builds run on parallel host workers; results
-// land in the bench cache for the sequential rendering pass that follows.
+// figPoint is one run cell of a figure: the stack for (ds, setup), its
+// recording at opts (nil: the tuned options), replayed under cfg.
+type figPoint struct {
+	ds    string
+	setup vdb.Setup
+	opts  *index.SearchOptions
+	cfg   RunConfig
+}
+
+func (p figPoint) key() string {
+	k := p.ds + "/" + p.setup.Label()
+	if p.opts != nil {
+		k += "/" + describeOpts(p.setup.Index, *p.opts)
+	}
+	return fmt.Sprintf("%s/t=%d", k, p.cfg.Threads)
+}
+
+// figure measures pts as one grid of memoised run cells, so stack builds
+// and simulations overlap across host workers, and returns the outputs in
+// point order.
+func (b *Bench) figure(ctx context.Context, pts []figPoint) ([]RunOutput, error) {
+	return measure(ctx, b.sched(), pts, figPoint.key, func(ctx context.Context, p figPoint) (RunOutput, error) {
+		st, err := b.StackContext(ctx, p.ds, p.setup)
+		if err != nil {
+			return RunOutput{}, err
+		}
+		opts := st.Opts
+		if p.opts != nil {
+			opts = *p.opts
+		}
+		return b.run(ctx, st, opts, p.cfg)
+	})
+}
+
+// prefetchStacks builds the given (dataset, setup) stacks as one grid so
+// independent index builds run on parallel host workers; results land in
+// the bench cache for the sequential rendering pass that follows.
 func (b *Bench) prefetchStacks(ctx context.Context, dsNames []string, setups []vdb.Setup) error {
-	var cells []cell
+	var pts []figPoint
 	for _, dsName := range dsNames {
 		for _, setup := range setups {
-			dsName, setup := dsName, setup
-			cells = append(cells, cell{
-				key: "stack/" + dsName + "/" + setup.Label(),
-				run: func(ctx context.Context) error {
-					_, err := b.StackContext(ctx, dsName, setup)
-					return err
-				},
-			})
+			pts = append(pts, figPoint{ds: dsName, setup: setup})
 		}
 	}
-	return b.runGrid(ctx, cells)
+	_, err := measure(ctx, b.sched(), pts, func(p figPoint) string { return "stack/" + p.ds + "/" + p.setup.Label() },
+		func(ctx context.Context, p figPoint) (*Stack, error) { return b.StackContext(ctx, p.ds, p.setup) })
+	return err
 }
 
 // runTable2 reproduces Table II: per dataset, the tuned search-time
@@ -135,65 +157,10 @@ func runTable2(ctx context.Context, b *Bench, w io.Writer) error {
 	return tw.Flush()
 }
 
-// fig234Sweeps runs the full Figures 2–4 measurement grid — every requested
-// dataset × setup × thread count — as one scheduler fan-out, so stack builds
-// and simulation cells overlap across host workers. Results come back keyed
-// as dataset → setup label → threads; cells are memoised, so the three
-// figures share one grid's work.
-func (b *Bench) fig234Sweeps(ctx context.Context, dsNames []string, setups []vdb.Setup) (map[string]map[string]map[int]Metrics, error) {
-	type point struct {
-		ds      string
-		setup   vdb.Setup
-		threads int
-	}
-	var pts []point
-	for _, dsName := range dsNames {
-		for _, setup := range setups {
-			for _, threads := range ThreadSweep {
-				pts = append(pts, point{dsName, setup, threads})
-			}
-		}
-	}
-	outs := make([]RunOutput, len(pts))
-	cells := make([]cell, len(pts))
-	for i, p := range pts {
-		i, p := i, p
-		cells[i] = cell{
-			key: fmt.Sprintf("%s/%s/t=%d", p.ds, p.setup.Label(), p.threads),
-			run: func(ctx context.Context) error {
-				st, err := b.StackContext(ctx, p.ds, p.setup)
-				if err != nil {
-					return err
-				}
-				out, err := b.RunCellContext(ctx, st, st.Execs, RunConfig{Threads: p.threads}, "fig234")
-				outs[i] = out
-				return err
-			},
-		}
-	}
-	if err := b.runGrid(ctx, cells); err != nil {
-		return nil, err
-	}
-	res := map[string]map[string]map[int]Metrics{}
-	for i, p := range pts {
-		byDS := res[p.ds]
-		if byDS == nil {
-			byDS = map[string]map[int]Metrics{}
-			res[p.ds] = byDS
-		}
-		bySetup := byDS[p.setup.Label()]
-		if bySetup == nil {
-			bySetup = map[int]Metrics{}
-			byDS[p.setup.Label()] = bySetup
-		}
-		bySetup[p.threads] = outs[i].Metrics
-	}
-	return res, nil
-}
-
 // threadFigure is one of Figures 2–4: every paper setup across the thread
 // ladder, one table per dataset, one metric per cell, a blank line after
-// each table.
+// each table. The three figures measure the same memoised cells, so
+// whichever runs first pays for the grid.
 type threadFigure struct {
 	metric   string
 	datasets []string
@@ -201,18 +168,27 @@ type threadFigure struct {
 }
 
 func (f threadFigure) run(ctx context.Context, b *Bench, w io.Writer) error {
-	sweeps, err := b.fig234Sweeps(ctx, f.datasets, setupsForFigure2())
+	var pts []figPoint
+	for _, dsName := range f.datasets {
+		for _, setup := range setupsForFigure2() {
+			for _, threads := range ThreadSweep {
+				pts = append(pts, figPoint{ds: dsName, setup: setup, cfg: RunConfig{Threads: threads}})
+			}
+		}
+	}
+	outs, err := b.figure(ctx, pts)
 	if err != nil {
 		return err
 	}
+	i := 0
 	for _, dsName := range f.datasets {
 		fmt.Fprintf(w, "# %s — %s\n", dsName, f.metric)
 		tw := table(w, append([]interface{}{"setup"}, threadsHeader()...)...)
 		for _, setup := range setupsForFigure2() {
-			cells := sweeps[dsName][setup.Label()]
 			cols := []interface{}{setup.Label()}
-			for _, t := range ThreadSweep {
-				cols = append(cols, f.cell(cells[t]))
+			for range ThreadSweep {
+				cols = append(cols, f.cell(outs[i].Metrics))
+				i++
 			}
 			row(tw, cols...)
 		}

@@ -6,38 +6,7 @@ import (
 	"io"
 
 	"svdbench/internal/index"
-	"svdbench/internal/vdb"
 )
-
-// pipelinePoint is one cell of the async-pipeline sweep: a look-ahead depth
-// crossed with a closed-loop thread count. la == 0 is the synchronous
-// baseline (no prefetch, direct per-request submission); la > 0 runs the
-// full pipeline — look-ahead prefetch within a query plus coalesced read
-// submission across queries.
-type pipelinePoint struct {
-	la      int
-	threads int
-}
-
-// pipelinePoints returns the sweep grid in deterministic order.
-func pipelinePoints() []pipelinePoint {
-	var pts []pipelinePoint
-	for _, t := range []int{1, 8} {
-		for _, la := range []int{0, 2, 4, 8} {
-			pts = append(pts, pipelinePoint{la: la, threads: t})
-		}
-	}
-	return pts
-}
-
-// prefetchTotals sums the speculative-read accounting across executions.
-func prefetchTotals(execs []vdb.QueryExec) index.Stats {
-	var s index.Stats
-	for i := range execs {
-		s.Add(execs[i].Stats)
-	}
-	return s
-}
 
 // runPipeline measures the async batched pipeline (Extension F): LAANN-style
 // look-ahead prefetch inside each query plus coalesced request submission
@@ -47,11 +16,7 @@ func prefetchTotals(execs []vdb.QueryExec) index.Stats {
 // wasted-prefetch ratio the speculation pays, and how much of the run
 // overlaps device and CPU time (the overlap a pipeline exists to create).
 func runPipeline(ctx context.Context, b *Bench, w io.Writer) error {
-	// SPANN built raw over the dataset (the Ext-D index, shared with it):
-	// its probe order is known after navigation, so look-ahead overlaps
-	// posting j+1's contiguous read with posting j's scan — the favourable
-	// case.
-	sp, err := b.spannContext(ctx, "cohere-large")
+	s, err := b.storageStacks(ctx)
 	if err != nil {
 		return err
 	}
@@ -60,80 +25,48 @@ func runPipeline(ctx context.Context, b *Bench, w io.Writer) error {
 	// even when one probe already reaches the recall target. Raising nprobe
 	// only raises recall, and the comparison down each look-ahead column is
 	// at one fixed nprobe either way.
-	nprobe := sp.opts.NProbe
-	if nprobe < 8 {
-		nprobe = min(8, sp.ix.Postings())
+	spOpts := s.sp.opts
+	if spOpts.NProbe < 8 {
+		spOpts.NProbe = min(8, s.sp.ix.Postings())
 	}
-	spOpts := index.SearchOptions{NProbe: nprobe}
 
-	// DiskANN over the monolithic Milvus stack at its tuned search_list:
-	// the adversarial case, where the frontier shifts between hops and
-	// speculation can be wasted.
-	st, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: monoMilvus(), Index: vdb.IndexDiskANN})
+	// SPANN first: its probe order is known after navigation, so look-ahead
+	// overlaps posting j+1's contiguous read with posting j's scan — the
+	// favourable case. Then DiskANN at its tuned search_list: the
+	// adversarial case, where the frontier shifts between hops and
+	// speculation can be wasted. la == 0 is the synchronous baseline (no
+	// prefetch, direct per-request submission); la > 0 runs the full
+	// pipeline — look-ahead prefetch within a query plus coalesced read
+	// submission across queries.
+	var rows []storageRow
+	for _, base := range []storageRow{{spann: true, opts: spOpts}, {opts: s.da.Opts}} {
+		for _, threads := range []int{1, 8} {
+			for _, la := range []int{0, 2, 4, 8} {
+				rows = append(rows, storageRow{base.spann, base.opts.With(index.WithLookAhead(la)),
+					RunConfig{Threads: threads, CoalesceReads: la > 0, LookAhead: la}})
+			}
+		}
+	}
+	outs, err := s.measure(ctx, rows)
 	if err != nil {
 		return err
 	}
 
-	pts := pipelinePoints()
-	type cellOut struct {
-		recall float64
-		pf     index.Stats
-		m      Metrics
-	}
-	spOuts := make([]cellOut, len(pts))
-	daOuts := make([]cellOut, len(pts))
-	cells := make([]cell, 0, 2*len(pts))
-	for i, p := range pts {
-		i, p := i, p
-		cfg := RunConfig{Threads: p.threads, CoalesceReads: p.la > 0, LookAhead: p.la}
-		cells = append(cells, cell{
-			key: fmt.Sprintf("cohere-large/pipeline/spann-la%d-t%d", p.la, p.threads),
-			run: func(ctx context.Context) error {
-				execs, recall := sp.record(spOpts.With(index.WithLookAhead(p.la)))
-				out, err := RunContext(ctx, execs, neutralEngine, b.mergeDefaults(cfg))
-				spOuts[i] = cellOut{recall: recall, pf: prefetchTotals(execs), m: out.Metrics}
-				return err
-			},
-		})
-		cells = append(cells, cell{
-			key: fmt.Sprintf("cohere-large/pipeline/diskann-la%d-t%d", p.la, p.threads),
-			run: func(ctx context.Context) error {
-				opts := st.Opts.With(index.WithLookAhead(p.la))
-				execs := st.ExecsFor(opts)
-				out, err := b.RunCellContext(ctx, st, execs, cfg,
-					fmt.Sprintf("pipeline-la%d", p.la))
-				daOuts[i] = cellOut{recall: st.RecallFor(opts), pf: prefetchTotals(execs), m: out.Metrics}
-				return err
-			},
-		})
-	}
-	if err := b.runGrid(ctx, cells); err != nil {
-		return err
-	}
-
 	tw := table(w, "index", "look-ahead", "threads", "recall@10", "dev reads/query", "wasted pf", "QPS", "mean (µs)", "P99 (µs)", "overlap", "mean QD")
-	emit := func(name string, outs []cellOut) {
-		for i, p := range pts {
-			o := outs[i]
-			readsPerQ := 0.0
-			if o.m.Served > 0 {
-				readsPerQ = float64(o.m.ReadOps) / float64(o.m.Served)
-			}
-			row(tw, name,
-				fmt.Sprintf("%d", p.la),
-				fmt.Sprintf("%d", p.threads),
-				fmt.Sprintf("%.3f", o.recall),
-				fmt.Sprintf("%.1f", readsPerQ),
-				fmt.Sprintf("%.1f%%", 100*o.pf.WastedPrefetchRatio()),
-				fmt.Sprintf("%.1f", o.m.QPS),
-				fmtDur(o.m.MeanLatency),
-				fmtDur(o.m.P99),
-				fmt.Sprintf("%.1f%%", 100*o.m.OverlapFrac),
-				fmt.Sprintf("%.1f", o.m.MeanQueueDepth))
-		}
+	for i, r := range rows {
+		o := outs[i]
+		row(tw, r.name(),
+			fmt.Sprintf("%d", r.opts.LookAhead),
+			fmt.Sprintf("%d", r.cfg.Threads),
+			fmt.Sprintf("%.3f", o.recall),
+			fmt.Sprintf("%.1f", o.readsPerQuery()),
+			fmt.Sprintf("%.1f%%", 100*o.stats.WastedPrefetchRatio()),
+			fmt.Sprintf("%.1f", o.m.QPS),
+			fmtDur(o.m.MeanLatency),
+			fmtDur(o.m.P99),
+			fmt.Sprintf("%.1f%%", 100*o.m.OverlapFrac),
+			fmt.Sprintf("%.1f", o.m.MeanQueueDepth))
 	}
-	emit(fmt.Sprintf("SPANN (nprobe=%d)", spOpts.NProbe), spOuts)
-	emit(fmt.Sprintf("DiskANN (W=%d, L=%d)", st.Opts.BeamWidth, st.Opts.SearchList), daOuts)
 	if err := tw.Flush(); err != nil {
 		return err
 	}

@@ -22,22 +22,18 @@ import (
 func runExtD(ctx context.Context, b *Bench, w io.Writer) error {
 	// DiskANN at its tuned minimum search_list: the monolithic collection
 	// the Ext-C ablation also uses (disk-cached across runs). It has no
-	// tombstones, so its recorded executions are the bare index's.
-	monoStack, err := b.StackContext(ctx, "cohere-large", vdb.Setup{Engine: monoMilvus(), Index: vdb.IndexDiskANN})
+	// tombstones, so its recorded executions are the bare index's. SPANN
+	// with nprobe tuned to the same recall target.
+	s, err := b.storageStacks(ctx)
 	if err != nil {
 		return err
 	}
+	monoStack, sp := s.da, s.sp
 	da, ok := monoStack.Col.Segments()[0].Index.(*diskann.Index)
 	if !ok {
 		return fmt.Errorf("extD: %w: monolithic stack holds %T, want *diskann.Index", vdb.ErrBadParams, monoStack.Col.Segments()[0].Index)
 	}
 	daOpts := monoStack.Opts
-
-	// SPANN with nprobe tuned to the same recall target.
-	sp, err := b.spannContext(ctx, "cohere-large")
-	if err != nil {
-		return err
-	}
 	spExecs, spRecall := sp.record(sp.opts)
 
 	rows := []struct {
@@ -120,7 +116,7 @@ func (b *Bench) spannContext(ctx context.Context, dsName string) (*spannStack, e
 		}
 		var page int64
 		sp.AssignPages(func(n int64) int64 { p := page; page += n; return p })
-		nprobe := tuneUp("spann-nprobe", 1, sp.Postings(), func(v int) float64 {
+		nprobe := tuneUp(1, sp.Postings(), func(v int) float64 {
 			_, r := recordRaw(ds, sp, index.SearchOptions{NProbe: v}, 100)
 			return r
 		})

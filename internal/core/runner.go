@@ -43,9 +43,6 @@ type RunConfig struct {
 	// MaxReadConcurrent overrides the engine's segment-worker cap (for
 	// the Fig. 12–15 beam-width experiments).
 	MaxReadConcurrent int
-	// BeamWidth is recorded for reporting only (the recorded executions
-	// already embody it).
-	BeamWidth int
 	// CoalesceReads routes the engine's device reads through an ssd.Batcher:
 	// requests outstanding across concurrent queries at the same instant are
 	// submitted in shared batches of up to the device queue depth, paying
@@ -103,7 +100,7 @@ func Run(execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig) RunOutput {
 // repetition whose simulation deadlocks fails the run with the kernel's
 // process dump.
 //
-// Repetitions run as Scheduler cells: every repetition owns a fresh simulated
+// Repetitions are one measure grid: every repetition owns a fresh simulated
 // stack and a private result slot indexed by repetition number, so the
 // aggregate — and the reported timeline, taken from the last repetition — is
 // bit-identical to a sequential run regardless of host scheduling.
@@ -119,26 +116,26 @@ func RunContext(ctx context.Context, execs []vdb.QueryExec, traits vdb.Traits, c
 			bucket = time.Millisecond
 		}
 	}
-	nrep := cfg.Repetitions
-	reps := make([]Metrics, nrep)
-	timelines := make([][]trace.BucketPoint, nrep)
-	cells := make([]cell, nrep)
-	for rep := range cells {
-		rep := rep
-		cells[rep] = cell{
-			key: fmt.Sprintf("rep=%d", rep),
-			run: func(context.Context) (err error) {
-				tr := trace.NewTracer(false)
-				tr.SetBucket(bucket)
-				reps[rep], timelines[rep], err = runOnce(newRig(cfg.Cores, tr), execs, traits, cfg, int64(rep)+cfg.Seed)
-				return err
-			},
-		}
+	reps := make([]int64, cfg.Repetitions)
+	for rep := range reps {
+		reps[rep] = int64(rep)
 	}
-	if err := NewScheduler(0).Run(ctx, cells); err != nil {
+	outs, err := measure(ctx, NewScheduler(0), reps, func(rep int64) string { return fmt.Sprintf("rep=%d", rep) },
+		func(_ context.Context, rep int64) (o RunOutput, err error) {
+			tr := trace.NewTracer(false)
+			tr.SetBucket(bucket)
+			o.Metrics, o.Timeline, err = runOnce(newRig(cfg.Cores, tr), execs, traits, cfg, rep+cfg.Seed)
+			return o, err
+		})
+	if err != nil {
 		return RunOutput{}, err
 	}
-	return RunOutput{Metrics: AggregateRuns(reps), Timeline: timelines[nrep-1], TimelineBucket: bucket}, nil
+	ms := make([]Metrics, len(outs))
+	for i, o := range outs {
+		ms[i] = o.Metrics
+	}
+	last := outs[len(outs)-1]
+	return RunOutput{Metrics: AggregateRuns(ms), Timeline: last.Timeline, TimelineBucket: bucket}, nil
 }
 
 // runOnce is a single repetition on r, a fresh rig with a tracer:
@@ -167,13 +164,23 @@ func runOnce(r *rig, execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, se
 		// Back off like a crashing client loop would.
 		return &queryOp{k: r.k, t: t, q: eng.NewOp(t), queries: &queries, tally: &res, backoff: time.Millisecond}
 	})
-	endTime, err := r.run() // lets in-flight queries drain past the horizon
+	end, err := r.run() // lets in-flight queries drain past the horizon
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	latencies, served, failed := res.latencies, res.served, res.failed
+	var tl []trace.BucketPoint
+	if cfg.Timeline {
+		tl = r.tr.Timeline()
+	}
+	return r.metrics(&res, end, cfg), tl, nil
+}
+
+// metrics assembles the Metrics of a run on r that drained at end: the
+// latencies res collected (sorted in place) and its counts, CPU utilisation
+// over the window the run took, and the tracer's summary of the device.
+func (r *rig) metrics(res *tally, end sim.Time, cfg RunConfig) Metrics {
 	window := cfg.Duration
-	if d := endTime.Sub(0); d > window {
+	if d := end.Sub(0); d > window {
 		window = d
 	}
 	util := sim.Utilization(0, r.cpu.BusyTime(), window, cfg.Cores)
@@ -181,6 +188,7 @@ func runOnce(r *rig, execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, se
 		util = 1
 	}
 
+	latencies := res.latencies
 	slices.Sort(latencies)
 	m := Metrics{
 		P50:         rank(latencies, 0.50),
@@ -188,11 +196,11 @@ func runOnce(r *rig, execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, se
 		P99:         rank(latencies, 0.99),
 		MeanLatency: MeanDuration(latencies),
 		CPUUtil:     util,
-		Served:      served,
-		Failed:      failed,
+		Served:      res.served,
+		Failed:      res.failed,
 	}
 	if cfg.Duration > 0 {
-		m.QPS = float64(served) / cfg.Duration.Seconds()
+		m.QPS = float64(res.served) / cfg.Duration.Seconds()
 	}
 	sum := r.tr.Summarize(cfg.Duration)
 	m.ReadMiBps = sum.ReadMiBps
@@ -207,14 +215,10 @@ func runOnce(r *rig, execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, se
 	m.DeviceBusyFrac = sum.DeviceBusyFrac
 	m.CPUBusyFrac = sum.CPUBusyFrac
 	m.OverlapFrac = sum.OverlapFrac
-	if served > 0 {
-		m.BytesPerQuery = float64(sum.ReadBytes) / float64(served)
+	if res.served > 0 {
+		m.BytesPerQuery = float64(sum.ReadBytes) / float64(res.served)
 	}
-	var tl []trace.BucketPoint
-	if cfg.Timeline {
-		tl = r.tr.Timeline()
-	}
-	return m, tl, nil
+	return m
 }
 
 // rig is one fresh simulated testbed — a kernel, a CPU and the default SSD —

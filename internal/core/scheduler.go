@@ -14,7 +14,8 @@ import (
 // The run closure writes its result into a caller-owned, cell-private slot,
 // which is what makes the merge deterministic: no matter which worker
 // finishes first, the caller reads the slots back in input order, so an
-// 8-worker grid renders byte-identical tables to a sequential one.
+// 8-worker grid renders byte-identical tables to a sequential one. measure
+// builds every grid's cells.
 type cell struct {
 	// key identifies the cell in progress reports and error messages
 	// (e.g. "cohere-large/milvus-DISKANN/t=256").
@@ -134,4 +135,23 @@ func (s *Scheduler) Run(ctx context.Context, cells []cell) error {
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// measure is the one experiment grid: it runs run once per point as a cell
+// of s, named key(p) in progress reports and errors, and returns the results
+// in point order. On failure it returns the first cell error, wrapped with
+// that cell's key.
+func measure[P, R any](ctx context.Context, s *Scheduler, pts []P, key func(P) string, run func(context.Context, P) (R, error)) ([]R, error) {
+	out := make([]R, len(pts))
+	cells := make([]cell, len(pts))
+	for i, p := range pts {
+		cells[i] = cell{key: key(p), run: func(ctx context.Context) (err error) {
+			out[i], err = run(ctx, p)
+			return err
+		}}
+	}
+	if err := s.Run(ctx, cells); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

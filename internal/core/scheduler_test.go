@@ -229,35 +229,68 @@ func TestRunMatchesRunContext(t *testing.T) {
 	}
 }
 
-// TestBenchGridConcurrentStacks drives runGrid through concurrent cells that
-// all demand the same stacks, exercising the singleflight caches under the
-// race detector.
+// TestBenchGridConcurrentStacks drives a bench grid through concurrent
+// cells that all demand the same stacks, exercising the singleflight caches
+// under the race detector.
 func TestBenchGridConcurrentStacks(t *testing.T) {
 	b := NewBench(dataset.ScaleTiny, "")
 	b.RunDefaults = RunConfig{Duration: 30 * time.Millisecond, Repetitions: 1, Cores: 4}
 	b.Workers = 8
 	var builds int64
-	cells := make([]cell, 16)
-	for i := range cells {
-		cells[i] = cell{
-			key: fmt.Sprintf("cell-%d", i),
-			run: func(ctx context.Context) error {
-				st, err := b.StackContext(ctx, "cohere-small", milvusDiskANN())
-				if err != nil {
-					return err
-				}
-				if st == nil || len(st.Execs) == 0 {
-					return errors.New("empty stack")
-				}
-				atomic.AddInt64(&builds, 1)
-				return nil
-			},
-		}
-	}
-	if err := b.runGrid(context.Background(), cells); err != nil {
+	_, err := measure(context.Background(), b.sched(), make([]int, 16), func(int) string { return "stack" },
+		func(ctx context.Context, _ int) (*Stack, error) {
+			st, err := b.StackContext(ctx, "cohere-small", milvusDiskANN())
+			if err != nil {
+				return nil, err
+			}
+			if st == nil || len(st.Execs) == 0 {
+				return nil, errors.New("empty stack")
+			}
+			atomic.AddInt64(&builds, 1)
+			return st, nil
+		})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if builds != 16 {
 		t.Errorf("ran %d cells, want 16", builds)
+	}
+}
+
+// TestMeasureOrderAndError: the grid helper returns results in point order
+// however its workers interleave, and the first failing point's error
+// wrapped with that cell's key.
+func TestMeasureOrderAndError(t *testing.T) {
+	pts := make([]int, 40)
+	for i := range pts {
+		pts[i] = i
+	}
+	key := func(p int) string { return fmt.Sprintf("p%d", p) }
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 8} {
+		got, err := measure(context.Background(), NewScheduler(workers), pts, key, func(_ context.Context, p int) (string, error) {
+			// Early points take longest, so with several workers later
+			// points finish first.
+			time.Sleep(time.Duration(len(pts)-p) * 50 * time.Microsecond)
+			return key(p), nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, r := range got {
+			if r != key(i) {
+				t.Fatalf("workers=%d: result %d = %q, want %q", workers, i, r, key(i))
+			}
+		}
+
+		_, err = measure(context.Background(), NewScheduler(workers), pts, key, func(_ context.Context, p int) (string, error) {
+			if p == 3 {
+				return "", boom
+			}
+			return key(p), nil
+		})
+		if !errors.Is(err, boom) || err.Error() != "cell p3: boom" {
+			t.Errorf("workers=%d: err = %v, want the failing point's error wrapped as %q", workers, err, "cell p3: boom")
+		}
 	}
 }

@@ -55,7 +55,7 @@ func (b *Bench) tune(ctx context.Context, st *Stack) error {
 		// The paper tunes search_list to the recall target and finds the
 		// minimum value (10) already exceeds it (Tab. II); we follow the
 		// same procedure with the same floor.
-		L := tuneUp("search_list", 10, 512, func(v int) float64 {
+		L := tuneUp(10, 512, func(v int) float64 {
 			return tuneRecall(st, index.SearchOptions{SearchList: v, BeamWidth: 4})
 		})
 		st.Opts = index.SearchOptions{SearchList: L, BeamWidth: 4}
@@ -88,14 +88,14 @@ func (b *Bench) tuneNProbe(st *Stack) int {
 			maxProbe = nl.NList()
 		}
 	}
-	return tuneUp("nprobe", 1, maxProbe, func(v int) float64 {
+	return tuneUp(1, maxProbe, func(v int) float64 {
 		return tuneRecall(st, index.SearchOptions{NProbe: v})
 	})
 }
 
 // tuneEf finds the smallest efSearch reaching the recall target.
 func (b *Bench) tuneEf(st *Stack) int {
-	return tuneUp("efSearch", PaperK, 4096, func(v int) float64 {
+	return tuneUp(PaperK, 4096, func(v int) float64 {
 		return tuneRecall(st, index.SearchOptions{EfSearch: v})
 	})
 }
@@ -106,7 +106,7 @@ func (b *Bench) tuneEf(st *Stack) int {
 // nprobe and efSearch up to noise). If even hi misses the target, hi is
 // returned, mirroring the paper's LanceDB-IVF case where the target is
 // unreachable and the achieved accuracy is simply reported.
-func tuneUp(name string, lo, hi int, eval func(int) float64) int {
+func tuneUp(lo, hi int, eval func(int) float64) int {
 	return tuneUpTo(lo, hi, TargetRecall, eval)
 }
 
