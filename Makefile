@@ -35,8 +35,12 @@ test-purego:
 # and its scratch hand-off, of the batched graph insert and of the
 # experiment scheduler under the race detector at GOMAXPROCS 1, 2 and 4,
 # three times each, so the helpers and the width-1 loop are each audited.
+# It then runs the loop's own tests twenty times more under the race
+# detector with a short timeout: a hand-off to a resident worker that is
+# lost hangs a call, and fails here in two minutes.
 test-widths:
 	$(GO) test -race -cpu 1,2,4 -count=3 -run 'FanOut|ConcurrentSearch|SingleQuery|SearchAllocations|InsertBatched|Scheduler|^TestFor' ./internal/par ./internal/index ./internal/core ./internal/vdb
+	$(GO) test -race -count=20 -timeout 2m -run '^TestFor' ./internal/par
 
 # The quick suite's output must not depend on how many workers the host
 # loops get: `quick-widths` runs it at GOMAXPROCS 1 and 4, drops the host

@@ -393,13 +393,17 @@ func (c *Collection) borrow(w int) *index.SearchScratch {
 }
 
 // minFanOutWork is the least live rows × dim at which a lone Search or
-// Record fans its units out. Below it, starting helpers costs more than they
-// save. It is the break-even of runOne at width 2 against width 1 on
-// BenchmarkSearch's 13 IVF_FLAT segments + tail shape at GOMAXPROCS 2 (a
-// 2-vCPU Xeon): over 1280 live rows, width 2 ran 0.84× the loop's speed at
-// 32 dims (41 k), 0.92–1.0× at 256 (0.33 M), 1.08× at 320 (0.41 M), 1.08×
-// at 384 (0.49 M) and 1.36× at 768 (0.98 M). serve-seg-mixed is about 3.4 M.
-const minFanOutWork = 350_000
+// Record fans its units out. Below it, a helper that has to be woken costs
+// more than it saves. It was measured on BenchmarkSearch's 13 IVF_FLAT
+// segments + tail shape (1280 live rows) at GOMAXPROCS 2 on a 2-vCPU Xeon,
+// runOne at width 2 against width 1. Back to back, with par's helper
+// resident and polling, width 2 wins from 32 dims (41 k) up: 1.2–1.5× below
+// 0.25 M, 1.8–2.0× from 0.33 M. With 2 ms between queries, so that the
+// helper has parked and must be woken, width 2 runs 0.94× the loop's speed
+// at 32 dims, 0.96–0.99× at 96 (0.12 M), 1.00–1.07× at 128 (0.16 M) and
+// 1.07–1.13× at 160 (0.2 M). The bound is that break-even; serve-seg-mixed
+// is about 3.4 M, the 32-d test collections about 44 k.
+const minFanOutWork = 160_000
 
 // width is the fan-out width of a lone query: every core, or 1 when the
 // collection holds too little work to share (minFanOutWork).

@@ -89,9 +89,12 @@ func TestSingleQueryMatchesBatch(t *testing.T) {
 // result ids, plus the tombstone-filter closure when anything is deleted —
 // at every GOMAXPROCS, since the 32-d collections hold too little work to
 // fan out — and, when runOne fans the units out over 2 workers, the loop's
-// closure, its one counter-and-join object and the helper's goroutine (5) at
-// every GOMAXPROCS: the workers' scratch list is kept in the caller's
-// scratch, and a helper borrows a scratch only once it claims a unit.
+// closure and the helper's goroutine (4): par.For recycles its per-call
+// state, the workers' scratch list is kept in the caller's scratch, and a
+// helper borrows a scratch only once it claims a unit. AllocsPerRun runs
+// at GOMAXPROCS 1, where par keeps no resident worker, so every call starts
+// its helper; a call handed to a resident worker allocates one less
+// (par.TestForWarmAllocatesNothing).
 func TestSearchAllocations(t *testing.T) {
 	mono, monoDS := lruCollection(t)
 	mixed, mixedDS := mixedCollection(t)
@@ -105,7 +108,7 @@ func TestSearchAllocations(t *testing.T) {
 	}{
 		{"one DiskANN segment", mono, monoDS, index.SearchOptions{SearchList: 20, BeamWidth: 4}, 0, 1},
 		{"13 IVF_FLAT segments + tail + tombstones", mixed, mixedDS, index.SearchOptions{NProbe: 8}, 0, 2},
-		{"13 IVF_FLAT segments + tail + tombstones, fanned out", mixed, mixedDS, index.SearchOptions{NProbe: 8}, 2, 5},
+		{"13 IVF_FLAT segments + tail + tombstones, fanned out", mixed, mixedDS, index.SearchOptions{NProbe: 8}, 2, 4},
 	} {
 		search := func(q []float32) {
 			if tc.width == 0 {
