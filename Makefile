@@ -32,14 +32,15 @@ test-purego:
 
 # Every host parallel loop is par.For, whose width follows GOMAXPROCS.
 # `test-widths` runs the tests of the loop itself, of a lone query's fan-out
-# and its scratch hand-off, of the batched graph insert and of the
+# and its scratch hand-off, of the batched graph insert, of the page layout
+# a fresh DiskANN index packs under concurrent first searches and of the
 # experiment scheduler under the race detector at GOMAXPROCS 1, 2 and 4,
 # three times each, so the helpers and the width-1 loop are each audited.
 # It then runs the loop's own tests twenty times more under the race
 # detector with a short timeout: a hand-off to a resident worker that is
 # lost hangs a call, and fails here in two minutes.
 test-widths:
-	$(GO) test -race -cpu 1,2,4 -count=3 -run 'FanOut|ConcurrentSearch|SingleQuery|SearchAllocations|InsertBatched|Scheduler|^TestFor' ./internal/par ./internal/index ./internal/core ./internal/vdb
+	$(GO) test -race -cpu 1,2,4 -count=3 -run 'FanOut|ConcurrentSearch|SingleQuery|SearchAllocations|InsertBatched|Scheduler|^TestFor' ./internal/par ./internal/index ./internal/index/diskann ./internal/core ./internal/vdb
 	$(GO) test -race -count=20 -timeout 2m -run '^TestFor' ./internal/par
 
 # The quick suite's output must not depend on how many workers the host

@@ -272,25 +272,3 @@ func (r *Reader) Magic(m string) {
 		r.err = fmt.Errorf("binenc: bad magic %q, want %q", buf, m)
 	}
 }
-
-// MagicOneOf reads a fixed-length signature and returns whichever candidate
-// it matches, failing otherwise — the versioned-format dispatch used by
-// readers that accept more than one on-disk framing. All candidates must
-// share one length.
-func (r *Reader) MagicOneOf(ms ...string) string {
-	if r.err != nil || len(ms) == 0 {
-		return ""
-	}
-	buf := make([]byte, len(ms[0]))
-	r.read(buf)
-	if r.err != nil {
-		return ""
-	}
-	for _, m := range ms {
-		if string(buf) == m {
-			return m
-		}
-	}
-	r.err = fmt.Errorf("binenc: bad magic %q, want one of %q", buf, ms)
-	return ""
-}

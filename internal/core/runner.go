@@ -19,9 +19,7 @@ import (
 // dropped before each run, repeated with mean ± std reported.
 //
 // RunConfig is the stable wire form of a measurement: a plain struct whose
-// zero fields mean "use the standard defaults" (see Defaults). The
-// functional options in options.go (WithThreads, WithRepetitions, ...) are
-// the ergonomic layer over it; both construct the same values.
+// zero fields mean "use the standard defaults" (see Defaults).
 type RunConfig struct {
 	// Threads is the closed-loop concurrency (the paper sweeps 1..256).
 	Threads int

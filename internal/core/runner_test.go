@@ -145,6 +145,11 @@ func TestRunDefaults(t *testing.T) {
 	if cfg.Threads != 1 || cfg.Duration != 2*time.Second || cfg.Repetitions != 3 || cfg.Cores != 20 {
 		t.Errorf("defaults = %+v", cfg)
 	}
+	// Set fields survive; only zero ones take the standard values.
+	set := RunConfig{Threads: 256, Repetitions: 5, Cores: 8, Seed: 42}.Defaults()
+	if set.Threads != 256 || set.Repetitions != 5 || set.Cores != 8 || set.Seed != 42 || set.Duration != 2*time.Second {
+		t.Errorf("defaults over set fields = %+v", set)
+	}
 }
 
 func TestFailLabel(t *testing.T) {

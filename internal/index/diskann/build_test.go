@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -194,22 +195,28 @@ func TestSnapshotGolden(t *testing.T) {
 }
 
 // TestSnapshotIdenticalAcrossWorkers: the batched driver plans against the
-// frozen graph and applies each node's edits in item order, so the snapshot
-// does not depend on how many workers planned and applied.
+// frozen graph and applies each node's edits in item order, so neither the
+// snapshot nor the page layout packed from it depends on how many workers
+// planned and applied.
 func TestSnapshotIdenticalAcrossWorkers(t *testing.T) {
 	ds := dataset.Generate(dataset.Spec{
 		Name: "diskann-workers", N: 400, Dim: 16, NumQueries: 1,
 		Clusters: 8, Seed: 5, Metric: vec.Cosine, GroundK: 1,
 	})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	snap := func(procs int) []byte {
+	snap := func(procs int) ([]byte, *pageLayout) {
 		runtime.GOMAXPROCS(procs)
-		return pagePersistBytes(t, build(t, ds, Config{R: 16, LBuild: 32, PQM: 4, Layout: index.LayoutPage}))
+		ix := build(t, ds, Config{R: 16, LBuild: 32, PQM: 4})
+		return pagePersistBytes(t, ix), ix.pageLayoutFor()
 	}
-	one := snap(1)
+	one, oneLay := snap(1)
 	for _, procs := range []int{2, 4} {
-		if many := snap(procs); !bytes.Equal(one, many) {
+		many, manyLay := snap(procs)
+		if !bytes.Equal(one, many) {
 			t.Fatalf("snapshot differs between 1 and %d workers (%d vs %d bytes)", procs, len(one), len(many))
+		}
+		if !reflect.DeepEqual(oneLay, manyLay) {
+			t.Fatalf("page layout differs between 1 and %d workers", procs)
 		}
 	}
 }

@@ -43,11 +43,6 @@ type Config struct {
 	PQM int
 	// PageSize is the storage page size (default 4096).
 	PageSize int
-	// Layout selects the default on-disk layout searches use:
-	// index.LayoutID (node-per-page-slot, the default when empty) or
-	// index.LayoutPage (page-node co-design; the layout is packed eagerly
-	// at build time and persisted). Search options override per query.
-	Layout string
 }
 
 // Index is a built DiskANN index.
@@ -66,10 +61,8 @@ type Index struct {
 	// address them. nodeLay is the id layout, held as the capacity-1 page
 	// layout (row i alone in unit i, adjacency = the Vamana graph, entry =
 	// the medoid) so one beam kernel walks both. The page region is reserved
-	// unconditionally (so a layout materialised lazily on a loaded index has
-	// addresses), while pageLay itself is packed eagerly when built with
-	// Config.Layout == index.LayoutPage and lazily on the first page-layout
-	// search otherwise.
+	// unconditionally, so pageLay, packed on the first page-layout search,
+	// has addresses whenever that search comes.
 	basePage      int64
 	pagesPerNode  int
 	nodeLay       *pageLayout
@@ -90,11 +83,6 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 	n := data.Len()
 	if n == 0 {
 		return nil, fmt.Errorf("diskann: empty data")
-	}
-	switch cfg.Layout {
-	case "", index.LayoutID, index.LayoutPage:
-	default:
-		return nil, fmt.Errorf("diskann: unknown layout %q", cfg.Layout)
 	}
 	if cfg.R <= 0 {
 		cfg.R = 48
@@ -152,9 +140,6 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		}
 	}
 	ix.bind()
-	if cfg.Layout == index.LayoutPage {
-		ix.pageLay = ix.buildPageLayout()
-	}
 	return ix, nil
 }
 
@@ -292,7 +277,7 @@ func (ix *Index) robustPrune(alpha float64, scr *index.SearchScratch) func(cands
 // consecutive pages starting at base+i·pagesPerNode. A second region is
 // always reserved for the page-node layout (group g occupies pagesPerGroup
 // consecutive pages from pageBase; group count never exceeds the node
-// count), so a page layout materialised after loading still has addresses.
+// count), so a page layout packed after this call still has addresses.
 func (ix *Index) AssignPages(alloc func(npages int64) int64) {
 	ix.basePage = alloc(int64(ix.data.Len()) * int64(ix.pagesPerNode))
 	ix.pageBase = alloc(int64(ix.data.Len()) * int64(ix.pagesPerGroup))
@@ -310,25 +295,18 @@ func (ix *Index) PageCapacity() int { return pageCapacity(ix.data.Dim, ix.cfg.Pa
 // materialising it on first use.
 func (ix *Index) PageGroups() int { return ix.pageLayoutFor().pages() }
 
-// PageEntry reports the page group holding the medoid, materialising the
-// layout on first use (for tests).
-func (ix *Index) PageEntry() int32 { return ix.pageLayoutFor().entry }
-
-// layoutFor resolves the effective layout of one search: an explicit option
-// wins, then the layout the index was built with, then index.LayoutID.
+// layoutFor resolves the effective layout of one search: the option's, or
+// index.LayoutID when it is empty.
 func (ix *Index) layoutFor(opts index.SearchOptions) string {
 	if opts.Layout != "" {
 		return opts.Layout
-	}
-	if ix.cfg.Layout != "" {
-		return ix.cfg.Layout
 	}
 	return index.LayoutID
 }
 
 // pageLayoutFor returns the page-node layout, packing it on first use. The
-// pack is deterministic (seeded permutation, strict tie-breaks), so a lazy
-// layout on a loaded index equals the eagerly built one.
+// pack is deterministic (seeded permutation, strict tie-breaks), so a loaded
+// index packs the same layout as the index it was saved from.
 func (ix *Index) pageLayoutFor() *pageLayout {
 	ix.pageMu.Lock()
 	defer ix.pageMu.Unlock()

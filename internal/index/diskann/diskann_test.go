@@ -1,7 +1,6 @@
 package diskann
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -206,23 +205,6 @@ func TestFilterRespected(t *testing.T) {
 func TestEmptyDataRejected(t *testing.T) {
 	if _, err := Build(vec.NewMatrix(0, 8), nil, Config{}); err == nil {
 		t.Error("empty build accepted")
-	}
-}
-
-// TestBuildRejectsUnknownLayout: a bad Config.Layout fails up front, not
-// after PQ training and both Vamana passes — the rejected call allocates the
-// error and nothing else.
-func TestBuildRejectsUnknownLayout(t *testing.T) {
-	ds := testData(t)
-	var err error
-	allocs := testing.AllocsPerRun(1, func() {
-		_, err = Build(ds.Vectors, nil, Config{Layout: "slab"})
-	})
-	if err == nil || !strings.Contains(err.Error(), `unknown layout "slab"`) {
-		t.Fatalf("err = %v, want unknown layout", err)
-	}
-	if allocs > 8 {
-		t.Errorf("rejected build made %v allocations: the layout is validated after the work", allocs)
 	}
 }
 

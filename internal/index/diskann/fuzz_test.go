@@ -13,7 +13,7 @@ import (
 )
 
 // FuzzReadFrom feeds ReadFrom mutated snapshots (seeded from valid VAMA0001
-// and VAMA0002 ones, whole and truncated). Whatever the bytes, it must not
+// ones at two metrics, whole and truncated). Whatever the bytes, it must not
 // panic, must not allocate beyond a small multiple of its input, and must
 // either return an error naming the package or an index both layouts of
 // which can be searched.
@@ -22,8 +22,8 @@ func FuzzReadFrom(f *testing.F) {
 		Name: "diskann-fuzz", N: 64, Dim: 8, NumQueries: 1,
 		Clusters: 4, Seed: 43, Metric: vec.Cosine, GroundK: 1,
 	})
-	for _, layout := range []string{index.LayoutID, index.LayoutPage} {
-		ix, err := Build(ds.Vectors, nil, Config{R: 6, LBuild: 12, PQM: 2, Seed: 3, Metric: ds.Spec.Metric, Layout: layout})
+	for _, metric := range []vec.Metric{vec.Cosine, vec.L2} {
+		ix, err := Build(ds.Vectors, nil, Config{R: 6, LBuild: 12, PQM: 2, Seed: 3, Metric: metric})
 		if err != nil {
 			f.Fatal(err)
 		}

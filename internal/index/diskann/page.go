@@ -58,13 +58,14 @@ func pagesPerGroupFor(dim, pageSize int) int {
 // pageLayout is the materialised page-node graph of one index: a partition of
 // the node rows into page groups plus the inter-page topology embedded in the
 // page headers. It is deterministic given the build config (seeded packing,
-// strict tie-breaking) and is persisted verbatim by the VAMA0002 framing.
+// strict tie-breaking), so it is never persisted: a loaded index packs it
+// again on its first page-layout search.
 //
 // The id layout is the same structure at capacity 1 (Index.bind): unit i
 // holds row i alone, adj is the Vamana graph and entry the medoid, so the
 // beam kernel below serves both. Only members, adj and entry are read at
-// search time; pageOf and anchors exist for packing and validation and are
-// nil in the id layout.
+// search time; pageOf and anchors exist for packing and are nil in the id
+// layout.
 type pageLayout struct {
 	// pageOf maps a node row to the page group holding it.
 	pageOf []int32

@@ -3,13 +3,13 @@ package diskann
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
 	"svdbench/internal/binenc"
 	"svdbench/internal/dataset"
 	"svdbench/internal/index"
+	"svdbench/internal/vec"
 )
 
 // pageOpts is the standard page-layout variant of uncachedOpts.
@@ -103,18 +103,17 @@ func TestPagePackingPartition(t *testing.T) {
 }
 
 // TestPageLayoutSeedStable: packing is a pure function of the build config —
-// two builds from the same seed produce identical layouts, and a different
-// seed produces a different one (the tie-breaking is seeded, not incidental).
+// two builds from the same seed pack identical layouts, and a different seed
+// packs a different one (the tie-breaking is seeded, not incidental).
 func TestPageLayoutSeedStable(t *testing.T) {
 	ds := testData(t)
-	a := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8, Layout: index.LayoutPage})
-	b := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8, Layout: index.LayoutPage})
-	if !reflect.DeepEqual(a.pageLay.members, b.pageLay.members) ||
-		!reflect.DeepEqual(a.pageLay.adj, b.pageLay.adj) {
+	a := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8}).pageLayoutFor()
+	b := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8}).pageLayoutFor()
+	if !reflect.DeepEqual(a.members, b.members) || !reflect.DeepEqual(a.adj, b.adj) {
 		t.Fatal("same-seed builds produced different page layouts")
 	}
-	c := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8, Seed: 2, Layout: index.LayoutPage})
-	if reflect.DeepEqual(a.pageLay.members, c.pageLay.members) {
+	c := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8, Seed: 2}).pageLayoutFor()
+	if reflect.DeepEqual(a.members, c.members) {
 		t.Fatal("different seeds produced identical page layouts (tie-breaking not seeded)")
 	}
 }
@@ -141,29 +140,6 @@ func TestPageSearchDeterministic(t *testing.T) {
 		b := ix.Search(q, 10, pageOpts())
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("query %d: page search not deterministic", qi)
-		}
-	}
-}
-
-// TestPageLazyEqualsEager: an index built with the ID layout and switched to
-// the page layout per query must produce exactly the searches of an index
-// built with Layout=page (the lazy pack is the eager pack).
-func TestPageLazyEqualsEager(t *testing.T) {
-	ds := testData(t)
-	lazy := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8})
-	eager := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8, Layout: index.LayoutPage})
-	var next int64
-	lazy.AssignPages(func(n int64) int64 { p := next; next += n; return p })
-	next = 0
-	eager.AssignPages(func(n int64) int64 { p := next; next += n; return p })
-	opts := pageOpts()
-	for qi := 0; qi < 10; qi++ {
-		q := ds.Queries.Row(qi)
-		a := lazy.Search(q, 10, opts)
-		b := eager.Search(q, 10, opts) // eager default layout is page anyway
-		c := eager.Search(q, 10, uncachedOpts())
-		if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(b, c) {
-			t.Fatalf("query %d: lazy/eager/default-dispatch page searches differ", qi)
 		}
 	}
 }
@@ -312,6 +288,31 @@ func TestPageSearchBatchMatchesSearch(t *testing.T) {
 	}
 }
 
+// TestPageLazyPackConcurrentSearch: the first page-layout searches of a
+// fresh index race to pack its layout; they must return exactly what a
+// second fresh index returns when searched serially.
+func TestPageLazyPackConcurrentSearch(t *testing.T) {
+	ds := dataset.Generate(dataset.Spec{
+		Name: "diskann-lazy-pack", N: 400, Dim: 16, NumQueries: 32,
+		Clusters: 8, Seed: 5, Metric: vec.Cosine, GroundK: 1,
+	})
+	fresh := func() *Index {
+		ix := build(t, ds, Config{R: 16, LBuild: 32, PQM: 4})
+		var next int64
+		ix.AssignPages(func(n int64) int64 { p := next; next += n; return p })
+		return ix
+	}
+	serial, concurrent := fresh(), fresh()
+	opts := pageOpts()
+	got := index.BatchRun(context.Background(), ds.Queries.Len(), opts.With(index.WithQueryConcurrency(4)),
+		func(qi int, o index.SearchOptions) index.Result { return concurrent.Search(ds.Queries.Row(qi), 10, o) })
+	for qi := range got {
+		if want := serial.Search(ds.Queries.Row(qi), 10, opts); !reflect.DeepEqual(want, got[qi]) {
+			t.Fatalf("query %d: concurrent first searches differ from serial ones", qi)
+		}
+	}
+}
+
 // TestPageSearchSteadyStateZeroAlloc pins the page path to the zero-alloc
 // contract: with a reused scratch and dst, a steady-state page-layout query
 // performs no heap allocations.
@@ -365,26 +366,23 @@ func pagePersistBytes(t testing.TB, ix *Index) []byte {
 	return buf.Bytes()
 }
 
-// TestPagePersistRoundTripByteIdentical is the round-trip property: pack →
-// persist → reload → persist reproduces the file byte for byte, and the
-// reloaded index searches identically.
-func TestPagePersistRoundTripByteIdentical(t *testing.T) {
+// TestPageLayoutSurvivesReload: no format stores the page layout, so a
+// loaded index packs it again. Save → load must pack the layout the saved
+// index packed and search it identically, and persist → reload → persist
+// must reproduce the file byte for byte.
+func TestPageLayoutSurvivesReload(t *testing.T) {
 	ds := testData(t)
-	orig := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8, Layout: index.LayoutPage})
+	orig := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8})
 	first := pagePersistBytes(t, orig)
-	if !bytes.HasPrefix(first, []byte(PersistMagicV2)) {
-		t.Fatalf("page-layout index persisted with magic %q", first[:8])
-	}
 	got, err := ReadFrom(binenc.NewReader(bytes.NewReader(first)), ds.Vectors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := pagePersistBytes(t, got)
-	if !bytes.Equal(first, second) {
-		t.Fatal("persist → reload → persist is not byte-identical")
+	if !reflect.DeepEqual(orig.pageLayoutFor(), got.pageLayoutFor()) {
+		t.Fatal("reloaded index packs a different page layout")
 	}
-	if !reflect.DeepEqual(orig.pageLay, got.pageLay) {
-		t.Fatal("reloaded page layout differs")
+	if second := pagePersistBytes(t, got); !bytes.Equal(first, second) {
+		t.Fatal("persist → reload → persist is not byte-identical")
 	}
 	var next int64
 	orig.AssignPages(func(n int64) int64 { p := next; next += n; return p })
@@ -392,76 +390,8 @@ func TestPagePersistRoundTripByteIdentical(t *testing.T) {
 	got.AssignPages(func(n int64) int64 { p := next; next += n; return p })
 	for qi := 0; qi < 10; qi++ {
 		q := ds.Queries.Row(qi)
-		a := orig.Search(q, 10, index.SearchOptions{SearchList: 20, BeamWidth: 4})
-		b := got.Search(q, 10, index.SearchOptions{SearchList: 20, BeamWidth: 4})
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("query %d: reloaded page index searches differently", qi)
+		if a, b := orig.Search(q, 10, pageOpts()), got.Search(q, 10, pageOpts()); !reflect.DeepEqual(a, b) {
+			t.Fatalf("query %d: reloaded index searches its page layout differently", qi)
 		}
-	}
-}
-
-// TestPagePersistV1StillLoads: indexes persisted before the page layout
-// existed (VAMA0001) load unchanged and default to the ID layout.
-func TestPagePersistV1StillLoads(t *testing.T) {
-	ds, orig := shared(t)
-	raw := pagePersistBytes(t, orig)
-	if !bytes.HasPrefix(raw, []byte(PersistMagic)) {
-		t.Fatalf("id-layout index persisted with magic %q", raw[:8])
-	}
-	got, err := ReadFrom(binenc.NewReader(bytes.NewReader(raw)), ds.Vectors, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.cfg.Layout != "" {
-		t.Errorf("v1 load set layout %q", got.cfg.Layout)
-	}
-}
-
-// TestPagePersistCorruptionReturnsSentinel: every corruption of the page
-// directory — truncation included — surfaces as a wrapped ErrCorruptLayout,
-// never a panic.
-func TestPagePersistCorruptionReturnsSentinel(t *testing.T) {
-	ds := testData(t)
-	orig := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8, Layout: index.LayoutPage})
-	raw := pagePersistBytes(t, orig)
-
-	// The directory starts after the v1 body; locate it by serialising the
-	// same index as v1 and measuring the shared prefix length.
-	v1 := build(t, ds, Config{R: 32, LBuild: 64, PQM: 8})
-	dirStart := len(pagePersistBytes(t, v1))
-
-	check := func(name string, data []byte) {
-		t.Helper()
-		_, err := ReadFrom(binenc.NewReader(bytes.NewReader(data)), ds.Vectors, nil)
-		if err == nil {
-			t.Fatalf("%s: corrupt layout accepted", name)
-		}
-		if !errors.Is(err, ErrCorruptLayout) {
-			t.Fatalf("%s: error %v does not wrap ErrCorruptLayout", name, err)
-		}
-	}
-
-	// Truncations at and after the directory boundary.
-	check("truncated-at-directory", raw[:dirStart])
-	check("truncated-mid-directory", raw[:dirStart+(len(raw)-dirStart)/2])
-	check("truncated-last-byte", raw[:len(raw)-1])
-
-	// Flipped directory bytes: group counts, member rows, adjacency. A flip
-	// may still parse structurally (an in-range adjacency edge), but every
-	// failure it does cause must carry the sentinel.
-	detected := 0
-	for off := dirStart; off < len(raw) && off < dirStart+256; off += 7 {
-		mut := append([]byte(nil), raw...)
-		mut[off] ^= 0xff
-		_, err := ReadFrom(binenc.NewReader(bytes.NewReader(mut)), ds.Vectors, nil)
-		if err != nil {
-			if !errors.Is(err, ErrCorruptLayout) {
-				t.Fatalf("offset %d: error %v does not wrap ErrCorruptLayout", off, err)
-			}
-			detected++
-		}
-	}
-	if detected == 0 {
-		t.Error("no byte flip in the directory produced ErrCorruptLayout")
 	}
 }

@@ -63,8 +63,8 @@ type SearchOptions struct {
 	// layout the paper measures; LayoutPage groups a node with its nearest
 	// graph neighbours into 4 KiB page-nodes and beam-searches over those
 	// (the PageANN-style page-as-graph-unit co-design). Indexes without a
-	// second layout ignore the field. An explicit option overrides the
-	// layout the index was built with.
+	// second layout ignore the field; an index packs its page layout on the
+	// first search that selects it.
 	Layout string
 	// QueryConcurrency bounds how many queries of one batch (BatchRun) run
 	// concurrently on host cores (0 means one per core, GOMAXPROCS). Batches

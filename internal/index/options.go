@@ -45,7 +45,7 @@ func WithLookAhead(n int) SearchOption { return func(o *SearchOptions) { o.LookA
 // WithLayout selects the on-disk layout of a storage-based search: LayoutID
 // (one node per page slot, the default when empty) or LayoutPage (page-node
 // co-design: beam search over 4 KiB page groups, scoring every resident
-// node a fetch returns). Overrides the layout the index was built with.
+// node a fetch returns).
 func WithLayout(layout string) SearchOption {
 	return func(o *SearchOptions) { o.Layout = layout }
 }

@@ -285,9 +285,6 @@ func (t *Tracer) Timeline() []BucketPoint {
 	return out
 }
 
-// BucketWidth returns the timeline bucket width.
-func (t *Tracer) BucketWidth() sim.Duration { return t.bucket }
-
 // SizeBucket is one entry of the request size histogram.
 type SizeBucket struct {
 	Bytes int

@@ -163,7 +163,7 @@ func (c *Collection) buildIndex(data *vec.Matrix, ids []int32, segSeed int64) (i
 	case IndexHNSWSQ:
 		return hnsw.Build(data, ids, hnsw.Config{M: c.params.M, EfConstruction: c.params.EfConstruction, Metric: c.metric, Seed: seed, ScalarQuantize: true})
 	case IndexDiskANN:
-		return diskann.Build(data, ids, diskann.Config{R: c.params.R, LBuild: c.params.LBuild, Alpha: c.params.Alpha, Layout: c.params.Layout, Metric: c.metric, Seed: seed})
+		return diskann.Build(data, ids, diskann.Config{R: c.params.R, LBuild: c.params.LBuild, Alpha: c.params.Alpha, Metric: c.metric, Seed: seed})
 	default:
 		return nil, fmt.Errorf("%w: unknown index kind %q", ErrBadParams, c.kind)
 	}

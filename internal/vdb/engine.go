@@ -73,9 +73,6 @@ func (e *Engine) SetBatcher(b *ssd.Batcher) { e.rd, e.batched = b, true }
 // Device returns the engine's storage device.
 func (e *Engine) Device() *ssd.Device { return e.dev }
 
-// CPUResource returns the engine's CPU.
-func (e *Engine) CPUResource() *sim.CPU { return e.cpu }
-
 // Served returns the number of queries completed.
 func (e *Engine) Served() int64 { return e.served }
 

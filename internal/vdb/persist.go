@@ -21,8 +21,8 @@ const collectionMagic = "SVDCOL01"
 // any of them is a miss rather than a stale hit.
 func (p BuildParams) Fingerprint() string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v %s %s %s %s %s", p, collectionMagic,
-		hnsw.PersistMagic, diskann.PersistMagic, diskann.PersistMagicV2, ivf.PersistMagic)
+	fmt.Fprintf(h, "%+v %s %s %s %s", p, collectionMagic,
+		hnsw.PersistMagic, diskann.PersistMagic, ivf.PersistMagic)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -59,9 +59,6 @@ type BuildParams struct {
 	R      int
 	LBuild int
 	Alpha  float64
-	// Layout selects DiskANN's on-disk layout (index.LayoutID or
-	// index.LayoutPage; empty = ID-packed node-per-page).
-	Layout string
 	// Seed makes builds deterministic.
 	Seed int64
 }

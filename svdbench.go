@@ -18,7 +18,6 @@ package svdbench
 
 import (
 	"context"
-	"time"
 
 	"svdbench/internal/core"
 	"svdbench/internal/dataset"
@@ -81,14 +80,9 @@ type (
 	Metrics = core.Metrics
 	// Experiment regenerates one table or figure of the paper.
 	Experiment = core.Experiment
-	// Scheduler fans experiment cells out over host worker goroutines with
-	// deterministic result ordering.
-	Scheduler = core.Scheduler
-	// Progress is one per-cell completion report from a Scheduler.
+	// Progress is one per-cell completion report (Bench.OnProgress).
 	Progress = core.Progress
 
-	// RunOption is a functional option over RunConfig (WithThreads, ...).
-	RunOption = core.RunOption
 	// SearchOption is a functional option over SearchOptions (WithBeamWidth, ...).
 	SearchOption = index.SearchOption
 )
@@ -187,24 +181,6 @@ func RunWorkload(execs []QueryExec, traits EngineTraits, cfg RunConfig) RunOutpu
 func RunWorkloadContext(ctx context.Context, execs []QueryExec, traits EngineTraits, cfg RunConfig) (RunOutput, error) {
 	return core.RunContext(ctx, execs, traits, cfg)
 }
-
-// NewScheduler creates a worker pool running experiment cells on n host
-// goroutines (n <= 0 selects runtime.GOMAXPROCS).
-func NewScheduler(n int) *Scheduler { return core.NewScheduler(n) }
-
-// NewRunConfig builds a RunConfig from functional options layered over the
-// standard experiment defaults.
-func NewRunConfig(opts ...RunOption) RunConfig { return core.NewRunConfig(opts...) }
-
-// Functional options over RunConfig; see the core package for details.
-func WithThreads(n int) RunOption                 { return core.WithThreads(n) }
-func WithDuration(d time.Duration) RunOption      { return core.WithDuration(d) }
-func WithRepetitions(n int) RunOption             { return core.WithRepetitions(n) }
-func WithCores(n int) RunOption                   { return core.WithCores(n) }
-func WithSeed(seed int64) RunOption               { return core.WithSeed(seed) }
-func WithTimeline(bucket time.Duration) RunOption { return core.WithTimeline(bucket) }
-func WithMaxReadConcurrent(n int) RunOption       { return core.WithMaxReadConcurrent(n) }
-func WithCoalesceReads(on bool) RunOption         { return core.WithCoalesceReads(on) }
 
 // NewSearchOptions builds SearchOptions from functional options.
 func NewSearchOptions(opts ...SearchOption) SearchOptions { return index.NewSearchOptions(opts...) }
