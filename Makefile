@@ -154,8 +154,9 @@ quick-diff:
 # the sim kernel's lanes against its event heap, the engine's timer
 # replay against its process reference, the HNSW build's re-prune memo
 # against a from-scratch reference build, the k-means lane kernel's
-# argmin against the scalar first-minimum scan and the batch PQ ADC kernel
-# against Distance, bad rows included (the seeded corpora
+# argmin against the scalar first-minimum scan, the batch PQ ADC kernel
+# against Distance, bad rows included, and the device's grouped read jobs
+# against the one-timer-per-read job they replaced (the seeded corpora
 # already run as part of every plain `go test`); each target gets a brief
 # budget so CI exercises the mutation engine without open-ended runs.
 # Minimising a newly covering input is capped too: on multi-kilobyte
@@ -178,3 +179,4 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzRepruneMemo ./internal/index/hnsw
 	$(FUZZ) -fuzz=FuzzNearest ./internal/index/kmeans
 	$(FUZZ) -fuzz=FuzzDistanceRows ./internal/index/pq
+	$(FUZZ) -fuzz=FuzzReadGroups ./internal/storage/ssd

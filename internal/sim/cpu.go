@@ -88,6 +88,23 @@ func (c *CPU) Burn(t *Timer, b *Burst, d Duration, w Waker) bool {
 	return false
 }
 
+// Claim starts a burst on a free core at once, for a caller that must not
+// queue: it reports true if a core is free and no burst queues for one, as
+// Burn's first call would have taken it, and otherwise changes nothing. The
+// caller wakes itself at the burst's end and calls Finish there, so one
+// wake-up can end every burst claimed at one instant.
+func (c *CPU) Claim() bool {
+	if !c.sem.tryAcquire(1) {
+		return false
+	}
+	c.granted()
+	return true
+}
+
+// Finish ends a burst of d that Claim started, as Burn's last call ends its
+// burst.
+func (c *CPU) Finish(d Duration) { c.end(d) }
+
 // granted marks a burst holding its core from now, firing the busy hook on
 // the idle→busy edge.
 func (c *CPU) granted() {

@@ -21,7 +21,15 @@
 // sorted lanes (Lane: a FIFO per stream of wake-ups whose times never
 // decrease, such as a device's completions, which therefore never touch the
 // heap) and the ready FIFO of wake-ups for the current instant. Whichever
-// source an event waits in, it runs at the same (at, seq) slot.
+// source an event waits in, it runs at the same (at, seq) slot. Run scans
+// only the lanes that hold a wake-up.
+//
+// An effect needs no wake-up of its own when nothing acts on it: Reserve
+// gives it the slot a wake-up would have taken and Passed reports when Run
+// has gone past that slot, so its owner can apply it the next time it looks
+// and keep the event order. A device retires all but the last read of a beam
+// this way, and a CPU burst that must not queue starts with Claim and ends
+// with Finish, so one wake-up can end every burst a beam claimed.
 //
 // The package also provides the resource primitives the benchmark needs on
 // top of the raw kernel: counting semaphores with FIFO wait queues
@@ -202,8 +210,10 @@ type Stats struct {
 type Kernel struct {
 	now    Time
 	seq    uint64
+	cur    uint64    // seq of the event being dispatched; MaxUint64 outside Run
 	events eventHeap // wake-ups scheduled for a later instant than the clock read
 	lanes  []*Lane   // sorted streams of later wake-ups that bypass the heap
+	full   uint64    // bit i set: lanes[i] holds a wake-up
 	ready  []event   // wake-ups scheduled for now, in order; ready[:rhead] ran
 	rhead  int
 	nextID int
@@ -219,7 +229,7 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty simulation at virtual time zero.
-func NewKernel() *Kernel { return &Kernel{} }
+func NewKernel() *Kernel { return &Kernel{cur: math.MaxUint64} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -235,6 +245,29 @@ func (k *Kernel) schedule(p *proc, at Time) {
 	}
 	k.stats.HeapPushes++
 	k.events.push(event{at: at, seq: k.seq, gen: p.gen, proc: p})
+}
+
+// Slot is a place in Run's event order: an instant and, among the events at
+// that instant, a sequence number.
+type Slot struct {
+	At  Time
+	Seq uint64
+}
+
+// Reserve returns the slot a wake-up scheduled now for at would take — at no
+// earlier than the clock — and schedules nothing. A model that applies an
+// effect without a wake-up of its own (see ssd.Device) holds it in that slot
+// and applies it once Passed reports the slot passed, so the effect keeps its
+// place in the event order.
+func (k *Kernel) Reserve(at Time) Slot {
+	k.seq++
+	return Slot{At: max(at, k.now), Seq: k.seq}
+}
+
+// Passed reports whether Run's order has passed slot s: whether s precedes
+// the event being dispatched or, outside Run, lies at or before the clock.
+func (k *Kernel) Passed(s Slot) bool {
+	return s.At < k.now || (s.At == k.now && s.Seq < k.cur)
 }
 
 // Stats returns the kernel's work counts so far.
@@ -359,6 +392,7 @@ func (k *Kernel) DeadlockReport() string {
 // nothing scheduled while the FIFO drains can join the heap or a lane at now;
 // and the FIFO is empty whenever the clock advances.
 func (k *Kernel) Run(until Time) Time {
+	defer func() { k.cur = math.MaxUint64 }()
 	if k.now > until && k.Pending() > 0 {
 		k.now = until
 		return k.now
@@ -401,6 +435,7 @@ func (k *Kernel) Run(until Time) Time {
 // until it blocks or terminates (a panic in the body propagates from here).
 // A stale event, for a since-recycled or finished process, is skipped.
 func (k *Kernel) dispatch(ev event) {
+	k.cur = ev.seq
 	p := ev.proc
 	if ev.gen != p.gen || p.state == procDone {
 		return

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Lane is a FIFO of wake-ups whose times never decrease: a stream of events
 // the heap would only sort back into the order they were scheduled in. A
@@ -15,17 +18,24 @@ import "fmt"
 // earlier than the lane's latest panics; there is no fallback to the heap.
 //
 // The queue is a ring that grows only when full, so its storage is bounded
-// by the lane's peak occupancy.
+// by the lane's peak occupancy. Run looks only at the heads of lanes that hold
+// a wake-up, through a bitmask, so an idle lane costs it nothing; a kernel
+// has at most 64 lanes.
 type Lane struct {
 	k       *Kernel
 	ring    []event // ring[head], ring[head+1], … (mod len) are queued
 	head, n int
-	last    Time // latest wake-up scheduled: no later one may precede it
+	bit     uint64 // the lane's bit in the kernel's mask of non-empty lanes
+	last    Time   // latest wake-up scheduled: no later one may precede it
 }
 
-// NewLane returns an empty lane feeding the kernel's Run.
+// NewLane returns an empty lane feeding the kernel's Run. It panics if the
+// kernel already has 64 lanes.
 func (k *Kernel) NewLane() *Lane {
-	l := &Lane{k: k}
+	if len(k.lanes) == 64 {
+		panic("sim: more than 64 lanes on one kernel")
+	}
+	l := &Lane{k: k, bit: 1 << len(k.lanes)}
 	k.lanes = append(k.lanes, l)
 	return l
 }
@@ -68,6 +78,7 @@ func (l *Lane) schedule(p *proc, at Time) {
 	}
 	l.ring[i] = event{at: at, seq: k.seq, gen: p.gen, proc: p}
 	l.n++
+	k.full |= l.bit
 }
 
 // pop removes and returns the lane's head.
@@ -78,6 +89,9 @@ func (l *Lane) pop() event {
 		l.head = 0
 	}
 	l.n--
+	if l.n == 0 {
+		l.k.full &^= l.bit
+	}
 	return ev
 }
 
@@ -88,10 +102,8 @@ func (k *Kernel) earliest() (src *Lane, head *event) {
 	if len(k.events) > 0 {
 		head = &k.events[0]
 	}
-	for _, l := range k.lanes {
-		if l.n == 0 {
-			continue
-		}
+	for m := k.full; m != 0; m &= m - 1 {
+		l := k.lanes[bits.TrailingZeros64(m)]
 		if h := &l.ring[l.head]; head == nil || h.before(head) {
 			src, head = l, h
 		}

@@ -242,3 +242,52 @@ func TestLanePendingAndDeadlock(t *testing.T) {
 		t.Errorf("deadlock reported at t=%d, want 50: the lane entry must count as pending", int64(deadAt))
 	}
 }
+
+// TestLaneLimit: a kernel has at most 64 lanes; the 65th panics rather than
+// share a bit of the non-empty mask.
+func TestLaneLimit(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 64; i++ {
+		k.NewLane()
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "sim: more than 64 lanes") {
+			t.Errorf("panic %q, want the lane limit", msg)
+		}
+	}()
+	k.NewLane()
+}
+
+// TestReservedSlots: a reserved slot takes the seq a wake-up scheduled at the
+// same moment would, so Passed turns true exactly where Run dispatches that
+// wake-up: not in the events before it, even at the same instant, and in
+// every event after it. Outside Run, every slot up to the clock has passed.
+func TestReservedSlots(t *testing.T) {
+	k := NewKernel()
+	var s Slot
+	var log []string
+	probe := func(name string) *Timer {
+		return NewTimer(wakeFunc(func() { log = append(log, fmt.Sprintf("%s %v", name, k.Passed(s))) }))
+	}
+	k.WakeAt(probe("before"), 10)
+	k.WakeAt(NewTimer(wakeFunc(func() {
+		s = k.Reserve(10)
+		k.WakeAt(probe("after"), 10)
+		k.WakeAt(probe("now"), k.Now())
+	})), 5)
+	k.WakeAt(probe("earlier"), 9)
+	if !k.Passed(Slot{At: 0, Seq: 1 << 60}) || k.Passed(Slot{At: 1}) {
+		t.Errorf("outside Run at t=0: slots at 0 must have passed, a later one not")
+	}
+	k.RunAll()
+	want := "now false|earlier false|before false|after true"
+	if got := strings.Join(log, "|"); got != want {
+		t.Errorf("Passed %s, want %s", got, want)
+	}
+	if !k.Passed(s) {
+		t.Errorf("slot %+v not passed after the run ended at %v", s, k.Now())
+	}
+	if r := k.Reserve(3); r.At != k.Now() {
+		t.Errorf("a slot reserved for the past is at %v, want the clock %v", r.At, k.Now())
+	}
+}

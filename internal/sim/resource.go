@@ -66,8 +66,7 @@ func (s *Semaphore) AcquireTimer(t *Timer, n int64) bool {
 // ahead, reporting true; otherwise it queues p FIFO, to be woken at the
 // instant dispatch grants it the units, and reports false.
 func (s *Semaphore) acquireOrQueue(p *proc, n int64) bool {
-	if s.QueueLen() == 0 && s.held+n <= s.capacity {
-		s.held += n
+	if s.tryAcquire(n) {
 		return true
 	}
 	s.totalWaits++
@@ -80,6 +79,16 @@ func (s *Semaphore) acquireOrQueue(p *proc, n int64) bool {
 	s.waiters = append(s.waiters, semWaiter{p: p, n: n, since: s.k.now})
 	if s.QueueLen() > s.maxQueue {
 		s.maxQueue = s.QueueLen()
+	}
+	return false
+}
+
+// tryAcquire takes n units if they are free and nobody queues ahead,
+// reporting whether it did.
+func (s *Semaphore) tryAcquire(n int64) bool {
+	if s.QueueLen() == 0 && s.held+n <= s.capacity {
+		s.held += n
+		return true
 	}
 	return false
 }

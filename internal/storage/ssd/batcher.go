@@ -43,6 +43,7 @@ type Batcher struct {
 	completions []completion
 	chead       int // completions[:chead] have been waited for
 	cpl         *sim.Timer
+	cplLane     *sim.Lane // the completer's wake-ups: read completions are monotone
 	cplStep     step
 
 	batches  int64
@@ -69,7 +70,7 @@ func (c completer) Wake() { c.b.complete() }
 
 // NewBatcher creates a batcher over the device.
 func NewBatcher(d *Device) *Batcher {
-	b := &Batcher{d: d}
+	b := &Batcher{d: d, cplLane: d.k.NewLane()}
 	b.disp, b.cpl = sim.NewTimer(b), sim.NewTimer(completer{b})
 	return b
 }
@@ -135,7 +136,7 @@ func (b *Batcher) ReadPagesAsync(pages []int64, ev *sim.Event) {
 func (b *Batcher) complete() {
 	if b.cplStep == flash {
 		b.d.retire(b.d.k.Now(), trace.Read)
-		b.d.arrive(b.completions[b.chead].j)
+		b.d.arrive(b.completions[b.chead].j, 1)
 		b.chead++
 	}
 	if b.chead == len(b.completions) {
@@ -150,7 +151,7 @@ func (b *Batcher) complete() {
 		b.chead = 0
 	}
 	b.cplStep = flash
-	b.d.k.WakeAt(b.cpl, b.completions[b.chead].at)
+	b.cplLane.WakeAt(b.cpl, b.completions[b.chead].at)
 }
 
 // Wake is the dispatcher's step (Batcher is its timer's Callback): it drains
@@ -203,7 +204,7 @@ func (b *Batcher) submitBatch() {
 	}
 	if b.cplStep == idle {
 		b.cplStep = spawned
-		b.d.k.WakeAt(b.cpl, now)
+		b.cplLane.WakeAt(b.cpl, now)
 	}
 }
 

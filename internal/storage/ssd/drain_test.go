@@ -9,11 +9,15 @@ import (
 // checkDrained asserts what must hold of a device (and its batcher, if any)
 // once the kernel has run dry at virtual time end: no process alive and no
 // wake-up pending, nothing outstanding, no fio job looping, every traced
-// request retired, no unit busy past the final clock, every joint and read
-// job back in its pool and idle, and the batcher's queues empty with both of
-// its timers idle.
+// request retired, no late retirement left to settle, no unit busy past the
+// final clock, every joint and read job back in its pool and idle, holding no
+// reads, and the batcher's queues empty with both of its timers idle.
 func checkDrained(t *testing.T, d *Device, b *Batcher, end sim.Time) {
 	t.Helper()
+	// Checked first: Stats below settles.
+	if len(d.late) != 0 || d.lhead != 0 {
+		t.Errorf("%d late retirements unsettled (head %d)", len(d.late)-d.lhead, d.lhead)
+	}
 	if d.k.Live() != 0 || d.k.Pending() != 0 || d.outstanding != 0 || d.looping != 0 {
 		t.Errorf("drained device has %d live processes, %d pending wake-ups, %d outstanding requests, %d fio jobs looping",
 			d.k.Live(), d.k.Pending(), d.outstanding, d.looping)
@@ -47,8 +51,8 @@ func checkDrained(t *testing.T, d *Device, b *Batcher, end sim.Time) {
 		}
 	}
 	for _, r := range d.jobs {
-		if r.j != nil || r.req.flash {
-			t.Errorf("pooled read job holds a joint (%v) or awaits the device (%v)", r.j != nil, r.req.flash)
+		if r.j != nil || r.n != 0 || r.step != idle {
+			t.Errorf("pooled read job holds a joint (%v), %d reads, step %d", r.j != nil, r.n, r.step)
 		}
 	}
 	if b == nil {

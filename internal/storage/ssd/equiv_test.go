@@ -202,9 +202,9 @@ func TestBatcherMatchesDeviceWithoutCPU(t *testing.T) {
 
 // TestBeamTieOrderDiffers pins the one place the two submission policies
 // disagree even with free submission: a per-request beam rings one doorbell
-// per page, each on its own process, and those processes run after every
-// process already resumed at that instant, so a read issued later in the same
-// instant overtakes the beam; a coalesced beam is enqueued inline, in call
+// per page on a wake-up of its own, which runs after every wake-up already
+// due at that instant, so a read issued later in the same instant overtakes
+// the beam; a coalesced beam is enqueued inline, in call
 // order. Only the order of service differs — the same requests finish by the
 // same time. The published tables were recorded with the per-request order.
 func TestBeamTieOrderDiffers(t *testing.T) {

@@ -106,6 +106,12 @@ type Device struct {
 	bell *sim.Lane
 	done [2]*sim.Lane
 
+	// late holds the completion slots of reads that retire without a
+	// wake-up of their own — every read of a readJob but its last — in slot
+	// order; late[:lhead] are settled. settle retires those Run has passed.
+	late  []sim.Slot
+	lhead int
+
 	nextPage    int64                      // bump allocator for page addresses
 	retired     [2]int64                   // requests completed, by op
 	outstanding int                        // requests submitted and not yet completed
@@ -156,9 +162,18 @@ func New(k *sim.Kernel, cpu *sim.CPU, cfg Config) *Device {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Attach installs a tracer that observes every request at issue time.
-// Passing nil detaches.
-func (d *Device) Attach(t *trace.Tracer) { d.tracer = t }
+// Attach installs a tracer that observes every request at issue time, and
+// has it settle the device's late retirements before it integrates a CPU busy
+// edge or closes the run (trace.Tracer.SetSettle). Passing nil detaches.
+func (d *Device) Attach(t *trace.Tracer) {
+	if d.tracer != nil {
+		d.tracer.SetSettle(nil)
+	}
+	d.tracer = t
+	if t != nil {
+		t.SetSettle(d.settle)
+	}
+}
 
 // Tracer returns the attached tracer (nil when none is attached); the replay
 // engine uses it to report node-cache hits that never reach the device.
@@ -245,6 +260,7 @@ func (d *Device) submit(now sim.Time, op trace.Op, bytes int) sim.Time {
 	if bytes <= 0 {
 		panic("ssd: request of non-positive size")
 	}
+	d.settle()
 	if d.tracer != nil {
 		d.tracer.Emit(now, op, bytes)
 	}
@@ -269,11 +285,39 @@ func (d *Device) submit(now sim.Time, op trace.Op, bytes int) sim.Time {
 	return done
 }
 
-// retire is submit's completion-side accounting.
+// retire is submit's completion-side accounting, for a request completing in
+// the wake-up being dispatched.
 func (d *Device) retire(now sim.Time, op trace.Op) {
+	d.settle()
+	d.account(now, op)
+}
+
+func (d *Device) account(at sim.Time, op trace.Op) {
 	d.retired[op]++
 	d.outstanding--
-	d.tracer.NoteDepth(now, d.outstanding)
+	d.tracer.NoteDepth(at, d.outstanding)
+}
+
+// settle retires, in slot order, the late reads whose completion slots Run
+// has passed. Everything that reads or reports the device's outstanding count
+// — submit, retire, Stats, and through the tracer every CPU busy edge and
+// FinishAt — settles first, so the count, MaxQueueDepth and the depth and
+// busy integrals are those of a wake-up per completion, same-instant ties
+// included.
+func (d *Device) settle() {
+	for d.lhead < len(d.late) && d.k.Passed(d.late[d.lhead]) {
+		d.account(d.late[d.lhead].At, trace.Read)
+		d.lhead++
+	}
+	switch {
+	case d.lhead == len(d.late):
+		d.late, d.lhead = d.late[:0], 0
+	case d.lhead >= 1024:
+		// Under continuous load the queue may never drain; slide the
+		// unsettled tail down so the backing array stays bounded.
+		d.late = d.late[:copy(d.late, d.late[d.lhead:])]
+		d.lhead = 0
+	}
 }
 
 // joint counts a multi-request submission down to one caller-owned event,
@@ -296,9 +340,9 @@ func (d *Device) allocJoint(n int, ev *sim.Event) *joint {
 	return j
 }
 
-// arrive marks one of the joint's requests complete.
-func (d *Device) arrive(j *joint) {
-	j.left--
+// arrive marks n of the joint's requests complete.
+func (d *Device) arrive(j *joint, n int) {
+	j.left -= n
 	if j.left == 0 {
 		j.ev.Fire()
 		j.ev = nil
@@ -320,6 +364,7 @@ const (
 	idle     step = iota // not scheduled: nothing left to do
 	spawned              // woken at the instant it was started
 	doorbell             // running a burst of submission CPU
+	queued               // a one-read job's doorbell, queued for a core, through Burn
 	flash                // waiting for a device completion
 )
 
@@ -384,41 +429,129 @@ func (f *fioJob) Wake() {
 	}
 }
 
-// readJob is one asynchronous per-request read. It cannot be computed at the
-// call like a coalesced one: its doorbell occupies a simulated core for
-// SubmitCPU, queueing FIFO when all are busy, and a beam's W doorbells
-// ringing on W cores at once is what the calibration rests on. So it serves a
-// Request on a pooled timer of its own.
+// readJob carries the asynchronous per-request reads spawned together — a
+// beam, or a lone read — on one pooled timer. It cannot be computed at the
+// call like a coalesced read: each read's doorbell occupies a simulated core
+// for SubmitCPU, queueing FIFO when all are busy, and a beam's W doorbells
+// ringing on W cores at once is what the calibration rests on. So the job
+// takes the (at, seq) slots its reads' own timers would, in fewer wake-ups:
+//
+//   - spawned: one wake-up, after those already due at the instant, as each
+//     read's first step would run (see TestBeamTieOrderDiffers). The reads
+//     that get a core (CPU.Claim) ring together; from the first that must
+//     queue on, each read leaves as a one-read job, queued for a core in
+//     order, that rings its doorbell through CPU.Burn (step queued).
+//   - doorbell: one wake-up through the bell lane for all the reads that
+//     rang. Each in turn frees its core and reaches the device (submit).
+//   - flash: only the last read's completion wakes the job. Each earlier read
+//     takes the completion slot its wake-up would have (Kernel.Reserve) and
+//     retires there without one, when the device next settles (settle).
+//
+// Reads complete in submission order, so the last read submitted completes
+// last and the job's wake-up retires every read before the joint counts them.
 type readJob struct {
-	d   *Device
-	t   *sim.Timer
-	req Request
-	j   *joint
+	d     *Device
+	t     *sim.Timer
+	j     *joint
+	bytes int       // each read's size
+	n     int       // reads the job carries
+	step  step      // spawned, doorbell, queued or flash; idle when pooled
+	bell  sim.Burst // a queued one-read job's doorbell
 }
 
 func (r *readJob) Wake() {
-	if !r.d.Serve(r.t, &r.req) {
-		return
+	d := r.d
+	switch r.step {
+	case spawned:
+		if d.cpu == nil || d.cfg.SubmitCPU <= 0 {
+			d.submitReads(r, false)
+			return
+		}
+		d.ring(r)
+	case doorbell:
+		d.submitReads(r, true)
+	case queued:
+		if d.cpu.Burn(r.t, &r.bell, d.cfg.SubmitCPU, d.bell) {
+			d.submitReads(r, false)
+		}
+	case flash:
+		d.retire(d.k.Now(), trace.Read)
+		d.arrive(r.j, r.n)
+		d.release(r)
 	}
-	r.d.arrive(r.j)
-	r.j = nil
-	r.d.jobs = append(r.d.jobs, r)
 }
 
-// spawnRead starts one read at the current instant. Its first step runs on
-// its own wake-up, after those already scheduled for this instant, as the
-// process it replaces did (see TestBeamTieOrderDiffers).
-func (d *Device) spawnRead(bytes int, j *joint) {
+// ring is a job's spawned step on a CPU: each read claims a core in turn.
+// Those that get one ring together, waking the job once when their doorbells
+// end. The first that cannot, and every read after it, queue for a core in
+// order, each as a one-read job; a job no read rang on goes back to the pool.
+func (d *Device) ring(r *readJob) {
+	bytes, j, rest := r.bytes, r.j, r.n
+	r.n = 0
+	for r.n < rest && d.cpu.Claim() {
+		r.n++
+	}
+	rest -= r.n
+	if r.n > 0 {
+		r.step = doorbell
+		d.bell.WakeAt(r.t, d.k.Now().Add(d.cfg.SubmitCPU))
+	} else {
+		d.release(r)
+	}
+	for ; rest > 0; rest-- {
+		q := d.newJob(bytes, 1, j)
+		q.step = queued
+		d.cpu.Burn(q.t, &q.bell, d.cfg.SubmitCPU, d.bell)
+	}
+}
+
+// submitReads submits r's reads in turn at the current instant, each first
+// ending its doorbell's burst if they rang on claimed cores. The last read
+// wakes r at its completion; every other reserves its completion slot for
+// settle.
+func (d *Device) submitReads(r *readJob, rang bool) {
+	for i := 1; i <= r.n; i++ {
+		if rang {
+			d.cpu.Finish(d.cfg.SubmitCPU)
+		}
+		at := d.submit(d.k.Now(), trace.Read, r.bytes)
+		if i < r.n {
+			d.late = append(d.late, d.k.Reserve(at))
+		} else {
+			d.done[trace.Read].WakeAt(r.t, at)
+		}
+	}
+	r.step = flash
+}
+
+// newJob takes an idle job from the pool (or makes one) for n reads of bytes
+// counted down on j.
+func (d *Device) newJob(bytes, n int, j *joint) *readJob {
 	var r *readJob
-	if n := len(d.jobs); n > 0 {
-		r = d.jobs[n-1]
-		d.jobs = d.jobs[:n-1]
+	if l := len(d.jobs); l > 0 {
+		r = d.jobs[l-1]
+		d.jobs = d.jobs[:l-1]
 	} else {
 		r = &readJob{d: d}
 		r.t = sim.NewTimer(r)
 		d.made.jobs++
 	}
-	r.req, r.j = ReadRequest(bytes), j
+	r.bytes, r.n, r.j = bytes, n, j
+	return r
+}
+
+// release returns an idle job to the pool.
+func (d *Device) release(r *readJob) {
+	r.j, r.n, r.step = nil, 0, idle
+	d.jobs = append(d.jobs, r)
+}
+
+// spawnReads starts n reads of bytes at the current instant as one job. Its
+// first step runs on its own wake-up, after those already scheduled for this
+// instant, as the process each read replaces did.
+func (d *Device) spawnReads(bytes, n int, j *joint) {
+	r := d.newJob(bytes, n, j)
+	r.step = spawned
 	d.k.WakeAt(r.t, d.k.Now())
 }
 
@@ -426,7 +559,7 @@ func (d *Device) spawnRead(bytes int, j *joint) {
 // device completes it. The caller owns ev and must not release it before it
 // fires.
 func (d *Device) ReadAsync(page int64, bytes int, ev *sim.Event) {
-	d.spawnRead(bytes, d.allocJoint(1, ev))
+	d.spawnReads(bytes, 1, d.allocJoint(1, ev))
 }
 
 // ReadPagesAsync submits one page-sized read per page (a beam) without
@@ -435,10 +568,7 @@ func (d *Device) ReadPagesAsync(pages []int64, ev *sim.Event) {
 	if len(pages) == 0 {
 		panic("ssd: async beam of zero pages")
 	}
-	j := d.allocJoint(len(pages), ev)
-	for range pages {
-		d.spawnRead(d.cfg.PageSize, j)
-	}
+	d.spawnReads(d.cfg.PageSize, len(pages), d.allocJoint(len(pages), ev))
 }
 
 // ReadPages issues n page-sized read requests concurrently (a beam), and
@@ -455,5 +585,6 @@ func (d *Device) ReadPages(e *sim.Env, pages []int64) {
 
 // Stats reports the number of read and write requests serviced.
 func (d *Device) Stats() (reads, writes int64) {
+	d.settle()
 	return d.retired[trace.Read], d.retired[trace.Write]
 }

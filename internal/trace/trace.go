@@ -72,6 +72,13 @@ type Tracer struct {
 	last      sim.Time
 	any       bool
 
+	// Emit's memo: nearly every request falls in the bucket and has the size
+	// of the one before it (O-15: all 4 KiB), so the last bucket's span and
+	// index and the last size's slot are checked before any search.
+	lo, hi   sim.Time // the span of bkt[cur]; empty until the first bucket
+	cur      int64
+	lastSize int // sizeHist index of the last size emitted
+
 	// Queue-depth and busy-overlap accounting. The device reports every
 	// outstanding-request count change through NoteDepth and the CPU its
 	// idle↔busy edges through SetCPUBusy; the tracer integrates both over
@@ -87,6 +94,7 @@ type Tracer struct {
 	cpuBusyDur  sim.Duration
 	devBusyDur  sim.Duration
 	bothBusyDur sim.Duration
+	settle      func() // see SetSettle
 }
 
 // NewTracer creates an active tracer with a per-second bandwidth timeline.
@@ -101,6 +109,9 @@ type bucketBytes struct{ read, write, cache int64 }
 // bucketAt returns the timeline bucket holding virtual time at, extending the
 // series to reach it.
 func (t *Tracer) bucketAt(at sim.Time) *bucketBytes {
+	if t.lo <= at && at < t.hi {
+		return &t.bkt[t.cur]
+	}
 	b := int64(at) / int64(t.bucket)
 	if len(t.bkt) == 0 {
 		t.bktBase = b
@@ -113,6 +124,8 @@ func (t *Tracer) bucketAt(at sim.Time) *bucketBytes {
 	if n := i + 1 - int64(len(t.bkt)); n > 0 {
 		t.bkt = append(t.bkt, make([]bucketBytes, n)...)
 	}
+	t.lo, t.cur = sim.Time(b*int64(t.bucket)), i
+	t.hi = t.lo.Add(t.bucket)
 	return &t.bkt[i]
 }
 
@@ -153,9 +166,13 @@ func (t *Tracer) Emit(at sim.Time, op Op, bytes int) {
 		t.writeByte += int64(bytes)
 		bkt.write += int64(bytes)
 	}
-	i, ok := t.sizeIndex(bytes)
-	if !ok {
-		t.sizeHist = slices.Insert(t.sizeHist, i, SizeBucket{Bytes: bytes})
+	i := t.lastSize
+	if i >= len(t.sizeHist) || t.sizeHist[i].Bytes != bytes {
+		var ok bool
+		if i, ok = t.sizeIndex(bytes); !ok {
+			t.sizeHist = slices.Insert(t.sizeHist, i, SizeBucket{Bytes: bytes})
+		}
+		t.lastSize = i
 	}
 	t.sizeHist[i].Count++
 	if t.keepRaw {
@@ -220,11 +237,21 @@ func (t *Tracer) NoteDepth(at sim.Time, depth int) {
 	}
 }
 
+// SetSettle installs fn, which the tracer calls before it integrates a CPU
+// busy edge (SetCPUBusy) or closes the run (FinishAt). A device that retires
+// some requests without a wake-up of their own reports them to NoteDepth
+// there, so the integration never runs past a retirement it has not seen;
+// ssd.Device.Attach installs it. Passing nil removes it.
+func (t *Tracer) SetSettle(fn func()) { t.settle = fn }
+
 // SetCPUBusy records the CPU going busy or idle at virtual time at; wire it
 // to sim.CPU.SetBusyNotify.
 func (t *Tracer) SetCPUBusy(at sim.Time, busy bool) {
 	if t == nil || !t.enabled {
 		return
+	}
+	if t.settle != nil {
+		t.settle()
 	}
 	t.advance(at)
 	t.cpuBusy = busy
@@ -236,6 +263,9 @@ func (t *Tracer) SetCPUBusy(at sim.Time, busy bool) {
 func (t *Tracer) FinishAt(at sim.Time) {
 	if t == nil || !t.enabled {
 		return
+	}
+	if t.settle != nil {
+		t.settle()
 	}
 	t.advance(at)
 }

@@ -172,3 +172,32 @@ func TestRecordsOutOfOrder(t *testing.T) {
 		t.Errorf("histogram = %+v, want %+v", got, wantH)
 	}
 }
+
+// TestEmitMemo: Emit's memo of the last bucket and size slot never changes
+// where a request lands — not at a bucket's upper edge, not for an earlier
+// time that prepends buckets (and so shifts the memoised index), and not for
+// a new size inserted ahead of the memoised slot.
+func TestEmitMemo(t *testing.T) {
+	sec := sim.Time(time.Second)
+	tr := NewTracer(false)
+	tr.Emit(sec+1, Read, 4096)   // memo: bucket 1, size 4096
+	tr.Emit(2*sec-1, Read, 4096) // last instant of bucket 1
+	tr.Emit(2*sec, Read, 4096)   // the boundary: bucket 2
+	tr.Emit(sec/2, Write, 4096)  // earlier: prepends bucket 0
+	tr.Emit(2*sec+5, Read, 4096) // back to bucket 2, now at a shifted index
+	tr.Emit(2*sec+6, Read, 512)  // new size ahead of the memoised slot
+	tr.Emit(2*sec+7, Read, 4096) // the old size, at its shifted slot
+	tr.EmitCacheHit(sec+2, 1, 4096)
+	want := []BucketPoint{
+		{Start: 0, WriteBytes: 4096},
+		{Start: sec, ReadBytes: 2 * 4096, CacheBytes: 4096},
+		{Start: 2 * sec, ReadBytes: 3*4096 + 512},
+	}
+	if got := tr.Timeline(); !slices.Equal(got, want) {
+		t.Errorf("timeline = %+v, want %+v", got, want)
+	}
+	wantH := []SizeBucket{{Bytes: 512, Count: 1}, {Bytes: 4096, Count: 6}}
+	if got := tr.SizeHistogram(); !slices.Equal(got, wantH) {
+		t.Errorf("histogram = %+v, want %+v", got, wantH)
+	}
+}

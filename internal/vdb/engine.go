@@ -25,6 +25,11 @@ type Engine struct {
 	batched bool            // rd is a Batcher
 	cost    index.CostModel // prices each recorded step's burst
 
+	// The RPC half-trips and the idle-wake sleeps each take one fixed delay,
+	// so their wake times never decrease: each stream rides a lane, not the
+	// event heap.
+	rpc, wake *sim.Lane
+
 	sched      *sim.Semaphore // admission (nil = unbounded)
 	readSlots  *sim.Semaphore // segment-worker cap (nil = unbounded)
 	globalLock *sim.Semaphore
@@ -44,7 +49,8 @@ type Engine struct {
 // NewEngine binds a trait profile to a simulation, its CPU, and the storage
 // device queries read from.
 func NewEngine(k *sim.Kernel, cpu *sim.CPU, dev *ssd.Device, traits Traits) *Engine {
-	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev, cost: index.DefaultCostModel()}
+	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev, cost: index.DefaultCostModel(),
+		rpc: k.NewLane(), wake: k.NewLane()}
 	if traits.MaxConcurrent > 0 {
 		e.sched = sim.NewSemaphore(k, traits.Name+"/sched", int64(traits.MaxConcurrent))
 	}
@@ -264,7 +270,7 @@ func (o *Op) write(cpu time.Duration, bytes int) bool {
 func (o *Op) begin() bool {
 	o.phase = opAdmit
 	if o.e.RPCOverhead > 0 {
-		return o.sleep(o.e.RPCOverhead / 2)
+		return o.sleep(o.e.rpc, o.e.RPCOverhead/2)
 	}
 	return o.Resume()
 }
@@ -275,9 +281,10 @@ func (o *Op) Err() error { return o.err }
 // Phase names what a blocked operation waits in.
 func (o *Op) Phase() string { return opPhaseNames[o.phase] }
 
-// sleep parks the operation for d; it always reports false, for returning.
-func (o *Op) sleep(d time.Duration) bool {
-	o.e.k.WakeAt(o.t, o.e.k.Now().Add(d))
+// sleep parks the operation for d through lane l; it always reports false,
+// for returning.
+func (o *Op) sleep(l *sim.Lane, d time.Duration) bool {
+	l.WakeAt(o.t, o.e.k.Now().Add(d))
 	return false
 }
 
@@ -313,7 +320,7 @@ func (o *Op) Resume() bool {
 			e.active++
 			o.phase = opSched
 			if e.IdleWake > 0 && wasIdle {
-				return o.sleep(e.IdleWake)
+				return o.sleep(e.wake, e.IdleWake)
 			}
 		case opSched:
 			o.phase = opLock
@@ -374,7 +381,7 @@ func (o *Op) Resume() bool {
 		case opReply:
 			o.phase = opDone
 			if e.RPCOverhead > 0 {
-				return o.sleep(e.RPCOverhead / 2)
+				return o.sleep(e.rpc, e.RPCOverhead/2)
 			}
 		case opDone:
 			o.phase = opIdle
