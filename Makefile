@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego test-widths quick-widths cross race vet lint check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
+.PHONY: all build test test-purego test-widths quick-widths quick-kernels cross race vet lint check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
 
 all: build
 
@@ -67,6 +67,28 @@ quick-widths:
 		test -s "$$tmp/order.$$id" && diff "$$tmp/4.$$id" "$$tmp/order.$$id" || exit 1; \
 	done && \
 	echo "quick-widths: layout, pipeline and cache alone in reverse order match the suite"
+
+# Every distance kernel must equal its scalar reference bit for bit, so the
+# whole quick suite must print the same tables whichever kernels it was
+# built with: `quick-kernels` builds annbench three times — the default
+# assembly kernels, the pure-Go fallback (-tags purego) and GOAMD64=v3 (where
+# the compiler may fuse Go arithmetic into FMAs) — runs the suite on each,
+# drops the host wall-clock footers and diffs the second and third against
+# the first. Tables print rounded values, so a one-ulp drift can pass here
+# and fail only the goldens; this gate reaches what they do not: recording,
+# replay, recall and every table.
+quick-kernels:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/annbench.default" ./cmd/annbench && \
+	$(GO) build -tags purego -o "$$tmp/annbench.purego" ./cmd/annbench && \
+	GOAMD64=v3 $(GO) build -o "$$tmp/annbench.v3" ./cmd/annbench && \
+	for build in default purego v3; do \
+		"$$tmp/annbench.$$build" -experiment all -quick -quiet -data "" > "$$tmp/$$build.raw" || exit 1; \
+		sed '/^== .* done in /d' "$$tmp/$$build.raw" > "$$tmp/$$build.txt"; \
+	done && \
+	diff "$$tmp/default.txt" "$$tmp/purego.txt" && \
+	diff "$$tmp/default.txt" "$$tmp/v3.txt" && \
+	echo "quick-kernels: purego and GOAMD64=v3 builds identical to the default on $$(wc -l < "$$tmp/default.txt") lines"
 
 cross:
 	GOARCH=arm64 $(GO) build ./...

@@ -403,15 +403,28 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 	// Steering: a unit is priced at the best in-memory PQ distance among its
 	// members. The per-node compressed vectors are RAM-resident in either
 	// layout, so page routing costs zero extra page bytes — just capacity×
-	// the PQ lookups, which are counted below. admit appends a
-	// new unit unpriced and queues its member rows in scr.IDs; price scores
-	// them all in one pq.Table.DistanceRows and gives each unit in
-	// cands[from:] its members' minimum (member order, strict <).
+	// the PQ lookups, which are counted below. admit appends a new unit
+	// and counts its member rows in adc. A unit this query already priced
+	// (evicted at a hop boundary, now admitted again) takes its memoised
+	// price; any other is appended unpriced with its rows queued in scr.IDs.
+	// price scores the queue in one pq.Table.DistanceRows, gives each
+	// unpriced unit in cands[from:] its members' minimum (member order,
+	// strict <) and memoises it. The counts include memo hits: a real beam
+	// re-prices an evicted unit, so the model charges it, and only the host
+	// skips recomputing a value it already has.
+	priced, prices := &scr.Priced, index.Grow(scr.Prices, u.pages())
+	priced.Begin(u.pages())
+	adc := 0
 	admit := func(id int32) {
 		if inList.Contains(id) {
 			return
 		}
 		inList.Add(id)
+		adc += len(u.members[id])
+		if priced.Contains(id) {
+			cands = append(cands, index.BeamEntry{ID: id, Dist: prices[id]})
+			return
+		}
 		scr.IDs = append(scr.IDs, u.members[id]...)
 		cands = append(cands, index.BeamEntry{ID: id})
 	}
@@ -420,17 +433,22 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 		table.DistanceRows(ix.codes, m, scr.IDs, scr.Dists)
 		dists := scr.Dists
 		for i := from; i < len(cands); i++ {
-			n := len(u.members[cands[i].ID])
+			id := cands[i].ID
+			if priced.Contains(id) {
+				continue
+			}
+			n := len(u.members[id])
 			d := dists[0]
 			for _, md := range dists[1:n] {
 				if md < d {
 					d = md
 				}
 			}
-			cands[i].Dist = d
+			cands[i].Dist, prices[id] = d, d
+			priced.Add(id)
 			dists = dists[n:]
 		}
-		stats.PQComps += len(scr.IDs)
+		stats.PQComps += adc
 	}
 	scr.IDs = scr.IDs[:0]
 	admit(u.entry)
@@ -523,7 +541,7 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 		}
 		reranked := len(scr.IDs)
 		stats.DistComps += reranked
-		scr.IDs = scr.IDs[:0]
+		scr.IDs, adc = scr.IDs[:0], 0
 		for _, bi := range beam {
 			cands[bi].Visited = true
 			for _, nb := range u.adj[cands[bi].ID] {
@@ -531,10 +549,10 @@ func (ix *Index) beamSearch(u units, q []float32, k int, opts index.SearchOption
 			}
 		}
 		price(sorted)
-		rec.AddWork(index.Work{Dist: int32(reranked), ADC: int32(len(scr.IDs)), Dim: uint16(ix.data.Dim), M: uint16(m)})
+		rec.AddWork(index.Work{Dist: int32(reranked), ADC: int32(adc), Dim: uint16(ix.data.Dim), M: uint16(m)})
 	}
 	rec.Flush()
-	scr.Cands, scr.Beam, scr.Pages = cands, beam, pages
+	scr.Cands, scr.Beam, scr.Pages, scr.Prices = cands, beam, pages, prices
 	scr.Neighbors = exact.DrainAscending(scr.Neighbors[:0])
 	index.ResultInto(scr.Neighbors, k, stats, dst)
 }

@@ -41,6 +41,11 @@ type SearchScratch struct {
 	PF []int64
 	// Table is DiskANN's per-query PQ lookup table.
 	Table []float32
+	// Priced marks the DiskANN units this query has PQ-priced, and Prices
+	// holds each one's price, so a unit evicted from the candidate list and
+	// admitted again is not priced twice.
+	Priced EpochSet
+	Prices []float32
 	// IDs and Dists are paired gather buffers for batch scoring.
 	IDs   []int32
 	Dists []float32

@@ -382,7 +382,8 @@ func (k *Kernel) DeadlockReport() string {
 // Run executes the simulation until no events remain or the virtual clock
 // would pass until. It returns the virtual time at which the run stopped.
 // Processes still blocked at the horizon remain blocked; Run may be called
-// again with a later horizon to continue.
+// again with a later horizon to continue. The clock never moves backwards: a
+// horizon before Now with events pending runs nothing and returns Now.
 //
 // Events run in (at, seq) order, taken from three places: the earliest of
 // the heap top and the lane heads while it is at now, then the whole ready
@@ -394,7 +395,6 @@ func (k *Kernel) DeadlockReport() string {
 func (k *Kernel) Run(until Time) Time {
 	defer func() { k.cur = math.MaxUint64 }()
 	if k.now > until && k.Pending() > 0 {
-		k.now = until
 		return k.now
 	}
 	for {

@@ -114,6 +114,31 @@ func TestRunHorizonStopsClock(t *testing.T) {
 	}
 }
 
+// TestRunNeverRewinds: a horizon before the clock, with a wake-up pending,
+// leaves the clock where it is, so a later Run still fires the wake-up at
+// its own time and Passed answers against the clock the run reached.
+func TestRunNeverRewinds(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	k.WakeAt(NewTimer(wakeFunc(func() { fired = append(fired, k.Now()) })), 30)
+	if got := k.Run(25); got != 25 || k.Now() != 25 {
+		t.Fatalf("Run(25) = %v, Now %v; want 25", got, k.Now())
+	}
+	if got := k.Run(10); got != 25 || k.Now() != 25 {
+		t.Fatalf("Run(10) after Run(25) = %v, Now %v; want 25", got, k.Now())
+	}
+	if !k.Passed(Slot{At: 20, Seq: 1 << 60}) || k.Passed(Slot{At: 26}) {
+		t.Errorf("Passed at clock 25: a slot at 20 must have passed, one at 26 not")
+	}
+	if len(fired) != 0 {
+		t.Fatalf("wake-up fired at %v before its time", fired)
+	}
+	// With nothing left, Run stops at the last event, not at the horizon.
+	if got := k.Run(40); got != 30 || len(fired) != 1 || fired[0] != 30 {
+		t.Errorf("Run(40) = %v, fired %v; want one wake-up, at 30, and the run ending there", got, fired)
+	}
+}
+
 func TestSpawnFromProcess(t *testing.T) {
 	k := NewKernel()
 	var childTime Time

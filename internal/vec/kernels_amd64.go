@@ -167,7 +167,14 @@ func l2sqLaneRowsSSE(x, block, out *float32, d, pairs int)
 //go:noescape
 func nearestLaneSSE(x, block *float32, d, pairs int, best *float32, idx *int32)
 
-// l2sqLaneRows scores the len(out)/8 whole pairs of groups of block.
+// l2sqLane8SSE is l2sqLaneRowsSSE for 8-float rows, one 4-row group per
+// pass over groups groups; x stays in registers for the whole call.
+//
+//go:noescape
+func l2sqLane8SSE(x, block, out *float32, groups int)
+
+// l2sqLaneRows scores the len(out)/8 whole pairs of groups of block; 8-float
+// rows, every PQ sub-space at pq.DefaultM, take the unrolled body.
 func l2sqLaneRows(x, block, out []float32) {
 	d := len(x)
 	if d == 0 || len(out) == 0 {
@@ -175,6 +182,10 @@ func l2sqLaneRows(x, block, out []float32) {
 		return
 	}
 	_ = block[len(out)*d-1]
+	if d == 8 {
+		l2sqLane8SSE(&x[0], &block[0], &out[0], len(out)/4)
+		return
+	}
 	l2sqLaneRowsSSE(&x[0], &block[0], &out[0], d, len(out)/8)
 }
 

@@ -358,6 +358,70 @@ pair:
 done:
 	RET
 
+// One dimension of l2sqLane8SSE: acc += (x[j] − row[j])² for the four rows
+// of the group at BX, where bx holds x[j] in every lane and off is the
+// dimension's 16 bytes; tmp is a scratch register.
+#define LANE8_DIM(bx, off, acc, tmp) \
+	MOVAPS bx, tmp;         \
+	SUBPS  off(BX), tmp;    \
+	MULPS  tmp, tmp;        \
+	ADDPS  tmp, acc
+
+// The first dimension of an accumulator: acc = (x[j] − row[j])². The scalar
+// chain adds this to +0; a square is +0, positive or a NaN, and +0 plus any
+// of those is that operand, so starting the chain here keeps its bits.
+#define LANE8_FIRST(bx, off, acc) \
+	MOVAPS bx, acc;         \
+	SUBPS  off(BX), acc;    \
+	MULPS  acc, acc
+
+// func l2sqLane8SSE(x, block, out *float32, groups int)
+//
+// LANES_PAIR's body for d = 8, the PQ sub-space width (pq.DefaultM): x's
+// eight floats are broadcast into X7..X14 once per call, then each pass
+// scores one group of four rows (128 bytes) in straight-line code. Each
+// lane keeps LANE_DIM's order: dimensions j and j+4 go to accumulator
+// s(j%4), in X0..X3, then ((s0+s1)+s2)+s3. BX walks the block, DI = out,
+// R9 = groups left; X4..X6 are scratch.
+TEXT ·l2sqLane8SSE(SB), NOSPLIT, $0-32
+	MOVQ   x+0(FP), AX
+	MOVQ   block+8(FP), BX
+	MOVQ   out+16(FP), DI
+	MOVQ   groups+24(FP), R9
+	TESTQ  R9, R9
+	JZ     done
+	MOVUPS (AX), X4
+	MOVUPS 16(AX), X5
+	PSHUFD $0x00, X4, X7
+	PSHUFD $0x55, X4, X8
+	PSHUFD $0xAA, X4, X9
+	PSHUFD $0xFF, X4, X10
+	PSHUFD $0x00, X5, X11
+	PSHUFD $0x55, X5, X12
+	PSHUFD $0xAA, X5, X13
+	PSHUFD $0xFF, X5, X14
+
+group:
+	LANE8_FIRST(X7, 0, X0)
+	LANE8_FIRST(X8, 16, X1)
+	LANE8_FIRST(X9, 32, X2)
+	LANE8_FIRST(X10, 48, X3)
+	LANE8_DIM(X11, 64, X0, X4)
+	LANE8_DIM(X12, 80, X1, X5)
+	LANE8_DIM(X13, 96, X2, X6)
+	LANE8_DIM(X14, 112, X3, X4)
+	ADDPS  X1, X0
+	ADDPS  X2, X0
+	ADDPS  X3, X0
+	MOVUPS X0, (DI)
+	ADDQ   $128, BX
+	ADDQ   $16, DI
+	DECQ   R9
+	JNZ    group
+
+done:
+	RET
+
 // NEAREST_UPDATE folds one group's distances (in dist) into the per-lane
 // first minima: X10 = best distance (from +Inf), X11 = its row (from 0),
 // X12 = the group's rows, X13 = four 4s. A lane takes the distance only
