@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego test-widths quick-widths quick-kernels cross race vet lint check bench bench-pipeline bench-host bench-diff bench-check quick-diff fuzz
+.PHONY: all build test test-purego test-widths quick-widths quick-kernels cross race vet lint check bench bench-host bench-diff bench-check quick-diff fuzz
 
 all: build
 
@@ -32,15 +32,16 @@ test-purego:
 
 # Every host parallel loop is par.For, whose width follows GOMAXPROCS.
 # `test-widths` runs the tests of the loop itself, of a lone query's fan-out
-# and its scratch hand-off, of the batched graph insert, of the page layout
-# a fresh DiskANN index packs under concurrent first searches and of the
-# experiment scheduler under the race detector at GOMAXPROCS 1, 2 and 4,
+# and its scratch hand-off, of DiskANN's and SPANN's batches (BatchRun's
+# scratch per worker), of the batched graph insert, of the page layout a
+# fresh DiskANN index packs under concurrent first searches and of the
+# experiment grid under the race detector at GOMAXPROCS 1, 2 and 4,
 # three times each, so the helpers and the width-1 loop are each audited.
 # It then runs the loop's own tests twenty times more under the race
 # detector with a short timeout: a hand-off to a resident worker that is
 # lost hangs a call, and fails here in two minutes.
 test-widths:
-	$(GO) test -race -cpu 1,2,4 -count=3 -run 'FanOut|ConcurrentSearch|SingleQuery|SearchAllocations|InsertBatched|Scheduler|^TestFor' ./internal/par ./internal/index ./internal/index/diskann ./internal/core ./internal/vdb
+	$(GO) test -race -cpu 1,2,4 -count=3 -run 'FanOut|ConcurrentSearch|SingleQuery|SearchAllocations|SearchBatchMatchesSequential$$|SearchBatchMatchesSearch$$|InsertBatched|Scheduler|^TestFor' ./internal/par ./internal/index ./internal/index/diskann ./internal/index/spann ./internal/core ./internal/vdb
 	$(GO) test -race -count=20 -timeout 2m -run '^TestFor' ./internal/par
 
 # The quick suite's output must not depend on how many workers the host
@@ -118,12 +119,6 @@ check: vet lint build race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Async-pipeline microbenchmarks: regenerates the committed
-# BENCH_pipeline.json wall-clock trajectory artefact (ROADMAP item 1 plans
-# to retire it for the bench/ ledger).
-bench-pipeline:
-	$(GO) run ./cmd/pipelinebench -out BENCH_pipeline.json
 
 # Host-speed microbenchmarks of the distance kernels and the zero-alloc
 # search layer: regenerates the committed BENCH_host.json trajectory

@@ -1,5 +1,5 @@
 // Command benchdiff compares a freshly generated benchmark artefact
-// (cmd/hostbench, cmd/pipelinebench) against its checked-in baseline and
+// (cmd/hostbench) against its checked-in baseline and
 // fails when the hot path regressed: any kernel or search entry more than
 // 20% slower in ns/op, or allocating more per op at all (the zero-alloc
 // contract admits no tolerance). Replay entries — the macro simulation
@@ -30,8 +30,7 @@ type entry struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// artefact is the on-disk shape shared by BENCH_host.json and
-// BENCH_pipeline.json.
+// artefact is the on-disk shape of BENCH_host.json.
 type artefact struct {
 	Suite   string  `json:"suite"`
 	Results []entry `json:"results"`

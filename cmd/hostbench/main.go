@@ -2,8 +2,7 @@
 // hot path and writes the results as JSON — the BENCH_host.json artefact
 // that tracks the wall-clock trajectory of the distance kernels and the
 // zero-alloc search layer across PRs (ROADMAP item 1 plans to retire it
-// for the bench/ ledger), next to
-// BENCH_pipeline.json's pipeline numbers.
+// for the bench/ ledger).
 //
 // Two sections:
 //

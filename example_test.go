@@ -66,8 +66,8 @@ func ExampleExperiments() {
 
 // ExampleCollection_SearchBatch runs a whole query set through the
 // batch-first search core. Each query's result is byte-identical to calling
-// Search per query; the batch runs up to WithQueryConcurrency queries at
-// once and WithLookAhead pipelines each query's storage reads at replay.
+// Search per query; the batch runs one query per host core at once, and
+// LookAhead pipelines each query's storage reads at replay.
 func ExampleCollection_SearchBatch() {
 	spec, err := svdbench.CatalogSpec("cohere-small", svdbench.ScaleTiny)
 	if err != nil {
@@ -86,9 +86,7 @@ func ExampleCollection_SearchBatch() {
 	var page int64
 	col.AssignStorage(func(n int64) int64 { p := page; page += n; return p })
 
-	opts := svdbench.NewSearchOptions(
-		svdbench.WithSearchList(10), svdbench.WithBeamWidth(4),
-		svdbench.WithLookAhead(2), svdbench.WithQueryConcurrency(4))
+	opts := svdbench.SearchOptions{SearchList: 10, BeamWidth: 4, LookAhead: 2}
 	execs := col.SearchBatch(context.Background(), ds.Queries, svdbench.PaperK, opts)
 	single := col.Search(ds.Queries.Row(0), svdbench.PaperK, opts)
 	fmt.Println(len(execs) == ds.Queries.Len())

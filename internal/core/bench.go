@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 // like the paper's scripts reuse the same built indexes.
 //
 // All Bench state is safe for concurrent use: experiment cells fan out
-// across Scheduler workers, and every cache is a memo — the first goroutine
+// across host workers (see measure), and every cache is a memo — the first goroutine
 // asking for a dataset, stack or run cell computes it while later askers
 // block on that one computation instead of duplicating it.
 type Bench struct {
@@ -34,7 +35,7 @@ type Bench struct {
 	RunDefaults RunConfig
 	// Workers bounds how many experiment cells execute concurrently on
 	// host goroutines (0 = runtime.GOMAXPROCS). Results are byte-identical
-	// at any worker count; see Scheduler.
+	// at any worker count; see measure.
 	Workers int
 	// OnProgress, when non-nil, receives one report per completed cell.
 	OnProgress func(Progress)
@@ -100,12 +101,15 @@ func NewBench(scale dataset.Scale, cacheDir string) *Bench {
 	return &Bench{Scale: scale, CacheDir: cacheDir}
 }
 
-// sched returns a scheduler configured from the bench's Workers and
-// OnProgress fields: the one every experiment grid is measured on.
-func (b *Bench) sched() *Scheduler {
-	s := NewScheduler(b.Workers)
-	s.OnProgress(b.OnProgress)
-	return s
+// sched returns the scheduler of the bench's Workers (GOMAXPROCS when not
+// positive) and OnProgress fields: the one every experiment grid is
+// measured on.
+func (b *Bench) sched() scheduler {
+	workers := b.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return scheduler{workers: workers, progress: b.OnProgress}
 }
 
 func (b *Bench) logf(format string, args ...interface{}) {
@@ -354,10 +358,9 @@ func recallOfExecs(execs []vdb.QueryExec, gt [][]int32) float64 {
 // variantKey identifies one search-option variant in a prepared's memos and
 // in the run memo: it must name every field that can change a recording.
 func variantKey(opts index.SearchOptions) string {
-	return fmt.Sprintf("np%d-ef%d-sl%d-bw%d-nc%d-ncp%s-la%d-qc%d-ly%s",
+	return fmt.Sprintf("np%d-ef%d-sl%d-bw%d-nc%d-ncp%s-la%d-ly%s",
 		opts.NProbe, opts.EfSearch, opts.SearchList, opts.BeamWidth,
-		opts.NodeCacheNodes, opts.NodeCachePolicy,
-		opts.LookAhead, opts.QueryConcurrency, opts.Layout)
+		opts.NodeCacheNodes, opts.NodeCachePolicy, opts.LookAhead, opts.Layout)
 }
 
 // ExecsFor returns recorded executions at the given search options,

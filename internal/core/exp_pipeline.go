@@ -43,7 +43,7 @@ func runPipeline(ctx context.Context, b *Bench, w io.Writer) error {
 		for _, threads := range []int{1, 8} {
 			for _, la := range []int{0, 2, 4, 8} {
 				rows = append(rows, storageRow{base.spann, base.opts.With(index.WithLookAhead(la)),
-					RunConfig{Threads: threads, CoalesceReads: la > 0, LookAhead: la}})
+					RunConfig{Threads: threads, CoalesceReads: la > 0}})
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -33,8 +34,6 @@ type RunConfig struct {
 	Cores int
 	// Timeline enables fine-grained bandwidth buckets for Fig. 5.
 	Timeline bool
-	// TimelineBucket overrides the bucket width (default Duration/30).
-	TimelineBucket sim.Duration
 	// Seed perturbs per-repetition thread start offsets so repetitions
 	// differ slightly, as real runs do.
 	Seed int64
@@ -47,8 +46,11 @@ type RunConfig struct {
 	// SubmitCPU once per batch plus BatchSubmitCPU per extra request. Service
 	// order is unchanged, so the same bytes are read either way.
 	CoalesceReads bool
-	// LookAhead is recorded for reporting only (the recorded executions
-	// already embody the prefetch schedule).
+	// LookAhead changes no simulation: the recorded executions already
+	// embody the prefetch schedule, and nothing reads the field. Its only
+	// effect is to give run cells that differ in it separate memo keys
+	// (runKey holds the whole RunConfig); it stays because the bench/
+	// module's cell-pipelined workload sets it.
 	LookAhead int
 }
 
@@ -74,7 +76,8 @@ func (c RunConfig) Defaults() RunConfig {
 type RunOutput struct {
 	Metrics  Metrics
 	Timeline []trace.BucketPoint
-	// TimelineBucket is the bucket width the timeline was recorded at.
+	// TimelineBucket is the bucket width the timeline was recorded at:
+	// Duration/30, or 1 ms when that rounds to zero.
 	TimelineBucket sim.Duration
 }
 
@@ -107,18 +110,15 @@ func RunContext(ctx context.Context, execs []vdb.QueryExec, traits vdb.Traits, c
 		return RunOutput{}, err
 	}
 	cfg = cfg.Defaults()
-	bucket := cfg.TimelineBucket
+	bucket := cfg.Duration / 30
 	if bucket <= 0 {
-		bucket = cfg.Duration / 30
-		if bucket <= 0 {
-			bucket = time.Millisecond
-		}
+		bucket = time.Millisecond
 	}
 	reps := make([]int64, cfg.Repetitions)
 	for rep := range reps {
 		reps[rep] = int64(rep)
 	}
-	outs, err := measure(ctx, NewScheduler(0), reps, func(rep int64) string { return fmt.Sprintf("rep=%d", rep) },
+	outs, err := measure(ctx, scheduler{workers: runtime.GOMAXPROCS(0)}, reps, func(rep int64) string { return fmt.Sprintf("rep=%d", rep) },
 		func(_ context.Context, rep int64) (o RunOutput, err error) {
 			tr := trace.NewTracer(false)
 			tr.SetBucket(bucket)

@@ -14,42 +14,51 @@ import (
 	"svdbench/internal/vdb"
 )
 
+// grid runs n points of measure under s, the point index as the key's
+// suffix, each cell calling run with its index.
+func grid(ctx context.Context, s scheduler, n int, run func(ctx context.Context, i int) error) ([]int, error) {
+	pts := make([]int, n)
+	for i := range pts {
+		pts[i] = i
+	}
+	return measure(ctx, s, pts, func(i int) string { return fmt.Sprintf("cell-%d", i) },
+		func(ctx context.Context, i int) (int, error) { return i * i, run(ctx, i) })
+}
+
 func TestSchedulerRunsAllCells(t *testing.T) {
 	const n = 100
-	results := make([]int, n)
-	cells := make([]cell, n)
-	for i := 0; i < n; i++ {
-		i := i
-		cells[i] = cell{
-			key: fmt.Sprintf("cell-%d", i),
-			run: func(ctx context.Context) error {
-				results[i] = i * i
-				return nil
-			},
-		}
-	}
-	if err := NewScheduler(4).Run(context.Background(), cells); err != nil {
+	var ran [n]atomic.Bool
+	got, err := grid(context.Background(), scheduler{workers: 4}, n, func(_ context.Context, i int) error {
+		ran[i].Store(true)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, got := range results {
-		if got != i*i {
-			t.Errorf("slot %d = %d, want %d", i, got, i*i)
+	for i, r := range got {
+		if r != i*i || !ran[i].Load() {
+			t.Errorf("slot %d = %d (ran %v), want %d", i, r, ran[i].Load(), i*i)
 		}
 	}
 }
 
+// TestSchedulerDefaultWorkers: a bench's grids run on its Workers, and on
+// one worker per schedulable host core when Workers is not positive.
 func TestSchedulerDefaultWorkers(t *testing.T) {
-	if got, want := NewScheduler(0).Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("Workers() = %d, want GOMAXPROCS %d", got, want)
+	b := NewBench(dataset.ScaleTiny, "")
+	if got, want := b.sched().workers, runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("workers = %d, want GOMAXPROCS %d", got, want)
 	}
-	if got := NewScheduler(7).Workers(); got != 7 {
-		t.Errorf("Workers() = %d, want 7", got)
+	b.Workers = 7
+	if got := b.sched().workers; got != 7 {
+		t.Errorf("workers = %d, want 7", got)
 	}
 }
 
 func TestSchedulerEmptyGrid(t *testing.T) {
-	if err := NewScheduler(4).Run(context.Background(), nil); err != nil {
-		t.Fatal(err)
+	got, err := grid(context.Background(), scheduler{workers: 4}, 0, func(context.Context, int) error { return nil })
+	if err != nil || len(got) != 0 {
+		t.Fatalf("got %v, %v", got, err)
 	}
 }
 
@@ -59,21 +68,13 @@ func TestSchedulerEmptyGrid(t *testing.T) {
 func TestSchedulerErrorCancelsRemaining(t *testing.T) {
 	sentinel := errors.New("boom")
 	var ran [5]bool
-	cells := make([]cell, 5)
-	for i := range cells {
-		i := i
-		cells[i] = cell{
-			key: fmt.Sprintf("cell-%d", i),
-			run: func(ctx context.Context) error {
-				ran[i] = true
-				if i == 1 {
-					return sentinel
-				}
-				return nil
-			},
+	_, err := grid(context.Background(), scheduler{workers: 1}, 5, func(_ context.Context, i int) error {
+		ran[i] = true
+		if i == 1 {
+			return sentinel
 		}
-	}
-	err := NewScheduler(1).Run(context.Background(), cells)
+		return nil
+	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -96,21 +97,13 @@ func TestSchedulerCancellationStopsWithinOneCell(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran [5]bool
-	cells := make([]cell, 5)
-	for i := range cells {
-		i := i
-		cells[i] = cell{
-			key: fmt.Sprintf("cell-%d", i),
-			run: func(ctx context.Context) error {
-				ran[i] = true
-				if i == 1 {
-					cancel()
-				}
-				return nil
-			},
+	_, err := grid(ctx, scheduler{workers: 1}, 5, func(_ context.Context, i int) error {
+		ran[i] = true
+		if i == 1 {
+			cancel()
 		}
-	}
-	err := NewScheduler(1).Run(ctx, cells)
+		return nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -125,7 +118,7 @@ func TestSchedulerPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := NewScheduler(1).Run(ctx, []cell{{key: "x", run: func(context.Context) error { ran = true; return nil }}})
+	_, err := grid(ctx, scheduler{workers: 1}, 1, func(context.Context, int) error { ran = true; return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -134,16 +127,22 @@ func TestSchedulerPreCancelled(t *testing.T) {
 	}
 }
 
+// TestSchedulerProgressReports: one report per cell, delivered one at a
+// time even from four workers, counting up to the total, the last with no
+// ETA left.
 func TestSchedulerProgressReports(t *testing.T) {
 	const n = 10
 	var reports []Progress
-	cells := make([]cell, n)
-	for i := range cells {
-		cells[i] = cell{key: fmt.Sprintf("cell-%d", i), run: func(context.Context) error { return nil }}
-	}
-	s := NewScheduler(4)
-	s.OnProgress(func(p Progress) { reports = append(reports, p) })
-	if err := s.Run(context.Background(), cells); err != nil {
+	var inHook atomic.Int32
+	s := scheduler{workers: 4, progress: func(p Progress) {
+		if inHook.Add(1) != 1 {
+			t.Error("progress reports overlap")
+		}
+		reports = append(reports, p)
+		time.Sleep(100 * time.Microsecond)
+		inHook.Add(-1)
+	}}
+	if _, err := grid(context.Background(), s, n, func(context.Context, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != n {
@@ -268,7 +267,7 @@ func TestMeasureOrderAndError(t *testing.T) {
 	key := func(p int) string { return fmt.Sprintf("p%d", p) }
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
-		got, err := measure(context.Background(), NewScheduler(workers), pts, key, func(_ context.Context, p int) (string, error) {
+		got, err := measure(context.Background(), scheduler{workers: workers}, pts, key, func(_ context.Context, p int) (string, error) {
 			// Early points take longest, so with several workers later
 			// points finish first.
 			time.Sleep(time.Duration(len(pts)-p) * 50 * time.Microsecond)
@@ -283,7 +282,7 @@ func TestMeasureOrderAndError(t *testing.T) {
 			}
 		}
 
-		_, err = measure(context.Background(), NewScheduler(workers), pts, key, func(_ context.Context, p int) (string, error) {
+		_, err = measure(context.Background(), scheduler{workers: workers}, pts, key, func(_ context.Context, p int) (string, error) {
 			if p == 3 {
 				return "", boom
 			}

@@ -14,12 +14,12 @@ import (
 )
 
 // BatchRun calls run(qi, opts) once for each query qi in [0, n) and returns
-// the results in query order. Up to SearchOptions.QueryConcurrency queries
-// (every core when zero, never more than n) run concurrently through
-// par.For. When the options select a mutable node cache (LRU), the queries
-// run on the calling goroutine strictly in query order, so whatever they
-// record does not depend on goroutine interleaving. A cancelled ctx stops
-// starting queries; unstarted queries keep T's zero value.
+// the results in query order. Up to GOMAXPROCS queries (never more than n)
+// run concurrently through par.For. When the options select a mutable node
+// cache (LRU), the queries run on the calling goroutine strictly in query
+// order, so whatever they record does not depend on goroutine interleaving.
+// A cancelled ctx stops starting queries; unstarted queries keep T's zero
+// value.
 //
 // Each worker owns one SearchScratch, passed to run as opts.Scratch, so the
 // heaps and visited sets of the search hot path are allocated once per
@@ -29,10 +29,7 @@ import (
 // query→worker pairing is harmless.
 func BatchRun[T any](ctx context.Context, n int, opts SearchOptions, run func(qi int, opts SearchOptions) T) []T {
 	out := make([]T, n)
-	width := opts.QueryConcurrency
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
+	width := runtime.GOMAXPROCS(0)
 	if opts.NodeCacheMutable() {
 		width = 1
 	}

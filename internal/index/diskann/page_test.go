@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"svdbench/internal/binenc"
@@ -267,7 +268,7 @@ func TestPageCacheResultsIdenticalAndReducesReads(t *testing.T) {
 }
 
 // TestPageSearchBatchMatchesSearch: the batch driver serves the page layout
-// identically at any concurrency.
+// identically at any GOMAXPROCS, the batch's width.
 func TestPageSearchBatchMatchesSearch(t *testing.T) {
 	ds, ix := sharedPaged(t)
 	opts := pageOpts()
@@ -278,8 +279,10 @@ func TestPageSearchBatchMatchesSearch(t *testing.T) {
 		want[qi] = ix.Search(queries[qi], 10, opts)
 	}
 	for _, workers := range []int{1, 4} {
-		got := index.BatchRun(context.Background(), len(queries), opts.With(index.WithQueryConcurrency(workers)),
+		prev := runtime.GOMAXPROCS(workers)
+		got := index.BatchRun(context.Background(), len(queries), opts,
 			func(qi int, o index.SearchOptions) index.Result { return ix.Search(queries[qi], 10, o) })
+		runtime.GOMAXPROCS(prev)
 		for qi := range queries {
 			if !reflect.DeepEqual(want[qi], got[qi]) {
 				t.Fatalf("workers=%d query %d: batch result differs", workers, qi)
@@ -304,7 +307,8 @@ func TestPageLazyPackConcurrentSearch(t *testing.T) {
 	}
 	serial, concurrent := fresh(), fresh()
 	opts := pageOpts()
-	got := index.BatchRun(context.Background(), ds.Queries.Len(), opts.With(index.WithQueryConcurrency(4)),
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	got := index.BatchRun(context.Background(), ds.Queries.Len(), opts,
 		func(qi int, o index.SearchOptions) index.Result { return concurrent.Search(ds.Queries.Row(qi), 10, o) })
 	for qi := range got {
 		if want := serial.Search(ds.Queries.Row(qi), 10, opts); !reflect.DeepEqual(want, got[qi]) {

@@ -66,11 +66,6 @@ type SearchOptions struct {
 	// second layout ignore the field; an index packs its page layout on the
 	// first search that selects it.
 	Layout string
-	// QueryConcurrency bounds how many queries of one batch (BatchRun) run
-	// concurrently on host cores (0 means one per core, GOMAXPROCS). Batches
-	// against a mutable node cache always run sequentially in query order
-	// regardless, so recorded executions stay deterministic.
-	QueryConcurrency int
 	// Scratch, when non-nil, supplies the reusable per-searcher workspace
 	// (heaps, visited sets, candidate buffers) of the zero-alloc search hot
 	// path. A scratch must be owned by one goroutine at a time; BatchRun

@@ -50,12 +50,6 @@ func WithLayout(layout string) SearchOption {
 	return func(o *SearchOptions) { o.Layout = layout }
 }
 
-// WithQueryConcurrency bounds how many queries of one SearchBatch run
-// concurrently (0 means one per core, GOMAXPROCS).
-func WithQueryConcurrency(n int) SearchOption {
-	return func(o *SearchOptions) { o.QueryConcurrency = n }
-}
-
 // WithFilter restricts results to ids for which f returns true (nil clears
 // the filter).
 func WithFilter(f func(id int32) bool) SearchOption {

@@ -3,6 +3,7 @@ package spann
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"svdbench/internal/index"
@@ -103,7 +104,7 @@ func TestLookAheadPrefetchRunsContiguous(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSearch: the shared batch driver must agree with a
-// sequential Search loop at every concurrency.
+// sequential Search loop at every GOMAXPROCS, the batch's width.
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	ds := testData(t)
 	ix := build(t, ds, Config{PostingSize: 64})
@@ -111,14 +112,15 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	for qi := range queries {
 		queries[qi] = ds.Queries.Row(qi)
 	}
-	for _, qc := range []int{1, 4} {
-		opts := index.SearchOptions{NProbe: 8}.With(
-			index.WithQueryConcurrency(qc), index.WithLookAhead(2))
+	opts := index.SearchOptions{NProbe: 8, LookAhead: 2}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
 		batch := index.BatchRun(context.Background(), len(queries), opts,
 			func(qi int, o index.SearchOptions) index.Result { return ix.Search(queries[qi], 10, o) })
+		runtime.GOMAXPROCS(prev)
 		for qi, q := range queries {
 			if !reflect.DeepEqual(batch[qi], ix.Search(q, 10, opts)) {
-				t.Fatalf("qc=%d query=%d: batch result differs from Search", qc, qi)
+				t.Fatalf("GOMAXPROCS=%d query=%d: batch result differs from Search", procs, qi)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package spann
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"svdbench/internal/index"
@@ -45,7 +46,8 @@ func TestScratchReuseIdentity(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSequential: the batch driver threads one scratch per
-// worker; results must match single-query searches at any concurrency.
+// worker; results must match single-query searches at any GOMAXPROCS, the
+// batch's width.
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	ds := testData(t)
 	ix := build(t, ds, Config{})
@@ -57,8 +59,10 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		want[qi] = ix.Search(queries[qi], 10, opts)
 	}
 	for _, workers := range []int{1, 4} {
-		got := index.BatchRun(context.Background(), len(queries), opts.With(index.WithQueryConcurrency(workers)),
+		prev := runtime.GOMAXPROCS(workers)
+		got := index.BatchRun(context.Background(), len(queries), opts,
 			func(qi int, o index.SearchOptions) index.Result { return ix.Search(queries[qi], 10, o) })
+		runtime.GOMAXPROCS(prev)
 		for qi := range queries {
 			if !reflect.DeepEqual(want[qi].IDs, got[qi].IDs) ||
 				!reflect.DeepEqual(want[qi].Dists, got[qi].Dists) ||

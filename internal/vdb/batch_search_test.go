@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"svdbench/internal/dataset"
@@ -12,11 +13,12 @@ import (
 
 // TestSearchBatchMatchesSequentialProperty is the pipeline's determinism
 // property: SearchBatch must be byte-identical to a sequential Search loop,
-// and RecordQueries to a sequential Record loop, under every combination of
-// look-ahead depth, query concurrency, and node-cache configuration, on a
-// monolithic collection and on a segmented one with a growing tail (an LRU
-// cache per segment index). Look-ahead and concurrency may only change when
-// pages are read, never what the search returns or demands.
+// and RecordQueries to a sequential loop of one-query recordings, under every
+// combination of look-ahead depth, GOMAXPROCS (the batch's width), and
+// node-cache configuration, on a monolithic collection and on a segmented one
+// with a growing tail (an LRU cache per segment index). Look-ahead and width
+// may only change when pages are read, never what the search returns or
+// demands.
 //
 // Every ordering being compared runs on its own independently built but
 // identical collection, so mutable (LRU) cache state cannot leak between
@@ -38,11 +40,9 @@ func TestSearchBatchMatchesSequentialProperty(t *testing.T) {
 	prefetchTrials, prefetchSeen := 0, 0
 	for trial := 0; trial < 6; trial++ {
 		opts := index.SearchOptions{SearchList: 20, BeamWidth: 4}
-		opts = opts.With(
-			index.WithLookAhead(rng.Intn(5)),
-			index.WithQueryConcurrency(1+rng.Intn(8)),
-			caches[rng.Intn(len(caches))],
-		)
+		opts = opts.With(index.WithLookAhead(rng.Intn(5)))
+		procs := 1 + rng.Intn(8)
+		opts = opts.With(caches[rng.Intn(len(caches))])
 		if opts.NodeCachePolicy != "" {
 			opts = opts.With(index.WithNodeCacheNodes(16))
 		}
@@ -53,8 +53,10 @@ func TestSearchBatchMatchesSequentialProperty(t *testing.T) {
 			}
 			colBatch, ds := in.build(t)
 			colSeq := twin()
+			prev := runtime.GOMAXPROCS(procs)
 			batch := colBatch.SearchBatch(context.Background(), ds.Queries, 10, opts)
 			recorded := twin().RecordQueries(ds.Queries, 10, opts)
+			runtime.GOMAXPROCS(prev)
 			colRec := twin()
 			if len(batch) != ds.Queries.Len() || len(recorded) != ds.Queries.Len() {
 				t.Fatalf("trial %d %s: batch returned %d and %d execs for %d queries",
@@ -67,11 +69,11 @@ func TestSearchBatchMatchesSequentialProperty(t *testing.T) {
 					got, want QueryExec
 				}{
 					{"SearchBatch vs Search", batch[qi], colSeq.Search(q, 10, opts)},
-					{"RecordQueries vs Record", recorded[qi], colRec.Record(q, 10, opts)},
+					{"RecordQueries vs one-query recording", recorded[qi], colRec.runOne(context.Background(), q, 10, opts, true, 1)},
 				} {
 					if !reflect.DeepEqual(c.got, c.want) {
-						t.Fatalf("trial %d %s (la=%d qc=%d cache=%q): query %d: %s differs\nbatch: %+v\nseq:   %+v",
-							trial, in.name, opts.LookAhead, opts.QueryConcurrency, opts.NodeCachePolicy, qi, c.kind, c.got, c.want)
+						t.Fatalf("trial %d %s (la=%d GOMAXPROCS=%d cache=%q): query %d: %s differs\nbatch: %+v\nseq:   %+v",
+							trial, in.name, opts.LookAhead, procs, opts.NodeCachePolicy, qi, c.kind, c.got, c.want)
 					}
 				}
 			}

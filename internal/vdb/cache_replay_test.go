@@ -1,6 +1,7 @@
 package vdb
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -166,7 +167,7 @@ func TestRecordQueriesStaticMatchesSequential(t *testing.T) {
 	parallel := col.RecordQueries(ds.Queries, 10, opts)
 	sequential := make([]QueryExec, ds.Queries.Len())
 	for qi := range sequential {
-		sequential[qi] = col.Record(ds.Queries.Row(qi), 10, opts)
+		sequential[qi] = col.runOne(context.Background(), ds.Queries.Row(qi), 10, opts, true, 1)
 	}
 	if !reflect.DeepEqual(parallel, sequential) {
 		t.Error("parallel static-cached recording differs from sequential")

@@ -260,7 +260,7 @@ type QueryExec struct {
 
 // runBatch is the collection's batch search: index.BatchRun over runOne, so
 // each query runs to completion on one worker (query-major) and its result
-// is byte-identical to a single Search or Record of that query. BatchRun
+// is byte-identical to a single Search of that query. BatchRun
 // already puts a query on every core, so a batch query does not fan its
 // units out (width 1). A query's answer depends on the others only through
 // a mutable (LRU) node cache; those caches are per index, and BatchRun runs
@@ -281,13 +281,14 @@ func neighborIDs(ns []index.Neighbor) []int32 {
 }
 
 // runOne runs one query over its units: the sealed segments in order, then
-// the brute-forced growing tail when it holds rows. Up to width workers
-// (never more than the units) search them; the calling goroutine is worker
-// 0, and a width of 1 is a plain loop with no goroutine. Each unit writes
-// its top-k into its own slot of scr.Units and its recorded steps into its
-// own out.Segments entry, and the merge pushes the slots and sums their
-// Stats in unit order, so the answer is the serial loop's whatever order
-// the units finished in.
+// the brute-forced growing tail when it holds rows. Unless it records, up
+// to width workers (never more than the units) search them; the calling
+// goroutine is worker 0, and a width of 1 is a plain loop with no
+// goroutine. A recording query always runs the loop, each unit writing its
+// recorded steps into its own out.Segments entry. Each unit writes its top-k
+// into its own slot of scr.Units, and the merge pushes the slots and sums
+// their Stats in unit order, so the answer is the serial loop's whatever
+// order the units finished in.
 // The scratch is opts.Scratch when the caller brings one; otherwise the
 // collection lends the one it retains in slot 0 (see borrow).
 func (c *Collection) runOne(ctx context.Context, q []float32, k int, opts index.SearchOptions, record bool, width int) QueryExec {
@@ -310,8 +311,8 @@ func (c *Collection) runOne(ctx context.Context, q []float32, k int, opts index.
 		out.Segments = make([][]index.Step, units)
 	}
 	scr.Units = index.Grow(scr.Units, units)
-	if width = min(width, units); width > 1 {
-		c.fanOut(ctx, q, k, opts, width, out.Segments)
+	if width = min(width, units); width > 1 && !record {
+		c.fanOut(ctx, q, k, opts, width)
 	} else {
 		for u := range units {
 			c.searchUnit(ctx, u, q, k, opts, &scr.Units[u], out.Segments)
@@ -354,7 +355,8 @@ func (c *Collection) searchUnit(ctx context.Context, u int, q []float32, k int, 
 // par.For, the growing tail first: it is brute forced and the largest unit.
 // Worker 0 is the caller on opts.Scratch; helper w borrows scratch slot w
 // when it claims its first unit, into the caller scratch's Helpers list.
-func (c *Collection) fanOut(ctx context.Context, q []float32, k int, opts index.SearchOptions, width int, segs [][]index.Step) {
+// It records nothing: a recording query runs its units in a loop.
+func (c *Collection) fanOut(ctx context.Context, q []float32, k int, opts index.SearchOptions, width int) {
 	slots := opts.Scratch.Units
 	units, nseg := len(slots), len(c.segments)
 	scr := index.Grow(opts.Scratch.Helpers, width)
@@ -366,7 +368,7 @@ func (c *Collection) fanOut(ctx context.Context, q []float32, k int, opts index.
 		o := opts
 		o.Scratch = scr[w]
 		u := (j + nseg) % units // j = 0 is the tail when there is one
-		c.searchUnit(ctx, u, q, k, o, &slots[u], segs)
+		c.searchUnit(ctx, u, q, k, o, &slots[u], nil)
 	})
 	for w := 1; w < min(width, len(c.scratch)); w++ {
 		if scr[w] != nil {
@@ -392,8 +394,8 @@ func (c *Collection) borrow(w int) *index.SearchScratch {
 	return index.NewSearchScratch()
 }
 
-// minFanOutWork is the least live rows × dim at which a lone Search or
-// Record fans its units out. Below it, a helper that has to be woken costs
+// minFanOutWork is the least live rows × dim at which a lone Search fans its
+// units out. Below it, a helper that has to be woken costs
 // more than it saves. It was measured on BenchmarkSearch's 13 IVF_FLAT
 // segments + tail shape (1280 live rows) at GOMAXPROCS 2 on a 2-vCPU Xeon,
 // runOne at width 2 against width 1. Back to back, with par's helper
@@ -415,20 +417,14 @@ func (c *Collection) width() int {
 }
 
 // Search runs one real query (outside the simulation) and returns the merged
-// top-k result without capturing execution profiles. It replaces the old
-// SearchDirect(q, k, opts, false).
+// top-k result without capturing execution profiles; RecordQueries captures
+// them.
 func (c *Collection) Search(q []float32, k int, opts index.SearchOptions) QueryExec {
 	return c.runOne(context.Background(), q, k, opts, false, c.width())
 }
 
-// Record runs one real query and captures its per-segment execution profiles
-// for replay. It replaces the old SearchDirect(q, k, opts, true).
-func (c *Collection) Record(q []float32, k int, opts index.SearchOptions) QueryExec {
-	return c.runOne(context.Background(), q, k, opts, true, c.width())
-}
-
 // SearchBatch runs every query row through the batch core without
-// recording, up to opts.QueryConcurrency queries concurrently. Each query's
+// recording, up to GOMAXPROCS queries concurrently. Each query's
 // result is byte-identical to Search on the same options; ctx cancellation
 // stops starting new queries (unstarted queries return zero QueryExecs).
 func (c *Collection) SearchBatch(ctx context.Context, queries *vec.Matrix, k int, opts index.SearchOptions) []QueryExec {

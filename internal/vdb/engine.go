@@ -10,7 +10,7 @@ import (
 
 // Engine executes recorded queries inside the discrete-event simulation
 // under one trait profile. It owns the scheduler state that produces the
-// paper's engine-level differences: admission control, idle-wake penalties,
+// paper's engine-level differences: idle-wake penalties,
 // the global lock, per-query memory accounting, and segment fan-out.
 //
 // The engine runs no simulated process: each query, insert or delete is an
@@ -30,7 +30,6 @@ type Engine struct {
 	// event heap.
 	rpc, wake *sim.Lane
 
-	sched      *sim.Semaphore // admission (nil = unbounded)
 	readSlots  *sim.Semaphore // segment-worker cap (nil = unbounded)
 	globalLock *sim.Semaphore
 
@@ -51,9 +50,6 @@ type Engine struct {
 func NewEngine(k *sim.Kernel, cpu *sim.CPU, dev *ssd.Device, traits Traits) *Engine {
 	e := &Engine{Traits: traits, k: k, cpu: cpu, dev: dev, rd: dev, cost: index.DefaultCostModel(),
 		rpc: k.NewLane(), wake: k.NewLane()}
-	if traits.MaxConcurrent > 0 {
-		e.sched = sim.NewSemaphore(k, traits.Name+"/sched", int64(traits.MaxConcurrent))
-	}
 	if traits.IntraQueryParallel && traits.MaxReadConcurrent > 0 {
 		e.readSlots = sim.NewSemaphore(k, traits.Name+"/read", int64(traits.MaxReadConcurrent))
 	}
@@ -221,7 +217,6 @@ type opPhase uint8
 const (
 	opIdle opPhase = iota
 	opAdmit
-	opSched
 	opLock
 	opLocked // holding the global lock
 	opFree
@@ -233,7 +228,7 @@ const (
 	opWrite
 )
 
-var opPhaseNames = [...]string{"idle", "rpc in", "idle wake", "admission", "global lock", "cpu",
+var opPhaseNames = [...]string{"idle", "rpc in", "idle wake", "global lock", "cpu",
 	"segments", "steps", "fan-out", "rpc out", "write cpu", "wal write"}
 
 // NewOp returns an idle operation of the engine driven by timer t.
@@ -318,14 +313,9 @@ func (o *Op) Resume() bool {
 			// behind it instead of paying again.
 			wasIdle := e.active == 0
 			e.active++
-			o.phase = opSched
+			o.phase = opLock
 			if e.IdleWake > 0 && wasIdle {
 				return o.sleep(e.wake, e.IdleWake)
-			}
-		case opSched:
-			o.phase = opLock
-			if e.sched != nil && !e.sched.AcquireTimer(o.t, 1) {
-				return false
 			}
 		case opLock:
 			// Fixed request-processing cost, part of it under the global lock.
@@ -387,9 +377,6 @@ func (o *Op) Resume() bool {
 			o.phase = opIdle
 			if o.qe != nil {
 				e.served++
-				if e.sched != nil {
-					e.sched.Release(1)
-				}
 				e.active--
 				if e.MemPerQuery > 0 && e.MemBudget > 0 {
 					e.memInUse -= e.MemPerQuery

@@ -41,11 +41,6 @@ func (e *Engine) RunQuery(env *sim.Env, qe *QueryExec) error {
 		env.Sleep(e.IdleWake)
 	}
 
-	if e.sched != nil {
-		e.sched.Acquire(env, 1)
-		defer e.sched.Release(1)
-	}
-
 	// Fixed request-processing cost, part of it under the global lock.
 	if e.PerQueryCPU > 0 {
 		locked := time.Duration(float64(e.PerQueryCPU) * e.GlobalLockFraction)

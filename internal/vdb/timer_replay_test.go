@@ -99,9 +99,9 @@ func fuzzExecs(b *fuzzBytes) []QueryExec {
 // count, submission policy and writers, the timer replay and the process
 // reference produce the same run, and both leave the engine drained. The
 // first three bytes pick the profile, the client count and the flags (bit 0
-// coalesces reads, bit 1 adds writers, bits 2–4 cap admission, the segment
-// workers and the memory budget so that the queues and the out-of-memory
-// path are taken); the rest are the queries.
+// coalesces reads, bit 1 adds writers, bit 2 is unused, bits 3–4 cap the
+// segment workers and the memory budget so that the queue and the
+// out-of-memory path are taken); the rest are the queries.
 func FuzzTimerReplay(f *testing.F) {
 	f.Add([]byte{0, 7, 0, 3, 2, 4, 1, 0x4a, 20, 3, 5, 0x85, 9, 7, 1, 2, 3})
 	f.Add([]byte{1, 0, 1, 1, 0, 2, 0x0c, 30, 1, 2})
@@ -116,9 +116,6 @@ func FuzzTimerReplay(f *testing.F) {
 		writers := 0
 		if flags&2 != 0 {
 			writers = 1 + clients/8
-		}
-		if flags&4 != 0 {
-			tr.MaxConcurrent = 2
 		}
 		if flags&8 != 0 && tr.IntraQueryParallel {
 			tr.MaxReadConcurrent = 2

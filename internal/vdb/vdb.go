@@ -42,11 +42,6 @@ const (
 	IndexDiskANN IndexKind = "DISKANN"
 )
 
-// StorageBased reports whether the index keeps its vectors on the SSD.
-func (k IndexKind) StorageBased() bool {
-	return k == IndexDiskANN || k == IndexIVFPQ
-}
-
 // BuildParams carries the build-time parameters of Table II.
 type BuildParams struct {
 	// NList is IVF's cluster count (0 = the 4·√n rule).
@@ -75,7 +70,7 @@ type Traits struct {
 	Name string
 	// RPCOverhead is the client↔server round-trip latency of one query
 	// (network + serialisation). It elapses without consuming CPU.
-	// Embedded engines have zero.
+	// Library engines, with no server process, have zero.
 	RPCOverhead time.Duration
 	// PerQueryCPU is the fixed request-processing cost (parsing,
 	// planning, result assembly) burned on one core per query.
@@ -84,9 +79,6 @@ type Traits struct {
 	// that arrives at an idle engine. At high concurrency no query pays
 	// it, which produces the superlinear 1→16 thread scaling of O-4.
 	IdleWake time.Duration
-	// MaxConcurrent caps queries executing inside the engine at once
-	// (0 = unbounded). Excess queries queue FIFO.
-	MaxConcurrent int
 	// SegmentCapacity is the maximum vectors per sealed segment
 	// (0 = monolithic collection).
 	SegmentCapacity int
@@ -103,8 +95,6 @@ type Traits struct {
 	// process budget; exceeding it fails the query with ErrOutOfMemory.
 	MemPerQuery int64
 	MemBudget   int64
-	// Embedded marks client-side library engines (no server process).
-	Embedded bool
 	// SupportedIndexes lists the index kinds the engine exposes,
 	// mirroring Sec. III-C.
 	SupportedIndexes []IndexKind
@@ -189,7 +179,6 @@ func LanceDB() Traits {
 		GlobalLockFraction: 0.3,
 		MemPerQuery:        96 << 20,
 		MemBudget:          14 << 30,
-		Embedded:           true,
 		SupportedIndexes:   []IndexKind{IndexIVFPQ, IndexHNSWSQ},
 	}
 }

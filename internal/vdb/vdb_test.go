@@ -56,7 +56,7 @@ func TestPaperSetups(t *testing.T) {
 		if !s.Engine.Supports(s.Index) {
 			t.Errorf("setup %s unsupported by its engine", s.Label())
 		}
-		if s.Index.StorageBased() {
+		if s.Index == IndexDiskANN || s.Index == IndexIVFPQ {
 			storage++
 		}
 	}

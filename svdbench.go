@@ -82,9 +82,6 @@ type (
 	Experiment = core.Experiment
 	// Progress is one per-cell completion report (Bench.OnProgress).
 	Progress = core.Progress
-
-	// SearchOption is a functional option over SearchOptions (WithBeamWidth, ...).
-	SearchOption = index.SearchOption
 )
 
 // Typed sentinel errors, matchable with errors.Is through any wrapping.
@@ -182,44 +179,21 @@ func RunWorkloadContext(ctx context.Context, execs []QueryExec, traits EngineTra
 	return core.RunContext(ctx, execs, traits, cfg)
 }
 
-// NewSearchOptions builds SearchOptions from functional options.
-func NewSearchOptions(opts ...SearchOption) SearchOptions { return index.NewSearchOptions(opts...) }
-
-// Functional options over SearchOptions; see the index package for details.
-func WithNProbe(n int) SearchOption     { return index.WithNProbe(n) }
-func WithEfSearch(ef int) SearchOption  { return index.WithEfSearch(ef) }
-func WithSearchList(l int) SearchOption { return index.WithSearchList(l) }
-func WithBeamWidth(w int) SearchOption  { return index.WithBeamWidth(w) }
-
-// Async-pipeline options for the batch-first search API: WithLookAhead sets
-// how many top unexpanded candidates' pages a storage-based search
-// speculatively prefetches while the current hop scores (results stay
-// byte-identical at any depth); WithQueryConcurrency bounds how many queries
-// of one SearchBatch run concurrently (0, the default, means one per core).
-func WithLookAhead(n int) SearchOption        { return index.WithLookAhead(n) }
-func WithQueryConcurrency(n int) SearchOption { return index.WithQueryConcurrency(n) }
-
-// WithLayout selects the on-disk layout of a storage-based search: LayoutID
-// (one node per 4 KiB page slot, the paper's layout and the default) or
-// LayoutPage (page-node co-design: beam search over page groups packing each
-// node with its nearest graph neighbours, scoring every resident a fetched
-// page returns). The `layout` experiment (Extension G) measures the
-// device-read difference at equal recall.
-func WithLayout(layout string) SearchOption { return index.WithLayout(layout) }
-
-// On-disk layout names accepted by WithLayout.
+// On-disk layout names for SearchOptions.Layout: LayoutID (one node per
+// 4 KiB page slot, the paper's layout and the default) or LayoutPage
+// (page-node co-design: beam search over page groups packing each node with
+// its nearest graph neighbours, scoring every resident a fetched page
+// returns). The `layout` experiment (Extension G) measures the device-read
+// difference at equal recall.
 const (
 	LayoutID   = index.LayoutID
 	LayoutPage = index.LayoutPage
 )
 
-// Node-cache options for the storage-based indexes (DiskANN, SPANN): cache
-// the n hottest nodes between beam search and the device. Policies are
-// NodeCacheStatic (BFS-warmed from the entry point) and NodeCacheLRU.
-func WithNodeCacheNodes(n int) SearchOption     { return index.WithNodeCacheNodes(n) }
-func WithNodeCachePolicy(p string) SearchOption { return index.WithNodeCachePolicy(p) }
-
-// Node-cache policy names accepted by WithNodeCachePolicy.
+// Node-cache policy names for SearchOptions.NodeCachePolicy: the
+// storage-based indexes (DiskANN, SPANN) cache the NodeCacheNodes hottest
+// nodes between beam search and the device, either NodeCacheStatic
+// (BFS-warmed from the entry point) or NodeCacheLRU.
 const (
 	NodeCacheStatic = index.NodeCacheStatic
 	NodeCacheLRU    = index.NodeCacheLRU
