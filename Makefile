@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego test-widths quick-widths quick-kernels cross race vet lint check bench bench-host bench-diff bench-check quick-diff fuzz
+.PHONY: all build test test-purego test-widths quick-widths quick-kernels quick-cache cross race vet lint check bench bench-host bench-diff bench-check quick-diff fuzz
 
 all: build
 
@@ -91,6 +91,26 @@ quick-kernels:
 	diff "$$tmp/default.txt" "$$tmp/v3.txt" && \
 	echo "quick-kernels: purego and GOAMD64=v3 builds identical to the default on $$(wc -l < "$$tmp/default.txt") lines"
 
+# The on-disk caches — generated datasets (.ds) and built stack
+# collections (stacks/*.col), both binenc files — must not change a table:
+# `quick-cache` runs the quick suite cold into a fresh cache dir (generating
+# and saving every file), then warm from it, and diffs both against the
+# uncached suite (-data ""), footers stripped. The warm run must write no
+# file: a cache file that failed to load would be rebuilt and saved again.
+quick-cache:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/annbench" ./cmd/annbench && \
+	"$$tmp/annbench" -experiment all -quick -quiet -data "" > "$$tmp/none.raw" && \
+	"$$tmp/annbench" -experiment all -quick -quiet -data "$$tmp/data" > "$$tmp/cold.raw" && \
+	touch "$$tmp/cold.done" && \
+	"$$tmp/annbench" -experiment all -quick -quiet -data "$$tmp/data" > "$$tmp/warm.raw" && \
+	for run in none cold warm; do sed '/^== .* done in /d' "$$tmp/$$run.raw" > "$$tmp/$$run.txt"; done && \
+	diff "$$tmp/none.txt" "$$tmp/cold.txt" && \
+	diff "$$tmp/none.txt" "$$tmp/warm.txt" && \
+	rewritten=$$(find "$$tmp/data" -type f -newer "$$tmp/cold.done") && \
+	if [ -n "$$rewritten" ]; then echo "quick-cache: the warm run rewrote:"; echo "$$rewritten"; exit 1; fi && \
+	echo "quick-cache: cold and warm runs over $$(find "$$tmp/data" -name '*.ds' | wc -l) datasets and $$(find "$$tmp/data" -name '*.col' | wc -l) stacks identical to -data \"\" on $$(wc -l < "$$tmp/none.txt") lines"
+
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/vec ./internal/index/sq
@@ -167,7 +187,7 @@ quick-diff:
 
 # Short coverage-guided fuzzing of the node-cache invariants, the three
 # index snapshot decoders, the saved-collection loader over them, the .ds
-# dataset decoder, the binenc Reader every snapshot decoder reads through,
+# dataset decoder, the binenc Reader every saved file is read through,
 # the sim kernel's lanes against its event heap, the engine's timer
 # replay against its process reference, the HNSW build's re-prune memo
 # against a from-scratch reference build, the k-means lane kernel's

@@ -13,7 +13,7 @@ const fuzzMagic = "BINENC01"
 // readOp performs the Reader call op selects and returns the size in bytes
 // of what it returned (0 for scalars and signatures).
 func readOp(r *Reader, op byte) int {
-	switch op % 9 {
+	switch op % 8 {
 	case 0:
 		r.U64()
 	case 1:
@@ -25,12 +25,10 @@ func readOp(r *Reader, op byte) int {
 	case 4:
 		return 4 * len(r.I32s())
 	case 5:
-		return 8 * len(r.I64s())
-	case 6:
 		return 4 * len(r.F32s())
-	case 7:
+	case 6:
 		return strconv.IntSize / 8 * len(r.Ints())
-	case 8:
+	case 7:
 		r.Magic(fuzzMagic)
 	}
 	return 0
@@ -49,7 +47,6 @@ func FuzzReader(f *testing.F) {
 	w.Bytes([]byte("payload"))
 	w.String("name")
 	w.I32s([]int32{1, -2, 3})
-	w.I64s([]int64{4, -5})
 	w.F32s([]float32{0.5, -1.5})
 	w.Ints([]int{6, 7, 8})
 	w.Magic(fuzzMagic)
@@ -57,7 +54,7 @@ func FuzzReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	stream := buf.Bytes()
-	ops := []byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+	ops := []byte{7, 0, 1, 2, 3, 4, 5, 6, 7}
 	f.Add(ops, stream)
 	f.Add(ops, stream[:len(stream)/2])
 	f.Add([]byte{2, 2, 2}, []byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 1})
@@ -65,7 +62,7 @@ func FuzzReader(f *testing.F) {
 		r := NewReader(bytes.NewReader(data))
 		for i, op := range ops {
 			if got := readOp(r, op); got > len(data) {
-				t.Fatalf("call %d (op %d) returned %d bytes from a %d-byte input", i, op%9, got, len(data))
+				t.Fatalf("call %d (op %d) returned %d bytes from a %d-byte input", i, op%8, got, len(data))
 			}
 		}
 		if err := r.Err(); err != nil && !strings.HasPrefix(err.Error(), "binenc: ") {

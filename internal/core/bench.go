@@ -268,7 +268,7 @@ func (b *Bench) buildPrepared(ctx context.Context, ck string, ds *dataset.Datase
 		return nil, err
 	}
 	params := vdb.DefaultBuildParams()
-	col := b.loadCachedCollection(ck, ds, setup, params)
+	col := b.loadCachedCollection(ds, setup, params)
 	if col == nil {
 		b.logf("collection %s: building", ck)
 		var err error
@@ -281,7 +281,7 @@ func (b *Bench) buildPrepared(ctx context.Context, ck string, ds *dataset.Datase
 			return nil, fmt.Errorf("collection %s: %w", ck, err)
 		}
 		b.logf("collection %s: built in %v", ck, time.Since(start).Round(time.Millisecond)) //annlint:allow wallclock -- host-side progress timing, never enters the simulation
-		b.saveCachedCollection(ck, ds, col, params)
+		b.saveCachedCollection(ck, ds, setup, col, params)
 	} else {
 		b.logf("collection %s: loaded from cache", ck)
 	}
@@ -295,32 +295,23 @@ func (b *Bench) buildPrepared(ctx context.Context, ck string, ds *dataset.Datase
 const PaperK = 10
 
 // stackCachePath returns the on-disk location of a persisted stack
-// collection ("" when caching is disabled). The dataset's generation
-// parameters participate so a generator change can never resurrect an index
-// built over different data, and the build fingerprint so a change of build
-// parameters or snapshot format never serves a stale one.
-func (b *Bench) stackCachePath(key string, ds *dataset.Dataset, params vdb.BuildParams) string {
+// collection ("" when caching is disabled): the dataset's cache name, so an
+// index is never served over other data, then what shapes the collection
+// built over it (index kind and segment capacity) and the build
+// fingerprint, so a change of build parameters or snapshot format never
+// serves a stale one.
+func (b *Bench) stackCachePath(ds *dataset.Dataset, setup vdb.Setup, params vdb.BuildParams) string {
 	if b.CacheDir == "" {
 		return ""
 	}
-	key = fmt.Sprintf("%s-n%d-s%d-c%d-sp%03d-%s", key,
-		ds.Spec.N, ds.Spec.Seed, ds.Spec.Clusters, int(ds.Spec.Spread*100), params.Fingerprint())
-	safe := make([]rune, 0, len(key))
-	for _, c := range key {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			safe = append(safe, c)
-		default:
-			safe = append(safe, '_')
-		}
-	}
-	return filepath.Join(b.CacheDir, "stacks", string(safe)+".col")
+	return filepath.Join(b.CacheDir, "stacks", fmt.Sprintf("%s-%s-seg%d-%s.col",
+		dataset.CacheName(ds.Spec), setup.Index, setup.Engine.SegmentCapacity, params.Fingerprint()))
 }
 
 // loadCachedCollection restores a persisted stack collection, returning nil
 // on any miss or mismatch (the stack is then rebuilt).
-func (b *Bench) loadCachedCollection(key string, ds *dataset.Dataset, setup vdb.Setup, params vdb.BuildParams) *vdb.Collection {
-	path := b.stackCachePath(key, ds, params)
+func (b *Bench) loadCachedCollection(ds *dataset.Dataset, setup vdb.Setup, params vdb.BuildParams) *vdb.Collection {
+	path := b.stackCachePath(ds, setup, params)
 	if path == "" {
 		return nil
 	}
@@ -332,8 +323,8 @@ func (b *Bench) loadCachedCollection(key string, ds *dataset.Dataset, setup vdb.
 }
 
 // saveCachedCollection persists a freshly built collection, best-effort.
-func (b *Bench) saveCachedCollection(key string, ds *dataset.Dataset, col *vdb.Collection, params vdb.BuildParams) {
-	path := b.stackCachePath(key, ds, params)
+func (b *Bench) saveCachedCollection(key string, ds *dataset.Dataset, setup vdb.Setup, col *vdb.Collection, params vdb.BuildParams) {
+	path := b.stackCachePath(ds, setup, params)
 	if path == "" {
 		return
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -219,16 +220,17 @@ func TestRunCellMemoised(t *testing.T) {
 		t.Errorf("run cell not memoised (%d simulations)", len(b.runs.slots))
 	}
 	// The memo keys on the whole config: the same cellID under another seed
-	// is another simulation, and so is a timeline request after a plain one.
+	// is another simulation.
 	b.RunCell(st, st.Execs, RunConfig{Threads: 2, Seed: 7}, "x")
-	b.RunCell(st, st.Execs, RunConfig{Threads: 2, Timeline: true}, "x")
-	if len(b.runs.slots) != 3 {
-		t.Errorf("a different Seed or Timeline shared the memoised run (%d simulations, want 3)", len(b.runs.slots))
+	if len(b.runs.slots) != 2 {
+		t.Errorf("a different Seed shared the memoised run (%d simulations, want 2)", len(b.runs.slots))
 	}
 }
 
-// TestStackCacheKeyedOnBuildParams: a stack saved under one set of build
-// parameters is a miss under another, and a hit under its own.
+// TestStackCacheKeyedOnBuildParams: the stack Stack built and saved is a
+// hit under its own build parameters and a miss under another set; it is a
+// miss too over a dataset whose cache name differs (here in the query
+// count); and a stack saved again after its file is gone is a hit.
 func TestStackCacheKeyedOnBuildParams(t *testing.T) {
 	b := tinyBench(t)
 	setup := vdb.Setup{Engine: vdb.Qdrant(), Index: vdb.IndexHNSW}
@@ -238,15 +240,26 @@ func TestStackCacheKeyedOnBuildParams(t *testing.T) {
 	}
 	built, other := vdb.DefaultBuildParams(), vdb.DefaultBuildParams()
 	other.EfConstruction++
-	if b.loadCachedCollection("k", st.Dataset, setup, built) != nil {
-		t.Fatal("cache hit before anything was saved")
+	if b.loadCachedCollection(st.Dataset, setup, built) == nil {
+		t.Error("the stack Stack built is not loaded under the parameters it was saved with")
 	}
-	b.saveCachedCollection("k", st.Dataset, st.Col, built)
-	if b.loadCachedCollection("k", st.Dataset, setup, built) == nil {
-		t.Error("stack not loaded under the parameters it was saved with")
-	}
-	if b.loadCachedCollection("k", st.Dataset, setup, other) != nil {
+	if b.loadCachedCollection(st.Dataset, setup, other) != nil {
 		t.Error("stack saved under one BuildParams loaded under another")
+	}
+	moreQueries := *st.Dataset
+	moreQueries.Spec.NumQueries++
+	if b.loadCachedCollection(&moreQueries, setup, built) != nil {
+		t.Error("stack saved over one dataset loaded over another")
+	}
+	if err := os.Remove(b.stackCachePath(st.Dataset, setup, built)); err != nil {
+		t.Fatal(err)
+	}
+	if b.loadCachedCollection(st.Dataset, setup, built) != nil {
+		t.Fatal("cache hit after the stack file was removed")
+	}
+	b.saveCachedCollection("k", st.Dataset, setup, st.Col, built)
+	if b.loadCachedCollection(st.Dataset, setup, built) == nil {
+		t.Error("stack not loaded after saving it")
 	}
 }
 

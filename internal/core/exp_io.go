@@ -20,7 +20,7 @@ func (b *Bench) fig56Grid(ctx context.Context) ([]RunOutput, error) {
 	var pts []figPoint
 	for _, dsName := range paperDatasets() {
 		for _, threads := range fig56Threads {
-			pts = append(pts, figPoint{ds: dsName, setup: milvusDiskANN(), cfg: RunConfig{Threads: threads, Timeline: true}})
+			pts = append(pts, figPoint{ds: dsName, setup: milvusDiskANN(), cfg: RunConfig{Threads: threads}})
 		}
 	}
 	return b.figure(ctx, pts)

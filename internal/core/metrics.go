@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"svdbench/internal/sim"
+	"svdbench/internal/trace"
 )
 
 // Percentile returns the p-quantile (0 < p ≤ 1) of the samples using the
@@ -85,35 +86,13 @@ type Metrics struct {
 	// CPUUtil is mean global CPU utilisation in [0,1] (the paper's Fig. 4
 	// y-axis, where 1.0 means all cores fully busy).
 	CPUUtil float64
-	// ReadMiBps is the mean device read bandwidth during the run.
-	ReadMiBps float64
-	// WriteMiBps is the mean device write bandwidth.
-	WriteMiBps float64
 	// BytesPerQuery is read bytes divided by completed queries (the
 	// paper's "per-query average bandwidth", Fig. 6/11/15).
 	BytesPerQuery float64
-	// Frac4KiB is the fraction of I/O requests of exactly 4 KiB (O-15).
-	Frac4KiB float64
-	// MeanReadBytes is the average read request size.
-	MeanReadBytes float64
-	// ReadOps counts device read requests issued during the run.
-	ReadOps int64
-	// CacheHits counts pages the node cache served instead of the device;
-	// CacheHitRate is the byte fraction of would-be reads it absorbed.
-	// Both stay zero when no node cache is configured.
-	CacheHits    int64
-	CacheHitRate float64
-	// MeanQueueDepth and MaxQueueDepth describe the device's outstanding
-	// request count over the run: the time-weighted mean and the peak.
-	MeanQueueDepth float64
-	MaxQueueDepth  int
-	// DeviceBusyFrac, CPUBusyFrac and OverlapFrac are the fractions of the
-	// measurement window the device had requests outstanding, the CPU had a
-	// burst on a core, and both at once — the overlap a pipelined search
-	// exists to create (≈0 for a synchronous beam search).
-	DeviceBusyFrac float64
-	CPUBusyFrac    float64
-	OverlapFrac    float64
+	// Summary is the tracer's account of the device over the measurement
+	// window: bandwidth, request sizes, node-cache hits, queue depth and
+	// the device/CPU busy and overlap fractions.
+	trace.Summary
 	// Served counts completed queries; Failed counts rejected ones
 	// (e.g. out of memory).
 	Served int64
@@ -149,21 +128,8 @@ func AggregateRuns(reps []Metrics) Metrics {
 		out.P90 += r.P90 / sim.Duration(len(reps))
 		out.MeanLatency += r.MeanLatency / sim.Duration(len(reps))
 		out.CPUUtil += r.CPUUtil / float64(len(reps))
-		out.ReadMiBps += r.ReadMiBps / float64(len(reps))
-		out.WriteMiBps += r.WriteMiBps / float64(len(reps))
 		out.BytesPerQuery += r.BytesPerQuery / float64(len(reps))
-		out.Frac4KiB += r.Frac4KiB / float64(len(reps))
-		out.MeanReadBytes += r.MeanReadBytes / float64(len(reps))
-		out.CacheHitRate += r.CacheHitRate / float64(len(reps))
-		out.MeanQueueDepth += r.MeanQueueDepth / float64(len(reps))
-		out.DeviceBusyFrac += r.DeviceBusyFrac / float64(len(reps))
-		out.CPUBusyFrac += r.CPUBusyFrac / float64(len(reps))
-		out.OverlapFrac += r.OverlapFrac / float64(len(reps))
-		if r.MaxQueueDepth > out.MaxQueueDepth {
-			out.MaxQueueDepth = r.MaxQueueDepth
-		}
-		out.ReadOps += r.ReadOps
-		out.CacheHits += r.CacheHits
+		out.Summary = foldSummary(out.Summary, r.Summary, len(reps))
 		out.Served += r.Served
 		out.Failed += r.Failed
 	}
@@ -172,6 +138,31 @@ func AggregateRuns(reps []Metrics) Metrics {
 	m, s = MeanStd(p99)
 	out.P99, out.P99Std = sim.Duration(m), sim.Duration(s)
 	return out
+}
+
+// foldSummary adds one of n repetitions' device summary into acc: rates,
+// fractions and means by their 1/n share, counts by sum, the peak queue
+// depth by max.
+func foldSummary(acc, r trace.Summary, n int) trace.Summary {
+	acc.Window += r.Window / sim.Duration(n)
+	acc.ReadOps += r.ReadOps
+	acc.WriteOps += r.WriteOps
+	acc.ReadBytes += r.ReadBytes
+	acc.WriteBytes += r.WriteBytes
+	acc.ReadMiBps += r.ReadMiBps / float64(n)
+	acc.WriteMiBps += r.WriteMiBps / float64(n)
+	acc.ReadIOPS += r.ReadIOPS / float64(n)
+	acc.Frac4KiB += r.Frac4KiB / float64(n)
+	acc.MeanReadBytes += r.MeanReadBytes / float64(n)
+	acc.CacheHits += r.CacheHits
+	acc.CacheBytes += r.CacheBytes
+	acc.CacheHitRate += r.CacheHitRate / float64(n)
+	acc.MeanQueueDepth += r.MeanQueueDepth / float64(n)
+	acc.MaxQueueDepth = max(acc.MaxQueueDepth, r.MaxQueueDepth)
+	acc.DeviceBusyFrac += r.DeviceBusyFrac / float64(n)
+	acc.CPUBusyFrac += r.CPUBusyFrac / float64(n)
+	acc.OverlapFrac += r.OverlapFrac / float64(n)
+	return acc
 }
 
 // fmtDur renders a duration in microseconds for tabular output, matching the

@@ -32,8 +32,6 @@ type RunConfig struct {
 	Repetitions int
 	// Cores is the simulated CPU core count (paper testbed: 20).
 	Cores int
-	// Timeline enables fine-grained bandwidth buckets for Fig. 5.
-	Timeline bool
 	// Seed perturbs per-repetition thread start offsets so repetitions
 	// differ slightly, as real runs do.
 	Seed int64
@@ -166,11 +164,7 @@ func runOnce(r *rig, execs []vdb.QueryExec, traits vdb.Traits, cfg RunConfig, se
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	var tl []trace.BucketPoint
-	if cfg.Timeline {
-		tl = r.tr.Timeline()
-	}
-	return r.metrics(&res, end, cfg), tl, nil
+	return r.metrics(&res, end, cfg), r.tr.Timeline(), nil
 }
 
 // metrics assembles the Metrics of a run on r that drained at end: the
@@ -196,25 +190,13 @@ func (r *rig) metrics(res *tally, end sim.Time, cfg RunConfig) Metrics {
 		CPUUtil:     util,
 		Served:      res.served,
 		Failed:      res.failed,
+		Summary:     r.tr.Summarize(cfg.Duration),
 	}
 	if cfg.Duration > 0 {
 		m.QPS = float64(res.served) / cfg.Duration.Seconds()
 	}
-	sum := r.tr.Summarize(cfg.Duration)
-	m.ReadMiBps = sum.ReadMiBps
-	m.WriteMiBps = sum.WriteMiBps
-	m.Frac4KiB = sum.Frac4KiB
-	m.MeanReadBytes = sum.MeanReadBytes
-	m.ReadOps = sum.ReadOps
-	m.CacheHits = sum.CacheHits
-	m.CacheHitRate = sum.CacheHitRate
-	m.MeanQueueDepth = sum.MeanQueueDepth
-	m.MaxQueueDepth = sum.MaxQueueDepth
-	m.DeviceBusyFrac = sum.DeviceBusyFrac
-	m.CPUBusyFrac = sum.CPUBusyFrac
-	m.OverlapFrac = sum.OverlapFrac
 	if res.served > 0 {
-		m.BytesPerQuery = float64(sum.ReadBytes) / float64(res.served)
+		m.BytesPerQuery = float64(m.ReadBytes) / float64(res.served)
 	}
 	return m
 }

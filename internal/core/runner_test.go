@@ -129,9 +129,7 @@ func TestRunOOMCountsFailures(t *testing.T) {
 
 func TestRunTimeline(t *testing.T) {
 	execs := syntheticExecs(50, 100*time.Microsecond, 2)
-	cfg := fastCfg(4)
-	cfg.Timeline = true
-	out := Run(execs, plainTraits(), cfg)
+	out := Run(execs, plainTraits(), fastCfg(4))
 	if len(out.Timeline) == 0 {
 		t.Fatal("no timeline buckets")
 	}

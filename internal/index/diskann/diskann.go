@@ -158,7 +158,7 @@ func (ix *Index) bind() {
 		members[i] = rows[i : i+1 : i+1]
 	}
 	ix.nodeLay = &pageLayout{members: members, adj: ix.graph, entry: ix.medoid}
-	ix.caches = nodecache.NewSet(ix.cfg.PageSize, ix.cfg.Seed, ix.warmCache)
+	ix.caches = nodecache.NewSet(ix.cfg.PageSize, ix.warmCache)
 }
 
 // buildPass runs one Vamana pass over the given node order: search and prune

@@ -232,13 +232,13 @@ func comparePriceMemo(t *testing.T, name string, ds *dataset.Dataset, ix *Index,
 	want := make([]index.Result, nq)
 	wantProf := make([]index.Profile, nq)
 	readmits := 0
-	ix.caches = nodecache.NewSet(ix.cfg.PageSize, ix.cfg.Seed, ix.warmCache)
+	ix.caches = nodecache.NewSet(ix.cfg.PageSize, ix.warmCache)
 	for qi := range want {
 		o := opts
 		o.Recorder = &wantProf[qi]
 		readmits += ix.refBeamSearch(u, ds.Queries.Row(qi), k, o, &want[qi])
 	}
-	ix.caches = nodecache.NewSet(ix.cfg.PageSize, ix.cfg.Seed, ix.warmCache)
+	ix.caches = nodecache.NewSet(ix.cfg.PageSize, ix.warmCache)
 	var got index.Result
 	for qi := range want {
 		var prof index.Profile

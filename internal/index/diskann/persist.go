@@ -65,7 +65,7 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 		return nil, fmt.Errorf("diskann: persisted index has %d nodes, data has %d", n, data.Len())
 	}
 	if cfg.R <= 0 || cfg.R > maxPersistR || cfg.PageSize <= 0 || cfg.PageSize > maxPersistPageSize ||
-		cfg.Metric < vec.L2 || cfg.Metric > vec.Cosine {
+		!cfg.Metric.Valid() {
 		return nil, fmt.Errorf("diskann: corrupt persisted config %+v", cfg)
 	}
 	ix := &Index{

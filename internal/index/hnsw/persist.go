@@ -64,7 +64,7 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 	if n != data.Len() {
 		return nil, fmt.Errorf("hnsw: persisted index has %d nodes, data has %d", n, data.Len())
 	}
-	if cfg.Metric < vec.L2 || cfg.Metric > vec.Cosine {
+	if !cfg.Metric.Valid() {
 		return nil, fmt.Errorf("hnsw: corrupt metric %d", int(cfg.Metric))
 	}
 	ix := &Index{

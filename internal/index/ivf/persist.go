@@ -62,7 +62,7 @@ func ReadFrom(r *binenc.Reader, data *vec.Matrix, ids []int32) (*Index, error) {
 	if n != data.Len() {
 		return nil, fmt.Errorf("ivf: persisted index has %d rows, data has %d", n, data.Len())
 	}
-	if cfg.Metric < vec.L2 || cfg.Metric > vec.Cosine || cfg.PageSize <= 0 {
+	if !cfg.Metric.Valid() || cfg.PageSize <= 0 {
 		return nil, fmt.Errorf("ivf: corrupt header: metric %d, page size %d", int(cfg.Metric), cfg.PageSize)
 	}
 	cdim := r.Int()

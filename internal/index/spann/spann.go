@@ -126,7 +126,7 @@ func Build(data *vec.Matrix, ids []int32, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("spann: centroid navigator: %w", err)
 	}
 	ix.navigator = nav
-	ix.caches = nodecache.NewSet(cfg.PageSize, cfg.Seed, ix.warmCache)
+	ix.caches = nodecache.NewSet(cfg.PageSize, ix.warmCache)
 	return ix, nil
 }
 

@@ -25,9 +25,7 @@
 // The cache tracks hits, misses, evictions, and bytes saved; Snapshot
 // returns a copy for reporting. All state transitions are pure functions of
 // the access sequence — there is no randomness and no wall-clock input —
-// which is what makes byte-identical replay possible. Config.Seed exists so
-// future sampled policies (Redis-style approximate LRU) have a recorded
-// seed from day one; the exact policies ignore it.
+// which is what makes byte-identical replay possible.
 package nodecache
 
 import (
@@ -71,9 +69,6 @@ type Config struct {
 	Policy Policy
 	// PageSize converts saved pages to saved bytes (default 4096).
 	PageSize int
-	// Seed is recorded for provenance so any future sampled policy is
-	// seeded by construction; the deterministic policies ignore it.
-	Seed int64
 }
 
 // Cache is a node cache under one policy. It is safe for concurrent use;

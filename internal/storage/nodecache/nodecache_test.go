@@ -197,7 +197,7 @@ func TestPropertyLRUMatchesModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 32} {
 		for seed := int64(0); seed < 4; seed++ {
 			r := rand.New(rand.NewSource(seed*1000 + int64(capacity)))
-			c := New(Config{Capacity: capacity, Policy: PolicyLRU, Seed: seed})
+			c := New(Config{Capacity: capacity, Policy: PolicyLRU})
 			m := newModel(capacity, false)
 			universe := make([]int32, 3*capacity+4)
 			for i := range universe {
@@ -228,7 +228,7 @@ func TestPropertyStaticMatchesModel(t *testing.T) {
 	for _, capacity := range []int{1, 5, 16} {
 		for seed := int64(0); seed < 4; seed++ {
 			r := rand.New(rand.NewSource(seed*77 + int64(capacity)))
-			c := New(Config{Capacity: capacity, Policy: PolicyStatic, Seed: seed})
+			c := New(Config{Capacity: capacity, Policy: PolicyStatic})
 			m := newModel(capacity, true)
 			universe := make([]int32, 2*capacity+6)
 			for i := range universe {
@@ -253,7 +253,7 @@ func TestPropertyStaticMatchesModel(t *testing.T) {
 func TestDeterministicSnapshots(t *testing.T) {
 	run := func() string {
 		r := rand.New(rand.NewSource(42))
-		c := New(Config{Capacity: 8, Policy: PolicyLRU, Seed: 42})
+		c := New(Config{Capacity: 8, Policy: PolicyLRU})
 		for i := 0; i < 2000; i++ {
 			c.Touch(int32(r.Intn(40)), 1+r.Intn(2))
 			if r.Intn(97) == 0 {

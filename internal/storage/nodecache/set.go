@@ -10,7 +10,6 @@ import "sync"
 // groups); indexes with one id space pass "".
 type Set struct {
 	pageSize int
-	seed     int64
 	warm     func(space string, c *Cache)
 
 	mu     sync.Mutex
@@ -28,8 +27,8 @@ type setKey struct {
 // NewSet creates an empty registry. warm installs the resident set of a new
 // static cache over the given key space; it runs once per cache, under the
 // set's lock.
-func NewSet(pageSize int, seed int64, warm func(space string, c *Cache)) *Set {
-	return &Set{pageSize: pageSize, seed: seed, warm: warm, caches: map[setKey]*Cache{}}
+func NewSet(pageSize int, warm func(space string, c *Cache)) *Set {
+	return &Set{pageSize: pageSize, warm: warm, caches: map[setKey]*Cache{}}
 }
 
 // For returns the cache the arguments select, creating (and, for the static
@@ -50,7 +49,7 @@ func (s *Set) For(policy string, nodes int, space string) *Cache {
 	if c, ok := s.caches[key]; ok {
 		return c
 	}
-	c := New(Config{Capacity: nodes, Policy: p, PageSize: s.pageSize, Seed: s.seed})
+	c := New(Config{Capacity: nodes, Policy: p, PageSize: s.pageSize})
 	if p == PolicyStatic {
 		s.warm(space, c)
 	}

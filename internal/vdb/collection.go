@@ -64,6 +64,9 @@ func NewCollection(name string, dim int, metric vec.Metric, traits Traits, kind 
 	if dim <= 0 {
 		return nil, fmt.Errorf("%w: invalid dimension %d", ErrBadParams, dim)
 	}
+	if !metric.Valid() {
+		return nil, fmt.Errorf("%w: unknown metric %v", ErrBadParams, metric)
+	}
 	return &Collection{
 		Name:     name,
 		dim:      dim,

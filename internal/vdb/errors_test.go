@@ -18,6 +18,9 @@ func TestBadParamsSentinel(t *testing.T) {
 	if _, err := NewCollection("c", 0, vec.Cosine, Qdrant(), IndexHNSW, DefaultBuildParams()); !errors.Is(err, ErrBadParams) {
 		t.Errorf("zero dim: err = %v, want ErrBadParams", err)
 	}
+	if _, err := NewCollection("c", 8, vec.Metric(7), Qdrant(), IndexHNSW, DefaultBuildParams()); !errors.Is(err, ErrBadParams) {
+		t.Errorf("unknown metric: err = %v, want ErrBadParams", err)
+	}
 
 	col, err := NewCollection("c", 8, vec.Cosine, Qdrant(), IndexHNSW, DefaultBuildParams())
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 // from saved two-segment DiskANN, HNSW and IVF collections, whole and
 // truncated) against a small data matrix. Whatever the bytes, it must not
 // panic, must not allocate beyond a small multiple of its input, and must
-// either return an error naming its package or a collection that can be
-// searched.
+// either return an error naming its package or a collection that can take
+// an insert and be searched, its growing tail under the loaded metric.
 func FuzzLoadCollection(f *testing.F) {
 	ds := dataset.Generate(dataset.Spec{
 		Name: "vdb-fuzz", N: 64, Dim: 8, NumQueries: 1,
@@ -69,6 +69,9 @@ func FuzzLoadCollection(f *testing.F) {
 		}
 		var next int64
 		col.AssignStorage(func(n int64) int64 { p := next; next += n; return p })
+		if _, err := col.Insert(ds.Queries.Row(0), nil); err != nil {
+			t.Fatalf("insert into a loaded collection: %v", err)
+		}
 		col.Search(ds.Queries.Row(0), 5, index.SearchOptions{SearchList: 10, BeamWidth: 2, EfSearch: 10, NProbe: 2})
 	})
 }

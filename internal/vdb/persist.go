@@ -32,45 +32,34 @@ func (p BuildParams) Fingerprint() string {
 // Growing rows, tombstones and payloads are runtime state and are not
 // persisted (matching a database checkpoint of sealed segments).
 func (c *Collection) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := binenc.WriteFile(path, func(w *binenc.Writer) error {
+		w.Magic(collectionMagic)
+		w.String(c.Name)
+		w.Int(c.dim)
+		w.Int(int(c.metric))
+		w.String(string(c.kind))
+		w.Int(len(c.segments))
+		for _, s := range c.segments {
+			w.I32s(s.IDs)
+			switch ix := s.Index.(type) {
+			case *hnsw.Index:
+				ix.WriteTo(w)
+			case *diskann.Index:
+				ix.WriteTo(w)
+			case *ivf.Index:
+				ix.WriteTo(w)
+			default:
+				// A cache-ineligible index reaching Save is a harness bug, not
+				// caller input, so it stays an internal (exit 1) error.
+				return fmt.Errorf("unsupported index type %T", s.Index) //annlint:allow errwrap -- harness bug, internal by design
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("vdb: save: %w", err)
 	}
-	w := binenc.NewWriter(f)
-	w.Magic(collectionMagic)
-	w.String(c.Name)
-	w.Int(c.dim)
-	w.Int(int(c.metric))
-	w.String(string(c.kind))
-	w.Int(len(c.segments))
-	for _, s := range c.segments {
-		w.I32s(s.IDs)
-		switch ix := s.Index.(type) {
-		case *hnsw.Index:
-			ix.WriteTo(w)
-		case *diskann.Index:
-			ix.WriteTo(w)
-		case *ivf.Index:
-			ix.WriteTo(w)
-		default:
-			f.Close()
-			os.Remove(tmp)
-			// A cache-ineligible index reaching Save is a harness bug, not
-			// caller input, so it stays an internal (exit 1) error.
-			return fmt.Errorf("vdb: save: unsupported index type %T", s.Index) //annlint:allow errwrap -- harness bug, internal by design
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("vdb: save: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("vdb: save: %w", err)
-	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // LoadCollection restores a collection saved with Save, re-binding it to the
@@ -132,6 +121,9 @@ func LoadCollection(path string, data *vec.Matrix, traits Traits, params BuildPa
 		}
 		if err != nil {
 			return nil, fmt.Errorf("vdb: load: segment %d: %w", si, err)
+		}
+		if ix.Metric() != metric {
+			return nil, fmt.Errorf("vdb: load: segment %d has metric %v, the collection %v", si, ix.Metric(), metric)
 		}
 		col.segments = append(col.segments, &Segment{IDs: ids, Data: sub, Index: ix})
 	}

@@ -1,11 +1,14 @@
 package vdb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"svdbench/internal/binenc"
 	"svdbench/internal/index"
 	"svdbench/internal/vec"
 )
@@ -107,5 +110,56 @@ func TestLoadRejectsDimMismatch(t *testing.T) {
 	bad := vec.NewMatrix(10, 16)
 	if _, err := LoadCollection(path, bad, Qdrant(), DefaultBuildParams()); err == nil {
 		t.Error("dim mismatch accepted")
+	}
+}
+
+// TestLoadRejectsBadMetric: a saved collection whose metric is unknown, with
+// or without segments, or differs from its segments' own metric is refused
+// at load; accepted, the first two searched their growing tail under an
+// unknown metric, which panics.
+func TestLoadRejectsBadMetric(t *testing.T) {
+	ds := testDataset(t, 300)
+	col, _ := NewCollection("p", 32, vec.Cosine, Qdrant(), IndexHNSW, DefaultBuildParams())
+	if err := col.BulkLoad(ds.Vectors, nil); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "col.bin")
+	if err := col.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The metric follows the magic, the name "p" and the dimension.
+	metricAt := len(collectionMagic) + 8 + len("p") + 8
+	withMetric := func(m vec.Metric) []byte {
+		b := bytes.Clone(saved)
+		binary.LittleEndian.PutUint64(b[metricAt:], uint64(m))
+		return b
+	}
+	var empty bytes.Buffer
+	w := binenc.NewWriter(&empty)
+	w.Magic(collectionMagic)
+	w.String("p")
+	w.Int(32)
+	w.Int(7)
+	w.String(string(IndexHNSW))
+	w.Int(0)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for name, file := range map[string][]byte{
+		"unknown metric":              withMetric(7),
+		"unknown metric, no segments": empty.Bytes(),
+		"segments of another metric":  withMetric(vec.L2),
+	} {
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCollection(path, ds.Vectors, Qdrant(), DefaultBuildParams()); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -26,6 +26,10 @@ const (
 	Cosine
 )
 
+// Valid reports whether m is one of the metrics above; a metric read from
+// a file or passed by a caller is checked with it before any search runs.
+func (m Metric) Valid() bool { return m >= L2 && m <= Cosine }
+
 func (m Metric) String() string {
 	switch m {
 	case L2:
@@ -146,6 +150,10 @@ type Matrix struct {
 func NewMatrix(n, dim int) *Matrix {
 	return &Matrix{Dim: dim, data: make([]float32, n*dim)}
 }
+
+// WrapMatrix views data, rows of dim floats concatenated, as a matrix
+// without copying it.
+func WrapMatrix(dim int, data []float32) *Matrix { return &Matrix{Dim: dim, data: data} }
 
 // MatrixFromRows builds a matrix by copying the given rows, which must all
 // have identical length.
